@@ -190,13 +190,17 @@ def _cmd_pds(args):
     return EXIT_OK
 
 
+def _parse_budgets(text):
+    try:
+        return [Fraction(part.strip()) for part in text.split(",")]
+    except (ValueError, ZeroDivisionError):
+        raise ValidationError("--budgets", "expected comma-separated rationals")
+
+
 def _cmd_pmc(args):
     inst = _read_instance(args.instance)
     seed = _default_seed(args.seed)
-    try:
-        budgets = [Fraction(part.strip()) for part in args.budgets.split(",")]
-    except (ValueError, ZeroDivisionError):
-        raise ValidationError("--budgets", "expected comma-separated rationals")
+    budgets = _parse_budgets(args.budgets)
     params = PmcParams(
         mode=args.mode, epsilon=args.epsilon, mu=args.mu, r_cap=args.r_cap, seed=seed
     )
@@ -245,7 +249,7 @@ def _cmd_oracle(args):
     elif args.problem == "pmc":
         if not args.budgets:
             raise ValidationError("--budgets", "required for --problem pmc")
-        budgets = [Fraction(part.strip()) for part in args.budgets.split(",")]
+        budgets = _parse_budgets(args.budgets)
         asg, covered = oracle_mod.exact_pmc(inst, budgets, limits)
         payload = {
             "assignment": [list(seq) for seq in asg.per_machine],

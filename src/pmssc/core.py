@@ -48,6 +48,14 @@ def as_fraction(value) -> Fraction:
     raise TypeError("unsupported numeric type: %r" % type(value))
 
 
+def element_mask(elements: Iterable[int]) -> int:
+    """Int bitmask of a collection of element indices."""
+    mask = 0
+    for e in elements:
+        mask |= 1 << e
+    return mask
+
+
 def _positive_fraction(value, what: str) -> Fraction:
     f = as_fraction(value)
     if f <= 0:
@@ -190,6 +198,11 @@ class ProblemInstance:
     @cached_property
     def members(self) -> Tuple[frozenset, ...]:
         return tuple(frozenset(s) for s in self.sets)
+
+    @cached_property
+    def masks(self) -> Tuple[int, ...]:
+        """Each set as an int bitmask: bit ``e`` is set for element ``e``."""
+        return tuple(element_mask(s) for s in self.sets)
 
     def cost(self, s: int, j: int) -> CostValue:
         if not 0 <= s < self.k:

@@ -59,6 +59,10 @@ class NotClosedError(PmsscError):
     """A set family is missing a predecessor required by the precedence graph."""
 
 
+class InvariantError(PmsscError):
+    """A solver produced a result that breaks a bound its analysis relies on."""
+
+
 class DomainError(PmsscError):
     """A numeric argument lies outside the function's domain."""
 

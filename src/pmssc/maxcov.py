@@ -2,8 +2,8 @@
 
 Two modes:
 
-* ``"ratio"`` -- the fast greedy that repeatedly adds the affordable set with
-  the best (new elements)/(cost) ratio, and falls back to the best single
+* ``"ratio"`` -- the greedy that repeatedly adds the affordable set with the
+  best (new elements)/(cost) ratio, and falls back to the best single
   affordable set when that beats the greedy run.
 * ``"enum3"`` -- classic partial enumeration over every seed family of at
   most three sets followed by ratio-greedy completion, which restores the
@@ -11,16 +11,35 @@ Two modes:
 
 ``mode=None`` selects ``"enum3"`` for k <= 40 and ``"ratio"`` otherwise.
 Among equal ratios the lowest set index wins, so results are deterministic.
+
+The kernel is exact and works on integers only:
+
+* Costs are scaled by the LCM ``L`` of their denominators, and the budget
+  becomes ``floor(budget * L)``. Every sum of chosen costs is a multiple of
+  ``1/L``, so "fits the budget" means the same before and after scaling.
+* Coverage is an int bitmask (bit ``e`` set for element ``e``), and the gain
+  of a set is ``(mask & ~covered).bit_count()``. A set given as an ``int``
+  is taken as a mask; any other set is an iterable of element indices.
+* The greedy is lazy (Minoux's accelerated greedy; CELF, Leskovec et al.
+  2007). A heap holds each set under the ratio it had when last evaluated,
+  ordered by ratio, then by lowest index. Coverage only grows, so a stale
+  ratio is at least the true one: when the top entry is fresh, no other set
+  can beat it, nor tie it with a lower index. The pick is therefore the one
+  the eager scan over all sets would make. A set that no longer fits is
+  dropped for good, because the remaining budget only shrinks; so is a set
+  whose gain reached zero.
 """
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from typing import Iterable, Optional, Sequence, Tuple
+from math import lcm
+from typing import Iterable, Optional, Sequence, Tuple, Union
 
-from .core import as_fraction
+from .core import as_fraction, element_mask
 from .errors import DomainError
 
 RATIO = "ratio"
@@ -36,50 +55,73 @@ class MaxCovResult:
     covered: int
 
 
-def _greedy_fill(members, costs, budget, chosen, covered, spent):
-    """Extend ``chosen`` ratio-greedily; mutates nothing, returns new state."""
+def _mask(items: Union[int, Iterable[int]]) -> int:
+    return items if isinstance(items, int) else element_mask(items)
+
+
+def _greedy_fill(masks, costs, scale, budget, chosen, covered, spent):
+    """Extend ``chosen`` lazily-greedily by ratio; returns the new state.
+
+    ``scale`` is at least the square of the largest cost, so the heap key
+    ``gain * scale // cost`` orders ratios exactly: two different ratios
+    g1/c1 and g2/c2 differ by at least 1/(c1*c2), i.e. their scaled values
+    by at least 1, and equal ratios get equal keys.
+    """
     chosen = list(chosen)
-    covered = set(covered)
-    spent = spent
     in_solution = set(chosen)
-    while True:
-        best = None  # (gain, cost, index)
-        for i, mem in enumerate(members):
-            if i in in_solution or costs[i] > budget - spent:
-                continue
-            gain = len(mem - covered)
-            if gain == 0:
-                continue
-            if best is None or gain * best[1] > best[0] * costs[i]:
-                best = (gain, costs[i], i)
-        if best is None:
-            break
-        _, cost, i = best
+    room = budget - spent
+    heap = []
+    for i, mask in enumerate(masks):
+        if i in in_solution or costs[i] > room:
+            continue
+        gain = (mask & ~covered).bit_count()
+        if gain:
+            heap.append((-(gain * scale // costs[i]), i, 0))
+    heapq.heapify(heap)
+    picks = 0
+    while heap:
+        _, i, stamp = heap[0]
+        cost = costs[i]
+        if cost > budget - spent:
+            heapq.heappop(heap)
+            continue
+        if stamp != picks:
+            gain = (masks[i] & ~covered).bit_count()
+            if gain:
+                heapq.heapreplace(heap, (-(gain * scale // cost), i, picks))
+            else:
+                heapq.heappop(heap)
+            continue
+        heapq.heappop(heap)
         chosen.append(i)
-        in_solution.add(i)
-        covered |= members[i]
+        covered |= masks[i]
         spent += cost
+        picks += 1
     return chosen, covered, spent
 
 
 def budgeted_max_coverage(
-    universe_restrict: Iterable[int],
-    sets: Sequence[Iterable[int]],
+    universe_restrict: Union[int, Iterable[int]],
+    sets: Sequence[Union[int, Iterable[int]]],
     costs: Sequence,
     budget,
     mode: Optional[str] = None,
 ) -> MaxCovResult:
-    """Pick sets of total cost <= budget maximizing coverage of the universe."""
+    """Pick sets of total cost <= budget maximizing coverage of the universe.
+
+    ``universe_restrict`` and each entry of ``sets`` are int bitmasks or
+    iterables of element indices.
+    """
     budget = as_fraction(budget)
     if budget < 0:
         raise DomainError("budget must be nonnegative")
     costs = [as_fraction(c) for c in costs]
-    if any(c <= 0 for c in costs):
+    if any(c.numerator <= 0 for c in costs):
         raise DomainError("all costs must be positive")
     if len(costs) != len(sets):
         raise ValueError("need one cost per set")
-    universe = frozenset(universe_restrict)
-    members = [frozenset(s) & universe for s in sets]
+    universe = _mask(universe_restrict)
+    masks = [_mask(s) & universe for s in sets]
     if mode is None:
         mode = PARTIAL_ENUM3 if len(sets) <= PARTIAL_ENUM_MAX_K else RATIO
     if mode not in (RATIO, PARTIAL_ENUM3):
@@ -88,33 +130,39 @@ def budgeted_max_coverage(
     if budget == 0 or not sets:
         return MaxCovResult((), Fraction(0), 0)
 
+    denom = lcm(*(c.denominator for c in costs))
+    icosts = [c.numerator * (denom // c.denominator) for c in costs]
+    ibudget = budget.numerator * denom // budget.denominator
+    scale = max(icosts) ** 2
+
     if mode == RATIO:
-        chosen, covered, spent = _greedy_fill(members, costs, budget, [], set(), Fraction(0))
+        chosen, covered, spent = _greedy_fill(masks, icosts, scale, ibudget, [], 0, 0)
+        covered_count = covered.bit_count()
         best_single = None
-        for i, mem in enumerate(members):
-            if costs[i] <= budget and (best_single is None or len(mem) > best_single[0]):
-                best_single = (len(mem), i)
-        if best_single is not None and best_single[0] > len(covered):
+        for i, mask in enumerate(masks):
+            size = mask.bit_count()
+            if icosts[i] <= ibudget and (best_single is None or size > best_single[0]):
+                best_single = (size, i)
+        if best_single is not None and best_single[0] > covered_count:
             i = best_single[1]
-            return MaxCovResult((i,), costs[i], best_single[0])
-        return MaxCovResult(tuple(sorted(chosen)), spent, len(covered))
+            return MaxCovResult((i,), Fraction(icosts[i], denom), best_single[0])
+        return MaxCovResult(tuple(sorted(chosen)), Fraction(spent, denom), covered_count)
 
     # Partial enumeration: every affordable seed of size <= 3, greedily completed.
     best = None  # key: (-covered, total_cost, chosen tuple)
     k = len(sets)
     for size in range(0, 4):
         for seed in combinations(range(k), size):
-            seed_cost = sum((costs[i] for i in seed), Fraction(0))
-            if seed_cost > budget:
+            seed_cost = sum(icosts[i] for i in seed)
+            if seed_cost > ibudget:
                 continue
-            seed_cover = set()
+            seed_cover = 0
             for i in seed:
-                seed_cover |= members[i]
+                seed_cover |= masks[i]
             chosen, covered, spent = _greedy_fill(
-                members, costs, budget, list(seed), seed_cover, seed_cost
+                masks, icosts, scale, ibudget, seed, seed_cover, seed_cost
             )
-            key = (-len(covered), spent, tuple(sorted(chosen)))
+            key = (-covered.bit_count(), spent, tuple(sorted(chosen)))
             if best is None or key < best:
                 best = key
-    covered_count = -best[0]
-    return MaxCovResult(best[2], best[1], covered_count)
+    return MaxCovResult(best[2], Fraction(best[1], denom), -best[0])

@@ -27,9 +27,10 @@ from .core import (
     UnrelatedCosts,
     as_fraction,
     density,
+    element_mask,
     is_finite_cost,
 )
-from .errors import NoCoverageError, NoIterationKeptError
+from .errors import InvariantError, NoCoverageError, NoIterationKeptError
 from .maxcov import budgeted_max_coverage
 from .pmc import FPT, POLY, PmcParams, pmc_solve
 from .rng import child_seed
@@ -88,21 +89,27 @@ def _require_coverage(inst, remaining, pool):
         raise NoCoverageError("no available set covers a remaining element")
 
 
-def _least_loaded_spread(inst, chosen: Sequence[int], m: int) -> Tuple[Tuple[int, ...], ...]:
-    """Place sets largest-first on the currently cheapest machine.
+def _check_best_density(inst, best, remaining) -> None:
+    if density(inst, best[1], remaining) != best[0]:
+        raise InvariantError("re-evaluated density differs from the kept value")
 
-    This keeps every machine at most average + max-set cost, which is the
-    2B bound the ladder analysis relies on; plain index-order round-robin
-    does not achieve that with heterogeneous costs.
+
+def _least_loaded_spread(chosen: Sequence[int], cost: Sequence[Fraction], m: int):
+    """Place sets largest-first on the currently cheapest identical machine.
+
+    Returns the per-machine families and their loads. This keeps every
+    machine at most average + max-set cost, which is the 2B bound the ladder
+    analysis relies on; plain index-order round-robin does not achieve that
+    with heterogeneous costs.
     """
-    order = sorted(chosen, key=lambda s: (-inst.cost(s, 0), s))
+    order = sorted(chosen, key=lambda s: (-cost[s], s))
     loads = [Fraction(0)] * m
     machines = [[] for _ in range(m)]
     for s in order:
         j = min(range(m), key=lambda q: (loads[q], q))
         machines[j].append(s)
-        loads[j] += inst.cost(s, j)
-    return tuple(tuple(seq) for seq in machines)
+        loads[j] += cost[s]
+    return tuple(tuple(seq) for seq in machines), loads
 
 
 def identical_ladder_delta(epsilon: float) -> float:
@@ -124,33 +131,44 @@ def pds_identical(
     _require_coverage(inst, remaining, pool)
     base = Fraction(1) + Fraction(identical_ladder_delta(epsilon))
     ladder = _ladder_for(inst, base, pool)
+    remaining_mask = element_mask(remaining)
+    cost = [inst.cost(s, 0) for s in range(inst.k)]
+    # Guesses ascend, so the sets that fit a guess grow as a prefix of the
+    # pool sorted by cost, and the maxcov arguments change only when it grows.
+    by_cost = sorted(pool, key=cost.__getitem__)
+    fit = 0
 
     best = None  # (DensityValue, Assignment)
     for guess in ladder.guesses():
-        candidates = [s for s in pool if inst.cost(s, 0) <= guess]
-        if not candidates:
+        grown = fit
+        while grown < len(by_cost) and cost[by_cost[grown]] <= guess:
+            grown += 1
+        if not grown:
             continue
+        if grown > fit:
+            fit = grown
+            candidates = sorted(by_cost[:fit])
+            cand_masks = [inst.masks[s] for s in candidates]
+            cand_costs = [cost[s] for s in candidates]
         result = budgeted_max_coverage(
-            remaining,
-            [inst.members[s] for s in candidates],
-            [inst.cost(s, 0) for s in candidates],
-            inst.m * guess,
-            mode=maxcov_mode,
+            remaining_mask, cand_masks, cand_costs, inst.m * guess, mode=maxcov_mode
         )
         if not result.chosen:
             continue
         chosen = [candidates[i] for i in result.chosen]
-        per_machine = _least_loaded_spread(inst, chosen, inst.m)
+        per_machine, loads = _least_loaded_spread(chosen, cost, inst.m)
         asg = Assignment(per_machine)
-        for j, seq in enumerate(per_machine):
-            load = sum((inst.cost(s, j) for s in seq), Fraction(0))
-            assert load <= 2 * guess
+        for j, load in enumerate(loads):
+            if load > 2 * guess:
+                raise InvariantError(
+                    "machine %d load %s exceeds twice the guess %s" % (j, load, guess)
+                )
         d = density(inst, asg, remaining)
         if best is None or d > best[0]:
             best = (d, asg)
     if best is None:
         raise NoCoverageError("every budget guess produced an empty family")
-    assert density(inst, best[1], remaining) == best[0]
+    _check_best_density(inst, best, remaining)
     return best[1]
 
 
@@ -173,33 +191,34 @@ def pds_unit(
     _require_coverage(inst, remaining, pool)
     base = Fraction(1) + Fraction(identical_ladder_delta(epsilon))
     ladder = _ladder_for(inst, base, pool)
+    remaining_mask = element_mask(remaining)
+    pool_masks = [inst.masks[s] for s in pool]
+    ones = [Fraction(1)] * len(pool)
 
     best = None
     for guess in ladder.guesses():
         if guess < 1:
             continue  # every set costs 1
         result = budgeted_max_coverage(
-            remaining,
-            [inst.members[s] for s in pool],
-            [Fraction(1)] * len(pool),
-            inst.m * guess,
-            mode=maxcov_mode,
+            remaining_mask, pool_masks, ones, inst.m * guess, mode=maxcov_mode
         )
         if not result.chosen:
             continue
         chosen = sorted(pool[i] for i in result.chosen)
+        if len(chosen) > inst.m * guess:
+            raise InvariantError(
+                "%d unit sets exceed the budget %s" % (len(chosen), inst.m * guess)
+            )
         machines = [[] for _ in range(inst.m)]
         for i, s in enumerate(chosen):
             machines[i % inst.m].append(s)
-        cap = -(-len(chosen) // inst.m)
-        assert all(len(seq) <= cap for seq in machines)
         asg = Assignment(tuple(tuple(seq) for seq in machines))
         d = density(inst, asg, remaining)
         if best is None or d > best[0]:
             best = (d, asg)
     if best is None:
         raise NoCoverageError("every budget guess produced an empty family")
-    assert density(inst, best[1], remaining) == best[0]
+    _check_best_density(inst, best, remaining)
     return best[1]
 
 
@@ -396,7 +415,8 @@ def pds_related(
             for j in group:
                 if loads[j] > cap:
                     feasible = False
-        assert feasible, "lift exceeded the per-machine bound"
+        if not feasible:
+            raise InvariantError("lift exceeded the per-machine bound")
         asg = Assignment(tuple(tuple(seq) for seq in per_machine))
         d = density(inst, asg, remaining)
         if best is None or d > best[0]:
@@ -406,7 +426,7 @@ def pds_related(
             "no budget guess produced an assignment (skipped: %s)"
             % [float(g) for g in skipped]
         )
-    assert density(inst, best[1], remaining) == best[0]
+    _check_best_density(inst, best, remaining)
     return best[1]
 
 
@@ -460,5 +480,5 @@ def pds_unrelated(
             "no budget guess produced an assignment (skipped: %s)"
             % [float(g) for g in skipped]
         )
-    assert density(inst, best[1], remaining) == best[0]
+    _check_best_density(inst, best, remaining)
     return best[1]

@@ -171,6 +171,19 @@ def test_cli_oracle_and_limits(tmp_path, capsys):
     assert rc == cli.EXIT_LIMITS
 
 
+@pytest.mark.parametrize("command", ["pmc", "oracle"])
+@pytest.mark.parametrize("budgets", ["1/0", "2,x"])
+def test_cli_bad_budgets_exit_code(tmp_path, capsys, command, budgets):
+    path = _write_instance(tmp_path, n=5, k=4, m=2, model="identical", density=0.5, seed=2)
+    argv = [command, "--instance", str(path), "--budgets", budgets]
+    argv += ["--problem", "pmc"] if command == "oracle" else ["--mode", "poly"]
+    rc = cli.main(argv)
+    captured = capsys.readouterr()
+    assert rc == cli.EXIT_VALIDATION
+    assert "--budgets" in captured.err
+    assert "Traceback" not in captured.err + captured.out
+
+
 def test_cli_validation_exit_code(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text(

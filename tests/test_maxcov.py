@@ -3,9 +3,21 @@ from itertools import combinations
 
 import pytest
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import pmssc.pds as pds_module
+from pmssc.core import IdenticalCosts, ProblemInstance, element_mask
 from pmssc.errors import DomainError
 from pmssc.fileio import generate_instance
-from pmssc.maxcov import PARTIAL_ENUM3, RATIO, budgeted_max_coverage
+from pmssc.maxcov import (
+    PARTIAL_ENUM3,
+    PARTIAL_ENUM_MAX_K,
+    RATIO,
+    MaxCovResult,
+    budgeted_max_coverage,
+)
+from pmssc.pds import identical_ladder_delta, pds_identical, pds_unit
 
 
 def brute_force_opt(universe, sets, costs, budget):
@@ -101,3 +113,162 @@ def test_nonpositive_cost_rejected():
         budgeted_max_coverage({0}, [{0}], [0], 1)
     with pytest.raises(DomainError):
         budgeted_max_coverage({0}, [{0}], [1], -1)
+
+
+# ---------------------------------------------------------------------------
+# Differential tests against the original Fraction / frozenset kernel
+
+
+def _reference_greedy_fill(members, costs, budget, chosen, covered, spent):
+    """The eager ratio scan over Fraction costs and frozenset members."""
+    chosen = list(chosen)
+    covered = set(covered)
+    in_solution = set(chosen)
+    while True:
+        best = None  # (gain, cost, index)
+        for i, mem in enumerate(members):
+            if i in in_solution or costs[i] > budget - spent:
+                continue
+            gain = len(mem - covered)
+            if gain == 0:
+                continue
+            if best is None or gain * best[1] > best[0] * costs[i]:
+                best = (gain, costs[i], i)
+        if best is None:
+            break
+        _, cost, i = best
+        chosen.append(i)
+        in_solution.add(i)
+        covered |= members[i]
+        spent += cost
+    return chosen, covered, spent
+
+
+def reference_max_coverage(universe, sets, costs, budget, mode):
+    """The original kernel: eager greedy, Fraction costs, frozenset coverage."""
+    budget = Fraction(budget)
+    costs = [Fraction(c) for c in costs]
+    universe = frozenset(universe)
+    members = [frozenset(s) & universe for s in sets]
+    if budget == 0 or not sets:
+        return MaxCovResult((), Fraction(0), 0)
+    if mode == RATIO:
+        chosen, covered, spent = _reference_greedy_fill(
+            members, costs, budget, [], set(), Fraction(0)
+        )
+        best_single = None
+        for i, mem in enumerate(members):
+            if costs[i] <= budget and (best_single is None or len(mem) > best_single[0]):
+                best_single = (len(mem), i)
+        if best_single is not None and best_single[0] > len(covered):
+            i = best_single[1]
+            return MaxCovResult((i,), costs[i], best_single[0])
+        return MaxCovResult(tuple(sorted(chosen)), spent, len(covered))
+    best = None  # key: (-covered, total_cost, chosen tuple)
+    for size in range(0, 4):
+        for seed in combinations(range(len(sets)), size):
+            seed_cost = sum((costs[i] for i in seed), Fraction(0))
+            if seed_cost > budget:
+                continue
+            seed_cover = set()
+            for i in seed:
+                seed_cover |= members[i]
+            chosen, covered, spent = _reference_greedy_fill(
+                members, costs, budget, list(seed), seed_cover, seed_cost
+            )
+            key = (-len(covered), spent, tuple(sorted(chosen)))
+            if best is None or key < best:
+                best = key
+    return MaxCovResult(best[2], best[1], -best[0])
+
+
+def _bits(mask):
+    return frozenset(e for e in range(mask.bit_length()) if mask >> e & 1)
+
+
+LADDER_BASES = (0.1, 0.3, identical_ladder_delta(0.1), identical_ladder_delta(0.3))
+
+
+@st.composite
+def maxcov_cases(draw):
+    n = draw(st.integers(min_value=0, max_value=10))
+    element = st.integers(min_value=0, max_value=max(n - 1, 0))
+    pool = draw(st.lists(st.frozensets(element, max_size=n), min_size=1, max_size=4))
+    # Picking sets from a small pool forces duplicate sets, hence ratio ties.
+    sets = draw(st.lists(st.sampled_from(pool), max_size=7)) if n else []
+    cost = st.one_of(
+        st.integers(min_value=1, max_value=3).map(Fraction),
+        st.builds(
+            Fraction,
+            st.integers(min_value=1, max_value=9),
+            st.integers(min_value=1, max_value=6),
+        ),
+    )
+    costs = draw(st.lists(cost, min_size=len(sets), max_size=len(sets)))
+    if draw(st.booleans()):
+        base = Fraction(1) + Fraction(draw(st.sampled_from(LADDER_BASES)))
+        budget = draw(st.integers(1, 3)) * base ** draw(st.integers(0, 12))
+    else:
+        budget = Fraction(draw(st.integers(0, 12)), draw(st.integers(1, 4)))
+    universe = draw(st.frozensets(element, max_size=n)) if draw(st.booleans()) else range(n)
+    return universe, sets, costs, budget
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=maxcov_cases())
+def test_kernel_matches_reference(case):
+    universe, sets, costs, budget = case
+    for mode in (RATIO, PARTIAL_ENUM3):
+        expected = reference_max_coverage(universe, sets, costs, budget, mode)
+        assert budgeted_max_coverage(universe, sets, costs, budget, mode=mode) == expected
+        masks = [element_mask(s) for s in sets]
+        assert (
+            budgeted_max_coverage(element_mask(universe), masks, costs, budget, mode=mode)
+            == expected
+        )
+
+
+def test_kernel_matches_reference_on_forced_ties():
+    # Sets 0, 1 and 3 tie on ratio 1/1 with set 2 (2/2); the lowest index wins.
+    sets = [{0}, {1}, {2, 3}, {4}, {0, 1, 2, 3, 4}]
+    costs = [1, 1, 2, 1, 5]
+    for budget in (Fraction(1), Fraction(2), Fraction(7, 2), Fraction(5)):
+        for mode in (RATIO, PARTIAL_ENUM3):
+            expected = reference_max_coverage(range(5), sets, costs, budget, mode)
+            assert budgeted_max_coverage(range(5), sets, costs, budget, mode=mode) == expected
+
+
+def _reference_via_masks(universe, sets, costs, budget, mode=None):
+    """Stand-in for ``pmssc.pds.budgeted_max_coverage`` that accepts masks."""
+    if mode is None:
+        mode = PARTIAL_ENUM3 if len(sets) <= PARTIAL_ENUM_MAX_K else RATIO
+    return reference_max_coverage(
+        _bits(universe), [_bits(s) for s in sets], costs, budget, mode
+    )
+
+
+def _pds_corpus():
+    """(instance, maxcov mode): small ones take the default (enum3)."""
+    out = []
+    for seed in range(4):
+        small = generate_instance(n=14, k=7, m=2, model="identical", density=0.3, seed=seed)
+        large = generate_instance(n=40, k=44, m=3, model="identical", density=0.1, seed=seed)
+        unit = generate_instance(n=12, k=6, m=2, model="unit", density=0.3, seed=seed)
+        fractional = tuple(
+            Fraction(small.cost(s, 0), 1 + (s + seed) % 4) for s in range(small.k)
+        )
+        out += [(small, None), (large, RATIO), (unit, None), (unit, RATIO)]
+        out.append((ProblemInstance(small.n, small.sets, 3, IdenticalCosts(fractional)), None))
+    return out
+
+
+@pytest.mark.parametrize("epsilon", [0.1, 0.3])
+def test_pds_matches_reference_kernel(epsilon, monkeypatch):
+    for inst, mode in _pds_corpus():
+        remaining = frozenset(range(0, inst.n, 1 + inst.k % 2))
+        solvers = [pds_identical] + ([pds_unit] if inst.cost_model.kind == "unit" else [])
+        for solver in solvers:
+            with monkeypatch.context() as patch:
+                patch.setattr(pds_module, "budgeted_max_coverage", _reference_via_masks)
+                expected = solver(inst, remaining, epsilon, maxcov_mode=mode)
+            assert solver(inst, remaining, epsilon, maxcov_mode=mode) == expected

@@ -14,9 +14,10 @@ from pmssc.core import (
     UnrelatedCosts,
     density,
 )
-from pmssc.errors import NoCoverageError
+from pmssc.errors import InvariantError, NoCoverageError
 from pmssc.fileio import generate_instance
-from pmssc.maxcov import PARTIAL_ENUM3
+import pmssc.pds as pds_module
+from pmssc.maxcov import PARTIAL_ENUM3, MaxCovResult
 from pmssc.oracle import exact_pds
 from pmssc.pds import (
     BudgetLadder,
@@ -251,3 +252,16 @@ def test_pds_no_coverage():
     inst = t1_instance(m=2)
     with pytest.raises(NoCoverageError):
         pds_identical(inst, frozenset(), 0.1)
+
+
+@pytest.mark.parametrize("solver", [pds_identical, pds_unit])
+def test_over_budget_family_raises_invariant_error(solver, monkeypatch):
+    # A max-coverage result that takes every candidate breaks the budget the
+    # ladder analysis relies on; that must raise even under ``python -O``.
+    def take_everything(universe, sets, costs, budget, mode=None):
+        return MaxCovResult(tuple(range(len(sets))), sum(costs), 0)
+
+    monkeypatch.setattr(pds_module, "budgeted_max_coverage", take_everything)
+    inst = generate_instance(n=8, k=6, m=1, model="unit", density=0.4, seed=3)
+    with pytest.raises(InvariantError):
+        solver(inst, range(inst.n), 0.1)
