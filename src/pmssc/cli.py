@@ -20,6 +20,7 @@ from pathlib import Path
 from . import oracle as oracle_mod
 from .core import evaluate_schedule_cost, validate_instance
 from .errors import (
+    InvariantError,
     LimitsExceededError,
     NoCoverageError,
     NoIterationKeptError,
@@ -111,7 +112,10 @@ def _cmd_solve(args):
     if args.algo == "exact":
         schedule, cost = oracle_mod.exact_pmssc(inst)
         verified, cover_times = evaluate_schedule_cost(inst, schedule)
-        assert verified == cost
+        if verified != cost:
+            raise InvariantError(
+                "exact schedule re-evaluates to %s, not its cost %s" % (verified, cost)
+            )
         payload = {
             "schedule": [list(seq) for seq in schedule.per_machine],
             "cost": fraction_token(cost),
@@ -122,7 +126,10 @@ def _cmd_solve(args):
         schedule, trace = pmssc_precedence(inst)
         # prefix-sum evaluation cannot see barrier idling; it must lower-bound
         prefix_cost, _ = evaluate_schedule_cost(inst, schedule)
-        assert prefix_cost <= trace.cost
+        if prefix_cost > trace.cost:
+            raise InvariantError(
+                "prefix cost %s exceeds the barrier-aligned cost %s" % (prefix_cost, trace.cost)
+            )
         payload = {
             "schedule": [list(seq) for seq in schedule.per_machine],
             "cost": trace.cost,

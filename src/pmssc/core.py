@@ -32,7 +32,9 @@ CostValue = Union[Fraction, float]
 
 
 def is_finite_cost(value: CostValue) -> bool:
-    return value != INFINITE_COST
+    # A Fraction is always finite; testing its type first skips the slow
+    # Fraction-vs-float comparison on the common path.
+    return type(value) is Fraction or value != INFINITE_COST
 
 
 def as_fraction(value) -> Fraction:

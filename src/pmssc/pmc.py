@@ -1,6 +1,6 @@
 """Parallel maximum coverage via LP relaxation plus randomized rounding.
 
-Two parameter regimes share the rounding loop:
+Two parameter regimes share the rounding pass:
 
 * poly -- budget-violation factor 1 + delta with
   delta = 4 ln m / ln ln m (clamped, see ``poly_delta``) and
@@ -11,8 +11,12 @@ Two parameter regimes share the rounding loop:
 Every returned assignment satisfies cost_j <= (1 + delta) * B_j on every
 machine: iterations violating any budget are discarded, and the kept
 iteration covering the most elements wins (ties to the lowest iteration
-index). Iteration r draws from the random stream (seed, r), so runs are
-reproducible and iterations independent.
+index). One rounding call draws all R iterations at once from one Philox
+stream keyed by the seed: row r of the draw matrix is iteration r, and rows
+are padded to a multiple of 4 doubles (one Philox block), so row r can be
+replayed alone by advancing a fresh stream r * width / 4 blocks. Loads are
+summed in float64; a load within a relative 1e-9 of its limit is re-checked
+with exact rationals, so every keep/discard decision is exact.
 """
 
 from __future__ import annotations
@@ -22,6 +26,8 @@ import os
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence, Tuple
+
+import numpy as np
 
 from .core import (
     Assignment,
@@ -126,16 +132,20 @@ class PmcResult:
     attempts: int
 
 
-def raw_draws(seed: int, iteration: int, probs: Sequence[float]):
-    """Independent Bernoulli draws for one rounding iteration.
+def raw_draws(seed: int, attempts: int, probs: Sequence[float]):
+    """Independent Bernoulli draws for all rounding iterations of one call.
 
-    Pair (s, j) is included with probability probs[s*m + j]; the stream is
-    keyed by (seed, iteration) so iterations are reproducible in isolation.
+    Returns an (attempts, k*m) boolean matrix: pair (s, j) is drawn in
+    iteration r when entry [r, s*m + j] is set, with probability
+    probs[s*m + j]. All rows come from one stream keyed by ``seed``; each row
+    takes ``width`` doubles, k*m rounded up to a multiple of 4, so row r
+    starts on a Philox block boundary and is reproduced alone by
+    ``stream(seed)`` after ``bit_generator.advance(r * width // 4)``.
     """
-    import numpy as np
-
-    rng = stream(seed, iteration)
-    return rng.random(len(probs)) < np.asarray(probs, dtype=float)
+    probs = np.asarray(probs, dtype=float)
+    km = probs.size
+    width = -(-km // 4) * 4
+    return stream(seed).random((attempts, width))[:, :km] < probs
 
 
 def _normalizers(inst: ProblemInstance) -> Tuple[Fraction, ...]:
@@ -193,10 +203,17 @@ def build_pmc_lp(inst: ProblemInstance, budgets: Sequence) -> LinearProgram:
             if is_finite_cost(c):
                 coeffs[s * m + j] = c / norms[j]
         scaled = min(budgets[j] / norms[j], Fraction(1))
-        assert scaled <= 1
         constraints.append((tuple(coeffs), "<=", scaled))
 
     return LinearProgram(objective, tuple(constraints), tuple(bounds))
+
+
+def _float_or_inf(value) -> float:
+    """Nearest float; inf for a rational past the float range (re-checked exactly)."""
+    try:
+        return float(value)
+    except OverflowError:
+        return math.inf
 
 
 def round_pmc(
@@ -205,67 +222,65 @@ def round_pmc(
     lp_solution: LpSolution,
     params: PmcParams,
 ) -> PmcResult:
-    """Randomized rounding of the LP solution.
+    """Randomized rounding of the LP solution, all iterations in one pass.
 
-    Each iteration draws set-machine pairs independently with probability
-    x_{s,j}; a set drawn on several machines is kept on the lowest-index one
-    (the assignment type forbids duplicates, and dropping copies only lowers
-    cost). Iterations whose realized cost exceeds (1 + delta) * B_j on any
-    machine are discarded.
+    Iteration r draws set-machine pairs independently with probability
+    x_{s,j} (row r of ``raw_draws``); a set drawn on several machines is kept
+    on the lowest-index one (the assignment type forbids duplicates, and
+    dropping copies only lowers cost). Iterations whose realized cost exceeds
+    (1 + delta) * B_j on any machine are discarded. Loads are float64 sums;
+    a load within a relative 1e-9 of its limit (or not finite) is summed
+    again in exact rationals before the decision. Float conversion and a sum
+    of k positive terms err by at most about k * 2^-53 relatively, far inside
+    that band, so no decision differs from the exact one; the band's
+    absolute 1e-300 covers costs below the normal float range, where only an
+    absolute error bound holds.
     """
     if lp_solution.status != OPTIMAL:
         raise DomainError("rounding requires an optimal LP solution")
-    k, m = inst.k, inst.m
+    k, m, n = inst.k, inst.m, inst.n
     budgets = [as_fraction(b) for b in budgets]
-    probs = [min(1.0, max(0.0, float(v))) for v in lp_solution.values[: k * m]]
+    probs = np.clip(np.asarray(lp_solution.values[: k * m], dtype=float), 0.0, 1.0)
     delta = params.delta(m)
     limit = [(1 + Fraction(delta)) * b for b in budgets]
     costs = [[inst.cost(s, j) for j in range(m)] for s in range(k)]
-    masks = []
+    # float32 so the coverage product runs in BLAS; its entries count sets,
+    # which float32 holds exactly below 2^24
+    incidence = np.zeros((k, n), dtype=np.float32)
     for s in range(k):
-        mask = 0
-        for u in inst.members[s]:
-            mask |= 1 << u
-        masks.append(mask)
+        incidence[s, list(inst.members[s])] = 1.0
 
-    attempts = params.attempts(m, inst.n)
-    best = None  # (covered, iteration, per-machine tuple of set lists)
-    kept = 0
-    for r in range(attempts):
-        drawn = raw_draws(params.seed, r, probs)
-        per_machine = [[] for _ in range(m)]
-        loads = [Fraction(0)] * m
-        for s in range(k):
-            for j in range(m):
-                if drawn[s * m + j]:
-                    per_machine[j].append(s)
-                    loads[j] += costs[s][j]
-                    break  # a duplicate draw keeps only the lowest machine
-        ok = True
-        for j in range(m):
-            if loads[j] > limit[j]:
-                ok = False
-                break
-        if not ok:
-            continue
-        kept += 1
-        union = 0
-        for j in range(m):
-            for s in per_machine[j]:
-                union |= masks[s]
-        covered = union.bit_count()
-        if best is None or covered > best[0]:
-            best = (covered, r, tuple(tuple(seq) for seq in per_machine))
-    if best is None:
+    attempts = params.attempts(m, n)
+    drawn = raw_draws(params.seed, attempts, probs).reshape(attempts, k, m)
+    hit = drawn.any(axis=2)  # (R, k): set s is placed in iteration r
+    keep = hit[:, :, None] & (drawn.argmax(axis=2)[:, :, None] == np.arange(m))
+
+    cost_f = np.array([[_float_or_inf(c) for c in row] for row in costs])
+    limit_f = np.array([_float_or_inf(b) for b in limit])
+    loads = np.where(keep, cost_f, 0.0).sum(axis=1)  # (R, m)
+    over = loads > limit_f
+    with np.errstate(invalid="ignore"):  # inf - inf: not decided, so exact
+        decided = np.isfinite(loads) & (np.abs(loads - limit_f) > 1e-9 * limit_f + 1e-300)
+    for r, j in zip(*np.nonzero(~decided)):
+        exact = sum((costs[s][j] for s in np.flatnonzero(keep[r, :, j])), Fraction(0))
+        over[r, j] = exact > limit[j]
+    ok = ~over.any(axis=1)
+    kept = int(ok.sum())
+    if kept == 0:
         raise NoIterationKeptError(attempts)
-    assignment = Assignment(best[2])
+
+    covered = (hit.astype(np.float32) @ incidence > 0).sum(axis=1)
+    best = int(np.argmax(np.where(ok, covered, -1)))
+    assignment = Assignment(
+        tuple(tuple(int(s) for s in np.flatnonzero(keep[best, :, j])) for j in range(m))
+    )
     per_cost = []
     for j, seq in enumerate(assignment.per_machine):
         per_cost.append(sum((costs[s][j] for s in seq), Fraction(0)))
     return PmcResult(
         assignment=assignment,
         per_machine_cost=tuple(per_cost),
-        covered=best[0],
+        covered=int(covered[best]),
         lp_objective=float(lp_solution.objective_value),
         iterations_kept=kept,
         attempts=attempts,

@@ -1,8 +1,12 @@
 """Seedable, splittable random streams.
 
 All randomized code draws from Philox counter-based generators keyed by
-(seed, *path), so any iteration or subroutine can be replayed in isolation
-and independent streams can run in parallel without coordination.
+(seed, *path), so any subroutine can be replayed in isolation and
+independent streams can run in parallel without coordination. A counter-based
+stream also replays any part of itself: ``bit_generator.advance(b)`` skips b
+blocks of four 64-bit words, so PMC rounding takes one stream per call and
+still reproduces iteration r alone from its row offset (Salmon et al.,
+"Parallel random numbers: as easy as 1, 2, 3", SC 2011).
 """
 
 import numpy as np

@@ -18,6 +18,7 @@ from pmssc.core import (
     coverage,
     density,
     evaluate_schedule_cost,
+    is_finite_cost,
     validate_instance,
 )
 from pmssc.errors import (
@@ -218,3 +219,18 @@ def test_infinite_cost_rejected_in_schedule():
 def test_element_out_of_range_rejected():
     with pytest.raises(InvalidIndexError):
         ProblemInstance(n=2, sets=((0, 2),), m=1, cost_model=UnitCosts())
+
+
+@pytest.mark.parametrize(
+    "value, finite",
+    [
+        (Fraction(7, 3), True),
+        (Fraction(0), True),
+        (3, True),
+        (2.5, True),
+        (INFINITE_COST, False),
+        (float("inf"), False),
+    ],
+)
+def test_is_finite_cost(value, finite):
+    assert is_finite_cost(value) is finite

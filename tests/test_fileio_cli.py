@@ -1,5 +1,9 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from fractions import Fraction
 
 import pytest
 
@@ -274,3 +278,44 @@ def test_cli_precedence_solve(tmp_path, capsys):
     report = json.loads(captured.out)
     assert report["barrier_aligned"] is True
     assert report["cost"] == sum(report["cover_times"])
+
+
+# A schedule cost that re-evaluates above every reported cost breaks the check
+# each of these solve paths makes on its own result.
+BREACH_CASES = [
+    ("exact", dict(n=4, k=3, m=2, model="identical", density=0.5, seed=4)),
+    ("greedy-precedence", dict(n=5, k=5, m=2, model="unit", density=0.4, seed=8, dag_edge_prob=0.4)),
+]
+
+
+@pytest.mark.parametrize("algo, spec", BREACH_CASES)
+def test_cli_invariant_breach_exits_3(tmp_path, capsys, monkeypatch, algo, spec):
+    path = _write_instance(tmp_path, **spec)
+    monkeypatch.setattr(cli, "evaluate_schedule_cost", lambda inst, schedule: (Fraction(10**9), ()))
+    rc = cli.main(["solve", "--instance", str(path), "--algo", algo])
+    captured = capsys.readouterr()
+    assert rc == cli.EXIT_SOLVER
+    assert "error:" in captured.err
+    assert "Traceback" not in captured.err + captured.out
+
+
+@pytest.mark.parametrize("algo, spec", BREACH_CASES)
+def test_cli_invariant_breach_exits_3_under_optimize(tmp_path, algo, spec):
+    # ``python -O`` strips asserts; the checks must still run
+    path = _write_instance(tmp_path, **spec)
+    script = (
+        "import sys\n"
+        "from fractions import Fraction\n"
+        "import pmssc.cli as cli\n"
+        "cli.evaluate_schedule_cost = lambda inst, schedule: (Fraction(10**9), ())\n"
+        "sys.exit(cli.main(sys.argv[1:]))\n"
+    )
+    env = dict(os.environ)
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", script, "solve", "--instance", str(path), "--algo", algo],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == cli.EXIT_SOLVER
+    assert "Traceback" not in proc.stderr + proc.stdout

@@ -3,13 +3,18 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import t1_instance
 from pmssc.core import (
+    Assignment,
     IdenticalCosts,
     INFINITE_COST,
     ProblemInstance,
     UnrelatedCosts,
+    as_fraction,
+    element_mask,
 )
 from pmssc.errors import NoIterationKeptError
 from pmssc.fileio import generate_instance
@@ -18,6 +23,7 @@ from pmssc.pmc import (
     FPT,
     POLY,
     PmcParams,
+    PmcResult,
     build_pmc_lp,
     concentration_repetitions,
     fpt_budget_failure_rate,
@@ -27,6 +33,7 @@ from pmssc.pmc import (
     raw_draws,
     round_pmc,
 )
+from pmssc.rng import stream
 
 U3 = frozenset(range(3))
 
@@ -154,10 +161,7 @@ def test_rounding_unbiasedness():
     """Raw per-pair inclusion frequency matches x within 3 sigma."""
     probs = [0.15, 0.5, 0.85, 0.0, 1.0, 0.3]
     trials = 100_000
-    counts = np.zeros(len(probs))
-    for r in range(trials):
-        counts += raw_draws(123, r, probs)
-    freq = counts / trials
+    freq = raw_draws(123, trials, probs).mean(axis=0)
     for p, f in zip(probs, freq):
         tol = 3 * math.sqrt(p * (1 - p) / trials)
         assert abs(f - p) <= tol + 1e-12
@@ -170,17 +174,24 @@ def test_coverage_expectation_lemma():
     sol = solve_lp(build_pmc_lp(inst, budgets), verify=True)
     probs = [min(1.0, max(0.0, float(v))) for v in sol.values[: inst.k * inst.m]]
     trials = 10_000
-    covered = np.zeros(trials)
-    for r in range(trials):
-        drawn = raw_draws(9, r, probs)
-        union = set()
-        for s in range(inst.k):
-            if any(drawn[s * inst.m + j] for j in range(inst.m)):
-                union |= inst.members[s]
-        covered[r] = len(union)
+    placed = raw_draws(9, trials, probs).reshape(trials, inst.k, inst.m).any(axis=2)
+    covered = np.array(
+        [len(set().union(*(inst.members[s] for s in np.flatnonzero(row)))) for row in placed]
+    )
     mean = covered.mean()
     slack = 3 * covered.std() / math.sqrt(trials)
     assert mean >= (1 - 1 / math.e) * float(sol.objective_value) - slack
+
+
+def test_draw_rows_replay_alone():
+    # k*m = 7 pads to 8 doubles per row, i.e. 2 Philox blocks
+    probs = [0.1, 0.3, 0.5, 0.7, 0.9, 0.4, 0.6]
+    draws = raw_draws(5, 10, probs)
+    assert draws.shape == (10, 7)
+    for r in range(10):
+        gen = stream(5)
+        gen.bit_generator.advance(r * 8 // 4)
+        assert (draws[r] == (gen.random(8)[:7] < probs)).all()
 
 
 def test_no_iteration_kept_reported():
@@ -209,3 +220,153 @@ def test_lp_dump_debug_flag(tmp_path, monkeypatch):
     pmc_solve(inst, [2], PmcParams(mode=POLY, epsilon=0.2, seed=0))
     text = dump.read_text()
     assert "Maximize" in text and "Subject To" in text
+
+
+# -- differential test: vectorised rounding against the former per-iteration loop
+
+
+def reference_round_pmc(inst, budgets, lp_solution, params, draws):
+    """The former rounding loop: iteration r reads row r of ``draws`` and sums
+    exact ``Fraction`` loads; coverage is an int-bitmask union."""
+    k, m = inst.k, inst.m
+    budgets = [as_fraction(b) for b in budgets]
+    delta = params.delta(m)
+    limit = [(1 + Fraction(delta)) * b for b in budgets]
+    costs = [[inst.cost(s, j) for j in range(m)] for s in range(k)]
+    masks = [element_mask(inst.members[s]) for s in range(k)]
+
+    attempts = params.attempts(m, inst.n)
+    best = None  # (covered, iteration, per-machine tuple of set lists)
+    kept = 0
+    for r in range(attempts):
+        drawn = draws[r]
+        per_machine = [[] for _ in range(m)]
+        loads = [Fraction(0)] * m
+        for s in range(k):
+            for j in range(m):
+                if drawn[s * m + j]:
+                    per_machine[j].append(s)
+                    loads[j] += costs[s][j]
+                    break  # a duplicate draw keeps only the lowest machine
+        if any(loads[j] > limit[j] for j in range(m)):
+            continue
+        kept += 1
+        union = 0
+        for j in range(m):
+            for s in per_machine[j]:
+                union |= masks[s]
+        covered = union.bit_count()
+        if best is None or covered > best[0]:
+            best = (covered, r, tuple(tuple(seq) for seq in per_machine))
+    if best is None:
+        raise NoIterationKeptError(attempts)
+    assignment = Assignment(best[2])
+    per_cost = tuple(
+        sum((costs[s][j] for s in seq), Fraction(0))
+        for j, seq in enumerate(assignment.per_machine)
+    )
+    return PmcResult(
+        assignment=assignment,
+        per_machine_cost=per_cost,
+        covered=best[0],
+        lp_objective=float(lp_solution.objective_value),
+        iterations_kept=kept,
+        attempts=attempts,
+    )
+
+
+def _outcome(solve):
+    try:
+        return solve()
+    except NoIterationKeptError as err:
+        return ("no iteration kept", err.attempts)
+
+
+def assert_same_rounding(inst, budgets, solution, params):
+    probs = [min(1.0, max(0.0, float(v))) for v in solution.values[: inst.k * inst.m]]
+    draws = raw_draws(params.seed, params.attempts(inst.m, inst.n), probs)
+    expected = _outcome(lambda: reference_round_pmc(inst, budgets, solution, params, draws))
+    actual = _outcome(lambda: round_pmc(inst, budgets, solution, params))
+    assert actual == expected
+    return actual
+
+
+@st.composite
+def rounding_cases(draw):
+    k = draw(st.integers(1, 6))
+    m = draw(st.integers(1, 3))
+    n = draw(st.integers(1, 8))
+    element = st.integers(0, n - 1)
+    sets = tuple(tuple(sorted(draw(st.frozensets(element, max_size=n)))) for _ in range(k))
+    cost = st.one_of(
+        st.just(INFINITE_COST),
+        st.builds(Fraction, st.integers(1, 20), st.integers(1, 10)),
+    )
+    matrix = tuple(tuple(draw(cost) for _ in range(m)) for _ in range(k))
+    inst = ProblemInstance(n=n, sets=sets, m=m, cost_model=UnrelatedCosts(matrix))
+    # LP values may stray just outside [0, 1]; infinite pairs are pinned to 0
+    prob = st.one_of(st.sampled_from([0.0, 0.5, 1.0]), st.floats(-0.01, 1.01))
+    probs = [
+        0.0 if matrix[s][j] == INFINITE_COST else draw(prob)
+        for s in range(k)
+        for j in range(m)
+    ]
+    solution = LpSolution(tuple(probs) + (0.0,) * n, 1.0, OPTIMAL)
+    mode = draw(st.sampled_from([POLY, FPT]))
+    params = PmcParams(
+        mode=mode,
+        epsilon=draw(st.sampled_from([0.2, 0.5])),
+        mu=draw(st.sampled_from([0.001, 0.3, 1.0])) if mode == FPT else None,
+        r_cap=draw(st.sampled_from([None, 1, 5])),
+        seed=draw(st.integers(0, 2**64 - 1)),
+    )
+    # Each limit (1 + delta) * B_j is the load of some placement on machine j,
+    # exactly or nudged below float resolution, so float loads meet the limit.
+    delta = Fraction(params.delta(m))
+    budgets = []
+    for j in range(m):
+        finite = [row[j] for row in matrix if row[j] != INFINITE_COST]
+        chosen = draw(st.lists(st.booleans(), min_size=len(finite), max_size=len(finite)))
+        load = sum((c for c, take in zip(finite, chosen) if take), Fraction(0))
+        nudge = draw(st.sampled_from([0, 1, -1])) * Fraction(1, 10**18)
+        budgets.append(max(Fraction(0), load / (1 + delta) + nudge))
+    return inst, budgets, solution, params
+
+
+@settings(max_examples=400, deadline=None)
+@given(case=rounding_cases())
+def test_round_pmc_matches_reference_loop(case):
+    assert_same_rounding(*case)
+
+
+def test_round_pmc_matches_reference_when_nothing_is_kept():
+    # tiny mu: two certain draws of cost 2 always break the 1.001 * 2 limit
+    inst = ProblemInstance(n=2, sets=((0, 1), (0, 1)), m=1, cost_model=IdenticalCosts((2, 2)))
+    solution = LpSolution((1.0, 1.0, 1.0, 1.0), 2.0, OPTIMAL)
+    params = PmcParams(mode=FPT, epsilon=0.2, mu=0.001, seed=3)
+    outcome = assert_same_rounding(inst, [2], solution, params)
+    assert outcome == ("no iteration kept", params.attempts(1, 2))
+    assert params.attempts(1, 2) > 1
+
+
+@pytest.mark.parametrize(
+    "cost, budget",
+    [
+        # past the float range: loads overflow to inf and are decided exactly
+        (Fraction(10**400), Fraction(10**400) + 1),
+        (Fraction(10**400), Fraction(10**400)),
+        # below it: costs underflow to 0.0
+        (Fraction(1, 10**400), Fraction(2, 10**400)),
+        (Fraction(1, 10**400), Fraction(1, 10**400)),
+    ],
+)
+def test_round_pmc_matches_reference_outside_float_range(cost, budget):
+    inst = ProblemInstance(
+        n=2, sets=((0,), (1,)), m=1, cost_model=UnrelatedCosts(((cost,), (Fraction(1, 10**400),)))
+    )
+    solution = LpSolution((1.0, 1.0, 0.0, 0.0), 2.0, OPTIMAL)
+    params = PmcParams(mode=FPT, epsilon=0.2, mu=0.001, r_cap=3, seed=1)
+    # the limit is exactly the load (kept) or just below it (nothing kept)
+    limit_budget = (cost + Fraction(1, 10**400)) / (1 + Fraction(params.delta(1)))
+    for b in (limit_budget, limit_budget - Fraction(1, 10**420), budget):
+        assert_same_rounding(inst, [b], solution, params)
