@@ -40,9 +40,9 @@ from .fileio import (
 )
 from .pmc import PmcParams, pmc_solve
 from .precedence import pcds_detailed, pmssc_precedence
-from .scheduler import pmssc_greedy, upper_bound_from_trace
+from .scheduler import pmssc_greedy, require_oracle_model, upper_bound_from_trace
 from .core import density as density_of
-from .pds import pds_identical, pds_related, pds_unit, pds_unrelated
+from .pds import pds_identical, pds_related, pds_unrelated
 
 SOLVE_ALGOS = (
     "greedy-identical",
@@ -99,6 +99,48 @@ def _emit(report: RunReport, out_path, as_csv, csv_row):
         sys.stdout.write(text)
 
 
+def _solve(inst, algo, epsilon, seed):
+    """Run one of SOLVE_ALGOS; returns the exact cost and the report payload."""
+    if algo == "exact":
+        schedule, cost = oracle_mod.exact_pmssc(inst)
+        verified, cover_times = evaluate_schedule_cost(inst, schedule)
+        if verified != cost:
+            raise InvariantError(
+                "exact schedule re-evaluates to %s, not its cost %s" % (verified, cost)
+            )
+        payload = {
+            "cost": fraction_token(cost),
+            "cover_times": [fraction_token(t) for t in cover_times],
+            "optimal": True,
+        }
+    elif algo == "greedy-precedence":
+        schedule, trace = pmssc_precedence(inst)
+        # prefix-sum evaluation cannot see barrier idling; it must lower-bound
+        prefix_cost, _ = evaluate_schedule_cost(inst, schedule)
+        if prefix_cost > trace.cost:
+            raise InvariantError(
+                "prefix cost %s exceeds the barrier-aligned cost %s" % (prefix_cost, trace.cost)
+            )
+        cost = Fraction(trace.cost)
+        payload = {
+            "cost": trace.cost,
+            "cover_times": list(trace.cover_times),
+            "barrier_aligned": True,
+        }
+    else:
+        oracle_name = algo.split("-", 1)[1]
+        schedule, trace = pmssc_greedy(inst, oracle=oracle_name, epsilon=epsilon, seed=seed)
+        cost, cover_times = evaluate_schedule_cost(inst, schedule)
+        payload = {
+            "cost": fraction_token(cost),
+            "cover_times": [fraction_token(t) for t in cover_times],
+            "upper_bound": fraction_token(upper_bound_from_trace(trace)),
+            "iterations": len(trace.iterations),
+        }
+    payload["schedule"] = [list(seq) for seq in schedule.per_machine]
+    return cost, payload
+
+
 def _cmd_solve(args):
     inst = _read_instance(args.instance)
     seed = _default_seed(args.seed)
@@ -109,46 +151,7 @@ def _cmd_solve(args):
         "seed": seed,
         "algo": args.algo,
     }
-    if args.algo == "exact":
-        schedule, cost = oracle_mod.exact_pmssc(inst)
-        verified, cover_times = evaluate_schedule_cost(inst, schedule)
-        if verified != cost:
-            raise InvariantError(
-                "exact schedule re-evaluates to %s, not its cost %s" % (verified, cost)
-            )
-        payload = {
-            "schedule": [list(seq) for seq in schedule.per_machine],
-            "cost": fraction_token(cost),
-            "cover_times": [fraction_token(t) for t in cover_times],
-            "optimal": True,
-        }
-    elif args.algo == "greedy-precedence":
-        schedule, trace = pmssc_precedence(inst)
-        # prefix-sum evaluation cannot see barrier idling; it must lower-bound
-        prefix_cost, _ = evaluate_schedule_cost(inst, schedule)
-        if prefix_cost > trace.cost:
-            raise InvariantError(
-                "prefix cost %s exceeds the barrier-aligned cost %s" % (prefix_cost, trace.cost)
-            )
-        payload = {
-            "schedule": [list(seq) for seq in schedule.per_machine],
-            "cost": trace.cost,
-            "cover_times": list(trace.cover_times),
-            "barrier_aligned": True,
-        }
-    else:
-        oracle_name = args.algo.split("-", 1)[1]
-        schedule, trace = pmssc_greedy(
-            inst, oracle=oracle_name, epsilon=args.epsilon, seed=seed
-        )
-        cost, cover_times = evaluate_schedule_cost(inst, schedule)
-        payload = {
-            "schedule": [list(seq) for seq in schedule.per_machine],
-            "cost": fraction_token(cost),
-            "cover_times": [fraction_token(t) for t in cover_times],
-            "upper_bound": fraction_token(upper_bound_from_trace(trace)),
-            "iterations": len(trace.iterations),
-        }
+    _, payload = _solve(inst, args.algo, args.epsilon, seed)
     report = RunReport(
         algorithm=args.algo,
         parameters=parameters,
@@ -169,10 +172,9 @@ def _cmd_pds(args):
     seed = _default_seed(args.seed)
     remaining = frozenset(range(inst.n))
     started = time.perf_counter()
-    if args.algo == "identical":
+    if args.algo in ("identical", "unit"):
+        require_oracle_model(inst, args.algo)
         asg = pds_identical(inst, remaining, args.epsilon)
-    elif args.algo == "unit":
-        asg = pds_unit(inst, remaining, args.epsilon)
     elif args.algo == "related":
         asg = pds_related(inst, remaining, args.epsilon, seed=seed)
     elif args.algo == "unrelated":
@@ -316,17 +318,7 @@ def _cmd_bench(args):
     writer.writerow(["instance", "algo_cost", "oracle_cost", "ratio"])
     for path in paths:
         inst = _read_instance(path)
-        if args.algo == "exact":
-            schedule, cost = oracle_mod.exact_pmssc(inst)
-        elif args.algo == "greedy-precedence":
-            _, trace = pmssc_precedence(inst)
-            cost = Fraction(trace.cost)
-        else:
-            oracle_name = args.algo.split("-", 1)[1]
-            schedule, _ = pmssc_greedy(
-                inst, oracle=oracle_name, epsilon=args.epsilon, seed=seed
-            )
-            cost = evaluate_schedule_cost(inst, schedule)[0]
+        cost, _ = _solve(inst, args.algo, args.epsilon, seed)
         if args.ratios:
             try:
                 _, opt = oracle_mod.exact_pmssc(inst)

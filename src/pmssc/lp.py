@@ -143,21 +143,29 @@ def _optimize(M, b, c, u, basis, flipped, tol, bland_after):
     raise _NumericTrouble("iteration limit exceeded")
 
 
-def _solve_floats(lp: LinearProgram, tol: float):
+def _as_floats(lp: LinearProgram):
+    """(row coefficient vectors, rhs, lower bounds, upper bounds) in float64."""
+    return (
+        [np.array([float(a) for a in coeffs]) for coeffs, _, _ in lp.constraints],
+        [float(rhs) for _, _, rhs in lp.constraints],
+        np.array([float(b[0]) for b in lp.bounds]),
+        np.array([float(b[1]) for b in lp.bounds]),
+    )
+
+
+def _solve_floats(lp: LinearProgram, floats, tol: float):
     nv = len(lp.objective)
     nrows = len(lp.constraints)
-    lo = np.array([float(b[0]) for b in lp.bounds])
-    hi = np.array([float(b[1]) for b in lp.bounds])
+    rows, rhs, lo, hi = floats
 
     nslack = nrows
     ncols = nv + nslack
     M = np.zeros((nrows, ncols + nrows))
     b = np.zeros(nrows)
-    for i, (coeffs, relation, rhs) in enumerate(lp.constraints):
-        row = np.array([float(a) for a in coeffs])
-        M[i, :nv] = row
+    for i, (_, relation, _) in enumerate(lp.constraints):
+        M[i, :nv] = rows[i]
         M[i, nv + i] = 1.0 if relation == LESS_EQUAL else -1.0
-        b[i] = float(rhs) - row @ lo
+        b[i] = rhs[i] - rows[i] @ lo
         if b[i] < 0:
             M[i, :] = -M[i, :]
             b[i] = -b[i]
@@ -223,9 +231,8 @@ def _solve_floats(lp: LinearProgram, tol: float):
     if np.any(x < lo - 1e-9) or np.any(x > hi + 1e-9):
         raise _NumericTrouble("bound violation")
     x = np.clip(x, lo, hi)
-    for coeffs, relation, rhs in lp.constraints:
-        lhs = np.array([float(a) for a in coeffs]) @ x
-        resid = lhs - float(rhs)
+    for i, (_, relation, _) in enumerate(lp.constraints):
+        resid = rows[i] @ x - rhs[i]
         if relation == LESS_EQUAL and resid > 1e-8:
             raise _NumericTrouble("constraint residual %g" % resid)
         if relation == GREATER_EQUAL and resid < -1e-8:
@@ -334,10 +341,11 @@ def solve_lp(lp: LinearProgram, verify: bool = False) -> LpSolution:
     rationals recomputed from the final basis; any disagreement with the
     float solve raises ``NumericalFailureError``.
     """
+    floats = _as_floats(lp)  # converted once, shared by both tolerances
     last_trouble = None
     for tol in (1e-9, 1e-7):
         try:
-            x, basis, flipped, kept_rows = _solve_floats(lp, tol)
+            x, basis, flipped, kept_rows = _solve_floats(lp, floats, tol)
         except _Infeasible:
             return LpSolution((), None, INFEASIBLE)
         except _Unbounded:

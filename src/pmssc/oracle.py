@@ -31,6 +31,7 @@ from .core import (
     validate_instance,
 )
 from .errors import (
+    InvariantError,
     LimitsExceededError,
     NoCoverageError,
     UncoverableError,
@@ -264,7 +265,8 @@ def exact_pmssc(
     dfs()
     best_cost, checked = state["best_cost"], state["best_sched"]
     verified = evaluate_schedule_cost(inst, checked)[0]
-    assert verified == best_cost
+    if verified != best_cost:
+        raise InvariantError("schedule re-evaluates to %s, not %s" % (verified, best_cost))
     return checked, best_cost
 
 
@@ -530,7 +532,8 @@ def exact_pds_precedence(
             best = (cand, count, family_mask, schedule)
 
     # the full family is always closed and covers something by the pre-check
-    assert best is not None and best[0].covered > 0
+    if best is None or best[0].covered == 0:
+        raise InvariantError("no closed family covers a remaining element")
     per_machine = [[] for _ in range(m)]
     for batch in best[3]:
         for q, s in enumerate(sorted(batch)):
@@ -557,7 +560,8 @@ def _extract_slots(family_mask, memo, pred_mask, k, m):
             if memo.get(nd) == target - 1:
                 picked = batch
                 break
-        assert picked is not None
+        if picked is None:
+            raise InvariantError("no slot batch reaches the memoised makespan")
         slots.append(picked)
         for s in picked:
             done |= 1 << s

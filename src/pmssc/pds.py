@@ -1,22 +1,24 @@
 """Parallel densest subfamily solvers.
 
-* identical / unit machines: guess a budget on a geometric ladder, run
-  budgeted max coverage with m times the guess, spread the chosen sets over
-  the machines.
-* related machines: shrink the machine set to O(log m) groups of near-equal
-  speed, solve the grouped instance as parallel max coverage in the FPT
-  rounding regime, and lift the result back onto the real machines.
-* unrelated machines: budget ladder of powers of two with the polynomial
-  rounding regime.
+Every solver walks one geometric budget ladder: each guess yields at most one
+assignment from a max-coverage problem within that budget, and ``_densest``
+keeps the densest of them (ties break toward the smaller guess, and the
+winner's density is re-evaluated).
 
-Budget guesses are independent; the final argmax re-evaluates every kept
-candidate and ties break toward the smaller guess.
+* identical machines: budgeted max coverage with m times the guess, chosen
+  sets spread largest-first over the least-loaded machine. Unit costs take
+  this same ladder; with equal costs the spread is index-order round-robin.
+* related and unrelated machines share one parallel max coverage ladder
+  (``_pmc_ladder``). Related machines shrink to O(log m) groups of near-equal
+  speed, use the FPT rounding regime on the grouped instance, and lift each
+  result back onto the real machines; unrelated machines use a ladder of
+  powers of two and the polynomial rounding regime.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Iterable, List, Optional, Sequence, Tuple
 
@@ -80,18 +82,26 @@ def _ladder_for(inst: ProblemInstance, base: Fraction, available) -> BudgetLadde
     return BudgetLadder(base=base, lo=lo, hi=max(hi, lo))
 
 
-def _available_list(inst, available) -> List[int]:
-    return sorted(range(inst.k)) if available is None else sorted(available)
-
-
-def _require_coverage(inst, remaining, pool):
+def _covering_pool(inst, remaining, available) -> List[int]:
+    """The available sets in index order; one of them must cover ``remaining``."""
+    pool = sorted(range(inst.k)) if available is None else sorted(available)
     if not any(inst.members[s] & remaining for s in pool):
         raise NoCoverageError("no available set covers a remaining element")
+    return pool
 
 
-def _check_best_density(inst, best, remaining) -> None:
+def _densest(inst, remaining, candidates: Iterable[Assignment]) -> Assignment:
+    """The densest of the ladder's assignments; ties keep the earlier guess."""
+    best = None  # (DensityValue, Assignment)
+    for asg in candidates:
+        d = density(inst, asg, remaining)
+        if best is None or d > best[0]:
+            best = (d, asg)
+    if best is None:
+        raise NoCoverageError("every budget guess produced an empty family")
     if density(inst, best[1], remaining) != best[0]:
         raise InvariantError("re-evaluated density differs from the kept value")
+    return best[1]
 
 
 def _least_loaded_spread(chosen: Sequence[int], cost: Sequence[Fraction], m: int):
@@ -127,8 +137,7 @@ def pds_identical(
     if inst.cost_model.kind not in ("unit", "identical"):
         raise ValueError("pds_identical needs the unit or identical cost model")
     remaining = frozenset(remaining)
-    pool = _available_list(inst, available)
-    _require_coverage(inst, remaining, pool)
+    pool = _covering_pool(inst, remaining, available)
     base = Fraction(1) + Fraction(identical_ladder_delta(epsilon))
     ladder = _ladder_for(inst, base, pool)
     remaining_mask = element_mask(remaining)
@@ -136,90 +145,32 @@ def pds_identical(
     # Guesses ascend, so the sets that fit a guess grow as a prefix of the
     # pool sorted by cost, and the maxcov arguments change only when it grows.
     by_cost = sorted(pool, key=cost.__getitem__)
-    fit = 0
 
-    best = None  # (DensityValue, Assignment)
-    for guess in ladder.guesses():
-        grown = fit
-        while grown < len(by_cost) and cost[by_cost[grown]] <= guess:
-            grown += 1
-        if not grown:
-            continue
-        if grown > fit:
-            fit = grown
-            candidates = sorted(by_cost[:fit])
-            cand_masks = [inst.masks[s] for s in candidates]
-            cand_costs = [cost[s] for s in candidates]
-        result = budgeted_max_coverage(
-            remaining_mask, cand_masks, cand_costs, inst.m * guess, mode=maxcov_mode
-        )
-        if not result.chosen:
-            continue
-        chosen = [candidates[i] for i in result.chosen]
-        per_machine, loads = _least_loaded_spread(chosen, cost, inst.m)
-        asg = Assignment(per_machine)
-        for j, load in enumerate(loads):
-            if load > 2 * guess:
-                raise InvariantError(
-                    "machine %d load %s exceeds twice the guess %s" % (j, load, guess)
-                )
-        d = density(inst, asg, remaining)
-        if best is None or d > best[0]:
-            best = (d, asg)
-    if best is None:
-        raise NoCoverageError("every budget guess produced an empty family")
-    _check_best_density(inst, best, remaining)
-    return best[1]
-
-
-def pds_unit(
-    inst: ProblemInstance,
-    remaining: Iterable[int],
-    epsilon: float,
-    available: Optional[Iterable[int]] = None,
-    maxcov_mode: Optional[str] = None,
-) -> Assignment:
-    """Unit-cost simplification: balanced split instead of round-robin.
-
-    Each machine receives at most ceil(|C| / m) sets, so the makespan equals
-    that ceiling and the factor 2 of the identical-machine split disappears.
-    """
-    if inst.cost_model.kind != "unit":
-        raise ValueError("pds_unit needs the unit cost model")
-    remaining = frozenset(remaining)
-    pool = _available_list(inst, available)
-    _require_coverage(inst, remaining, pool)
-    base = Fraction(1) + Fraction(identical_ladder_delta(epsilon))
-    ladder = _ladder_for(inst, base, pool)
-    remaining_mask = element_mask(remaining)
-    pool_masks = [inst.masks[s] for s in pool]
-    ones = [Fraction(1)] * len(pool)
-
-    best = None
-    for guess in ladder.guesses():
-        if guess < 1:
-            continue  # every set costs 1
-        result = budgeted_max_coverage(
-            remaining_mask, pool_masks, ones, inst.m * guess, mode=maxcov_mode
-        )
-        if not result.chosen:
-            continue
-        chosen = sorted(pool[i] for i in result.chosen)
-        if len(chosen) > inst.m * guess:
-            raise InvariantError(
-                "%d unit sets exceed the budget %s" % (len(chosen), inst.m * guess)
+    def spreads():
+        fit = 0
+        for guess in ladder.guesses():
+            grown = fit
+            while grown < len(by_cost) and cost[by_cost[grown]] <= guess:
+                grown += 1
+            if not grown:
+                continue
+            if grown > fit:
+                fit = grown
+                candidates = sorted(by_cost[:fit])
+                cand_masks = [inst.masks[s] for s in candidates]
+                cand_costs = [cost[s] for s in candidates]
+            result = budgeted_max_coverage(
+                remaining_mask, cand_masks, cand_costs, inst.m * guess, mode=maxcov_mode
             )
-        machines = [[] for _ in range(inst.m)]
-        for i, s in enumerate(chosen):
-            machines[i % inst.m].append(s)
-        asg = Assignment(tuple(tuple(seq) for seq in machines))
-        d = density(inst, asg, remaining)
-        if best is None or d > best[0]:
-            best = (d, asg)
-    if best is None:
-        raise NoCoverageError("every budget guess produced an empty family")
-    _check_best_density(inst, best, remaining)
-    return best[1]
+            if not result.chosen:
+                continue
+            chosen = [candidates[i] for i in result.chosen]
+            per_machine, loads = _least_loaded_spread(chosen, cost, inst.m)
+            if max(loads) > 2 * guess:
+                raise InvariantError("a load %s exceeds twice the guess %s" % (max(loads), guess))
+            yield Assignment(per_machine)
+
+    return _densest(inst, remaining, spreads())
 
 
 # ---------------------------------------------------------------------------
@@ -322,6 +273,59 @@ def related_parameters(epsilon: float) -> Tuple[float, float]:
     return delta, delta / (delta + 16.0)
 
 
+def _pmc_ladder(inst, remaining, pool, matrix, weights, base, params, clamp):
+    """Parallel max coverage at each guess of one budget ladder.
+
+    ``matrix`` has a cost row per set and a column per PMC machine; sets
+    outside ``pool`` are closed and elements outside ``remaining`` dropped.
+    Guess number ``gi`` gives machine q the budget ``weights[q] * guess`` and
+    rounds with seed ``child_seed(params.seed, gi)``; with ``clamp`` a cost
+    above the guess is infinite for that guess, as it fits no budget. Yields
+    (guess, assignment) for every guess that keeps a nonempty assignment.
+    """
+    pool_set = set(pool)
+    m = len(weights)
+    sets = tuple(
+        tuple(sorted(inst.members[s] & remaining)) if s in pool_set else ()
+        for s in range(inst.k)
+    )
+    costs = tuple(
+        row if s in pool_set else (INFINITE_COST,) * m for s, row in enumerate(matrix)
+    )
+    work = ProblemInstance(n=inst.n, sets=sets, m=m, cost_model=UnrelatedCosts(costs))
+    usable = [s for s in pool if inst.members[s] & remaining]
+    ladder = _ladder_for(work, base, usable)
+
+    produced = False
+    skipped = []
+    for gi, guess in enumerate(ladder.guesses()):
+        guess_inst = work
+        if clamp:
+            clamped = tuple(
+                tuple(INFINITE_COST if c > guess else c for c in row) for row in costs
+            )
+            guess_inst = ProblemInstance(
+                n=inst.n, sets=sets, m=m, cost_model=UnrelatedCosts(clamped)
+            )
+        try:
+            result = pmc_solve(
+                guess_inst,
+                [w * guess for w in weights],
+                replace(params, seed=child_seed(params.seed, gi)),
+            )
+        except NoIterationKeptError:
+            skipped.append(guess)
+            continue
+        if not result.assignment.is_empty:
+            produced = True
+            yield guess, result.assignment
+    if not produced:
+        raise NoCoverageError(
+            "no budget guess produced an assignment (skipped: %s)"
+            % [float(g) for g in skipped]
+        )
+
+
 def pds_related(
     inst: ProblemInstance,
     remaining: Iterable[int],
@@ -333,101 +337,42 @@ def pds_related(
     if inst.cost_model.kind != "related":
         raise ValueError("pds_related needs the related cost model")
     remaining = frozenset(remaining)
-    pool = _available_list(inst, available)
-    pool_set = set(pool)
-    _require_coverage(inst, remaining, pool)
+    pool = _covering_pool(inst, remaining, available)
     _, kappa = related_parameters(epsilon)
     kappa_f = Fraction(kappa)
-    reduction, aux_full = reduce_related(inst, kappa_f)
+    reduction, aux = reduce_related(inst, kappa_f)
 
     # Presolve: empty groups carry budget zero and can never receive a set,
     # so the PMC instance only keeps the nonempty ones.
     nonempty = [p for p in range(reduction.t) if reduction.groups[p]]
     if not nonempty:
         raise NoCoverageError("all machines were discarded as slow")
-    restricted_sets = tuple(
-        tuple(sorted(inst.members[s] & remaining)) if s in pool_set else ()
-        for s in range(inst.k)
+    groups = [reduction.groups[p] for p in nonempty]
+    matrix = tuple(tuple(aux.cost(s, p) for p in nonempty) for s in range(inst.k))
+    params = PmcParams(
+        mode=FPT, epsilon=kappa, mu=kappa, r_cap=RELATED_ROUNDING_CAP, seed=seed
     )
+    base_costs = inst.cost_model.base_costs
 
-    def aux_matrix(budget_cap: Optional[Fraction]):
-        rows = []
-        for s in range(inst.k):
-            row = []
-            for p in nonempty:
-                if s not in pool_set:
-                    row.append(INFINITE_COST)
-                    continue
-                c = aux_full.cost(s, p)
-                if budget_cap is not None and c > budget_cap:
-                    row.append(INFINITE_COST)  # too big to fit any guess-B budget
-                else:
-                    row.append(c)
-            rows.append(tuple(row))
-        return tuple(rows)
-
-    compact_probe = ProblemInstance(
-        n=inst.n,
-        sets=restricted_sets,
-        m=len(nonempty),
-        cost_model=UnrelatedCosts(aux_matrix(None)),
-    )
-    usable = [s for s in pool if inst.members[s] & remaining]
-    ladder = _ladder_for(compact_probe, Fraction(1) + kappa_f, usable)
-
-    best = None
-    skipped = []
-    for gi, guess in enumerate(ladder.guesses()):
-        budgets = [Fraction(len(reduction.groups[p])) * guess for p in nonempty]
-        guess_inst = ProblemInstance(
-            n=inst.n,
-            sets=restricted_sets,
-            m=len(nonempty),
-            cost_model=UnrelatedCosts(aux_matrix(guess)),
-        )
-        params = PmcParams(
-            mode=FPT,
-            epsilon=kappa,
-            mu=kappa,
-            r_cap=RELATED_ROUNDING_CAP,
-            seed=child_seed(seed, gi),
-        )
-        try:
-            result = pmc_solve(guess_inst, budgets, params)
-        except NoIterationKeptError:
-            skipped.append(guess)
-            continue
-        if result.assignment.is_empty:
-            continue
+    def lift(guess, grouped: Assignment) -> Assignment:
+        """Each group's sets, largest first, on the group's least-loaded machine."""
         per_machine = [[] for _ in range(inst.m)]
         loads = [Fraction(0)] * inst.m
-        feasible = True
-        for idx, p in enumerate(nonempty):
-            group = reduction.groups[p]
-            chosen = result.assignment.per_machine[idx]
-            order = sorted(chosen, key=lambda s: (-inst.cost_model.base_costs[s], s))
-            for s in order:
+        for group, chosen in zip(groups, grouped.per_machine):
+            for s in sorted(chosen, key=lambda s: (-base_costs[s], s)):
                 j = min(group, key=lambda q: (loads[q], q))
                 per_machine[j].append(s)
                 loads[j] += inst.cost(s, j)
-            group_budget = Fraction(len(group)) * guess
-            cap = (1 + kappa_f) * group_budget / len(group) + guess
-            for j in group:
-                if loads[j] > cap:
-                    feasible = False
-        if not feasible:
+        # a group's average load is at most (1 + kappa) * guess, plus one set
+        if max(loads) > (2 + kappa_f) * guess:
             raise InvariantError("lift exceeded the per-machine bound")
-        asg = Assignment(tuple(tuple(seq) for seq in per_machine))
-        d = density(inst, asg, remaining)
-        if best is None or d > best[0]:
-            best = (d, asg)
-    if best is None:
-        raise NoCoverageError(
-            "no budget guess produced an assignment (skipped: %s)"
-            % [float(g) for g in skipped]
-        )
-    _check_best_density(inst, best, remaining)
-    return best[1]
+        return Assignment(tuple(tuple(seq) for seq in per_machine))
+
+    ladder = _pmc_ladder(
+        inst, remaining, pool, matrix, [len(g) for g in groups],
+        Fraction(1) + kappa_f, params, clamp=True,
+    )
+    return _densest(inst, remaining, (lift(guess, asg) for guess, asg in ladder))
 
 
 def pds_unrelated(
@@ -439,46 +384,10 @@ def pds_unrelated(
 ) -> Assignment:
     """Powers-of-two budget ladder with polynomial-regime max coverage."""
     remaining = frozenset(remaining)
-    pool = _available_list(inst, available)
-    pool_set = set(pool)
-    _require_coverage(inst, remaining, pool)
-
-    restricted_sets = tuple(
-        tuple(sorted(inst.members[s] & remaining)) if s in pool_set else ()
-        for s in range(inst.k)
+    pool = _covering_pool(inst, remaining, available)
+    matrix = tuple(tuple(inst.cost(s, j) for j in range(inst.m)) for s in range(inst.k))
+    ladder = _pmc_ladder(
+        inst, remaining, pool, matrix, [1] * inst.m,
+        Fraction(2), PmcParams(mode=POLY, epsilon=epsilon, seed=seed), clamp=False,
     )
-    matrix = tuple(
-        tuple(
-            inst.cost(s, j) if s in pool_set else INFINITE_COST
-            for j in range(inst.m)
-        )
-        for s in range(inst.k)
-    )
-    work = ProblemInstance(
-        n=inst.n, sets=restricted_sets, m=inst.m, cost_model=UnrelatedCosts(matrix)
-    )
-    usable = [s for s in pool if inst.members[s] & remaining]
-    ladder = _ladder_for(work, Fraction(2), usable)
-
-    best = None
-    skipped = []
-    for gi, guess in enumerate(ladder.guesses()):
-        params = PmcParams(mode=POLY, epsilon=epsilon, seed=child_seed(seed, gi))
-        try:
-            result = pmc_solve(work, [guess] * inst.m, params)
-        except NoIterationKeptError:
-            skipped.append(guess)
-            continue
-        if result.assignment.is_empty:
-            continue
-        asg = result.assignment
-        d = density(inst, asg, remaining)
-        if best is None or d > best[0]:
-            best = (d, asg)
-    if best is None:
-        raise NoCoverageError(
-            "no budget guess produced an assignment (skipped: %s)"
-            % [float(g) for g in skipped]
-        )
-    _check_best_density(inst, best, remaining)
-    return best[1]
+    return _densest(inst, remaining, (asg for _, asg in ladder))

@@ -29,6 +29,7 @@ from .core import (
 )
 from .errors import (
     InvalidIndexError,
+    InvariantError,
     NoCoverageError,
     NotClosedError,
     StalledOracleError,
@@ -217,11 +218,12 @@ def pcds_detailed(
             or (value == best[1] and layered.makespan < best[0].makespan)
         ):
             best = (layered, value)
-    assert best is not None
+    if best is None:
+        raise InvariantError("every candidate family is empty")
     fam_sets = [s for seq in best[0].assignment.per_machine for s in seq]
     for s in fam_sets:
-        missing = closure(dag_view, s) - frozenset(fam_sets)
-        assert not missing, "winner is not precedence-closed"
+        if closure(dag_view, s) - frozenset(fam_sets):
+            raise InvariantError("winner is not precedence-closed")
     return best[0], best[1], count
 
 

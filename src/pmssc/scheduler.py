@@ -28,7 +28,7 @@ from .core import (
 )
 from .errors import StalledOracleError, UncoverableError
 from .oracle import OracleLimits, exact_pds
-from .pds import pds_identical, pds_related, pds_unit, pds_unrelated
+from .pds import pds_identical, pds_related, pds_unrelated
 from .rng import child_seed
 
 ORACLE_NAMES = ("identical", "unit", "related", "unrelated", "exact")
@@ -55,6 +55,12 @@ def upper_bound_from_trace(trace: GreedyTrace) -> Fraction:
     )
 
 
+def require_oracle_model(inst: ProblemInstance, oracle: str) -> None:
+    """``unit`` names the identical ladder restricted to unit-cost instances."""
+    if oracle == "unit" and inst.cost_model.kind != "unit":
+        raise ValueError("the unit oracle needs the unit cost model")
+
+
 def _make_oracle(
     inst: ProblemInstance,
     oracle: Union[str, Callable],
@@ -65,12 +71,9 @@ def _make_oracle(
 ) -> Callable:
     if callable(oracle):
         return oracle
-    if oracle == "identical":
+    if oracle in ("identical", "unit"):
+        require_oracle_model(inst, oracle)
         return lambda remaining, available, iteration: pds_identical(
-            inst, remaining, epsilon, available=available, maxcov_mode=maxcov_mode
-        )
-    if oracle == "unit":
-        return lambda remaining, available, iteration: pds_unit(
             inst, remaining, epsilon, available=available, maxcov_mode=maxcov_mode
         )
     if oracle == "related":

@@ -17,7 +17,7 @@ from pmssc.maxcov import (
     MaxCovResult,
     budgeted_max_coverage,
 )
-from pmssc.pds import identical_ladder_delta, pds_identical, pds_unit
+from pmssc.pds import identical_ladder_delta, pds_identical
 
 
 def brute_force_opt(universe, sets, costs, budget):
@@ -266,9 +266,7 @@ def _pds_corpus():
 def test_pds_matches_reference_kernel(epsilon, monkeypatch):
     for inst, mode in _pds_corpus():
         remaining = frozenset(range(0, inst.n, 1 + inst.k % 2))
-        solvers = [pds_identical] + ([pds_unit] if inst.cost_model.kind == "unit" else [])
-        for solver in solvers:
-            with monkeypatch.context() as patch:
-                patch.setattr(pds_module, "budgeted_max_coverage", _reference_via_masks)
-                expected = solver(inst, remaining, epsilon, maxcov_mode=mode)
-            assert solver(inst, remaining, epsilon, maxcov_mode=mode) == expected
+        with monkeypatch.context() as patch:
+            patch.setattr(pds_module, "budgeted_max_coverage", _reference_via_masks)
+            expected = pds_identical(inst, remaining, epsilon, maxcov_mode=mode)
+        assert pds_identical(inst, remaining, epsilon, maxcov_mode=mode) == expected
