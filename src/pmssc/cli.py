@@ -11,6 +11,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import os
 import sys
 import time
@@ -73,6 +74,14 @@ def _read_instance(path):
     except OSError as exc:
         raise ParseError("cannot read %s: %s" % (path, exc))
     return parse_instance(data)
+
+
+def _epsilon(text):
+    """``--epsilon``: a finite positive float, else argparse exits 2."""
+    value = float(text)
+    if not 0 < value < math.inf:
+        raise argparse.ArgumentTypeError("must be finite and positive, got %r" % text)
+    return value
 
 
 def _parse_limits(text):
@@ -145,12 +154,7 @@ def _cmd_solve(args):
     inst = _read_instance(args.instance)
     seed = _default_seed(args.seed)
     started = time.perf_counter()
-    parameters = {
-        "epsilon": args.epsilon,
-        "mu": args.mu,
-        "seed": seed,
-        "algo": args.algo,
-    }
+    parameters = {"epsilon": args.epsilon, "seed": seed, "algo": args.algo}
     _, payload = _solve(inst, args.algo, args.epsilon, seed)
     report = RunReport(
         algorithm=args.algo,
@@ -186,7 +190,7 @@ def _cmd_pds(args):
     value = density_of(inst, asg, remaining)
     report = RunReport(
         algorithm="pds-%s" % args.algo,
-        parameters={"epsilon": args.epsilon, "mu": args.mu, "seed": seed},
+        parameters={"epsilon": args.epsilon, "seed": seed},
         payload={
             "assignment": [list(seq) for seq in asg.per_machine],
             "covered": value.covered,
@@ -341,8 +345,7 @@ def build_parser() -> argparse.ArgumentParser:
     solve = sub.add_parser("solve", help="solve min-sum set cover end to end")
     solve.add_argument("--instance", required=True)
     solve.add_argument("--algo", required=True, choices=SOLVE_ALGOS)
-    solve.add_argument("--epsilon", type=float, default=0.1)
-    solve.add_argument("--mu", type=float, default=None)
+    solve.add_argument("--epsilon", type=_epsilon, default=0.1)
     solve.add_argument("--seed", type=int, default=None)
     solve.add_argument("--out", default=None)
     solve.add_argument("--csv", action="store_true")
@@ -351,8 +354,7 @@ def build_parser() -> argparse.ArgumentParser:
     pds_p = sub.add_parser("pds", help="run one densest-subfamily solver")
     pds_p.add_argument("--instance", required=True)
     pds_p.add_argument("--algo", required=True, choices=PDS_ALGOS)
-    pds_p.add_argument("--epsilon", type=float, default=0.1)
-    pds_p.add_argument("--mu", type=float, default=None)
+    pds_p.add_argument("--epsilon", type=_epsilon, default=0.1)
     pds_p.add_argument("--seed", type=int, default=None)
     pds_p.set_defaults(func=_cmd_pds)
 
@@ -360,7 +362,7 @@ def build_parser() -> argparse.ArgumentParser:
     pmc_p.add_argument("--instance", required=True)
     pmc_p.add_argument("--budgets", required=True)
     pmc_p.add_argument("--mode", required=True, choices=("poly", "fpt"))
-    pmc_p.add_argument("--epsilon", type=float, default=0.2)
+    pmc_p.add_argument("--epsilon", type=_epsilon, default=0.2)
     pmc_p.add_argument("--mu", type=float, default=None)
     pmc_p.add_argument("--seed", type=int, default=None)
     pmc_p.add_argument("--r-cap", type=int, default=None)
@@ -396,7 +398,7 @@ def build_parser() -> argparse.ArgumentParser:
     bench = sub.add_parser("bench", help="run an algorithm over a corpus")
     bench.add_argument("--corpus", required=True)
     bench.add_argument("--algo", required=True, choices=SOLVE_ALGOS)
-    bench.add_argument("--epsilon", type=float, default=0.1)
+    bench.add_argument("--epsilon", type=_epsilon, default=0.1)
     bench.add_argument("--seed", type=int, default=None)
     bench.add_argument("--ratios", action="store_true")
     bench.set_defaults(func=_cmd_bench)

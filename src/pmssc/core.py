@@ -1,7 +1,11 @@
 """Instance and schedule data model for parallel min-sum set cover.
 
-Elements and covering sets are dense integer indices. All finite costs are
-exact rationals (`fractions.Fraction`); infinite cost entries use the
+Elements and covering sets are dense integer indices. The four cost models
+(unit, identical, related, unrelated) are special cases of the unrelated one:
+a k x m table with the cost of set s on machine j in row s, column j. Each
+model only validates its own parameters; ``ProblemInstance.costs`` builds
+that table once, and every solver reads its costs from it. All finite costs
+are exact rationals (`fractions.Fraction`); infinite cost entries use the
 ``INFINITE_COST`` sentinel (``math.inf``), which compares greater than every
 finite rational and is rejected inside any assignment or schedule. No cost or
 density comparison ever goes through floating point.
@@ -73,9 +77,6 @@ def _positive_fraction(value, what: str) -> Fraction:
 class UnitCosts:
     kind = "unit"
 
-    def cost(self, s: int, j: int) -> Fraction:
-        return Fraction(1)
-
 
 @dataclass(frozen=True)
 class IdenticalCosts:
@@ -89,9 +90,6 @@ class IdenticalCosts:
             "base_costs",
             tuple(_positive_fraction(c, "base cost") for c in self.base_costs),
         )
-
-    def cost(self, s: int, j: int) -> Fraction:
-        return self.base_costs[s]
 
 
 @dataclass(frozen=True)
@@ -111,9 +109,6 @@ class RelatedCosts:
             self, "speeds", tuple(_positive_fraction(s, "speed") for s in self.speeds)
         )
 
-    def cost(self, s: int, j: int) -> Fraction:
-        return self.base_costs[s] / self.speeds[j]
-
 
 @dataclass(frozen=True)
 class UnrelatedCosts:
@@ -132,9 +127,6 @@ class UnrelatedCosts:
                     entries.append(_positive_fraction(entry, "cost entry"))
             rows.append(tuple(entries))
         object.__setattr__(self, "matrix", tuple(rows))
-
-    def cost(self, s: int, j: int) -> CostValue:
-        return self.matrix[s][j]
 
 
 CostModel = Union[UnitCosts, IdenticalCosts, RelatedCosts, UnrelatedCosts]
@@ -206,32 +198,31 @@ class ProblemInstance:
         """Each set as an int bitmask: bit ``e`` is set for element ``e``."""
         return tuple(element_mask(s) for s in self.sets)
 
+    @cached_property
+    def costs(self) -> Tuple[Tuple[CostValue, ...], ...]:
+        """The k x m cost table: ``costs[s][j]`` is the cost of set s on machine j.
+
+        Entries are exact ``Fraction``s or ``INFINITE_COST``. Unit costs are 1,
+        identical costs ``base_costs[s]``, related costs
+        ``base_costs[s] / speeds[j]``, and an unrelated model's validated
+        matrix is the table itself.
+        """
+        model = self.cost_model
+        if model.kind == "unit":
+            return ((Fraction(1),) * self.m,) * self.k
+        if model.kind == "identical":
+            return tuple((c,) * self.m for c in model.base_costs)
+        if model.kind == "related":
+            return tuple(tuple(c / v for v in model.speeds) for c in model.base_costs)
+        return model.matrix
+
     def cost(self, s: int, j: int) -> CostValue:
+        """``costs[s][j]``, for indices that come from outside the instance."""
         if not 0 <= s < self.k:
             raise InvalidIndexError("set index %d out of range" % s)
         if not 0 <= j < self.m:
             raise InvalidIndexError("machine index %d out of range" % j)
-        return self.cost_model.cost(s, j)
-
-    def finite_total_cost(self) -> Fraction:
-        """Sum of all finite cost entries: the trivial schedule-length bound."""
-        total = Fraction(0)
-        for s in range(self.k):
-            for j in range(self.m):
-                c = self.cost(s, j)
-                if is_finite_cost(c):
-                    total += c
-        return total
-
-    def min_positive_cost(self, available: Optional[Iterable[int]] = None) -> Optional[Fraction]:
-        best = None
-        indices = range(self.k) if available is None else sorted(available)
-        for s in indices:
-            for j in range(self.m):
-                c = self.cost(s, j)
-                if is_finite_cost(c) and (best is None or c < best):
-                    best = c
-        return best
+        return self.costs[s][j]
 
 
 def _check_per_machine(per_machine, k: int) -> Tuple[Tuple[int, ...], ...]:
@@ -467,9 +458,8 @@ def validate_instance(inst: ProblemInstance) -> ValidationReport:
         entries.append("Uncoverable: elements %s belong to no set" % list(uncovered))
 
     costs_positive = True
-    for s in range(inst.k):
-        for j in range(inst.m):
-            c = inst.cost(s, j)
+    for s, row in enumerate(inst.costs):
+        for j, c in enumerate(row):
             if is_finite_cost(c) and c <= 0:
                 costs_positive = False
                 entries.append("NonPositiveCost: set %d machine %d" % (s, j))

@@ -305,7 +305,6 @@ class RunReport:
     algorithm: str
     parameters: dict
     payload: dict = field(default_factory=dict)
-    oracle_comparison: Optional[dict] = None
     wall_time_s: float = 0.0
 
     def to_dict(self) -> dict:
@@ -315,8 +314,6 @@ class RunReport:
             "wall_time_s": self.wall_time_s,
         }
         doc.update(self.payload)
-        if self.oracle_comparison is not None:
-            doc["oracle"] = self.oracle_comparison
         return doc
 
     def to_json(self) -> str:

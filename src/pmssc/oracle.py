@@ -25,6 +25,7 @@ from .core import (
     ProblemInstance,
     Schedule,
     as_fraction,
+    element_mask,
     evaluate_schedule_cost,
     is_finite_cost,
     topological_order,
@@ -116,22 +117,12 @@ def exact_pmssc(
     _check_limits(inst, limits, len(useful))
     budget = _Budget(limits.node_budget)
 
-    masks = [0] * inst.k
-    for s in range(inst.k):
-        for u in inst.members[s]:
-            masks[s] |= 1 << u
-    costs = [
-        [
-            (inst.cost(s, j) if is_finite_cost(inst.cost(s, j)) else None)
-            for j in range(inst.m)
-        ]
-        for s in range(inst.k)
-    ]
+    costs = [[c if is_finite_cost(c) else None for c in row] for row in inst.costs]
     containing = [
         [s for s in useful if u in inst.members[s]] for u in range(inst.n)
     ]
 
-    incumbent_sched = _greedy_upper_bound(inst, useful, masks, costs)
+    incumbent_sched = _greedy_upper_bound(inst, useful, inst.masks, costs)
     if incumbent_sched is None:
         raise UncoverableError("no finite-cost covering exists")
     incumbent_cost = evaluate_schedule_cost(inst, incumbent_sched)[0]
@@ -274,6 +265,52 @@ def exact_pmssc(
 # Exact PDS / PMC
 
 
+def _label_search(inst, useful, masks, budget, prune, leaf, caps=None):
+    """Depth-first search over the labellings of ``useful``, in index order.
+
+    Each set is first left unused, then placed on machines 0..m-1 where its
+    cost is finite and, with ``caps``, keeps the machine's load within its
+    cap. Every node spends one unit of ``budget``. ``prune(loads, labels,
+    reachable)`` may cut a node, where ``reachable`` is the coverage mask of
+    the labelled sets and every set after them; ``leaf(loads, labels,
+    covered)`` sees each complete labelling. ``labels`` maps a set to its
+    machine and, like ``loads``, is live search state that callers copy.
+    """
+    # suffix_union[i] = coverage still reachable from sets useful[i:]
+    suffix_union = [0] * (len(useful) + 1)
+    for i in range(len(useful) - 1, -1, -1):
+        suffix_union[i] = suffix_union[i + 1] | masks[useful[i]]
+    loads = [Fraction(0)] * inst.m
+    labels = {}
+
+    def dfs(idx, covered_mask):
+        budget.spend()
+        if prune(loads, labels, covered_mask | suffix_union[idx]):
+            return
+        if idx == len(useful):
+            leaf(loads, labels, covered_mask)
+            return
+        s = useful[idx]
+        dfs(idx + 1, covered_mask)  # leave s unused
+        for j, c in enumerate(inst.costs[s]):
+            if not is_finite_cost(c) or (caps is not None and loads[j] + c > caps[j]):
+                continue
+            loads[j] += c
+            labels[s] = j
+            dfs(idx + 1, covered_mask | masks[s])
+            del labels[s]
+            loads[j] -= c
+
+    dfs(0, 0)
+
+
+def _labelled_assignment(m, labels) -> Assignment:
+    per_machine = [[] for _ in range(m)]
+    for s in sorted(labels):
+        per_machine[labels[s]].append(s)
+    return Assignment(tuple(tuple(x) for x in per_machine))
+
+
 def exact_pds(
     inst: ProblemInstance,
     remaining: Optional[Iterable[int]] = None,
@@ -288,33 +325,20 @@ def exact_pds(
     if not useful:
         raise NoCoverageError("no set covers any remaining element")
     _check_limits(inst, limits, len(useful))
-    budget = _Budget(limits.node_budget)
-    m = inst.m
-
-    masks = {}
-    for s in useful:
-        mask = 0
-        for u in inst.members[s] & restrict:
-            mask |= 1 << u
-        masks[s] = mask
-    # suffix_union[i] = coverage still reachable from sets useful[i:]
-    suffix_union = [0] * (len(useful) + 1)
-    for i in range(len(useful) - 1, -1, -1):
-        suffix_union[i] = suffix_union[i + 1] | masks[useful[i]]
-
+    masks = {s: element_mask(inst.members[s] & restrict) for s in useful}
     best = {"density": None, "count": None, "labels": None}
 
-    loads = [Fraction(0)] * m
-    labels = {}
+    def prune(loads, labels, reachable):
+        if best["density"] is None or not labels:
+            return False
+        makespan = max(loads)
+        # future sets can only add coverage and grow the makespan
+        return makespan > 0 and DensityValue(reachable.bit_count(), makespan) < best["density"]
 
-    def consider_leaf():
+    def leaf(loads, labels, covered_mask):
         if not labels:
             return
-        makespan = max(loads)
-        covered_mask = 0
-        for s, j in labels.items():
-            covered_mask |= masks[s]
-        cand = DensityValue(covered_mask.bit_count(), makespan)
+        cand = DensityValue(covered_mask.bit_count(), max(loads))
         count = len(labels)
         if (
             best["density"] is None
@@ -325,39 +349,10 @@ def exact_pds(
             best["count"] = count
             best["labels"] = dict(labels)
 
-    def dfs(idx, covered_mask):
-        budget.spend()
-        if best["density"] is not None and labels:
-            makespan = max(loads)
-            if makespan > 0:
-                # future sets can only add coverage and grow the makespan
-                optimistic = DensityValue(
-                    (covered_mask | suffix_union[idx]).bit_count(), makespan
-                )
-                if optimistic < best["density"]:
-                    return
-        if idx == len(useful):
-            consider_leaf()
-            return
-        s = useful[idx]
-        dfs(idx + 1, covered_mask)  # leave s unused
-        for j in range(m):
-            c = inst.cost(s, j)
-            if not is_finite_cost(c):
-                continue
-            loads[j] += c
-            labels[s] = j
-            dfs(idx + 1, covered_mask | masks[s])
-            del labels[s]
-            loads[j] -= c
-    dfs(0, 0)
-
+    _label_search(inst, useful, masks, _Budget(limits.node_budget), prune, leaf)
     if best["density"] is None:
         raise NoCoverageError("no nonempty finite-cost assignment exists")
-    per_machine = [[] for _ in range(m)]
-    for s in sorted(best["labels"]):
-        per_machine[best["labels"][s]].append(s)
-    return Assignment(tuple(tuple(x) for x in per_machine)), best["density"]
+    return _labelled_assignment(inst.m, best["labels"]), best["density"]
 
 
 def exact_pmc(
@@ -374,53 +369,25 @@ def exact_pmc(
     caps = [as_fraction(b) for b in budgets]
     if len(caps) != inst.m:
         raise ValueError("need one budget per machine")
-    budget = _Budget(limits.node_budget)
-    m = inst.m
-
-    masks = {s: 0 for s in useful}
-    for s in useful:
-        for u in inst.members[s]:
-            masks[s] |= 1 << u
-    suffix_union = [0] * (len(useful) + 1)
-    for i in range(len(useful) - 1, -1, -1):
-        suffix_union[i] = suffix_union[i + 1] | masks[useful[i]]
-
     best = {"covered": 0, "count": 0, "labels": {}}
-    loads = [Fraction(0)] * m
-    labels = {}
 
-    def dfs(idx, covered_mask):
-        budget.spend()
-        possible = (covered_mask | suffix_union[idx]).bit_count()
-        if possible < best["covered"]:
-            return
-        if idx == len(useful):
-            covered = covered_mask.bit_count()
-            count = len(labels)
-            if covered > best["covered"] or (
-                covered == best["covered"] and best["labels"] and count < best["count"]
-            ):
-                best["covered"] = covered
-                best["count"] = count
-                best["labels"] = dict(labels)
-            return
-        s = useful[idx]
-        dfs(idx + 1, covered_mask)
-        for j in range(m):
-            c = inst.cost(s, j)
-            if not is_finite_cost(c) or loads[j] + c > caps[j]:
-                continue
-            loads[j] += c
-            labels[s] = j
-            dfs(idx + 1, covered_mask | masks[s])
-            del labels[s]
-            loads[j] -= c
+    def prune(loads, labels, reachable):
+        return reachable.bit_count() < best["covered"]
 
-    dfs(0, 0)
-    per_machine = [[] for _ in range(m)]
-    for s in sorted(best["labels"]):
-        per_machine[best["labels"][s]].append(s)
-    return Assignment(tuple(tuple(x) for x in per_machine)), best["covered"]
+    def leaf(loads, labels, covered_mask):
+        covered = covered_mask.bit_count()
+        count = len(labels)
+        if covered > best["covered"] or (
+            covered == best["covered"] and best["labels"] and count < best["count"]
+        ):
+            best["covered"] = covered
+            best["count"] = count
+            best["labels"] = dict(labels)
+
+    _label_search(
+        inst, useful, inst.masks, _Budget(limits.node_budget), prune, leaf, caps
+    )
+    return _labelled_assignment(inst.m, best["labels"]), best["covered"]
 
 
 # ---------------------------------------------------------------------------

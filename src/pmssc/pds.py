@@ -68,18 +68,13 @@ class BudgetLadder:
         return tuple(out)
 
 
-def _ladder_for(inst: ProblemInstance, base: Fraction, available) -> BudgetLadder:
-    lo = inst.min_positive_cost(available)
-    if lo is None:
+def _ladder_for(inst: ProblemInstance, base: Fraction, pool) -> BudgetLadder:
+    """Guesses from the cheapest finite cost in ``pool``'s rows to their sum."""
+    finite = [c for s in pool for c in inst.costs[s] if is_finite_cost(c)]
+    if not finite:
         raise NoCoverageError("no finite-cost set is available")
-    hi = Fraction(0)
-    pool = range(inst.k) if available is None else sorted(available)
-    for s in pool:
-        for j in range(inst.m):
-            c = inst.cost(s, j)
-            if is_finite_cost(c):
-                hi += c
-    return BudgetLadder(base=base, lo=lo, hi=max(hi, lo))
+    lo = min(finite)
+    return BudgetLadder(base=base, lo=lo, hi=max(sum(finite, Fraction(0)), lo))
 
 
 def _covering_pool(inst, remaining, available) -> List[int]:
@@ -123,7 +118,10 @@ def _least_loaded_spread(chosen: Sequence[int], cost: Sequence[Fraction], m: int
 
 
 def identical_ladder_delta(epsilon: float) -> float:
-    return epsilon * 2.0 * math.e / (math.e - 1.0)
+    delta = epsilon * 2.0 * math.e / (math.e - 1.0)
+    if not 0 < delta < math.inf:
+        raise ValueError("epsilon %r gives no finite positive ladder step" % epsilon)
+    return delta
 
 
 def pds_identical(
@@ -141,7 +139,7 @@ def pds_identical(
     base = Fraction(1) + Fraction(identical_ladder_delta(epsilon))
     ladder = _ladder_for(inst, base, pool)
     remaining_mask = element_mask(remaining)
-    cost = [inst.cost(s, 0) for s in range(inst.k)]
+    cost = [row[0] for row in inst.costs]
     # Guesses ascend, so the sets that fit a guess grow as a prefix of the
     # pool sorted by cost, and the maxcov arguments change only when it grows.
     by_cost = sorted(pool, key=cost.__getitem__)
@@ -348,11 +346,12 @@ def pds_related(
     if not nonempty:
         raise NoCoverageError("all machines were discarded as slow")
     groups = [reduction.groups[p] for p in nonempty]
-    matrix = tuple(tuple(aux.cost(s, p) for p in nonempty) for s in range(inst.k))
+    matrix = tuple(tuple(row[p] for p in nonempty) for row in aux.costs)
     params = PmcParams(
         mode=FPT, epsilon=kappa, mu=kappa, r_cap=RELATED_ROUNDING_CAP, seed=seed
     )
     base_costs = inst.cost_model.base_costs
+    s_max = max(inst.cost_model.speeds)
 
     def lift(guess, grouped: Assignment) -> Assignment:
         """Each group's sets, largest first, on the group's least-loaded machine."""
@@ -362,9 +361,11 @@ def pds_related(
             for s in sorted(chosen, key=lambda s: (-base_costs[s], s)):
                 j = min(group, key=lambda q: (loads[q], q))
                 per_machine[j].append(s)
-                loads[j] += inst.cost(s, j)
-        # a group's average load is at most (1 + kappa) * guess, plus one set
-        if max(loads) > (2 + kappa_f) * guess:
+                loads[j] += inst.costs[s][j]
+        # Guesses count the fastest speed as 1, so a real load times s_max is
+        # in guess units: a group's average is at most (1 + kappa) * guess,
+        # and one set adds at most one guess.
+        if max(loads) * s_max > (2 + kappa_f) * guess:
             raise InvariantError("lift exceeded the per-machine bound")
         return Assignment(tuple(tuple(seq) for seq in per_machine))
 
@@ -385,9 +386,8 @@ def pds_unrelated(
     """Powers-of-two budget ladder with polynomial-regime max coverage."""
     remaining = frozenset(remaining)
     pool = _covering_pool(inst, remaining, available)
-    matrix = tuple(tuple(inst.cost(s, j) for j in range(inst.m)) for s in range(inst.k))
     ladder = _pmc_ladder(
-        inst, remaining, pool, matrix, [1] * inst.m,
+        inst, remaining, pool, inst.costs, [1] * inst.m,
         Fraction(2), PmcParams(mode=POLY, epsilon=epsilon, seed=seed), clamp=False,
     )
     return _densest(inst, remaining, (asg for _, asg in ladder))

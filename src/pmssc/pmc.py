@@ -149,15 +149,13 @@ def raw_draws(seed: int, attempts: int, probs: Sequence[float]):
 
 
 def _normalizers(inst: ProblemInstance) -> Tuple[Fraction, ...]:
-    norms = []
-    for j in range(inst.m):
-        total = Fraction(0)
-        for s in range(inst.k):
-            c = inst.cost(s, j)
+    """Per machine, the larger of 1 and the sum of its finite costs."""
+    totals = [Fraction(0)] * inst.m
+    for row in inst.costs:
+        for j, c in enumerate(row):
             if is_finite_cost(c):
-                total += c
-        norms.append(max(Fraction(1), total))
-    return tuple(norms)
+                totals[j] += c
+    return tuple(max(Fraction(1), t) for t in totals)
 
 
 def build_pmc_lp(inst: ProblemInstance, budgets: Sequence) -> LinearProgram:
@@ -166,7 +164,10 @@ def build_pmc_lp(inst: ProblemInstance, budgets: Sequence) -> LinearProgram:
     Variable order is x_{s,j} at index s*m + j followed by y_u at k*m + u.
     Costs and budgets are pre-normalized per machine so each machine's total
     finite cost is at most 1 (budgets above the total are clamped, which is
-    loss-free); infinite-cost pairs get a frozen [0, 0] bound.
+    loss-free); infinite-cost pairs get a frozen [0, 0] bound. Integer
+    values (coverage rows, objective, bounds) are plain ints, which convert
+    to float far faster than ``Fraction``s of the same value; only the
+    normalized budget rows hold ``Fraction``s.
     """
     k, m, n = inst.k, inst.m, inst.n
     budgets = [as_fraction(b) for b in budgets]
@@ -177,31 +178,23 @@ def build_pmc_lp(inst: ProblemInstance, budgets: Sequence) -> LinearProgram:
     norms = _normalizers(inst)
 
     nx = k * m
-    objective = tuple([Fraction(0)] * nx + [Fraction(1)] * n)
-    bounds = []
-    for s in range(k):
-        for j in range(m):
-            if is_finite_cost(inst.cost(s, j)):
-                bounds.append((Fraction(0), Fraction(1)))
-            else:
-                bounds.append((Fraction(0), Fraction(0)))
-    bounds.extend((Fraction(0), Fraction(1)) for _ in range(n))
+    objective = (0,) * nx + (1,) * n
+    bounds = [(0, 1) if is_finite_cost(c) else (0, 0) for row in inst.costs for c in row]
+    bounds.extend((0, 1) for _ in range(n))
 
     constraints = []
     for u in range(n):
-        coeffs = [Fraction(0)] * (nx + n)
+        coeffs = [0] * (nx + n)
         for s in range(k):
             if u in inst.members[s]:
-                for j in range(m):
-                    coeffs[s * m + j] = Fraction(1)
-        coeffs[nx + u] = Fraction(-1)
-        constraints.append((tuple(coeffs), ">=", Fraction(0)))
+                coeffs[s * m : (s + 1) * m] = (1,) * m
+        coeffs[nx + u] = -1
+        constraints.append((tuple(coeffs), ">=", 0))
     for j in range(m):
-        coeffs = [Fraction(0)] * (nx + n)
-        for s in range(k):
-            c = inst.cost(s, j)
-            if is_finite_cost(c):
-                coeffs[s * m + j] = c / norms[j]
+        coeffs = [0] * (nx + n)
+        for s, row in enumerate(inst.costs):
+            if is_finite_cost(row[j]):
+                coeffs[s * m + j] = row[j] / norms[j]
         scaled = min(budgets[j] / norms[j], Fraction(1))
         constraints.append((tuple(coeffs), "<=", scaled))
 
@@ -243,7 +236,7 @@ def round_pmc(
     probs = np.clip(np.asarray(lp_solution.values[: k * m], dtype=float), 0.0, 1.0)
     delta = params.delta(m)
     limit = [(1 + Fraction(delta)) * b for b in budgets]
-    costs = [[inst.cost(s, j) for j in range(m)] for s in range(k)]
+    costs = inst.costs
     # float32 so the coverage product runs in BLAS; its entries count sets,
     # which float32 holds exactly below 2^24
     incidence = np.zeros((k, n), dtype=np.float32)

@@ -102,7 +102,7 @@ def _order_batch(inst, j, sets_on_machine, remaining):
         best = None
         for s in pending:
             gain = len((inst.members[s] & remaining) - covered)
-            cost = inst.cost(s, j)
+            cost = inst.costs[s][j]
             if best is None or gain * best[1] > best[0] * cost:
                 best = (gain, cost, s)
         _, _, s = best
@@ -150,7 +150,7 @@ def pmssc_greedy(
         makespan = Fraction(0)
         for j, seq in enumerate(kept):
             machines[j].extend(seq)
-            load = sum((inst.cost(s, j) for s in seq), Fraction(0))
+            load = sum((inst.costs[s][j] for s in seq), Fraction(0))
             makespan = max(makespan, load)
         iterations.append(
             GreedyIteration(

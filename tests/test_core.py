@@ -12,6 +12,7 @@ from pmssc.core import (
     IdenticalCosts,
     INFINITE_COST,
     ProblemInstance,
+    RelatedCosts,
     Schedule,
     UnitCosts,
     UnrelatedCosts,
@@ -234,3 +235,47 @@ def test_element_out_of_range_rejected():
 )
 def test_is_finite_cost(value, finite):
     assert is_finite_cost(value) is finite
+
+
+def former_cost(model, s, j):
+    """The per-model ``cost`` methods that the cost table replaced."""
+    if model.kind == "unit":
+        return Fraction(1)
+    if model.kind == "identical":
+        return model.base_costs[s]
+    if model.kind == "related":
+        return model.base_costs[s] / model.speeds[j]
+    return model.matrix[s][j]
+
+
+@st.composite
+def cost_models(draw):
+    k = draw(st.integers(0, 5))
+    m = draw(st.integers(1, 4))
+    rational = st.builds(Fraction, st.integers(1, 30), st.integers(1, 7))
+    positive = st.integers(1, 9) | rational
+    kind = draw(st.sampled_from(["unit", "identical", "related", "unrelated"]))
+    if kind == "unit":
+        model = UnitCosts()
+    elif kind == "identical":
+        model = IdenticalCosts(tuple(draw(positive) for _ in range(k)))
+    elif kind == "related":
+        model = RelatedCosts(
+            tuple(draw(positive) for _ in range(k)), tuple(draw(positive) for _ in range(m))
+        )
+    else:
+        entry = positive | st.just(INFINITE_COST)
+        model = UnrelatedCosts(tuple(tuple(draw(entry) for _ in range(m)) for _ in range(k)))
+    return ProblemInstance(n=1, sets=((0,),) * k, m=m, cost_model=model)
+
+
+@settings(max_examples=300, deadline=None)
+@given(inst=cost_models())
+def test_cost_table_matches_former_per_model_costs(inst):
+    assert len(inst.costs) == inst.k
+    for s, row in enumerate(inst.costs):
+        assert len(row) == inst.m
+        for j, c in enumerate(row):
+            expected = former_cost(inst.cost_model, s, j)
+            assert c == expected and type(c) is type(expected)
+            assert inst.cost(s, j) is c

@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 
 from pmssc import cli
-from pmssc.core import validate_instance
+from pmssc.core import Schedule, evaluate_schedule_cost, validate_instance
 from pmssc.errors import ParseError, ValidationError
 from pmssc.fileio import generate_instance, parse_instance, serialize_instance
 
@@ -186,6 +186,69 @@ def test_cli_bad_budgets_exit_code(tmp_path, capsys, command, budgets):
     assert rc == cli.EXIT_VALIDATION
     assert "--budgets" in captured.err
     assert "Traceback" not in captured.err + captured.out
+
+
+GREEDY_SPECS = {
+    "greedy-identical": dict(n=5, k=4, m=2, model="identical", density=0.5, seed=2),
+    "greedy-related": dict(n=5, k=4, m=2, model="related", density=0.5, seed=2),
+    "greedy-unrelated": dict(n=5, k=4, m=2, model="unrelated", density=0.5, seed=2),
+}
+
+
+def _assert_bad_epsilon_exits_2(argv, capsys):
+    with pytest.raises(SystemExit) as exited:
+        cli.main(argv)
+    captured = capsys.readouterr()
+    assert exited.value.code == cli.EXIT_VALIDATION
+    assert "--epsilon" in captured.err
+    assert "Traceback" not in captured.err + captured.out
+
+
+@pytest.mark.parametrize("algo", list(GREEDY_SPECS))
+@pytest.mark.parametrize("epsilon", ["inf", "nan", "0", "-1"])
+def test_cli_solve_rejects_bad_epsilon(tmp_path, capsys, algo, epsilon):
+    path = _write_instance(tmp_path, **GREEDY_SPECS[algo])
+    argv = ["solve", "--instance", str(path), "--algo", algo, "--epsilon", epsilon]
+    _assert_bad_epsilon_exits_2(argv, capsys)
+
+
+@pytest.mark.parametrize("command", ["pds", "pmc", "bench"])
+def test_cli_rejects_infinite_epsilon(tmp_path, capsys, command):
+    path = _write_instance(tmp_path, **GREEDY_SPECS["greedy-identical"])
+    extra = {
+        "pds": ["--instance", str(path), "--algo", "identical"],
+        "pmc": ["--instance", str(path), "--budgets", "2,2", "--mode", "poly"],
+        "bench": ["--corpus", str(tmp_path), "--algo", "greedy-identical"],
+    }[command]
+    _assert_bad_epsilon_exits_2([command] + extra + ["--epsilon", "inf"], capsys)
+
+
+def test_cli_epsilon_past_the_ladder_range_exits_2(tmp_path, capsys):
+    # finite, but 2e/(e-1) times it overflows the ladder step to inf
+    path = _write_instance(tmp_path, **GREEDY_SPECS["greedy-identical"])
+    argv = ["solve", "--instance", str(path), "--algo", "greedy-identical", "--epsilon", "1e308"]
+    rc = cli.main(argv)
+    captured = capsys.readouterr()
+    assert rc == cli.EXIT_VALIDATION
+    assert "Traceback" not in captured.err + captured.out
+
+
+def test_cli_related_slow_machines_solve(tmp_path, capsys):
+    # every speed below 1: the lift's bound must count the fastest speed as 1
+    doc = {
+        "version": 1, "n": 4, "m": 2,
+        "cost_model": {"kind": "related", "base_costs": [1, 2, 1], "speeds": [[1, 4], [1, 4]]},
+        "sets": [[0, 1], [2], [3]],
+    }
+    path = tmp_path / "slow.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    rc = cli.main(["solve", "--instance", str(path), "--algo", "greedy-related"])
+    captured = capsys.readouterr()
+    assert rc == 0, captured.err
+    report = json.loads(captured.out)
+    inst = parse_instance(path.read_bytes())
+    cost, _ = evaluate_schedule_cost(inst, Schedule(tuple(map(tuple, report["schedule"]))))
+    assert Fraction(report["cost"]) == cost
 
 
 def test_cli_validation_exit_code(tmp_path, capsys):

@@ -441,7 +441,8 @@ def reference_pds_related(
             group_budget = Fraction(len(group)) * guess
             cap = (1 + kappa_f) * group_budget / len(group) + guess
             for j in group:
-                if loads[j] > cap:
+                # guesses count the fastest speed as 1; loads are in real units
+                if loads[j] * max(inst.cost_model.speeds) > cap:
                     feasible = False
         if not feasible:
             raise InvariantError("lift exceeded the per-machine bound")
