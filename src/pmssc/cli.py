@@ -76,12 +76,22 @@ def _read_instance(path):
     return parse_instance(data)
 
 
-def _epsilon(text):
-    """``--epsilon``: a finite positive float, else argparse exits 2."""
-    value = float(text)
-    if not 0 < value < math.inf:
-        raise argparse.ArgumentTypeError("must be finite and positive, got %r" % text)
-    return value
+def _in_range(convert, ok, wanted):
+    """An argparse type: ``convert(text)`` if ``ok`` holds, else exit 2 with usage."""
+
+    def parse(text):
+        value = convert(text)
+        if not ok(value):
+            raise argparse.ArgumentTypeError("must be %s, got %r" % (wanted, text))
+        return value
+
+    parse.__name__ = convert.__name__  # argparse names it in "invalid float value"
+    return parse
+
+
+_epsilon = _in_range(float, lambda v: 0 < v < 1, "in (0, 1)")
+_mu = _in_range(float, lambda v: 0 < v < math.inf, "finite and positive")
+_r_cap = _in_range(int, lambda v: v >= 1, "at least 1")
 
 
 def _parse_limits(text):
@@ -363,9 +373,9 @@ def build_parser() -> argparse.ArgumentParser:
     pmc_p.add_argument("--budgets", required=True)
     pmc_p.add_argument("--mode", required=True, choices=("poly", "fpt"))
     pmc_p.add_argument("--epsilon", type=_epsilon, default=0.2)
-    pmc_p.add_argument("--mu", type=float, default=None)
+    pmc_p.add_argument("--mu", type=_mu, default=None, help="required with --mode fpt")
     pmc_p.add_argument("--seed", type=int, default=None)
-    pmc_p.add_argument("--r-cap", type=int, default=None)
+    pmc_p.add_argument("--r-cap", type=_r_cap, default=None)
     pmc_p.set_defaults(func=_cmd_pmc)
 
     oracle_p = sub.add_parser("oracle", help="exact solvers for small instances")
@@ -409,6 +419,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if args.command == "pmc" and args.mode == "fpt" and args.mu is None:
+        parser.error("pmc: --mu is required with --mode fpt")
     try:
         return args.func(args)
     except (ParseError, ValidationError, UncoverableError, ValueError) as exc:

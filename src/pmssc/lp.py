@@ -6,9 +6,14 @@ sit at either bound; the implementation keeps every nonbasic variable at zero
 by complementing columns in place (the classic upper-bound "flip" trick).
 
 Pivoting is Dantzig's rule with a switch to Bland's rule after
-``10 * (rows + cols)`` degenerate steps. Arithmetic is float64 with a pivot
-tolerance cascade; ``verify=True`` re-derives the final basic solution in
-exact rational arithmetic and fails loudly if the float answer was wrong.
+``10 * (rows + cols)`` degenerate steps. One engine runs on float64 arrays
+with a pivot tolerance cascade, or on ``Fraction`` object arrays with zero
+tolerance. ``verify=True`` re-solves exactly from the float basis (Applegate,
+Cook, Dash & Espinoza, Oper. Res. Lett. 2007): the exact ``[A | slacks]``
+tableau takes the float run's flips and basis, which must be exactly
+feasible, and phase 2 pivots on until every exact reduced cost is <= 0 (no
+pivot when the float basis is optimal). The vertex returned is thus exactly
+feasible and exactly optimal.
 """
 
 from __future__ import annotations
@@ -77,11 +82,14 @@ def _pivot(M, b, basis, i, j):
     M[i, :] /= piv
     b[i] /= piv
     col = M[:, j].copy()
-    col[i] = 0.0
-    M -= np.outer(col, M[i, :])
-    b -= col * b[i]
-    M[:, j] = 0.0
-    M[i, j] = 1.0
+    col[i] = 0
+    # exact tableaux skip rows with multiplier 0, as Fraction products are slow;
+    # on small float tableaux that indexing would cost more than it saves
+    rows = np.flatnonzero(col) if M.dtype == object else slice(None)
+    M[rows] -= np.outer(col[rows], M[i, :])
+    b[rows] -= col[rows] * b[i]
+    M[:, j] = 0
+    M[i, j] = 1
     basis[i] = j
 
 
@@ -93,13 +101,13 @@ def _flip_nonbasic(M, b, c, u, flipped, j):
 
 
 def _optimize(M, b, c, u, basis, flipped, tol, bland_after):
-    """Run primal iterations until no reduced cost exceeds tol."""
+    """Run primal iterations until no reduced cost exceeds tol (0: exact ties)."""
     nrows, ncols = M.shape
+    tie = 1e-12 if tol else 0
     degenerate = 0
-    max_iters = 2000 + 200 * (nrows + ncols)
-    for _ in range(max_iters):
-        r = c - (c[basis] @ M if nrows else np.zeros(ncols))
-        r[basis] = 0.0
+    for _ in range(2000 + 200 * (nrows + ncols)):
+        r = c - (c[basis] @ M if nrows else 0)
+        r[basis] = 0
         if degenerate > bland_after:
             entering = np.nonzero(r > tol)[0]
             if entering.size == 0:
@@ -111,19 +119,19 @@ def _optimize(M, b, c, u, basis, flipped, tol, bland_after):
                 return
         col = M[:, j]
         candidates = []  # (theta, (var index, kind priority), kind, row)
-        if np.isfinite(u[j]):
+        if u[j] < math.inf:
             candidates.append((u[j], (j, 2), "flip", -1))
         for i in range(nrows):
             a = col[i]
             if a > tol:
                 candidates.append((b[i] / a, (basis[i], 0), "lower", i))
-            elif a < -tol and np.isfinite(u[basis[i]]):
+            elif a < -tol and u[basis[i]] < math.inf:
                 candidates.append(((u[basis[i]] - b[i]) / (-a), (basis[i], 1), "upper", i))
         if not candidates:
             raise _Unbounded()
         theta_min = min(t for t, _, _, _ in candidates)
         theta, _, kind, i = min(
-            (cand for cand in candidates if cand[0] <= theta_min + 1e-12),
+            (cand for cand in candidates if cand[0] <= theta_min + tie),
             key=lambda cand: cand[1],
         )
         if theta <= tol:
@@ -136,43 +144,58 @@ def _optimize(M, b, c, u, basis, flipped, tol, bland_after):
             bc = basis[i]
             b[i] = u[bc] - b[i]
             M[i, :] = -M[i, :]
-            M[i, bc] = 1.0
+            M[i, bc] = 1
             c[bc] = -c[bc]
             flipped[bc] = not flipped[bc]
             _pivot(M, b, basis, i, j)
     raise _NumericTrouble("iteration limit exceeded")
 
 
-def _as_floats(lp: LinearProgram):
-    """(row coefficient vectors, rhs, lower bounds, upper bounds) in float64."""
-    return (
-        [np.array([float(a) for a in coeffs]) for coeffs, _, _ in lp.constraints],
-        [float(rhs) for _, _, rhs in lp.constraints],
-        np.array([float(b[0]) for b in lp.bounds]),
-        np.array([float(b[1]) for b in lp.bounds]),
-    )
+def _fraction(value):
+    """Exact value of a coefficient; an infinite upper bound stays ``math.inf``."""
+    return value if value == math.inf else as_fraction(value)
 
 
-def _solve_floats(lp: LinearProgram, floats, tol: float):
-    nv = len(lp.objective)
-    nrows = len(lp.constraints)
-    rows, rhs, lo, hi = floats
+def _tableau(lp: LinearProgram, num):
+    """``[A | slacks]``, the rhs shifted by lo, lo, hi and the column ranges.
 
-    nslack = nrows
-    ncols = nv + nslack
-    M = np.zeros((nrows, ncols + nrows))
-    b = np.zeros(nrows)
-    for i, (_, relation, _) in enumerate(lp.constraints):
-        M[i, :nv] = rows[i]
-        M[i, nv + i] = 1.0 if relation == LESS_EQUAL else -1.0
-        b[i] = rhs[i] - rows[i] @ lo
-        if b[i] < 0:
-            M[i, :] = -M[i, :]
-            b[i] = -b[i]
-        M[i, ncols + i] = 1.0  # artificial
+    ``num`` is ``float`` (float64 arrays) or ``_fraction`` (object arrays of
+    ``Fraction``; slack coefficients too, so no division falls back to float).
+    """
+    nv, nrows = len(lp.objective), len(lp.constraints)
+    dtype = float if num is float else object
+    lo = np.array([num(bd[0]) for bd in lp.bounds], dtype=dtype)
+    hi = np.array([num(bd[1]) for bd in lp.bounds], dtype=dtype)
+    M = np.full((nrows, nv + nrows), num(0), dtype=dtype)
+    b = np.full(nrows, num(0), dtype=dtype)
+    for i, (coeffs, relation, rhs) in enumerate(lp.constraints):
+        M[i, :nv] = [num(a) for a in coeffs]
+        M[i, nv + i] = num(1) if relation == LESS_EQUAL else num(-1)
+        b[i] = num(rhs) - M[i, :nv] @ lo
+    u = np.concatenate([hi - lo, np.full(nrows, math.inf, dtype=dtype)])
+    return M, b, lo, hi, u
 
-    u = np.full(ncols + nrows, np.inf)
-    u[:nv] = hi - lo
+
+def _vertex(b, u, basis, flipped, lo):
+    """Structural values of the basic solution (flipped columns at hi - z)."""
+    z = np.zeros(len(u), dtype=b.dtype)
+    z[basis] = b
+    flipped = np.array(flipped, dtype=bool)
+    z[flipped] = u[flipped] - z[flipped]
+    return lo + z[: len(lo)]
+
+
+def _solve_floats(lp: LinearProgram, tol: float):
+    M, b, lo, hi, u = _tableau(lp, float)
+    nrows, ncols = M.shape
+    nv = ncols - nrows
+    rows = M[:, :nv]  # hstack below copies, so these stay the original rows
+    M = np.hstack([M, np.zeros((nrows, nrows))])
+    negative = b < 0
+    M[negative] = -M[negative]
+    b[negative] = -b[negative]
+    M[range(nrows), range(ncols, ncols + nrows)] = 1.0  # artificials
+    u = np.concatenate([u, np.full(nrows, np.inf)])
     flipped = [False] * (ncols + nrows)
     basis = [ncols + i for i in range(nrows)]
     bland_after = 10 * (nrows + ncols)
@@ -190,162 +213,81 @@ def _solve_floats(lp: LinearProgram, floats, tol: float):
 
     redundant = []
     for i in range(nrows):
-        if basis[i] < ncols:
-            continue
-        pivot_col = None
-        for j in range(ncols):
-            if abs(M[i, j]) > tol and j not in basis:
-                pivot_col = j
-                break
-        if pivot_col is None:
-            redundant.append(i)
-        else:
-            _pivot(M, b, basis, i, pivot_col)
+        if basis[i] >= ncols:
+            j = next((j for j in range(ncols) if abs(M[i, j]) > tol and j not in basis), None)
+            if j is None:
+                redundant.append(i)
+            else:
+                _pivot(M, b, basis, i, j)
     if redundant:
         M = np.delete(M, redundant, axis=0)
         b = np.delete(b, redundant)
         basis = [bv for i, bv in enumerate(basis) if i not in redundant]
-    kept_rows = [i for i in range(nrows) if i not in redundant]
     M = M[:, :ncols]
     u = u[:ncols]
     flipped = flipped[:ncols]
 
     # Phase 2: original objective (sign-adjusted for columns flipped so far).
     c2 = np.zeros(ncols)
-    for j in range(nv):
-        cj = float(lp.objective[j])
-        c2[j] = -cj if flipped[j] else cj
-    try:
-        _optimize(M, b, c2, u, basis, flipped, tol, bland_after)
-    except _Unbounded:
-        raise _Unbounded()
-
-    z = np.zeros(ncols)
-    z[basis] = b
-    for j in range(ncols):
-        if flipped[j]:
-            z[j] = u[j] - z[j]
-    x = lo + z[:nv]
+    c2[:nv] = [-float(cj) if f else float(cj) for cj, f in zip(lp.objective, flipped)]
+    _optimize(M, b, c2, u, basis, flipped, tol, bland_after)
+    x = _vertex(b, u, basis, flipped, lo)
 
     # Feasibility backstop: bounds within 1e-9, row residuals within 1e-8.
     if np.any(x < lo - 1e-9) or np.any(x > hi + 1e-9):
         raise _NumericTrouble("bound violation")
     x = np.clip(x, lo, hi)
-    for i, (_, relation, _) in enumerate(lp.constraints):
-        resid = rows[i] @ x - rhs[i]
-        if relation == LESS_EQUAL and resid > 1e-8:
-            raise _NumericTrouble("constraint residual %g" % resid)
-        if relation == GREATER_EQUAL and resid < -1e-8:
+    for i, (_, relation, rhs) in enumerate(lp.constraints):
+        resid = rows[i] @ x - float(rhs)
+        if (resid if relation == LESS_EQUAL else -resid) > 1e-8:
             raise _NumericTrouble("constraint residual %g" % resid)
 
-    return x, basis, flipped, kept_rows
+    return x, basis, flipped, redundant
 
 
-def _verify_exact(lp: LinearProgram, x_float, basis, flipped, kept_rows):
-    """Re-derive the basic solution in exact arithmetic and check feasibility."""
-    nv = len(lp.objective)
-    nrows = len(lp.constraints)
-    ncols = nv + nrows
-    lo = [as_fraction(bd[0]) for bd in lp.bounds]
-    u = []
-    for j, bd in enumerate(lp.bounds):
-        hi = bd[1]
-        u.append(None if float(hi) == math.inf else as_fraction(hi) - lo[j])
-
-    def column(row_idx, j):
-        coeffs, relation, _ = lp.constraints[row_idx]
-        if j < nv:
-            return as_fraction(coeffs[j])
-        if j - nv == row_idx:
-            return Fraction(1) if relation == LESS_EQUAL else Fraction(-1)
-        return Fraction(0)
-
-    basic = list(basis)
-    rows = list(kept_rows)
-    if len(basic) != len(rows):
-        raise NumericalFailureError("basis/row bookkeeping mismatch")
-
-    # rhs of kept rows minus contribution of nonbasic-at-upper columns,
-    # in the lo-shifted variable space.
-    rhs = []
-    for ri in rows:
-        coeffs, _, row_rhs = lp.constraints[ri]
-        val = as_fraction(row_rhs)
-        for j in range(nv):
-            val -= as_fraction(coeffs[j]) * lo[j]
-        for j in range(ncols):
-            if flipped[j] and j not in basic:
-                if u[j] is None:
-                    raise NumericalFailureError("flipped column with infinite bound")
-                val -= column(ri, j) * u[j]
-        rhs.append(val)
-
-    size = len(rows)
-    aug = [[column(rows[i], basic[q]) for q in range(size)] + [rhs[i]] for i in range(size)]
-    for col_i in range(size):
-        piv = None
-        for r in range(col_i, size):
-            if aug[r][col_i] != 0:
-                piv = r
-                break
-        if piv is None:
-            raise NumericalFailureError("exactly singular final basis")
-        aug[col_i], aug[piv] = aug[piv], aug[col_i]
-        inv = Fraction(1) / aug[col_i][col_i]
-        aug[col_i] = [v * inv for v in aug[col_i]]
-        for r in range(size):
-            if r != col_i and aug[r][col_i] != 0:
-                factor = aug[r][col_i]
-                aug[r] = [a - factor * p for a, p in zip(aug[r], aug[col_i])]
-    z = {basic[q]: aug[q][size] for q in range(size)}
-
-    # The system above is posed over original (unflipped) shifted variables,
-    # so basic values come straight from the solve; nonbasic variables sit at
-    # the bound their flip state encodes.
-    x_exact = []
-    for j in range(nv):
-        if j in z:
-            zj = z[j]
-        elif flipped[j]:
-            zj = u[j]
-        else:
-            zj = Fraction(0)
-        x_exact.append(lo[j] + zj)
-
-    for j in range(nv):
-        hi = lp.bounds[j][1]
-        if x_exact[j] < lo[j] or (float(hi) != math.inf and x_exact[j] > as_fraction(hi)):
-            raise NumericalFailureError("exact verification: bound violated")
-        if abs(float(x_exact[j]) - float(x_float[j])) > 1e-6:
-            raise NumericalFailureError("exact verification: float drift")
-    for coeffs, relation, row_rhs in lp.constraints:
-        lhs = sum(
-            (as_fraction(coeffs[j]) * x_exact[j] for j in range(nv)), Fraction(0)
-        )
-        rr = as_fraction(row_rhs)
-        if relation == LESS_EQUAL and lhs > rr:
-            raise NumericalFailureError("exact verification: row violated")
-        if relation == GREATER_EQUAL and lhs < rr:
-            raise NumericalFailureError("exact verification: row violated")
-
-    objective = sum(
-        (as_fraction(lp.objective[j]) * x_exact[j] for j in range(nv)), Fraction(0)
-    )
-    return tuple(x_exact), objective
+def _solve_exact(lp: LinearProgram, basis, flipped, redundant):
+    """Rational phase 2 from the float run's final flips and basis; rows that
+    float phase 1 dropped as redundant keep their slack basic."""
+    M, b, lo, _, u = _tableau(lp, _fraction)
+    nrows, ncols = M.shape
+    nv = ncols - nrows
+    c = np.array([as_fraction(cj) for cj in lp.objective] + [Fraction(0)] * nrows, dtype=object)
+    exact_flipped = [False] * ncols
+    for j in np.flatnonzero(flipped):
+        _flip_nonbasic(M, b, c, u, exact_flipped, j)
+    # Start from the all-slack basis (">=" rows negated so their slack reads
+    # +1) and pivot each other float-basic column into a row whose slack
+    # leaves; a nonsingular basis always leaves such a row with a nonzero.
+    negated = [i for i, (_, rel, _) in enumerate(lp.constraints) if rel == GREATER_EQUAL]
+    M[negated] = -M[negated]
+    b[negated] = -b[negated]
+    exact_basis = [nv + i for i in range(nrows)]
+    target = set(basis) | {nv + i for i in redundant}
+    for j in sorted(target - set(exact_basis)):
+        free = [i for i in range(nrows) if exact_basis[i] not in target and M[i, j] != 0]
+        if not free:
+            raise _NumericTrouble("float basis is singular in exact arithmetic")
+        _pivot(M, b, exact_basis, free[0], j)
+    if any(v < 0 for v in b) or any(v > u[j] for v, j in zip(b, exact_basis)):
+        raise _NumericTrouble("float basis is not exactly feasible")
+    _optimize(M, b, c, u, exact_basis, exact_flipped, 0, 10 * (nrows + ncols))
+    return _vertex(b, u, exact_basis, exact_flipped, lo)
 
 
 def solve_lp(lp: LinearProgram, verify: bool = False) -> LpSolution:
     """Solve to optimality, or report infeasible/unbounded.
 
-    With ``verify=True`` the returned values and objective are exact
-    rationals recomputed from the final basis; any disagreement with the
-    float solve raises ``NumericalFailureError``.
+    With ``verify=True`` the values and objective are exact rationals of a
+    vertex that is exactly feasible and has exact reduced costs <= 0; a float
+    basis that is not exactly feasible moves on to the next tolerance, and
+    ``NumericalFailureError`` is raised when none is left.
     """
-    floats = _as_floats(lp)  # converted once, shared by both tolerances
     last_trouble = None
     for tol in (1e-9, 1e-7):
         try:
-            x, basis, flipped, kept_rows = _solve_floats(lp, floats, tol)
+            x, basis, flipped, redundant = _solve_floats(lp, tol)
+            if verify:
+                x = _solve_exact(lp, basis, flipped, redundant)
         except _Infeasible:
             return LpSolution((), None, INFEASIBLE)
         except _Unbounded:
@@ -353,17 +295,9 @@ def solve_lp(lp: LinearProgram, verify: bool = False) -> LpSolution:
         except _NumericTrouble as exc:
             last_trouble = exc
             continue
-        if verify:
-            try:
-                values, objective = _verify_exact(lp, x, basis, flipped, kept_rows)
-            except NumericalFailureError as exc:
-                last_trouble = exc
-                continue
-            return LpSolution(values, objective, OPTIMAL)
-        objective = float(
-            sum(float(c) * xi for c, xi in zip(lp.objective, x))
-        )
-        return LpSolution(tuple(float(v) for v in x), objective, OPTIMAL)
+        num = _fraction if verify else float
+        objective = num(sum(num(cj) * xj for cj, xj in zip(lp.objective, x)))
+        return LpSolution(tuple(num(v) for v in x), objective, OPTIMAL)
     raise NumericalFailureError("pivot tolerance cascade failed: %s" % last_trouble)
 
 
@@ -377,22 +311,13 @@ def lp_upper_bounds_ilp(lp_solution: LpSolution, ilp_opt) -> bool:
 def to_lp_format(lp: LinearProgram, name: str = "pmssc") -> str:
     """Render in the industry-standard LP text format (for manual cross-checks)."""
 
-    def term(coef, j, lead):
-        c = float(coef)
-        sign = "+" if c >= 0 else "-"
-        if lead and sign == "+":
-            return "%g x%d" % (abs(c), j)
-        return "%s %g x%d" % (sign, abs(c), j)
-
     def linear(coeffs):
-        parts = []
-        lead = True
-        for j, a in enumerate(coeffs):
-            if float(a) == 0.0:
-                continue
-            parts.append(term(a, j, lead))
-            lead = False
-        return " ".join(parts) if parts else "0 x0"
+        text = " ".join(
+            "%s %g x%d" % ("+" if float(a) >= 0 else "-", abs(float(a)), j)
+            for j, a in enumerate(coeffs)
+            if float(a) != 0.0
+        )
+        return text[2:] if text.startswith("+ ") else text or "0 x0"
 
     lines = ["\\ %s" % name, "Maximize", " obj: %s" % linear(lp.objective), "Subject To"]
     for i, (coeffs, relation, rhs) in enumerate(lp.constraints):

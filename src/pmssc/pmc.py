@@ -11,10 +11,12 @@ Two parameter regimes share the rounding pass:
 Every returned assignment satisfies cost_j <= (1 + delta) * B_j on every
 machine: iterations violating any budget are discarded, and the kept
 iteration covering the most elements wins (ties to the lowest iteration
-index). One rounding call draws all R iterations at once from one Philox
-stream keyed by the seed: row r of the draw matrix is iteration r, and rows
-are padded to a multiple of 4 doubles (one Philox block), so row r can be
-replayed alone by advancing a fresh stream r * width / 4 blocks. Loads are
+index). One rounding call draws all R iterations from one Philox stream
+keyed by the seed: row r of the draw matrix is iteration r, and rows are
+padded to a multiple of 4 doubles (one Philox block), so row r can be
+replayed alone by advancing a fresh stream r * width / 4 blocks. Rows are
+drawn and judged in blocks of at most ``ROUND_BLOCK`` draws that continue the
+same stream, which bounds memory and leaves every draw unchanged. Loads are
 summed in float64; a load within a relative 1e-9 of its limit is re-checked
 with exact rationals, so every keep/discard decision is exact.
 """
@@ -41,6 +43,10 @@ from .rng import stream
 
 POLY = "poly"
 FPT = "fpt"
+
+# Draws (rows x k*m) per rounding block: ~2 MB of float64, enough for every
+# rounding call of the bench workloads to take a single block.
+ROUND_BLOCK = 1 << 18
 
 
 def poly_delta(m: int) -> float:
@@ -132,20 +138,21 @@ class PmcResult:
     attempts: int
 
 
-def raw_draws(seed: int, attempts: int, probs: Sequence[float]):
-    """Independent Bernoulli draws for all rounding iterations of one call.
+def raw_draws(seed, attempts: int, probs: Sequence[float]):
+    """Independent Bernoulli draws for ``attempts`` rounding iterations.
 
     Returns an (attempts, k*m) boolean matrix: pair (s, j) is drawn in
     iteration r when entry [r, s*m + j] is set, with probability
-    probs[s*m + j]. All rows come from one stream keyed by ``seed``; each row
-    takes ``width`` doubles, k*m rounded up to a multiple of 4, so row r
-    starts on a Philox block boundary and is reproduced alone by
-    ``stream(seed)`` after ``bit_generator.advance(r * width // 4)``.
+    probs[s*m + j]. All rows come from one stream keyed by ``seed``, or from
+    ``seed`` itself when it is a ``stream`` to continue; each row takes
+    ``width`` doubles, k*m rounded up to a multiple of 4, so row r starts on
+    a Philox block boundary and is reproduced alone by ``stream(seed)`` after
+    ``bit_generator.advance(r * width // 4)``.
     """
+    gen = seed if isinstance(seed, np.random.Generator) else stream(seed)
     probs = np.asarray(probs, dtype=float)
-    km = probs.size
-    width = -(-km // 4) * 4
-    return stream(seed).random((attempts, width))[:, :km] < probs
+    width = -(-probs.size // 4) * 4
+    return gen.random((attempts, width))[:, : probs.size] < probs
 
 
 def _normalizers(inst: ProblemInstance) -> Tuple[Fraction, ...]:
@@ -215,7 +222,7 @@ def round_pmc(
     lp_solution: LpSolution,
     params: PmcParams,
 ) -> PmcResult:
-    """Randomized rounding of the LP solution, all iterations in one pass.
+    """Randomized rounding of the LP solution, iterations in row blocks.
 
     Iteration r draws set-machine pairs independently with probability
     x_{s,j} (row r of ``raw_draws``); a set drawn on several machines is kept
@@ -243,29 +250,34 @@ def round_pmc(
     for s in range(k):
         incidence[s, list(inst.members[s])] = 1.0
 
-    attempts = params.attempts(m, n)
-    drawn = raw_draws(params.seed, attempts, probs).reshape(attempts, k, m)
-    hit = drawn.any(axis=2)  # (R, k): set s is placed in iteration r
-    keep = hit[:, :, None] & (drawn.argmax(axis=2)[:, :, None] == np.arange(m))
-
     cost_f = np.array([[_float_or_inf(c) for c in row] for row in costs])
     limit_f = np.array([_float_or_inf(b) for b in limit])
-    loads = np.where(keep, cost_f, 0.0).sum(axis=1)  # (R, m)
-    over = loads > limit_f
-    with np.errstate(invalid="ignore"):  # inf - inf: not decided, so exact
-        decided = np.isfinite(loads) & (np.abs(loads - limit_f) > 1e-9 * limit_f + 1e-300)
-    for r, j in zip(*np.nonzero(~decided)):
-        exact = sum((costs[s][j] for s in np.flatnonzero(keep[r, :, j])), Fraction(0))
-        over[r, j] = exact > limit[j]
-    ok = ~over.any(axis=1)
-    kept = int(ok.sum())
+    attempts = params.attempts(m, n)
+    gen = stream(params.seed)
+    block = max(1, ROUND_BLOCK // max(1, k * m))
+    kept, best_covered, best_keep = 0, -1, None
+    for start in range(0, attempts, block):
+        rows = min(block, attempts - start)
+        drawn = raw_draws(gen, rows, probs).reshape(rows, k, m)
+        hit = drawn.any(axis=2)  # (rows, k): set s is placed in iteration r
+        keep = hit[:, :, None] & (drawn.argmax(axis=2)[:, :, None] == np.arange(m))
+        loads = np.where(keep, cost_f, 0.0).sum(axis=1)  # (rows, m)
+        over = loads > limit_f
+        with np.errstate(invalid="ignore"):  # inf - inf: not decided, so exact
+            decided = np.isfinite(loads) & (np.abs(loads - limit_f) > 1e-9 * limit_f + 1e-300)
+        for r, j in zip(*np.nonzero(~decided)):
+            exact = sum((costs[s][j] for s in np.flatnonzero(keep[r, :, j])), Fraction(0))
+            over[r, j] = exact > limit[j]
+        ok = ~over.any(axis=1)
+        kept += int(ok.sum())
+        covered = np.where(ok, (hit.astype(np.float32) @ incidence > 0).sum(axis=1), -1)
+        best = int(np.argmax(covered))  # ties go to the earliest kept iteration
+        if covered[best] > best_covered:
+            best_covered, best_keep = int(covered[best]), keep[best]
     if kept == 0:
         raise NoIterationKeptError(attempts)
-
-    covered = (hit.astype(np.float32) @ incidence > 0).sum(axis=1)
-    best = int(np.argmax(np.where(ok, covered, -1)))
     assignment = Assignment(
-        tuple(tuple(int(s) for s in np.flatnonzero(keep[best, :, j])) for j in range(m))
+        tuple(tuple(int(s) for s in np.flatnonzero(best_keep[:, j])) for j in range(m))
     )
     per_cost = []
     for j, seq in enumerate(assignment.per_machine):
@@ -273,7 +285,7 @@ def round_pmc(
     return PmcResult(
         assignment=assignment,
         per_machine_cost=tuple(per_cost),
-        covered=int(covered[best]),
+        covered=best_covered,
         lp_objective=float(lp_solution.objective_value),
         iterations_kept=kept,
         attempts=attempts,

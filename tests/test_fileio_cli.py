@@ -195,13 +195,17 @@ GREEDY_SPECS = {
 }
 
 
-def _assert_bad_epsilon_exits_2(argv, capsys):
+def _assert_usage_error(argv, capsys, option):
     with pytest.raises(SystemExit) as exited:
         cli.main(argv)
     captured = capsys.readouterr()
     assert exited.value.code == cli.EXIT_VALIDATION
-    assert "--epsilon" in captured.err
+    assert "usage:" in captured.err and option in captured.err
     assert "Traceback" not in captured.err + captured.out
+
+
+def _assert_bad_epsilon_exits_2(argv, capsys):
+    _assert_usage_error(argv, capsys, "--epsilon")
 
 
 @pytest.mark.parametrize("algo", list(GREEDY_SPECS))
@@ -227,10 +231,55 @@ def test_cli_epsilon_past_the_ladder_range_exits_2(tmp_path, capsys):
     # finite, but 2e/(e-1) times it overflows the ladder step to inf
     path = _write_instance(tmp_path, **GREEDY_SPECS["greedy-identical"])
     argv = ["solve", "--instance", str(path), "--algo", "greedy-identical", "--epsilon", "1e308"]
-    rc = cli.main(argv)
-    captured = capsys.readouterr()
-    assert rc == cli.EXIT_VALIDATION
-    assert "Traceback" not in captured.err + captured.out
+    _assert_bad_epsilon_exits_2(argv, capsys)
+
+
+@pytest.mark.parametrize("algo", list(GREEDY_SPECS))
+@pytest.mark.parametrize("epsilon", ["1", "1.5"])
+def test_cli_solve_rejects_epsilon_of_one_or_more(tmp_path, capsys, algo, epsilon):
+    # (0, 1) on every algorithm: greedy-unrelated used to exit 3, the others 0
+    path = _write_instance(tmp_path, **GREEDY_SPECS[algo])
+    argv = ["solve", "--instance", str(path), "--algo", algo, "--epsilon", epsilon]
+    _assert_bad_epsilon_exits_2(argv, capsys)
+
+
+def _pmc_argv(tmp_path, *extra):
+    path = _write_instance(tmp_path, **GREEDY_SPECS["greedy-identical"])
+    return ["pmc", "--instance", str(path), "--budgets", "2,2"] + list(extra)
+
+
+@pytest.mark.parametrize("command", ["pds", "pmc", "bench"])
+def test_cli_rejects_epsilon_of_one_or_more(tmp_path, capsys, command):
+    path = _write_instance(tmp_path, **GREEDY_SPECS["greedy-identical"])
+    extra = {
+        "pds": ["--instance", str(path), "--algo", "identical"],
+        "pmc": ["--instance", str(path), "--budgets", "2,2", "--mode", "poly"],
+        "bench": ["--corpus", str(tmp_path), "--algo", "greedy-identical"],
+    }[command]
+    _assert_bad_epsilon_exits_2([command] + extra + ["--epsilon", "1.5"], capsys)
+
+
+@pytest.mark.parametrize("mu", ["inf", "nan", "0", "-1"])
+def test_cli_pmc_rejects_bad_mu(tmp_path, capsys, mu):
+    # inf used to end in an OverflowError traceback, 0 and -1 in exit 3
+    _assert_usage_error(_pmc_argv(tmp_path, "--mode", "fpt", "--mu", mu), capsys, "--mu")
+
+
+def test_cli_pmc_fpt_requires_mu(tmp_path, capsys):
+    _assert_usage_error(_pmc_argv(tmp_path, "--mode", "fpt"), capsys, "--mu")
+
+
+@pytest.mark.parametrize("r_cap", ["0", "-2"])
+def test_cli_pmc_rejects_r_cap_below_one(tmp_path, capsys, r_cap):
+    argv = _pmc_argv(tmp_path, "--mode", "poly", "--r-cap", r_cap)
+    _assert_usage_error(argv, capsys, "--r-cap")
+
+
+def test_cli_pmc_accepts_settings_inside_their_ranges(tmp_path, capsys):
+    argv = _pmc_argv(tmp_path, "--mode", "fpt", "--mu", "0.5", "--r-cap", "1", "--epsilon", "0.99")
+    assert cli.main(argv) == cli.EXIT_OK
+    report = json.loads(capsys.readouterr().out)
+    assert report["attempts"] == 1
 
 
 def test_cli_related_slow_machines_solve(tmp_path, capsys):
@@ -382,3 +431,28 @@ def test_cli_invariant_breach_exits_3_under_optimize(tmp_path, algo, spec):
     )
     assert proc.returncode == cli.EXIT_SOLVER
     assert "Traceback" not in proc.stderr + proc.stdout
+
+
+def test_cli_solves_without_importing_scipy(tmp_path):
+    # scipy.optimize takes about 0.9 s to import, four times `import pmssc.cli`;
+    # the bench's warm-up solves reach the LP and rounding layers
+    costs = {
+        "greedy-related": {"kind": "related", "base_costs": [1], "speeds": [[1, 2], [1, 2]]},
+        "greedy-unrelated": {"kind": "unrelated", "matrix": [[1, 1]]},
+    }
+    script = "import sys\nimport pmssc.cli as cli\n"
+    for algo, cost_model in costs.items():
+        path = tmp_path / ("%s.json" % algo)
+        doc = {"version": 1, "n": 3, "m": 2, "cost_model": cost_model, "sets": [[0, 1, 2]]}
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        argv = ["solve", "--instance", str(path), "--algo", algo, "--out", str(tmp_path / "r.json")]
+        script += "if cli.main(%r) != 0:\n    sys.exit('%s failed')\n" % (argv, algo)
+    script += "print(sorted(name for name in sys.modules if name.split('.')[0] == 'scipy'))\n"
+    env = dict(os.environ)
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

@@ -1,12 +1,20 @@
 import math
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.optimize import linprog
 
 from conftest import t1_instance
+from pmssc import lp as lp_mod
+from pmssc.core import as_fraction
+from pmssc.errors import NumericalFailureError
 from pmssc.lp import (
+    GREATER_EQUAL,
     INFEASIBLE,
+    LESS_EQUAL,
     OPTIMAL,
     UNBOUNDED,
     LinearProgram,
@@ -156,3 +164,442 @@ def test_lp_format_dump():
     text = to_lp_format(lp)
     assert "Maximize" in text and "Subject To" in text and "Bounds" in text
     assert "x0" in text and "x1" in text
+
+
+# -- differential tests: one engine for floats and rationals against the
+# former float simplex plus its separate exact re-derivation
+
+
+def assert_exactly_feasible(lp, sol):
+    values = sol.values
+    assert all(isinstance(v, Fraction) for v in values)
+    for v, (lo, hi) in zip(values, lp.bounds):
+        assert as_fraction(lo) <= v and (hi == math.inf or v <= as_fraction(hi))
+    for coeffs, relation, rhs in lp.constraints:
+        lhs = sum((as_fraction(a) * v for a, v in zip(coeffs, values)), Fraction(0))
+        assert lhs <= rhs if relation == LESS_EQUAL else lhs >= rhs
+    objective = sum((as_fraction(c) * v for c, v in zip(lp.objective, values)), Fraction(0))
+    assert sol.objective_value == objective
+
+
+real_optimize = lp_mod._optimize
+
+
+def _reduced_costs_checked(M, b, c, u, basis, flipped, tol, bland_after):
+    """The engine's ``_optimize``; on an exact tableau it then asserts an
+    exactly feasible basis with every exact reduced cost <= 0."""
+    real_optimize(M, b, c, u, basis, flipped, tol, bland_after)
+    if M.dtype == object:
+        assert all(0 <= v <= u[j] for v, j in zip(b, basis))
+        r = c - c[basis] @ M if len(basis) else c
+        assert all(rj <= 0 for j, rj in enumerate(r) if j not in basis)
+
+
+coefficient = st.one_of(
+    st.integers(-4, 4), st.builds(Fraction, st.integers(-9, 9), st.integers(1, 4))
+)
+
+
+@st.composite
+def general_lps(draw):
+    nv = draw(st.integers(1, 6))
+    rows = draw(st.integers(0, 5))
+    constraints = tuple(
+        (
+            tuple(draw(coefficient) for _ in range(nv)),
+            draw(st.sampled_from([LESS_EQUAL, GREATER_EQUAL])),
+            draw(st.builds(Fraction, st.integers(-6, 10), st.integers(1, 3))),
+        )
+        for _ in range(rows)
+    )
+    bounds = []
+    for _ in range(nv):
+        lo = draw(st.builds(Fraction, st.integers(0, 4), st.integers(1, 2)))
+        span = draw(st.one_of(st.just(math.inf), st.integers(0, 3)))
+        bounds.append((lo, math.inf if span == math.inf else lo + span))
+    return LinearProgram(tuple(draw(coefficient) for _ in range(nv)), constraints, tuple(bounds))
+
+
+@st.composite
+def pmc_lps(draw):
+    inst = generate_instance(
+        n=draw(st.integers(1, 9)),
+        k=draw(st.integers(1, 5)),
+        m=draw(st.integers(1, 3)),
+        model=draw(st.sampled_from(["identical", "related", "unrelated"])),
+        density=draw(st.sampled_from([0.2, 0.4, 0.7])),
+        seed=draw(st.integers(0, 10**6)),
+    )
+    budget = st.builds(Fraction, st.integers(0, 8), st.integers(1, 3))
+    return build_pmc_lp(inst, [draw(budget) for _ in range(inst.m)])
+
+
+@settings(max_examples=100, deadline=None)
+@given(lp=st.one_of(general_lps(), pmc_lps()), verify=st.booleans())
+def test_solve_lp_matches_former_solver(lp, verify):
+    try:
+        expected = reference_solve_lp(lp, verify=verify)
+    except NumericalFailureError:
+        return
+    with mock.patch.object(lp_mod, "_optimize", _reduced_costs_checked):
+        actual = solve_lp(lp, verify=verify)
+    # repr tells apart float results that == would not (e.g. -0.0)
+    assert repr(actual) == repr(expected)
+    if verify and actual.status == OPTIMAL:
+        assert_exactly_feasible(lp, actual)
+
+
+def _float_phase_2_cut_short(M, b, c, u, basis, flipped, tol, bland_after):
+    """``_optimize``, except that a float phase 2 returns before any pivot.
+
+    Phase 1 prices its artificial (last) columns at -1, phase 2 its slacks at 0.
+    """
+    phase_1 = len(basis) > 0 and np.all(c[len(c) - M.shape[0]:] == -1)
+    if M.dtype == object or phase_1:
+        real_optimize(M, b, c, u, basis, flipped, tol, bland_after)
+
+
+def test_verify_finishes_a_float_phase_2_cut_short():
+    rng = np.random.default_rng(11)
+    programs = [
+        build_pmc_lp(
+            generate_instance(n=4 + s % 6, k=2 + s % 4, m=1 + s % 3, model="unrelated",
+                              density=0.4, seed=700 + s),
+            [Fraction(1 + s % 3, 1 + s % 2)] * (1 + s % 3),
+        )
+        for s in range(20)
+    ]
+    for _ in range(20):
+        nv = int(rng.integers(2, 6))
+        programs.append(LinearProgram(
+            tuple(int(x) for x in rng.integers(0, 6, size=nv)),
+            tuple(
+                (tuple(int(x) for x in rng.integers(0, 4, size=nv)), LESS_EQUAL,
+                 int(rng.integers(1, 9)))
+                for _ in range(int(rng.integers(1, 4)))
+            ),
+            tuple((0, int(rng.integers(1, 4))) for _ in range(nv)),
+        ))
+    cut_short = 0
+    for lp in programs:
+        optimum = reference_solve_lp(lp, verify=True)
+        with mock.patch.object(lp_mod, "_optimize", _float_phase_2_cut_short):
+            stopped = solve_lp(lp)
+            sol = solve_lp(lp, verify=True)
+        assert sol.status == optimum.status == OPTIMAL
+        assert sol.objective_value == optimum.objective_value
+        assert_exactly_feasible(lp, sol)
+        cut_short += stopped.objective_value < float(optimum.objective_value) - 1e-9
+    # the cut must bite: most float answers stop below the optimum
+    assert cut_short >= len(programs) // 2
+
+
+# -- reference: the former float solve and _verify_exact, verbatim but for
+# the name of solve_lp
+
+
+class _NumericTrouble(Exception):
+    pass
+
+
+class _Unbounded(Exception):
+    pass
+
+
+class _Infeasible(Exception):
+    pass
+
+
+def _pivot(M, b, basis, i, j):
+    piv = M[i, j]
+    M[i, :] /= piv
+    b[i] /= piv
+    col = M[:, j].copy()
+    col[i] = 0.0
+    M -= np.outer(col, M[i, :])
+    b -= col * b[i]
+    M[:, j] = 0.0
+    M[i, j] = 1.0
+    basis[i] = j
+
+
+def _flip_nonbasic(M, b, c, u, flipped, j):
+    b -= M[:, j] * u[j]
+    M[:, j] = -M[:, j]
+    c[j] = -c[j]
+    flipped[j] = not flipped[j]
+
+
+def _optimize(M, b, c, u, basis, flipped, tol, bland_after):
+    """Run primal iterations until no reduced cost exceeds tol."""
+    nrows, ncols = M.shape
+    degenerate = 0
+    max_iters = 2000 + 200 * (nrows + ncols)
+    for _ in range(max_iters):
+        r = c - (c[basis] @ M if nrows else np.zeros(ncols))
+        r[basis] = 0.0
+        if degenerate > bland_after:
+            entering = np.nonzero(r > tol)[0]
+            if entering.size == 0:
+                return
+            j = int(entering[0])
+        else:
+            j = int(np.argmax(r))
+            if r[j] <= tol:
+                return
+        col = M[:, j]
+        candidates = []  # (theta, (var index, kind priority), kind, row)
+        if np.isfinite(u[j]):
+            candidates.append((u[j], (j, 2), "flip", -1))
+        for i in range(nrows):
+            a = col[i]
+            if a > tol:
+                candidates.append((b[i] / a, (basis[i], 0), "lower", i))
+            elif a < -tol and np.isfinite(u[basis[i]]):
+                candidates.append(((u[basis[i]] - b[i]) / (-a), (basis[i], 1), "upper", i))
+        if not candidates:
+            raise _Unbounded()
+        theta_min = min(t for t, _, _, _ in candidates)
+        theta, _, kind, i = min(
+            (cand for cand in candidates if cand[0] <= theta_min + 1e-12),
+            key=lambda cand: cand[1],
+        )
+        if theta <= tol:
+            degenerate += 1
+        if kind == "flip":
+            _flip_nonbasic(M, b, c, u, flipped, j)
+        elif kind == "lower":
+            _pivot(M, b, basis, i, j)
+        else:
+            bc = basis[i]
+            b[i] = u[bc] - b[i]
+            M[i, :] = -M[i, :]
+            M[i, bc] = 1.0
+            c[bc] = -c[bc]
+            flipped[bc] = not flipped[bc]
+            _pivot(M, b, basis, i, j)
+    raise _NumericTrouble("iteration limit exceeded")
+
+
+def _as_floats(lp: LinearProgram):
+    """(row coefficient vectors, rhs, lower bounds, upper bounds) in float64."""
+    return (
+        [np.array([float(a) for a in coeffs]) for coeffs, _, _ in lp.constraints],
+        [float(rhs) for _, _, rhs in lp.constraints],
+        np.array([float(b[0]) for b in lp.bounds]),
+        np.array([float(b[1]) for b in lp.bounds]),
+    )
+
+
+def _solve_floats(lp: LinearProgram, floats, tol: float):
+    nv = len(lp.objective)
+    nrows = len(lp.constraints)
+    rows, rhs, lo, hi = floats
+
+    nslack = nrows
+    ncols = nv + nslack
+    M = np.zeros((nrows, ncols + nrows))
+    b = np.zeros(nrows)
+    for i, (_, relation, _) in enumerate(lp.constraints):
+        M[i, :nv] = rows[i]
+        M[i, nv + i] = 1.0 if relation == LESS_EQUAL else -1.0
+        b[i] = rhs[i] - rows[i] @ lo
+        if b[i] < 0:
+            M[i, :] = -M[i, :]
+            b[i] = -b[i]
+        M[i, ncols + i] = 1.0  # artificial
+
+    u = np.full(ncols + nrows, np.inf)
+    u[:nv] = hi - lo
+    flipped = [False] * (ncols + nrows)
+    basis = [ncols + i for i in range(nrows)]
+    bland_after = 10 * (nrows + ncols)
+
+    # Phase 1: drive the artificials to zero.
+    c1 = np.zeros(ncols + nrows)
+    c1[ncols:] = -1.0
+    try:
+        _optimize(M, b, c1, u, basis, flipped, tol, bland_after)
+    except _Unbounded:
+        raise _NumericTrouble("phase 1 reported unbounded")
+    infeasibility = sum(b[i] for i in range(nrows) if basis[i] >= ncols)
+    if infeasibility > 1e-7:
+        raise _Infeasible()
+
+    redundant = []
+    for i in range(nrows):
+        if basis[i] < ncols:
+            continue
+        pivot_col = None
+        for j in range(ncols):
+            if abs(M[i, j]) > tol and j not in basis:
+                pivot_col = j
+                break
+        if pivot_col is None:
+            redundant.append(i)
+        else:
+            _pivot(M, b, basis, i, pivot_col)
+    if redundant:
+        M = np.delete(M, redundant, axis=0)
+        b = np.delete(b, redundant)
+        basis = [bv for i, bv in enumerate(basis) if i not in redundant]
+    kept_rows = [i for i in range(nrows) if i not in redundant]
+    M = M[:, :ncols]
+    u = u[:ncols]
+    flipped = flipped[:ncols]
+
+    # Phase 2: original objective (sign-adjusted for columns flipped so far).
+    c2 = np.zeros(ncols)
+    for j in range(nv):
+        cj = float(lp.objective[j])
+        c2[j] = -cj if flipped[j] else cj
+    try:
+        _optimize(M, b, c2, u, basis, flipped, tol, bland_after)
+    except _Unbounded:
+        raise _Unbounded()
+
+    z = np.zeros(ncols)
+    z[basis] = b
+    for j in range(ncols):
+        if flipped[j]:
+            z[j] = u[j] - z[j]
+    x = lo + z[:nv]
+
+    # Feasibility backstop: bounds within 1e-9, row residuals within 1e-8.
+    if np.any(x < lo - 1e-9) or np.any(x > hi + 1e-9):
+        raise _NumericTrouble("bound violation")
+    x = np.clip(x, lo, hi)
+    for i, (_, relation, _) in enumerate(lp.constraints):
+        resid = rows[i] @ x - rhs[i]
+        if relation == LESS_EQUAL and resid > 1e-8:
+            raise _NumericTrouble("constraint residual %g" % resid)
+        if relation == GREATER_EQUAL and resid < -1e-8:
+            raise _NumericTrouble("constraint residual %g" % resid)
+
+    return x, basis, flipped, kept_rows
+
+
+def _verify_exact(lp: LinearProgram, x_float, basis, flipped, kept_rows):
+    """Re-derive the basic solution in exact arithmetic and check feasibility."""
+    nv = len(lp.objective)
+    nrows = len(lp.constraints)
+    ncols = nv + nrows
+    lo = [as_fraction(bd[0]) for bd in lp.bounds]
+    u = []
+    for j, bd in enumerate(lp.bounds):
+        hi = bd[1]
+        u.append(None if float(hi) == math.inf else as_fraction(hi) - lo[j])
+
+    def column(row_idx, j):
+        coeffs, relation, _ = lp.constraints[row_idx]
+        if j < nv:
+            return as_fraction(coeffs[j])
+        if j - nv == row_idx:
+            return Fraction(1) if relation == LESS_EQUAL else Fraction(-1)
+        return Fraction(0)
+
+    basic = list(basis)
+    rows = list(kept_rows)
+    if len(basic) != len(rows):
+        raise NumericalFailureError("basis/row bookkeeping mismatch")
+
+    # rhs of kept rows minus contribution of nonbasic-at-upper columns,
+    # in the lo-shifted variable space.
+    rhs = []
+    for ri in rows:
+        coeffs, _, row_rhs = lp.constraints[ri]
+        val = as_fraction(row_rhs)
+        for j in range(nv):
+            val -= as_fraction(coeffs[j]) * lo[j]
+        for j in range(ncols):
+            if flipped[j] and j not in basic:
+                if u[j] is None:
+                    raise NumericalFailureError("flipped column with infinite bound")
+                val -= column(ri, j) * u[j]
+        rhs.append(val)
+
+    size = len(rows)
+    aug = [[column(rows[i], basic[q]) for q in range(size)] + [rhs[i]] for i in range(size)]
+    for col_i in range(size):
+        piv = None
+        for r in range(col_i, size):
+            if aug[r][col_i] != 0:
+                piv = r
+                break
+        if piv is None:
+            raise NumericalFailureError("exactly singular final basis")
+        aug[col_i], aug[piv] = aug[piv], aug[col_i]
+        inv = Fraction(1) / aug[col_i][col_i]
+        aug[col_i] = [v * inv for v in aug[col_i]]
+        for r in range(size):
+            if r != col_i and aug[r][col_i] != 0:
+                factor = aug[r][col_i]
+                aug[r] = [a - factor * p for a, p in zip(aug[r], aug[col_i])]
+    z = {basic[q]: aug[q][size] for q in range(size)}
+
+    # The system above is posed over original (unflipped) shifted variables,
+    # so basic values come straight from the solve; nonbasic variables sit at
+    # the bound their flip state encodes.
+    x_exact = []
+    for j in range(nv):
+        if j in z:
+            zj = z[j]
+        elif flipped[j]:
+            zj = u[j]
+        else:
+            zj = Fraction(0)
+        x_exact.append(lo[j] + zj)
+
+    for j in range(nv):
+        hi = lp.bounds[j][1]
+        if x_exact[j] < lo[j] or (float(hi) != math.inf and x_exact[j] > as_fraction(hi)):
+            raise NumericalFailureError("exact verification: bound violated")
+        if abs(float(x_exact[j]) - float(x_float[j])) > 1e-6:
+            raise NumericalFailureError("exact verification: float drift")
+    for coeffs, relation, row_rhs in lp.constraints:
+        lhs = sum(
+            (as_fraction(coeffs[j]) * x_exact[j] for j in range(nv)), Fraction(0)
+        )
+        rr = as_fraction(row_rhs)
+        if relation == LESS_EQUAL and lhs > rr:
+            raise NumericalFailureError("exact verification: row violated")
+        if relation == GREATER_EQUAL and lhs < rr:
+            raise NumericalFailureError("exact verification: row violated")
+
+    objective = sum(
+        (as_fraction(lp.objective[j]) * x_exact[j] for j in range(nv)), Fraction(0)
+    )
+    return tuple(x_exact), objective
+
+
+def reference_solve_lp(lp: LinearProgram, verify: bool = False) -> LpSolution:
+    """Solve to optimality, or report infeasible/unbounded.
+
+    With ``verify=True`` the returned values and objective are exact
+    rationals recomputed from the final basis; any disagreement with the
+    float solve raises ``NumericalFailureError``.
+    """
+    floats = _as_floats(lp)  # converted once, shared by both tolerances
+    last_trouble = None
+    for tol in (1e-9, 1e-7):
+        try:
+            x, basis, flipped, kept_rows = _solve_floats(lp, floats, tol)
+        except _Infeasible:
+            return LpSolution((), None, INFEASIBLE)
+        except _Unbounded:
+            return LpSolution((), None, UNBOUNDED)
+        except _NumericTrouble as exc:
+            last_trouble = exc
+            continue
+        if verify:
+            try:
+                values, objective = _verify_exact(lp, x, basis, flipped, kept_rows)
+            except NumericalFailureError as exc:
+                last_trouble = exc
+                continue
+            return LpSolution(values, objective, OPTIMAL)
+        objective = float(
+            sum(float(c) * xi for c, xi in zip(lp.objective, x))
+        )
+        return LpSolution(tuple(float(v) for v in x), objective, OPTIMAL)
+    raise NumericalFailureError("pivot tolerance cascade failed: %s" % last_trouble)

@@ -1,5 +1,7 @@
 import math
+import tracemalloc
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -19,6 +21,7 @@ from pmssc.core import (
 from pmssc.errors import NoIterationKeptError
 from pmssc.fileio import generate_instance
 from pmssc.lp import OPTIMAL, LpSolution, solve_lp
+from pmssc import pmc
 from pmssc.pmc import (
     FPT,
     POLY,
@@ -370,3 +373,28 @@ def test_round_pmc_matches_reference_outside_float_range(cost, budget):
     limit_budget = (cost + Fraction(1, 10**400)) / (1 + Fraction(params.delta(1)))
     for b in (limit_budget, limit_budget - Fraction(1, 10**420), budget):
         assert_same_rounding(inst, [b], solution, params)
+
+
+@settings(max_examples=50, deadline=None)
+@given(case=rounding_cases(), block=st.sampled_from([1, 7, 24]))
+def test_round_pmc_blocks_match_reference_loop(case, block):
+    # blocks of a few rows continue one stream, so the draws stay those of
+    # the one-shot raw_draws matrix the reference reads
+    with mock.patch.object(pmc, "ROUND_BLOCK", block):
+        assert_same_rounding(*case)
+
+
+def test_round_pmc_memory_is_bounded():
+    # 8,740 FPT iterations of 600 draws: the one-shot draw matrix peaked at 55 MB
+    inst = generate_instance(n=1000, k=200, m=3, model="identical", density=0.01, seed=5)
+    solution = LpSolution((0.05,) * (inst.k * inst.m) + (0.0,) * inst.n, 1.0, OPTIMAL)
+    params = PmcParams(mode=FPT, epsilon=0.1, mu=0.001, seed=2)
+    assert params.attempts(inst.m, inst.n) == 8740
+    tracemalloc.start()
+    try:
+        result = round_pmc(inst, [Fraction(20)] * inst.m, solution, params)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 10 * 2**20
+    assert 0 < result.iterations_kept < result.attempts == 8740
