@@ -76,6 +76,13 @@ def _read_instance(path):
     return parse_instance(data)
 
 
+def _write_out(path, text):
+    try:
+        Path(path).write_text(text, encoding="utf-8")
+    except OSError as exc:
+        raise ValidationError("--out", "cannot write %s: %s" % (path, exc))
+
+
 def _in_range(convert, ok, wanted):
     """An argparse type: ``convert(text)`` if ``ok`` holds, else exit 2 with usage."""
 
@@ -107,7 +114,7 @@ def _parse_limits(text):
 def _emit(report: RunReport, out_path, as_csv, csv_row):
     text = report.to_json()
     if out_path:
-        Path(out_path).write_text(text, encoding="utf-8")
+        _write_out(out_path, text)
     if as_csv:
         buf = io.StringIO()
         writer = csv.writer(buf)
@@ -305,8 +312,7 @@ def _cmd_gen(args):
         dag_edge_prob=args.dag_edge_prob,
         max_cost=args.max_cost,
     )
-    text = serialize_instance(inst)
-    Path(args.out).write_text(text, encoding="utf-8")
+    _write_out(args.out, serialize_instance(inst))
     return EXIT_OK
 
 

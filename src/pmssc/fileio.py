@@ -72,20 +72,15 @@ def instance_from_dict(doc) -> ProblemInstance:
     raw_sets = doc.get("sets")
     if not isinstance(raw_sets, list):
         raise ValidationError("sets", "expected a list of element lists")
-    sets = []
     for i, raw in enumerate(raw_sets):
         if not isinstance(raw, list):
             raise ValidationError("sets[%d]" % i, "expected a list")
-        members = []
         for q, e in enumerate(raw):
-            e = _expect_int(e, "sets[%d][%d]" % (i, q))
-            if not 0 <= e < n:
-                raise ValidationError(
-                    "sets[%d][%d]" % (i, q), "element %d outside [0, %d)" % (e, n)
-                )
-            members.append(e)
-        sets.append(tuple(sorted(set(members))))
-    k = len(sets)
+            if type(e) is not int or not 0 <= e < n:
+                path = "sets[%d][%d]" % (i, q)
+                _expect_int(e, path)
+                raise ValidationError(path, "element %d outside [0, %d)" % (e, n))
+    k = len(raw_sets)
 
     raw_model = doc.get("cost_model")
     if not isinstance(raw_model, dict):
@@ -161,7 +156,7 @@ def instance_from_dict(doc) -> ProblemInstance:
             raise ValidationError("dag_edges", "CyclicDag: edges contain a cycle")
         dag = tuple(edges)
 
-    return ProblemInstance(n=n, sets=tuple(sets), m=m, cost_model=model, dag=dag)
+    return ProblemInstance(n=n, sets=tuple(raw_sets), m=m, cost_model=model, dag=dag)
 
 
 def parse_instance(data) -> ProblemInstance:

@@ -396,7 +396,6 @@ def exact_pmc(
 
 def exact_pds_precedence(
     inst: ProblemInstance,
-    dag: Optional[Tuple[Tuple[int, int], ...]] = None,
     limits: Optional[OracleLimits] = None,
     remaining: Optional[Iterable[int]] = None,
 ) -> Tuple[Assignment, DensityValue]:
@@ -409,69 +408,47 @@ def exact_pds_precedence(
     limits = limits or PRECEDENCE_LIMITS
     if inst.cost_model.kind != "unit":
         raise ValueError("precedence oracle requires the unit cost model")
-    edges = inst.dag if dag is None else tuple(dag)
-    if edges is None:
-        edges = ()
+    edges = inst.dag or ()
     k, m = inst.k, inst.m
     _check_limits(inst, limits, k)
     topological_order(k, edges)  # raises on cycles
+    # Direct predecessors suffice: a family closed under them is closed under
+    # all, and a slot prefix built from available sets stays closed.
+    pred_mask = [0] * k
+    for a, b in edges:
+        pred_mask[b] |= 1 << a
     restrict = frozenset(range(inst.n)) if remaining is None else frozenset(remaining)
     if not any(inst.members[s] & restrict for s in range(k)):
         raise NoCoverageError("no set covers any remaining element")
     budget = _Budget(limits.node_budget)
-
-    pred_mask = [0] * k
-    for a, b in edges:
-        pred_mask[b] |= 1 << a
-    # transitive closure of predecessors
-    changed = True
-    while changed:
-        changed = False
-        for s in range(k):
-            extra = 0
-            mm = pred_mask[s]
-            while mm:
-                low = mm & -mm
-                p = low.bit_length() - 1
-                extra |= pred_mask[p]
-                mm ^= low
-            if extra & ~pred_mask[s]:
-                pred_mask[s] |= extra
-                changed = True
-
-    cover_mask = [0] * k
-    for s in range(k):
-        for u in inst.members[s] & restrict:
-            cover_mask[s] |= 1 << u
+    cover_mask = [element_mask(inst.members[s] & restrict) for s in range(k)]
 
     def min_makespan(family_mask):
-        memo = {family_mask: 0}
-        frontier = None
+        """Fewest slots for the family; ``memo[done]`` holds (slots, batch),
+        the first batch in ``combinations`` order that reaches that minimum."""
+        memo = {family_mask: (0, ())}
 
         def rec(done):
             budget.spend()
             if done in memo:
-                return memo[done]
+                return memo[done][0]
             avail = []
             for s in range(k):
                 bit = 1 << s
                 if family_mask & bit and not done & bit and pred_mask[s] & family_mask & ~done == 0:
                     avail.append(s)
             width = min(m, len(avail))
-            best_slots = None
+            best_here = None
             for batch in combinations(avail, width):
-                nd = done
-                for s in batch:
-                    nd |= 1 << s
-                slots = 1 + rec(nd)
-                if best_slots is None or slots < best_slots:
-                    best_slots = slots
-            memo[done] = best_slots
-            return best_slots
+                slots = 1 + rec(done | element_mask(batch))
+                if best_here is None or slots < best_here[0]:
+                    best_here = (slots, batch)
+            memo[done] = best_here
+            return best_here[0]
 
         return rec(0), memo
 
-    best = None  # (DensityValue, set count, family mask, schedule)
+    best = None  # (DensityValue, set count, family mask, DP table)
     for family_mask in range(1, 1 << k):
         closed = True
         mm = family_mask
@@ -494,42 +471,17 @@ def exact_pds_precedence(
         cand = DensityValue(covered.bit_count(), Fraction(makespan))
         count = family_mask.bit_count()
         if best is None or cand > best[0] or (cand == best[0] and count < best[1]):
-            # rebuild one optimal slot sequence from the DP table
-            schedule = _extract_slots(family_mask, memo, pred_mask, k, m)
-            best = (cand, count, family_mask, schedule)
+            best = (cand, count, family_mask, memo)
 
     # the full family is always closed and covers something by the pre-check
     if best is None or best[0].covered == 0:
         raise InvariantError("no closed family covers a remaining element")
+    _, _, family_mask, memo = best
     per_machine = [[] for _ in range(m)]
-    for batch in best[3]:
-        for q, s in enumerate(sorted(batch)):
-            per_machine[q % m].append(s)
-    return Assignment(tuple(tuple(x) for x in per_machine)), best[0]
-
-
-def _extract_slots(family_mask, memo, pred_mask, k, m):
     done = 0
-    slots = []
-    while done != family_mask:
-        avail = []
-        for s in range(k):
-            bit = 1 << s
-            if family_mask & bit and not done & bit and pred_mask[s] & family_mask & ~done == 0:
-                avail.append(s)
-        width = min(m, len(avail))
-        target = memo[done]
-        picked = None
-        for batch in combinations(avail, width):
-            nd = done
-            for s in batch:
-                nd |= 1 << s
-            if memo.get(nd) == target - 1:
-                picked = batch
-                break
-        if picked is None:
-            raise InvariantError("no slot batch reaches the memoised makespan")
-        slots.append(picked)
-        for s in picked:
-            done |= 1 << s
-    return slots
+    while done != family_mask:  # follow the stored optimal batches slot by slot
+        batch = memo[done][1]
+        for q, s in enumerate(batch):
+            per_machine[q % m].append(s)
+        done |= element_mask(batch)
+    return Assignment(tuple(tuple(x) for x in per_machine)), best[0]

@@ -105,6 +105,10 @@ class PmcParams:
             raise DomainError("mode must be 'poly' or 'fpt'")
         if self.mode == FPT and self.mu is None:
             raise DomainError("fpt mode requires mu")
+        if self.mu is not None and not 0 < self.mu < math.inf:
+            raise DomainError("mu must be finite and positive")
+        if self.r_cap is not None and self.r_cap < 1:
+            raise DomainError("r_cap must be at least 1")
 
     def delta(self, m: int) -> float:
         if self.mode == POLY:

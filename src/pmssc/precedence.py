@@ -107,12 +107,17 @@ def closure(dag: PrecedenceDag, s: int) -> frozenset:
 
 @dataclass(frozen=True)
 class LayeredAssignment:
-    """Assignment plus the slot structure of its layer-by-layer schedule."""
+    """Assignment plus the slot structure of its layer-by-layer schedule.
+
+    ``finish`` pairs each set with the unit slot it finishes in, in layout
+    order.
+    """
 
     assignment: Assignment
     layer_starts: Tuple[int, ...]
     layer_slots: Tuple[int, ...]
     makespan: int
+    finish: Tuple[Tuple[int, int], ...]
 
 
 def layered_assign(family: Iterable[int], dag: PrecedenceDag, m: int) -> LayeredAssignment:
@@ -138,6 +143,7 @@ def layered_assign(family: Iterable[int], dag: PrecedenceDag, m: int) -> Layered
     machines = [[] for _ in range(m)]
     starts = []
     slots = []
+    finish = []
     clock = 0
     for level in sorted(layers):
         batch = sorted(layers[level])
@@ -146,33 +152,18 @@ def layered_assign(family: Iterable[int], dag: PrecedenceDag, m: int) -> Layered
         slots.append(width)
         for i, s in enumerate(batch):
             machines[i % m].append(s)
+            finish.append((s, clock + i // m + 1))
         clock += width
     return LayeredAssignment(
         assignment=Assignment(tuple(tuple(seq) for seq in machines)),
         layer_starts=tuple(starts),
         layer_slots=tuple(slots),
         makespan=clock,
+        finish=tuple(finish),
     )
 
 
-def _finish_times(layered: LayeredAssignment, dag: PrecedenceDag) -> Dict[int, int]:
-    """Absolute unit-slot finish time of each set in the layered schedule."""
-    levels = sorted(
-        {dag.depth[s] for seq in layered.assignment.per_machine for s in seq}
-    )
-    starts = dict(zip(levels, layered.layer_starts))
-    finishes = {}
-    for seq in layered.assignment.per_machine:
-        position: Dict[int, int] = {}
-        for s in seq:
-            lvl = dag.depth[s]
-            offset = position.get(lvl, 0)
-            finishes[s] = starts[lvl] + offset + 1
-            position[lvl] = offset + 1
-    return finishes
-
-
-def _candidates(inst, dag_view, remaining, pool):
+def _candidates(dag_view, pool):
     """Depth prefixes F_h for h in [d] and one closure F_S per set."""
     out = []
     d = dag_view.d
@@ -201,9 +192,9 @@ def pcds_detailed(
         raise NoCoverageError("no available set covers a remaining element")
     dag_view = full.induced(pool)
 
-    best = None  # (DensityValue, -makespan... ) track explicitly
+    best = None  # (LayeredAssignment, DensityValue)
     count = 0
-    for fam in _candidates(inst, dag_view, remaining, pool):
+    for fam in _candidates(dag_view, pool):
         count += 1
         if not fam:
             continue
@@ -252,10 +243,7 @@ class PrecedenceTrace:
     cover_times: Tuple[int, ...]
 
 
-def pmssc_precedence(
-    inst: ProblemInstance,
-    dag_edges: Optional[Iterable[Tuple[int, int]]] = None,
-) -> Tuple[Schedule, PrecedenceTrace]:
+def pmssc_precedence(inst: ProblemInstance) -> Tuple[Schedule, PrecedenceTrace]:
     """Greedy driver with the precedence-closed density oracle.
 
     Iterations are barrier-aligned: every machine starts an iteration at the
@@ -265,13 +253,9 @@ def pmssc_precedence(
     """
     if inst.cost_model.kind != "unit":
         raise ValueError("precedence solver requires the unit cost model")
-    edges = tuple(dag_edges) if dag_edges is not None else inst.dag
-    if edges is None:
+    if inst.dag is None:
         raise ValueError("precedence solver requires a DAG")
-    work = ProblemInstance(
-        n=inst.n, sets=inst.sets, m=inst.m, cost_model=inst.cost_model, dag=edges
-    )
-    report = validate_instance(work)
+    report = validate_instance(inst)
     if not report.coverable:
         raise UncoverableError(
             "elements %s cannot be covered" % list(report.uncovered_elements)
@@ -279,24 +263,21 @@ def pmssc_precedence(
     if report.dag_acyclic is False:
         raise UncoverableError("precedence graph is cyclic")
 
-    full = PrecedenceDag.from_edges(work.k, edges)
-    remaining = set(range(work.n))
-    available = set(range(work.k))
-    machines = [[] for _ in range(work.m)]
-    cover_times = [None] * work.n
+    remaining = set(range(inst.n))
+    available = set(range(inst.k))
+    machines = [[] for _ in range(inst.m)]
+    cover_times = [None] * inst.n
     iterations = []
     clock = 0
     step = 0
     while remaining:
-        if step > work.k + 1:
+        if step > inst.k + 1:
             raise StalledOracleError("precedence greedy failed to make progress")
-        layered, _, _ = pcds_detailed(work, frozenset(remaining), available=frozenset(available))
-        dag_view = full.induced(sorted(available))
-        finishes = _finish_times(layered, dag_view)
+        layered, _, _ = pcds_detailed(inst, frozenset(remaining), available=frozenset(available))
         newly = set()
-        for s, finish in finishes.items():
+        for s, finish in layered.finish:
             absolute = clock + finish
-            for u in work.members[s]:
+            for u in inst.members[s]:
                 if u in remaining and (cover_times[u] is None or absolute < cover_times[u]):
                     cover_times[u] = absolute
                     newly.add(u)

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import math
 import os
@@ -6,11 +8,18 @@ import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pmssc import cli
 from pmssc.core import Schedule, evaluate_schedule_cost, validate_instance
 from pmssc.errors import ParseError, ValidationError
-from pmssc.fileio import generate_instance, parse_instance, serialize_instance
+from pmssc.fileio import (
+    generate_instance,
+    instance_to_dict,
+    parse_instance,
+    serialize_instance,
+)
 
 
 def test_fig1_file_parses(fig1):
@@ -32,11 +41,20 @@ def test_round_trip_all_models():
 
 
 def test_parse_rejects_element_out_of_range():
-    doc = {"version": 1, "n": 2, "m": 1,
-           "cost_model": {"kind": "unit"}, "sets": [[0, 2]]}
-    with pytest.raises(ValidationError) as err:
-        parse_instance(json.dumps(doc))
-    assert err.value.path == "sets[0][1]"
+    table = [
+        (True, "expected an integer"),
+        (1.0, "expected an integer"),
+        ("1", "expected an integer"),
+        (-1, "element -1 outside [0, 2)"),
+        (None, "expected an integer"),
+        (2, "element 2 outside [0, 2)"),
+    ]
+    for element, message in table:
+        doc = {"version": 1, "n": 2, "m": 1,
+               "cost_model": {"kind": "unit"}, "sets": [[1], [0, element]]}
+        with pytest.raises(ValidationError) as err:
+            parse_instance(json.dumps(doc))
+        assert (err.value.path, err.value.message) == ("sets[1][1]", message), element
 
 
 def test_parse_rejects_cyclic_dag():
@@ -140,6 +158,24 @@ def test_cli_solve_csv_and_out(tmp_path, capsys):
     assert rc == 0
     assert captured.out.splitlines()[0] == "instance,algorithm,cost"
     assert json.loads(out.read_text())["optimal"] is True
+
+
+def test_cli_unwritable_out_exits_2(tmp_path, capsys):
+    path = _write_instance(tmp_path, n=5, k=4, m=1, model="identical", density=0.5, seed=1)
+    missing = tmp_path / "missing" / "r.json"
+    rc = cli.main([
+        "solve", "--instance", str(path), "--algo", "exact", "--out", str(missing),
+    ])
+    captured = capsys.readouterr()
+    assert rc == cli.EXIT_VALIDATION
+    assert captured.err.startswith("validation error: --out: cannot write")
+    rc = cli.main([
+        "gen", "--n", "4", "--k", "3", "--m", "1", "--model", "unit",
+        "--density", "0.5", "--out", str(tmp_path),
+    ])
+    captured = capsys.readouterr()
+    assert rc == cli.EXIT_VALIDATION
+    assert captured.err.startswith("validation error: --out: cannot write")
 
 
 def test_cli_pds_and_pmc(tmp_path, capsys):
@@ -456,3 +492,70 @@ def test_cli_solves_without_importing_scipy(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+# -- fuzz: no instance document, valid or not, may end the CLI in a traceback
+
+FUZZ_JUNK = st.sampled_from(
+    [None, True, -1, 0, 1, 2, 9, 1.5, "x", "inf", [], [0], [1, 2], [[0, 1]], {}]
+)
+
+
+def _paths(doc, prefix=()):
+    """Every key/index path into a JSON document."""
+    yield prefix
+    items = doc.items() if isinstance(doc, dict) else enumerate(doc) if isinstance(doc, list) else ()
+    for key, value in items:
+        yield from _paths(value, prefix + (key,))
+
+
+@st.composite
+def fuzz_documents(draw):
+    inst = generate_instance(
+        n=draw(st.integers(1, 8)), k=draw(st.integers(1, 5)), m=draw(st.integers(1, 3)),
+        model=draw(st.sampled_from(["unit", "identical", "related", "unrelated"])),
+        density=draw(st.sampled_from([0.2, 0.5])), seed=draw(st.integers(0, 2**16)),
+        dag_edge_prob=draw(st.sampled_from([None, 0.3, 0.7])),
+    )
+    doc = instance_to_dict(inst)
+    for _ in range(draw(st.integers(0, 2))):
+        path = draw(st.sampled_from(list(_paths(doc))[1:]))
+        parent = doc
+        for key in path[:-1]:
+            parent = parent[key]
+        if isinstance(parent, dict) and draw(st.booleans()):
+            del parent[path[-1]]
+        else:
+            parent[path[-1]] = draw(FUZZ_JUNK)
+    text = json.dumps(doc)
+    if draw(st.integers(0, 9)) == 0:
+        text = text[: draw(st.integers(0, len(text) - 1))]
+    return text, inst.m
+
+
+def _fuzz_commands(path, m):
+    budgets = ",".join(["2"] * m)
+    for algo in cli.SOLVE_ALGOS:
+        yield ["solve", "--algo", algo]
+    for algo in cli.PDS_ALGOS:
+        yield ["pds", "--algo", algo]
+    for problem in ("pmssc", "pds", "pcds"):
+        yield ["oracle", "--problem", problem]
+    yield ["oracle", "--problem", "pmc", "--budgets", budgets]
+    yield ["validate"]
+    yield ["pmc", "--mode", "poly", "--budgets", budgets]
+    yield ["pmc", "--mode", "fpt", "--mu", "0.5", "--r-cap", "50", "--budgets", budgets]
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=fuzz_documents())
+def test_cli_fuzz_exits_cleanly(case, tmp_path_factory):
+    text, m = case
+    path = tmp_path_factory.mktemp("fuzz") / "inst.json"
+    path.write_text(text, encoding="utf-8")
+    for argv in _fuzz_commands(path, m):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            rc = cli.main(argv + ["--instance", str(path)])
+        assert rc in (0, 2, 3, 4), (argv, text, err.getvalue())
+        assert "Traceback" not in out.getvalue() + err.getvalue()

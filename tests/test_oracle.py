@@ -1,9 +1,9 @@
 from fractions import Fraction
-from itertools import permutations, product
+from itertools import combinations, permutations, product
 from typing import Iterable, Optional, Tuple
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import t1_instance
@@ -19,10 +19,12 @@ from pmssc.core import (
     as_fraction,
     evaluate_schedule_cost,
     is_finite_cost,
+    topological_order,
 )
-from pmssc.errors import LimitsExceededError, NoCoverageError
+from pmssc.errors import InvariantError, LimitsExceededError, NoCoverageError
 from pmssc.fileio import generate_instance
 from pmssc.oracle import (
+    PRECEDENCE_LIMITS,
     SUBSET_LIMITS,
     OracleLimits,
     _Budget,
@@ -458,4 +460,186 @@ def test_label_search_matches_former_searches(case):
     )
     assert _outcome(lambda: exact_pmc(inst, budgets, limits, available)) == _outcome(
         lambda: former_exact_pmc(inst, budgets, limits, available)
+    )
+
+
+# Verbatim copy of the precedence oracle from before its DP kept its own
+# argmin batch and its predecessor closure became one pass in topological
+# order; the differential test below holds the current oracle to it.
+
+
+def former_exact_pds_precedence(
+    inst: ProblemInstance,
+    dag: Optional[Tuple[Tuple[int, int], ...]] = None,
+    limits: Optional[OracleLimits] = None,
+    remaining: Optional[Iterable[int]] = None,
+) -> Tuple[Assignment, DensityValue]:
+    """Densest precedence-closed family, unit costs.
+
+    For every downward-closed family the minimum makespan is computed by a
+    subset DP over slots; taking a full min(m, available) batch per slot is
+    optimal for unit jobs (filling an idle slot never hurts).
+    """
+    limits = limits or PRECEDENCE_LIMITS
+    if inst.cost_model.kind != "unit":
+        raise ValueError("precedence oracle requires the unit cost model")
+    edges = inst.dag if dag is None else tuple(dag)
+    if edges is None:
+        edges = ()
+    k, m = inst.k, inst.m
+    _check_limits(inst, limits, k)
+    topological_order(k, edges)  # raises on cycles
+    restrict = frozenset(range(inst.n)) if remaining is None else frozenset(remaining)
+    if not any(inst.members[s] & restrict for s in range(k)):
+        raise NoCoverageError("no set covers any remaining element")
+    budget = _Budget(limits.node_budget)
+
+    pred_mask = [0] * k
+    for a, b in edges:
+        pred_mask[b] |= 1 << a
+    # transitive closure of predecessors
+    changed = True
+    while changed:
+        changed = False
+        for s in range(k):
+            extra = 0
+            mm = pred_mask[s]
+            while mm:
+                low = mm & -mm
+                p = low.bit_length() - 1
+                extra |= pred_mask[p]
+                mm ^= low
+            if extra & ~pred_mask[s]:
+                pred_mask[s] |= extra
+                changed = True
+
+    cover_mask = [0] * k
+    for s in range(k):
+        for u in inst.members[s] & restrict:
+            cover_mask[s] |= 1 << u
+
+    def min_makespan(family_mask):
+        memo = {family_mask: 0}
+        frontier = None
+
+        def rec(done):
+            budget.spend()
+            if done in memo:
+                return memo[done]
+            avail = []
+            for s in range(k):
+                bit = 1 << s
+                if family_mask & bit and not done & bit and pred_mask[s] & family_mask & ~done == 0:
+                    avail.append(s)
+            width = min(m, len(avail))
+            best_slots = None
+            for batch in combinations(avail, width):
+                nd = done
+                for s in batch:
+                    nd |= 1 << s
+                slots = 1 + rec(nd)
+                if best_slots is None or slots < best_slots:
+                    best_slots = slots
+            memo[done] = best_slots
+            return best_slots
+
+        return rec(0), memo
+
+    best = None  # (DensityValue, set count, family mask, schedule)
+    for family_mask in range(1, 1 << k):
+        closed = True
+        mm = family_mask
+        while mm:
+            low = mm & -mm
+            s = low.bit_length() - 1
+            if pred_mask[s] & ~family_mask:
+                closed = False
+                break
+            mm ^= low
+        if not closed:
+            continue
+        covered = 0
+        mm = family_mask
+        while mm:
+            low = mm & -mm
+            covered |= cover_mask[low.bit_length() - 1]
+            mm ^= low
+        makespan, memo = min_makespan(family_mask)
+        cand = DensityValue(covered.bit_count(), Fraction(makespan))
+        count = family_mask.bit_count()
+        if best is None or cand > best[0] or (cand == best[0] and count < best[1]):
+            # rebuild one optimal slot sequence from the DP table
+            schedule = former_extract_slots(family_mask, memo, pred_mask, k, m)
+            best = (cand, count, family_mask, schedule)
+
+    # the full family is always closed and covers something by the pre-check
+    if best is None or best[0].covered == 0:
+        raise InvariantError("no closed family covers a remaining element")
+    per_machine = [[] for _ in range(m)]
+    for batch in best[3]:
+        for q, s in enumerate(sorted(batch)):
+            per_machine[q % m].append(s)
+    return Assignment(tuple(tuple(x) for x in per_machine)), best[0]
+
+
+def former_extract_slots(family_mask, memo, pred_mask, k, m):
+    done = 0
+    slots = []
+    while done != family_mask:
+        avail = []
+        for s in range(k):
+            bit = 1 << s
+            if family_mask & bit and not done & bit and pred_mask[s] & family_mask & ~done == 0:
+                avail.append(s)
+        width = min(m, len(avail))
+        target = memo[done]
+        picked = None
+        for batch in combinations(avail, width):
+            nd = done
+            for s in batch:
+                nd |= 1 << s
+            if memo.get(nd) == target - 1:
+                picked = batch
+                break
+        if picked is None:
+            raise InvariantError("no slot batch reaches the memoised makespan")
+        slots.append(picked)
+        for s in picked:
+            done |= 1 << s
+    return slots
+
+
+@st.composite
+def precedence_cases(draw):
+    n = draw(st.integers(1, 8))
+    inst = generate_instance(
+        n=n, k=draw(st.integers(1, 8)), m=draw(st.integers(1, 3)), model="unit",
+        density=draw(st.sampled_from([0.2, 0.4, 0.7])),
+        seed=draw(st.integers(0, 2**32 - 1)),
+        dag_edge_prob=draw(st.sampled_from([0.0, 0.2, 0.4, 0.7])),
+    )
+    remaining = draw(st.none() | st.frozensets(st.integers(0, n - 1)))
+    # small node budgets stop both searches part-way, at the same node
+    nodes = draw(st.integers(1, 5000) | st.just(PRECEDENCE_LIMITS.node_budget))
+    limits = OracleLimits(max_k=10, max_m=3, max_n=64, node_budget=nodes)
+    return inst, remaining, limits
+
+
+# Only the sink covers, so the winner is the whole diamond, and with one machine
+# both middle sets reach the optimum in the second slot: the first one wins.
+DIAMOND_ONE_MACHINE = ProblemInstance(
+    n=2, sets=((), (), (), (0, 1)), m=1, cost_model=UnitCosts(),
+    dag=((0, 1), (0, 2), (1, 3), (2, 3)),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=precedence_cases())
+@example(case=(DIAMOND_ONE_MACHINE, None, PRECEDENCE_LIMITS))
+def test_exact_pds_precedence_matches_former_oracle(case):
+    inst, remaining, limits = case
+    assert _outcome(
+        lambda: exact_pds_precedence(inst, limits=limits, remaining=remaining)
+    ) == _outcome(
+        lambda: former_exact_pds_precedence(inst, limits=limits, remaining=remaining)
     )

@@ -18,7 +18,7 @@ from pmssc.core import (
     as_fraction,
     element_mask,
 )
-from pmssc.errors import NoIterationKeptError
+from pmssc.errors import DomainError, NoIterationKeptError
 from pmssc.fileio import generate_instance
 from pmssc.lp import OPTIMAL, LpSolution, solve_lp
 from pmssc import pmc
@@ -206,6 +206,19 @@ def test_no_iteration_kept_reported():
     with pytest.raises(NoIterationKeptError) as err:
         round_pmc(inst, [2], fake, params)
     assert err.value.attempts == 1
+
+
+@pytest.mark.parametrize("fields", [
+    dict(mode=FPT, mu=math.inf),
+    dict(mode=FPT, mu=math.nan),
+    dict(mode=FPT, mu=0.0),
+    dict(mode=POLY, mu=-1.0),
+    dict(mode=POLY, r_cap=0),
+    dict(mode=FPT, mu=0.5, r_cap=-3),
+])
+def test_params_reject_values_outside_their_domain(fields):
+    with pytest.raises(DomainError):
+        PmcParams(epsilon=0.2, **fields)
 
 
 def test_determinism_same_seed():

@@ -1,11 +1,31 @@
-import pytest
+from typing import Dict, Iterable, Optional, Tuple
 
-from pmssc.core import ProblemInstance, UnitCosts, evaluate_schedule_cost
-from pmssc.errors import CyclicDagError, NoCoverageError, NotClosedError
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from pmssc.core import (
+    ProblemInstance,
+    Schedule,
+    UnitCosts,
+    evaluate_schedule_cost,
+    validate_instance,
+)
+from pmssc.errors import (
+    CyclicDagError,
+    NoCoverageError,
+    NotClosedError,
+    PmsscError,
+    StalledOracleError,
+    UncoverableError,
+)
 from pmssc.fileio import generate_instance
 from pmssc.oracle import exact_pds_precedence
 from pmssc.precedence import (
+    LayeredAssignment,
     PrecedenceDag,
+    PrecedenceIteration,
+    PrecedenceTrace,
     closure,
     layered_assign,
     pcds,
@@ -84,6 +104,7 @@ def test_layered_start_times_respect_precedence():
             offset = seen.get(lvl, 0)
             finish[s] = starts[lvl] + offset + 1
             seen[lvl] = offset + 1
+    assert dict(layered.finish) == finish
     for a, b in DIAMOND_EDGES:
         assert finish[a] <= finish[b] - 1
 
@@ -188,3 +209,120 @@ def test_precedence_cover_times_respect_barriers():
         assert trace.cost == sum(trace.cover_times)
         prefix_cost, _ = evaluate_schedule_cost(inst, sched)
         assert prefix_cost <= trace.cost
+
+
+# Verbatim copies of the driver and its finish-time scan from before the
+# layout recorded each set's finish slot; the differential test below holds
+# the current driver to them.
+
+
+def former_finish_times(layered: LayeredAssignment, dag: PrecedenceDag) -> Dict[int, int]:
+    """Absolute unit-slot finish time of each set in the layered schedule."""
+    levels = sorted(
+        {dag.depth[s] for seq in layered.assignment.per_machine for s in seq}
+    )
+    starts = dict(zip(levels, layered.layer_starts))
+    finishes = {}
+    for seq in layered.assignment.per_machine:
+        position: Dict[int, int] = {}
+        for s in seq:
+            lvl = dag.depth[s]
+            offset = position.get(lvl, 0)
+            finishes[s] = starts[lvl] + offset + 1
+            position[lvl] = offset + 1
+    return finishes
+
+
+def former_pmssc_precedence(
+    inst: ProblemInstance,
+    dag_edges: Optional[Iterable[Tuple[int, int]]] = None,
+) -> Tuple[Schedule, PrecedenceTrace]:
+    """Greedy driver with the precedence-closed density oracle.
+
+    Iterations are barrier-aligned: every machine starts an iteration at the
+    global maximum end time of the previous one, so cross-machine precedence
+    holds. The trace carries the barrier-aligned cost; the returned schedule's
+    plain prefix-sum cost would understate waiting time.
+    """
+    if inst.cost_model.kind != "unit":
+        raise ValueError("precedence solver requires the unit cost model")
+    edges = tuple(dag_edges) if dag_edges is not None else inst.dag
+    if edges is None:
+        raise ValueError("precedence solver requires a DAG")
+    work = ProblemInstance(
+        n=inst.n, sets=inst.sets, m=inst.m, cost_model=inst.cost_model, dag=edges
+    )
+    report = validate_instance(work)
+    if not report.coverable:
+        raise UncoverableError(
+            "elements %s cannot be covered" % list(report.uncovered_elements)
+        )
+    if report.dag_acyclic is False:
+        raise UncoverableError("precedence graph is cyclic")
+
+    full = PrecedenceDag.from_edges(work.k, edges)
+    remaining = set(range(work.n))
+    available = set(range(work.k))
+    machines = [[] for _ in range(work.m)]
+    cover_times = [None] * work.n
+    iterations = []
+    clock = 0
+    step = 0
+    while remaining:
+        if step > work.k + 1:
+            raise StalledOracleError("precedence greedy failed to make progress")
+        layered, _, _ = pcds_detailed(work, frozenset(remaining), available=frozenset(available))
+        dag_view = full.induced(sorted(available))
+        finishes = former_finish_times(layered, dag_view)
+        newly = set()
+        for s, finish in finishes.items():
+            absolute = clock + finish
+            for u in work.members[s]:
+                if u in remaining and (cover_times[u] is None or absolute < cover_times[u]):
+                    cover_times[u] = absolute
+                    newly.add(u)
+        if not newly:
+            raise StalledOracleError("oracle assignment covers no remaining element")
+        for j, seq in enumerate(layered.assignment.per_machine):
+            machines[j].extend(seq)
+        iterations.append(
+            PrecedenceIteration(
+                layered=layered,
+                start_time=clock,
+                newly_covered=frozenset(newly),
+                remaining_before=len(remaining),
+            )
+        )
+        remaining -= newly
+        for seq in layered.assignment.per_machine:
+            available.difference_update(seq)
+        clock += layered.makespan
+        step += 1
+    cost = sum(cover_times)
+    schedule = Schedule(tuple(tuple(seq) for seq in machines))
+    return schedule, PrecedenceTrace(tuple(iterations), cost, tuple(cover_times))
+
+
+@st.composite
+def dag_instances(draw):
+    return generate_instance(
+        n=draw(st.integers(1, 8)), k=draw(st.integers(1, 8)), m=draw(st.integers(1, 3)),
+        model="unit", density=draw(st.sampled_from([0.2, 0.4, 0.7])),
+        seed=draw(st.integers(0, 2**32 - 1)),
+        dag_edge_prob=draw(st.sampled_from([0.0, 0.2, 0.4, 0.7])),
+    )
+
+
+def _outcome(solve):
+    try:
+        return solve()
+    except PmsscError as err:
+        return (type(err), str(err))
+
+
+@settings(max_examples=150, deadline=None)
+@given(inst=dag_instances())
+def test_pmssc_precedence_matches_former_driver(inst):
+    assert _outcome(lambda: pmssc_precedence(inst)) == _outcome(
+        lambda: former_pmssc_precedence(inst)
+    )
