@@ -274,9 +274,6 @@ class Schedule:
         k = 1 + max((s for seq in self.per_machine for s in seq), default=-1)
         object.__setattr__(self, "per_machine", _check_per_machine(self.per_machine, k))
 
-    def scheduled_sets(self) -> Tuple[int, ...]:
-        return tuple(sorted(s for seq in self.per_machine for s in seq))
-
 
 @dataclass(frozen=True, eq=False)
 class DensityValue:

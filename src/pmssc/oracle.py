@@ -117,7 +117,11 @@ def exact_pmssc(
     _check_limits(inst, limits, len(useful))
     budget = _Budget(limits.node_budget)
 
-    costs = [[c if is_finite_cost(c) else None for c in row] for row in inst.costs]
+    # integral costs as ints: the same exact values without Fraction overhead
+    costs = [
+        [None if not is_finite_cost(c) else int(c) if c.denominator == 1 else c for c in row]
+        for row in inst.costs
+    ]
     containing = [
         [s for s in useful if u in inst.members[s]] for u in range(inst.n)
     ]
@@ -130,52 +134,42 @@ def exact_pmssc(
     m = inst.m
     n = inst.n
     state = {
-        "loads": [Fraction(0)] * m,
+        "loads": [0] * m,
         "closed": [False] * m,
         "sequences": [[] for _ in range(m)],
         "used": set(),
         "ct": [None] * n,  # current covering time (running minimum)
-        "partial": Fraction(0),
+        "partial": 0,
         "best_sched": incumbent_sched,
         "best_cost": incumbent_cost,
     }
-
-    uniform_costs = inst.cost_model.kind in ("unit", "identical")
 
     def lower_bound():
         loads = state["loads"]
         closed = state["closed"]
         used = state["used"]
         ct = state["ct"]
-        min_open_load = None
-        if uniform_costs:
-            for j in range(m):
-                if not closed[j] and (min_open_load is None or loads[j] < min_open_load):
-                    min_open_load = loads[j]
-        total = Fraction(0)
+        # earliest finish of each unused set on an open machine
+        open_machines = [j for j in range(m) if not closed[j]]
+        earliest = [None] * inst.k
+        for s in useful:
+            if s in used:
+                continue
+            best = None
+            for j in open_machines:
+                if costs[s][j] is not None:
+                    t = loads[j] + costs[s][j]
+                    if best is None or t < best:
+                        best = t
+            earliest[s] = best
+        total = 0
         for u in range(n):
             here = ct[u]
             future = None
-            if uniform_costs:
-                if min_open_load is not None:
-                    cheapest = None
-                    for s in containing[u]:
-                        if s not in used:
-                            c = costs[s][0]
-                            if cheapest is None or c < cheapest:
-                                cheapest = c
-                    if cheapest is not None:
-                        future = min_open_load + cheapest
-            else:
-                for s in containing[u]:
-                    if s in used:
-                        continue
-                    for j in range(m):
-                        if closed[j] or costs[s][j] is None:
-                            continue
-                        t = loads[j] + costs[s][j]
-                        if future is None or t < future:
-                            future = t
+            for s in containing[u]:
+                t = earliest[s]
+                if t is not None and (future is None or t < future):
+                    future = t
             if here is None:
                 if future is None:
                     return None  # element unreachable: dead branch
@@ -258,7 +252,7 @@ def exact_pmssc(
     verified = evaluate_schedule_cost(inst, checked)[0]
     if verified != best_cost:
         raise InvariantError("schedule re-evaluates to %s, not %s" % (verified, best_cost))
-    return checked, best_cost
+    return checked, Fraction(best_cost)
 
 
 # ---------------------------------------------------------------------------

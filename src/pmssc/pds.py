@@ -9,15 +9,16 @@ winner's density is re-evaluated).
   sets spread largest-first over the least-loaded machine. Unit costs take
   this same ladder; with equal costs the spread is index-order round-robin.
 * related and unrelated machines share one parallel max coverage ladder
-  (``_pmc_ladder``). Related machines shrink to O(log m) groups of near-equal
-  speed, use the FPT rounding regime on the grouped instance, and lift each
-  result back onto the real machines; unrelated machines use a ladder of
-  powers of two and the polynomial rounding regime.
+  (``_pmc_ladder``). Related machines shrink to one auxiliary machine per
+  nonempty group of near-equal speed, use the FPT rounding regime on that
+  instance, and lift each result back onto the real machines; unrelated
+  machines use a ladder of powers of two and the polynomial rounding regime.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Iterable, List, Optional, Sequence, Tuple
@@ -182,7 +183,8 @@ class RelatedReduction:
     ``groups[p]`` lists the original machines whose cost multiplier
     (fastest speed / own speed) rounds up to ``aux_cost_multiplier[p] =
     (1 + kappa)^p``. Machines slower than kappa/m times the fastest are
-    discarded. Positional groups may be empty.
+    discarded. Positional groups may be empty; the auxiliary instance has a
+    machine for the nonempty ones only.
     """
 
     kept_machines: Tuple[int, ...]
@@ -200,8 +202,9 @@ def reduce_related(
 ) -> Tuple[RelatedReduction, ProblemInstance]:
     """Group related machines by rounded speed; build the auxiliary instance.
 
-    Returns the reduction plus an unrelated-cost instance on one machine per
-    group, with cost multiplier (1 + kappa)^p for group p.
+    Returns the reduction plus an unrelated-cost instance with one machine per
+    nonempty group, in group order; set s costs (1 + kappa)^p times its base
+    cost on the machine of group p.
     """
     if inst.cost_model.kind != "related":
         raise ValueError("reduce_related needs the related cost model")
@@ -210,57 +213,31 @@ def reduce_related(
         raise ValueError("kappa must be positive")
     speeds = inst.cost_model.speeds
     s_max = max(speeds)
-    threshold = kappa / inst.m
+    kept = [j for j in range(inst.m) if speeds[j] / s_max > kappa / inst.m]
+    if not kept:
+        raise NoCoverageError("all machines were discarded as slow")
 
-    kept = []
-    multipliers = {}
-    for j in range(inst.m):
-        normalized_speed = speeds[j] / s_max
-        if normalized_speed <= threshold:
-            continue  # slow machine, discarded
-        kept.append(j)
-        multipliers[j] = s_max / speeds[j]
-
-    one_plus = Fraction(1) + kappa
-    # smallest t with (1 + kappa)^t >= m / kappa; buckets hold powers 0..t
-    # because a kept multiplier just below m/kappa still rounds up to power t.
-    bound = Fraction(inst.m) / kappa
-    t = 0
-    power = Fraction(1)
-    while power < bound:
-        power *= one_plus
-        t += 1
-    bucket_multipliers = []
-    power = Fraction(1)
-    for _ in range(t + 1):
-        bucket_multipliers.append(power)
-        power *= one_plus
-
-    groups = [[] for _ in range(t + 1)]
+    # Powers 0..t of 1 + kappa, t the first with (1 + kappa)^t >= m / kappa: a
+    # kept multiplier lies below m / kappa, so it rounds up to at most power t.
+    top = inst.m / kappa
+    powers = [Fraction(1)]
+    while powers[-1] < top:
+        powers.append(powers[-1] * (1 + kappa))
+    groups = [[] for _ in powers]
     for j in kept:
-        q = 0
-        power = Fraction(1)
-        while power < multipliers[j]:
-            power *= one_plus
-            q += 1
-        groups[q].append(j)
+        groups[bisect_left(powers, s_max / speeds[j])].append(j)
 
     reduction = RelatedReduction(
         kept_machines=tuple(kept),
         groups=tuple(tuple(g) for g in groups),
-        aux_cost_multiplier=tuple(bucket_multipliers),
+        aux_cost_multiplier=tuple(powers),
         kappa=kappa,
     )
+    nonempty = [p for p, g in enumerate(groups) if g]
     base_costs = inst.cost_model.base_costs
-    matrix = tuple(
-        tuple(bucket_multipliers[p] * base_costs[s] for p in range(t + 1))
-        for s in range(inst.k)
-    )
+    matrix = tuple(tuple(powers[p] * c for p in nonempty) for c in base_costs)
     aux = ProblemInstance(
-        n=inst.n,
-        sets=inst.sets,
-        m=t + 1,
-        cost_model=UnrelatedCosts(matrix),
+        n=inst.n, sets=inst.sets, m=len(nonempty), cost_model=UnrelatedCosts(matrix)
     )
     return reduction, aux
 
@@ -339,14 +316,7 @@ def pds_related(
     _, kappa = related_parameters(epsilon)
     kappa_f = Fraction(kappa)
     reduction, aux = reduce_related(inst, kappa_f)
-
-    # Presolve: empty groups carry budget zero and can never receive a set,
-    # so the PMC instance only keeps the nonempty ones.
-    nonempty = [p for p in range(reduction.t) if reduction.groups[p]]
-    if not nonempty:
-        raise NoCoverageError("all machines were discarded as slow")
-    groups = [reduction.groups[p] for p in nonempty]
-    matrix = tuple(tuple(row[p] for p in nonempty) for row in aux.costs)
+    groups = [g for g in reduction.groups if g]
     params = PmcParams(
         mode=FPT, epsilon=kappa, mu=kappa, r_cap=RELATED_ROUNDING_CAP, seed=seed
     )
@@ -370,7 +340,7 @@ def pds_related(
         return Assignment(tuple(tuple(seq) for seq in per_machine))
 
     ladder = _pmc_ladder(
-        inst, remaining, pool, matrix, [len(g) for g in groups],
+        inst, remaining, pool, aux.costs, [len(g) for g in groups],
         Fraction(1) + kappa_f, params, clamp=True,
     )
     return _densest(inst, remaining, (lift(guess, asg) for guess, asg in ladder))

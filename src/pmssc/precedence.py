@@ -15,6 +15,7 @@ cannot express that idling, so results carry their own barrier-aligned cost.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Iterable, Optional, Tuple
@@ -24,6 +25,7 @@ from .core import (
     DensityValue,
     ProblemInstance,
     Schedule,
+    element_mask,
     topological_order,
     validate_instance,
 )
@@ -163,59 +165,57 @@ def layered_assign(family: Iterable[int], dag: PrecedenceDag, m: int) -> Layered
     )
 
 
-def _candidates(dag_view, pool):
-    """Depth prefixes F_h for h in [d] and one closure F_S per set."""
-    out = []
-    d = dag_view.d
-    for h in range(1, d + 1):
-        fam = [s for s in pool if dag_view.depth[s] <= h]
-        out.append(fam)
-    for s in pool:
-        out.append(sorted(closure(dag_view, s)))
-    return out
-
-
 def pcds_detailed(
     inst: ProblemInstance,
     remaining: Iterable[int],
     available: Optional[Iterable[int]] = None,
 ) -> Tuple[LayeredAssignment, DensityValue, int]:
-    """Best candidate with its density and the number of candidates tried."""
+    """Best candidate with its density and the number of candidates tried.
+
+    The candidates are the depth prefixes F_h for h in [d] and one closure
+    F_S per set. Each is scored from its coverage and its layered makespan,
+    the sum over depths of ceil(sets at that depth / m); only the winner is
+    laid out.
+    """
     if inst.cost_model.kind != "unit":
         raise ValueError("precedence solver requires the unit cost model")
     if inst.dag is None:
         raise ValueError("instance has no precedence DAG")
-    remaining = frozenset(remaining)
+    remaining_mask = element_mask(remaining)
     full = PrecedenceDag.from_edges(inst.k, inst.dag)
     pool = sorted(range(inst.k)) if available is None else sorted(available)
-    if not any(inst.members[s] & remaining for s in pool):
+    if not any(inst.masks[s] & remaining_mask for s in pool):
         raise NoCoverageError("no available set covers a remaining element")
     dag_view = full.induced(pool)
+    families = [
+        [s for s in pool if dag_view.depth[s] <= h] for h in range(1, dag_view.d + 1)
+    ]
+    families += [closure(dag_view, s) for s in pool]
 
-    best = None  # (LayeredAssignment, DensityValue)
-    count = 0
-    for fam in _candidates(dag_view, pool):
-        count += 1
-        if not fam:
-            continue
-        layered = layered_assign(fam, dag_view, inst.m)
-        covered = set()
+    best = None  # (family, DensityValue, makespan)
+    for fam in families:
+        covered = 0
         for s in fam:
-            covered |= inst.members[s] & remaining
-        value = DensityValue(len(covered), Fraction(layered.makespan))
+            covered |= inst.masks[s]
+        per_depth = Counter(dag_view.depth[s] for s in fam)
+        makespan = sum(-(-count // inst.m) for count in per_depth.values())
+        value = DensityValue((covered & remaining_mask).bit_count(), Fraction(makespan))
         if (
             best is None
             or value > best[1]
-            or (value == best[1] and layered.makespan < best[0].makespan)
+            or (value == best[1] and makespan < best[2])
         ):
-            best = (layered, value)
-    if best is None:
-        raise InvariantError("every candidate family is empty")
-    fam_sets = [s for seq in best[0].assignment.per_machine for s in seq]
+            best = (fam, value, makespan)
+    layered = layered_assign(best[0], dag_view, inst.m)
+    if layered.makespan != best[2]:
+        raise InvariantError(
+            "winner lays out in %d slots, not the counted %d" % (layered.makespan, best[2])
+        )
+    fam_sets = [s for seq in layered.assignment.per_machine for s in seq]
     for s in fam_sets:
         if closure(dag_view, s) - frozenset(fam_sets):
             raise InvariantError("winner is not precedence-closed")
-    return best[0], best[1], count
+    return layered, best[1], len(families)
 
 
 def pcds(

@@ -27,11 +27,9 @@ from .core import (
     validate_instance,
 )
 from .errors import StalledOracleError, UncoverableError
-from .oracle import OracleLimits, exact_pds
+from .oracle import exact_pds
 from .pds import pds_identical, pds_related, pds_unrelated
 from .rng import child_seed
-
-ORACLE_NAMES = ("identical", "unit", "related", "unrelated", "exact")
 
 
 @dataclass(frozen=True)
@@ -67,7 +65,6 @@ def _make_oracle(
     epsilon: float,
     seed: int,
     maxcov_mode: Optional[str],
-    limits: Optional[OracleLimits],
 ) -> Callable:
     if callable(oracle):
         return oracle
@@ -88,7 +85,7 @@ def _make_oracle(
         )
     if oracle == "exact":
         return lambda remaining, available, iteration: exact_pds(
-            inst, remaining, limits, available=available
+            inst, remaining, available=available
         )[0]
     raise ValueError("unknown oracle %r" % oracle)
 
@@ -118,7 +115,6 @@ def pmssc_greedy(
     epsilon: float = 0.1,
     seed: int = 0,
     maxcov_mode: Optional[str] = None,
-    limits: Optional[OracleLimits] = None,
 ) -> Tuple[Schedule, GreedyTrace]:
     """Greedy scheme: cover the universe by repeated densest-subfamily calls."""
     report = validate_instance(inst)
@@ -126,7 +122,7 @@ def pmssc_greedy(
         raise UncoverableError(
             "elements %s cannot be covered" % list(report.uncovered_elements)
         )
-    oracle_fn = _make_oracle(inst, oracle, epsilon, seed, maxcov_mode, limits)
+    oracle_fn = _make_oracle(inst, oracle, epsilon, seed, maxcov_mode)
 
     remaining = frozenset(range(inst.n))
     available = set(range(inst.k))

@@ -197,18 +197,34 @@ def test_cli_pds_and_pmc(tmp_path, capsys):
 
 
 def test_cli_oracle_and_limits(tmp_path, capsys):
-    path = _write_instance(tmp_path, n=5, k=4, m=2, model="identical", density=0.5, seed=3)
-    rc = cli.main(["oracle", "--instance", str(path), "--problem", "pmssc"])
-    captured = capsys.readouterr()
-    assert rc == 0
-    assert "cost" in json.loads(captured.out)
-
+    small = _write_instance(tmp_path, n=5, k=4, m=2, model="identical", density=0.5, seed=3)
     big = _write_instance(
         tmp_path, name="big.json", n=9, k=9, m=2, model="identical", density=0.4, seed=4
     )
-    rc = cli.main(["oracle", "--instance", str(big), "--problem", "pmssc"])
-    capsys.readouterr()
-    assert rc == cli.EXIT_LIMITS
+    k8 = _write_instance(
+        tmp_path, name="k8.json", n=8, k=8, m=2, model="unit", density=0.4, seed=5
+    )
+    cases = [
+        (small, [], cli.EXIT_OK, ""),
+        (big, [], cli.EXIT_LIMITS,
+         "limits exceeded: instance (k=9, m=2, n=9) exceeds oracle limits (6, 3, 10)"),
+        (k8, ["--limits", "2,1,3"], cli.EXIT_LIMITS,
+         "limits exceeded: instance (k=8, m=2, n=8) exceeds oracle limits (2, 1, 3)"),
+        (k8, ["--limits", "12,2,12"], cli.EXIT_OK, ""),
+        (small, ["--limits", "abc"], cli.EXIT_VALIDATION,
+         "validation error: --limits: expected k,m,n"),
+        (small, ["--problem", "pmc"], cli.EXIT_VALIDATION,
+         "validation error: --budgets: required for --problem pmc"),
+    ]
+    for path, extra, rc, err in cases:
+        argv = ["oracle", "--instance", str(path)] + extra
+        if "--problem" not in extra:
+            argv += ["--problem", "pmssc"]
+        assert cli.main(argv) == rc
+        captured = capsys.readouterr()
+        assert captured.err.strip() == err
+        if rc == cli.EXIT_OK:
+            assert "cost" in json.loads(captured.out)
 
 
 @pytest.mark.parametrize("command", ["pmc", "oracle"])
@@ -355,6 +371,12 @@ def test_cli_validation_exit_code(tmp_path, capsys):
     capsys.readouterr()
     assert rc == cli.EXIT_VALIDATION
 
+    missing = tmp_path / "missing.json"
+    rc = cli.main(["solve", "--instance", str(missing), "--algo", "greedy-unit"])
+    captured = capsys.readouterr()
+    assert rc == cli.EXIT_VALIDATION
+    assert captured.err.startswith("validation error: cannot read %s" % missing)
+
 
 def test_cli_solver_failure_exit_code(tmp_path, capsys):
     # empty universe: coverable, but no set covers any remaining element
@@ -397,18 +419,28 @@ def test_cli_bench_ratios(tmp_path, capsys):
     for seed in range(3):
         inst = generate_instance(n=5, k=4, m=2, model="identical", density=0.45, seed=seed)
         (corpus / ("i%d.json" % seed)).write_text(serialize_instance(inst), encoding="utf-8")
-    rc = cli.main([
+    # nine sets exceed the exact oracle's default limits
+    big = generate_instance(n=9, k=9, m=2, model="identical", density=0.4, seed=4)
+    (corpus / "z_big.json").write_text(serialize_instance(big), encoding="utf-8")
+    argv = [
         "bench", "--corpus", str(corpus), "--algo", "greedy-identical",
-        "--epsilon", "0.1", "--seed", "0", "--ratios",
-    ])
-    captured = capsys.readouterr()
-    assert rc == 0
-    lines = captured.out.strip().splitlines()
-    assert lines[0] == "instance,algo_cost,oracle_cost,ratio"
-    assert len(lines) == 4
-    for line in lines[1:]:
-        ratio = float(line.split(",")[3])
-        assert 1.0 - 1e-9 <= ratio <= 4.0 / 0.3
+        "--epsilon", "0.1", "--seed", "0",
+    ]
+    for ratios in (True, False):
+        rc = cli.main(argv + ["--ratios"] if ratios else argv)
+        captured = capsys.readouterr()
+        assert rc == 0
+        lines = captured.out.strip().splitlines()
+        assert lines[0] == "instance,algo_cost,oracle_cost,ratio"
+        assert len(lines) == 5
+        for line in lines[1:4]:
+            if ratios:
+                ratio = float(line.split(",")[3])
+                assert 1.0 - 1e-9 <= ratio <= 4.0 / 0.3
+            else:
+                assert line.endswith(",,")
+        assert lines[4].startswith("z_big.json,")
+        assert lines[4].endswith(",NA,NA" if ratios else ",,")
 
 
 def test_cli_precedence_solve(tmp_path, capsys):

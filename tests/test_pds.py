@@ -15,6 +15,7 @@ from pmssc.core import (
     RelatedCosts,
     UnitCosts,
     UnrelatedCosts,
+    as_fraction,
     density,
     element_mask,
 )
@@ -26,6 +27,7 @@ from pmssc.oracle import exact_pds
 from pmssc.pds import (
     RELATED_ROUNDING_CAP,
     BudgetLadder,
+    RelatedReduction,
     _ladder_for,
     identical_ladder_delta,
     pds_identical,
@@ -137,7 +139,7 @@ def test_reduce_related_equal_speeds_single_group():
     assert nonempty == [(0, 1)]
     assert red.aux_cost_multiplier[0] == 1
     assert red.kept_machines == (0, 1)
-    assert aux.m == len(red.groups)
+    assert aux.m == 1
 
 
 def test_reduce_related_exact_power_speeds():
@@ -154,7 +156,9 @@ def test_reduce_related_exact_power_speeds():
     # normalized speed 1/4 <= kappa/m = 1/3 classifies it as slow
     assert red.groups[0] == (0,) and red.groups[1] == (1,)
     assert 2 not in red.kept_machines
-    assert aux.cost(2, 2) == 4 * 2  # multiplier 4 times base cost 2
+    # group 2 is empty, so the aux instance has one machine per group 0 and 1
+    assert aux.m == 2
+    assert aux.cost(2, 1) == 2 * 2  # multiplier 2 times base cost 2
 
 
 def test_reduce_related_discards_slow_machine():
@@ -350,6 +354,70 @@ def reference_pds_unit(
     return best[1]
 
 
+def former_reduce_related(inst: ProblemInstance, kappa):
+    """The former reduction: an auxiliary machine for every power, empty or not."""
+    if inst.cost_model.kind != "related":
+        raise ValueError("reduce_related needs the related cost model")
+    kappa = as_fraction(kappa)
+    if kappa <= 0:
+        raise ValueError("kappa must be positive")
+    speeds = inst.cost_model.speeds
+    s_max = max(speeds)
+    threshold = kappa / inst.m
+
+    kept = []
+    multipliers = {}
+    for j in range(inst.m):
+        normalized_speed = speeds[j] / s_max
+        if normalized_speed <= threshold:
+            continue  # slow machine, discarded
+        kept.append(j)
+        multipliers[j] = s_max / speeds[j]
+
+    one_plus = Fraction(1) + kappa
+    # smallest t with (1 + kappa)^t >= m / kappa; buckets hold powers 0..t
+    # because a kept multiplier just below m/kappa still rounds up to power t.
+    bound = Fraction(inst.m) / kappa
+    t = 0
+    power = Fraction(1)
+    while power < bound:
+        power *= one_plus
+        t += 1
+    bucket_multipliers = []
+    power = Fraction(1)
+    for _ in range(t + 1):
+        bucket_multipliers.append(power)
+        power *= one_plus
+
+    groups = [[] for _ in range(t + 1)]
+    for j in kept:
+        q = 0
+        power = Fraction(1)
+        while power < multipliers[j]:
+            power *= one_plus
+            q += 1
+        groups[q].append(j)
+
+    reduction = RelatedReduction(
+        kept_machines=tuple(kept),
+        groups=tuple(tuple(g) for g in groups),
+        aux_cost_multiplier=tuple(bucket_multipliers),
+        kappa=kappa,
+    )
+    base_costs = inst.cost_model.base_costs
+    matrix = tuple(
+        tuple(bucket_multipliers[p] * base_costs[s] for p in range(t + 1))
+        for s in range(inst.k)
+    )
+    aux = ProblemInstance(
+        n=inst.n,
+        sets=inst.sets,
+        m=t + 1,
+        cost_model=UnrelatedCosts(matrix),
+    )
+    return reduction, aux
+
+
 def reference_pds_related(
     inst: ProblemInstance,
     remaining: Iterable[int],
@@ -366,7 +434,7 @@ def reference_pds_related(
     _require_coverage(inst, remaining, pool)
     _, kappa = related_parameters(epsilon)
     kappa_f = Fraction(kappa)
-    reduction, aux_full = reduce_related(inst, kappa_f)
+    reduction, aux_full = former_reduce_related(inst, kappa_f)
 
     # Presolve: empty groups carry budget zero and can never receive a set,
     # so the PMC instance only keeps the nonempty ones.
@@ -589,3 +657,44 @@ def test_pds_matches_former_solvers_on_seeded_instances(model):
             inst = ProblemInstance(inst.n, inst.sets, inst.m, RelatedCosts(rising, (1,) * inst.m))
         remaining = frozenset(range(0, inst.n, 1 + seed % 2))
         assert_matches_former(inst, remaining, None, (0.1, 0.3)[seed % 2], seed)
+
+
+@st.composite
+def related_reduction_cases(draw):
+    m = draw(st.integers(1, 5))
+    k = draw(st.integers(1, 4))
+    base = st.builds(Fraction, st.integers(1, 3), st.integers(1, 2))
+    # rational speeds; 1/50 and 1/1000 fall below kappa/m for most kappa
+    speed = st.builds(Fraction, st.integers(1, 6), st.integers(1, 6)) | st.sampled_from(
+        [Fraction(1, 50), Fraction(1, 1000)]
+    )
+    inst = ProblemInstance(
+        n=3,
+        sets=tuple(draw(st.sampled_from([(0,), (1, 2), (0, 1, 2)])) for _ in range(k)),
+        m=m,
+        cost_model=RelatedCosts(
+            tuple(draw(base) for _ in range(k)), tuple(draw(speed) for _ in range(m))
+        ),
+    )
+    kappa = draw(
+        st.floats(0.1, 0.9).map(lambda eps: Fraction(related_parameters(eps)[1]))
+        | st.builds(Fraction, st.integers(1, 6), st.integers(1, 6))
+    )
+    return inst, kappa
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=related_reduction_cases())
+def test_reduce_related_matches_former_reduction(case):
+    inst, kappa = case
+    if kappa >= inst.m:
+        # the fastest machine's relative speed 1 is at most kappa/m: all are slow
+        with pytest.raises(NoCoverageError, match="all machines were discarded as slow"):
+            reduce_related(inst, kappa)
+        return
+    reduction, aux = reduce_related(inst, kappa)
+    former, former_aux = former_reduce_related(inst, kappa)
+    assert reduction == former
+    nonempty = [p for p, g in enumerate(former.groups) if g]
+    assert aux.costs == tuple(tuple(row[p] for p in nonempty) for row in former_aux.costs)
+    assert aux.sets == former_aux.sets

@@ -1,3 +1,4 @@
+from fractions import Fraction
 from typing import Dict, Iterable, Optional, Tuple
 
 import pytest
@@ -5,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pmssc.core import (
+    DensityValue,
     ProblemInstance,
     Schedule,
     UnitCosts,
@@ -13,6 +15,7 @@ from pmssc.core import (
 )
 from pmssc.errors import (
     CyclicDagError,
+    InvariantError,
     NoCoverageError,
     NotClosedError,
     PmsscError,
@@ -325,4 +328,87 @@ def _outcome(solve):
 def test_pmssc_precedence_matches_former_driver(inst):
     assert _outcome(lambda: pmssc_precedence(inst)) == _outcome(
         lambda: former_pmssc_precedence(inst)
+    )
+
+
+# Verbatim copies of the density oracle and its candidate list from before
+# candidates were scored by their per-depth counts and only the winner was
+# laid out.
+
+
+def former_candidates(dag_view, pool):
+    """Depth prefixes F_h for h in [d] and one closure F_S per set."""
+    out = []
+    d = dag_view.d
+    for h in range(1, d + 1):
+        fam = [s for s in pool if dag_view.depth[s] <= h]
+        out.append(fam)
+    for s in pool:
+        out.append(sorted(closure(dag_view, s)))
+    return out
+
+
+def former_pcds_detailed(
+    inst: ProblemInstance,
+    remaining: Iterable[int],
+    available: Optional[Iterable[int]] = None,
+) -> Tuple[LayeredAssignment, DensityValue, int]:
+    """Best candidate with its density and the number of candidates tried."""
+    if inst.cost_model.kind != "unit":
+        raise ValueError("precedence solver requires the unit cost model")
+    if inst.dag is None:
+        raise ValueError("instance has no precedence DAG")
+    remaining = frozenset(remaining)
+    full = PrecedenceDag.from_edges(inst.k, inst.dag)
+    pool = sorted(range(inst.k)) if available is None else sorted(available)
+    if not any(inst.members[s] & remaining for s in pool):
+        raise NoCoverageError("no available set covers a remaining element")
+    dag_view = full.induced(pool)
+
+    best = None  # (LayeredAssignment, DensityValue)
+    count = 0
+    for fam in former_candidates(dag_view, pool):
+        count += 1
+        if not fam:
+            continue
+        layered = layered_assign(fam, dag_view, inst.m)
+        covered = set()
+        for s in fam:
+            covered |= inst.members[s] & remaining
+        value = DensityValue(len(covered), Fraction(layered.makespan))
+        if (
+            best is None
+            or value > best[1]
+            or (value == best[1] and layered.makespan < best[0].makespan)
+        ):
+            best = (layered, value)
+    if best is None:
+        raise InvariantError("every candidate family is empty")
+    fam_sets = [s for seq in best[0].assignment.per_machine for s in seq]
+    for s in fam_sets:
+        if closure(dag_view, s) - frozenset(fam_sets):
+            raise InvariantError("winner is not precedence-closed")
+    return best[0], best[1], count
+
+
+def _pcds_outcome(solve):
+    result = _outcome(solve)
+    if isinstance(result, tuple) and isinstance(result[0], LayeredAssignment):
+        layered, value, count = result
+        return layered, (value.covered, value.makespan), count
+    return result
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    inst=dag_instances(),
+    picks=st.tuples(st.integers(0, 2**8 - 1), st.none() | st.integers(0, 2**8 - 1)),
+)
+def test_pcds_detailed_matches_former_oracle(inst, picks):
+    remaining = frozenset(u for u in range(inst.n) if picks[0] >> u & 1)
+    available = None
+    if picks[1] is not None:
+        available = frozenset(s for s in range(inst.k) if picks[1] >> s & 1)
+    assert _pcds_outcome(lambda: pcds_detailed(inst, remaining, available)) == _pcds_outcome(
+        lambda: former_pcds_detailed(inst, remaining, available)
     )
