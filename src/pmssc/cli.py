@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import io
 import json
 import math
 import os
@@ -33,17 +32,15 @@ from .errors import (
     ValidationError,
 )
 from .fileio import (
-    RunReport,
     fraction_token,
     generate_instance,
     parse_instance,
     serialize_instance,
 )
 from .pmc import PmcParams, pmc_solve
-from .precedence import pcds_detailed, pmssc_precedence
-from .scheduler import pmssc_greedy, require_oracle_model, upper_bound_from_trace
+from .precedence import pcds, pmssc_precedence
+from .scheduler import ORACLES, pmssc_greedy, upper_bound_from_trace
 from .core import density as density_of
-from .pds import pds_identical, pds_related, pds_unrelated
 
 SOLVE_ALGOS = (
     "greedy-identical",
@@ -53,7 +50,7 @@ SOLVE_ALGOS = (
     "greedy-precedence",
     "exact",
 )
-PDS_ALGOS = ("identical", "unit", "related", "unrelated", "exact", "precedence")
+PDS_ALGOS = tuple(ORACLES) + ("precedence",)
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -98,7 +95,8 @@ def _in_range(convert, ok, wanted):
 
 _epsilon = _in_range(float, lambda v: 0 < v < 1, "in (0, 1)")
 _mu = _in_range(float, lambda v: 0 < v < math.inf, "finite and positive")
-_r_cap = _in_range(int, lambda v: v >= 1, "at least 1")
+_at_least_one = _in_range(int, lambda v: v >= 1, "at least 1")
+_probability = _in_range(float, lambda v: 0 <= v <= 1, "in [0, 1]")
 
 
 def _parse_limits(text):
@@ -111,18 +109,24 @@ def _parse_limits(text):
     return oracle_mod.OracleLimits(max_k=k, max_m=m, max_n=n, node_budget=20_000_000)
 
 
-def _emit(report: RunReport, out_path, as_csv, csv_row):
-    text = report.to_json()
-    if out_path:
-        _write_out(out_path, text)
-    if as_csv:
-        buf = io.StringIO()
-        writer = csv.writer(buf)
-        writer.writerow(csv_row[0])
-        writer.writerow(csv_row[1])
-        sys.stdout.write(buf.getvalue())
-    elif not out_path:
+def _report(algorithm, parameters, started, payload, out=None, csv_row=None):
+    """Write one run report as JSON: to ``out`` when given, else to stdout;
+    ``csv_row`` (instance, algorithm, cost) goes to stdout in its place."""
+    doc = dict(payload, algorithm=algorithm, parameters=parameters)
+    doc["wall_time_s"] = time.perf_counter() - started
+    text = json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    if out:
+        _write_out(out, text)
+    if csv_row:
+        csv.writer(sys.stdout).writerows([("instance", "algorithm", "cost"), csv_row])
+    elif not out:
         sys.stdout.write(text)
+    return EXIT_OK
+
+
+def _machines(result):
+    """The per-machine set lists of an Assignment or Schedule, as JSON lists."""
+    return [list(seq) for seq in result.per_machine]
 
 
 def _solve(inst, algo, epsilon, seed):
@@ -163,7 +167,7 @@ def _solve(inst, algo, epsilon, seed):
             "upper_bound": fraction_token(upper_bound_from_trace(trace)),
             "iterations": len(trace.iterations),
         }
-    payload["schedule"] = [list(seq) for seq in schedule.per_machine]
+    payload["schedule"] = _machines(schedule)
     return cost, payload
 
 
@@ -171,21 +175,15 @@ def _cmd_solve(args):
     inst = _read_instance(args.instance)
     seed = _default_seed(args.seed)
     started = time.perf_counter()
-    parameters = {"epsilon": args.epsilon, "seed": seed, "algo": args.algo}
     _, payload = _solve(inst, args.algo, args.epsilon, seed)
-    report = RunReport(
-        algorithm=args.algo,
-        parameters=parameters,
-        payload=payload,
-        wall_time_s=time.perf_counter() - started,
+    return _report(
+        args.algo,
+        {"epsilon": args.epsilon, "seed": seed, "algo": args.algo},
+        started,
+        payload,
+        out=args.out,
+        csv_row=(args.instance, args.algo, payload["cost"]) if args.csv else None,
     )
-    _emit(
-        report,
-        args.out,
-        args.csv,
-        (("instance", "algorithm", "cost"), (args.instance, args.algo, payload["cost"])),
-    )
-    return EXIT_OK
 
 
 def _cmd_pds(args):
@@ -193,38 +191,27 @@ def _cmd_pds(args):
     seed = _default_seed(args.seed)
     remaining = frozenset(range(inst.n))
     started = time.perf_counter()
-    if args.algo in ("identical", "unit"):
-        require_oracle_model(inst, args.algo)
-        asg = pds_identical(inst, remaining, args.epsilon)
-    elif args.algo == "related":
-        asg = pds_related(inst, remaining, args.epsilon, seed=seed)
-    elif args.algo == "unrelated":
-        asg = pds_unrelated(inst, remaining, args.epsilon, seed=seed)
-    elif args.algo == "exact":
-        asg, _ = oracle_mod.exact_pds(inst, remaining)
+    if args.algo == "precedence":
+        asg = pcds(inst, remaining)
     else:
-        asg = pcds_detailed(inst, remaining)[0].assignment
+        asg = ORACLES[args.algo](inst, remaining, None, args.epsilon, seed)
     value = density_of(inst, asg, remaining)
-    report = RunReport(
-        algorithm="pds-%s" % args.algo,
-        parameters={"epsilon": args.epsilon, "seed": seed},
-        payload={
-            "assignment": [list(seq) for seq in asg.per_machine],
-            "covered": value.covered,
-            "makespan": fraction_token(value.makespan),
-            "density": fraction_token(value.as_fraction()),
-        },
-        wall_time_s=time.perf_counter() - started,
-    )
-    _emit(report, None, False, None)
-    return EXIT_OK
+    return _report("pds-%s" % args.algo, {"epsilon": args.epsilon, "seed": seed}, started, {
+        "assignment": _machines(asg),
+        "covered": value.covered,
+        "makespan": fraction_token(value.makespan),
+        "density": fraction_token(value.as_fraction()),
+    })
 
 
 def _parse_budgets(text):
     try:
-        return [Fraction(part.strip()) for part in text.split(",")]
+        budgets = [Fraction(part.strip()) for part in text.split(",")]
     except (ValueError, ZeroDivisionError):
         raise ValidationError("--budgets", "expected comma-separated rationals")
+    if any(b < 0 for b in budgets):
+        raise ValidationError("--budgets", "must be nonnegative")
+    return budgets
 
 
 def _cmd_pmc(args):
@@ -236,28 +223,17 @@ def _cmd_pmc(args):
     )
     started = time.perf_counter()
     result = pmc_solve(inst, budgets, params)
-    report = RunReport(
-        algorithm="pmc-%s" % args.mode,
-        parameters={
-            "epsilon": args.epsilon,
-            "mu": args.mu,
-            "seed": seed,
-            "r_cap": args.r_cap,
-        },
-        payload={
-            "assignment": [list(seq) for seq in result.assignment.per_machine],
-            "covered": result.covered,
-            "lp_objective": result.lp_objective,
-            "iterations_kept": result.iterations_kept,
-            "attempts": result.attempts,
-            "per_machine_cost": [fraction_token(c) for c in result.per_machine_cost],
-            "delta": params.delta(inst.m),
-            "budgets": [fraction_token(b) for b in budgets],
-        },
-        wall_time_s=time.perf_counter() - started,
-    )
-    _emit(report, None, False, None)
-    return EXIT_OK
+    parameters = {"epsilon": args.epsilon, "mu": args.mu, "seed": seed, "r_cap": args.r_cap}
+    return _report("pmc-%s" % args.mode, parameters, started, {
+        "assignment": _machines(result.assignment),
+        "covered": result.covered,
+        "lp_objective": result.lp_objective,
+        "iterations_kept": result.iterations_kept,
+        "attempts": result.attempts,
+        "per_machine_cost": [fraction_token(c) for c in result.per_machine_cost],
+        "delta": params.delta(inst.m),
+        "budgets": [fraction_token(b) for b in budgets],
+    })
 
 
 def _cmd_oracle(args):
@@ -266,39 +242,18 @@ def _cmd_oracle(args):
     started = time.perf_counter()
     if args.problem == "pmssc":
         schedule, cost = oracle_mod.exact_pmssc(inst, limits)
-        payload = {
-            "schedule": [list(seq) for seq in schedule.per_machine],
-            "cost": fraction_token(cost),
-        }
-    elif args.problem == "pds":
-        asg, value = oracle_mod.exact_pds(inst, limits=limits)
-        payload = {
-            "assignment": [list(seq) for seq in asg.per_machine],
-            "density": fraction_token(value.as_fraction()),
-        }
+        payload = {"schedule": _machines(schedule), "cost": fraction_token(cost)}
     elif args.problem == "pmc":
         if not args.budgets:
             raise ValidationError("--budgets", "required for --problem pmc")
         budgets = _parse_budgets(args.budgets)
         asg, covered = oracle_mod.exact_pmc(inst, budgets, limits)
-        payload = {
-            "assignment": [list(seq) for seq in asg.per_machine],
-            "covered": covered,
-        }
+        payload = {"assignment": _machines(asg), "covered": covered}
     else:
-        asg, value = oracle_mod.exact_pds_precedence(inst, limits=limits)
-        payload = {
-            "assignment": [list(seq) for seq in asg.per_machine],
-            "density": fraction_token(value.as_fraction()),
-        }
-    report = RunReport(
-        algorithm="oracle-%s" % args.problem,
-        parameters={"limits": args.limits},
-        payload=payload,
-        wall_time_s=time.perf_counter() - started,
-    )
-    _emit(report, None, False, None)
-    return EXIT_OK
+        exact = oracle_mod.exact_pds if args.problem == "pds" else oracle_mod.exact_pds_precedence
+        asg, value = exact(inst, limits=limits)
+        payload = {"assignment": _machines(asg), "density": fraction_token(value.as_fraction())}
+    return _report("oracle-%s" % args.problem, {"limits": args.limits}, started, payload)
 
 
 def _cmd_gen(args):
@@ -333,6 +288,8 @@ def _cmd_validate(args):
 
 def _cmd_bench(args):
     seed = _default_seed(args.seed)
+    if not Path(args.corpus).is_dir():
+        raise ValidationError("--corpus", "not a directory: %s" % args.corpus)
     paths = sorted(Path(args.corpus).glob("*.json"))
     writer = csv.writer(sys.stdout)
     writer.writerow(["instance", "algo_cost", "oracle_cost", "ratio"])
@@ -342,9 +299,8 @@ def _cmd_bench(args):
         if args.ratios:
             try:
                 _, opt = oracle_mod.exact_pmssc(inst)
-                writer.writerow(
-                    [path.name, float(cost), float(opt), float(cost / opt)]
-                )
+                ratio = 1.0 if cost == opt else float(cost / opt)  # opt is 0 when n is 0
+                writer.writerow([path.name, float(cost), float(opt), ratio])
             except LimitsExceededError:
                 writer.writerow([path.name, float(cost), "NA", "NA"])
         else:
@@ -381,7 +337,7 @@ def build_parser() -> argparse.ArgumentParser:
     pmc_p.add_argument("--epsilon", type=_epsilon, default=0.2)
     pmc_p.add_argument("--mu", type=_mu, default=None, help="required with --mode fpt")
     pmc_p.add_argument("--seed", type=int, default=None)
-    pmc_p.add_argument("--r-cap", type=_r_cap, default=None)
+    pmc_p.add_argument("--r-cap", type=_at_least_one, default=None)
     pmc_p.set_defaults(func=_cmd_pmc)
 
     oracle_p = sub.add_parser("oracle", help="exact solvers for small instances")
@@ -400,10 +356,10 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument(
         "--model", required=True, choices=("unit", "identical", "related", "unrelated")
     )
-    gen.add_argument("--density", type=float, required=True)
+    gen.add_argument("--density", type=_probability, required=True)
     gen.add_argument("--seed", type=int, default=None)
-    gen.add_argument("--dag-edge-prob", type=float, default=None)
-    gen.add_argument("--max-cost", type=int, default=3)
+    gen.add_argument("--dag-edge-prob", type=_probability, default=None)
+    gen.add_argument("--max-cost", type=_at_least_one, default=3)
     gen.add_argument("--out", required=True)
     gen.set_defaults(func=_cmd_gen)
 

@@ -1,4 +1,4 @@
-"""Instance files, random instance generation, and run reports.
+"""Instance files, random instance generation, and exact-rational tokens.
 
 Instance documents are JSON:
 
@@ -15,7 +15,6 @@ matrix entries are encoded as the string "inf".
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
 
@@ -284,7 +283,7 @@ def generate_instance(
 
 
 # ---------------------------------------------------------------------------
-# Run reports
+# Report values
 
 
 def fraction_token(value) -> object:
@@ -293,23 +292,3 @@ def fraction_token(value) -> object:
     if f.denominator == 1:
         return int(f)
     return "%d/%d" % (f.numerator, f.denominator)
-
-
-@dataclass
-class RunReport:
-    algorithm: str
-    parameters: dict
-    payload: dict = field(default_factory=dict)
-    wall_time_s: float = 0.0
-
-    def to_dict(self) -> dict:
-        doc = {
-            "algorithm": self.algorithm,
-            "parameters": self.parameters,
-            "wall_time_s": self.wall_time_s,
-        }
-        doc.update(self.payload)
-        return doc
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, indent=2) + "\n"

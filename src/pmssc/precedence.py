@@ -54,39 +54,36 @@ class PrecedenceDag:
         return max((self.depth[v] for v in self.nodes), default=0)
 
     @staticmethod
-    def from_edges(num_nodes: int, edges: Iterable[Tuple[int, int]]) -> "PrecedenceDag":
+    def from_edges(
+        num_nodes: int,
+        edges: Iterable[Tuple[int, int]],
+        nodes: Optional[Iterable[int]] = None,
+    ) -> "PrecedenceDag":
+        """DAG on ``nodes`` (default: all) with the edges between them; one
+        topological sort gives the depths inside that view."""
         edges = tuple((int(a), int(b)) for a, b in edges)
-        nodes = tuple(range(num_nodes))
-        return _build_dag(num_nodes, edges, nodes)
-
-    def induced(self, nodes: Iterable[int]) -> "PrecedenceDag":
-        """Sub-DAG on the given nodes, with depths recomputed inside it."""
-        keep = frozenset(int(v) for v in nodes)
-        for v in keep:
-            if not 0 <= v < self.num_nodes:
-                raise InvalidIndexError("node %d out of range" % v)
-        edges = tuple((a, b) for a, b in self.edges if a in keep and b in keep)
-        return _build_dag(self.num_nodes, edges, tuple(sorted(keep)))
-
-
-def _build_dag(num_nodes, edges, nodes) -> PrecedenceDag:
-    order = topological_order(num_nodes, edges)
-    node_set = frozenset(nodes)
-    preds = [[] for _ in range(num_nodes)]
-    for a, b in edges:
-        preds[b].append(a)
-    depth = [0] * num_nodes
-    for v in order:
-        if v not in node_set:
-            continue
-        depth[v] = 1 + max((depth[p] for p in preds[v] if p in node_set), default=0)
-    return PrecedenceDag(
-        num_nodes=num_nodes,
-        edges=edges,
-        predecessors=tuple(tuple(sorted(p)) for p in preds),
-        depth=tuple(depth),
-        nodes=tuple(sorted(nodes)),
-    )
+        if nodes is None:
+            keep = frozenset(range(num_nodes))
+        else:
+            keep = frozenset(int(v) for v in nodes)
+            for v in keep:
+                if not 0 <= v < num_nodes:
+                    raise InvalidIndexError("node %d out of range" % v)
+            edges = tuple((a, b) for a, b in edges if a in keep and b in keep)
+        preds = [[] for _ in range(num_nodes)]
+        for a, b in edges:
+            preds[b].append(a)
+        depth = [0] * num_nodes
+        for v in topological_order(num_nodes, edges):
+            if v in keep:
+                depth[v] = 1 + max((depth[p] for p in preds[v]), default=0)
+        return PrecedenceDag(
+            num_nodes=num_nodes,
+            edges=edges,
+            predecessors=tuple(tuple(sorted(p)) for p in preds),
+            depth=tuple(depth),
+            nodes=tuple(sorted(keep)),
+        )
 
 
 def closure(dag: PrecedenceDag, s: int) -> frozenset:
@@ -182,11 +179,10 @@ def pcds_detailed(
     if inst.dag is None:
         raise ValueError("instance has no precedence DAG")
     remaining_mask = element_mask(remaining)
-    full = PrecedenceDag.from_edges(inst.k, inst.dag)
     pool = sorted(range(inst.k)) if available is None else sorted(available)
     if not any(inst.masks[s] & remaining_mask for s in pool):
         raise NoCoverageError("no available set covers a remaining element")
-    dag_view = full.induced(pool)
+    dag_view = PrecedenceDag.from_edges(inst.k, inst.dag, pool)
     families = [
         [s for s in pool if dag_view.depth[s] <= h] for h in range(1, dag_view.d + 1)
     ]

@@ -53,41 +53,38 @@ def upper_bound_from_trace(trace: GreedyTrace) -> Fraction:
     )
 
 
-def require_oracle_model(inst: ProblemInstance, oracle: str) -> None:
+UNIT_MODEL_ONLY = "the unit oracle needs the unit cost model"
+
+
+def _pds_unit(inst, remaining, available, epsilon, seed, maxcov_mode=None):
     """``unit`` names the identical ladder restricted to unit-cost instances."""
-    if oracle == "unit" and inst.cost_model.kind != "unit":
-        raise ValueError("the unit oracle needs the unit cost model")
+    if inst.cost_model.kind != "unit":
+        raise ValueError(UNIT_MODEL_ONLY)
+    return pds_identical(inst, remaining, epsilon, available=available, maxcov_mode=maxcov_mode)
 
 
-def _make_oracle(
-    inst: ProblemInstance,
-    oracle: Union[str, Callable],
-    epsilon: float,
-    seed: int,
-    maxcov_mode: Optional[str],
-) -> Callable:
-    if callable(oracle):
-        return oracle
-    if oracle in ("identical", "unit"):
-        require_oracle_model(inst, oracle)
-        return lambda remaining, available, iteration: pds_identical(
-            inst, remaining, epsilon, available=available, maxcov_mode=maxcov_mode
-        )
-    if oracle == "related":
-        return lambda remaining, available, iteration: pds_related(
-            inst, remaining, epsilon, available=available,
-            seed=child_seed(seed, iteration),
-        )
-    if oracle == "unrelated":
-        return lambda remaining, available, iteration: pds_unrelated(
-            inst, remaining, epsilon, available=available,
-            seed=child_seed(seed, iteration),
-        )
-    if oracle == "exact":
-        return lambda remaining, available, iteration: exact_pds(
-            inst, remaining, available=available
-        )[0]
-    raise ValueError("unknown oracle %r" % oracle)
+# Oracle name -> (inst, remaining, available, epsilon, seed, maxcov_mode=None)
+# -> Assignment. Each entry resolves its solver as a module global at call
+# time, so a wrapper installed on that global sees every call.
+ORACLES = {
+    "identical": lambda inst, remaining, available, epsilon, seed, maxcov_mode=None: (
+        pds_identical(inst, remaining, epsilon, available=available, maxcov_mode=maxcov_mode)
+    ),
+    "unit": _pds_unit,
+    "related": lambda inst, remaining, available, epsilon, seed, maxcov_mode=None: (
+        pds_related(inst, remaining, epsilon, available=available, seed=seed)
+    ),
+    "unrelated": lambda inst, remaining, available, epsilon, seed, maxcov_mode=None: (
+        pds_unrelated(inst, remaining, epsilon, available=available, seed=seed)
+    ),
+    "exact": lambda inst, remaining, available, epsilon, seed, maxcov_mode=None: (
+        exact_pds(inst, remaining, available=available)[0]
+    ),
+}
+# The entries that draw random numbers. Only these get a per-iteration child
+# seed: deriving one imports numpy.random (about 5 MB and 20 ms), which the
+# identical and exact runs otherwise never load.
+SEEDED_ORACLES = frozenset({"related", "unrelated"})
 
 
 def _order_batch(inst, j, sets_on_machine, remaining):
@@ -122,7 +119,18 @@ def pmssc_greedy(
         raise UncoverableError(
             "elements %s cannot be covered" % list(report.uncovered_elements)
         )
-    oracle_fn = _make_oracle(inst, oracle, epsilon, seed, maxcov_mode)
+    if callable(oracle):
+        oracle_fn = oracle
+    elif oracle in ORACLES:
+        if oracle == "unit" and inst.cost_model.kind != "unit":
+            raise ValueError(UNIT_MODEL_ONLY)  # even when nothing is left to cover
+        entry, seeded = ORACLES[oracle], oracle in SEEDED_ORACLES
+
+        def oracle_fn(remaining, available, iteration):
+            step_seed = child_seed(seed, iteration) if seeded else seed
+            return entry(inst, remaining, available, epsilon, step_seed, maxcov_mode)
+    else:
+        raise ValueError("unknown oracle %r" % oracle)
 
     remaining = frozenset(range(inst.n))
     available = set(range(inst.k))

@@ -228,10 +228,10 @@ def test_cli_oracle_and_limits(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("command", ["pmc", "oracle"])
-@pytest.mark.parametrize("budgets", ["1/0", "2,x"])
+@pytest.mark.parametrize("budgets", ["1/0", "2,x", "-1,2"])
 def test_cli_bad_budgets_exit_code(tmp_path, capsys, command, budgets):
     path = _write_instance(tmp_path, n=5, k=4, m=2, model="identical", density=0.5, seed=2)
-    argv = [command, "--instance", str(path), "--budgets", budgets]
+    argv = [command, "--instance", str(path), "--budgets=" + budgets]  # "-1,2" is no option
     argv += ["--problem", "pmc"] if command == "oracle" else ["--mode", "poly"]
     rc = cli.main(argv)
     captured = capsys.readouterr()
@@ -443,6 +443,47 @@ def test_cli_bench_ratios(tmp_path, capsys):
         assert lines[4].endswith(",NA,NA" if ratios else ",,")
 
 
+def test_cli_bench_ratio_of_zero_optimum(tmp_path, capsys):
+    # n = 0: the schedule and the optimum both cost 0, which used to end in a
+    # ZeroDivisionError traceback
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    (corpus / "empty.json").write_text(json.dumps({
+        "version": 1, "n": 0, "m": 1,
+        "cost_model": {"kind": "identical", "base_costs": [1]}, "sets": [[]],
+    }), encoding="utf-8")
+    rc = cli.main(["bench", "--corpus", str(corpus), "--algo", "greedy-identical", "--ratios"])
+    captured = capsys.readouterr()
+    assert rc == cli.EXIT_OK, captured.err
+    assert captured.out.splitlines()[1] == "empty.json,0.0,0.0,1.0"
+
+
+@pytest.mark.parametrize("corpus", ["missing", "file.json"])
+def test_cli_bench_corpus_not_a_directory(tmp_path, capsys, corpus):
+    # used to print a bare CSV header and exit 0
+    (tmp_path / "file.json").write_text("{}", encoding="utf-8")
+    path = tmp_path / corpus
+    rc = cli.main(["bench", "--corpus", str(path), "--algo", "greedy-identical"])
+    captured = capsys.readouterr()
+    assert rc == cli.EXIT_VALIDATION
+    assert captured.err == "validation error: --corpus: not a directory: %s\n" % path
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("option, value", [
+    ("--density", "2"), ("--density", "nan"), ("--density", "-0.1"),
+    ("--dag-edge-prob", "2"), ("--dag-edge-prob", "nan"),
+    ("--max-cost", "0"), ("--max-cost", "-3"),
+])
+def test_cli_gen_rejects_out_of_range_options(tmp_path, capsys, option, value):
+    argv = [
+        "gen", "--n", "4", "--k", "3", "--m", "1", "--model", "identical",
+        "--density", "0.5", "--out", str(tmp_path / "g.json"), option, value,
+    ]
+    _assert_usage_error(argv, capsys, option)
+    assert not (tmp_path / "g.json").exists()
+
+
 def test_cli_precedence_solve(tmp_path, capsys):
     inst = generate_instance(
         n=5, k=5, m=2, model="unit", density=0.4, seed=8, dag_edge_prob=0.4
@@ -591,3 +632,65 @@ def test_cli_fuzz_exits_cleanly(case, tmp_path_factory):
             rc = cli.main(argv + ["--instance", str(path)])
         assert rc in (0, 2, 3, 4), (argv, text, err.getvalue())
         assert "Traceback" not in out.getvalue() + err.getvalue()
+
+
+# -- report shapes: the fields and the algorithm/parameters of every report kind
+
+SHAPE_SPECS = {
+    "identical": dict(n=5, k=4, m=2, model="identical", density=0.5, seed=2),
+    "unit": dict(n=5, k=4, m=2, model="unit", density=0.5, seed=2),
+    "related": dict(n=5, k=4, m=2, model="related", density=0.5, seed=2),
+    "unrelated": dict(n=5, k=4, m=2, model="unrelated", density=0.5, seed=2),
+    "dag": dict(n=5, k=5, m=2, model="unit", density=0.4, seed=8, dag_edge_prob=0.4),
+}
+SOLVE_KEYS = {"algorithm", "parameters", "wall_time_s", "cost", "cover_times", "schedule"}
+PDS_KEYS = {"algorithm", "parameters", "wall_time_s", "assignment", "covered", "makespan", "density"}
+PMC_KEYS = {
+    "algorithm", "parameters", "wall_time_s", "assignment", "covered", "lp_objective",
+    "iterations_kept", "attempts", "per_machine_cost", "delta", "budgets",
+}
+ORACLE_KEYS = {"algorithm", "parameters", "wall_time_s"}
+
+
+def _shape_cases():
+    solve_extra = {"exact": {"optimal"}, "greedy-precedence": {"barrier_aligned"}}
+    for algo in cli.SOLVE_ALGOS:
+        spec = {"exact": "identical", "greedy-precedence": "dag"}.get(algo, algo[len("greedy-"):])
+        yield (spec, ["solve", "--algo", algo, "--seed", "3"], algo,
+               {"epsilon": 0.1, "seed": 3, "algo": algo},
+               SOLVE_KEYS | solve_extra.get(algo, {"upper_bound", "iterations"}))
+    for algo in cli.PDS_ALGOS:
+        spec = {"exact": "identical", "precedence": "dag"}.get(algo, algo)
+        yield (spec, ["pds", "--algo", algo, "--seed", "5"], "pds-" + algo,
+               {"epsilon": 0.1, "seed": 5}, PDS_KEYS)
+    yield ("identical", ["pmc", "--mode", "poly", "--budgets", "2,2", "--seed", "2"], "pmc-poly",
+           {"epsilon": 0.2, "mu": None, "seed": 2, "r_cap": None}, PMC_KEYS)
+    yield ("identical", ["pmc", "--mode", "fpt", "--mu", "0.5", "--r-cap", "20", "--budgets", "2,2",
+                         "--seed", "2", "--epsilon", "0.3"], "pmc-fpt",
+           {"epsilon": 0.3, "mu": 0.5, "seed": 2, "r_cap": 20}, PMC_KEYS)
+    oracle_keys = {
+        "pmssc": {"schedule", "cost"}, "pds": {"assignment", "density"},
+        "pmc": {"assignment", "covered"}, "pcds": {"assignment", "density"},
+    }
+    for problem, keys in oracle_keys.items():
+        argv = ["oracle", "--problem", problem] + (["--budgets", "2,2"] if problem == "pmc" else [])
+        yield ("dag" if problem == "pcds" else "identical", argv, "oracle-" + problem,
+               {"limits": None}, ORACLE_KEYS | keys)
+    yield ("identical", ["oracle", "--problem", "pmssc", "--limits", "6,3,10"], "oracle-pmssc",
+           {"limits": "6,3,10"}, ORACLE_KEYS | oracle_keys["pmssc"])
+
+
+@pytest.mark.parametrize("spec, argv, algorithm, parameters, keys", list(_shape_cases()))
+def test_cli_report_shape(tmp_path, capsys, monkeypatch, spec, argv, algorithm, parameters, keys):
+    monkeypatch.delenv("PMSSC_SEED", raising=False)
+    path = _write_instance(tmp_path, **SHAPE_SPECS[spec])
+    rc = cli.main(argv + ["--instance", str(path)])
+    captured = capsys.readouterr()
+    assert rc == cli.EXIT_OK, captured.err
+    assert captured.out.endswith("}\n")
+    report = json.loads(captured.out)
+    assert set(report) == keys
+    assert report["algorithm"] == algorithm
+    assert report["parameters"] == parameters
+    assert isinstance(report["wall_time_s"], float)
+    assert json.dumps(report, sort_keys=True, indent=2) + "\n" == captured.out

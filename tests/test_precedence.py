@@ -11,10 +11,12 @@ from pmssc.core import (
     Schedule,
     UnitCosts,
     evaluate_schedule_cost,
+    topological_order,
     validate_instance,
 )
 from pmssc.errors import (
     CyclicDagError,
+    InvalidIndexError,
     InvariantError,
     NoCoverageError,
     NotClosedError,
@@ -236,6 +238,45 @@ def former_finish_times(layered: LayeredAssignment, dag: PrecedenceDag) -> Dict[
     return finishes
 
 
+# Verbatim copies of the DAG view from before ``from_edges`` took the pool:
+# the full DAG, then its induced view, each with its own topological sort.
+
+
+def former_build_dag(num_nodes, edges, nodes) -> PrecedenceDag:
+    order = topological_order(num_nodes, edges)
+    node_set = frozenset(nodes)
+    preds = [[] for _ in range(num_nodes)]
+    for a, b in edges:
+        preds[b].append(a)
+    depth = [0] * num_nodes
+    for v in order:
+        if v not in node_set:
+            continue
+        depth[v] = 1 + max((depth[p] for p in preds[v] if p in node_set), default=0)
+    return PrecedenceDag(
+        num_nodes=num_nodes,
+        edges=edges,
+        predecessors=tuple(tuple(sorted(p)) for p in preds),
+        depth=tuple(depth),
+        nodes=tuple(sorted(nodes)),
+    )
+
+
+def former_from_edges(num_nodes, edges) -> PrecedenceDag:
+    edges = tuple((int(a), int(b)) for a, b in edges)
+    nodes = tuple(range(num_nodes))
+    return former_build_dag(num_nodes, edges, nodes)
+
+
+def former_induced(dag, nodes) -> PrecedenceDag:
+    keep = frozenset(int(v) for v in nodes)
+    for v in keep:
+        if not 0 <= v < dag.num_nodes:
+            raise InvalidIndexError("node %d out of range" % v)
+    edges = tuple((a, b) for a, b in dag.edges if a in keep and b in keep)
+    return former_build_dag(dag.num_nodes, edges, tuple(sorted(keep)))
+
+
 def former_pmssc_precedence(
     inst: ProblemInstance,
     dag_edges: Optional[Iterable[Tuple[int, int]]] = None,
@@ -263,7 +304,7 @@ def former_pmssc_precedence(
     if report.dag_acyclic is False:
         raise UncoverableError("precedence graph is cyclic")
 
-    full = PrecedenceDag.from_edges(work.k, edges)
+    full = former_from_edges(work.k, edges)
     remaining = set(range(work.n))
     available = set(range(work.k))
     machines = [[] for _ in range(work.m)]
@@ -275,7 +316,7 @@ def former_pmssc_precedence(
         if step > work.k + 1:
             raise StalledOracleError("precedence greedy failed to make progress")
         layered, _, _ = pcds_detailed(work, frozenset(remaining), available=frozenset(available))
-        dag_view = full.induced(sorted(available))
+        dag_view = former_induced(full, sorted(available))
         finishes = former_finish_times(layered, dag_view)
         newly = set()
         for s, finish in finishes.items():
@@ -359,11 +400,11 @@ def former_pcds_detailed(
     if inst.dag is None:
         raise ValueError("instance has no precedence DAG")
     remaining = frozenset(remaining)
-    full = PrecedenceDag.from_edges(inst.k, inst.dag)
+    full = former_from_edges(inst.k, inst.dag)
     pool = sorted(range(inst.k)) if available is None else sorted(available)
     if not any(inst.members[s] & remaining for s in pool):
         raise NoCoverageError("no available set covers a remaining element")
-    dag_view = full.induced(pool)
+    dag_view = former_induced(full, pool)
 
     best = None  # (LayeredAssignment, DensityValue)
     count = 0
@@ -411,4 +452,8 @@ def test_pcds_detailed_matches_former_oracle(inst, picks):
         available = frozenset(s for s in range(inst.k) if picks[1] >> s & 1)
     assert _pcds_outcome(lambda: pcds_detailed(inst, remaining, available)) == _pcds_outcome(
         lambda: former_pcds_detailed(inst, remaining, available)
+    )
+    pool = range(inst.k) if available is None else available
+    assert PrecedenceDag.from_edges(inst.k, inst.dag, pool) == former_induced(
+        former_from_edges(inst.k, inst.dag), pool
     )
