@@ -6,10 +6,11 @@ unbounded, and every one is deterministic including tie-breaks.
 The min-sum solver is a branch-and-bound over canonical schedule prefixes:
 nodes either append an unused set to the currently least-loaded open machine
 or close that machine for good. Ordering placements by start time this way
-enumerates every schedule exactly once. Because a later set on another
-machine can still finish earlier, covering times are maintained as running
-minima, and the lower bound accounts for future improvements to already
-covered elements.
+enumerates every schedule exactly once. Each node receives its machine loads,
+open machines, unused sets and covering times as values, and a child gets
+copies with one set appended or one machine closed. Because a later set on
+another machine can still finish earlier, covering times are running minima,
+and the lower bound accounts for future improvements to covered elements.
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ from .core import (
     validate_instance,
 )
 from .errors import (
+    DomainError,
     InvariantError,
     LimitsExceededError,
     NoCoverageError,
@@ -110,8 +112,7 @@ def exact_pmssc(
 ) -> Tuple[Schedule, Fraction]:
     """Minimum-cost schedule by branch-and-bound; exact on small instances."""
     limits = limits or PMSSC_LIMITS
-    report = validate_instance(inst)
-    if not report.coverable:
+    if not validate_instance(inst).coverable:
         raise UncoverableError("universe is not coverable")
     useful = [s for s in range(inst.k) if inst.members[s]]
     _check_limits(inst, limits, len(useful))
@@ -122,133 +123,72 @@ def exact_pmssc(
         [None if not is_finite_cost(c) else int(c) if c.denominator == 1 else c for c in row]
         for row in inst.costs
     ]
-    containing = [
-        [s for s in useful if u in inst.members[s]] for u in range(inst.n)
-    ]
+    containing = [[s for s in useful if u in inst.members[s]] for u in range(inst.n)]
 
-    incumbent_sched = _greedy_upper_bound(inst, useful, inst.masks, costs)
-    if incumbent_sched is None:
+    incumbent = _greedy_upper_bound(inst, useful, inst.masks, costs)
+    if incumbent is None:
         raise UncoverableError("no finite-cost covering exists")
-    incumbent_cost = evaluate_schedule_cost(inst, incumbent_sched)[0]
+    best = [evaluate_schedule_cost(inst, incumbent)[0], incumbent]
+    sequences = [[] for _ in range(inst.m)]  # the node's prefix, pushed and popped
 
-    m = inst.m
-    n = inst.n
-    state = {
-        "loads": [0] * m,
-        "closed": [False] * m,
-        "sequences": [[] for _ in range(m)],
-        "used": set(),
-        "ct": [None] * n,  # current covering time (running minimum)
-        "partial": 0,
-        "best_sched": incumbent_sched,
-        "best_cost": incumbent_cost,
-    }
-
-    def lower_bound():
-        loads = state["loads"]
-        closed = state["closed"]
-        used = state["used"]
-        ct = state["ct"]
+    def lower_bound(loads, open_machines, unused, ct):
         # earliest finish of each unused set on an open machine
-        open_machines = [j for j in range(m) if not closed[j]]
         earliest = [None] * inst.k
-        for s in useful:
-            if s in used:
-                continue
-            best = None
+        for s in unused:
             for j in open_machines:
                 if costs[s][j] is not None:
                     t = loads[j] + costs[s][j]
-                    if best is None or t < best:
-                        best = t
-            earliest[s] = best
+                    if earliest[s] is None or t < earliest[s]:
+                        earliest[s] = t
         total = 0
-        for u in range(n):
-            here = ct[u]
-            future = None
+        for u, here in enumerate(ct):
             for s in containing[u]:
                 t = earliest[s]
-                if t is not None and (future is None or t < future):
-                    future = t
+                if t is not None and (here is None or t < here):
+                    here = t
             if here is None:
-                if future is None:
-                    return None  # element unreachable: dead branch
-                total += future
-            else:
-                total += here if future is None or here <= future else future
+                return None  # element unreachable: dead branch
+            total += here
         return total
 
-    def dfs():
+    def dfs(loads, open_machines, unused, ct):
         budget.spend()
-        lb = lower_bound()
-        if lb is None or lb >= state["best_cost"]:
+        lb = lower_bound(loads, open_machines, unused, ct)
+        if lb is None or lb >= best[0]:
             return
-        if all(t is not None for t in state["ct"]):
-            # A full cover: lb above equals the realizable cost of stopping now.
-            cost_now = state["partial"]
-            if cost_now < state["best_cost"]:
-                state["best_cost"] = cost_now
-                state["best_sched"] = Schedule(
-                    tuple(tuple(seq) for seq in state["sequences"])
-                )
-            # continuing can still lower covering times via cheap later sets
-        open_machines = [j for j in range(m) if not state["closed"][j]]
+        if None not in ct and sum(ct) < best[0]:
+            # a full cover; continuing can still lower covering times via cheap later sets
+            best[:] = sum(ct), Schedule(tuple(tuple(seq) for seq in sequences))
         if not open_machines:
             return
-        j = min(open_machines, key=lambda q: (state["loads"][q], q))
+        j = min(open_machines, key=lambda q: (loads[q], q))
 
         # append a set that covers something new or improves a covering
         # time at its finish position (most promising first, so the
         # incumbent tightens early)
         candidates = []
-        for s in useful:
-            if s in state["used"] or costs[s][j] is None:
+        for s in unused:
+            if costs[s][j] is None:
                 continue
-            finish = state["loads"][j] + costs[s][j]
+            finish = loads[j] + costs[s][j]
+            child_ct = list(ct)
             gain = 0
-            improves = False
             for u in inst.members[s]:
-                if state["ct"][u] is None:
-                    gain += 1
-                elif finish < state["ct"][u]:
-                    improves = True
-            if gain == 0 and not improves:
-                continue
-            candidates.append((-Fraction(gain) / finish, s, finish))
-        candidates.sort()
-        for _, s, finish in candidates:
-            undo = []
-            for u in inst.members[s]:
-                old = state["ct"][u]
-                if old is None:
-                    state["ct"][u] = finish
-                    state["partial"] += finish
-                    undo.append((u, old))
-                elif finish < old:
-                    state["ct"][u] = finish
-                    state["partial"] -= old - finish
-                    undo.append((u, old))
-            state["loads"][j] += costs[s][j]
-            state["sequences"][j].append(s)
-            state["used"].add(s)
-            dfs()
-            state["used"].discard(s)
-            state["sequences"][j].pop()
-            state["loads"][j] -= costs[s][j]
-            for u, old in undo:
-                if old is None:
-                    state["partial"] -= state["ct"][u]
-                else:
-                    state["partial"] += old - state["ct"][u]
-                state["ct"][u] = old
+                if ct[u] is None or finish < ct[u]:
+                    gain += ct[u] is None
+                    child_ct[u] = finish
+            if child_ct != ct:
+                candidates.append((-Fraction(gain) / finish, s, finish, child_ct))
+        for _, s, finish, child_ct in sorted(candidates):
+            sequences[j].append(s)
+            child_loads = loads[:j] + [finish] + loads[j + 1 :]
+            dfs(child_loads, open_machines, [t for t in unused if t != s], child_ct)
+            sequences[j].pop()
+        # lastly: close machine j for good
+        dfs(loads, [q for q in open_machines if q != j], unused, ct)
 
-        # lastly: close machine j forever
-        state["closed"][j] = True
-        dfs()
-        state["closed"][j] = False
-
-    dfs()
-    best_cost, checked = state["best_cost"], state["best_sched"]
+    dfs([0] * inst.m, list(range(inst.m)), useful, [None] * inst.n)
+    best_cost, checked = best
     verified = evaluate_schedule_cost(inst, checked)[0]
     if verified != best_cost:
         raise InvariantError("schedule re-evaluates to %s, not %s" % (verified, best_cost))
@@ -363,6 +303,8 @@ def exact_pmc(
     caps = [as_fraction(b) for b in budgets]
     if len(caps) != inst.m:
         raise ValueError("need one budget per machine")
+    if any(c < 0 for c in caps):
+        raise DomainError("budgets must be nonnegative")
     best = {"covered": 0, "count": 0, "labels": {}}
 
     def prune(loads, labels, reachable):

@@ -37,7 +37,7 @@ from .core import (
     as_fraction,
     is_finite_cost,
 )
-from .errors import DomainError, NoIterationKeptError
+from .errors import DomainError, NoIterationKeptError, ValidationError
 from .lp import OPTIMAL, LinearProgram, LpSolution, solve_lp, to_lp_format
 from .rng import stream
 
@@ -306,8 +306,11 @@ def pmc_solve(
     program = build_pmc_lp(inst, budgets)
     dump = os.environ.get("PMSSC_DUMP_LP")
     if dump:
-        with open(dump, "a", encoding="utf-8") as fh:
-            fh.write(to_lp_format(program))
+        try:
+            with open(dump, "a", encoding="utf-8") as fh:
+                fh.write(to_lp_format(program))
+        except OSError as exc:
+            raise ValidationError("PMSSC_DUMP_LP", "cannot write %s: %s" % (dump, exc))
     solution = solve_lp(program, verify=verify_lp)
     if solution.status != OPTIMAL:
         raise DomainError("PMC relaxation must be feasible and bounded")

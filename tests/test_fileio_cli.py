@@ -178,6 +178,25 @@ def test_cli_unwritable_out_exits_2(tmp_path, capsys):
     assert captured.err.startswith("validation error: --out: cannot write")
 
 
+@pytest.mark.parametrize("dump", ["missing_dir", "directory"])
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["pmc", "--budgets", "2,2", "--mode", "poly"],
+        ["solve", "--algo", "greedy-unrelated"],
+    ],
+    ids=["pmc", "solve"],
+)
+def test_cli_unwritable_lp_dump_exits_2(tmp_path, capsys, monkeypatch, command, dump):
+    path = _write_instance(tmp_path, n=6, k=4, m=2, model="unrelated", density=0.4, seed=1)
+    target = tmp_path / "missing" / "x.lp" if dump == "missing_dir" else tmp_path
+    monkeypatch.setenv("PMSSC_DUMP_LP", str(target))
+    rc = cli.main(command[:1] + ["--instance", str(path)] + command[1:])
+    captured = capsys.readouterr()
+    assert rc == cli.EXIT_VALIDATION
+    assert captured.err.startswith("validation error: PMSSC_DUMP_LP: cannot write")
+
+
 def test_cli_pds_and_pmc(tmp_path, capsys):
     path = _write_instance(tmp_path, n=5, k=4, m=2, model="identical", density=0.5, seed=2)
     rc = cli.main(["pds", "--instance", str(path), "--algo", "identical", "--epsilon", "0.1"])

@@ -13,6 +13,7 @@ from pmssc.core import (
     DensityValue,
     IdenticalCosts,
     ProblemInstance,
+    RelatedCosts,
     Schedule,
     UnitCosts,
     UnrelatedCosts,
@@ -20,15 +21,25 @@ from pmssc.core import (
     evaluate_schedule_cost,
     is_finite_cost,
     topological_order,
+    validate_instance,
 )
-from pmssc.errors import InvariantError, LimitsExceededError, NoCoverageError
+from pmssc.errors import (
+    DomainError,
+    InfiniteCostError,
+    InvariantError,
+    LimitsExceededError,
+    NoCoverageError,
+    UncoverableError,
+)
 from pmssc.fileio import generate_instance
 from pmssc.oracle import (
+    PMSSC_LIMITS,
     PRECEDENCE_LIMITS,
     SUBSET_LIMITS,
     OracleLimits,
     _Budget,
     _check_limits,
+    _greedy_upper_bound,
     exact_pds,
     exact_pds_precedence,
     exact_pmc,
@@ -52,9 +63,12 @@ def brute_force_pmssc(inst):
             for s, j in zip(chosen, labels):
                 per[j].append(s)
             for orders in product(*[permutations(seq) for seq in per]):
-                cost = evaluate_schedule_cost(
-                    inst, Schedule(tuple(tuple(o) for o in orders))
-                )[0]
+                try:
+                    cost = evaluate_schedule_cost(
+                        inst, Schedule(tuple(tuple(o) for o in orders))
+                    )[0]
+                except InfiniteCostError:
+                    continue
                 if best is None or cost < best:
                     best = cost
     return best
@@ -85,12 +99,12 @@ def test_exact_pmssc_disjoint_halves_run_parallel():
 
 
 def test_exact_pmssc_matches_unpruned_enumeration():
-    for seed in range(20):
+    for model, seed in product(["unit", "identical", "related", "unrelated"], range(20)):
         inst = generate_instance(
             n=4 + seed % 3, k=3 + seed % 2, m=1 + seed % 2,
-            model="identical", density=0.4, seed=seed, max_cost=3,
+            model=model, density=0.4, seed=seed, max_cost=3,
         )
-        assert exact_pmssc(inst)[1] == brute_force_pmssc(inst)
+        assert exact_pmssc(inst)[1] == brute_force_pmssc(inst), (model, seed)
 
 
 def brute_force_pds(inst):
@@ -228,6 +242,12 @@ def test_exact_pmc_ample_budget():
     inst = t1_instance(m=1)
     _, covered = exact_pmc(inst, [100])
     assert covered == 3
+
+
+def test_exact_pmc_rejects_negative_budgets():
+    inst = generate_instance(n=6, k=4, m=2, model="identical", density=0.4, seed=1)
+    with pytest.raises(DomainError, match="budgets must be nonnegative"):
+        exact_pmc(inst, [-1, 2])
 
 
 def test_exact_pds_precedence_empty_dag_matches_exact_pds():
@@ -643,3 +663,218 @@ def test_exact_pds_precedence_matches_former_oracle(case):
     ) == _outcome(
         lambda: former_exact_pds_precedence(inst, limits=limits, remaining=remaining)
     )
+
+
+# Verbatim copy of the min-sum branch-and-bound from before its nodes took
+# loads, open machines, unused sets and covering times as values (a shared
+# state dict with an undo log and a running cost); the differential test
+# below holds the current search to the same tree, schedule and cost.
+
+
+def former_exact_pmssc(
+    inst: ProblemInstance, limits: Optional[OracleLimits] = None
+) -> Tuple[Schedule, Fraction]:
+    """Minimum-cost schedule by branch-and-bound; exact on small instances."""
+    limits = limits or PMSSC_LIMITS
+    report = validate_instance(inst)
+    if not report.coverable:
+        raise UncoverableError("universe is not coverable")
+    useful = [s for s in range(inst.k) if inst.members[s]]
+    _check_limits(inst, limits, len(useful))
+    budget = _Budget(limits.node_budget)
+
+    # integral costs as ints: the same exact values without Fraction overhead
+    costs = [
+        [None if not is_finite_cost(c) else int(c) if c.denominator == 1 else c for c in row]
+        for row in inst.costs
+    ]
+    containing = [
+        [s for s in useful if u in inst.members[s]] for u in range(inst.n)
+    ]
+
+    incumbent_sched = _greedy_upper_bound(inst, useful, inst.masks, costs)
+    if incumbent_sched is None:
+        raise UncoverableError("no finite-cost covering exists")
+    incumbent_cost = evaluate_schedule_cost(inst, incumbent_sched)[0]
+
+    m = inst.m
+    n = inst.n
+    state = {
+        "loads": [0] * m,
+        "closed": [False] * m,
+        "sequences": [[] for _ in range(m)],
+        "used": set(),
+        "ct": [None] * n,  # current covering time (running minimum)
+        "partial": 0,
+        "best_sched": incumbent_sched,
+        "best_cost": incumbent_cost,
+    }
+
+    def lower_bound():
+        loads = state["loads"]
+        closed = state["closed"]
+        used = state["used"]
+        ct = state["ct"]
+        # earliest finish of each unused set on an open machine
+        open_machines = [j for j in range(m) if not closed[j]]
+        earliest = [None] * inst.k
+        for s in useful:
+            if s in used:
+                continue
+            best = None
+            for j in open_machines:
+                if costs[s][j] is not None:
+                    t = loads[j] + costs[s][j]
+                    if best is None or t < best:
+                        best = t
+            earliest[s] = best
+        total = 0
+        for u in range(n):
+            here = ct[u]
+            future = None
+            for s in containing[u]:
+                t = earliest[s]
+                if t is not None and (future is None or t < future):
+                    future = t
+            if here is None:
+                if future is None:
+                    return None  # element unreachable: dead branch
+                total += future
+            else:
+                total += here if future is None or here <= future else future
+        return total
+
+    def dfs():
+        budget.spend()
+        lb = lower_bound()
+        if lb is None or lb >= state["best_cost"]:
+            return
+        if all(t is not None for t in state["ct"]):
+            # A full cover: lb above equals the realizable cost of stopping now.
+            cost_now = state["partial"]
+            if cost_now < state["best_cost"]:
+                state["best_cost"] = cost_now
+                state["best_sched"] = Schedule(
+                    tuple(tuple(seq) for seq in state["sequences"])
+                )
+            # continuing can still lower covering times via cheap later sets
+        open_machines = [j for j in range(m) if not state["closed"][j]]
+        if not open_machines:
+            return
+        j = min(open_machines, key=lambda q: (state["loads"][q], q))
+
+        # append a set that covers something new or improves a covering
+        # time at its finish position (most promising first, so the
+        # incumbent tightens early)
+        candidates = []
+        for s in useful:
+            if s in state["used"] or costs[s][j] is None:
+                continue
+            finish = state["loads"][j] + costs[s][j]
+            gain = 0
+            improves = False
+            for u in inst.members[s]:
+                if state["ct"][u] is None:
+                    gain += 1
+                elif finish < state["ct"][u]:
+                    improves = True
+            if gain == 0 and not improves:
+                continue
+            candidates.append((-Fraction(gain) / finish, s, finish))
+        candidates.sort()
+        for _, s, finish in candidates:
+            undo = []
+            for u in inst.members[s]:
+                old = state["ct"][u]
+                if old is None:
+                    state["ct"][u] = finish
+                    state["partial"] += finish
+                    undo.append((u, old))
+                elif finish < old:
+                    state["ct"][u] = finish
+                    state["partial"] -= old - finish
+                    undo.append((u, old))
+            state["loads"][j] += costs[s][j]
+            state["sequences"][j].append(s)
+            state["used"].add(s)
+            dfs()
+            state["used"].discard(s)
+            state["sequences"][j].pop()
+            state["loads"][j] -= costs[s][j]
+            for u, old in undo:
+                if old is None:
+                    state["partial"] -= state["ct"][u]
+                else:
+                    state["partial"] += old - state["ct"][u]
+                state["ct"][u] = old
+
+        # lastly: close machine j forever
+        state["closed"][j] = True
+        dfs()
+        state["closed"][j] = False
+
+    dfs()
+    best_cost, checked = state["best_cost"], state["best_sched"]
+    verified = evaluate_schedule_cost(inst, checked)[0]
+    if verified != best_cost:
+        raise InvariantError("schedule re-evaluates to %s, not %s" % (verified, best_cost))
+    return checked, Fraction(best_cost)
+
+
+@st.composite
+def pmssc_cases(draw):
+    n = draw(st.integers(2, 8))
+    k = draw(st.integers(2, 6))
+    m = draw(st.integers(1, 3))
+    sets = [{u for u in range(n) if draw(st.booleans())} for _ in range(k)]
+    for u in set(range(n)).difference(*sets):  # coverable, like the generator
+        sets[draw(st.integers(0, k - 1))].add(u)
+    sets = tuple(tuple(sorted(members)) for members in sets)
+    base = st.builds(Fraction, st.integers(1, 4), st.integers(1, 2))
+    kind = draw(st.sampled_from(["unit", "identical", "related", "unrelated"]))
+    if kind == "unit":
+        model = UnitCosts()
+    elif kind == "identical":
+        model = IdenticalCosts(tuple(draw(base) for _ in range(k)))
+    elif kind == "related":
+        speed = st.sampled_from([Fraction(1), Fraction(3, 2), Fraction(2, 3), Fraction(2)])
+        model = RelatedCosts(tuple(draw(base) for _ in range(k)), tuple(draw(speed) for _ in range(m)))
+    else:
+        entry = st.sampled_from([1, 2, 3, Fraction(3, 2), INFINITE_COST])
+        rows = [tuple(draw(entry) for _ in range(m)) for _ in range(k)]
+        if draw(st.booleans()):
+            rows[0] = (INFINITE_COST,) * m  # set 0 can never run
+        model = UnrelatedCosts(tuple(rows))
+    inst = ProblemInstance(n=n, sets=sets, m=m, cost_model=model)
+    # small node budgets stop both searches part-way, at the same node
+    nodes = draw(st.integers(1, 60) | st.integers(1, 2000) | st.just(PMSSC_LIMITS.node_budget))
+    return inst, OracleLimits(max_k=6, max_m=3, max_n=10, node_budget=nodes)
+
+
+def _pmssc_outcome(solve):
+    try:
+        return solve()
+    except (LimitsExceededError, UncoverableError) as err:
+        return (type(err), str(err))
+
+
+# Element 1 lies only in set 0, which has no finite cost on any machine.
+ONLY_INFINITE_COVER = ProblemInstance(
+    n=2, sets=((0, 1), (0,)), m=2,
+    cost_model=UnrelatedCosts(((INFINITE_COST, INFINITE_COST), (1, 2))),
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(case=pmssc_cases())
+@example(case=(ONLY_INFINITE_COVER, PMSSC_LIMITS))
+def test_exact_pmssc_matches_former_search(case):
+    inst, limits = case
+    assert _pmssc_outcome(lambda: exact_pmssc(inst, limits)) == _pmssc_outcome(
+        lambda: former_exact_pmssc(inst, limits)
+    )
+
+
+def test_exact_pmssc_reports_no_finite_cost_cover():
+    with pytest.raises(UncoverableError, match="no finite-cost covering exists"):
+        exact_pmssc(ONLY_INFINITE_COVER)
