@@ -294,8 +294,14 @@ def _cmd_bench(args):
     writer = csv.writer(sys.stdout)
     writer.writerow(["instance", "algo_cost", "oracle_cost", "ratio"])
     for path in paths:
-        inst = _read_instance(path)
-        cost, _ = _solve(inst, args.algo, args.epsilon, seed)
+        try:
+            inst = _read_instance(path)
+            cost, _ = _solve(inst, args.algo, args.epsilon, seed)
+        except (PmsscError, ValueError) as exc:
+            # Name the instance in the message ``main`` writes; the exception
+            # type, and so the exit code, stay.
+            exc.args = ("%s: %s" % (path.name, exc),)
+            raise
         if args.ratios:
             try:
                 _, opt = oracle_mod.exact_pmssc(inst)

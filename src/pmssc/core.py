@@ -216,6 +216,15 @@ class ProblemInstance:
             return tuple(tuple(c / v for v in model.speeds) for c in model.base_costs)
         return model.matrix
 
+    @cached_property
+    def finite_row_costs(self) -> Tuple[Optional[Tuple[Fraction, Fraction]], ...]:
+        """Per set, the least and the total of its finite costs (None if none)."""
+        stats = []
+        for row in self.costs:
+            finite = [c for c in row if is_finite_cost(c)]
+            stats.append((min(finite), sum(finite, Fraction(0))) if finite else None)
+        return tuple(stats)
+
     def cost(self, s: int, j: int) -> CostValue:
         """``costs[s][j]``, for indices that come from outside the instance."""
         if not 0 <= s < self.k:

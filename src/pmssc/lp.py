@@ -214,7 +214,9 @@ def _solve_floats(lp: LinearProgram, tol: float):
     redundant = []
     for i in range(nrows):
         if basis[i] >= ncols:
-            j = next((j for j in range(ncols) if abs(M[i, j]) > tol and j not in basis), None)
+            basic = set(basis)
+            nonzero = np.flatnonzero(np.abs(M[i, :ncols]) > tol)
+            j = next((int(j) for j in nonzero if j not in basic), None)
             if j is None:
                 redundant.append(i)
             else:

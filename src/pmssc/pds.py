@@ -11,8 +11,9 @@ winner's density is re-evaluated).
 * related and unrelated machines share one parallel max coverage ladder
   (``_pmc_ladder``). Related machines shrink to one auxiliary machine per
   nonempty group of near-equal speed, use the FPT rounding regime on that
-  instance, and lift each result back onto the real machines; unrelated
-  machines use a ladder of powers of two and the polynomial rounding regime.
+  instance, and lift each group's sets onto its machines with the identical
+  machines' placement; unrelated machines use a ladder of powers of two and
+  the polynomial rounding regime.
 """
 
 from __future__ import annotations
@@ -21,7 +22,8 @@ import math
 from bisect import bisect_left
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Iterable, List, Optional, Sequence, Tuple
+from functools import lru_cache
+from typing import Iterable, List, Optional, Tuple
 
 from .core import (
     Assignment,
@@ -31,7 +33,6 @@ from .core import (
     as_fraction,
     density,
     element_mask,
-    is_finite_cost,
 )
 from .errors import InvariantError, NoCoverageError, NoIterationKeptError
 from .maxcov import budgeted_max_coverage
@@ -41,41 +42,28 @@ from .rng import child_seed
 RELATED_ROUNDING_CAP = 128  # desk-scale cap on FPT rounding repetitions
 
 
-@dataclass(frozen=True)
-class BudgetLadder:
-    """Geometric guesses base**i covering [lo, base*hi]."""
+def _ladder_guesses(inst: ProblemInstance, base: Fraction, pool) -> Tuple[Fraction, ...]:
+    """Powers of ``base`` spanning the finite costs in ``pool``'s rows.
 
-    base: Fraction
-    lo: Fraction
-    hi: Fraction
-
-    def __post_init__(self):
-        if self.base <= 1:
-            raise ValueError("ladder base must exceed 1")
-        if self.lo <= 0 or self.hi < self.lo:
-            raise ValueError("ladder needs 0 < lo <= hi")
-
-    def guesses(self) -> Tuple[Fraction, ...]:
-        power = Fraction(1)
-        while power < self.lo:
-            power *= self.base
-        while power / self.base >= self.lo:
-            power /= self.base
-        out = []
-        top = self.base * self.hi
-        while power <= top:
-            out.append(power)
-            power *= self.base
-        return tuple(out)
-
-
-def _ladder_for(inst: ProblemInstance, base: Fraction, pool) -> BudgetLadder:
-    """Guesses from the cheapest finite cost in ``pool``'s rows to their sum."""
-    finite = [c for s in pool for c in inst.costs[s] if is_finite_cost(c)]
-    if not finite:
+    The first is the least power at or above the cheapest of them, the last
+    the greatest at or below ``base`` times their sum.
+    """
+    rows = inst.finite_row_costs
+    stats = [rows[s] for s in pool if rows[s] is not None]
+    if not stats:
         raise NoCoverageError("no finite-cost set is available")
-    lo = min(finite)
-    return BudgetLadder(base=base, lo=lo, hi=max(sum(finite, Fraction(0)), lo))
+    lo = min(least for least, _ in stats)
+    top = base * sum((total for _, total in stats), Fraction(0))
+    power = Fraction(1)
+    while power < lo:
+        power *= base
+    while power / base >= lo:
+        power /= base
+    guesses = []
+    while power <= top:
+        guesses.append(power)
+        power *= base
+    return tuple(guesses)
 
 
 def _covering_pool(inst, remaining, available) -> List[int]:
@@ -100,22 +88,21 @@ def _densest(inst, remaining, candidates: Iterable[Assignment]) -> Assignment:
     return best[1]
 
 
-def _least_loaded_spread(chosen: Sequence[int], cost: Sequence[Fraction], m: int):
-    """Place sets largest-first on the currently cheapest identical machine.
+def _place_largest_first(inst, chosen, machines, per_machine, loads) -> None:
+    """Put ``chosen`` largest-first, each set on the least-loaded of ``machines``.
 
-    Returns the per-machine families and their loads. This keeps every
-    machine at most average + max-set cost, which is the 2B bound the ladder
-    analysis relies on; plain index-order round-robin does not achieve that
+    ``machines`` order every set's costs alike (identical machines, or one
+    related speed group), so the first machine's costs give the order.
+    ``per_machine`` and ``loads`` are updated in place. Each machine ends at
+    most its group's average load plus one set's cost, the 2B bound the
+    ladder analysis relies on; index-order round-robin does not achieve that
     with heterogeneous costs.
     """
-    order = sorted(chosen, key=lambda s: (-cost[s], s))
-    loads = [Fraction(0)] * m
-    machines = [[] for _ in range(m)]
-    for s in order:
-        j = min(range(m), key=lambda q: (loads[q], q))
-        machines[j].append(s)
-        loads[j] += cost[s]
-    return tuple(tuple(seq) for seq in machines), loads
+    first = machines[0]
+    for s in sorted(chosen, key=lambda s: (-inst.costs[s][first], s)):
+        j = min(machines, key=lambda q: (loads[q], q))
+        per_machine[j].append(s)
+        loads[j] += inst.costs[s][j]
 
 
 def identical_ladder_delta(epsilon: float) -> float:
@@ -138,7 +125,6 @@ def pds_identical(
     remaining = frozenset(remaining)
     pool = _covering_pool(inst, remaining, available)
     base = Fraction(1) + Fraction(identical_ladder_delta(epsilon))
-    ladder = _ladder_for(inst, base, pool)
     remaining_mask = element_mask(remaining)
     cost = [row[0] for row in inst.costs]
     # Guesses ascend, so the sets that fit a guess grow as a prefix of the
@@ -147,7 +133,7 @@ def pds_identical(
 
     def spreads():
         fit = 0
-        for guess in ladder.guesses():
+        for guess in _ladder_guesses(inst, base, pool):
             grown = fit
             while grown < len(by_cost) and cost[by_cost[grown]] <= guess:
                 grown += 1
@@ -164,7 +150,8 @@ def pds_identical(
             if not result.chosen:
                 continue
             chosen = [candidates[i] for i in result.chosen]
-            per_machine, loads = _least_loaded_spread(chosen, cost, inst.m)
+            per_machine, loads = [[] for _ in range(inst.m)], [Fraction(0)] * inst.m
+            _place_largest_first(inst, chosen, range(inst.m), per_machine, loads)
             if max(loads) > 2 * guess:
                 raise InvariantError("a load %s exceeds twice the guess %s" % (max(loads), guess))
             yield Assignment(per_machine)
@@ -197,6 +184,7 @@ class RelatedReduction:
         return len(self.groups)
 
 
+@lru_cache(maxsize=1)
 def reduce_related(
     inst: ProblemInstance, kappa
 ) -> Tuple[RelatedReduction, ProblemInstance]:
@@ -204,7 +192,8 @@ def reduce_related(
 
     Returns the reduction plus an unrelated-cost instance with one machine per
     nonempty group, in group order; set s costs (1 + kappa)^p times its base
-    cost on the machine of group p.
+    cost on the machine of group p. The last (instance, kappa) is cached, as
+    the greedy driver asks for the same reduction at every iteration.
     """
     if inst.cost_model.kind != "related":
         raise ValueError("reduce_related needs the related cost model")
@@ -248,10 +237,10 @@ def related_parameters(epsilon: float) -> Tuple[float, float]:
     return delta, delta / (delta + 16.0)
 
 
-def _pmc_ladder(inst, remaining, pool, matrix, weights, base, params, clamp):
+def _pmc_ladder(inst, remaining, pool, table, weights, base, params, clamp):
     """Parallel max coverage at each guess of one budget ladder.
 
-    ``matrix`` has a cost row per set and a column per PMC machine; sets
+    ``table``'s costs have a row per set and a column per PMC machine; sets
     outside ``pool`` are closed and elements outside ``remaining`` dropped.
     Guess number ``gi`` gives machine q the budget ``weights[q] * guess`` and
     rounds with seed ``child_seed(params.seed, gi)``; with ``clamp`` a cost
@@ -265,15 +254,14 @@ def _pmc_ladder(inst, remaining, pool, matrix, weights, base, params, clamp):
         for s in range(inst.k)
     )
     costs = tuple(
-        row if s in pool_set else (INFINITE_COST,) * m for s, row in enumerate(matrix)
+        row if s in pool_set else (INFINITE_COST,) * m for s, row in enumerate(table.costs)
     )
     work = ProblemInstance(n=inst.n, sets=sets, m=m, cost_model=UnrelatedCosts(costs))
     usable = [s for s in pool if inst.members[s] & remaining]
-    ladder = _ladder_for(work, base, usable)
 
     produced = False
     skipped = []
-    for gi, guess in enumerate(ladder.guesses()):
+    for gi, guess in enumerate(_ladder_guesses(table, base, usable)):
         guess_inst = work
         if clamp:
             clamped = tuple(
@@ -320,27 +308,22 @@ def pds_related(
     params = PmcParams(
         mode=FPT, epsilon=kappa, mu=kappa, r_cap=RELATED_ROUNDING_CAP, seed=seed
     )
-    base_costs = inst.cost_model.base_costs
     s_max = max(inst.cost_model.speeds)
 
     def lift(guess, grouped: Assignment) -> Assignment:
         """Each group's sets, largest first, on the group's least-loaded machine."""
-        per_machine = [[] for _ in range(inst.m)]
-        loads = [Fraction(0)] * inst.m
+        per_machine, loads = [[] for _ in range(inst.m)], [Fraction(0)] * inst.m
         for group, chosen in zip(groups, grouped.per_machine):
-            for s in sorted(chosen, key=lambda s: (-base_costs[s], s)):
-                j = min(group, key=lambda q: (loads[q], q))
-                per_machine[j].append(s)
-                loads[j] += inst.costs[s][j]
+            _place_largest_first(inst, chosen, group, per_machine, loads)
         # Guesses count the fastest speed as 1, so a real load times s_max is
         # in guess units: a group's average is at most (1 + kappa) * guess,
         # and one set adds at most one guess.
         if max(loads) * s_max > (2 + kappa_f) * guess:
             raise InvariantError("lift exceeded the per-machine bound")
-        return Assignment(tuple(tuple(seq) for seq in per_machine))
+        return Assignment(per_machine)
 
     ladder = _pmc_ladder(
-        inst, remaining, pool, aux.costs, [len(g) for g in groups],
+        inst, remaining, pool, aux, [len(g) for g in groups],
         Fraction(1) + kappa_f, params, clamp=True,
     )
     return _densest(inst, remaining, (lift(guess, asg) for guess, asg in ladder))
@@ -357,7 +340,7 @@ def pds_unrelated(
     remaining = frozenset(remaining)
     pool = _covering_pool(inst, remaining, available)
     ladder = _pmc_ladder(
-        inst, remaining, pool, inst.costs, [1] * inst.m,
+        inst, remaining, pool, inst, [1] * inst.m,
         Fraction(2), PmcParams(mode=POLY, epsilon=epsilon, seed=seed), clamp=False,
     )
     return _densest(inst, remaining, (asg for _, asg in ladder))

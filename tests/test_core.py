@@ -270,6 +270,27 @@ def cost_models(draw):
 
 
 @settings(max_examples=300, deadline=None)
+@given(inst=cost_models(), blank=st.frozensets(st.integers(0, 4)))
+def test_finite_row_costs_match_a_direct_scan(inst, blank):
+    if inst.cost_model.kind == "unrelated":
+        # the rows in ``blank`` have no finite cost at all
+        matrix = tuple(
+            (INFINITE_COST,) * inst.m if s in blank else row for s, row in enumerate(inst.costs)
+        )
+        inst = ProblemInstance(n=1, sets=inst.sets, m=inst.m, cost_model=UnrelatedCosts(matrix))
+    assert len(inst.finite_row_costs) == inst.k
+    assert inst.finite_row_costs is inst.finite_row_costs
+    for row, stats in zip(inst.costs, inst.finite_row_costs):
+        finite = [c for c in row if c != INFINITE_COST]
+        if not finite:
+            assert stats is None
+            continue
+        least, total = stats
+        assert least == min(finite) and total == sum(finite)
+        assert type(least) is Fraction and type(total) is Fraction
+
+
+@settings(max_examples=300, deadline=None)
 @given(inst=cost_models())
 def test_cost_table_matches_former_per_model_costs(inst):
     assert len(inst.costs) == inst.k

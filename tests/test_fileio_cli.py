@@ -477,6 +477,24 @@ def test_cli_bench_ratio_of_zero_optimum(tmp_path, capsys):
     assert captured.out.splitlines()[1] == "empty.json,0.0,0.0,1.0"
 
 
+def test_cli_bench_names_the_instance_it_cannot_take(tmp_path, capsys):
+    # used to stop at b_related.json without naming it
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    for name in ("a_identical", "b_related", "c_identical"):
+        model = name.split("_")[1]
+        inst = generate_instance(n=5, k=4, m=2, model=model, density=0.45, seed=1)
+        (corpus / (name + ".json")).write_text(serialize_instance(inst), encoding="utf-8")
+    rc = cli.main(["bench", "--corpus", str(corpus), "--algo", "greedy-identical", "--ratios"])
+    captured = capsys.readouterr()
+    assert rc == cli.EXIT_VALIDATION
+    assert captured.err == (
+        "validation error: b_related.json: pds_identical needs the unit or identical cost model\n"
+    )
+    lines = captured.out.splitlines()
+    assert len(lines) == 2 and lines[1].startswith("a_identical.json,")
+
+
 @pytest.mark.parametrize("corpus", ["missing", "file.json"])
 def test_cli_bench_corpus_not_a_directory(tmp_path, capsys, corpus):
     # used to print a bare CSV header and exit 0

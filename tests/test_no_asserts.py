@@ -48,17 +48,14 @@ def breach_exact_pmssc(patch):
 
 
 def breach_pcds_detailed(patch):
-    """The layered winner drops set 0, which set 1 needs as predecessor."""
+    """The winner's layout takes one slot more than its per-depth counts give."""
     layered_assign = precedence_module.layered_assign
 
-    def drop_set_zero(family, dag, m):
+    def one_slot_late(family, dag, m):
         layered = layered_assign(family, dag, m)
-        per_machine = tuple(
-            tuple(s for s in seq if s != 0) for seq in layered.assignment.per_machine
-        )
-        return replace(layered, assignment=replace(layered.assignment, per_machine=per_machine))
+        return replace(layered, makespan=layered.makespan + 1)
 
-    patch(precedence_module, "layered_assign", drop_set_zero)
+    patch(precedence_module, "layered_assign", one_slot_late)
     inst = ProblemInstance(
         n=4, sets=((0,), (1, 2, 3)), m=1, cost_model=UnitCosts(), dag=((0, 1),)
     )

@@ -26,9 +26,8 @@ from pmssc.maxcov import PARTIAL_ENUM3, MaxCovResult, budgeted_max_coverage
 from pmssc.oracle import exact_pds
 from pmssc.pds import (
     RELATED_ROUNDING_CAP,
-    BudgetLadder,
     RelatedReduction,
-    _ladder_for,
+    _ladder_guesses,
     identical_ladder_delta,
     pds_identical,
     pds_related,
@@ -38,19 +37,36 @@ from pmssc.pds import (
 )
 from pmssc.pmc import FPT, POLY, PmcParams, pmc_solve
 from pmssc.rng import child_seed
+from pmssc.scheduler import pmssc_greedy
 
 IDENTICAL_GUARANTEE = (math.e - 1) / (2 * math.e + 0.1 * (math.e - 1))
 
 
 def test_budget_ladder_powers():
-    ladder = BudgetLadder(base=Fraction(2), lo=Fraction(1), hi=Fraction(10))
-    assert ladder.guesses() == (1, 2, 4, 8, 16)
-    ladder = BudgetLadder(base=Fraction(3, 2), lo=Fraction(1, 3), hi=Fraction(5))
-    guesses = ladder.guesses()
-    assert guesses[0] >= Fraction(1, 3) and guesses[0] / ladder.base < Fraction(1, 3)
-    assert guesses[-1] <= ladder.base * 5
+    # one machine: the cheapest cost is 1 and the costs sum to 10
+    inst = ProblemInstance(n=1, sets=((0,), (0,)), m=1, cost_model=IdenticalCosts((1, 9)))
+    assert _ladder_guesses(inst, Fraction(2), [0, 1]) == (1, 2, 4, 8, 16)
+    # two machines, an infinite entry and a set outside the pool: the cheapest
+    # finite cost is 1/3 and the pool's finite costs sum to 5
+    inst = ProblemInstance(
+        n=1,
+        sets=((0,), (0,), (0,)),
+        m=2,
+        cost_model=UnrelatedCosts(
+            ((Fraction(1, 3), INFINITE_COST), (2, Fraction(8, 3)), (Fraction(1, 9), 1))
+        ),
+    )
+    base = Fraction(3, 2)
+    guesses = _ladder_guesses(inst, base, [0, 1])
+    assert guesses[0] >= Fraction(1, 3) and guesses[0] / base < Fraction(1, 3)
+    assert guesses[-1] <= base * 5 < guesses[-1] * base
     for a, b in zip(guesses, guesses[1:]):
-        assert b == a * ladder.base
+        assert b == a * base
+    all_infinite = ProblemInstance(
+        n=1, sets=((0,),), m=2, cost_model=UnrelatedCosts(((INFINITE_COST,) * 2,))
+    )
+    with pytest.raises(NoCoverageError, match="no finite-cost set is available"):
+        _ladder_guesses(all_infinite, base, [0])
 
 
 def test_pds_identical_t1_two_machines():
@@ -203,6 +219,15 @@ def test_pds_related_unequal_speeds_ratio():
     assert d.as_fraction() >= Fraction(3, 10) * opt.as_fraction()
 
 
+def test_related_greedy_builds_the_reduction_once():
+    inst = generate_instance(n=8, k=4, m=2, model="related", density=0.3, seed=1)
+    reduce_related.cache_clear()
+    _, trace = pmssc_greedy(inst, "related", epsilon=0.1, seed=1)
+    assert len(trace.iterations) >= 3
+    info = reduce_related.cache_info()
+    assert (info.misses, info.hits) == (1, len(trace.iterations) - 1)
+
+
 def test_slow_machine_discard_loses_little():
     """Dropping machines below the speed threshold keeps density within 1+kappa."""
     kappa = Fraction(1, 2)
@@ -322,13 +347,13 @@ def reference_pds_unit(
     pool = _available_list(inst, available)
     _require_coverage(inst, remaining, pool)
     base = Fraction(1) + Fraction(identical_ladder_delta(epsilon))
-    ladder = _ladder_for(inst, base, pool)
+    ladder = _ladder_guesses(inst, base, pool)
     remaining_mask = element_mask(remaining)
     pool_masks = [inst.masks[s] for s in pool]
     ones = [Fraction(1)] * len(pool)
 
     best = None
-    for guess in ladder.guesses():
+    for guess in ladder:
         if guess < 1:
             continue  # every set costs 1
         result = budgeted_max_coverage(
@@ -469,11 +494,11 @@ def reference_pds_related(
         cost_model=UnrelatedCosts(aux_matrix(None)),
     )
     usable = [s for s in pool if inst.members[s] & remaining]
-    ladder = _ladder_for(compact_probe, Fraction(1) + kappa_f, usable)
+    ladder = _ladder_guesses(compact_probe, Fraction(1) + kappa_f, usable)
 
     best = None
     skipped = []
-    for gi, guess in enumerate(ladder.guesses()):
+    for gi, guess in enumerate(ladder):
         budgets = [Fraction(len(reduction.groups[p])) * guess for p in nonempty]
         guess_inst = ProblemInstance(
             n=inst.n,
@@ -555,11 +580,11 @@ def reference_pds_unrelated(
         n=inst.n, sets=restricted_sets, m=inst.m, cost_model=UnrelatedCosts(matrix)
     )
     usable = [s for s in pool if inst.members[s] & remaining]
-    ladder = _ladder_for(work, Fraction(2), usable)
+    ladder = _ladder_guesses(work, Fraction(2), usable)
 
     best = None
     skipped = []
-    for gi, guess in enumerate(ladder.guesses()):
+    for gi, guess in enumerate(ladder):
         params = PmcParams(mode=POLY, epsilon=epsilon, seed=child_seed(seed, gi))
         try:
             result = pmc_solve(work, [guess] * inst.m, params)
