@@ -1,9 +1,14 @@
 """Parallel densest subfamily solvers.
 
 Every solver walks one geometric budget ladder: each guess yields at most one
-assignment from a max-coverage problem within that budget, and ``_densest``
-keeps the densest of them (ties break toward the smaller guess, and the
-winner's density is re-evaluated).
+assignment from a max-coverage problem within that budget. ``_densest``
+climbs the ladder until an assignment covers every coverable remaining
+element (one held by an available set with a finite cost), runs no later
+guess, and keeps the densest assignment seen (ties break toward the smaller
+guess, and the winner's density is re-evaluated). The bound survives the
+stop: the proof needs the first guess at or above the optimal makespan, and
+a full cover at a smaller guess is already at least as dense as the
+density the proof derives there.
 
 * identical machines: budgeted max coverage with m times the guess, chosen
   sets spread largest-first over the least-loaded machine. Unit costs take
@@ -33,6 +38,7 @@ from .core import (
     as_fraction,
     density,
     element_mask,
+    is_finite_cost,
 )
 from .errors import InvariantError, NoCoverageError, NoIterationKeptError
 from .maxcov import budgeted_max_coverage
@@ -66,21 +72,48 @@ def _ladder_guesses(inst: ProblemInstance, base: Fraction, pool) -> Tuple[Fracti
     return tuple(guesses)
 
 
-def _covering_pool(inst, remaining, available) -> List[int]:
-    """The available sets in index order; one of them must cover ``remaining``."""
+def _covering_pool(inst, remaining, available) -> Tuple[List[int], int]:
+    """The available sets in index order, and how many remaining elements they can cover.
+
+    An element counts as coverable when a pool set with some finite cost
+    holds it; there must be at least one.
+    """
     pool = sorted(range(inst.k)) if available is None else sorted(available)
-    if not any(inst.members[s] & remaining for s in pool):
+    rows, masks = inst.finite_row_costs, inst.masks
+    held = finite = 0
+    for s in pool:
+        held |= masks[s]
+        if rows[s] is not None:
+            finite |= masks[s]
+    remaining_mask = element_mask(remaining)
+    if not held & remaining_mask:
         raise NoCoverageError("no available set covers a remaining element")
-    return pool
+    coverable = (finite & remaining_mask).bit_count()
+    if not coverable:
+        raise NoCoverageError("no finite-cost set is available")
+    return pool, coverable
 
 
-def _densest(inst, remaining, candidates: Iterable[Assignment]) -> Assignment:
-    """The densest of the ladder's assignments; ties keep the earlier guess."""
+def _densest(inst, remaining, coverable, candidates: Iterable[Assignment]) -> Assignment:
+    """The densest assignment the ladder yields up to its first full cover.
+
+    Candidates are pulled in ascending guess order until one covers all
+    ``coverable`` elements; later guesses never run. Ties keep the earlier
+    guess. Stopping keeps the ladder's bound: let g0 be the first full-cover
+    guess, beta the solver's load factor and g* the first guess at or above
+    the optimal family's makespan T*. If g* <= g0, g* ran, and the kept
+    result is at least as dense as g*'s. Otherwise g0 < T*, and the full
+    cover's density is at least coverable / (beta * g0), which exceeds
+    OPT's covered count over beta * T*, the density the analysis derives
+    at g*.
+    """
     best = None  # (DensityValue, Assignment)
     for asg in candidates:
         d = density(inst, asg, remaining)
         if best is None or d > best[0]:
             best = (d, asg)
+        if d.covered == coverable:
+            break
     if best is None:
         raise NoCoverageError("every budget guess produced an empty family")
     if density(inst, best[1], remaining) != best[0]:
@@ -123,13 +156,15 @@ def pds_identical(
     if inst.cost_model.kind not in ("unit", "identical"):
         raise ValueError("pds_identical needs the unit or identical cost model")
     remaining = frozenset(remaining)
-    pool = _covering_pool(inst, remaining, available)
+    pool, coverable = _covering_pool(inst, remaining, available)
     base = Fraction(1) + Fraction(identical_ladder_delta(epsilon))
     remaining_mask = element_mask(remaining)
     cost = [row[0] for row in inst.costs]
     # Guesses ascend, so the sets that fit a guess grow as a prefix of the
     # pool sorted by cost, and the maxcov arguments change only when it grows.
     by_cost = sorted(pool, key=cost.__getitem__)
+    # Max coverage returns nothing until a set that meets ``remaining`` fits.
+    first = next(i for i, s in enumerate(by_cost) if inst.masks[s] & remaining_mask)
 
     def spreads():
         fit = 0
@@ -137,7 +172,7 @@ def pds_identical(
             grown = fit
             while grown < len(by_cost) and cost[by_cost[grown]] <= guess:
                 grown += 1
-            if not grown:
+            if grown <= first:
                 continue
             if grown > fit:
                 fit = grown
@@ -156,7 +191,7 @@ def pds_identical(
                 raise InvariantError("a load %s exceeds twice the guess %s" % (max(loads), guess))
             yield Assignment(per_machine)
 
-    return _densest(inst, remaining, spreads())
+    return _densest(inst, remaining, coverable, spreads())
 
 
 # ---------------------------------------------------------------------------
@@ -237,6 +272,13 @@ def related_parameters(epsilon: float) -> Tuple[float, float]:
     return delta, delta / (delta + 16.0)
 
 
+def _clamp(costs, guess):
+    """``costs`` with entries above ``guess`` infinite, and the least finite such entry or None."""
+    rows = tuple(tuple(INFINITE_COST if c > guess else c for c in row) for row in costs)
+    above = [c for row in costs for c in row if c > guess and is_finite_cost(c)]
+    return rows, min(above, default=None)
+
+
 def _pmc_ladder(inst, remaining, pool, table, weights, base, params, clamp):
     """Parallel max coverage at each guess of one budget ladder.
 
@@ -261,12 +303,12 @@ def _pmc_ladder(inst, remaining, pool, table, weights, base, params, clamp):
 
     produced = False
     skipped = []
+    guess_inst, above = work, None
     for gi, guess in enumerate(_ladder_guesses(table, base, usable)):
-        guess_inst = work
-        if clamp:
-            clamped = tuple(
-                tuple(INFINITE_COST if c > guess else c for c in row) for row in costs
-            )
+        # Guesses ascend, so the clamped table changes only once the least
+        # finite cost above the previous clamp falls at or below this guess.
+        if clamp and (guess_inst is work or above is not None and above <= guess):
+            clamped, above = _clamp(costs, guess)
             guess_inst = ProblemInstance(
                 n=inst.n, sets=sets, m=m, cost_model=UnrelatedCosts(clamped)
             )
@@ -300,7 +342,7 @@ def pds_related(
     if inst.cost_model.kind != "related":
         raise ValueError("pds_related needs the related cost model")
     remaining = frozenset(remaining)
-    pool = _covering_pool(inst, remaining, available)
+    pool, coverable = _covering_pool(inst, remaining, available)
     _, kappa = related_parameters(epsilon)
     kappa_f = Fraction(kappa)
     reduction, aux = reduce_related(inst, kappa_f)
@@ -326,7 +368,9 @@ def pds_related(
         inst, remaining, pool, aux, [len(g) for g in groups],
         Fraction(1) + kappa_f, params, clamp=True,
     )
-    return _densest(inst, remaining, (lift(guess, asg) for guess, asg in ladder))
+    return _densest(
+        inst, remaining, coverable, (lift(guess, asg) for guess, asg in ladder)
+    )
 
 
 def pds_unrelated(
@@ -338,9 +382,9 @@ def pds_unrelated(
 ) -> Assignment:
     """Powers-of-two budget ladder with polynomial-regime max coverage."""
     remaining = frozenset(remaining)
-    pool = _covering_pool(inst, remaining, available)
+    pool, coverable = _covering_pool(inst, remaining, available)
     ladder = _pmc_ladder(
         inst, remaining, pool, inst, [1] * inst.m,
         Fraction(2), PmcParams(mode=POLY, epsilon=epsilon, seed=seed), clamp=False,
     )
-    return _densest(inst, remaining, (asg for _, asg in ladder))
+    return _densest(inst, remaining, coverable, (asg for _, asg in ladder))

@@ -3,7 +3,7 @@ from fractions import Fraction
 from typing import Iterable, Optional
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import t1_instance
@@ -28,6 +28,7 @@ from pmssc.pds import (
     RELATED_ROUNDING_CAP,
     RelatedReduction,
     _ladder_guesses,
+    _pmc_ladder,
     identical_ladder_delta,
     pds_identical,
     pds_related,
@@ -219,6 +220,40 @@ def test_pds_related_unequal_speeds_ratio():
     assert d.as_fraction() >= Fraction(3, 10) * opt.as_fraction()
 
 
+def test_related_ladder_clamps_as_a_fresh_clamp_would_at_every_guess(monkeypatch):
+    # Speed 1/2 puts machine 1 in group p with (1 + kappa)^p >= 2, so base
+    # cost 1 costs exactly ladder guess p there, and no other cost lies
+    # between 1 and that guess: the table must change when a cost first
+    # fits the guess by equality.
+    inst = ProblemInstance(
+        n=4,
+        sets=((0,), (1,), (2, 3), (0, 1, 2, 3)),
+        m=2,
+        cost_model=RelatedCosts((1, 3, 1, 5), (1, Fraction(1, 2))),
+    )
+    _, kappa = related_parameters(0.2)
+    reduction, aux = reduce_related(inst, Fraction(kappa))
+    weights = [len(g) for g in reduction.groups if g]
+    tables = []
+
+    def spy(work, budgets, params, _inner=pmc_solve):
+        tables.append((work.costs, budgets[0] / weights[0]))
+        return _inner(work, budgets, params)
+
+    monkeypatch.setattr(pds_module, "pmc_solve", spy)
+    params = PmcParams(mode=FPT, epsilon=kappa, mu=kappa, r_cap=RELATED_ROUNDING_CAP, seed=7)
+    remaining = frozenset(range(4))
+    list(_pmc_ladder(
+        inst, remaining, range(4), aux, weights, 1 + Fraction(kappa), params, clamp=True
+    ))
+    assert len(tables) > 2
+    for costs, guess in tables:
+        assert costs == tuple(
+            tuple(INFINITE_COST if c > guess else c for c in row) for row in aux.costs
+        )
+    assert any(c == guess for costs, guess in tables for row in costs for c in row)
+
+
 def test_related_greedy_builds_the_reduction_once():
     inst = generate_instance(n=8, k=4, m=2, model="related", density=0.3, seed=1)
     reduce_related.cache_clear()
@@ -296,6 +331,117 @@ def test_pds_no_coverage():
         pds_identical(inst, frozenset(), 0.1)
 
 
+def test_pds_unrelated_coverable_elements_only_in_infinite_sets():
+    # Set 0 holds the remaining element but runs on no machine; set 1 has
+    # finite costs but covers nothing remaining.
+    inst = ProblemInstance(
+        n=2,
+        sets=((0,), (1,)),
+        m=2,
+        cost_model=UnrelatedCosts(((INFINITE_COST, INFINITE_COST), (1, 2))),
+    )
+    for available in (None, (0,), (0, 1)):
+        with pytest.raises(NoCoverageError, match="^no finite-cost set is available$"):
+            pds_unrelated(inst, frozenset({0}), 0.2, available=available, seed=1)
+
+
+# -- the ladder stops at its first full cover
+
+
+def _record_oracle_coverage(monkeypatch):
+    """Wrap the module's max-coverage oracles; returns each call's covered count."""
+    covered = []
+    for name in ("budgeted_max_coverage", "pmc_solve"):
+        def counted(*args, _inner=getattr(pds_module, name), **kwargs):
+            result = _inner(*args, **kwargs)
+            covered.append(result.covered)
+            return result
+
+        monkeypatch.setattr(pds_module, name, counted)
+    return covered
+
+
+@pytest.mark.parametrize("model", ["identical", "related", "unrelated"])
+def test_no_oracle_call_after_the_first_full_cover(model, monkeypatch):
+    covered = _record_oracle_coverage(monkeypatch)
+    solvers = {
+        "identical": lambda inst, rem, seed: pds_identical(inst, rem, 0.1),
+        "related": lambda inst, rem, seed: pds_related(inst, rem, 0.2, seed=seed),
+        "unrelated": lambda inst, rem, seed: pds_unrelated(inst, rem, 0.2, seed=seed),
+    }
+    full_covers = 0
+    for seed in range(8):
+        inst = generate_instance(
+            n=8 + seed, k=4 + seed % 3, m=2 + seed % 2, model=model,
+            density=0.3, seed=50_000 + seed, max_cost=4,
+        )
+        remaining = frozenset(range(0, inst.n, 1 + seed % 2))
+        coverable = _coverable(inst, remaining, range(inst.k))
+        covered.clear()
+        solvers[model](inst, remaining, seed)
+        assert covered, "the ladder made no oracle call"
+        if coverable in covered:
+            assert covered.index(coverable) == len(covered) - 1
+            full_covers += 1
+    assert full_covers >= 6
+
+
+def test_ladder_stops_at_the_first_full_cover_though_a_later_guess_is_denser(monkeypatch):
+    inst = ProblemInstance(
+        n=5, sets=((0, 4), (1, 2, 3)), m=3, cost_model=UnrelatedCosts(((4, 5, 1), (1, 4, 1)))
+    )
+    remaining = frozenset(range(5))
+    covered = _record_oracle_coverage(monkeypatch)
+    asg = pds_unrelated(inst, remaining, 0.2, seed=20)
+    # the first guess, 1, covers all five elements, so guess 2 never runs
+    assert covered == [5]
+    assert asg == Assignment(((1,), (0,), ()))
+    monkeypatch.undo()
+    # guess 2 (ladder position 1) would have kept a strictly denser family
+    later = pmc_solve(
+        inst, [2] * inst.m, PmcParams(mode=POLY, epsilon=0.2, seed=child_seed(20, 1))
+    ).assignment
+    assert later == Assignment(((0,), (), (1,)))
+    assert density(inst, later, remaining) > density(inst, asg, remaining)
+
+
+@st.composite
+def guarantee_cases(draw):
+    model = draw(st.sampled_from(["identical", "related"]))
+    n = draw(st.integers(1, 6))
+    k = draw(st.integers(1, 5))
+    m = draw(st.integers(1, 3))
+    element = st.integers(0, n - 1)
+    sets = tuple(
+        tuple(sorted(draw(st.frozensets(element, min_size=1, max_size=n)))) for _ in range(k)
+    )
+    base = tuple(draw(st.builds(Fraction, st.integers(1, 4), st.integers(1, 2))) for _ in range(k))
+    if model == "identical":
+        costs = IdenticalCosts(base)
+    else:
+        speed = st.sampled_from([Fraction(1), Fraction(3, 2), Fraction(2), Fraction(1, 2)])
+        costs = RelatedCosts(base, tuple(draw(speed) for _ in range(m)))
+    inst = ProblemInstance(n=n, sets=sets, m=m, cost_model=costs)
+    remaining = draw(st.frozensets(element, min_size=1))
+    return inst, remaining, draw(st.integers(0, 2**32 - 1))
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=guarantee_cases())
+def test_stopped_ladder_keeps_the_proven_fraction_of_exact_pds(case):
+    inst, remaining, seed = case
+    assume(any(inst.members[s] & remaining for s in range(inst.k)))
+    _, opt = exact_pds(inst, remaining)
+    if inst.cost_model.kind == "identical":
+        asg = pds_identical(inst, remaining, 0.1, maxcov_mode=PARTIAL_ENUM3)
+        bound = IDENTICAL_GUARANTEE
+    else:
+        asg = pds_related(inst, remaining, 0.2, seed=seed)
+        bound = 0.25  # acceptance criterion 9's related-machines bound
+    got = density(inst, asg, remaining)
+    assert float(got.as_fraction() / opt.as_fraction()) >= bound - 1e-9
+
+
 @pytest.mark.parametrize("solver", [pds_identical])
 def test_over_budget_family_raises_invariant_error(solver, monkeypatch):
     # A max-coverage result that takes every candidate breaks the budget the
@@ -312,7 +458,9 @@ def test_over_budget_family_raises_invariant_error(solver, monkeypatch):
 # -- differential test: the shared ladder against the former solvers
 #
 # Verbatim copies of the former ``pds_unit``, ``pds_related`` and
-# ``pds_unrelated``, each with its own ladder loop and argmax.
+# ``pds_unrelated``, each with its own ladder loop and argmax. Each loop has
+# one addition, the stop rule every ladder now follows: it breaks after the
+# first guess whose assignment covers every coverable remaining element.
 
 
 def _available_list(inst, available):
@@ -322,6 +470,12 @@ def _available_list(inst, available):
 def _require_coverage(inst, remaining, pool):
     if not any(inst.members[s] & remaining for s in pool):
         raise NoCoverageError("no available set covers a remaining element")
+
+
+def _coverable(inst, remaining, pool) -> int:
+    """How many remaining elements the pool's sets with a finite cost hold."""
+    finite = [s for s in pool if any(c != INFINITE_COST for c in inst.costs[s])]
+    return len(remaining & frozenset().union(*(inst.members[s] for s in finite)))
 
 
 def _check_best_density(inst, best, remaining) -> None:
@@ -346,6 +500,7 @@ def reference_pds_unit(
     remaining = frozenset(remaining)
     pool = _available_list(inst, available)
     _require_coverage(inst, remaining, pool)
+    coverable = _coverable(inst, remaining, pool)
     base = Fraction(1) + Fraction(identical_ladder_delta(epsilon))
     ladder = _ladder_guesses(inst, base, pool)
     remaining_mask = element_mask(remaining)
@@ -373,6 +528,8 @@ def reference_pds_unit(
         d = density(inst, asg, remaining)
         if best is None or d > best[0]:
             best = (d, asg)
+        if d.covered == coverable:
+            break
     if best is None:
         raise NoCoverageError("every budget guess produced an empty family")
     _check_best_density(inst, best, remaining)
@@ -457,6 +614,7 @@ def reference_pds_related(
     pool = _available_list(inst, available)
     pool_set = set(pool)
     _require_coverage(inst, remaining, pool)
+    coverable = _coverable(inst, remaining, pool)
     _, kappa = related_parameters(epsilon)
     kappa_f = Fraction(kappa)
     reduction, aux_full = former_reduce_related(inst, kappa_f)
@@ -543,6 +701,8 @@ def reference_pds_related(
         d = density(inst, asg, remaining)
         if best is None or d > best[0]:
             best = (d, asg)
+        if d.covered == coverable:
+            break
     if best is None:
         raise NoCoverageError(
             "no budget guess produced an assignment (skipped: %s)"
@@ -564,6 +724,7 @@ def reference_pds_unrelated(
     pool = _available_list(inst, available)
     pool_set = set(pool)
     _require_coverage(inst, remaining, pool)
+    coverable = _coverable(inst, remaining, pool)
 
     restricted_sets = tuple(
         tuple(sorted(inst.members[s] & remaining)) if s in pool_set else ()
@@ -597,6 +758,8 @@ def reference_pds_unrelated(
         d = density(inst, asg, remaining)
         if best is None or d > best[0]:
             best = (d, asg)
+        if d.covered == coverable:
+            break
     if best is None:
         raise NoCoverageError(
             "no budget guess produced an assignment (skipped: %s)"
