@@ -20,6 +20,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from operator import index
 from typing import Iterable, Optional, Sequence, Tuple, Union
 
 from .errors import (
@@ -158,7 +159,7 @@ class ProblemInstance:
             raise ValueError("machine count must be at least 1")
         normalized = []
         for i, members in enumerate(self.sets):
-            clean = sorted(set(int(e) for e in members))
+            clean = sorted(set(map(index, members)))
             for e in clean:
                 if not 0 <= e < self.n:
                     raise InvalidIndexError(
@@ -179,7 +180,7 @@ class ProblemInstance:
         if self.dag is not None:
             edges = []
             for e, (a, b) in enumerate(self.dag):
-                a, b = int(a), int(b)
+                a, b = index(a), index(b)
                 if not (0 <= a < k and 0 <= b < k):
                     raise InvalidIndexError("dag edge %d references invalid set index" % e)
                 edges.append((a, b))
@@ -240,7 +241,7 @@ def _check_per_machine(per_machine, k: int) -> Tuple[Tuple[int, ...], ...]:
     for seq in per_machine:
         row = []
         for s in seq:
-            s = int(s)
+            s = index(s)
             if not 0 <= s < k:
                 raise InvalidIndexError("set index %d out of range" % s)
             if s in seen:
@@ -334,10 +335,10 @@ def coverage(
         frozenset(range(inst.n)) if restrict_to is None else frozenset(restrict_to)
     )
     out = set()
-    for s in family:
-        if not 0 <= int(s) < inst.k:
+    for s in map(index, family):
+        if not 0 <= s < inst.k:
             raise InvalidIndexError("set index %d out of range" % s)
-        out |= inst.members[int(s)]
+        out |= inst.members[s]
     return frozenset(out) & restrict
 
 

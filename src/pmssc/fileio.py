@@ -171,7 +171,7 @@ def parse_instance(data) -> ProblemInstance:
     return instance_from_dict(doc)
 
 
-def instance_to_dict(inst: ProblemInstance, names: Optional[dict] = None) -> dict:
+def instance_to_dict(inst: ProblemInstance) -> dict:
     model = inst.cost_model
     if model.kind == "unit":
         cost_model = {"kind": "unit"}
@@ -200,13 +200,11 @@ def instance_to_dict(inst: ProblemInstance, names: Optional[dict] = None) -> dic
     }
     if inst.dag is not None:
         doc["dag_edges"] = [list(e) for e in inst.dag]
-    if names:
-        doc["names"] = names
     return doc
 
 
-def serialize_instance(inst: ProblemInstance, names: Optional[dict] = None) -> str:
-    return json.dumps(instance_to_dict(inst, names), sort_keys=True, indent=2) + "\n"
+def serialize_instance(inst: ProblemInstance) -> str:
+    return json.dumps(instance_to_dict(inst), sort_keys=True, indent=2) + "\n"
 
 
 def generate_instance(

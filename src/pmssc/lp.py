@@ -310,7 +310,7 @@ def lp_upper_bounds_ilp(lp_solution: LpSolution, ilp_opt) -> bool:
     return float(lp_solution.objective_value) >= float(ilp_opt) - 1e-6
 
 
-def to_lp_format(lp: LinearProgram, name: str = "pmssc") -> str:
+def to_lp_format(lp: LinearProgram) -> str:
     """Render in the industry-standard LP text format (for manual cross-checks)."""
 
     def linear(coeffs):
@@ -321,7 +321,7 @@ def to_lp_format(lp: LinearProgram, name: str = "pmssc") -> str:
         )
         return text[2:] if text.startswith("+ ") else text or "0 x0"
 
-    lines = ["\\ %s" % name, "Maximize", " obj: %s" % linear(lp.objective), "Subject To"]
+    lines = ["\\ pmssc", "Maximize", " obj: %s" % linear(lp.objective), "Subject To"]
     for i, (coeffs, relation, rhs) in enumerate(lp.constraints):
         lines.append(" c%d: %s %s %g" % (i, linear(coeffs), relation, float(rhs)))
     lines.append("Bounds")

@@ -24,11 +24,11 @@ density the proof derives there.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, List, Optional, Tuple
+from typing import Iterable, Iterator, List, Optional, Tuple
 
 from .core import (
     Assignment,
@@ -40,7 +40,7 @@ from .core import (
     element_mask,
     is_finite_cost,
 )
-from .errors import InvariantError, NoCoverageError, NoIterationKeptError
+from .errors import InvalidIndexError, InvariantError, NoCoverageError, NoIterationKeptError
 from .maxcov import budgeted_max_coverage
 from .pmc import FPT, POLY, PmcParams, pmc_solve
 from .rng import child_seed
@@ -48,11 +48,12 @@ from .rng import child_seed
 RELATED_ROUNDING_CAP = 128  # desk-scale cap on FPT rounding repetitions
 
 
-def _ladder_guesses(inst: ProblemInstance, base: Fraction, pool) -> Tuple[Fraction, ...]:
-    """Powers of ``base`` spanning the finite costs in ``pool``'s rows.
+def _ladder_guesses(inst: ProblemInstance, base: Fraction, pool) -> Iterator[Fraction]:
+    """Powers of ``base`` spanning the finite costs in ``pool``'s rows, made as pulled.
 
     The first is the least power at or above the cheapest of them, the last
-    the greatest at or below ``base`` times their sum.
+    the greatest at or below ``base`` times their sum. Ladders stop at their
+    first full cover, so later powers are never multiplied out.
     """
     rows = inst.finite_row_costs
     stats = [rows[s] for s in pool if rows[s] is not None]
@@ -65,20 +66,25 @@ def _ladder_guesses(inst: ProblemInstance, base: Fraction, pool) -> Tuple[Fracti
         power *= base
     while power / base >= lo:
         power /= base
-    guesses = []
     while power <= top:
-        guesses.append(power)
+        yield power
         power *= base
-    return tuple(guesses)
 
 
 def _covering_pool(inst, remaining, available) -> Tuple[List[int], int]:
     """The available sets in index order, and how many remaining elements they can cover.
 
-    An element counts as coverable when a pool set with some finite cost
-    holds it; there must be at least one.
+    Sets must lie in [0, k) and elements in [0, n). An element counts as
+    coverable when a pool set with some finite cost holds it; there must be
+    at least one.
     """
-    pool = sorted(range(inst.k)) if available is None else sorted(available)
+    pool = sorted(range(inst.k) if available is None else available)
+    outside = [s for s in pool if not 0 <= s < inst.k]
+    if outside:
+        raise InvalidIndexError("available set %d outside [0, %d)" % (outside[0], inst.k))
+    outside = [e for e in remaining if not 0 <= e < inst.n]
+    if outside:
+        raise InvalidIndexError("remaining element %d outside [0, %d)" % (min(outside), inst.n))
     rows, masks = inst.finite_row_costs, inst.masks
     held = finite = 0
     for s in pool:
@@ -150,7 +156,6 @@ def pds_identical(
     remaining: Iterable[int],
     epsilon: float,
     available: Optional[Iterable[int]] = None,
-    maxcov_mode: Optional[str] = None,
 ) -> Assignment:
     """Budget-ladder greedy for identical (or unit) machines."""
     if inst.cost_model.kind not in ("unit", "identical"):
@@ -160,18 +165,17 @@ def pds_identical(
     base = Fraction(1) + Fraction(identical_ladder_delta(epsilon))
     remaining_mask = element_mask(remaining)
     cost = [row[0] for row in inst.costs]
-    # Guesses ascend, so the sets that fit a guess grow as a prefix of the
-    # pool sorted by cost, and the maxcov arguments change only when it grows.
+    # The sets that fit a guess are the first ``fit`` of the pool sorted by
+    # cost; guesses ascend, so the maxcov arguments change only when it grows.
     by_cost = sorted(pool, key=cost.__getitem__)
+    sorted_costs = [cost[s] for s in by_cost]
     # Max coverage returns nothing until a set that meets ``remaining`` fits.
     first = next(i for i, s in enumerate(by_cost) if inst.masks[s] & remaining_mask)
 
     def spreads():
         fit = 0
         for guess in _ladder_guesses(inst, base, pool):
-            grown = fit
-            while grown < len(by_cost) and cost[by_cost[grown]] <= guess:
-                grown += 1
+            grown = bisect_right(sorted_costs, guess)
             if grown <= first:
                 continue
             if grown > fit:
@@ -180,7 +184,7 @@ def pds_identical(
                 cand_masks = [inst.masks[s] for s in candidates]
                 cand_costs = [cost[s] for s in candidates]
             result = budgeted_max_coverage(
-                remaining_mask, cand_masks, cand_costs, inst.m * guess, mode=maxcov_mode
+                remaining_mask, cand_masks, cand_costs, inst.m * guess
             )
             if not result.chosen:
                 continue
@@ -272,22 +276,17 @@ def related_parameters(epsilon: float) -> Tuple[float, float]:
     return delta, delta / (delta + 16.0)
 
 
-def _clamp(costs, guess):
-    """``costs`` with entries above ``guess`` infinite, and the least finite such entry or None."""
-    rows = tuple(tuple(INFINITE_COST if c > guess else c for c in row) for row in costs)
-    above = [c for row in costs for c in row if c > guess and is_finite_cost(c)]
-    return rows, min(above, default=None)
-
-
 def _pmc_ladder(inst, remaining, pool, table, weights, base, params, clamp):
     """Parallel max coverage at each guess of one budget ladder.
 
     ``table``'s costs have a row per set and a column per PMC machine; sets
     outside ``pool`` are closed and elements outside ``remaining`` dropped.
     Guess number ``gi`` gives machine q the budget ``weights[q] * guess`` and
-    rounds with seed ``child_seed(params.seed, gi)``; with ``clamp`` a cost
-    above the guess is infinite for that guess, as it fits no budget. Yields
-    (guess, assignment) for every guess that keeps a nonempty assignment.
+    rounds with seed ``child_seed(params.seed, gi)``. With ``clamp`` a cost
+    above the guess fits no budget and is infinite, so the work table is
+    built once per fit count, the number of pool costs at or below the
+    guess. Yields (guess, assignment) for every guess that keeps a nonempty
+    assignment.
     """
     pool_set = set(pool)
     m = len(weights)
@@ -295,26 +294,27 @@ def _pmc_ladder(inst, remaining, pool, table, weights, base, params, clamp):
         tuple(sorted(inst.members[s] & remaining)) if s in pool_set else ()
         for s in range(inst.k)
     )
-    costs = tuple(
+    # Pool rows that meet no remaining element stay: the LP normalisers sum them.
+    rows = [
         row if s in pool_set else (INFINITE_COST,) * m for s, row in enumerate(table.costs)
-    )
-    work = ProblemInstance(n=inst.n, sets=sets, m=m, cost_model=UnrelatedCosts(costs))
+    ]
+    fitting = sorted(c for s in pool for c in table.costs[s] if is_finite_cost(c))
     usable = [s for s in pool if inst.members[s] & remaining]
 
     produced = False
     skipped = []
-    guess_inst, above = work, None
+    work, work_fit = None, None
     for gi, guess in enumerate(_ladder_guesses(table, base, usable)):
-        # Guesses ascend, so the clamped table changes only once the least
-        # finite cost above the previous clamp falls at or below this guess.
-        if clamp and (guess_inst is work or above is not None and above <= guess):
-            clamped, above = _clamp(costs, guess)
-            guess_inst = ProblemInstance(
-                n=inst.n, sets=sets, m=m, cost_model=UnrelatedCosts(clamped)
-            )
+        # The first guess covers a usable set's cheapest cost, so fit >= 1.
+        fit = bisect_right(fitting, guess) if clamp else len(fitting)
+        if fit != work_fit:
+            largest = fitting[fit - 1]
+            costs = tuple(tuple(INFINITE_COST if c > largest else c for c in row) for row in rows)
+            work = ProblemInstance(n=inst.n, sets=sets, m=m, cost_model=UnrelatedCosts(costs))
+            work_fit = fit
         try:
             result = pmc_solve(
-                guess_inst,
+                work,
                 [w * guess for w in weights],
                 replace(params, seed=child_seed(params.seed, gi)),
             )

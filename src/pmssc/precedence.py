@@ -18,6 +18,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import index
 from typing import Dict, Iterable, Optional, Tuple
 
 from .core import (
@@ -61,11 +62,11 @@ class PrecedenceDag:
     ) -> "PrecedenceDag":
         """DAG on ``nodes`` (default: all) with the edges between them; one
         topological sort gives the depths inside that view."""
-        edges = tuple((int(a), int(b)) for a, b in edges)
+        edges = tuple((index(a), index(b)) for a, b in edges)
         if nodes is None:
             keep = frozenset(range(num_nodes))
         else:
-            keep = frozenset(int(v) for v in nodes)
+            keep = frozenset(map(index, nodes))
             for v in keep:
                 if not 0 <= v < num_nodes:
                     raise InvalidIndexError("node %d out of range" % v)
@@ -125,7 +126,7 @@ def layered_assign(family: Iterable[int], dag: PrecedenceDag, m: int) -> Layered
     Layer l (sets of equal depth) takes ceil(n_l / m) unit slots; idle slots
     count toward the makespan.
     """
-    members = sorted(frozenset(int(s) for s in family))
+    members = sorted(frozenset(map(index, family)))
     node_set = frozenset(dag.nodes)
     fam_set = frozenset(members)
     for s in members:

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Optional, Tuple, Union
+from typing import Callable, Tuple, Union
 
 from .core import (
     Assignment,
@@ -56,28 +56,28 @@ def upper_bound_from_trace(trace: GreedyTrace) -> Fraction:
 UNIT_MODEL_ONLY = "the unit oracle needs the unit cost model"
 
 
-def _pds_unit(inst, remaining, available, epsilon, seed, maxcov_mode=None):
+def _pds_unit(inst, remaining, available, epsilon, seed):
     """``unit`` names the identical ladder restricted to unit-cost instances."""
     if inst.cost_model.kind != "unit":
         raise ValueError(UNIT_MODEL_ONLY)
-    return pds_identical(inst, remaining, epsilon, available=available, maxcov_mode=maxcov_mode)
+    return pds_identical(inst, remaining, epsilon, available=available)
 
 
-# Oracle name -> (inst, remaining, available, epsilon, seed, maxcov_mode=None)
-# -> Assignment. Each entry resolves its solver as a module global at call
-# time, so a wrapper installed on that global sees every call.
+# Oracle name -> (inst, remaining, available, epsilon, seed) -> Assignment.
+# Each entry resolves its solver as a module global at call time, so a
+# wrapper installed on that global sees every call.
 ORACLES = {
-    "identical": lambda inst, remaining, available, epsilon, seed, maxcov_mode=None: (
-        pds_identical(inst, remaining, epsilon, available=available, maxcov_mode=maxcov_mode)
+    "identical": lambda inst, remaining, available, epsilon, seed: (
+        pds_identical(inst, remaining, epsilon, available=available)
     ),
     "unit": _pds_unit,
-    "related": lambda inst, remaining, available, epsilon, seed, maxcov_mode=None: (
+    "related": lambda inst, remaining, available, epsilon, seed: (
         pds_related(inst, remaining, epsilon, available=available, seed=seed)
     ),
-    "unrelated": lambda inst, remaining, available, epsilon, seed, maxcov_mode=None: (
+    "unrelated": lambda inst, remaining, available, epsilon, seed: (
         pds_unrelated(inst, remaining, epsilon, available=available, seed=seed)
     ),
-    "exact": lambda inst, remaining, available, epsilon, seed, maxcov_mode=None: (
+    "exact": lambda inst, remaining, available, epsilon, seed: (
         exact_pds(inst, remaining, available=available)[0]
     ),
 }
@@ -111,7 +111,6 @@ def pmssc_greedy(
     oracle: Union[str, Callable] = "identical",
     epsilon: float = 0.1,
     seed: int = 0,
-    maxcov_mode: Optional[str] = None,
 ) -> Tuple[Schedule, GreedyTrace]:
     """Greedy scheme: cover the universe by repeated densest-subfamily calls."""
     report = validate_instance(inst)
@@ -128,7 +127,7 @@ def pmssc_greedy(
 
         def oracle_fn(remaining, available, iteration):
             step_seed = child_seed(seed, iteration) if seeded else seed
-            return entry(inst, remaining, available, epsilon, step_seed, maxcov_mode)
+            return entry(inst, remaining, available, epsilon, step_seed)
     else:
         raise ValueError("unknown oracle %r" % oracle)
 

@@ -24,7 +24,7 @@ from pmssc.core import density, evaluate_schedule_cost
 from pmssc.errors import NoCoverageError
 from pmssc.fileio import generate_instance, serialize_instance
 from pmssc.lp import solve_lp
-from pmssc.maxcov import PARTIAL_ENUM3
+from pmssc.maxcov import PARTIAL_ENUM_MAX_K
 from pmssc.oracle import exact_pds, exact_pds_precedence, exact_pmc, exact_pmssc
 from pmssc.pds import pds_identical, pds_related, reduce_related
 from pmssc.pmc import PmcParams, build_pmc_lp, fpt_repetitions, pmc_solve
@@ -85,9 +85,8 @@ def test_criterion_03_identical_end_to_end(identical_runs):
     with criterion(3, "greedy with identical-machines subfamily stays under 13.056x", 300.0) as info:
         worst = 0.0
         for inst, opt in identical_runs:
-            sched, _ = pmssc_greedy(
-                inst, oracle="identical", epsilon=0.1, maxcov_mode=PARTIAL_ENUM3
-            )
+            assert inst.k <= PARTIAL_ENUM_MAX_K  # max coverage takes enum3
+            sched, _ = pmssc_greedy(inst, oracle="identical", epsilon=0.1)
             cost, _ = evaluate_schedule_cost(inst, sched)
             ratio = float(cost / opt)
             assert ratio <= END_TO_END_BOUND + 1e-9
@@ -99,8 +98,9 @@ def test_criterion_04_pds_identical_guarantee(identical_runs):
     with criterion(4, "identical-machines subfamily density within its guarantee", 120.0) as info:
         worst = math.inf
         for inst, _ in identical_runs:
+            assert inst.k <= PARTIAL_ENUM_MAX_K  # max coverage takes enum3
             remaining = frozenset(range(inst.n))
-            asg = pds_identical(inst, remaining, 0.1, maxcov_mode=PARTIAL_ENUM3)
+            asg = pds_identical(inst, remaining, 0.1)
             got = density(inst, asg, remaining)
             _, opt = exact_pds(inst, remaining)
             ratio = float(got.as_fraction() / opt.as_fraction())

@@ -1,6 +1,7 @@
 from fractions import Fraction
 from itertools import permutations
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -220,6 +221,44 @@ def test_infinite_cost_rejected_in_schedule():
 def test_element_out_of_range_rejected():
     with pytest.raises(InvalidIndexError):
         ProblemInstance(n=2, sets=((0, 2),), m=1, cost_model=UnitCosts())
+
+
+# Indices are read with ``operator.index``: floats and strings are rejected,
+# not truncated or parsed, while Python and NumPy integers are taken.
+
+
+def test_set_elements_must_be_integers():
+    for members in ((1.7, 2), ("2",), (0.0,)):
+        with pytest.raises(TypeError):
+            ProblemInstance(n=3, sets=(members, (1,)), m=1, cost_model=UnitCosts())
+    inst = ProblemInstance(n=3, sets=((np.int64(2), 0),), m=1, cost_model=UnitCosts())
+    assert inst.sets == ((0, 2),) and type(inst.sets[0][1]) is int
+
+
+def test_dag_edge_ends_must_be_integers():
+    for edge in ((0.9, "0"), (0, 1.0), ("0", 1)):
+        with pytest.raises(TypeError):
+            ProblemInstance(n=1, sets=((0,), (0,)), m=1, cost_model=UnitCosts(), dag=(edge,))
+    inst = ProblemInstance(
+        n=1, sets=((0,), (0,)), m=1, cost_model=UnitCosts(), dag=((np.int32(0), 1),)
+    )
+    assert inst.dag == ((0, 1),)
+
+
+def test_assigned_set_indices_must_be_integers():
+    for build in (Assignment, Schedule):
+        with pytest.raises(TypeError):
+            build(((1.5,),))
+        with pytest.raises(TypeError):
+            build(((0,), ("1",)))
+        assert build(((np.int64(1),), (0,))).per_machine == ((1,), (0,))
+
+
+def test_coverage_set_indices_must_be_integers(t1):
+    for family in ([1.5], ["0"]):
+        with pytest.raises(TypeError):
+            coverage(t1, family)
+    assert coverage(t1, [np.int64(1)]) == frozenset({2})
 
 
 @pytest.mark.parametrize(

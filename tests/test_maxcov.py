@@ -6,13 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import pmssc.maxcov as maxcov_module
 import pmssc.pds as pds_module
 from pmssc.core import IdenticalCosts, ProblemInstance, element_mask
 from pmssc.errors import DomainError
 from pmssc.fileio import generate_instance
 from pmssc.maxcov import (
     PARTIAL_ENUM3,
-    PARTIAL_ENUM_MAX_K,
     RATIO,
     MaxCovResult,
     budgeted_max_coverage,
@@ -241,14 +241,15 @@ def test_kernel_matches_reference_on_forced_ties():
 def _reference_via_masks(universe, sets, costs, budget, mode=None):
     """Stand-in for ``pmssc.pds.budgeted_max_coverage`` that accepts masks."""
     if mode is None:
-        mode = PARTIAL_ENUM3 if len(sets) <= PARTIAL_ENUM_MAX_K else RATIO
+        mode = PARTIAL_ENUM3 if len(sets) <= maxcov_module.PARTIAL_ENUM_MAX_K else RATIO
     return reference_max_coverage(
         _bits(universe), [_bits(s) for s in sets], costs, budget, mode
     )
 
 
 def _pds_corpus():
-    """(instance, maxcov mode): small ones take the default (enum3)."""
+    """(instance, maxcov mode): None takes the default, enum3 on calls this small;
+    RATIO runs the ratio kernel on every call."""
     out = []
     for seed in range(4):
         small = generate_instance(n=14, k=7, m=2, model="identical", density=0.3, seed=seed)
@@ -267,6 +268,10 @@ def test_pds_matches_reference_kernel(epsilon, monkeypatch):
     for inst, mode in _pds_corpus():
         remaining = frozenset(range(0, inst.n, 1 + inst.k % 2))
         with monkeypatch.context() as patch:
+            if mode == RATIO:
+                # no call has few enough candidates for enum3
+                patch.setattr(maxcov_module, "PARTIAL_ENUM_MAX_K", 0)
+            actual = pds_identical(inst, remaining, epsilon)
             patch.setattr(pds_module, "budgeted_max_coverage", _reference_via_masks)
-            expected = pds_identical(inst, remaining, epsilon, maxcov_mode=mode)
-        assert pds_identical(inst, remaining, epsilon, maxcov_mode=mode) == expected
+            expected = pds_identical(inst, remaining, epsilon)
+        assert actual == expected

@@ -1,5 +1,6 @@
 import math
 from fractions import Fraction
+from itertools import islice
 from typing import Iterable, Optional
 
 import pytest
@@ -19,10 +20,10 @@ from pmssc.core import (
     density,
     element_mask,
 )
-from pmssc.errors import InvariantError, NoCoverageError, NoIterationKeptError
+from pmssc.errors import InvalidIndexError, InvariantError, NoCoverageError, NoIterationKeptError
 from pmssc.fileio import generate_instance
 import pmssc.pds as pds_module
-from pmssc.maxcov import PARTIAL_ENUM3, MaxCovResult, budgeted_max_coverage
+from pmssc.maxcov import PARTIAL_ENUM_MAX_K, MaxCovResult, budgeted_max_coverage
 from pmssc.oracle import exact_pds
 from pmssc.pds import (
     RELATED_ROUNDING_CAP,
@@ -46,7 +47,7 @@ IDENTICAL_GUARANTEE = (math.e - 1) / (2 * math.e + 0.1 * (math.e - 1))
 def test_budget_ladder_powers():
     # one machine: the cheapest cost is 1 and the costs sum to 10
     inst = ProblemInstance(n=1, sets=((0,), (0,)), m=1, cost_model=IdenticalCosts((1, 9)))
-    assert _ladder_guesses(inst, Fraction(2), [0, 1]) == (1, 2, 4, 8, 16)
+    assert tuple(_ladder_guesses(inst, Fraction(2), [0, 1])) == (1, 2, 4, 8, 16)
     # two machines, an infinite entry and a set outside the pool: the cheapest
     # finite cost is 1/3 and the pool's finite costs sum to 5
     inst = ProblemInstance(
@@ -58,7 +59,7 @@ def test_budget_ladder_powers():
         ),
     )
     base = Fraction(3, 2)
-    guesses = _ladder_guesses(inst, base, [0, 1])
+    guesses = tuple(_ladder_guesses(inst, base, [0, 1]))
     assert guesses[0] >= Fraction(1, 3) and guesses[0] / base < Fraction(1, 3)
     assert guesses[-1] <= base * 5 < guesses[-1] * base
     for a, b in zip(guesses, guesses[1:]):
@@ -67,7 +68,24 @@ def test_budget_ladder_powers():
         n=1, sets=((0,),), m=2, cost_model=UnrelatedCosts(((INFINITE_COST,) * 2,))
     )
     with pytest.raises(NoCoverageError, match="no finite-cost set is available"):
-        _ladder_guesses(all_infinite, base, [0])
+        tuple(_ladder_guesses(all_infinite, base, [0]))
+
+
+def test_ladder_makes_only_the_guesses_pulled():
+    class CountingBase(Fraction):
+        """A ladder base that counts the powers made from it (``power * base``)."""
+
+        made = 0
+
+        def __rmul__(self, other):
+            CountingBase.made += 1
+            return Fraction.__rmul__(self, other)
+
+    # the cheapest cost is 1, so the first guess needs no multiplication; the
+    # costs sum to 2**20, so the whole ladder would run up to 2**21
+    inst = ProblemInstance(n=1, sets=((0,), (0,)), m=1, cost_model=IdenticalCosts((1, 2**20 - 1)))
+    assert list(islice(_ladder_guesses(inst, CountingBase(2), [0, 1]), 2)) == [1, 2]
+    assert CountingBase.made == 1
 
 
 def test_pds_identical_t1_two_machines():
@@ -102,8 +120,9 @@ def test_pds_identical_guarantee_sample():
             n=3 + seed % 6, k=2 + seed % 5, m=1 + seed % 2,
             model="identical", density=0.35, seed=seed, max_cost=3,
         )
+        assert inst.k <= PARTIAL_ENUM_MAX_K  # max coverage takes enum3
         remaining = frozenset(range(inst.n))
-        asg = pds_identical(inst, remaining, 0.1, maxcov_mode=PARTIAL_ENUM3)
+        asg = pds_identical(inst, remaining, 0.1)
         d = density(inst, asg, remaining)
         _, opt = exact_pds(inst, remaining)
         ratio = d.as_fraction() / opt.as_fraction()
@@ -224,7 +243,8 @@ def test_related_ladder_clamps_as_a_fresh_clamp_would_at_every_guess(monkeypatch
     # Speed 1/2 puts machine 1 in group p with (1 + kappa)^p >= 2, so base
     # cost 1 costs exactly ladder guess p there, and no other cost lies
     # between 1 and that guess: the table must change when a cost first
-    # fits the guess by equality.
+    # fits the guess by equality. Without the clamp every guess gets the
+    # unclamped pool rows.
     inst = ProblemInstance(
         n=4,
         sets=((0,), (1,), (2, 3), (0, 1, 2, 3)),
@@ -240,18 +260,30 @@ def test_related_ladder_clamps_as_a_fresh_clamp_would_at_every_guess(monkeypatch
         tables.append((work.costs, budgets[0] / weights[0]))
         return _inner(work, budgets, params)
 
+    def fit(guess):
+        return sum(c <= guess for row in aux.costs for c in row)
+
     monkeypatch.setattr(pds_module, "pmc_solve", spy)
     params = PmcParams(mode=FPT, epsilon=kappa, mu=kappa, r_cap=RELATED_ROUNDING_CAP, seed=7)
     remaining = frozenset(range(4))
-    list(_pmc_ladder(
-        inst, remaining, range(4), aux, weights, 1 + Fraction(kappa), params, clamp=True
-    ))
-    assert len(tables) > 2
-    for costs, guess in tables:
-        assert costs == tuple(
-            tuple(INFINITE_COST if c > guess else c for c in row) for row in aux.costs
-        )
-    assert any(c == guess for costs, guess in tables for row in costs for c in row)
+    for clamp in (True, False):
+        tables.clear()
+        list(_pmc_ladder(
+            inst, remaining, range(4), aux, weights, 1 + Fraction(kappa), params, clamp=clamp
+        ))
+        assert len(tables) > 2
+        for costs, guess in tables:
+            assert costs == tuple(
+                tuple(INFINITE_COST if clamp and c > guess else c for c in row)
+                for row in aux.costs
+            )
+        assert any(c == guess for costs, guess in tables for row in costs for c in row)
+        # consecutive guesses with one fit count share one table object
+        pairs = [
+            (costs, later) for (costs, guess), (later, after) in zip(tables, tables[1:])
+            if not clamp or fit(guess) == fit(after)
+        ]
+        assert pairs and all(later is costs for costs, later in pairs)
 
 
 def test_related_greedy_builds_the_reduction_once():
@@ -329,6 +361,19 @@ def test_pds_no_coverage():
     inst = t1_instance(m=2)
     with pytest.raises(NoCoverageError):
         pds_identical(inst, frozenset(), 0.1)
+
+
+@pytest.mark.parametrize("model", ["identical", "related", "unrelated"])
+def test_out_of_range_pool_indices_raise_invalid_index_error(model):
+    inst = generate_instance(n=6, k=4, m=2, model=model, density=0.4, seed=2)
+    solve = {"identical": pds_identical, "related": pds_related, "unrelated": pds_unrelated}[model]
+    everything = frozenset(range(inst.n))
+    for available in ([7], [4], [-2], [0, -1]):
+        with pytest.raises(InvalidIndexError, match=r"^available set -?\d+ outside \[0, 4\)$"):
+            solve(inst, everything, 0.2, available=available)
+    for remaining in ({-1, 0}, {6}, everything | {9}):
+        with pytest.raises(InvalidIndexError, match=r"^remaining element -?\d+ outside \[0, 6\)$"):
+            solve(inst, remaining, 0.2)
 
 
 def test_pds_unrelated_coverable_elements_only_in_infinite_sets():
@@ -433,7 +478,8 @@ def test_stopped_ladder_keeps_the_proven_fraction_of_exact_pds(case):
     assume(any(inst.members[s] & remaining for s in range(inst.k)))
     _, opt = exact_pds(inst, remaining)
     if inst.cost_model.kind == "identical":
-        asg = pds_identical(inst, remaining, 0.1, maxcov_mode=PARTIAL_ENUM3)
+        assert inst.k <= PARTIAL_ENUM_MAX_K  # max coverage takes enum3
+        asg = pds_identical(inst, remaining, 0.1)
         bound = IDENTICAL_GUARANTEE
     else:
         asg = pds_related(inst, remaining, 0.2, seed=seed)

@@ -97,6 +97,18 @@ def test_layered_assign_not_closed():
         layered_assign([1, 2], dag, 2)
 
 
+def test_dag_and_family_indices_must_be_integers():
+    # read with operator.index: (0.9, "0") was once the self-loop (0, 0)
+    for edge in ((0.9, "0"), (0, 1.0)):
+        with pytest.raises(TypeError):
+            PrecedenceDag.from_edges(2, (edge,))
+    with pytest.raises(TypeError):
+        PrecedenceDag.from_edges(2, (), nodes=(0.5,))
+    dag = PrecedenceDag.from_edges(3, ((0, 1), (1, 2)))
+    with pytest.raises(TypeError):
+        layered_assign([0, 1.2], dag, 2)
+
+
 def test_layered_start_times_respect_precedence():
     dag = PrecedenceDag.from_edges(4, DIAMOND_EDGES)
     layered = layered_assign([0, 1, 2, 3], dag, 2)

@@ -13,7 +13,7 @@ from pmssc.core import (
 )
 from pmssc.errors import StalledOracleError, UncoverableError
 from pmssc.fileio import generate_instance
-from pmssc.maxcov import PARTIAL_ENUM3
+from pmssc.maxcov import PARTIAL_ENUM_MAX_K
 from pmssc.oracle import exact_pmssc
 from pmssc.scheduler import pmssc_greedy, upper_bound_from_trace
 
@@ -52,9 +52,8 @@ def test_upper_bound_single_iteration_shape():
 def test_fig1_identical_ratio(fig1):
     _, opt = fig1_optimum()
     assert opt == 75  # frozen from the branch-and-bound oracle
-    sched, trace = pmssc_greedy(
-        fig1, oracle="identical", epsilon=0.1, maxcov_mode=PARTIAL_ENUM3
-    )
+    assert fig1.k <= PARTIAL_ENUM_MAX_K  # max coverage takes enum3
+    sched, trace = pmssc_greedy(fig1, oracle="identical", epsilon=0.1)
     cost, _ = evaluate_schedule_cost(fig1, sched)
     assert cost <= END_TO_END_BOUND * opt
     assert cost >= opt
