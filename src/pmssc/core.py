@@ -55,6 +55,13 @@ def as_fraction(value) -> Fraction:
     raise TypeError("unsupported numeric type: %r" % type(value))
 
 
+def as_index(value) -> int:
+    """``operator.index``, except that ``bool`` is rejected with ``TypeError``."""
+    if isinstance(value, bool):
+        raise TypeError("an index must be an integer, not bool")
+    return index(value)
+
+
 def element_mask(elements: Iterable[int]) -> int:
     """Int bitmask of a collection of element indices."""
     mask = 0
@@ -159,7 +166,7 @@ class ProblemInstance:
             raise ValueError("machine count must be at least 1")
         normalized = []
         for i, members in enumerate(self.sets):
-            clean = sorted(set(map(index, members)))
+            clean = sorted(set(map(as_index, members)))
             for e in clean:
                 if not 0 <= e < self.n:
                     raise InvalidIndexError(
@@ -180,7 +187,7 @@ class ProblemInstance:
         if self.dag is not None:
             edges = []
             for e, (a, b) in enumerate(self.dag):
-                a, b = index(a), index(b)
+                a, b = as_index(a), as_index(b)
                 if not (0 <= a < k and 0 <= b < k):
                     raise InvalidIndexError("dag edge %d references invalid set index" % e)
                 edges.append((a, b))
@@ -241,7 +248,7 @@ def _check_per_machine(per_machine, k: int) -> Tuple[Tuple[int, ...], ...]:
     for seq in per_machine:
         row = []
         for s in seq:
-            s = index(s)
+            s = as_index(s)
             if not 0 <= s < k:
                 raise InvalidIndexError("set index %d out of range" % s)
             if s in seen:
@@ -335,7 +342,7 @@ def coverage(
         frozenset(range(inst.n)) if restrict_to is None else frozenset(restrict_to)
     )
     out = set()
-    for s in map(index, family):
+    for s in map(as_index, family):
         if not 0 <= s < inst.k:
             raise InvalidIndexError("set index %d out of range" % s)
         out |= inst.members[s]
@@ -441,17 +448,16 @@ def topological_order(num_nodes: int, edges: Sequence[Tuple[int, int]]) -> Tuple
 class ValidationReport:
     coverable: bool
     uncovered_elements: Tuple[int, ...]
-    costs_positive: bool
     dag_acyclic: Optional[bool]
     entries: Tuple[str, ...]
 
     @property
     def valid(self) -> bool:
-        return self.coverable and self.costs_positive and self.dag_acyclic is not False
+        return self.coverable and self.dag_acyclic is not False
 
 
 def validate_instance(inst: ProblemInstance) -> ValidationReport:
-    """Report coverability, cost positivity and DAG acyclicity.
+    """Report coverability and DAG acyclicity.
 
     Solvers reject an instance if and only if it is uncoverable (precedence
     solvers additionally require an acyclic DAG).
@@ -463,13 +469,6 @@ def validate_instance(inst: ProblemInstance) -> ValidationReport:
     uncovered = tuple(sorted(set(range(inst.n)) - covered))
     if uncovered:
         entries.append("Uncoverable: elements %s belong to no set" % list(uncovered))
-
-    costs_positive = True
-    for s, row in enumerate(inst.costs):
-        for j, c in enumerate(row):
-            if is_finite_cost(c) and c <= 0:
-                costs_positive = False
-                entries.append("NonPositiveCost: set %d machine %d" % (s, j))
 
     dag_acyclic = None
     if inst.dag is not None:
@@ -483,7 +482,6 @@ def validate_instance(inst: ProblemInstance) -> ValidationReport:
     return ValidationReport(
         coverable=not uncovered,
         uncovered_elements=uncovered,
-        costs_positive=costs_positive,
         dag_acyclic=dag_acyclic,
         entries=tuple(entries),
     )

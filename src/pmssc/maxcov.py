@@ -1,15 +1,14 @@
 """Budgeted maximum coverage.
 
-Two modes:
+Two kernels, chosen by the number k of candidate sets:
 
-* ``"ratio"`` -- the greedy that repeatedly adds the affordable set with the
+* k <= ``PARTIAL_ENUM_MAX_K``: classic partial enumeration over every seed
+  family of at most three sets followed by ratio-greedy completion, which
+  restores the full 1 - 1/e guarantee at an O(k^3) multiplicative cost.
+* otherwise: the greedy that repeatedly adds the affordable set with the
   best (new elements)/(cost) ratio, and falls back to the best single
   affordable set when that beats the greedy run.
-* ``"enum3"`` -- classic partial enumeration over every seed family of at
-  most three sets followed by ratio-greedy completion, which restores the
-  full 1 - 1/e guarantee at an O(k^3) multiplicative cost.
 
-``mode=None`` selects ``"enum3"`` for k <= 40 and ``"ratio"`` otherwise.
 Among equal ratios the lowest set index wins, so results are deterministic.
 
 The kernel is exact and works on integers only:
@@ -17,9 +16,8 @@ The kernel is exact and works on integers only:
 * Costs are scaled by the LCM ``L`` of their denominators, and the budget
   becomes ``floor(budget * L)``. Every sum of chosen costs is a multiple of
   ``1/L``, so "fits the budget" means the same before and after scaling.
-* Coverage is an int bitmask (bit ``e`` set for element ``e``), and the gain
-  of a set is ``(mask & ~covered).bit_count()``. A set given as an ``int``
-  is taken as a mask; any other set is an iterable of element indices.
+* The universe and every set are int bitmasks (bit ``e`` set for element
+  ``e``), and the gain of a set is ``(mask & ~covered).bit_count()``.
 * The greedy is lazy (Minoux's accelerated greedy; CELF, Leskovec et al.
   2007). A heap holds each set under the ratio it had when last evaluated,
   ordered by ratio, then by lowest index. Coverage only grows, so a stale
@@ -37,13 +35,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from math import lcm
-from typing import Iterable, Optional, Sequence, Tuple, Union
+from typing import Sequence, Tuple
 
-from .core import as_fraction, element_mask
+from .core import as_fraction
 from .errors import DomainError
-
-RATIO = "ratio"
-PARTIAL_ENUM3 = "enum3"
 
 PARTIAL_ENUM_MAX_K = 40
 
@@ -53,10 +48,6 @@ class MaxCovResult:
     chosen: Tuple[int, ...]
     total_cost: Fraction
     covered: int
-
-
-def _mask(items: Union[int, Iterable[int]]) -> int:
-    return items if isinstance(items, int) else element_mask(items)
 
 
 def _greedy_fill(masks, costs, scale, budget, chosen, covered, spent):
@@ -101,16 +92,11 @@ def _greedy_fill(masks, costs, scale, budget, chosen, covered, spent):
 
 
 def budgeted_max_coverage(
-    universe_restrict: Union[int, Iterable[int]],
-    sets: Sequence[Union[int, Iterable[int]]],
-    costs: Sequence,
-    budget,
-    mode: Optional[str] = None,
+    universe: int, sets: Sequence[int], costs: Sequence, budget
 ) -> MaxCovResult:
     """Pick sets of total cost <= budget maximizing coverage of the universe.
 
-    ``universe_restrict`` and each entry of ``sets`` are int bitmasks or
-    iterables of element indices.
+    ``universe`` and each entry of ``sets`` are int bitmasks.
     """
     budget = as_fraction(budget)
     if budget < 0:
@@ -120,12 +106,7 @@ def budgeted_max_coverage(
         raise DomainError("all costs must be positive")
     if len(costs) != len(sets):
         raise ValueError("need one cost per set")
-    universe = _mask(universe_restrict)
-    masks = [_mask(s) & universe for s in sets]
-    if mode is None:
-        mode = PARTIAL_ENUM3 if len(sets) <= PARTIAL_ENUM_MAX_K else RATIO
-    if mode not in (RATIO, PARTIAL_ENUM3):
-        raise ValueError("unknown mode %r" % mode)
+    masks = [s & universe for s in sets]
 
     if budget == 0 or not sets:
         return MaxCovResult((), Fraction(0), 0)
@@ -135,7 +116,7 @@ def budgeted_max_coverage(
     ibudget = budget.numerator * denom // budget.denominator
     scale = max(icosts) ** 2
 
-    if mode == RATIO:
+    if len(sets) > PARTIAL_ENUM_MAX_K:
         chosen, covered, spent = _greedy_fill(masks, icosts, scale, ibudget, [], 0, 0)
         covered_count = covered.bit_count()
         best_single = None

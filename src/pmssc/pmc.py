@@ -142,18 +142,16 @@ class PmcResult:
     attempts: int
 
 
-def raw_draws(seed, attempts: int, probs: Sequence[float]):
+def raw_draws(gen: np.random.Generator, attempts: int, probs: Sequence[float]):
     """Independent Bernoulli draws for ``attempts`` rounding iterations.
 
     Returns an (attempts, k*m) boolean matrix: pair (s, j) is drawn in
     iteration r when entry [r, s*m + j] is set, with probability
-    probs[s*m + j]. All rows come from one stream keyed by ``seed``, or from
-    ``seed`` itself when it is a ``stream`` to continue; each row takes
-    ``width`` doubles, k*m rounded up to a multiple of 4, so row r starts on
-    a Philox block boundary and is reproduced alone by ``stream(seed)`` after
-    ``bit_generator.advance(r * width // 4)``.
+    probs[s*m + j]. All rows continue the Philox stream ``gen``; each row
+    takes ``width`` doubles, k*m rounded up to a multiple of 4, so on a fresh
+    ``stream(seed)`` row r starts on a Philox block boundary and is reproduced
+    alone by ``stream(seed)`` after ``bit_generator.advance(r * width // 4)``.
     """
-    gen = seed if isinstance(seed, np.random.Generator) else stream(seed)
     probs = np.asarray(probs, dtype=float)
     width = -(-probs.size // 4) * 4
     return gen.random((attempts, width))[:, : probs.size] < probs

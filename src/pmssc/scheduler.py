@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Tuple, Union
+from typing import Tuple
 
 from .core import (
     Assignment,
@@ -108,28 +108,21 @@ def _order_batch(inst, j, sets_on_machine, remaining):
 
 def pmssc_greedy(
     inst: ProblemInstance,
-    oracle: Union[str, Callable] = "identical",
+    oracle: str = "identical",
     epsilon: float = 0.1,
     seed: int = 0,
 ) -> Tuple[Schedule, GreedyTrace]:
-    """Greedy scheme: cover the universe by repeated densest-subfamily calls."""
+    """Greedy scheme: cover the universe by repeated calls to ``ORACLES[oracle]``."""
     report = validate_instance(inst)
     if not report.coverable:
         raise UncoverableError(
             "elements %s cannot be covered" % list(report.uncovered_elements)
         )
-    if callable(oracle):
-        oracle_fn = oracle
-    elif oracle in ORACLES:
-        if oracle == "unit" and inst.cost_model.kind != "unit":
-            raise ValueError(UNIT_MODEL_ONLY)  # even when nothing is left to cover
-        entry, seeded = ORACLES[oracle], oracle in SEEDED_ORACLES
-
-        def oracle_fn(remaining, available, iteration):
-            step_seed = child_seed(seed, iteration) if seeded else seed
-            return entry(inst, remaining, available, epsilon, step_seed)
-    else:
-        raise ValueError("unknown oracle %r" % oracle)
+    if oracle not in ORACLES:
+        raise ValueError("unknown oracle %r" % (oracle,))
+    if oracle == "unit" and inst.cost_model.kind != "unit":
+        raise ValueError(UNIT_MODEL_ONLY)  # even when nothing is left to cover
+    seeded = oracle in SEEDED_ORACLES
 
     remaining = frozenset(range(inst.n))
     available = set(range(inst.k))
@@ -139,7 +132,8 @@ def pmssc_greedy(
     while remaining:
         if step > inst.n:
             raise StalledOracleError("greedy failed to make progress")
-        asg = oracle_fn(remaining=remaining, available=frozenset(available), iteration=step)
+        step_seed = child_seed(seed, step) if seeded else seed
+        asg = ORACLES[oracle](inst, remaining, frozenset(available), epsilon, step_seed)
         kept = []
         for j, seq in enumerate(asg.per_machine):
             useful = [s for s in seq if inst.members[s] & remaining]

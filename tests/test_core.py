@@ -205,6 +205,19 @@ def test_validate_cyclic_dag():
     assert not report.valid
 
 
+@pytest.mark.parametrize("bad", [0, -1, Fraction(-1, 2), -0.5])
+def test_cost_models_reject_nonpositive_entries(bad):
+    # so no instance holds a cost that validate_instance would have to report
+    for build in (
+        lambda: IdenticalCosts((1, bad)),
+        lambda: RelatedCosts((1, bad), (1,)),
+        lambda: RelatedCosts((1,), (1, bad)),
+        lambda: UnrelatedCosts(((1, INFINITE_COST), (bad, 1))),
+    ):
+        with pytest.raises(ValueError, match="must be positive"):
+            build()
+
+
 def test_infinite_cost_rejected_in_schedule():
     inst = ProblemInstance(
         n=1,
@@ -223,12 +236,13 @@ def test_element_out_of_range_rejected():
         ProblemInstance(n=2, sets=((0, 2),), m=1, cost_model=UnitCosts())
 
 
-# Indices are read with ``operator.index``: floats and strings are rejected,
-# not truncated or parsed, while Python and NumPy integers are taken.
+# Indices are read with ``operator.index``: floats, strings and bools are
+# rejected, not truncated, parsed or read as 0 and 1, while Python and NumPy
+# integers are taken.
 
 
 def test_set_elements_must_be_integers():
-    for members in ((1.7, 2), ("2",), (0.0,)):
+    for members in ((1.7, 2), ("2",), (0.0,), (True,)):
         with pytest.raises(TypeError):
             ProblemInstance(n=3, sets=(members, (1,)), m=1, cost_model=UnitCosts())
     inst = ProblemInstance(n=3, sets=((np.int64(2), 0),), m=1, cost_model=UnitCosts())
@@ -236,7 +250,7 @@ def test_set_elements_must_be_integers():
 
 
 def test_dag_edge_ends_must_be_integers():
-    for edge in ((0.9, "0"), (0, 1.0), ("0", 1)):
+    for edge in ((0.9, "0"), (0, 1.0), ("0", 1), (False, True)):
         with pytest.raises(TypeError):
             ProblemInstance(n=1, sets=((0,), (0,)), m=1, cost_model=UnitCosts(), dag=(edge,))
     inst = ProblemInstance(
@@ -251,11 +265,13 @@ def test_assigned_set_indices_must_be_integers():
             build(((1.5,),))
         with pytest.raises(TypeError):
             build(((0,), ("1",)))
+        with pytest.raises(TypeError):
+            build(((True,),))
         assert build(((np.int64(1),), (0,))).per_machine == ((1,), (0,))
 
 
 def test_coverage_set_indices_must_be_integers(t1):
-    for family in ([1.5], ["0"]):
+    for family in ([1.5], ["0"], [True]):
         with pytest.raises(TypeError):
             coverage(t1, family)
     assert coverage(t1, [np.int64(1)]) == frozenset({2})

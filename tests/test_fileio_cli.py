@@ -1,4 +1,5 @@
 import contextlib
+import copy
 import io
 import json
 import math
@@ -606,9 +607,12 @@ def test_cli_solves_without_importing_scipy(tmp_path):
 
 # -- fuzz: no instance document, valid or not, may end the CLI in a traceback
 
+# Each draw is a fresh copy: a later mutation may write into a junk list
+# placed earlier, which must neither edit this constant nor make a list
+# contain itself.
 FUZZ_JUNK = st.sampled_from(
     [None, True, -1, 0, 1, 2, 9, 1.5, "x", "inf", [], [0], [1, 2], [[0, 1]], {}]
-)
+).map(copy.deepcopy)
 
 
 def _paths(doc, prefix=()):

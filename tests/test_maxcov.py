@@ -1,5 +1,7 @@
+import sys
 from fractions import Fraction
 from itertools import combinations
+from unittest import mock
 
 import pytest
 
@@ -11,13 +13,22 @@ import pmssc.pds as pds_module
 from pmssc.core import IdenticalCosts, ProblemInstance, element_mask
 from pmssc.errors import DomainError
 from pmssc.fileio import generate_instance
-from pmssc.maxcov import (
-    PARTIAL_ENUM3,
-    RATIO,
-    MaxCovResult,
-    budgeted_max_coverage,
-)
+from pmssc.maxcov import MaxCovResult, budgeted_max_coverage
 from pmssc.pds import identical_ladder_delta, pds_identical
+
+# The two kernels, named for the reference below. ``budgeted_max_coverage``
+# picks one from the number of sets; a test forces it by moving the cut.
+RATIO = "ratio"
+PARTIAL_ENUM3 = "enum3"
+KERNEL_MAX_K = {RATIO: 0, PARTIAL_ENUM3: sys.maxsize}
+
+
+def maxcov(universe, sets, costs, budget, mode):
+    """``budgeted_max_coverage`` on the masks of ``universe`` and ``sets``,
+    with the kernel ``mode`` forced."""
+    masks = [element_mask(s) for s in sets]
+    with mock.patch.object(maxcov_module, "PARTIAL_ENUM_MAX_K", KERNEL_MAX_K[mode]):
+        return budgeted_max_coverage(element_mask(universe), masks, costs, budget)
 
 
 def brute_force_opt(universe, sets, costs, budget):
@@ -42,14 +53,14 @@ T1_COSTS = [Fraction(1), Fraction(1), Fraction(2)]
 def test_t1_budget_two_ratio():
     # exhaustive check: optimum at budget 2 is 3
     assert brute_force_opt({0, 1, 2}, T1_SETS, T1_COSTS, 2) == 3
-    result = budgeted_max_coverage({0, 1, 2}, T1_SETS, T1_COSTS, 2, mode=RATIO)
+    result = maxcov({0, 1, 2}, T1_SETS, T1_COSTS, 2, mode=RATIO)
     assert result.covered == 3
     assert result.chosen == (0, 1)  # picks A then B
     assert result.total_cost == 2
 
 
 def test_budget_zero_returns_empty():
-    result = budgeted_max_coverage({0, 1}, [{0}, {1}], [1, 1], 0, mode=RATIO)
+    result = maxcov({0, 1}, [{0}, {1}], [1, 1], 0, mode=RATIO)
     assert result.chosen == () and result.covered == 0
 
 
@@ -57,7 +68,7 @@ def test_singleton_fallback_value():
     sets = [{0}, {1}, {0, 1, 2, 3}]
     costs = [Fraction(1), Fraction(1), Fraction(3)]
     assert brute_force_opt(range(4), sets, costs, 3) == 4
-    result = budgeted_max_coverage(range(4), sets, costs, 3, mode=RATIO)
+    result = maxcov(range(4), sets, costs, 3, mode=RATIO)
     assert result.covered == 4
     assert result.total_cost <= 3
 
@@ -68,9 +79,7 @@ def test_budget_is_hard_constraint():
         costs = [inst.cost(s, 0) for s in range(inst.k)]
         budget = Fraction(1 + seed % 5)
         for mode in (RATIO, PARTIAL_ENUM3):
-            result = budgeted_max_coverage(
-                range(inst.n), inst.sets, costs, budget, mode=mode
-            )
+            result = maxcov(range(inst.n), inst.sets, costs, budget, mode=mode)
             assert result.total_cost <= budget
 
 
@@ -79,10 +88,8 @@ def test_partial_enum_dominates_ratio():
         inst = generate_instance(n=8, k=6, m=1, model="identical", density=0.35, seed=100 + seed)
         costs = [inst.cost(s, 0) for s in range(inst.k)]
         budget = Fraction(2 + seed % 6)
-        ratio = budgeted_max_coverage(range(inst.n), inst.sets, costs, budget, mode=RATIO)
-        enum3 = budgeted_max_coverage(
-            range(inst.n), inst.sets, costs, budget, mode=PARTIAL_ENUM3
-        )
+        ratio = maxcov(range(inst.n), inst.sets, costs, budget, mode=RATIO)
+        enum3 = maxcov(range(inst.n), inst.sets, costs, budget, mode=PARTIAL_ENUM3)
         assert enum3.covered >= ratio.covered
 
 
@@ -96,23 +103,22 @@ def test_partial_enum_reaches_1_minus_1_over_e():
         costs = [inst.cost(s, 0) for s in range(inst.k)]
         budget = Fraction(2 + seed % 5)
         opt = brute_force_opt(range(inst.n), inst.sets, costs, budget)
-        enum3 = budgeted_max_coverage(
-            range(inst.n), inst.sets, costs, budget, mode=PARTIAL_ENUM3
-        )
+        enum3 = maxcov(range(inst.n), inst.sets, costs, budget, mode=PARTIAL_ENUM3)
         assert enum3.covered >= factor * opt - 1e-9
 
 
 def test_default_mode_matches_enum_for_small_k():
-    result = budgeted_max_coverage({0, 1, 2}, T1_SETS, T1_COSTS, 2, mode=None)
-    enum3 = budgeted_max_coverage({0, 1, 2}, T1_SETS, T1_COSTS, 2, mode=PARTIAL_ENUM3)
+    masks = [element_mask(s) for s in T1_SETS]
+    result = budgeted_max_coverage(0b111, masks, T1_COSTS, 2)
+    enum3 = maxcov({0, 1, 2}, T1_SETS, T1_COSTS, 2, mode=PARTIAL_ENUM3)
     assert result == enum3
 
 
 def test_nonpositive_cost_rejected():
     with pytest.raises(DomainError):
-        budgeted_max_coverage({0}, [{0}], [0], 1)
+        budgeted_max_coverage(1, [1], [0], 1)
     with pytest.raises(DomainError):
-        budgeted_max_coverage({0}, [{0}], [1], -1)
+        budgeted_max_coverage(1, [1], [1], -1)
 
 
 # ---------------------------------------------------------------------------
@@ -220,12 +226,7 @@ def test_kernel_matches_reference(case):
     universe, sets, costs, budget = case
     for mode in (RATIO, PARTIAL_ENUM3):
         expected = reference_max_coverage(universe, sets, costs, budget, mode)
-        assert budgeted_max_coverage(universe, sets, costs, budget, mode=mode) == expected
-        masks = [element_mask(s) for s in sets]
-        assert (
-            budgeted_max_coverage(element_mask(universe), masks, costs, budget, mode=mode)
-            == expected
-        )
+        assert maxcov(universe, sets, costs, budget, mode=mode) == expected
 
 
 def test_kernel_matches_reference_on_forced_ties():
@@ -235,13 +236,12 @@ def test_kernel_matches_reference_on_forced_ties():
     for budget in (Fraction(1), Fraction(2), Fraction(7, 2), Fraction(5)):
         for mode in (RATIO, PARTIAL_ENUM3):
             expected = reference_max_coverage(range(5), sets, costs, budget, mode)
-            assert budgeted_max_coverage(range(5), sets, costs, budget, mode=mode) == expected
+            assert maxcov(range(5), sets, costs, budget, mode=mode) == expected
 
 
-def _reference_via_masks(universe, sets, costs, budget, mode=None):
+def _reference_via_masks(universe, sets, costs, budget):
     """Stand-in for ``pmssc.pds.budgeted_max_coverage`` that accepts masks."""
-    if mode is None:
-        mode = PARTIAL_ENUM3 if len(sets) <= maxcov_module.PARTIAL_ENUM_MAX_K else RATIO
+    mode = PARTIAL_ENUM3 if len(sets) <= maxcov_module.PARTIAL_ENUM_MAX_K else RATIO
     return reference_max_coverage(
         _bits(universe), [_bits(s) for s in sets], costs, budget, mode
     )

@@ -492,7 +492,7 @@ def test_stopped_ladder_keeps_the_proven_fraction_of_exact_pds(case):
 def test_over_budget_family_raises_invariant_error(solver, monkeypatch):
     # A max-coverage result that takes every candidate breaks the budget the
     # ladder analysis relies on; that must raise even under ``python -O``.
-    def take_everything(universe, sets, costs, budget, mode=None):
+    def take_everything(universe, sets, costs, budget):
         return MaxCovResult(tuple(range(len(sets))), sum(costs), 0)
 
     monkeypatch.setattr(pds_module, "budgeted_max_coverage", take_everything)
@@ -534,7 +534,6 @@ def reference_pds_unit(
     remaining: Iterable[int],
     epsilon: float,
     available: Optional[Iterable[int]] = None,
-    maxcov_mode: Optional[str] = None,
 ) -> Assignment:
     """Unit-cost simplification: balanced split instead of round-robin.
 
@@ -557,9 +556,7 @@ def reference_pds_unit(
     for guess in ladder:
         if guess < 1:
             continue  # every set costs 1
-        result = budgeted_max_coverage(
-            remaining_mask, pool_masks, ones, inst.m * guess, mode=maxcov_mode
-        )
+        result = budgeted_max_coverage(remaining_mask, pool_masks, ones, inst.m * guess)
         if not result.chosen:
             continue
         chosen = sorted(pool[i] for i in result.chosen)

@@ -164,7 +164,7 @@ def test_rounding_unbiasedness():
     """Raw per-pair inclusion frequency matches x within 3 sigma."""
     probs = [0.15, 0.5, 0.85, 0.0, 1.0, 0.3]
     trials = 100_000
-    freq = raw_draws(123, trials, probs).mean(axis=0)
+    freq = raw_draws(stream(123), trials, probs).mean(axis=0)
     for p, f in zip(probs, freq):
         tol = 3 * math.sqrt(p * (1 - p) / trials)
         assert abs(f - p) <= tol + 1e-12
@@ -177,7 +177,7 @@ def test_coverage_expectation_lemma():
     sol = solve_lp(build_pmc_lp(inst, budgets), verify=True)
     probs = [min(1.0, max(0.0, float(v))) for v in sol.values[: inst.k * inst.m]]
     trials = 10_000
-    placed = raw_draws(9, trials, probs).reshape(trials, inst.k, inst.m).any(axis=2)
+    placed = raw_draws(stream(9), trials, probs).reshape(trials, inst.k, inst.m).any(axis=2)
     covered = np.array(
         [len(set().union(*(inst.members[s] for s in np.flatnonzero(row)))) for row in placed]
     )
@@ -189,7 +189,7 @@ def test_coverage_expectation_lemma():
 def test_draw_rows_replay_alone():
     # k*m = 7 pads to 8 doubles per row, i.e. 2 Philox blocks
     probs = [0.1, 0.3, 0.5, 0.7, 0.9, 0.4, 0.6]
-    draws = raw_draws(5, 10, probs)
+    draws = raw_draws(stream(5), 10, probs)
     assert draws.shape == (10, 7)
     for r in range(10):
         gen = stream(5)
@@ -300,7 +300,7 @@ def _outcome(solve):
 
 def assert_same_rounding(inst, budgets, solution, params):
     probs = [min(1.0, max(0.0, float(v))) for v in solution.values[: inst.k * inst.m]]
-    draws = raw_draws(params.seed, params.attempts(inst.m, inst.n), probs)
+    draws = raw_draws(stream(params.seed), params.attempts(inst.m, inst.n), probs)
     expected = _outcome(lambda: reference_round_pmc(inst, budgets, solution, params, draws))
     actual = _outcome(lambda: round_pmc(inst, budgets, solution, params))
     assert actual == expected

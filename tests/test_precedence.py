@@ -99,14 +99,16 @@ def test_layered_assign_not_closed():
 
 def test_dag_and_family_indices_must_be_integers():
     # read with operator.index: (0.9, "0") was once the self-loop (0, 0)
-    for edge in ((0.9, "0"), (0, 1.0)):
+    for edge in ((0.9, "0"), (0, 1.0), (False, True)):
         with pytest.raises(TypeError):
             PrecedenceDag.from_edges(2, (edge,))
-    with pytest.raises(TypeError):
-        PrecedenceDag.from_edges(2, (), nodes=(0.5,))
+    for nodes in ((0.5,), (True,)):
+        with pytest.raises(TypeError):
+            PrecedenceDag.from_edges(2, (), nodes=nodes)
     dag = PrecedenceDag.from_edges(3, ((0, 1), (1, 2)))
-    with pytest.raises(TypeError):
-        layered_assign([0, 1.2], dag, 2)
+    for family in ([0, 1.2], [0, True]):
+        with pytest.raises(TypeError):
+            layered_assign(family, dag, 2)
 
 
 def test_layered_start_times_respect_precedence():

@@ -1,5 +1,6 @@
 import math
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 
@@ -15,7 +16,7 @@ from pmssc.errors import StalledOracleError, UncoverableError
 from pmssc.fileio import generate_instance
 from pmssc.maxcov import PARTIAL_ENUM_MAX_K
 from pmssc.oracle import exact_pmssc
-from pmssc.scheduler import pmssc_greedy, upper_bound_from_trace
+from pmssc.scheduler import ORACLES, pmssc_greedy, upper_bound_from_trace
 
 END_TO_END_BOUND = (8 * math.e + 0.4 * (math.e - 1)) / (math.e - 1)  # 4 / guarantee
 
@@ -98,11 +99,23 @@ def test_uncoverable_rejected():
 def test_stalled_oracle_detected():
     inst = t1_instance(m=1)
 
-    def stalling_oracle(remaining, available, iteration):
+    def stalling_oracle(inst, remaining, available, epsilon, seed):
         return Assignment(((0,),))  # always set A: never covers element c
 
-    with pytest.raises(StalledOracleError):
-        pmssc_greedy(inst, oracle=stalling_oracle)
+    with mock.patch.dict(ORACLES, {"stalling": stalling_oracle}):
+        with pytest.raises(StalledOracleError):
+            pmssc_greedy(inst, oracle="stalling")
+
+
+def test_oracle_must_be_a_table_name():
+    inst = t1_instance(m=1)
+
+    def exact_oracle(remaining, available, iteration):
+        return ORACLES["exact"](inst, remaining, available, 0.1, 0)
+
+    for oracle in (exact_oracle, ORACLES["exact"], "no-such-oracle"):
+        with pytest.raises(ValueError):
+            pmssc_greedy(inst, oracle=oracle)
 
 
 def test_related_and_unrelated_oracles_run():
