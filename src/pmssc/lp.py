@@ -1,19 +1,30 @@
-"""Bounded-variable two-phase primal simplex for small dense programs.
+"""Bounded-variable simplex for small dense programs, with a warm start.
 
 The solver maximizes ``c . x`` subject to rows ``a . x <= b`` / ``a . x >= b``
 and box bounds ``lo <= x <= hi`` (``hi`` may be infinite). Nonbasic variables
 sit at either bound; the implementation keeps every nonbasic variable at zero
 by complementing columns in place (the classic upper-bound "flip" trick).
 
-Pivoting is Dantzig's rule with a switch to Bland's rule after
-``10 * (rows + cols)`` degenerate steps. One engine runs on float64 arrays
-with a pivot tolerance cascade, or on ``Fraction`` object arrays with zero
-tolerance. ``verify=True`` re-solves exactly from the float basis (Applegate,
-Cook, Dash & Espinoza, Oper. Res. Lett. 2007): the exact ``[A | slacks]``
-tableau takes the float run's flips and basis, which must be exactly
-feasible, and phase 2 pivots on until every exact reduced cost is <= 0 (no
-pivot when the float basis is optimal). The vertex returned is thus exactly
-feasible and exactly optimal.
+A cold solve runs two-phase primal simplex. Pivoting is Dantzig's rule with a
+switch to Bland's rule after ``10 * (rows + cols)`` degenerate steps. One
+engine runs on float64 arrays with a pivot tolerance cascade, or on
+``Fraction`` object arrays with zero tolerance. ``verify=True`` re-solves
+exactly from the float basis (Applegate, Cook, Dash & Espinoza, Oper. Res.
+Lett. 2007): the exact ``[A | slacks]`` tableau takes the float run's flips
+and basis, which must be exactly feasible, and phase 2 pivots on until every
+exact reduced cost is <= 0 (no pivot when the float basis is optimal). The
+vertex returned is thus exactly feasible and exactly optimal.
+
+A ``WarmStart`` holder passed as ``warm`` keeps the last optimal float
+tableau. When the next program has exactly the same objective, bounds,
+relations and coefficient rows, and differs only in its right-hand sides, the
+stored basis is still dual feasible: the rhs change enters through the slack
+columns (``b += B^-1 . change``), a bounded dual simplex (Koberstein, "The
+dual simplex method", 2005) restores primal feasibility, and phase 2 finishes
+as in a cold solve. Any other program, and any numerical trouble on the warm
+path, solves cold; ``verify=True`` re-solves exactly from the warm basis just
+as from a cold one. A warm start may stop at another optimal vertex than a
+cold solve where the optimum is not unique.
 """
 
 from __future__ import annotations
@@ -21,12 +32,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Tuple
+from functools import cached_property
+from typing import Optional, Tuple
 
 import numpy as np
 
 from .core import as_fraction
-from .errors import NumericalFailureError
+from .errors import DomainError, NumericalFailureError
 
 LESS_EQUAL = "<="
 GREATER_EQUAL = ">="
@@ -53,9 +65,45 @@ class LinearProgram:
                 raise ValueError("relation must be '<=' or '>='")
         if len(self.bounds) != nv:
             raise ValueError("need one bound pair per variable")
-        for lo, hi in self.bounds:
-            if float(lo) < 0 or float(lo) > float(hi):
-                raise ValueError("bounds must satisfy 0 <= lo <= hi")
+        try:
+            _, _, _, lo, hi = self._floats
+        except OverflowError:
+            name = next(name for name, value in self._entries() if not _fits_float(value))
+            raise DomainError("LP %s lies outside the float range" % name) from None
+        if np.any(lo < 0) or np.any(lo > hi):
+            raise ValueError("bounds must satisfy 0 <= lo <= hi")
+
+    @cached_property
+    def _floats(self):
+        """(objective, rows, rhs, lo, hi) as float64 arrays, converted once."""
+        nv, nrows = len(self.objective), len(self.constraints)
+        return (
+            np.array(self.objective, dtype=float),
+            np.array([row for row, _, _ in self.constraints], dtype=float).reshape(nrows, nv),
+            np.array([rhs for _, _, rhs in self.constraints], dtype=float),
+            np.array([lo for lo, _ in self.bounds], dtype=float),
+            np.array([hi for _, hi in self.bounds], dtype=float),
+        )
+
+    def _entries(self):
+        """(name, value) of every number, in the order the LP text format writes them."""
+        for j, a in enumerate(self.objective):
+            yield "objective coefficient %d" % j, a
+        for i, (coeffs, _, rhs) in enumerate(self.constraints):
+            for j, a in enumerate(coeffs):
+                yield "constraint %d coefficient %d" % (i, j), a
+            yield "constraint %d right-hand side" % i, rhs
+        for j, (lo, hi) in enumerate(self.bounds):
+            yield "lower bound of x%d" % j, lo
+            yield "upper bound of x%d" % j, hi
+
+
+def _fits_float(value) -> bool:
+    try:
+        float(value)
+    except OverflowError:
+        return False
+    return True
 
 
 @dataclass(frozen=True)
@@ -100,6 +148,16 @@ def _flip_nonbasic(M, b, c, u, flipped, j):
     flipped[j] = not flipped[j]
 
 
+def _complement_basic(M, b, c, u, basis, flipped, i):
+    """Replace row i's basic variable z by its complement u - z."""
+    bc = basis[i]
+    b[i] = u[bc] - b[i]
+    M[i, :] = -M[i, :]
+    M[i, bc] = 1
+    c[bc] = -c[bc]
+    flipped[bc] = not flipped[bc]
+
+
 def _optimize(M, b, c, u, basis, flipped, tol, bland_after):
     """Run primal iterations until no reduced cost exceeds tol (0: exact ties)."""
     nrows, ncols = M.shape
@@ -141,14 +199,38 @@ def _optimize(M, b, c, u, basis, flipped, tol, bland_after):
         elif kind == "lower":
             _pivot(M, b, basis, i, j)
         else:
-            bc = basis[i]
-            b[i] = u[bc] - b[i]
-            M[i, :] = -M[i, :]
-            M[i, bc] = 1
-            c[bc] = -c[bc]
-            flipped[bc] = not flipped[bc]
+            _complement_basic(M, b, c, u, basis, flipped, i)
             _pivot(M, b, basis, i, j)
     raise _NumericTrouble("iteration limit exceeded")
+
+
+def _dual_simplex(M, b, c, u, basis, flipped, tol):
+    """Bounded dual simplex from a dual feasible basis until 0 <= b <= u (within tol).
+
+    A basic variable above its bound is complemented, which leaves every
+    reduced cost as it was and puts the variable below zero. The most
+    negative row leaves; the entering column has the least |reduced cost| /
+    |row entry| over the row's entries below -tol (ties to the lowest index),
+    so every reduced cost stays <= 0. A row with no such entry proves the
+    program infeasible, which the caller leaves to a cold solve.
+    """
+    nrows, ncols = M.shape
+    if not nrows:
+        return
+    for _ in range(2000 + 200 * (nrows + ncols)):
+        for i in np.flatnonzero(b > u[basis] + tol):
+            _complement_basic(M, b, c, u, basis, flipped, i)
+        i = int(np.argmin(b))
+        if b[i] >= -tol:
+            return
+        row = M[i]
+        entering = np.flatnonzero(row < -tol)
+        if entering.size == 0:
+            raise _NumericTrouble("dual simplex found no entering column")
+        r = c - c[basis] @ M
+        j = int(entering[np.argmin(np.minimum(r[entering], 0) / row[entering])])
+        _pivot(M, b, basis, i, j)
+    raise _NumericTrouble("dual simplex iteration limit exceeded")
 
 
 def _fraction(value):
@@ -159,19 +241,26 @@ def _fraction(value):
 def _tableau(lp: LinearProgram, num):
     """``[A | slacks]``, the rhs shifted by lo, lo, hi and the column ranges.
 
-    ``num`` is ``float`` (float64 arrays) or ``_fraction`` (object arrays of
-    ``Fraction``; slack coefficients too, so no division falls back to float).
+    ``num`` is ``float`` (float64 arrays, from the program's converted
+    arrays) or ``_fraction`` (object arrays of ``Fraction``; slack
+    coefficients too, so no division falls back to float).
     """
     nv, nrows = len(lp.objective), len(lp.constraints)
-    dtype = float if num is float else object
-    lo = np.array([num(bd[0]) for bd in lp.bounds], dtype=dtype)
-    hi = np.array([num(bd[1]) for bd in lp.bounds], dtype=dtype)
+    if num is float:
+        _, rows, rhs, lo, hi = lp._floats
+        dtype = float
+    else:
+        rows = [[num(a) for a in coeffs] for coeffs, _, _ in lp.constraints]
+        rhs = [num(rhs) for _, _, rhs in lp.constraints]
+        lo = np.array([num(bd[0]) for bd in lp.bounds], dtype=object)
+        hi = np.array([num(bd[1]) for bd in lp.bounds], dtype=object)
+        dtype = object
     M = np.full((nrows, nv + nrows), num(0), dtype=dtype)
     b = np.full(nrows, num(0), dtype=dtype)
-    for i, (coeffs, relation, rhs) in enumerate(lp.constraints):
-        M[i, :nv] = [num(a) for a in coeffs]
+    for i, (_, relation, _) in enumerate(lp.constraints):
+        M[i, :nv] = rows[i]
         M[i, nv + i] = num(1) if relation == LESS_EQUAL else num(-1)
-        b[i] = num(rhs) - M[i, :nv] @ lo
+        b[i] = rhs[i] - M[i, :nv] @ lo
     u = np.concatenate([hi - lo, np.full(nrows, math.inf, dtype=dtype)])
     return M, b, lo, hi, u
 
@@ -185,11 +274,15 @@ def _vertex(b, u, basis, flipped, lo):
     return lo + z[: len(lo)]
 
 
-def _solve_floats(lp: LinearProgram, tol: float):
-    M, b, lo, hi, u = _tableau(lp, float)
+def _cold_start(lp: LinearProgram, tol: float):
+    """Phase 1 from the artificial basis.
+
+    Returns the phase-2 tableau ``(M, b, c, u, basis, flipped)`` and the rows
+    dropped as redundant.
+    """
+    M, b, _, _, u = _tableau(lp, float)
     nrows, ncols = M.shape
     nv = ncols - nrows
-    rows = M[:, :nv]  # hstack below copies, so these stay the original rows
     M = np.hstack([M, np.zeros((nrows, nrows))])
     negative = b < 0
     M[negative] = -M[negative]
@@ -198,13 +291,11 @@ def _solve_floats(lp: LinearProgram, tol: float):
     u = np.concatenate([u, np.full(nrows, np.inf)])
     flipped = [False] * (ncols + nrows)
     basis = [ncols + i for i in range(nrows)]
-    bland_after = 10 * (nrows + ncols)
 
-    # Phase 1: drive the artificials to zero.
     c1 = np.zeros(ncols + nrows)
     c1[ncols:] = -1.0
     try:
-        _optimize(M, b, c1, u, basis, flipped, tol, bland_after)
+        _optimize(M, b, c1, u, basis, flipped, tol, 10 * (nrows + ncols))
     except _Unbounded:
         raise _NumericTrouble("phase 1 reported unbounded")
     infeasibility = sum(b[i] for i in range(nrows) if basis[i] >= ncols)
@@ -225,26 +316,57 @@ def _solve_floats(lp: LinearProgram, tol: float):
         M = np.delete(M, redundant, axis=0)
         b = np.delete(b, redundant)
         basis = [bv for i, bv in enumerate(basis) if i not in redundant]
-    M = M[:, :ncols]
-    u = u[:ncols]
     flipped = flipped[:ncols]
 
-    # Phase 2: original objective (sign-adjusted for columns flipped so far).
-    c2 = np.zeros(ncols)
-    c2[:nv] = [-float(cj) if f else float(cj) for cj, f in zip(lp.objective, flipped)]
-    _optimize(M, b, c2, u, basis, flipped, tol, bland_after)
+    # The original objective, sign-adjusted for the columns flipped so far.
+    objective = lp._floats[0]
+    c = np.zeros(ncols)
+    c[:nv] = np.where(flipped[:nv], -objective, objective)
+    return (M[:, :ncols], b, c, u[:ncols], basis, flipped), redundant
+
+
+def _warm_start(lp: LinearProgram, rhs_before, tableau, tol: float):
+    """``tableau``, optimal for the right-hand sides ``rhs_before``, made
+    primal feasible again for ``lp``'s by the bounded dual simplex.
+
+    Row i's slack column holds sign_i times column i of B^-1 (sign +1 for
+    "<=", -1 for ">="), so the new basic values are b + M[:, slacks] @
+    (sign * change).
+    """
+    M, b, c, u, basis, flipped = tableau
+    change = lp._floats[2] - rhs_before
+    if change.any():
+        sign = np.array([1.0 if rel == LESS_EQUAL else -1.0 for _, rel, _ in lp.constraints])
+        b += M[:, len(lp.objective):] @ (sign * change)
+    _dual_simplex(M, b, c, u, basis, flipped, tol)
+    return tableau
+
+
+def _solve_floats(lp: LinearProgram, tol: float, start=None):
+    """Float optimum from a cold start, or from ``start = (rhs_before, tableau)``.
+
+    Returns the vertex, the final tableau and the rows dropped as redundant.
+    """
+    if start is None:
+        tableau, redundant = _cold_start(lp, tol)
+    else:
+        tableau, redundant = _warm_start(lp, *start, tol), []
+    M, b, c, u, basis, flipped = tableau
+    nv, nrows = len(lp.objective), len(lp.constraints)
+    _optimize(M, b, c, u, basis, flipped, tol, 10 * (nv + 2 * nrows))
+    _, rows, rhs, lo, hi = lp._floats
     x = _vertex(b, u, basis, flipped, lo)
 
     # Feasibility backstop: bounds within 1e-9, row residuals within 1e-8.
     if np.any(x < lo - 1e-9) or np.any(x > hi + 1e-9):
         raise _NumericTrouble("bound violation")
     x = np.clip(x, lo, hi)
-    for i, (_, relation, rhs) in enumerate(lp.constraints):
-        resid = rows[i] @ x - float(rhs)
+    for i, (_, relation, _) in enumerate(lp.constraints):
+        resid = rows[i] @ x - rhs[i]
         if (resid if relation == LESS_EQUAL else -resid) > 1e-8:
             raise _NumericTrouble("constraint residual %g" % resid)
 
-    return x, basis, flipped, redundant
+    return x, tableau, redundant
 
 
 def _solve_exact(lp: LinearProgram, basis, flipped, redundant):
@@ -276,27 +398,75 @@ def _solve_exact(lp: LinearProgram, basis, flipped, redundant):
     return _vertex(b, u, exact_basis, exact_flipped, lo)
 
 
-def solve_lp(lp: LinearProgram, verify: bool = False) -> LpSolution:
+class WarmStart:
+    """The last optimal float tableau that ``solve_lp`` reached with this holder.
+
+    One holder serves a run of programs that differ only in their right-hand
+    sides, such as one budget ladder. ``solve_lp`` empties it when a solve
+    starts and refills it when a solve succeeds without dropping a redundant
+    row.
+    """
+
+    def __init__(self):
+        self.lp = None  # the program last solved; None while empty
+        self.tol = None  # the pivot tolerance it was solved at
+        self.tableau = None  # its optimal (M, b, c, u, basis, flipped)
+
+    def take(self, lp: LinearProgram):
+        """Empty the holder; return ``(tol, (rhs_before, tableau))`` when ``lp``
+        has exactly the stored program's objective, bounds, relations and
+        coefficient rows, else None."""
+        last, self.lp = self.lp, None
+        if (
+            last is None
+            or last.objective != lp.objective
+            or last.bounds != lp.bounds
+            or len(last.constraints) != len(lp.constraints)
+            or any(
+                ra != rb or ca != cb
+                for (ca, ra, _), (cb, rb, _) in zip(last.constraints, lp.constraints)
+            )
+        ):
+            return None
+        return self.tol, (last._floats[2], self.tableau)
+
+
+def solve_lp(
+    lp: LinearProgram, verify: bool = False, warm: Optional[WarmStart] = None
+) -> LpSolution:
     """Solve to optimality, or report infeasible/unbounded.
 
     With ``verify=True`` the values and objective are exact rationals of a
     vertex that is exactly feasible and has exact reduced costs <= 0; a float
     basis that is not exactly feasible moves on to the next tolerance, and
     ``NumericalFailureError`` is raised when none is left.
+
+    With a ``warm`` holder that matches ``lp`` (see the module docstring) the
+    float solve first starts from the holder's tableau at its tolerance; if
+    that path meets numerical trouble, the cold cascade follows.
     """
+    attempts = [(1e-9, None), (1e-7, None)]
+    saved = warm.take(lp) if warm is not None else None
+    if saved is not None:
+        attempts.insert(0, saved)
     last_trouble = None
-    for tol in (1e-9, 1e-7):
+    for tol, start in attempts:
         try:
-            x, basis, flipped, redundant = _solve_floats(lp, tol)
+            x, tableau, redundant = _solve_floats(lp, tol, start)
             if verify:
-                x = _solve_exact(lp, basis, flipped, redundant)
+                x = _solve_exact(lp, tableau[4], tableau[5], redundant)
         except _Infeasible:
             return LpSolution((), None, INFEASIBLE)
         except _Unbounded:
-            return LpSolution((), None, UNBOUNDED)
+            if start is None:
+                return LpSolution((), None, UNBOUNDED)
+            last_trouble = _NumericTrouble("warm phase 2 reported unbounded")
+            continue
         except _NumericTrouble as exc:
             last_trouble = exc
             continue
+        if warm is not None and not redundant:
+            warm.lp, warm.tol, warm.tableau = lp, tol, tableau
         num = _fraction if verify else float
         objective = num(sum(num(cj) * xj for cj, xj in zip(lp.objective, x)))
         return LpSolution(tuple(num(v) for v in x), objective, OPTIMAL)
@@ -311,11 +481,18 @@ def lp_upper_bounds_ilp(lp_solution: LpSolution, ilp_opt) -> bool:
 
 
 def to_lp_format(lp: LinearProgram) -> str:
-    """Render in the industry-standard LP text format (for manual cross-checks)."""
+    """Render in the industry-standard LP text format (for manual cross-checks).
+
+    Every number is written as the shortest text that reads back as its
+    float value, so the dump is the program the float solve works on.
+    """
+
+    def num(a):
+        return repr(float(a))
 
     def linear(coeffs):
         text = " ".join(
-            "%s %g x%d" % ("+" if float(a) >= 0 else "-", abs(float(a)), j)
+            "%s %s x%d" % ("+" if float(a) >= 0 else "-", num(abs(float(a))), j)
             for j, a in enumerate(coeffs)
             if float(a) != 0.0
         )
@@ -323,10 +500,10 @@ def to_lp_format(lp: LinearProgram) -> str:
 
     lines = ["\\ pmssc", "Maximize", " obj: %s" % linear(lp.objective), "Subject To"]
     for i, (coeffs, relation, rhs) in enumerate(lp.constraints):
-        lines.append(" c%d: %s %s %g" % (i, linear(coeffs), relation, float(rhs)))
+        lines.append(" c%d: %s %s %s" % (i, linear(coeffs), relation, num(rhs)))
     lines.append("Bounds")
     for j, (lo, hi) in enumerate(lp.bounds):
-        hi_txt = "+inf" if float(hi) == math.inf else "%g" % float(hi)
-        lines.append(" %g <= x%d <= %s" % (float(lo), j, hi_txt))
+        hi_txt = "+inf" if float(hi) == math.inf else num(hi)
+        lines.append(" %s <= x%d <= %s" % (num(lo), j, hi_txt))
     lines.append("End")
     return "\n".join(lines) + "\n"

@@ -41,6 +41,7 @@ from .core import (
     is_finite_cost,
 )
 from .errors import InvalidIndexError, InvariantError, NoCoverageError, NoIterationKeptError
+from .lp import WarmStart
 from .maxcov import budgeted_max_coverage
 from .pmc import FPT, POLY, PmcParams, pmc_solve
 from .rng import child_seed
@@ -285,8 +286,10 @@ def _pmc_ladder(inst, remaining, pool, table, weights, base, params, clamp):
     rounds with seed ``child_seed(params.seed, gi)``. With ``clamp`` a cost
     above the guess fits no budget and is infinite, so the work table is
     built once per fit count, the number of pool costs at or below the
-    guess. Yields (guess, assignment) for every guess that keeps a nonempty
-    assignment.
+    guess. One ``WarmStart`` serves the ladder: guesses that share a work
+    table give LPs that differ only in their budget rhs, so each re-solves
+    from the previous optimum. Yields (guess, assignment) for every guess
+    that keeps a nonempty assignment.
     """
     pool_set = set(pool)
     m = len(weights)
@@ -304,6 +307,7 @@ def _pmc_ladder(inst, remaining, pool, table, weights, base, params, clamp):
     produced = False
     skipped = []
     work, work_fit = None, None
+    warm = WarmStart()
     for gi, guess in enumerate(_ladder_guesses(table, base, usable)):
         # The first guess covers a usable set's cheapest cost, so fit >= 1.
         fit = bisect_right(fitting, guess) if clamp else len(fitting)
@@ -317,6 +321,7 @@ def _pmc_ladder(inst, remaining, pool, table, weights, base, params, clamp):
                 work,
                 [w * guess for w in weights],
                 replace(params, seed=child_seed(params.seed, gi)),
+                warm=warm,
             )
         except NoIterationKeptError:
             skipped.append(guess)

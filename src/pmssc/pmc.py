@@ -38,7 +38,7 @@ from .core import (
     is_finite_cost,
 )
 from .errors import DomainError, NoIterationKeptError, ValidationError
-from .lp import OPTIMAL, LinearProgram, LpSolution, solve_lp, to_lp_format
+from .lp import OPTIMAL, LinearProgram, LpSolution, WarmStart, solve_lp, to_lp_format
 from .rng import stream
 
 POLY = "poly"
@@ -299,8 +299,13 @@ def pmc_solve(
     budgets: Sequence,
     params: PmcParams,
     verify_lp: bool = False,
+    warm: Optional[WarmStart] = None,
 ) -> PmcResult:
-    """build_pmc_lp -> solve_lp -> round_pmc, with the zero-objective shortcut."""
+    """build_pmc_lp -> solve_lp -> round_pmc, with the zero-objective shortcut.
+
+    ``warm`` is handed to ``solve_lp``: calls on one instance at other
+    budgets build programs that differ only in their budget rows' rhs.
+    """
     program = build_pmc_lp(inst, budgets)
     dump = os.environ.get("PMSSC_DUMP_LP")
     if dump:
@@ -309,7 +314,7 @@ def pmc_solve(
                 fh.write(to_lp_format(program))
         except OSError as exc:
             raise ValidationError("PMSSC_DUMP_LP", "cannot write %s: %s" % (dump, exc))
-    solution = solve_lp(program, verify=verify_lp)
+    solution = solve_lp(program, verify=verify_lp, warm=warm)
     if solution.status != OPTIMAL:
         raise DomainError("PMC relaxation must be feasible and bounded")
     if float(solution.objective_value) <= 1e-12:

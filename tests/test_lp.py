@@ -3,14 +3,15 @@ from fractions import Fraction
 from unittest import mock
 
 import numpy as np
-from hypothesis import given, settings
+import pytest
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linprog
 
 from conftest import t1_instance
 from pmssc import lp as lp_mod
 from pmssc.core import as_fraction
-from pmssc.errors import NumericalFailureError
+from pmssc.errors import DomainError, NumericalFailureError
 from pmssc.lp import (
     GREATER_EQUAL,
     INFEASIBLE,
@@ -19,6 +20,7 @@ from pmssc.lp import (
     UNBOUNDED,
     LinearProgram,
     LpSolution,
+    WarmStart,
     lp_upper_bounds_ilp,
     solve_lp,
     to_lp_format,
@@ -164,6 +166,50 @@ def test_lp_format_dump():
     text = to_lp_format(lp)
     assert "Maximize" in text and "Subject To" in text and "Bounds" in text
     assert "x0" in text and "x1" in text
+    # every number reads back as the float of its coefficient, which 6
+    # significant digits would not give (333334, 1.23457e+07)
+    lp = LinearProgram(
+        (Fraction(1, 3), -2, 0.1),
+        (
+            ((1, Fraction(-1000001, 3), 0), "<=", Fraction(1000001, 3)),
+            ((Fraction(2, 7), 0, 1e-17), ">=", -12345678.9),
+        ),
+        ((0, Fraction(12345678.9)), (Fraction(1, 10**6), 7), (0, math.inf)),
+    )
+    lines = to_lp_format(lp).splitlines()
+
+    def parse_linear(text):
+        tokens = text.split()
+        if tokens[0] not in "+-":
+            tokens.insert(0, "+")
+        terms = zip(tokens[::3], tokens[1::3], tokens[2::3])
+        return {int(x[1:]): float(sign + a) for sign, a, x in terms}
+
+    objective = parse_linear(lines[2].split(":", 1)[1])
+    assert objective == {j: float(c) for j, c in enumerate(lp.objective) if c}
+    for i, (coeffs, relation, rhs) in enumerate(lp.constraints):
+        body, text_rhs = lines[4 + i].split(":", 1)[1].split(" %s " % relation)
+        assert parse_linear(body) == {j: float(a) for j, a in enumerate(coeffs) if a}
+        assert float(text_rhs) == float(rhs)
+    for j, (lo, hi) in enumerate(lp.bounds):
+        text_lo, _, _, _, text_hi = lines[5 + len(lp.constraints) + j].split()
+        assert float(text_lo) == float(lo) and float(text_hi) == float(hi)
+
+
+@pytest.mark.parametrize(
+    "lp_args, entry",
+    [
+        (((1,), (), ((0, Fraction(10**400)),)), "upper bound of x0"),
+        (((1, 1), (((1, 10**400), "<=", 1),), ((0, 1), (0, 1))), "constraint 0 coefficient 1"),
+        (
+            ((1,), (((1,), "<=", 1), ((1,), "<=", 10**400)), ((0, 1),)),
+            "constraint 1 right-hand side",
+        ),
+    ],
+)
+def test_values_outside_the_float_range_raise_domain_error(lp_args, entry):
+    with pytest.raises(DomainError, match=entry):
+        LinearProgram(*lp_args)
 
 
 # -- differential tests: one engine for floats and rationals against the
@@ -292,6 +338,133 @@ def test_verify_finishes_a_float_phase_2_cut_short():
         cut_short += stopped.objective_value < float(optimum.objective_value) - 1e-9
     # the cut must bite: most float answers stop below the optimum
     assert cut_short >= len(programs) // 2
+
+
+# -- warm start: one holder, programs that differ only in their rhs
+
+
+@st.composite
+def rhs_changes(draw, lp):
+    """``lp`` with some right-hand sides redrawn (general rows) or scaled
+    (budget rows of a PMC program, which keep it feasible)."""
+    constraints = []
+    for coeffs, relation, rhs in lp.constraints:
+        if draw(st.booleans()):
+            if relation == LESS_EQUAL and rhs >= 0:
+                rhs = rhs * draw(st.builds(Fraction, st.integers(0, 8), st.integers(1, 4)))
+            else:
+                rhs = draw(st.builds(Fraction, st.integers(-6, 10), st.integers(1, 3)))
+        constraints.append((coeffs, relation, rhs))
+    return LinearProgram(lp.objective, tuple(constraints), lp.bounds)
+
+
+@st.composite
+def warm_pairs(draw):
+    lp = draw(st.one_of(general_lps(), pmc_lps()))
+    return lp, draw(rhs_changes(lp))
+
+
+def _filled(lp):
+    """A holder that ``lp``'s float solve filled, or None when it stays empty."""
+    warm = WarmStart()
+    try:
+        solve_lp(lp, warm=warm)
+    except NumericalFailureError:
+        return None
+    return warm if warm.lp is not None else None
+
+
+@settings(max_examples=100, deadline=None)
+@given(pair=warm_pairs())
+def test_warm_resolve_at_a_new_rhs_reaches_the_exact_optimum(pair):
+    first, second = pair
+    warm = _filled(first)
+    assume(warm is not None)
+    try:
+        cold = solve_lp(second, verify=True)
+    except NumericalFailureError:
+        return
+    with mock.patch.object(lp_mod, "_cold_start", wraps=lp_mod._cold_start) as cold_start:
+        sol = solve_lp(second, verify=True, warm=warm)
+    assert sol.status == cold.status
+    if sol.status == OPTIMAL:
+        assert cold_start.call_count == 0  # the warm path itself reached it
+        assert sol.objective_value == cold.objective_value
+        assert_exactly_feasible(second, sol)
+
+
+@st.composite
+def other_matrices(draw):
+    """A program and a copy of it with one coefficient, bound, relation or
+    objective entry changed."""
+    lp = draw(st.one_of(general_lps(), pmc_lps()))
+    objective, constraints, bounds = list(lp.objective), list(lp.constraints), list(lp.bounds)
+    part = draw(st.sampled_from(
+        ["objective", "bound"] + (["coefficient", "relation"] if constraints else [])
+    ))
+    j = draw(st.integers(0, len(objective) - 1))
+    if part == "objective":
+        objective[j] += 1
+    elif part == "bound":
+        lo, hi = bounds[j]
+        bounds[j] = (lo, lo + 5 if hi == math.inf else hi + Fraction(1, 2))
+    else:
+        i = draw(st.integers(0, len(constraints) - 1))
+        coeffs, relation, rhs = constraints[i]
+        if part == "coefficient":
+            coeffs = coeffs[:j] + (coeffs[j] + Fraction(1, 3),) + coeffs[j + 1:]
+        else:
+            relation = GREATER_EQUAL if relation == LESS_EQUAL else LESS_EQUAL
+        constraints[i] = (coeffs, relation, rhs)
+    return lp, LinearProgram(tuple(objective), tuple(constraints), tuple(bounds))
+
+
+@settings(max_examples=100, deadline=None)
+@given(pair=other_matrices(), verify=st.booleans())
+def test_holder_of_another_matrix_gives_the_cold_result(pair, verify):
+    first, second = pair
+    warm = _filled(first)
+    assume(warm is not None)
+    try:
+        cold = solve_lp(second, verify=verify)
+    except NumericalFailureError:
+        return
+    with mock.patch.object(lp_mod, "_warm_start", side_effect=AssertionError("warm")):
+        assert repr(solve_lp(second, verify=verify, warm=warm)) == repr(cold)
+
+
+@settings(max_examples=100, deadline=None)
+@given(lp=st.one_of(general_lps(), pmc_lps()))
+def test_identical_program_resolves_from_its_holder_without_a_pivot(lp):
+    warm = _filled(lp)
+    assume(warm is not None)
+    first = solve_lp(lp)
+    again = LinearProgram(lp.objective, lp.constraints, lp.bounds)  # equal, not the same
+    with mock.patch.object(lp_mod, "_pivot", wraps=lp_mod._pivot) as pivot, \
+            mock.patch.object(lp_mod, "_flip_nonbasic", wraps=lp_mod._flip_nonbasic) as flip:
+        sol = solve_lp(again, warm=warm)
+    assert (pivot.call_count, flip.call_count) == (0, 0)
+    assert repr(sol) == repr(first)
+    assert warm.lp is again
+
+
+@settings(max_examples=60, deadline=None)
+@given(pair=warm_pairs(), verify=st.booleans())
+def test_warm_path_in_numeric_trouble_falls_back_to_the_cold_answer(pair, verify):
+    first, second = pair
+    warm = _filled(first)
+    assume(warm is not None)
+    try:
+        cold = solve_lp(second, verify=verify)
+    except NumericalFailureError:
+        return
+    trouble = lp_mod._NumericTrouble("forced")
+    with mock.patch.object(lp_mod, "_dual_simplex", side_effect=trouble) as dual:
+        sol = solve_lp(second, verify=verify, warm=warm)
+    assert dual.call_count == 1
+    assert repr(sol) == repr(cold)
+    # emptied by the warm attempt, refilled only by the successful cold solve
+    assert warm.lp is None or (warm.lp is second and sol.status == OPTIMAL)
 
 
 # -- reference: the former float solve and _verify_exact, verbatim but for

@@ -22,7 +22,10 @@ from pmssc.core import (
 )
 from pmssc.errors import InvalidIndexError, InvariantError, NoCoverageError, NoIterationKeptError
 from pmssc.fileio import generate_instance
+import pmssc.lp as lp_module
+from pmssc.lp import WarmStart
 import pmssc.pds as pds_module
+import pmssc.pmc as pmc_module
 from pmssc.maxcov import PARTIAL_ENUM_MAX_K, MaxCovResult, budgeted_max_coverage
 from pmssc.oracle import exact_pds
 from pmssc.pds import (
@@ -256,9 +259,9 @@ def test_related_ladder_clamps_as_a_fresh_clamp_would_at_every_guess(monkeypatch
     weights = [len(g) for g in reduction.groups if g]
     tables = []
 
-    def spy(work, budgets, params, _inner=pmc_solve):
+    def spy(work, budgets, params, warm=None, _inner=pmc_solve):
         tables.append((work.costs, budgets[0] / weights[0]))
-        return _inner(work, budgets, params)
+        return _inner(work, budgets, params, warm=warm)
 
     def fit(guess):
         return sum(c <= guess for row in aux.costs for c in row)
@@ -284,6 +287,33 @@ def test_related_ladder_clamps_as_a_fresh_clamp_would_at_every_guess(monkeypatch
             if not clamp or fit(guess) == fit(after)
         ]
         assert pairs and all(later is costs for costs, later in pairs)
+
+
+def test_unrelated_ladder_solves_cold_once_per_pds_call(monkeypatch):
+    # Every guess of an unrelated ladder shares one work table, so only the
+    # budget rhs changes: the first LP starts cold, every later one warm.
+    cold, calls = [], []
+
+    def counted(log, inner):
+        def wrapper(*args, **kwargs):
+            log.append(1)
+            return inner(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(lp_module, "_cold_start", counted(cold, lp_module._cold_start))
+    monkeypatch.setattr(pmc_module, "solve_lp", counted(calls, pmc_module.solve_lp))
+    ladders = 0
+    for seed in range(6):
+        inst = generate_instance(
+            n=10 + 2 * seed, k=5 + seed % 3, m=2 + seed % 3, model="unrelated",
+            density=0.3, seed=60_000 + seed, max_cost=5,
+        )
+        cold.clear()
+        calls.clear()
+        pds_unrelated(inst, range(inst.n), 0.2, seed=seed)
+        assert len(cold) == 1
+        ladders += len(calls) > 1
+    assert ladders >= 3  # most ladders re-solve warm at least once
 
 
 def test_related_greedy_builds_the_reduction_once():
@@ -505,8 +535,10 @@ def test_over_budget_family_raises_invariant_error(solver, monkeypatch):
 #
 # Verbatim copies of the former ``pds_unit``, ``pds_related`` and
 # ``pds_unrelated``, each with its own ladder loop and argmax. Each loop has
-# one addition, the stop rule every ladder now follows: it breaks after the
-# first guess whose assignment covers every coverable remaining element.
+# the additions every ladder now follows: it breaks after the first guess
+# whose assignment covers every coverable remaining element, and the PMC
+# loops hand one LP warm-start holder to every ``pmc_solve`` of the ladder
+# (a warm re-solve may stop at another optimal vertex than a cold one).
 
 
 def _available_list(inst, available):
@@ -699,6 +731,7 @@ def reference_pds_related(
 
     best = None
     skipped = []
+    warm = WarmStart()
     for gi, guess in enumerate(ladder):
         budgets = [Fraction(len(reduction.groups[p])) * guess for p in nonempty]
         guess_inst = ProblemInstance(
@@ -715,7 +748,7 @@ def reference_pds_related(
             seed=child_seed(seed, gi),
         )
         try:
-            result = pmc_solve(guess_inst, budgets, params)
+            result = pmc_solve(guess_inst, budgets, params, warm=warm)
         except NoIterationKeptError:
             skipped.append(guess)
             continue
@@ -788,10 +821,11 @@ def reference_pds_unrelated(
 
     best = None
     skipped = []
+    warm = WarmStart()
     for gi, guess in enumerate(ladder):
         params = PmcParams(mode=POLY, epsilon=epsilon, seed=child_seed(seed, gi))
         try:
-            result = pmc_solve(work, [guess] * inst.m, params)
+            result = pmc_solve(work, [guess] * inst.m, params, warm=warm)
         except NoIterationKeptError:
             skipped.append(guess)
             continue
