@@ -332,6 +332,15 @@ class DensityValue:
 # Operations
 
 
+def available_pool(inst: ProblemInstance, available: Optional[Iterable[int]]) -> list:
+    """``available`` (default: all k sets) in index order, once each, all in [0, k)."""
+    pool = sorted(range(inst.k) if available is None else set(available))
+    outside = [s for s in pool if not 0 <= s < inst.k]
+    if outside:
+        raise InvalidIndexError("available set %d outside [0, %d)" % (outside[0], inst.k))
+    return pool
+
+
 def coverage(
     inst: ProblemInstance,
     family: Iterable[int],

@@ -5,15 +5,17 @@ and box bounds ``lo <= x <= hi`` (``hi`` may be infinite). Nonbasic variables
 sit at either bound; the implementation keeps every nonbasic variable at zero
 by complementing columns in place (the classic upper-bound "flip" trick).
 
-A cold solve runs two-phase primal simplex. Pivoting is Dantzig's rule with a
-switch to Bland's rule after ``10 * (rows + cols)`` degenerate steps. One
-engine runs on float64 arrays with a pivot tolerance cascade, or on
-``Fraction`` object arrays with zero tolerance. ``verify=True`` re-solves
-exactly from the float basis (Applegate, Cook, Dash & Espinoza, Oper. Res.
-Lett. 2007): the exact ``[A | slacks]`` tableau takes the float run's flips
-and basis, which must be exactly feasible, and phase 2 pivots on until every
-exact reduced cost is <= 0 (no pivot when the float basis is optimal). The
-vertex returned is thus exactly feasible and exactly optimal.
+A cold solve runs two-phase primal simplex. Every row has its own slack, so
+phase 1 can always pivot out an artificial left basic at zero; a float phase 1
+that cannot is numerical trouble. Pivoting is Dantzig's rule with a switch to
+Bland's rule after ``10 * (rows + cols)`` degenerate steps. One engine runs on
+float64 arrays with a pivot tolerance cascade, or on ``Fraction`` object
+arrays with zero tolerance. ``verify=True`` re-solves exactly from the float
+basis (Applegate, Cook, Dash & Espinoza, Oper. Res. Lett. 2007): the exact
+``[A | slacks]`` tableau takes the float run's flips and basis, which must be
+exactly feasible, and phase 2 pivots on until every exact reduced cost is <= 0
+(no pivot when the float basis is optimal). The vertex returned is thus
+exactly feasible and exactly optimal.
 
 A ``WarmStart`` holder passed as ``warm`` keeps the last optimal float
 tableau. When the next program has exactly the same objective, bounds,
@@ -275,11 +277,8 @@ def _vertex(b, u, basis, flipped, lo):
 
 
 def _cold_start(lp: LinearProgram, tol: float):
-    """Phase 1 from the artificial basis.
-
-    Returns the phase-2 tableau ``(M, b, c, u, basis, flipped)`` and the rows
-    dropped as redundant.
-    """
+    """Phase 1 from the artificial basis; returns the phase-2 tableau
+    ``(M, b, c, u, basis, flipped)``."""
     M, b, _, _, u = _tableau(lp, float)
     nrows, ncols = M.shape
     nv = ncols - nrows
@@ -302,27 +301,21 @@ def _cold_start(lp: LinearProgram, tol: float):
     if infeasibility > 1e-7:
         raise _Infeasible()
 
-    redundant = []
-    for i in range(nrows):
+    for i in range(nrows):  # pivot out the artificials left basic at zero
         if basis[i] >= ncols:
             basic = set(basis)
             nonzero = np.flatnonzero(np.abs(M[i, :ncols]) > tol)
             j = next((int(j) for j in nonzero if j not in basic), None)
             if j is None:
-                redundant.append(i)
-            else:
-                _pivot(M, b, basis, i, j)
-    if redundant:
-        M = np.delete(M, redundant, axis=0)
-        b = np.delete(b, redundant)
-        basis = [bv for i, bv in enumerate(basis) if i not in redundant]
+                raise _NumericTrouble("phase 1 left an artificial basic in row %d" % i)
+            _pivot(M, b, basis, i, j)
     flipped = flipped[:ncols]
 
     # The original objective, sign-adjusted for the columns flipped so far.
     objective = lp._floats[0]
     c = np.zeros(ncols)
     c[:nv] = np.where(flipped[:nv], -objective, objective)
-    return (M[:, :ncols], b, c, u[:ncols], basis, flipped), redundant
+    return M[:, :ncols], b, c, u[:ncols], basis, flipped
 
 
 def _warm_start(lp: LinearProgram, rhs_before, tableau, tol: float):
@@ -345,12 +338,9 @@ def _warm_start(lp: LinearProgram, rhs_before, tableau, tol: float):
 def _solve_floats(lp: LinearProgram, tol: float, start=None):
     """Float optimum from a cold start, or from ``start = (rhs_before, tableau)``.
 
-    Returns the vertex, the final tableau and the rows dropped as redundant.
+    Returns the vertex and the final tableau.
     """
-    if start is None:
-        tableau, redundant = _cold_start(lp, tol)
-    else:
-        tableau, redundant = _warm_start(lp, *start, tol), []
+    tableau = _cold_start(lp, tol) if start is None else _warm_start(lp, *start, tol)
     M, b, c, u, basis, flipped = tableau
     nv, nrows = len(lp.objective), len(lp.constraints)
     _optimize(M, b, c, u, basis, flipped, tol, 10 * (nv + 2 * nrows))
@@ -366,12 +356,11 @@ def _solve_floats(lp: LinearProgram, tol: float, start=None):
         if (resid if relation == LESS_EQUAL else -resid) > 1e-8:
             raise _NumericTrouble("constraint residual %g" % resid)
 
-    return x, tableau, redundant
+    return x, tableau
 
 
-def _solve_exact(lp: LinearProgram, basis, flipped, redundant):
-    """Rational phase 2 from the float run's final flips and basis; rows that
-    float phase 1 dropped as redundant keep their slack basic."""
+def _solve_exact(lp: LinearProgram, basis, flipped):
+    """Rational phase 2 from the float run's final flips and basis."""
     M, b, lo, _, u = _tableau(lp, _fraction)
     nrows, ncols = M.shape
     nv = ncols - nrows
@@ -386,7 +375,7 @@ def _solve_exact(lp: LinearProgram, basis, flipped, redundant):
     M[negated] = -M[negated]
     b[negated] = -b[negated]
     exact_basis = [nv + i for i in range(nrows)]
-    target = set(basis) | {nv + i for i in redundant}
+    target = set(basis)
     for j in sorted(target - set(exact_basis)):
         free = [i for i in range(nrows) if exact_basis[i] not in target and M[i, j] != 0]
         if not free:
@@ -403,8 +392,8 @@ class WarmStart:
 
     One holder serves a run of programs that differ only in their right-hand
     sides, such as one budget ladder. ``solve_lp`` empties it when a solve
-    starts and refills it when a solve succeeds without dropping a redundant
-    row.
+    starts and refills it when a solve succeeds. It keeps every row, as a
+    float phase 1 that cannot pivot an artificial out is numerical trouble.
     """
 
     def __init__(self):
@@ -452,9 +441,9 @@ def solve_lp(
     last_trouble = None
     for tol, start in attempts:
         try:
-            x, tableau, redundant = _solve_floats(lp, tol, start)
+            x, tableau = _solve_floats(lp, tol, start)
             if verify:
-                x = _solve_exact(lp, tableau[4], tableau[5], redundant)
+                x = _solve_exact(lp, tableau[4], tableau[5])
         except _Infeasible:
             return LpSolution((), None, INFEASIBLE)
         except _Unbounded:
@@ -465,7 +454,7 @@ def solve_lp(
         except _NumericTrouble as exc:
             last_trouble = exc
             continue
-        if warm is not None and not redundant:
+        if warm is not None:
             warm.lp, warm.tol, warm.tableau = lp, tol, tableau
         num = _fraction if verify else float
         objective = num(sum(num(cj) * xj for cj, xj in zip(lp.objective, x)))

@@ -17,7 +17,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 from itertools import combinations
+from operator import or_
 from typing import Iterable, Optional, Tuple
 
 from .core import (
@@ -26,6 +28,7 @@ from .core import (
     ProblemInstance,
     Schedule,
     as_fraction,
+    available_pool,
     element_mask,
     evaluate_schedule_cost,
     is_finite_cost,
@@ -254,8 +257,7 @@ def exact_pds(
     """Max-density assignment by labeling every set unused or with a machine."""
     limits = limits or SUBSET_LIMITS
     restrict = frozenset(range(inst.n)) if remaining is None else frozenset(remaining)
-    pool = range(inst.k) if available is None else sorted(available)
-    useful = [s for s in pool if inst.members[s] & restrict]
+    useful = [s for s in available_pool(inst, available) if inst.members[s] & restrict]
     if not useful:
         raise NoCoverageError("no set covers any remaining element")
     _check_limits(inst, limits, len(useful))
@@ -297,8 +299,7 @@ def exact_pmc(
 ) -> Tuple[Assignment, int]:
     """Max coverage over budget-feasible machine assignments."""
     limits = limits or SUBSET_LIMITS
-    pool = range(inst.k) if available is None else sorted(available)
-    useful = [s for s in pool if inst.members[s]]
+    useful = [s for s in available_pool(inst, available) if inst.members[s]]
     _check_limits(inst, limits, len(useful))
     caps = [as_fraction(b) for b in budgets]
     if len(caps) != inst.m:
@@ -386,23 +387,10 @@ def exact_pds_precedence(
 
     best = None  # (DensityValue, set count, family mask, DP table)
     for family_mask in range(1, 1 << k):
-        closed = True
-        mm = family_mask
-        while mm:
-            low = mm & -mm
-            s = low.bit_length() - 1
-            if pred_mask[s] & ~family_mask:
-                closed = False
-                break
-            mm ^= low
-        if not closed:
+        family = [s for s in range(k) if family_mask >> s & 1]
+        if any(pred_mask[s] & ~family_mask for s in family):
             continue
-        covered = 0
-        mm = family_mask
-        while mm:
-            low = mm & -mm
-            covered |= cover_mask[low.bit_length() - 1]
-            mm ^= low
+        covered = reduce(or_, (cover_mask[s] for s in family))
         makespan, memo = min_makespan(family_mask)
         cand = DensityValue(covered.bit_count(), Fraction(makespan))
         count = family_mask.bit_count()

@@ -36,6 +36,7 @@ from .core import (
     ProblemInstance,
     UnrelatedCosts,
     as_fraction,
+    available_pool,
     density,
     element_mask,
     is_finite_cost,
@@ -72,33 +73,30 @@ def _ladder_guesses(inst: ProblemInstance, base: Fraction, pool) -> Iterator[Fra
         power *= base
 
 
-def _covering_pool(inst, remaining, available) -> Tuple[List[int], int]:
-    """The available sets in index order, and how many remaining elements they can cover.
+def _covering_pool(inst, remaining, available) -> Tuple[List[int], List[int], int]:
+    """The available sets and those of them that meet ``remaining``, in index
+    order, and how many remaining elements they can cover.
 
-    Sets must lie in [0, k) and elements in [0, n). An element counts as
-    coverable when a pool set with some finite cost holds it; there must be
-    at least one.
+    Elements must lie in [0, n). An element counts as coverable when a pool
+    set with some finite cost holds it; there must be at least one.
     """
-    pool = sorted(range(inst.k) if available is None else available)
-    outside = [s for s in pool if not 0 <= s < inst.k]
-    if outside:
-        raise InvalidIndexError("available set %d outside [0, %d)" % (outside[0], inst.k))
+    pool = available_pool(inst, available)
     outside = [e for e in remaining if not 0 <= e < inst.n]
     if outside:
         raise InvalidIndexError("remaining element %d outside [0, %d)" % (min(outside), inst.n))
     rows, masks = inst.finite_row_costs, inst.masks
-    held = finite = 0
-    for s in pool:
-        held |= masks[s]
+    remaining_mask = element_mask(remaining)
+    usable = [s for s in pool if masks[s] & remaining_mask]
+    if not usable:
+        raise NoCoverageError("no available set covers a remaining element")
+    finite = 0
+    for s in usable:
         if rows[s] is not None:
             finite |= masks[s]
-    remaining_mask = element_mask(remaining)
-    if not held & remaining_mask:
-        raise NoCoverageError("no available set covers a remaining element")
     coverable = (finite & remaining_mask).bit_count()
     if not coverable:
         raise NoCoverageError("no finite-cost set is available")
-    return pool, coverable
+    return pool, usable, coverable
 
 
 def _densest(inst, remaining, coverable, candidates: Iterable[Assignment]) -> Assignment:
@@ -162,7 +160,7 @@ def pds_identical(
     if inst.cost_model.kind not in ("unit", "identical"):
         raise ValueError("pds_identical needs the unit or identical cost model")
     remaining = frozenset(remaining)
-    pool, coverable = _covering_pool(inst, remaining, available)
+    pool, usable, coverable = _covering_pool(inst, remaining, available)
     base = Fraction(1) + Fraction(identical_ladder_delta(epsilon))
     remaining_mask = element_mask(remaining)
     cost = [row[0] for row in inst.costs]
@@ -170,15 +168,13 @@ def pds_identical(
     # cost; guesses ascend, so the maxcov arguments change only when it grows.
     by_cost = sorted(pool, key=cost.__getitem__)
     sorted_costs = [cost[s] for s in by_cost]
-    # Max coverage returns nothing until a set that meets ``remaining`` fits.
-    first = next(i for i, s in enumerate(by_cost) if inst.masks[s] & remaining_mask)
 
     def spreads():
         fit = 0
-        for guess in _ladder_guesses(inst, base, pool):
+        # The ladder starts where the cheapest set that meets ``remaining``
+        # fits, as max coverage returns nothing before.
+        for guess in _ladder_guesses(inst, base, usable):
             grown = bisect_right(sorted_costs, guess)
-            if grown <= first:
-                continue
             if grown > fit:
                 fit = grown
                 candidates = sorted(by_cost[:fit])
@@ -277,11 +273,13 @@ def related_parameters(epsilon: float) -> Tuple[float, float]:
     return delta, delta / (delta + 16.0)
 
 
-def _pmc_ladder(inst, remaining, pool, table, weights, base, params, clamp):
+def _pmc_ladder(inst, remaining, pool, usable, table, weights, base, params, clamp):
     """Parallel max coverage at each guess of one budget ladder.
 
     ``table``'s costs have a row per set and a column per PMC machine; sets
     outside ``pool`` are closed and elements outside ``remaining`` dropped.
+    The guesses span the costs of ``usable``, the pool sets that meet
+    ``remaining``.
     Guess number ``gi`` gives machine q the budget ``weights[q] * guess`` and
     rounds with seed ``child_seed(params.seed, gi)``. With ``clamp`` a cost
     above the guess fits no budget and is infinite, so the work table is
@@ -302,7 +300,6 @@ def _pmc_ladder(inst, remaining, pool, table, weights, base, params, clamp):
         row if s in pool_set else (INFINITE_COST,) * m for s, row in enumerate(table.costs)
     ]
     fitting = sorted(c for s in pool for c in table.costs[s] if is_finite_cost(c))
-    usable = [s for s in pool if inst.members[s] & remaining]
 
     produced = False
     skipped = []
@@ -347,7 +344,7 @@ def pds_related(
     if inst.cost_model.kind != "related":
         raise ValueError("pds_related needs the related cost model")
     remaining = frozenset(remaining)
-    pool, coverable = _covering_pool(inst, remaining, available)
+    pool, usable, coverable = _covering_pool(inst, remaining, available)
     _, kappa = related_parameters(epsilon)
     kappa_f = Fraction(kappa)
     reduction, aux = reduce_related(inst, kappa_f)
@@ -370,7 +367,7 @@ def pds_related(
         return Assignment(per_machine)
 
     ladder = _pmc_ladder(
-        inst, remaining, pool, aux, [len(g) for g in groups],
+        inst, remaining, pool, usable, aux, [len(g) for g in groups],
         Fraction(1) + kappa_f, params, clamp=True,
     )
     return _densest(
@@ -387,9 +384,9 @@ def pds_unrelated(
 ) -> Assignment:
     """Powers-of-two budget ladder with polynomial-regime max coverage."""
     remaining = frozenset(remaining)
-    pool, coverable = _covering_pool(inst, remaining, available)
+    pool, usable, coverable = _covering_pool(inst, remaining, available)
     ladder = _pmc_ladder(
-        inst, remaining, pool, inst, [1] * inst.m,
+        inst, remaining, pool, usable, inst, [1] * inst.m,
         Fraction(2), PmcParams(mode=POLY, epsilon=epsilon, seed=seed), clamp=False,
     )
     return _densest(inst, remaining, coverable, (asg for _, asg in ladder))

@@ -467,6 +467,46 @@ def test_warm_path_in_numeric_trouble_falls_back_to_the_cold_answer(pair, verify
     assert warm.lp is None or (warm.lp is second and sol.status == OPTIMAL)
 
 
+# -- every row has its own slack: dependent rows keep their place
+
+
+def test_artificial_left_basic_is_numeric_trouble_not_a_dropped_row():
+    # At tolerance 1e9 no entry counts as a pivot, so phase 1 cannot pivot
+    # the zero artificial of row x <= 0 out; in exact arithmetic its slack would.
+    lp = LinearProgram((1,), (((1,), LESS_EQUAL, 0),), ((0, 1),))
+    with pytest.raises(lp_mod._NumericTrouble, match="artificial"):
+        lp_mod._cold_start(lp, 1e9)
+
+
+def _dependent_row_programs():
+    row = ((1, 2, 0), LESS_EQUAL, 4)
+    box = ((0, 3), (0, 1), (0, math.inf))
+    objective = (1, 1, -1)
+    inst = generate_instance(n=6, k=4, m=2, model="unrelated", density=0.4, seed=3)
+    pmc = build_pmc_lp(inst, [Fraction(3, 2), 2])
+    return [
+        LinearProgram(objective, (row, row), box),
+        LinearProgram(objective, (row, ((1, 2, 0), GREATER_EQUAL, 4)), box),
+        LinearProgram(
+            objective, (((0, 0, 0), LESS_EQUAL, 0), row, ((0, 0, 0), GREATER_EQUAL, 0)), box
+        ),
+        LinearProgram(pmc.objective, pmc.constraints + pmc.constraints[-1:], pmc.bounds),
+    ]
+
+
+@pytest.mark.parametrize("lp", _dependent_row_programs())
+def test_dependent_rows_solve_exactly_and_keep_their_place_in_the_holder(lp):
+    expected = reference_solve_lp(lp, verify=True)
+    sol = solve_lp(lp, verify=True)
+    assert repr(sol) == repr(expected)
+    assert sol.status == OPTIMAL
+    assert_exactly_feasible(lp, sol)
+    warm = WarmStart()
+    solve_lp(lp, warm=warm)
+    assert warm.lp is lp
+    assert warm.tableau[0].shape[0] == len(warm.tableau[4]) == len(lp.constraints)
+
+
 # -- reference: the former float solve and _verify_exact, verbatim but for
 # the name of solve_lp
 

@@ -26,6 +26,7 @@ from pmssc.core import (
 from pmssc.errors import (
     DomainError,
     InfiniteCostError,
+    InvalidIndexError,
     InvariantError,
     LimitsExceededError,
     NoCoverageError,
@@ -248,6 +249,22 @@ def test_exact_pmc_rejects_negative_budgets():
     inst = generate_instance(n=6, k=4, m=2, model="identical", density=0.4, seed=1)
     with pytest.raises(DomainError, match="budgets must be nonnegative"):
         exact_pmc(inst, [-1, 2])
+
+
+def test_exact_oracles_check_available_like_the_pds_solvers():
+    inst = generate_instance(n=6, k=4, m=2, model="unrelated", density=0.4, seed=2)
+    everything, budgets = frozenset(range(inst.n)), [2, 3]
+    for available in ([7], [4], [-2], [0, -1]):
+        with pytest.raises(InvalidIndexError, match=r"^available set -?\d+ outside \[0, 4\)$"):
+            exact_pds(inst, everything, available=available)
+        with pytest.raises(InvalidIndexError, match=r"^available set -?\d+ outside \[0, 4\)$"):
+            exact_pmc(inst, budgets, available=available)
+    assert exact_pds(inst, everything, available=[0, 0, 1, 2]) == exact_pds(
+        inst, everything, available=[0, 1, 2]
+    )
+    assert exact_pmc(inst, budgets, available=[0, 0, 1, 2]) == exact_pmc(
+        inst, budgets, available=[0, 1, 2]
+    )
 
 
 def test_exact_pds_precedence_empty_dag_matches_exact_pds():

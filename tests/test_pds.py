@@ -272,7 +272,8 @@ def test_related_ladder_clamps_as_a_fresh_clamp_would_at_every_guess(monkeypatch
     for clamp in (True, False):
         tables.clear()
         list(_pmc_ladder(
-            inst, remaining, range(4), aux, weights, 1 + Fraction(kappa), params, clamp=clamp
+            inst, remaining, range(4), range(4), aux, weights, 1 + Fraction(kappa), params,
+            clamp=clamp,
         ))
         assert len(tables) > 2
         for costs, guess in tables:
@@ -418,6 +419,26 @@ def test_pds_unrelated_coverable_elements_only_in_infinite_sets():
     for available in (None, (0,), (0, 1)):
         with pytest.raises(NoCoverageError, match="^no finite-cost set is available$"):
             pds_unrelated(inst, frozenset({0}), 0.2, available=available, seed=1)
+
+
+def test_identical_ladder_starts_where_the_cheapest_usable_set_fits(monkeypatch):
+    # Set 0 is the cheapest but meets no remaining element; the first maxcov
+    # call comes at the least power at or above set 1's cost 5.
+    inst = ProblemInstance(n=2, sets=((0,), (1,)), m=2, cost_model=IdenticalCosts((1, 5)))
+    budgets = []
+
+    def spy(remaining_mask, masks, costs, budget, _inner=budgeted_max_coverage):
+        budgets.append(budget)
+        return _inner(remaining_mask, masks, costs, budget)
+
+    monkeypatch.setattr(pds_module, "budgeted_max_coverage", spy)
+    base = 1 + Fraction(identical_ladder_delta(0.2))
+    guess = Fraction(1)
+    while guess < 5:
+        guess *= base
+    assert guess / base < 5
+    assert pds_identical(inst, frozenset({1}), 0.2) == Assignment(((1,), ()))
+    assert budgets[0] == inst.m * guess
 
 
 # -- the ladder stops at its first full cover
