@@ -166,12 +166,12 @@ class ProblemInstance:
             raise ValueError("machine count must be at least 1")
         normalized = []
         for i, members in enumerate(self.sets):
-            clean = sorted(set(map(as_index, members)))
-            for e in clean:
-                if not 0 <= e < self.n:
-                    raise InvalidIndexError(
-                        "set %d contains element %d outside [0, %d)" % (i, e, self.n)
-                    )
+            clean = sorted({e if type(e) is int else as_index(e) for e in members})
+            if clean and not (0 <= clean[0] and clean[-1] < self.n):
+                bad = next(e for e in clean if not 0 <= e < self.n)
+                raise InvalidIndexError(
+                    "set %d contains element %d outside [0, %d)" % (i, bad, self.n)
+                )
             normalized.append(tuple(clean))
         object.__setattr__(self, "sets", tuple(normalized))
         k = len(self.sets)

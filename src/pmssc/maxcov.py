@@ -2,9 +2,10 @@
 
 Two kernels, chosen by the number k of candidate sets:
 
-* k <= ``PARTIAL_ENUM_MAX_K``: classic partial enumeration over every seed
-  family of at most three sets followed by ratio-greedy completion, which
-  restores the full 1 - 1/e guarantee at an O(k^3) multiplicative cost.
+* k <= ``PARTIAL_ENUM_MAX_K``: partial enumeration over every seed family
+  of at most two sets, each completed by the ratio greedy: O(k^2) greedy
+  completions, which keep the full 1 - 1/e guarantee under a knapsack
+  constraint (Kulik, Schwartz & Shachnai, Oper. Res. Lett. 2021).
 * otherwise: the greedy that repeatedly adds the affordable set with the
   best (new elements)/(cost) ratio, and falls back to the best single
   affordable set when that beats the greedy run.
@@ -129,11 +130,10 @@ def budgeted_max_coverage(
             return MaxCovResult((i,), Fraction(icosts[i], denom), best_single[0])
         return MaxCovResult(tuple(sorted(chosen)), Fraction(spent, denom), covered_count)
 
-    # Partial enumeration: every affordable seed of size <= 3, greedily completed.
+    # Partial enumeration: every affordable seed of size <= 2, greedily completed.
     best = None  # key: (-covered, total_cost, chosen tuple)
-    k = len(sets)
-    for size in range(0, 4):
-        for seed in combinations(range(k), size):
+    for size in range(0, 3):
+        for seed in combinations(range(len(sets)), size):
             seed_cost = sum(icosts[i] for i in seed)
             if seed_cost > ibudget:
                 continue

@@ -85,7 +85,7 @@ def test_criterion_03_identical_end_to_end(identical_runs):
     with criterion(3, "greedy with identical-machines subfamily stays under 13.056x", 300.0) as info:
         worst = 0.0
         for inst, opt in identical_runs:
-            assert inst.k <= PARTIAL_ENUM_MAX_K  # max coverage takes enum3
+            assert inst.k <= PARTIAL_ENUM_MAX_K  # max coverage enumerates seeds
             sched, _ = pmssc_greedy(inst, oracle="identical", epsilon=0.1)
             cost, _ = evaluate_schedule_cost(inst, sched)
             ratio = float(cost / opt)
@@ -98,7 +98,7 @@ def test_criterion_04_pds_identical_guarantee(identical_runs):
     with criterion(4, "identical-machines subfamily density within its guarantee", 120.0) as info:
         worst = math.inf
         for inst, _ in identical_runs:
-            assert inst.k <= PARTIAL_ENUM_MAX_K  # max coverage takes enum3
+            assert inst.k <= PARTIAL_ENUM_MAX_K  # max coverage enumerates seeds
             remaining = frozenset(range(inst.n))
             asg = pds_identical(inst, remaining, 0.1)
             got = density(inst, asg, remaining)

@@ -236,6 +236,14 @@ def test_element_out_of_range_rejected():
         ProblemInstance(n=2, sets=((0, 2),), m=1, cost_model=UnitCosts())
 
 
+def test_out_of_range_error_names_the_smallest_bad_element():
+    # Set 1 holds both -1 and n; the message names the smaller, whatever the order.
+    for members, bad in (((3, 0, -1), -1), ((-1, 3), -1), ((4, 0, 3), 3), ((-5, 2, -2), -5)):
+        with pytest.raises(InvalidIndexError) as err:
+            ProblemInstance(n=3, sets=((0,), members), m=1, cost_model=UnitCosts())
+        assert str(err.value) == "set 1 contains element %d outside [0, 3)" % bad
+
+
 # Indices are read with ``operator.index``: floats, strings and bools are
 # rejected, not truncated, parsed or read as 0 and 1, while Python and NumPy
 # integers are taken.

@@ -1,3 +1,4 @@
+import math
 import sys
 from fractions import Fraction
 from itertools import combinations
@@ -19,8 +20,8 @@ from pmssc.pds import identical_ladder_delta, pds_identical
 # The two kernels, named for the reference below. ``budgeted_max_coverage``
 # picks one from the number of sets; a test forces it by moving the cut.
 RATIO = "ratio"
-PARTIAL_ENUM3 = "enum3"
-KERNEL_MAX_K = {RATIO: 0, PARTIAL_ENUM3: sys.maxsize}
+PARTIAL_ENUM = "enum"
+KERNEL_MAX_K = {RATIO: 0, PARTIAL_ENUM: sys.maxsize}
 
 
 def maxcov(universe, sets, costs, budget, mode):
@@ -78,7 +79,7 @@ def test_budget_is_hard_constraint():
         inst = generate_instance(n=7, k=5, m=1, model="identical", density=0.4, seed=seed)
         costs = [inst.cost(s, 0) for s in range(inst.k)]
         budget = Fraction(1 + seed % 5)
-        for mode in (RATIO, PARTIAL_ENUM3):
+        for mode in (RATIO, PARTIAL_ENUM):
             result = maxcov(range(inst.n), inst.sets, costs, budget, mode=mode)
             assert result.total_cost <= budget
 
@@ -89,8 +90,8 @@ def test_partial_enum_dominates_ratio():
         costs = [inst.cost(s, 0) for s in range(inst.k)]
         budget = Fraction(2 + seed % 6)
         ratio = maxcov(range(inst.n), inst.sets, costs, budget, mode=RATIO)
-        enum3 = maxcov(range(inst.n), inst.sets, costs, budget, mode=PARTIAL_ENUM3)
-        assert enum3.covered >= ratio.covered
+        enum = maxcov(range(inst.n), inst.sets, costs, budget, mode=PARTIAL_ENUM)
+        assert enum.covered >= ratio.covered
 
 
 def test_partial_enum_reaches_1_minus_1_over_e():
@@ -103,15 +104,27 @@ def test_partial_enum_reaches_1_minus_1_over_e():
         costs = [inst.cost(s, 0) for s in range(inst.k)]
         budget = Fraction(2 + seed % 5)
         opt = brute_force_opt(range(inst.n), inst.sets, costs, budget)
-        enum3 = maxcov(range(inst.n), inst.sets, costs, budget, mode=PARTIAL_ENUM3)
-        assert enum3.covered >= factor * opt - 1e-9
+        enum = maxcov(range(inst.n), inst.sets, costs, budget, mode=PARTIAL_ENUM)
+        assert enum.covered >= factor * opt - 1e-9
 
 
 def test_default_mode_matches_enum_for_small_k():
     masks = [element_mask(s) for s in T1_SETS]
     result = budgeted_max_coverage(0b111, masks, T1_COSTS, 2)
-    enum3 = maxcov({0, 1, 2}, T1_SETS, T1_COSTS, 2, mode=PARTIAL_ENUM3)
-    assert result == enum3
+    enum = maxcov({0, 1, 2}, T1_SETS, T1_COSTS, 2, mode=PARTIAL_ENUM)
+    assert result == enum
+
+
+@pytest.mark.parametrize("k", [1, 2, 7, 12])
+def test_partial_enum_completes_every_pair_once(k):
+    # The budget affords every family, so every seed of <= 2 sets is completed
+    # and a seed of three sets would be too: 1 + k + k(k-1)/2 completions exactly.
+    sets = [element_mask({i, (i + 1) % (k + 1)}) for i in range(k)]
+    costs = [Fraction(1 + i % 3, 1 + i % 2) for i in range(k)]
+    fill = mock.Mock(wraps=maxcov_module._greedy_fill)
+    with mock.patch.object(maxcov_module, "_greedy_fill", fill):
+        budgeted_max_coverage(element_mask(range(k + 1)), sets, costs, sum(costs))
+    assert fill.call_count == 1 + k + k * (k - 1) // 2
 
 
 def test_nonpositive_cost_rejected():
@@ -171,7 +184,7 @@ def reference_max_coverage(universe, sets, costs, budget, mode):
             return MaxCovResult((i,), costs[i], best_single[0])
         return MaxCovResult(tuple(sorted(chosen)), spent, len(covered))
     best = None  # key: (-covered, total_cost, chosen tuple)
-    for size in range(0, 4):
+    for size in range(0, 3):
         for seed in combinations(range(len(sets)), size):
             seed_cost = sum((costs[i] for i in seed), Fraction(0))
             if seed_cost > budget:
@@ -224,7 +237,7 @@ def maxcov_cases(draw):
 @given(case=maxcov_cases())
 def test_kernel_matches_reference(case):
     universe, sets, costs, budget = case
-    for mode in (RATIO, PARTIAL_ENUM3):
+    for mode in (RATIO, PARTIAL_ENUM):
         expected = reference_max_coverage(universe, sets, costs, budget, mode)
         assert maxcov(universe, sets, costs, budget, mode=mode) == expected
 
@@ -234,21 +247,32 @@ def test_kernel_matches_reference_on_forced_ties():
     sets = [{0}, {1}, {2, 3}, {4}, {0, 1, 2, 3, 4}]
     costs = [1, 1, 2, 1, 5]
     for budget in (Fraction(1), Fraction(2), Fraction(7, 2), Fraction(5)):
-        for mode in (RATIO, PARTIAL_ENUM3):
+        for mode in (RATIO, PARTIAL_ENUM):
             expected = reference_max_coverage(range(5), sets, costs, budget, mode)
             assert maxcov(range(5), sets, costs, budget, mode=mode) == expected
 
 
+@settings(max_examples=300, deadline=None)
+@given(case=maxcov_cases())
+def test_partial_enum_guarantee_on_random_cases(case):
+    # Seeds of <= 2 sets plus the ratio greedy attain 1 - 1/e of the optimum
+    # under a knapsack constraint (Kulik, Schwartz & Shachnai 2021).
+    universe, sets, costs, budget = case
+    result = maxcov(universe, sets, costs, budget, mode=PARTIAL_ENUM)
+    assert result.total_cost <= budget
+    assert result.covered >= (1 - 1 / math.e) * brute_force_opt(universe, sets, costs, budget)
+
+
 def _reference_via_masks(universe, sets, costs, budget):
     """Stand-in for ``pmssc.pds.budgeted_max_coverage`` that accepts masks."""
-    mode = PARTIAL_ENUM3 if len(sets) <= maxcov_module.PARTIAL_ENUM_MAX_K else RATIO
+    mode = PARTIAL_ENUM if len(sets) <= maxcov_module.PARTIAL_ENUM_MAX_K else RATIO
     return reference_max_coverage(
         _bits(universe), [_bits(s) for s in sets], costs, budget, mode
     )
 
 
 def _pds_corpus():
-    """(instance, maxcov mode): None takes the default, enum3 on calls this small;
+    """(instance, maxcov mode): None takes the default, enumeration on calls this small;
     RATIO runs the ratio kernel on every call."""
     out = []
     for seed in range(4):
@@ -269,7 +293,7 @@ def test_pds_matches_reference_kernel(epsilon, monkeypatch):
         remaining = frozenset(range(0, inst.n, 1 + inst.k % 2))
         with monkeypatch.context() as patch:
             if mode == RATIO:
-                # no call has few enough candidates for enum3
+                # no call has few enough candidates for enumeration
                 patch.setattr(maxcov_module, "PARTIAL_ENUM_MAX_K", 0)
             actual = pds_identical(inst, remaining, epsilon)
             patch.setattr(pds_module, "budgeted_max_coverage", _reference_via_masks)

@@ -123,7 +123,7 @@ def test_pds_identical_guarantee_sample():
             n=3 + seed % 6, k=2 + seed % 5, m=1 + seed % 2,
             model="identical", density=0.35, seed=seed, max_cost=3,
         )
-        assert inst.k <= PARTIAL_ENUM_MAX_K  # max coverage takes enum3
+        assert inst.k <= PARTIAL_ENUM_MAX_K  # max coverage enumerates seeds
         remaining = frozenset(range(inst.n))
         asg = pds_identical(inst, remaining, 0.1)
         d = density(inst, asg, remaining)
@@ -529,7 +529,7 @@ def test_stopped_ladder_keeps_the_proven_fraction_of_exact_pds(case):
     assume(any(inst.members[s] & remaining for s in range(inst.k)))
     _, opt = exact_pds(inst, remaining)
     if inst.cost_model.kind == "identical":
-        assert inst.k <= PARTIAL_ENUM_MAX_K  # max coverage takes enum3
+        assert inst.k <= PARTIAL_ENUM_MAX_K  # max coverage enumerates seeds
         asg = pds_identical(inst, remaining, 0.1)
         bound = IDENTICAL_GUARANTEE
     else:

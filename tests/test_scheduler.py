@@ -53,7 +53,7 @@ def test_upper_bound_single_iteration_shape():
 def test_fig1_identical_ratio(fig1):
     _, opt = fig1_optimum()
     assert opt == 75  # frozen from the branch-and-bound oracle
-    assert fig1.k <= PARTIAL_ENUM_MAX_K  # max coverage takes enum3
+    assert fig1.k <= PARTIAL_ENUM_MAX_K  # max coverage enumerates seeds
     sched, trace = pmssc_greedy(fig1, oracle="identical", epsilon=0.1)
     cost, _ = evaluate_schedule_cost(fig1, sched)
     assert cost <= END_TO_END_BOUND * opt
