@@ -10,12 +10,16 @@ phase 1 can always pivot out an artificial left basic at zero; a float phase 1
 that cannot is numerical trouble. Pivoting is Dantzig's rule with a switch to
 Bland's rule after ``10 * (rows + cols)`` degenerate steps. One engine runs on
 float64 arrays with a pivot tolerance cascade, or on ``Fraction`` object
-arrays with zero tolerance. ``verify=True`` re-solves exactly from the float
-basis (Applegate, Cook, Dash & Espinoza, Oper. Res. Lett. 2007): the exact
-``[A | slacks]`` tableau takes the float run's flips and basis, which must be
-exactly feasible, and phase 2 pivots on until every exact reduced cost is <= 0
-(no pivot when the float basis is optimal). The vertex returned is thus
-exactly feasible and exactly optimal.
+arrays with zero tolerance; both share one vectorised ratio test (ties to the
+lowest variable index). A pivot updates only the rows with a nonzero
+multiplier on exact tableaux and on float ones of ``SPARSE_PIVOT_ENTRIES`` or
+more entries, where that pays for its indexing (Bixby, Oper. Res. 2002).
+``verify=True`` re-solves exactly from the float basis (Applegate, Cook, Dash
+& Espinoza, Oper. Res. Lett. 2007): the exact ``[A | slacks]`` tableau takes
+the float run's flips and basis, which must be exactly feasible, and phase 2
+pivots on until every exact reduced cost is <= 0 (no pivot when the float
+basis is optimal). The vertex returned is thus exactly feasible and exactly
+optimal.
 
 A ``WarmStart`` holder passed as ``warm`` keeps the last optimal float
 tableau. When the next program has exactly the same objective, bounds,
@@ -26,11 +30,13 @@ dual simplex method", 2005) restores primal feasibility, and phase 2 finishes
 as in a cold solve. Any other program, and any numerical trouble on the warm
 path, solves cold; ``verify=True`` re-solves exactly from the warm basis just
 as from a cold one. A warm start may stop at another optimal vertex than a
-cold solve where the optimum is not unique.
+cold solve where the optimum is not unique. ``LinearProgram.with_rhs`` makes
+such a program, sharing every other part and its float arrays.
 """
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -87,6 +93,21 @@ class LinearProgram:
             np.array([hi for _, hi in self.bounds], dtype=float),
         )
 
+    def with_rhs(self, rhs) -> "LinearProgram":
+        """This program at the right-hand sides ``rhs``. The copy shares the
+        objective, bounds and coefficient rows, float arrays included, so
+        only ``rhs`` is checked and converted."""
+        try:
+            rhs_floats = np.array(rhs, dtype=float)
+        except OverflowError:
+            raise DomainError("LP right-hand side lies outside the float range") from None
+        program = copy.copy(self)
+        pairs = zip(self.constraints, rhs, strict=True)
+        object.__setattr__(program, "constraints", tuple((a, rel, r) for (a, rel, _), r in pairs))
+        objective, rows, _, lo, hi = self._floats
+        program.__dict__["_floats"] = (objective, rows, rhs_floats, lo, hi)
+        return program
+
     def _entries(self):
         """(name, value) of every number, in the order the LP text format writes them."""
         for j, a in enumerate(self.objective):
@@ -127,16 +148,20 @@ class _Infeasible(Exception):
     pass
 
 
+# Exact tableaux and float ones of this many entries update only the rows with
+# a nonzero multiplier; on smaller float ones that indexing costs more than it saves.
+SPARSE_PIVOT_ENTRIES = 2048
+
+
 def _pivot(M, b, basis, i, j):
     piv = M[i, j]
     M[i, :] /= piv
     b[i] /= piv
     col = M[:, j].copy()
     col[i] = 0
-    # exact tableaux skip rows with multiplier 0, as Fraction products are slow;
-    # on small float tableaux that indexing would cost more than it saves
-    rows = np.flatnonzero(col) if M.dtype == object else slice(None)
-    M[rows] -= np.outer(col[rows], M[i, :])
+    sparse = M.dtype == object or M.size >= SPARSE_PIVOT_ENTRIES
+    rows = col.nonzero()[0] if sparse else slice(None)
+    M[rows] -= col[rows, None] * M[i]
     b[rows] -= col[rows] * b[i]
     M[:, j] = 0
     M[i, j] = 1
@@ -151,13 +176,13 @@ def _flip_nonbasic(M, b, c, u, flipped, j):
 
 
 def _complement_basic(M, b, c, u, basis, flipped, i):
-    """Replace row i's basic variable z by its complement u - z."""
+    """Replace the basic variable z of row i (or rows i) by its complement u - z."""
     bc = basis[i]
     b[i] = u[bc] - b[i]
     M[i, :] = -M[i, :]
     M[i, bc] = 1
     c[bc] = -c[bc]
-    flipped[bc] = not flipped[bc]
+    flipped[bc] = ~flipped[bc]
 
 
 def _optimize(M, b, c, u, basis, flipped, tol, bland_after):
@@ -174,34 +199,31 @@ def _optimize(M, b, c, u, basis, flipped, tol, bland_after):
                 return
             j = int(entering[0])
         else:
-            j = int(np.argmax(r))
+            j = int(r.argmax())
             if r[j] <= tol:
                 return
-        col = M[:, j]
-        candidates = []  # (theta, (var index, kind priority), kind, row)
-        if u[j] < math.inf:
-            candidates.append((u[j], (j, 2), "flip", -1))
-        for i in range(nrows):
-            a = col[i]
-            if a > tol:
-                candidates.append((b[i] / a, (basis[i], 0), "lower", i))
-            elif a < -tol and u[basis[i]] < math.inf:
-                candidates.append(((u[basis[i]] - b[i]) / (-a), (basis[i], 1), "upper", i))
-        if not candidates:
+        # Ratio test over the rows whose basic variable bounds the step and column
+        # j's own flip (u[j], inf if unbounded); ties within `tie` go to the lowest variable.
+        col, ub = M[:, j], u[basis]
+        rows = ((col > tol) | ((col < -tol) & (ub < math.inf))).nonzero()[0]
+        a = col[rows]
+        theta = np.where(a > 0, b[rows], ub[rows] - b[rows]) / np.abs(a)
+        if not rows.size and u[j] == math.inf:
             raise _Unbounded()
-        theta_min = min(t for t, _, _, _ in candidates)
-        theta, _, kind, i = min(
-            (cand for cand in candidates if cand[0] <= theta_min + tie),
-            key=lambda cand: cand[1],
-        )
-        if theta <= tol:
-            degenerate += 1
-        if kind == "flip":
-            _flip_nonbasic(M, b, c, u, flipped, j)
-        elif kind == "lower":
-            _pivot(M, b, basis, i, j)
+        cut = min(theta.min(initial=math.inf), u[j])
+        tied = (theta <= cut + tie).nonzero()[0]
+        pick = tied[basis[rows[tied]].argmin()] if tied.size else None
+        if u[j] <= cut + tie and (pick is None or j < basis[rows[pick]]):
+            i, step = -1, u[j]
         else:
-            _complement_basic(M, b, c, u, basis, flipped, i)
+            i, step = int(rows[pick]), theta[pick]
+        if step <= tol:
+            degenerate += 1
+        if i < 0:
+            _flip_nonbasic(M, b, c, u, flipped, j)
+        else:
+            if col[i] < 0:
+                _complement_basic(M, b, c, u, basis, flipped, i)
             _pivot(M, b, basis, i, j)
     raise _NumericTrouble("iteration limit exceeded")
 
@@ -220,17 +242,16 @@ def _dual_simplex(M, b, c, u, basis, flipped, tol):
     if not nrows:
         return
     for _ in range(2000 + 200 * (nrows + ncols)):
-        for i in np.flatnonzero(b > u[basis] + tol):
-            _complement_basic(M, b, c, u, basis, flipped, i)
-        i = int(np.argmin(b))
+        _complement_basic(M, b, c, u, basis, flipped, (b > u[basis] + tol).nonzero()[0])
+        i = int(b.argmin())
         if b[i] >= -tol:
             return
         row = M[i]
-        entering = np.flatnonzero(row < -tol)
+        entering = (row < -tol).nonzero()[0]
         if entering.size == 0:
             raise _NumericTrouble("dual simplex found no entering column")
         r = c - c[basis] @ M
-        j = int(entering[np.argmin(np.minimum(r[entering], 0) / row[entering])])
+        j = int(entering[(np.minimum(r[entering], 0) / row[entering]).argmin()])
         _pivot(M, b, basis, i, j)
     raise _NumericTrouble("dual simplex iteration limit exceeded")
 
@@ -271,7 +292,6 @@ def _vertex(b, u, basis, flipped, lo):
     """Structural values of the basic solution (flipped columns at hi - z)."""
     z = np.zeros(len(u), dtype=b.dtype)
     z[basis] = b
-    flipped = np.array(flipped, dtype=bool)
     z[flipped] = u[flipped] - z[flipped]
     return lo + z[: len(lo)]
 
@@ -288,8 +308,8 @@ def _cold_start(lp: LinearProgram, tol: float):
     b[negative] = -b[negative]
     M[range(nrows), range(ncols, ncols + nrows)] = 1.0  # artificials
     u = np.concatenate([u, np.full(nrows, np.inf)])
-    flipped = [False] * (ncols + nrows)
-    basis = [ncols + i for i in range(nrows)]
+    flipped = np.zeros(ncols + nrows, dtype=bool)
+    basis = np.arange(ncols, ncols + nrows)
 
     c1 = np.zeros(ncols + nrows)
     c1[ncols:] = -1.0
@@ -301,14 +321,15 @@ def _cold_start(lp: LinearProgram, tol: float):
     if infeasibility > 1e-7:
         raise _Infeasible()
 
+    basic = set(basis.tolist())
     for i in range(nrows):  # pivot out the artificials left basic at zero
         if basis[i] >= ncols:
-            basic = set(basis)
             nonzero = np.flatnonzero(np.abs(M[i, :ncols]) > tol)
             j = next((int(j) for j in nonzero if j not in basic), None)
             if j is None:
                 raise _NumericTrouble("phase 1 left an artificial basic in row %d" % i)
             _pivot(M, b, basis, i, j)
+            basic.add(j)
     flipped = flipped[:ncols]
 
     # The original objective, sign-adjusted for the columns flipped so far.
@@ -365,7 +386,7 @@ def _solve_exact(lp: LinearProgram, basis, flipped):
     nrows, ncols = M.shape
     nv = ncols - nrows
     c = np.array([as_fraction(cj) for cj in lp.objective] + [Fraction(0)] * nrows, dtype=object)
-    exact_flipped = [False] * ncols
+    exact_flipped = np.zeros(ncols, dtype=bool)
     for j in np.flatnonzero(flipped):
         _flip_nonbasic(M, b, c, u, exact_flipped, j)
     # Start from the all-slack basis (">=" rows negated so their slack reads
@@ -374,7 +395,7 @@ def _solve_exact(lp: LinearProgram, basis, flipped):
     negated = [i for i, (_, rel, _) in enumerate(lp.constraints) if rel == GREATER_EQUAL]
     M[negated] = -M[negated]
     b[negated] = -b[negated]
-    exact_basis = [nv + i for i in range(nrows)]
+    exact_basis = np.arange(nv, nv + nrows)
     target = set(basis)
     for j in sorted(target - set(exact_basis)):
         free = [i for i in range(nrows) if exact_basis[i] not in target and M[i, j] != 0]

@@ -44,7 +44,7 @@ from .core import (
 from .errors import InvalidIndexError, InvariantError, NoCoverageError, NoIterationKeptError
 from .lp import WarmStart
 from .maxcov import budgeted_max_coverage
-from .pmc import FPT, POLY, PmcParams, pmc_solve
+from .pmc import FPT, POLY, PmcParams, PmcRelaxation, pmc_solve
 from .rng import child_seed
 
 RELATED_ROUNDING_CAP = 128  # desk-scale cap on FPT rounding repetitions
@@ -284,10 +284,10 @@ def _pmc_ladder(inst, remaining, pool, usable, table, weights, base, params, cla
     rounds with seed ``child_seed(params.seed, gi)``. With ``clamp`` a cost
     above the guess fits no budget and is infinite, so the work table is
     built once per fit count, the number of pool costs at or below the
-    guess. One ``WarmStart`` serves the ladder: guesses that share a work
-    table give LPs that differ only in their budget rhs, so each re-solves
-    from the previous optimum. Yields (guess, assignment) for every guess
-    that keeps a nonempty assignment.
+    guess, together with its ``PmcRelaxation``. One ``WarmStart`` serves the
+    ladder: guesses that share a work table give LPs that differ only in
+    their budget rhs, so each re-solves from the previous optimum. Yields
+    (guess, assignment) for every guess that keeps a nonempty assignment.
     """
     pool_set = set(pool)
     m = len(weights)
@@ -312,13 +312,14 @@ def _pmc_ladder(inst, remaining, pool, usable, table, weights, base, params, cla
             largest = fitting[fit - 1]
             costs = tuple(tuple(INFINITE_COST if c > largest else c for c in row) for row in rows)
             work = ProblemInstance(n=inst.n, sets=sets, m=m, cost_model=UnrelatedCosts(costs))
-            work_fit = fit
+            work_fit, relaxation = fit, PmcRelaxation(work)
         try:
             result = pmc_solve(
                 work,
                 [w * guess for w in weights],
                 replace(params, seed=child_seed(params.seed, gi)),
                 warm=warm,
+                relaxation=relaxation,
             )
         except NoIterationKeptError:
             skipped.append(guess)

@@ -157,57 +157,61 @@ def raw_draws(gen: np.random.Generator, attempts: int, probs: Sequence[float]):
     return gen.random((attempts, width))[:, : probs.size] < probs
 
 
-def _normalizers(inst: ProblemInstance) -> Tuple[Fraction, ...]:
-    """Per machine, the larger of 1 and the sum of its finite costs."""
-    totals = [Fraction(0)] * inst.m
-    for row in inst.costs:
-        for j, c in enumerate(row):
-            if is_finite_cost(c):
-                totals[j] += c
-    return tuple(max(Fraction(1), t) for t in totals)
+class PmcRelaxation:
+    """LP relaxation of one instance, built once: maximize sum y_u subject to
+    coverage and budget rows. ``program`` is the relaxation at zero budgets;
+    ``at(budgets)`` copies it with new budget rhs, sharing all else.
+
+    Variable order is x_{s,j} at index s*m + j followed by y_u at k*m + u.
+    Each machine's costs and budget are divided by the larger of 1 and its
+    total finite cost, so that total is at most 1 (budgets above it are
+    clamped, which is loss-free); infinite-cost pairs get a frozen [0, 0]
+    bound. Integer values (coverage rows, objective, bounds) are plain ints,
+    which convert to float far faster than ``Fraction``s of the same value;
+    only the normalized budget rows hold ``Fraction``s.
+    """
+
+    def __init__(self, inst: ProblemInstance):
+        k, m, n = inst.k, inst.m, inst.n
+        nx = k * m
+        totals = [Fraction(0)] * m  # per machine, the sum of its finite costs
+        for row in inst.costs:
+            for j, c in enumerate(row):
+                if is_finite_cost(c):
+                    totals[j] += c
+        self.inst, self.norms = inst, [max(Fraction(1), t) for t in totals]
+
+        cover = [[0] * (nx + n) for _ in range(n)]
+        for s, members in enumerate(inst.sets):
+            for u in members:
+                cover[u][s * m : (s + 1) * m] = (1,) * m
+        constraints = []
+        for u, coeffs in enumerate(cover):
+            coeffs[nx + u] = -1
+            constraints.append((tuple(coeffs), ">=", 0))
+        for j in range(m):
+            coeffs = [0] * (nx + n)
+            for s, row in enumerate(inst.costs):
+                if is_finite_cost(row[j]):
+                    coeffs[s * m + j] = row[j] / self.norms[j]
+            constraints.append((tuple(coeffs), "<=", 0))
+        objective = (0,) * nx + (1,) * n
+        bounds = [(0, 1) if is_finite_cost(c) else (0, 0) for row in inst.costs for c in row]
+        self.program = LinearProgram(objective, tuple(constraints), tuple(bounds + [(0, 1)] * n))
+
+    def at(self, budgets: Sequence) -> LinearProgram:
+        budgets = [as_fraction(b) for b in budgets]
+        if len(budgets) != self.inst.m:
+            raise ValueError("need one budget per machine")
+        if any(b < 0 for b in budgets):
+            raise DomainError("budgets must be nonnegative")
+        scaled = [min(b / norm, Fraction(1)) for b, norm in zip(budgets, self.norms)]
+        return self.program.with_rhs([0] * self.inst.n + scaled)
 
 
 def build_pmc_lp(inst: ProblemInstance, budgets: Sequence) -> LinearProgram:
-    """LP relaxation: maximize sum y_u subject to coverage and budget rows.
-
-    Variable order is x_{s,j} at index s*m + j followed by y_u at k*m + u.
-    Costs and budgets are pre-normalized per machine so each machine's total
-    finite cost is at most 1 (budgets above the total are clamped, which is
-    loss-free); infinite-cost pairs get a frozen [0, 0] bound. Integer
-    values (coverage rows, objective, bounds) are plain ints, which convert
-    to float far faster than ``Fraction``s of the same value; only the
-    normalized budget rows hold ``Fraction``s.
-    """
-    k, m, n = inst.k, inst.m, inst.n
-    budgets = [as_fraction(b) for b in budgets]
-    if len(budgets) != m:
-        raise ValueError("need one budget per machine")
-    if any(b < 0 for b in budgets):
-        raise DomainError("budgets must be nonnegative")
-    norms = _normalizers(inst)
-
-    nx = k * m
-    objective = (0,) * nx + (1,) * n
-    bounds = [(0, 1) if is_finite_cost(c) else (0, 0) for row in inst.costs for c in row]
-    bounds.extend((0, 1) for _ in range(n))
-
-    constraints = []
-    for u in range(n):
-        coeffs = [0] * (nx + n)
-        for s in range(k):
-            if u in inst.members[s]:
-                coeffs[s * m : (s + 1) * m] = (1,) * m
-        coeffs[nx + u] = -1
-        constraints.append((tuple(coeffs), ">=", 0))
-    for j in range(m):
-        coeffs = [0] * (nx + n)
-        for s, row in enumerate(inst.costs):
-            if is_finite_cost(row[j]):
-                coeffs[s * m + j] = row[j] / norms[j]
-        scaled = min(budgets[j] / norms[j], Fraction(1))
-        constraints.append((tuple(coeffs), "<=", scaled))
-
-    return LinearProgram(objective, tuple(constraints), tuple(bounds))
+    """The LP relaxation of parallel max coverage at ``budgets`` (see ``PmcRelaxation``)."""
+    return PmcRelaxation(inst).at(budgets)
 
 
 def _float_or_inf(value) -> float:
@@ -300,13 +304,17 @@ def pmc_solve(
     params: PmcParams,
     verify_lp: bool = False,
     warm: Optional[WarmStart] = None,
+    relaxation: Optional[PmcRelaxation] = None,
 ) -> PmcResult:
     """build_pmc_lp -> solve_lp -> round_pmc, with the zero-objective shortcut.
 
     ``warm`` is handed to ``solve_lp``: calls on one instance at other
     budgets build programs that differ only in their budget rows' rhs.
+    ``relaxation``, the ``PmcRelaxation`` of ``inst``, spares building it.
     """
-    program = build_pmc_lp(inst, budgets)
+    if relaxation is not None and relaxation.inst is not inst:
+        raise ValueError("relaxation belongs to another instance")
+    program = build_pmc_lp(inst, budgets) if relaxation is None else relaxation.at(budgets)
     dump = os.environ.get("PMSSC_DUMP_LP")
     if dump:
         try:

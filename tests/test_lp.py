@@ -10,7 +10,7 @@ from scipy.optimize import linprog
 
 from conftest import t1_instance
 from pmssc import lp as lp_mod
-from pmssc.core import as_fraction
+from pmssc.core import INFINITE_COST, ProblemInstance, UnrelatedCosts, as_fraction
 from pmssc.errors import DomainError, NumericalFailureError
 from pmssc.lp import (
     GREATER_EQUAL,
@@ -26,7 +26,7 @@ from pmssc.lp import (
     to_lp_format,
 )
 from pmssc.oracle import exact_pmc
-from pmssc.pmc import build_pmc_lp
+from pmssc.pmc import PmcRelaxation, build_pmc_lp
 from pmssc.fileio import generate_instance
 
 
@@ -505,6 +505,156 @@ def test_dependent_rows_solve_exactly_and_keep_their_place_in_the_holder(lp):
     solve_lp(lp, warm=warm)
     assert warm.lp is lp
     assert warm.tableau[0].shape[0] == len(warm.tableau[4]) == len(lp.constraints)
+
+
+def test_with_rhs_shares_all_but_the_rhs():
+    lp = LinearProgram((1, 2), (((1, 1), LESS_EQUAL, 4), ((1, -1), GREATER_EQUAL, 0)),
+                       ((0, 3), (0, math.inf)))
+    other = lp.with_rhs([Fraction(5, 2), -1])
+    assert other == LinearProgram(
+        lp.objective, (((1, 1), LESS_EQUAL, Fraction(5, 2)), ((1, -1), GREATER_EQUAL, -1)),
+        lp.bounds,
+    )
+    assert lp.constraints[0][2] == 4  # the original is unchanged
+    for mine, theirs in zip(lp._floats, other._floats):
+        assert (mine is theirs) == (mine is not lp._floats[2])
+    assert other._floats[2].tolist() == [2.5, -1.0]
+    assert repr(solve_lp(other, verify=True)) == repr(reference_solve_lp(other, verify=True))
+    with pytest.raises(ValueError):
+        lp.with_rhs([1])
+    with pytest.raises(DomainError, match="float range"):
+        lp.with_rhs([1, Fraction(10**400)])
+
+
+# -- the row-restricted pivot and the vectorised ratio test against the dense
+# pivot and the loop ratio test they replaced, verbatim but for the names of
+# the functions and exceptions they use
+
+
+def _dense_pivot(M, b, basis, i, j):
+    piv = M[i, j]
+    M[i, :] /= piv
+    b[i] /= piv
+    col = M[:, j].copy()
+    col[i] = 0
+    # exact tableaux skip rows with multiplier 0, as Fraction products are slow;
+    # on small float tableaux that indexing would cost more than it saves
+    rows = np.flatnonzero(col) if M.dtype == object else slice(None)
+    M[rows] -= np.outer(col[rows], M[i, :])
+    b[rows] -= col[rows] * b[i]
+    M[:, j] = 0
+    M[i, j] = 1
+    basis[i] = j
+
+
+def _loop_optimize(M, b, c, u, basis, flipped, tol, bland_after):
+    """Run primal iterations until no reduced cost exceeds tol (0: exact ties)."""
+    nrows, ncols = M.shape
+    tie = 1e-12 if tol else 0
+    degenerate = 0
+    for _ in range(2000 + 200 * (nrows + ncols)):
+        r = c - (c[basis] @ M if nrows else 0)
+        r[basis] = 0
+        if degenerate > bland_after:
+            entering = np.nonzero(r > tol)[0]
+            if entering.size == 0:
+                return
+            j = int(entering[0])
+        else:
+            j = int(np.argmax(r))
+            if r[j] <= tol:
+                return
+        col = M[:, j]
+        candidates = []  # (theta, (var index, kind priority), kind, row)
+        if u[j] < math.inf:
+            candidates.append((u[j], (j, 2), "flip", -1))
+        for i in range(nrows):
+            a = col[i]
+            if a > tol:
+                candidates.append((b[i] / a, (basis[i], 0), "lower", i))
+            elif a < -tol and u[basis[i]] < math.inf:
+                candidates.append(((u[basis[i]] - b[i]) / (-a), (basis[i], 1), "upper", i))
+        if not candidates:
+            raise lp_mod._Unbounded()
+        theta_min = min(t for t, _, _, _ in candidates)
+        theta, _, kind, i = min(
+            (cand for cand in candidates if cand[0] <= theta_min + tie),
+            key=lambda cand: cand[1],
+        )
+        if theta <= tol:
+            degenerate += 1
+        if kind == "flip":
+            lp_mod._flip_nonbasic(M, b, c, u, flipped, j)
+        elif kind == "lower":
+            _dense_pivot(M, b, basis, i, j)
+        else:
+            lp_mod._complement_basic(M, b, c, u, basis, flipped, i)
+            _dense_pivot(M, b, basis, i, j)
+    raise lp_mod._NumericTrouble("iteration limit exceeded")
+
+
+def _solve_all(programs, verify, warm):
+    """repr of each program's solve (or of its failure), one holder for all
+    of them when ``warm``, else each solved cold."""
+    holder = WarmStart() if warm else None
+    out = []
+    for lp in programs:
+        try:
+            out.append(repr(solve_lp(lp, verify=verify, warm=holder)))
+        except NumericalFailureError as exc:
+            out.append(repr(exc))
+    return out
+
+
+def _matches_the_dense_solver(programs, verify, warm):
+    fast = _solve_all(programs, verify, warm)
+    with mock.patch.multiple(lp_mod, _pivot=_dense_pivot, _optimize=_loop_optimize):
+        assert _solve_all(programs, verify, warm) == fast
+
+
+@st.composite
+def large_pmc_ladders(draw, n=(30, 80), k=(10, 24), m=(2, 4), steps=(1, 5)):
+    """The PMC programs of one unrelated instance (12% density, 10% infinite
+    costs) at the budgets 1, 2, 4, ... on every machine."""
+    n, k, m = draw(st.integers(*n)), draw(st.integers(*k)), draw(st.integers(*m))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    sets = tuple(tuple(int(u) for u in np.flatnonzero(rng.random(n) < 0.12)) for _ in range(k))
+    costs = tuple(
+        tuple(INFINITE_COST if rng.random() < 0.1 else int(rng.integers(1, 4)) for _ in range(m))
+        for _ in range(k)
+    )
+    relaxation = PmcRelaxation(ProblemInstance(n, sets, m, UnrelatedCosts(costs)))
+    return [relaxation.at([2**g] * m) for g in range(draw(st.integers(*steps)))]
+
+
+@settings(max_examples=25, deadline=None)
+@given(programs=large_pmc_ladders())
+def test_fast_paths_match_the_dense_solver_on_large_pmc_ladders(programs):
+    lp = programs[0]
+    rows = len(lp.constraints)
+    # the phase-2 tableau, the smallest the solve pivots on, is above the gate
+    assert rows * (len(lp.objective) + rows) >= lp_mod.SPARSE_PIVOT_ENTRIES
+    _matches_the_dense_solver(programs, verify=False, warm=False)
+    _matches_the_dense_solver(programs, verify=False, warm=True)
+
+
+@settings(max_examples=4, deadline=None)
+@given(programs=large_pmc_ladders(n=(30, 34), k=(10, 11), m=(2, 2), steps=(1, 3)),
+       warm=st.booleans())
+def test_fast_paths_match_the_dense_solver_on_large_pmc_ladders_verified(programs, warm):
+    _matches_the_dense_solver(programs, verify=True, warm=warm)
+
+
+@st.composite
+def general_ladders(draw):
+    lp = draw(general_lps())
+    return [lp] + [draw(rhs_changes(lp)) for _ in range(draw(st.integers(0, 3)))]
+
+
+@settings(max_examples=100, deadline=None)
+@given(programs=general_ladders(), verify=st.booleans(), warm=st.booleans())
+def test_fast_paths_match_the_dense_solver_on_general_programs(programs, verify, warm):
+    _matches_the_dense_solver(programs, verify=verify, warm=warm)
 
 
 # -- reference: the former float solve and _verify_exact, verbatim but for

@@ -3,6 +3,7 @@ from fractions import Fraction
 from itertools import islice
 from typing import Iterable, Optional
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -23,7 +24,7 @@ from pmssc.core import (
 from pmssc.errors import InvalidIndexError, InvariantError, NoCoverageError, NoIterationKeptError
 from pmssc.fileio import generate_instance
 import pmssc.lp as lp_module
-from pmssc.lp import WarmStart
+from pmssc.lp import WarmStart, to_lp_format
 import pmssc.pds as pds_module
 import pmssc.pmc as pmc_module
 from pmssc.maxcov import PARTIAL_ENUM_MAX_K, MaxCovResult, budgeted_max_coverage
@@ -259,9 +260,9 @@ def test_related_ladder_clamps_as_a_fresh_clamp_would_at_every_guess(monkeypatch
     weights = [len(g) for g in reduction.groups if g]
     tables = []
 
-    def spy(work, budgets, params, warm=None, _inner=pmc_solve):
+    def spy(work, budgets, params, _inner=pmc_solve, **kwargs):
         tables.append((work.costs, budgets[0] / weights[0]))
-        return _inner(work, budgets, params, warm=warm)
+        return _inner(work, budgets, params, **kwargs)
 
     def fit(guess):
         return sum(c <= guess for row in aux.costs for c in row)
@@ -315,6 +316,46 @@ def test_unrelated_ladder_solves_cold_once_per_pds_call(monkeypatch):
         assert len(cold) == 1
         ladders += len(calls) > 1
     assert ladders >= 3  # most ladders re-solve warm at least once
+
+
+@pytest.mark.parametrize(
+    "model, n, k, density, seed", [("unrelated", 30, 12, 0.15, 1), ("related", 14, 6, 0.3, 2)]
+)
+def test_every_ladder_guess_solves_and_dumps_a_fresh_build(
+    model, n, k, density, seed, monkeypatch, tmp_path
+):
+    # Each work table's relaxation is built once; every guess's program must
+    # still equal, float arrays included, the program a fresh build gives.
+    dump = tmp_path / "ladder.lp"
+    monkeypatch.setenv("PMSSC_DUMP_LP", str(dump))
+    guesses, programs = [], []
+
+    def spy_pmc(work, budgets, params, _inner=pmc_solve, **kwargs):
+        guesses.append((work, budgets))
+        return _inner(work, budgets, params, **kwargs)
+
+    def spy_lp(lp, *args, _inner=pmc_module.solve_lp, **kwargs):
+        programs.append(lp)
+        return _inner(lp, *args, **kwargs)
+
+    monkeypatch.setattr(pds_module, "pmc_solve", spy_pmc)
+    monkeypatch.setattr(pmc_module, "solve_lp", spy_lp)
+    inst = generate_instance(n=n, k=k, m=3, model=model, density=density, seed=seed, max_cost=5)
+    pds = pds_unrelated if model == "unrelated" else pds_related
+    pds(inst, range(inst.n), 0.2, seed=seed)
+    assert len(programs) == len(guesses) >= 3
+    fresh = [pmc_module.build_pmc_lp(work, budgets) for work, budgets in guesses]
+    for lp, built in zip(programs, fresh):
+        assert lp == built
+        for shared, converted in zip(lp._floats, built._floats):
+            assert shared.dtype == converted.dtype and np.array_equal(shared, converted)
+    # guesses on one work table share its coefficient arrays; others do not
+    for (work, _), (later, _), lp, after in zip(guesses, guesses[1:], programs, programs[1:]):
+        assert (lp._floats[1] is after._floats[1]) == (work is later)
+    if model == "related":
+        assert len({id(work) for work, _ in guesses}) > 1
+    # one dumped program per guess, with that guess's budget rhs
+    assert dump.read_text() == "".join(to_lp_format(lp) for lp in fresh)
 
 
 def test_related_greedy_builds_the_reduction_once():

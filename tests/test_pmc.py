@@ -26,6 +26,7 @@ from pmssc.pmc import (
     FPT,
     POLY,
     PmcParams,
+    PmcRelaxation,
     PmcResult,
     build_pmc_lp,
     concentration_repetitions,
@@ -219,6 +220,23 @@ def test_no_iteration_kept_reported():
 def test_params_reject_values_outside_their_domain(fields):
     with pytest.raises(DomainError):
         PmcParams(epsilon=0.2, **fields)
+
+
+def test_relaxation_spares_the_build_and_changes_nothing():
+    inst = generate_instance(n=9, k=5, m=2, model="unrelated", density=0.4, seed=8)
+    params = PmcParams(mode=POLY, epsilon=0.2, seed=3)
+    relaxation = PmcRelaxation(inst)
+    with mock.patch("pmssc.pmc.build_pmc_lp", side_effect=AssertionError("built")):
+        results = [pmc_solve(inst, [g, g], params, relaxation=relaxation) for g in (1, 2, 5)]
+    assert results == [pmc_solve(inst, [g, g], params) for g in (1, 2, 5)]
+    assert relaxation.at([2, 2]) == build_pmc_lp(inst, [2, 2])
+    other = generate_instance(n=9, k=5, m=2, model="unrelated", density=0.4, seed=8)
+    with pytest.raises(ValueError, match="another instance"):
+        pmc_solve(other, [1, 1], params, relaxation=relaxation)
+    with pytest.raises(ValueError):
+        relaxation.at([1])
+    with pytest.raises(DomainError):
+        relaxation.at([1, -1])
 
 
 def test_determinism_same_seed():
