@@ -37,7 +37,7 @@ from .fileio import (
     parse_instance,
     serialize_instance,
 )
-from .pmc import PmcParams, pmc_solve
+from .pmc import PmcParams, PmcRelaxation, pmc_solve
 from .precedence import pcds, pmssc_precedence
 from .scheduler import ORACLES, pmssc_greedy, upper_bound_from_trace
 from .core import density as density_of
@@ -222,7 +222,7 @@ def _cmd_pmc(args):
         mode=args.mode, epsilon=args.epsilon, mu=args.mu, r_cap=args.r_cap, seed=seed
     )
     started = time.perf_counter()
-    result = pmc_solve(inst, budgets, params)
+    result = pmc_solve(PmcRelaxation(inst), budgets, params)
     parameters = {"epsilon": args.epsilon, "mu": args.mu, "seed": seed, "r_cap": args.r_cap}
     return _report("pmc-%s" % args.mode, parameters, started, {
         "assignment": _machines(result.assignment),

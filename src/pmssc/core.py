@@ -20,7 +20,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from operator import index
+from operator import index, itemgetter
 from typing import Iterable, Optional, Sequence, Tuple, Union
 
 from .errors import (
@@ -233,6 +233,19 @@ class ProblemInstance:
             stats.append((min(finite), sum(finite, Fraction(0))) if finite else None)
         return tuple(stats)
 
+    @cached_property
+    def cost_order(self) -> Tuple[Tuple[Fraction, int], ...]:
+        """Every finite cost as a (cost, set) pair, ascending, ties in set order.
+
+        A unit or identical row repeats one cost m times and gives one pair.
+        """
+        single = self.cost_model.kind in ("unit", "identical")
+        pairs = [
+            (c, s) for s, row in enumerate(self.costs)
+            for c in (row[:1] if single else row) if is_finite_cost(c)
+        ]
+        return tuple(sorted(pairs, key=itemgetter(0)))
+
     def cost(self, s: int, j: int) -> CostValue:
         """``costs[s][j]``, for indices that come from outside the instance."""
         if not 0 <= s < self.k:
@@ -339,6 +352,15 @@ def available_pool(inst: ProblemInstance, available: Optional[Iterable[int]]) ->
     if outside:
         raise InvalidIndexError("available set %d outside [0, %d)" % (outside[0], inst.k))
     return pool
+
+
+def remaining_elements(inst: ProblemInstance, remaining: Optional[Iterable[int]]) -> frozenset:
+    """``remaining`` (default: all n elements) as a frozenset, all in [0, n)."""
+    elements = frozenset(range(inst.n) if remaining is None else remaining)
+    outside = [e for e in elements if not 0 <= e < inst.n]
+    if outside:
+        raise InvalidIndexError("remaining element %d outside [0, %d)" % (min(outside), inst.n))
+    return elements
 
 
 def coverage(

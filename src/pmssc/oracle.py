@@ -32,6 +32,7 @@ from .core import (
     element_mask,
     evaluate_schedule_cost,
     is_finite_cost,
+    remaining_elements,
     topological_order,
     validate_instance,
 )
@@ -256,7 +257,7 @@ def exact_pds(
 ) -> Tuple[Assignment, DensityValue]:
     """Max-density assignment by labeling every set unused or with a machine."""
     limits = limits or SUBSET_LIMITS
-    restrict = frozenset(range(inst.n)) if remaining is None else frozenset(remaining)
+    restrict = remaining_elements(inst, remaining)
     useful = [s for s in available_pool(inst, available) if inst.members[s] & restrict]
     if not useful:
         raise NoCoverageError("no set covers any remaining element")
@@ -354,7 +355,7 @@ def exact_pds_precedence(
     pred_mask = [0] * k
     for a, b in edges:
         pred_mask[b] |= 1 << a
-    restrict = frozenset(range(inst.n)) if remaining is None else frozenset(remaining)
+    restrict = remaining_elements(inst, remaining)
     if not any(inst.members[s] & restrict for s in range(k)):
         raise NoCoverageError("no set covers any remaining element")
     budget = _Budget(limits.node_budget)

@@ -1,20 +1,20 @@
 """Parallel densest subfamily solvers.
 
-Every solver walks one geometric budget ladder: each guess yields at most one
-assignment from a max-coverage problem within that budget. ``_densest``
-climbs the ladder until an assignment covers every coverable remaining
-element (one held by an available set with a finite cost), runs no later
-guess, and keeps the densest assignment seen (ties break toward the smaller
-guess, and the winner's density is re-evaluated). The bound survives the
-stop: the proof needs the first guess at or above the optimal makespan, and
-a full cover at a smaller guess is already at least as dense as the
-density the proof derives there.
+Every solver walks one geometric budget ladder, ``_ladder``: each guess yields
+at most one assignment from a max-coverage problem within that budget (a guess
+whose rounding keeps no iteration is skipped). ``_densest`` climbs the ladder
+until an assignment covers every coverable remaining element (one held by an
+available set with a finite cost), runs no later guess, and keeps the densest
+assignment seen (ties break toward the smaller guess, and the winner's
+density is re-evaluated). The bound survives the stop: the proof needs the
+first guess at or above the optimal makespan, and a full cover at a smaller
+guess is already at least as dense as the density the proof derives there.
 
 * identical machines: budgeted max coverage with m times the guess, chosen
   sets spread largest-first over the least-loaded machine. Unit costs take
   this same ladder; with equal costs the spread is index-order round-robin.
-* related and unrelated machines share one parallel max coverage ladder
-  (``_pmc_ladder``). Related machines shrink to one auxiliary machine per
+* related and unrelated machines solve parallel max coverage at each guess
+  (``_pmc_solver``). Related machines shrink to one auxiliary machine per
   nonempty group of near-equal speed, use the FPT rounding regime on that
   instance, and lift each group's sets onto its machines with the identical
   machines' placement; unrelated machines use a ladder of powers of two and
@@ -28,6 +28,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
+from operator import itemgetter
 from typing import Iterable, Iterator, List, Optional, Tuple
 
 from .core import (
@@ -39,10 +40,9 @@ from .core import (
     available_pool,
     density,
     element_mask,
-    is_finite_cost,
+    remaining_elements,
 )
-from .errors import InvalidIndexError, InvariantError, NoCoverageError, NoIterationKeptError
-from .lp import WarmStart
+from .errors import InvariantError, NoCoverageError, NoIterationKeptError
 from .maxcov import budgeted_max_coverage
 from .pmc import FPT, POLY, PmcParams, PmcRelaxation, pmc_solve
 from .rng import child_seed
@@ -73,17 +73,16 @@ def _ladder_guesses(inst: ProblemInstance, base: Fraction, pool) -> Iterator[Fra
         power *= base
 
 
-def _covering_pool(inst, remaining, available) -> Tuple[List[int], List[int], int]:
-    """The available sets and those of them that meet ``remaining``, in index
-    order, and how many remaining elements they can cover.
+def _covering_pool(inst, remaining, available) -> Tuple[frozenset, frozenset, List[int], int]:
+    """``remaining`` and the available sets as frozensets, the available sets
+    that meet ``remaining`` in index order, and how many remaining elements
+    they can cover.
 
     Elements must lie in [0, n). An element counts as coverable when a pool
     set with some finite cost holds it; there must be at least one.
     """
     pool = available_pool(inst, available)
-    outside = [e for e in remaining if not 0 <= e < inst.n]
-    if outside:
-        raise InvalidIndexError("remaining element %d outside [0, %d)" % (min(outside), inst.n))
+    remaining = remaining_elements(inst, remaining)
     rows, masks = inst.finite_row_costs, inst.masks
     remaining_mask = element_mask(remaining)
     usable = [s for s in pool if masks[s] & remaining_mask]
@@ -96,7 +95,38 @@ def _covering_pool(inst, remaining, available) -> Tuple[List[int], List[int], in
     coverable = (finite & remaining_mask).bit_count()
     if not coverable:
         raise NoCoverageError("no finite-cost set is available")
-    return pool, usable, coverable
+    return remaining, frozenset(pool), usable, coverable
+
+
+def _ladder(table, base, pool, usable, clamp, solve) -> Iterator[Assignment]:
+    """The nonempty assignments of one budget ladder, in guess order.
+
+    The guesses span the finite costs of ``usable`` in ``table`` (see
+    ``_ladder_guesses``); guess number ``gi`` yields ``solve(gi, guess,
+    largest)``. ``largest`` is the largest finite cost of a ``pool`` set in
+    ``table`` at or below the guess, or the largest of them all when
+    ``clamp`` is off (a cost above the guess still fits). A guess whose
+    rounding keeps no iteration is skipped; when no guess yields a nonempty
+    assignment, ``NoCoverageError`` names the skipped ones.
+    """
+    fitting = [c for c, s in table.cost_order if s in pool]
+    produced, skipped = False, []
+    for gi, guess in enumerate(_ladder_guesses(table, base, usable)):
+        # The first guess covers a usable set's cheapest cost, so one fits.
+        largest = fitting[bisect_right(fitting, guess) - 1] if clamp else fitting[-1]
+        try:
+            asg = solve(gi, guess, largest)
+        except NoIterationKeptError:
+            skipped.append(guess)
+            continue
+        if not asg.is_empty:
+            produced = True
+            yield asg
+    if not produced:
+        raise NoCoverageError(
+            "no budget guess produced an assignment (skipped: %s)"
+            % [float(g) for g in skipped]
+        )
 
 
 def _densest(inst, remaining, coverable, candidates: Iterable[Assignment]) -> Assignment:
@@ -112,15 +142,13 @@ def _densest(inst, remaining, coverable, candidates: Iterable[Assignment]) -> As
     OPT's covered count over beta * T*, the density the analysis derives
     at g*.
     """
-    best = None  # (DensityValue, Assignment)
+    best = None  # (DensityValue, Assignment); ``_ladder`` yields at least one
     for asg in candidates:
         d = density(inst, asg, remaining)
         if best is None or d > best[0]:
             best = (d, asg)
         if d.covered == coverable:
             break
-    if best is None:
-        raise NoCoverageError("every budget guess produced an empty family")
     if density(inst, best[1], remaining) != best[0]:
         raise InvariantError("re-evaluated density differs from the kept value")
     return best[1]
@@ -159,40 +187,31 @@ def pds_identical(
     """Budget-ladder greedy for identical (or unit) machines."""
     if inst.cost_model.kind not in ("unit", "identical"):
         raise ValueError("pds_identical needs the unit or identical cost model")
-    remaining = frozenset(remaining)
-    pool, usable, coverable = _covering_pool(inst, remaining, available)
-    base = Fraction(1) + Fraction(identical_ladder_delta(epsilon))
+    remaining, pool, usable, coverable = _covering_pool(inst, remaining, available)
     remaining_mask = element_mask(remaining)
-    cost = [row[0] for row in inst.costs]
-    # The sets that fit a guess are the first ``fit`` of the pool sorted by
-    # cost; guesses ascend, so the maxcov arguments change only when it grows.
-    by_cost = sorted(pool, key=cost.__getitem__)
-    sorted_costs = [cost[s] for s in by_cost]
+    by_cost = [(c, s) for c, s in inst.cost_order if s in pool]
 
-    def spreads():
-        fit = 0
-        # The ladder starts where the cheapest set that meets ``remaining``
-        # fits, as max coverage returns nothing before.
-        for guess in _ladder_guesses(inst, base, usable):
-            grown = bisect_right(sorted_costs, guess)
-            if grown > fit:
-                fit = grown
-                candidates = sorted(by_cost[:fit])
-                cand_masks = [inst.masks[s] for s in candidates]
-                cand_costs = [cost[s] for s in candidates]
-            result = budgeted_max_coverage(
-                remaining_mask, cand_masks, cand_costs, inst.m * guess
-            )
-            if not result.chosen:
-                continue
-            chosen = [candidates[i] for i in result.chosen]
-            per_machine, loads = [[] for _ in range(inst.m)], [Fraction(0)] * inst.m
-            _place_largest_first(inst, chosen, range(inst.m), per_machine, loads)
-            if max(loads) > 2 * guess:
-                raise InvariantError("a load %s exceeds twice the guess %s" % (max(loads), guess))
-            yield Assignment(per_machine)
+    @lru_cache(maxsize=1)
+    def fitting(largest):
+        """The pool sets of cost at most ``largest`` in index order, their masks and costs."""
+        sets = sorted(s for _, s in by_cost[: bisect_right(by_cost, largest, key=itemgetter(0))])
+        return sets, [inst.masks[s] for s in sets], [inst.costs[s][0] for s in sets]
 
-    return _densest(inst, remaining, coverable, spreads())
+    def spread(gi, guess, largest) -> Assignment:
+        candidates, masks, costs = fitting(largest)
+        result = budgeted_max_coverage(remaining_mask, masks, costs, inst.m * guess)
+        chosen = [candidates[i] for i in result.chosen]
+        per_machine, loads = [[] for _ in range(inst.m)], [Fraction(0)] * inst.m
+        _place_largest_first(inst, chosen, range(inst.m), per_machine, loads)
+        if max(loads) > 2 * guess:
+            raise InvariantError("a load %s exceeds twice the guess %s" % (max(loads), guess))
+        return Assignment(per_machine)
+
+    # The ladder starts where the cheapest set that meets ``remaining`` fits,
+    # as max coverage returns nothing before.
+    base = Fraction(1) + Fraction(identical_ladder_delta(epsilon))
+    ladder = _ladder(inst, base, pool, usable, clamp=True, solve=spread)
+    return _densest(inst, remaining, coverable, ladder)
 
 
 # ---------------------------------------------------------------------------
@@ -273,65 +292,41 @@ def related_parameters(epsilon: float) -> Tuple[float, float]:
     return delta, delta / (delta + 16.0)
 
 
-def _pmc_ladder(inst, remaining, pool, usable, table, weights, base, params, clamp):
-    """Parallel max coverage at each guess of one budget ladder.
+def _pmc_solver(inst, remaining, pool, table, weights, params):
+    """A ``_ladder`` step: parallel max coverage over ``table``'s costs.
 
     ``table``'s costs have a row per set and a column per PMC machine; sets
     outside ``pool`` are closed and elements outside ``remaining`` dropped.
-    The guesses span the costs of ``usable``, the pool sets that meet
-    ``remaining``.
-    Guess number ``gi`` gives machine q the budget ``weights[q] * guess`` and
-    rounds with seed ``child_seed(params.seed, gi)``. With ``clamp`` a cost
-    above the guess fits no budget and is infinite, so the work table is
-    built once per fit count, the number of pool costs at or below the
-    guess, together with its ``PmcRelaxation``. One ``WarmStart`` serves the
-    ladder: guesses that share a work table give LPs that differ only in
-    their budget rhs, so each re-solves from the previous optimum. Yields
-    (guess, assignment) for every guess that keeps a nonempty assignment.
+    Guess number ``gi`` gives machine q the budget ``weights[q] * guess``,
+    makes every cost above ``largest`` infinite and rounds with seed
+    ``child_seed(params.seed, gi)``. The work table and its
+    ``PmcRelaxation`` are built only when ``largest`` changes, so guesses
+    that share them solve LPs that differ only in their budget rhs, each
+    warm from the last one's optimum.
     """
-    pool_set = set(pool)
-    m = len(weights)
     sets = tuple(
-        tuple(sorted(inst.members[s] & remaining)) if s in pool_set else ()
-        for s in range(inst.k)
+        tuple(sorted(inst.members[s] & remaining)) if s in pool else () for s in range(inst.k)
     )
-    # Pool rows that meet no remaining element stay: the LP normalisers sum them.
-    rows = [
-        row if s in pool_set else (INFINITE_COST,) * m for s, row in enumerate(table.costs)
-    ]
-    fitting = sorted(c for s in pool for c in table.costs[s] if is_finite_cost(c))
 
-    produced = False
-    skipped = []
-    work, work_fit = None, None
-    warm = WarmStart()
-    for gi, guess in enumerate(_ladder_guesses(table, base, usable)):
-        # The first guess covers a usable set's cheapest cost, so fit >= 1.
-        fit = bisect_right(fitting, guess) if clamp else len(fitting)
-        if fit != work_fit:
-            largest = fitting[fit - 1]
-            costs = tuple(tuple(INFINITE_COST if c > largest else c for c in row) for row in rows)
-            work = ProblemInstance(n=inst.n, sets=sets, m=m, cost_model=UnrelatedCosts(costs))
-            work_fit, relaxation = fit, PmcRelaxation(work)
-        try:
-            result = pmc_solve(
-                work,
-                [w * guess for w in weights],
-                replace(params, seed=child_seed(params.seed, gi)),
-                warm=warm,
-                relaxation=relaxation,
-            )
-        except NoIterationKeptError:
-            skipped.append(guess)
-            continue
-        if not result.assignment.is_empty:
-            produced = True
-            yield guess, result.assignment
-    if not produced:
-        raise NoCoverageError(
-            "no budget guess produced an assignment (skipped: %s)"
-            % [float(g) for g in skipped]
+    @lru_cache(maxsize=1)
+    def relaxation(largest):
+        # Pool rows that meet no remaining element stay: the LP normalisers sum them.
+        costs = tuple(
+            tuple(INFINITE_COST if s not in pool or c > largest else c for c in row)
+            for s, row in enumerate(table.costs)
         )
+        return PmcRelaxation(
+            ProblemInstance(n=inst.n, sets=sets, m=len(weights), cost_model=UnrelatedCosts(costs))
+        )
+
+    def solve(gi, guess, largest) -> Assignment:
+        return pmc_solve(
+            relaxation(largest),
+            [w * guess for w in weights],
+            replace(params, seed=child_seed(params.seed, gi)),
+        ).assignment
+
+    return solve
 
 
 def pds_related(
@@ -344,8 +339,7 @@ def pds_related(
     """Machine-group reduction plus FPT-mode parallel max coverage."""
     if inst.cost_model.kind != "related":
         raise ValueError("pds_related needs the related cost model")
-    remaining = frozenset(remaining)
-    pool, usable, coverable = _covering_pool(inst, remaining, available)
+    remaining, pool, usable, coverable = _covering_pool(inst, remaining, available)
     _, kappa = related_parameters(epsilon)
     kappa_f = Fraction(kappa)
     reduction, aux = reduce_related(inst, kappa_f)
@@ -354,11 +348,12 @@ def pds_related(
         mode=FPT, epsilon=kappa, mu=kappa, r_cap=RELATED_ROUNDING_CAP, seed=seed
     )
     s_max = max(inst.cost_model.speeds)
+    pmc = _pmc_solver(inst, remaining, pool, aux, [len(g) for g in groups], params)
 
-    def lift(guess, grouped: Assignment) -> Assignment:
+    def lift(gi, guess, largest) -> Assignment:
         """Each group's sets, largest first, on the group's least-loaded machine."""
         per_machine, loads = [[] for _ in range(inst.m)], [Fraction(0)] * inst.m
-        for group, chosen in zip(groups, grouped.per_machine):
+        for group, chosen in zip(groups, pmc(gi, guess, largest).per_machine):
             _place_largest_first(inst, chosen, group, per_machine, loads)
         # Guesses count the fastest speed as 1, so a real load times s_max is
         # in guess units: a group's average is at most (1 + kappa) * guess,
@@ -367,13 +362,8 @@ def pds_related(
             raise InvariantError("lift exceeded the per-machine bound")
         return Assignment(per_machine)
 
-    ladder = _pmc_ladder(
-        inst, remaining, pool, usable, aux, [len(g) for g in groups],
-        Fraction(1) + kappa_f, params, clamp=True,
-    )
-    return _densest(
-        inst, remaining, coverable, (lift(guess, asg) for guess, asg in ladder)
-    )
+    ladder = _ladder(aux, Fraction(1) + kappa_f, pool, usable, clamp=True, solve=lift)
+    return _densest(inst, remaining, coverable, ladder)
 
 
 def pds_unrelated(
@@ -384,10 +374,8 @@ def pds_unrelated(
     seed: int = 0,
 ) -> Assignment:
     """Powers-of-two budget ladder with polynomial-regime max coverage."""
-    remaining = frozenset(remaining)
-    pool, usable, coverable = _covering_pool(inst, remaining, available)
-    ladder = _pmc_ladder(
-        inst, remaining, pool, usable, inst, [1] * inst.m,
-        Fraction(2), PmcParams(mode=POLY, epsilon=epsilon, seed=seed), clamp=False,
-    )
-    return _densest(inst, remaining, coverable, (asg for _, asg in ladder))
+    remaining, pool, usable, coverable = _covering_pool(inst, remaining, available)
+    params = PmcParams(mode=POLY, epsilon=epsilon, seed=seed)
+    solve = _pmc_solver(inst, remaining, pool, inst, [1] * inst.m, params)
+    ladder = _ladder(inst, Fraction(2), pool, usable, clamp=False, solve=solve)
+    return _densest(inst, remaining, coverable, ladder)

@@ -31,6 +31,7 @@ from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
+from .bounds import chernoff_upper
 from .core import (
     Assignment,
     ProblemInstance,
@@ -68,17 +69,10 @@ def concentration_repetitions(n: int, epsilon: float) -> int:
     return max(1, math.ceil((2.0 - 2.0 / math.e) / epsilon**2 * math.log(n)))
 
 
-def fpt_budget_failure_rate(mu: float) -> float:
-    """f(mu) = e^mu / (1 + mu)^(1 + mu): per-machine budget overflow bound."""
-    if mu <= 0:
-        raise DomainError("mu must be positive")
-    return math.exp(mu - (1.0 + mu) * math.log1p(mu))
-
-
 def fpt_repetitions(m: int, mu: float, n: int, epsilon: float) -> float:
     """FPT repetition count; may be astronomically large (handled by r_cap)."""
     r1 = concentration_repetitions(n, epsilon)
-    f = fpt_budget_failure_rate(mu)
+    f = chernoff_upper(1.0, mu)  # f(mu), the per-machine budget overflow bound
     all_within = (1.0 - f) ** m
     if all_within <= 0.0:
         return math.inf
@@ -160,7 +154,9 @@ def raw_draws(gen: np.random.Generator, attempts: int, probs: Sequence[float]):
 class PmcRelaxation:
     """LP relaxation of one instance, built once: maximize sum y_u subject to
     coverage and budget rows. ``program`` is the relaxation at zero budgets;
-    ``at(budgets)`` copies it with new budget rhs, sharing all else.
+    ``at(budgets)`` copies it with new budget rhs, sharing all else. ``warm``
+    keeps the last optimum ``pmc_solve`` reached on it, so each later solve
+    re-starts from there (see ``lp.WarmStart``).
 
     Variable order is x_{s,j} at index s*m + j followed by y_u at k*m + u.
     Each machine's costs and budget are divided by the larger of 1 and its
@@ -198,6 +194,7 @@ class PmcRelaxation:
         objective = (0,) * nx + (1,) * n
         bounds = [(0, 1) if is_finite_cost(c) else (0, 0) for row in inst.costs for c in row]
         self.program = LinearProgram(objective, tuple(constraints), tuple(bounds + [(0, 1)] * n))
+        self.warm = WarmStart()
 
     def at(self, budgets: Sequence) -> LinearProgram:
         budgets = [as_fraction(b) for b in budgets]
@@ -207,11 +204,6 @@ class PmcRelaxation:
             raise DomainError("budgets must be nonnegative")
         scaled = [min(b / norm, Fraction(1)) for b, norm in zip(budgets, self.norms)]
         return self.program.with_rhs([0] * self.inst.n + scaled)
-
-
-def build_pmc_lp(inst: ProblemInstance, budgets: Sequence) -> LinearProgram:
-    """The LP relaxation of parallel max coverage at ``budgets`` (see ``PmcRelaxation``)."""
-    return PmcRelaxation(inst).at(budgets)
 
 
 def _float_or_inf(value) -> float:
@@ -299,22 +291,14 @@ def round_pmc(
 
 
 def pmc_solve(
-    inst: ProblemInstance,
-    budgets: Sequence,
-    params: PmcParams,
-    verify_lp: bool = False,
-    warm: Optional[WarmStart] = None,
-    relaxation: Optional[PmcRelaxation] = None,
+    relaxation: PmcRelaxation, budgets: Sequence, params: PmcParams, verify_lp: bool = False
 ) -> PmcResult:
-    """build_pmc_lp -> solve_lp -> round_pmc, with the zero-objective shortcut.
-
-    ``warm`` is handed to ``solve_lp``: calls on one instance at other
-    budgets build programs that differ only in their budget rows' rhs.
-    ``relaxation``, the ``PmcRelaxation`` of ``inst``, spares building it.
+    """relaxation.at(budgets) -> solve_lp -> round_pmc, with the zero-objective
+    shortcut. The LP starts warm from the relaxation's last optimum, as it
+    differs from it only in the budget rows' rhs.
     """
-    if relaxation is not None and relaxation.inst is not inst:
-        raise ValueError("relaxation belongs to another instance")
-    program = build_pmc_lp(inst, budgets) if relaxation is None else relaxation.at(budgets)
+    inst = relaxation.inst
+    program = relaxation.at(budgets)
     dump = os.environ.get("PMSSC_DUMP_LP")
     if dump:
         try:
@@ -322,7 +306,7 @@ def pmc_solve(
                 fh.write(to_lp_format(program))
         except OSError as exc:
             raise ValidationError("PMSSC_DUMP_LP", "cannot write %s: %s" % (dump, exc))
-    solution = solve_lp(program, verify=verify_lp, warm=warm)
+    solution = solve_lp(program, verify=verify_lp, warm=relaxation.warm)
     if solution.status != OPTIMAL:
         raise DomainError("PMC relaxation must be feasible and bounded")
     if float(solution.objective_value) <= 1e-12:

@@ -26,7 +26,9 @@ from .core import (
     ProblemInstance,
     Schedule,
     as_index,
+    available_pool,
     element_mask,
+    remaining_elements,
     topological_order,
     validate_instance,
 )
@@ -179,8 +181,8 @@ def pcds_detailed(
         raise ValueError("precedence solver requires the unit cost model")
     if inst.dag is None:
         raise ValueError("instance has no precedence DAG")
-    remaining_mask = element_mask(remaining)
-    pool = sorted(range(inst.k)) if available is None else sorted(available)
+    pool = available_pool(inst, available)
+    remaining_mask = element_mask(remaining_elements(inst, remaining))
     if not any(inst.masks[s] & remaining_mask for s in pool):
         raise NoCoverageError("no available set covers a remaining element")
     dag_view = PrecedenceDag.from_edges(inst.k, inst.dag, pool)

@@ -27,7 +27,7 @@ from pmssc.lp import solve_lp
 from pmssc.maxcov import PARTIAL_ENUM_MAX_K
 from pmssc.oracle import exact_pds, exact_pds_precedence, exact_pmc, exact_pmssc
 from pmssc.pds import pds_identical, pds_related, reduce_related
-from pmssc.pmc import PmcParams, build_pmc_lp, fpt_repetitions, pmc_solve
+from pmssc.pmc import PmcParams, PmcRelaxation, fpt_repetitions, pmc_solve
 from pmssc.precedence import pcds_detailed
 from pmssc.rng import stream
 from pmssc.scheduler import pmssc_greedy
@@ -115,7 +115,7 @@ def pmc_runs():
     for seed, inst in enumerate(pmc_corpus(100)):
         budgets = [Fraction(1 + (seed + j) % 3) for j in range(inst.m)]
         params = PmcParams(mode="poly", epsilon=0.2, seed=seed)
-        result = pmc_solve(inst, budgets, params, verify_lp=True)
+        result = pmc_solve(PmcRelaxation(inst), budgets, params, verify_lp=True)
         runs.append((inst, budgets, params, result))
     return runs
 
@@ -136,7 +136,7 @@ def test_criterion_06_pmc_coverage_quality(pmc_runs):
     with criterion(6, "mean coverage vs LP and LP vs integral optimum") as info:
         ratios = []
         for inst, budgets, params, result in pmc_runs:
-            sol = solve_lp(build_pmc_lp(inst, budgets), verify=True)
+            sol = solve_lp(PmcRelaxation(inst).at(budgets), verify=True)
             _, ilp = exact_pmc(inst, budgets)
             assert float(sol.objective_value) >= ilp - 1e-6  # relaxation dominance
             if float(sol.objective_value) > 1e-9:

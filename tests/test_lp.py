@@ -26,7 +26,7 @@ from pmssc.lp import (
     to_lp_format,
 )
 from pmssc.oracle import exact_pmc
-from pmssc.pmc import PmcRelaxation, build_pmc_lp
+from pmssc.pmc import PmcRelaxation
 from pmssc.fileio import generate_instance
 
 
@@ -50,7 +50,7 @@ def test_unbounded_detected():
 
 def test_pmc_relaxation_t1():
     inst = t1_instance(m=1)
-    sol = solve_lp(build_pmc_lp(inst, [2]), verify=True)
+    sol = solve_lp(PmcRelaxation(inst).at([2]), verify=True)
     assert sol.status == OPTIMAL
     assert sol.objective_value == 3  # fractional optimum equals integral here
 
@@ -156,7 +156,7 @@ def test_relaxation_dominates_integral_on_random_instances():
             seed=400 + seed,
         )
         budgets = [Fraction(1 + seed % 4)] * inst.m
-        sol = solve_lp(build_pmc_lp(inst, budgets), verify=True)
+        sol = solve_lp(PmcRelaxation(inst).at(budgets), verify=True)
         _, ilp_opt = exact_pmc(inst, budgets)
         assert lp_upper_bounds_ilp(sol, ilp_opt)
 
@@ -277,7 +277,7 @@ def pmc_lps(draw):
         seed=draw(st.integers(0, 10**6)),
     )
     budget = st.builds(Fraction, st.integers(0, 8), st.integers(1, 3))
-    return build_pmc_lp(inst, [draw(budget) for _ in range(inst.m)])
+    return PmcRelaxation(inst).at([draw(budget) for _ in range(inst.m)])
 
 
 @settings(max_examples=100, deadline=None)
@@ -308,11 +308,10 @@ def _float_phase_2_cut_short(M, b, c, u, basis, flipped, tol, bland_after):
 def test_verify_finishes_a_float_phase_2_cut_short():
     rng = np.random.default_rng(11)
     programs = [
-        build_pmc_lp(
+        PmcRelaxation(
             generate_instance(n=4 + s % 6, k=2 + s % 4, m=1 + s % 3, model="unrelated",
                               density=0.4, seed=700 + s),
-            [Fraction(1 + s % 3, 1 + s % 2)] * (1 + s % 3),
-        )
+        ).at([Fraction(1 + s % 3, 1 + s % 2)] * (1 + s % 3))
         for s in range(20)
     ]
     for _ in range(20):
@@ -483,7 +482,7 @@ def _dependent_row_programs():
     box = ((0, 3), (0, 1), (0, math.inf))
     objective = (1, 1, -1)
     inst = generate_instance(n=6, k=4, m=2, model="unrelated", density=0.4, seed=3)
-    pmc = build_pmc_lp(inst, [Fraction(3, 2), 2])
+    pmc = PmcRelaxation(inst).at([Fraction(3, 2), 2])
     return [
         LinearProgram(objective, (row, row), box),
         LinearProgram(objective, (row, ((1, 2, 0), GREATER_EQUAL, 4)), box),

@@ -267,6 +267,13 @@ def test_exact_oracles_check_available_like_the_pds_solvers():
     )
 
 
+def test_exact_pds_checks_remaining_like_the_pds_solvers():
+    inst = generate_instance(n=6, k=4, m=2, model="unrelated", density=0.4, seed=2)
+    for remaining in ({-1, 0}, {6}, set(range(6)) | {9}):
+        with pytest.raises(InvalidIndexError, match=r"^remaining element -?\d+ outside \[0, 6\)$"):
+            exact_pds(inst, remaining)
+
+
 def test_exact_pds_precedence_empty_dag_matches_exact_pds():
     for seed in range(10):
         inst = generate_instance(

@@ -24,7 +24,7 @@ from pmssc.core import (
 from pmssc.errors import InvalidIndexError, InvariantError, NoCoverageError, NoIterationKeptError
 from pmssc.fileio import generate_instance
 import pmssc.lp as lp_module
-from pmssc.lp import WarmStart, to_lp_format
+from pmssc.lp import to_lp_format
 import pmssc.pds as pds_module
 import pmssc.pmc as pmc_module
 from pmssc.maxcov import PARTIAL_ENUM_MAX_K, MaxCovResult, budgeted_max_coverage
@@ -32,8 +32,9 @@ from pmssc.oracle import exact_pds
 from pmssc.pds import (
     RELATED_ROUNDING_CAP,
     RelatedReduction,
+    _ladder,
     _ladder_guesses,
-    _pmc_ladder,
+    _pmc_solver,
     identical_ladder_delta,
     pds_identical,
     pds_related,
@@ -41,7 +42,7 @@ from pmssc.pds import (
     reduce_related,
     related_parameters,
 )
-from pmssc.pmc import FPT, POLY, PmcParams, pmc_solve
+from pmssc.pmc import FPT, POLY, PmcParams, PmcRelaxation, pmc_solve
 from pmssc.rng import child_seed
 from pmssc.scheduler import pmssc_greedy
 
@@ -260,9 +261,9 @@ def test_related_ladder_clamps_as_a_fresh_clamp_would_at_every_guess(monkeypatch
     weights = [len(g) for g in reduction.groups if g]
     tables = []
 
-    def spy(work, budgets, params, _inner=pmc_solve, **kwargs):
-        tables.append((work.costs, budgets[0] / weights[0]))
-        return _inner(work, budgets, params, **kwargs)
+    def spy(relaxation, budgets, params, _inner=pmc_solve, **kwargs):
+        tables.append((relaxation, budgets[0] / weights[0]))
+        return _inner(relaxation, budgets, params, **kwargs)
 
     def fit(guess):
         return sum(c <= guess for row in aux.costs for c in row)
@@ -272,23 +273,21 @@ def test_related_ladder_clamps_as_a_fresh_clamp_would_at_every_guess(monkeypatch
     remaining = frozenset(range(4))
     for clamp in (True, False):
         tables.clear()
-        list(_pmc_ladder(
-            inst, remaining, range(4), range(4), aux, weights, 1 + Fraction(kappa), params,
-            clamp=clamp,
-        ))
+        solve = _pmc_solver(inst, remaining, range(4), aux, weights, params)
+        list(_ladder(aux, 1 + Fraction(kappa), range(4), range(4), clamp, solve))
         assert len(tables) > 2
-        for costs, guess in tables:
-            assert costs == tuple(
+        for relaxation, guess in tables:
+            assert relaxation.inst.costs == tuple(
                 tuple(INFINITE_COST if clamp and c > guess else c for c in row)
                 for row in aux.costs
             )
-        assert any(c == guess for costs, guess in tables for row in costs for c in row)
-        # consecutive guesses with one fit count share one table object
-        pairs = [
-            (costs, later) for (costs, guess), (later, after) in zip(tables, tables[1:])
-            if not clamp or fit(guess) == fit(after)
-        ]
-        assert pairs and all(later is costs for costs, later in pairs)
+        assert any(
+            c == guess for relaxation, guess in tables
+            for row in relaxation.inst.costs for c in row
+        )
+        # guesses share one relaxation object exactly when they share a fit count
+        for (relaxation, guess), (later, after) in zip(tables, tables[1:]):
+            assert (later is relaxation) == (not clamp or fit(guess) == fit(after))
 
 
 def test_unrelated_ladder_solves_cold_once_per_pds_call(monkeypatch):
@@ -330,9 +329,9 @@ def test_every_ladder_guess_solves_and_dumps_a_fresh_build(
     monkeypatch.setenv("PMSSC_DUMP_LP", str(dump))
     guesses, programs = [], []
 
-    def spy_pmc(work, budgets, params, _inner=pmc_solve, **kwargs):
-        guesses.append((work, budgets))
-        return _inner(work, budgets, params, **kwargs)
+    def spy_pmc(relaxation, budgets, params, _inner=pmc_solve, **kwargs):
+        guesses.append((relaxation, budgets))
+        return _inner(relaxation, budgets, params, **kwargs)
 
     def spy_lp(lp, *args, _inner=pmc_module.solve_lp, **kwargs):
         programs.append(lp)
@@ -344,16 +343,18 @@ def test_every_ladder_guess_solves_and_dumps_a_fresh_build(
     pds = pds_unrelated if model == "unrelated" else pds_related
     pds(inst, range(inst.n), 0.2, seed=seed)
     assert len(programs) == len(guesses) >= 3
-    fresh = [pmc_module.build_pmc_lp(work, budgets) for work, budgets in guesses]
+    fresh = [PmcRelaxation(relaxation.inst).at(budgets) for relaxation, budgets in guesses]
     for lp, built in zip(programs, fresh):
         assert lp == built
         for shared, converted in zip(lp._floats, built._floats):
             assert shared.dtype == converted.dtype and np.array_equal(shared, converted)
-    # guesses on one work table share its coefficient arrays; others do not
-    for (work, _), (later, _), lp, after in zip(guesses, guesses[1:], programs, programs[1:]):
-        assert (lp._floats[1] is after._floats[1]) == (work is later)
+    # guesses on one relaxation share its coefficient arrays; others do not
+    for (relaxation, _), (later, _), lp, after in zip(
+        guesses, guesses[1:], programs, programs[1:]
+    ):
+        assert (lp._floats[1] is after._floats[1]) == (relaxation is later)
     if model == "related":
-        assert len({id(work) for work, _ in guesses}) > 1
+        assert len({id(relaxation) for relaxation, _ in guesses}) > 1
     # one dumped program per guess, with that guess's budget rhs
     assert dump.read_text() == "".join(to_lp_format(lp) for lp in fresh)
 
@@ -536,7 +537,8 @@ def test_ladder_stops_at_the_first_full_cover_though_a_later_guess_is_denser(mon
     monkeypatch.undo()
     # guess 2 (ladder position 1) would have kept a strictly denser family
     later = pmc_solve(
-        inst, [2] * inst.m, PmcParams(mode=POLY, epsilon=0.2, seed=child_seed(20, 1))
+        PmcRelaxation(inst), [2] * inst.m,
+        PmcParams(mode=POLY, epsilon=0.2, seed=child_seed(20, 1)),
     ).assignment
     assert later == Assignment(((0,), (), (1,)))
     assert density(inst, later, remaining) > density(inst, asg, remaining)
@@ -599,8 +601,9 @@ def test_over_budget_family_raises_invariant_error(solver, monkeypatch):
 # ``pds_unrelated``, each with its own ladder loop and argmax. Each loop has
 # the additions every ladder now follows: it breaks after the first guess
 # whose assignment covers every coverable remaining element, and the PMC
-# loops hand one LP warm-start holder to every ``pmc_solve`` of the ladder
-# (a warm re-solve may stop at another optimal vertex than a cold one).
+# loops solve every guess of one clamped cost table on one ``PmcRelaxation``,
+# so each LP starts warm from the last one's optimum (a warm re-solve may stop
+# at another optimal vertex than a cold one).
 
 
 def _available_list(inst, available):
@@ -793,7 +796,7 @@ def reference_pds_related(
 
     best = None
     skipped = []
-    warm = WarmStart()
+    relaxations = {}
     for gi, guess in enumerate(ladder):
         budgets = [Fraction(len(reduction.groups[p])) * guess for p in nonempty]
         guess_inst = ProblemInstance(
@@ -809,8 +812,10 @@ def reference_pds_related(
             r_cap=RELATED_ROUNDING_CAP,
             seed=child_seed(seed, gi),
         )
+        if guess_inst not in relaxations:
+            relaxations[guess_inst] = PmcRelaxation(guess_inst)
         try:
-            result = pmc_solve(guess_inst, budgets, params, warm=warm)
+            result = pmc_solve(relaxations[guess_inst], budgets, params)
         except NoIterationKeptError:
             skipped.append(guess)
             continue
@@ -883,11 +888,11 @@ def reference_pds_unrelated(
 
     best = None
     skipped = []
-    warm = WarmStart()
+    relaxation = PmcRelaxation(work)
     for gi, guess in enumerate(ladder):
         params = PmcParams(mode=POLY, epsilon=epsilon, seed=child_seed(seed, gi))
         try:
-            result = pmc_solve(work, [guess] * inst.m, params, warm=warm)
+            result = pmc_solve(relaxation, [guess] * inst.m, params)
         except NoIterationKeptError:
             skipped.append(guess)
             continue

@@ -18,8 +18,10 @@ from pmssc.core import (
     as_fraction,
     element_mask,
 )
+from pmssc.bounds import chernoff_upper
 from pmssc.errors import DomainError, NoIterationKeptError
 from pmssc.fileio import generate_instance
+import pmssc.lp as lp_module
 from pmssc.lp import OPTIMAL, LpSolution, solve_lp
 from pmssc import pmc
 from pmssc.pmc import (
@@ -28,9 +30,7 @@ from pmssc.pmc import (
     PmcParams,
     PmcRelaxation,
     PmcResult,
-    build_pmc_lp,
     concentration_repetitions,
-    fpt_budget_failure_rate,
     fpt_repetitions,
     pmc_solve,
     poly_delta,
@@ -44,7 +44,7 @@ U3 = frozenset(range(3))
 
 def test_lp_dimensions_t1():
     inst = t1_instance(m=1)
-    lp = build_pmc_lp(inst, [2])
+    lp = PmcRelaxation(inst).at([2])
     assert len(lp.objective) == 3 + 3  # three x vars, three y vars
     assert len(lp.constraints) == 3 + 1  # coverage rows plus one budget row
 
@@ -53,7 +53,7 @@ def test_lp_dimensions_single_set_two_machines():
     inst = ProblemInstance(
         n=1, sets=((0,),), m=2, cost_model=IdenticalCosts((Fraction(1),))
     )
-    lp = build_pmc_lp(inst, [1, 1])
+    lp = PmcRelaxation(inst).at([1, 1])
     assert len(lp.objective) == 2 + 1
     assert len(lp.constraints) == 1 + 2
 
@@ -67,18 +67,18 @@ def test_infinite_cost_pair_frozen_to_zero():
             ((Fraction(1), INFINITE_COST), (INFINITE_COST, Fraction(1)))
         ),
     )
-    lp = build_pmc_lp(inst, [1, 1])
+    lp = PmcRelaxation(inst).at([1, 1])
     # x_{0,1} and x_{1,0} are pinned to zero
     assert lp.bounds[0 * 2 + 1] == (Fraction(0), Fraction(0))
     assert lp.bounds[1 * 2 + 0] == (Fraction(0), Fraction(0))
-    result = pmc_solve(inst, [1, 1], PmcParams(mode=POLY, epsilon=0.2, seed=1))
+    result = pmc_solve(PmcRelaxation(inst), [1, 1], PmcParams(mode=POLY, epsilon=0.2, seed=1))
     assert result.covered == 2
     assert result.assignment.per_machine == ((0,), (1,))
 
 
 def test_integral_lp_rounds_exactly():
     inst = t1_instance(m=1)
-    lp = build_pmc_lp(inst, [2])
+    lp = PmcRelaxation(inst).at([2])
     sol = solve_lp(lp, verify=True)
     result = round_pmc(inst, [2], sol, PmcParams(mode=POLY, epsilon=0.2, seed=0))
     # the relaxation optimum is integral here, so one iteration reproduces it
@@ -90,20 +90,20 @@ def test_t1_poly_covered_three_across_seeds():
     inst = t1_instance(m=1)
     hits = 0
     for seed in range(100):
-        result = pmc_solve(inst, [2], PmcParams(mode=POLY, epsilon=0.2, seed=seed))
+        result = pmc_solve(PmcRelaxation(inst), [2], PmcParams(mode=POLY, epsilon=0.2, seed=seed))
         hits += result.covered == 3
     assert hits >= 99
 
 
 def test_t1_two_machines_budget_one_each():
     inst = t1_instance(m=2)
-    result = pmc_solve(inst, [1, 1], PmcParams(mode=POLY, epsilon=0.2, seed=7))
+    result = pmc_solve(PmcRelaxation(inst), [1, 1], PmcParams(mode=POLY, epsilon=0.2, seed=7))
     assert result.covered == 3
 
 
 def test_zero_budgets_give_empty_result():
     inst = t1_instance(m=2)
-    result = pmc_solve(inst, [0, 0], PmcParams(mode=POLY, epsilon=0.2, seed=0))
+    result = pmc_solve(PmcRelaxation(inst), [0, 0], PmcParams(mode=POLY, epsilon=0.2, seed=0))
     assert result.assignment.is_empty
     assert result.covered == 0 and result.iterations_kept == 0
 
@@ -120,7 +120,7 @@ def test_poly_delta_clamped_for_small_m():
 
 
 def test_fpt_term_m3_mu1():
-    f = fpt_budget_failure_rate(1.0)
+    f = chernoff_upper(1.0, 1.0)  # f(mu) = e^mu / (1 + mu)^(1 + mu) at mu = 1
     assert abs(f - math.e / 4) < 1e-12
     term = math.log(3) / (-math.log(1 - (1 - math.e / 4) ** 3))
     assert math.ceil(term) == 33
@@ -155,7 +155,7 @@ def test_hard_budget_constraint_always_holds():
         )
         budgets = [Fraction(2 + (seed + j) % 3) for j in range(inst.m)]
         params = PmcParams(mode=POLY, epsilon=0.2, seed=seed)
-        result = pmc_solve(inst, budgets, params)
+        result = pmc_solve(PmcRelaxation(inst), budgets, params)
         delta = Fraction(params.delta(inst.m))
         for j in range(inst.m):
             assert result.per_machine_cost[j] <= (1 + delta) * budgets[j]
@@ -175,7 +175,7 @@ def test_coverage_expectation_lemma():
     """Mean single-iteration coverage is at least (1 - 1/e) * LP objective."""
     inst = generate_instance(n=8, k=6, m=2, model="identical", density=0.4, seed=31)
     budgets = [Fraction(2), Fraction(2)]
-    sol = solve_lp(build_pmc_lp(inst, budgets), verify=True)
+    sol = solve_lp(PmcRelaxation(inst).at(budgets), verify=True)
     probs = [min(1.0, max(0.0, float(v))) for v in sol.values[: inst.k * inst.m]]
     trials = 10_000
     placed = raw_draws(stream(9), trials, probs).reshape(trials, inst.k, inst.m).any(axis=2)
@@ -222,17 +222,28 @@ def test_params_reject_values_outside_their_domain(fields):
         PmcParams(epsilon=0.2, **fields)
 
 
-def test_relaxation_spares_the_build_and_changes_nothing():
+def test_one_relaxation_solves_cold_once_and_each_program_is_a_fresh_build(monkeypatch):
+    # Solves on one relaxation start warm from its last optimum, so only the
+    # first LP starts cold; every program still equals a fresh build's.
     inst = generate_instance(n=9, k=5, m=2, model="unrelated", density=0.4, seed=8)
     params = PmcParams(mode=POLY, epsilon=0.2, seed=3)
     relaxation = PmcRelaxation(inst)
-    with mock.patch("pmssc.pmc.build_pmc_lp", side_effect=AssertionError("built")):
-        results = [pmc_solve(inst, [g, g], params, relaxation=relaxation) for g in (1, 2, 5)]
-    assert results == [pmc_solve(inst, [g, g], params) for g in (1, 2, 5)]
-    assert relaxation.at([2, 2]) == build_pmc_lp(inst, [2, 2])
-    other = generate_instance(n=9, k=5, m=2, model="unrelated", density=0.4, seed=8)
-    with pytest.raises(ValueError, match="another instance"):
-        pmc_solve(other, [1, 1], params, relaxation=relaxation)
+    cold, programs = [], []
+
+    def cold_start(*args, _inner=lp_module._cold_start):
+        cold.append(1)
+        return _inner(*args)
+
+    def spy_lp(lp, *args, _inner=pmc.solve_lp, **kwargs):
+        programs.append(lp)
+        return _inner(lp, *args, **kwargs)
+
+    monkeypatch.setattr(lp_module, "_cold_start", cold_start)
+    monkeypatch.setattr(pmc, "solve_lp", spy_lp)
+    for g in (1, 2, 5):
+        pmc_solve(relaxation, [g, g], params)
+    assert len(cold) == 1
+    assert programs == [PmcRelaxation(inst).at([g, g]) for g in (1, 2, 5)]
     with pytest.raises(ValueError):
         relaxation.at([1])
     with pytest.raises(DomainError):
@@ -242,8 +253,8 @@ def test_relaxation_spares_the_build_and_changes_nothing():
 def test_determinism_same_seed():
     inst = generate_instance(n=7, k=6, m=2, model="identical", density=0.4, seed=55)
     params = PmcParams(mode=POLY, epsilon=0.2, seed=99)
-    a = pmc_solve(inst, [2, 3], params)
-    b = pmc_solve(inst, [2, 3], params)
+    a = pmc_solve(PmcRelaxation(inst), [2, 3], params)
+    b = pmc_solve(PmcRelaxation(inst), [2, 3], params)
     assert a == b
 
 
@@ -251,7 +262,7 @@ def test_lp_dump_debug_flag(tmp_path, monkeypatch):
     dump = tmp_path / "relaxation.lp"
     monkeypatch.setenv("PMSSC_DUMP_LP", str(dump))
     inst = t1_instance(m=1)
-    pmc_solve(inst, [2], PmcParams(mode=POLY, epsilon=0.2, seed=0))
+    pmc_solve(PmcRelaxation(inst), [2], PmcParams(mode=POLY, epsilon=0.2, seed=0))
     text = dump.read_text()
     assert "Maximize" in text and "Subject To" in text
 

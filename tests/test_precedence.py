@@ -186,6 +186,25 @@ def test_pcds_no_coverage():
         pcds(inst, frozenset(range(2)))
 
 
+def test_precedence_oracles_check_indices_like_the_pds_solvers():
+    # n = 4 elements, k = 3 sets; pcds and pcds_detailed take ``available``.
+    inst = unit_instance(4, ((0,), (1, 2), (3,)), 2, ((0, 1),))
+    solvers = [
+        lambda remaining: pcds(inst, remaining),
+        lambda remaining: pcds_detailed(inst, remaining),
+        lambda remaining: exact_pds_precedence(inst, remaining=remaining),
+    ]
+    for solve in solvers:
+        for remaining in ([0, 1, 2, 3, 9], [0, -1]):
+            with pytest.raises(InvalidIndexError, match=r"^remaining element -?\d+ outside \[0, 4\)$"):
+                solve(remaining)
+    for pcds_solver in (pcds, pcds_detailed):
+        for available in ([7], [3], [0, -1]):
+            with pytest.raises(InvalidIndexError, match=r"^available set -?\d+ outside \[0, 3\)$"):
+                pcds_solver(inst, [0], available=available)
+    assert pcds(inst, [0, 3], available=[0, 0, 2]) == pcds(inst, [0, 3], available=[0, 2])
+
+
 def test_precedence_solver_chain():
     inst = chain_instance(n=4, m=1)
     sched, trace = pmssc_precedence(inst)
