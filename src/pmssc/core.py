@@ -198,10 +198,6 @@ class ProblemInstance:
         return len(self.sets)
 
     @cached_property
-    def members(self) -> Tuple[frozenset, ...]:
-        return tuple(frozenset(s) for s in self.sets)
-
-    @cached_property
     def masks(self) -> Tuple[int, ...]:
         """Each set as an int bitmask: bit ``e`` is set for element ``e``."""
         return tuple(element_mask(s) for s in self.sets)
@@ -347,7 +343,10 @@ class DensityValue:
 
 def available_pool(inst: ProblemInstance, available: Optional[Iterable[int]]) -> list:
     """``available`` (default: all k sets) in index order, once each, all in [0, k)."""
-    pool = sorted(range(inst.k) if available is None else set(available))
+    pool = sorted(
+        range(inst.k) if available is None
+        else {s if type(s) is int else as_index(s) for s in available}
+    )
     outside = [s for s in pool if not 0 <= s < inst.k]
     if outside:
         raise InvalidIndexError("available set %d outside [0, %d)" % (outside[0], inst.k))
@@ -356,7 +355,10 @@ def available_pool(inst: ProblemInstance, available: Optional[Iterable[int]]) ->
 
 def remaining_elements(inst: ProblemInstance, remaining: Optional[Iterable[int]]) -> frozenset:
     """``remaining`` (default: all n elements) as a frozenset, all in [0, n)."""
-    elements = frozenset(range(inst.n) if remaining is None else remaining)
+    elements = frozenset(
+        range(inst.n) if remaining is None
+        else (e if type(e) is int else as_index(e) for e in remaining)
+    )
     outside = [e for e in elements if not 0 <= e < inst.n]
     if outside:
         raise InvalidIndexError("remaining element %d outside [0, %d)" % (min(outside), inst.n))
@@ -376,7 +378,7 @@ def coverage(
     for s in map(as_index, family):
         if not 0 <= s < inst.k:
             raise InvalidIndexError("set index %d out of range" % s)
-        out |= inst.members[s]
+        out.update(inst.sets[s])
     return frozenset(out) & restrict
 
 
@@ -437,7 +439,7 @@ def evaluate_schedule_cost(
                     "set %d has infinite cost on machine %d" % (s, j)
                 )
             elapsed += c
-            for u in inst.members[s]:
+            for u in inst.sets[s]:
                 if cover_times[u] is None or elapsed < cover_times[u]:
                     cover_times[u] = elapsed
     for u in range(inst.n):
@@ -494,10 +496,10 @@ def validate_instance(inst: ProblemInstance) -> ValidationReport:
     solvers additionally require an acyclic DAG).
     """
     entries = []
-    covered = set()
-    for members in inst.members:
-        covered |= members
-    uncovered = tuple(sorted(set(range(inst.n)) - covered))
+    covered = 0
+    for mask in inst.masks:
+        covered |= mask
+    uncovered = tuple(u for u in range(inst.n) if not covered >> u & 1)
     if uncovered:
         entries.append("Uncoverable: elements %s belong to no set" % list(uncovered))
 

@@ -118,7 +118,7 @@ def exact_pmssc(
     limits = limits or PMSSC_LIMITS
     if not validate_instance(inst).coverable:
         raise UncoverableError("universe is not coverable")
-    useful = [s for s in range(inst.k) if inst.members[s]]
+    useful = [s for s in range(inst.k) if inst.sets[s]]
     _check_limits(inst, limits, len(useful))
     budget = _Budget(limits.node_budget)
 
@@ -127,7 +127,7 @@ def exact_pmssc(
         [None if not is_finite_cost(c) else int(c) if c.denominator == 1 else c for c in row]
         for row in inst.costs
     ]
-    containing = [[s for s in useful if u in inst.members[s]] for u in range(inst.n)]
+    containing = [[s for s in useful if inst.masks[s] >> u & 1] for u in range(inst.n)]
 
     incumbent = _greedy_upper_bound(inst, useful, inst.masks, costs)
     if incumbent is None:
@@ -177,7 +177,7 @@ def exact_pmssc(
             finish = loads[j] + costs[s][j]
             child_ct = list(ct)
             gain = 0
-            for u in inst.members[s]:
+            for u in inst.sets[s]:
                 if ct[u] is None or finish < ct[u]:
                     gain += ct[u] is None
                     child_ct[u] = finish
@@ -257,12 +257,12 @@ def exact_pds(
 ) -> Tuple[Assignment, DensityValue]:
     """Max-density assignment by labeling every set unused or with a machine."""
     limits = limits or SUBSET_LIMITS
-    restrict = remaining_elements(inst, remaining)
-    useful = [s for s in available_pool(inst, available) if inst.members[s] & restrict]
+    restrict_mask = element_mask(remaining_elements(inst, remaining))
+    useful = [s for s in available_pool(inst, available) if inst.masks[s] & restrict_mask]
     if not useful:
         raise NoCoverageError("no set covers any remaining element")
     _check_limits(inst, limits, len(useful))
-    masks = {s: element_mask(inst.members[s] & restrict) for s in useful}
+    masks = {s: inst.masks[s] & restrict_mask for s in useful}
     best = {"density": None, "count": None, "labels": None}
 
     def prune(loads, labels, reachable):
@@ -300,7 +300,7 @@ def exact_pmc(
 ) -> Tuple[Assignment, int]:
     """Max coverage over budget-feasible machine assignments."""
     limits = limits or SUBSET_LIMITS
-    useful = [s for s in available_pool(inst, available) if inst.members[s]]
+    useful = [s for s in available_pool(inst, available) if inst.masks[s]]
     _check_limits(inst, limits, len(useful))
     caps = [as_fraction(b) for b in budgets]
     if len(caps) != inst.m:
@@ -355,11 +355,11 @@ def exact_pds_precedence(
     pred_mask = [0] * k
     for a, b in edges:
         pred_mask[b] |= 1 << a
-    restrict = remaining_elements(inst, remaining)
-    if not any(inst.members[s] & restrict for s in range(k)):
+    restrict_mask = element_mask(remaining_elements(inst, remaining))
+    cover_mask = [mask & restrict_mask for mask in inst.masks]
+    if not any(cover_mask):
         raise NoCoverageError("no set covers any remaining element")
     budget = _Budget(limits.node_budget)
-    cover_mask = [element_mask(inst.members[s] & restrict) for s in range(k)]
 
     def min_makespan(family_mask):
         """Fewest slots for the family; ``memo[done]`` holds (slots, batch),

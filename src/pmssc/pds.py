@@ -73,10 +73,10 @@ def _ladder_guesses(inst: ProblemInstance, base: Fraction, pool) -> Iterator[Fra
         power *= base
 
 
-def _covering_pool(inst, remaining, available) -> Tuple[frozenset, frozenset, List[int], int]:
-    """``remaining`` and the available sets as frozensets, the available sets
-    that meet ``remaining`` in index order, and how many remaining elements
-    they can cover.
+def _covering_pool(inst, remaining, available) -> Tuple[frozenset, int, frozenset, List[int], int]:
+    """``remaining`` as a frozenset and a mask, the available sets as a
+    frozenset, the available sets that meet ``remaining`` in index order, and
+    how many remaining elements they can cover.
 
     Elements must lie in [0, n). An element counts as coverable when a pool
     set with some finite cost holds it; there must be at least one.
@@ -95,7 +95,7 @@ def _covering_pool(inst, remaining, available) -> Tuple[frozenset, frozenset, Li
     coverable = (finite & remaining_mask).bit_count()
     if not coverable:
         raise NoCoverageError("no finite-cost set is available")
-    return remaining, frozenset(pool), usable, coverable
+    return remaining, remaining_mask, frozenset(pool), usable, coverable
 
 
 def _ladder(table, base, pool, usable, clamp, solve) -> Iterator[Assignment]:
@@ -187,8 +187,7 @@ def pds_identical(
     """Budget-ladder greedy for identical (or unit) machines."""
     if inst.cost_model.kind not in ("unit", "identical"):
         raise ValueError("pds_identical needs the unit or identical cost model")
-    remaining, pool, usable, coverable = _covering_pool(inst, remaining, available)
-    remaining_mask = element_mask(remaining)
+    remaining, remaining_mask, pool, usable, coverable = _covering_pool(inst, remaining, available)
     by_cost = [(c, s) for c, s in inst.cost_order if s in pool]
 
     @lru_cache(maxsize=1)
@@ -232,7 +231,6 @@ class RelatedReduction:
     kept_machines: Tuple[int, ...]
     groups: Tuple[Tuple[int, ...], ...]
     aux_cost_multiplier: Tuple[Fraction, ...]
-    kappa: Fraction
 
     @property
     def t(self) -> int:
@@ -275,7 +273,6 @@ def reduce_related(
         kept_machines=tuple(kept),
         groups=tuple(tuple(g) for g in groups),
         aux_cost_multiplier=tuple(powers),
-        kappa=kappa,
     )
     nonempty = [p for p, g in enumerate(groups) if g]
     base_costs = inst.cost_model.base_costs
@@ -305,7 +302,7 @@ def _pmc_solver(inst, remaining, pool, table, weights, params):
     warm from the last one's optimum.
     """
     sets = tuple(
-        tuple(sorted(inst.members[s] & remaining)) if s in pool else () for s in range(inst.k)
+        tuple(u for u in inst.sets[s] if u in remaining) if s in pool else () for s in range(inst.k)
     )
 
     @lru_cache(maxsize=1)
@@ -339,7 +336,7 @@ def pds_related(
     """Machine-group reduction plus FPT-mode parallel max coverage."""
     if inst.cost_model.kind != "related":
         raise ValueError("pds_related needs the related cost model")
-    remaining, pool, usable, coverable = _covering_pool(inst, remaining, available)
+    remaining, _, pool, usable, coverable = _covering_pool(inst, remaining, available)
     _, kappa = related_parameters(epsilon)
     kappa_f = Fraction(kappa)
     reduction, aux = reduce_related(inst, kappa_f)
@@ -374,7 +371,7 @@ def pds_unrelated(
     seed: int = 0,
 ) -> Assignment:
     """Powers-of-two budget ladder with polynomial-regime max coverage."""
-    remaining, pool, usable, coverable = _covering_pool(inst, remaining, available)
+    remaining, _, pool, usable, coverable = _covering_pool(inst, remaining, available)
     params = PmcParams(mode=POLY, epsilon=epsilon, seed=seed)
     solve = _pmc_solver(inst, remaining, pool, inst, [1] * inst.m, params)
     ladder = _ladder(inst, Fraction(2), pool, usable, clamp=False, solve=solve)

@@ -246,7 +246,7 @@ def round_pmc(
     # which float32 holds exactly below 2^24
     incidence = np.zeros((k, n), dtype=np.float32)
     for s in range(k):
-        incidence[s, list(inst.members[s])] = 1.0
+        incidence[s, list(inst.sets[s])] = 1.0
 
     cost_f = np.array([[_float_or_inf(c) for c in row] for row in costs])
     limit_f = np.array([_float_or_inf(b) for b in limit])

@@ -224,16 +224,7 @@ def pcds(
 
 
 @dataclass(frozen=True)
-class PrecedenceIteration:
-    layered: LayeredAssignment
-    start_time: int
-    newly_covered: frozenset
-    remaining_before: int
-
-
-@dataclass(frozen=True)
 class PrecedenceTrace:
-    iterations: Tuple[PrecedenceIteration, ...]
     cost: int
     cover_times: Tuple[int, ...]
 
@@ -262,7 +253,6 @@ def pmssc_precedence(inst: ProblemInstance) -> Tuple[Schedule, PrecedenceTrace]:
     available = set(range(inst.k))
     machines = [[] for _ in range(inst.m)]
     cover_times = [None] * inst.n
-    iterations = []
     clock = 0
     step = 0
     while remaining:
@@ -272,7 +262,7 @@ def pmssc_precedence(inst: ProblemInstance) -> Tuple[Schedule, PrecedenceTrace]:
         newly = set()
         for s, finish in layered.finish:
             absolute = clock + finish
-            for u in inst.members[s]:
+            for u in inst.sets[s]:
                 if u in remaining and (cover_times[u] is None or absolute < cover_times[u]):
                     cover_times[u] = absolute
                     newly.add(u)
@@ -280,14 +270,6 @@ def pmssc_precedence(inst: ProblemInstance) -> Tuple[Schedule, PrecedenceTrace]:
             raise StalledOracleError("oracle assignment covers no remaining element")
         for j, seq in enumerate(layered.assignment.per_machine):
             machines[j].extend(seq)
-        iterations.append(
-            PrecedenceIteration(
-                layered=layered,
-                start_time=clock,
-                newly_covered=frozenset(newly),
-                remaining_before=len(remaining),
-            )
-        )
         remaining -= newly
         for seq in layered.assignment.per_machine:
             available.difference_update(seq)
@@ -295,4 +277,4 @@ def pmssc_precedence(inst: ProblemInstance) -> Tuple[Schedule, PrecedenceTrace]:
         step += 1
     cost = sum(cover_times)
     schedule = Schedule(tuple(tuple(seq) for seq in machines))
-    return schedule, PrecedenceTrace(tuple(iterations), cost, tuple(cover_times))
+    return schedule, PrecedenceTrace(cost, tuple(cover_times))

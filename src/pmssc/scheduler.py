@@ -95,14 +95,14 @@ def _order_batch(inst, j, sets_on_machine, remaining):
     while pending:
         best = None
         for s in pending:
-            gain = len((inst.members[s] & remaining) - covered)
+            gain = len(remaining.intersection(inst.sets[s]) - covered)
             cost = inst.costs[s][j]
             if best is None or gain * best[1] > best[0] * cost:
                 best = (gain, cost, s)
         _, _, s = best
         pending.remove(s)
         ordered.append(s)
-        covered |= inst.members[s] & remaining
+        covered |= remaining.intersection(inst.sets[s])
     return ordered
 
 
@@ -136,12 +136,12 @@ def pmssc_greedy(
         asg = ORACLES[oracle](inst, remaining, frozenset(available), epsilon, step_seed)
         kept = []
         for j, seq in enumerate(asg.per_machine):
-            useful = [s for s in seq if inst.members[s] & remaining]
+            useful = [s for s in seq if not remaining.isdisjoint(inst.sets[s])]
             kept.append(_order_batch(inst, j, useful, remaining))
         newly = frozenset()
         for seq in kept:
             for s in seq:
-                newly |= inst.members[s] & remaining
+                newly |= remaining.intersection(inst.sets[s])
         if not newly:
             raise StalledOracleError("oracle assignment covers no remaining element")
         makespan = Fraction(0)

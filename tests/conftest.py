@@ -18,6 +18,14 @@ from pmssc.oracle import OracleLimits, exact_pmssc
 
 DATA = Path(__file__).parent / "data"
 
+# Values that are not indices, with the message ``core.as_index`` rejects
+# each with: a bool is not read as 0 or 1, nor a float or string as an int.
+NOT_INDICES = (
+    (True, r"^an index must be an integer, not bool$"),
+    (1.0, r"^'float' object cannot be interpreted as an integer$"),
+    ("1", r"^'str' object cannot be interpreted as an integer$"),
+)
+
 # Figure-1 fixture: 10 sets over 20 elements on 3 identical machines, with the
 # reference schedule M1=[S1,S2,S5], M2=[S4,S6,S7], M3=[S3,S8] of cost 83.
 FIG1_SCHEDULE = Schedule(((0, 1, 4), (3, 5, 6), (2, 7)))

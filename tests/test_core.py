@@ -174,7 +174,7 @@ def test_cost_lower_bound_and_per_element_scan():
             finish[s] = t
     expected = []
     for u in range(inst.n):
-        best = min(finish[s] for s in finish if u in inst.members[s])
+        best = min(finish[s] for s in finish if u in frozenset(inst.sets[s]))
         expected.append(best)
     assert list(times) == expected
     assert total == sum(expected)

@@ -212,6 +212,46 @@ def test_values_outside_the_float_range_raise_domain_error(lp_args, entry):
         LinearProgram(*lp_args)
 
 
+def _beale_on_the_slack_basis(num, dtype):
+    """Beale's cycling example: maximise 3/4 x1 - 150 x2 + x3/50 - 6 x4 subject to
+    x1/4 - 60 x2 - x3/25 + 9 x4 <= 0, x1/2 - 90 x2 - x3/50 + 3 x4 <= 0 and
+    x3 <= 1, as the tableau (M, b, c, u, basis, flipped) on the slack basis."""
+    F = Fraction
+    rows = [[F(1, 4), -60, F(-1, 25), 9], [F(1, 2), -90, F(-1, 50), 3], [0, 0, 1, 0]]
+    slacks = [[num(int(i == r)) for i in range(3)] for r in range(3)]
+    M = np.array([[num(a) for a in row] + slacks[r] for r, row in enumerate(rows)], dtype=dtype)
+    b = np.array([num(0), num(0), num(1)], dtype=dtype)
+    c = np.array([num(a) for a in (F(3, 4), -150, F(1, 50), -6, 0, 0, 0)], dtype=dtype)
+    u = np.array([math.inf] * 7, dtype=dtype)
+    return M, b, c, u, np.arange(4, 7), np.zeros(7, dtype=bool)
+
+
+@pytest.mark.parametrize("num, dtype, tol", [(float, float, 1e-9), (Fraction, object, 0)])
+def test_blands_rule_ends_the_cycle_of_beales_example(num, dtype, tol):
+    pivot, pivots = lp_mod._pivot, []
+
+    def counted(*args):
+        pivots.append(args[3])
+        pivot(*args)
+
+    with mock.patch.object(lp_mod, "_pivot", counted):
+        M, b, c, u, basis, flipped = _beale_on_the_slack_basis(num, dtype)
+        objective = c[:4].copy()
+        lp_mod._optimize(M, b, c, u, basis, flipped, tol, 10 * sum(M.shape))
+        assert len(pivots) == 103
+        x = lp_mod._vertex(b, u, basis, flipped, np.zeros(4, dtype=dtype))
+        if num is Fraction:
+            assert list(x) == [Fraction(1, 25), 0, 1, 0] and objective @ x == Fraction(1, 20)
+        else:
+            assert np.allclose(x, [1 / 25, 0, 1, 0]) and abs(objective @ x - 1 / 20) < 1e-12
+        # Dantzig's rule alone cycles until the iteration limit
+        pivots.clear()
+        M, b, c, u, basis, flipped = _beale_on_the_slack_basis(num, dtype)
+        with pytest.raises(lp_mod._NumericTrouble, match="^iteration limit exceeded$"):
+            lp_mod._optimize(M, b, c, u, basis, flipped, tol, 10**9)
+        assert len(pivots) == 2000 + 200 * sum(M.shape)
+
+
 # -- differential tests: one engine for floats and rationals against the
 # former float simplex plus its separate exact re-derivation
 

@@ -2,11 +2,12 @@ from fractions import Fraction
 from itertools import combinations, permutations, product
 from typing import Iterable, Optional, Tuple
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import t1_instance
+from conftest import NOT_INDICES, t1_instance
 from pmssc.core import (
     INFINITE_COST,
     Assignment,
@@ -56,7 +57,7 @@ def brute_force_pmssc(inst):
         chosen = [s for s in range(inst.k) if mask >> s & 1]
         covered = set()
         for s in chosen:
-            covered |= inst.members[s]
+            covered |= frozenset(inst.sets[s])
         if covered != universe:
             continue
         for labels in product(range(inst.m), repeat=len(chosen)):
@@ -125,7 +126,7 @@ def brute_force_pds(inst):
                 break
             empty = False
             loads[lab - 1] += c
-            covered |= inst.members[s]
+            covered |= frozenset(inst.sets[s])
         if not feasible or empty:
             continue
         value = Fraction(len(covered)) / max(loads)
@@ -159,7 +160,7 @@ def brute_force_pmc(inst, budgets):
                 feasible = False
                 break
             loads[lab - 1] += c
-            covered |= inst.members[s]
+            covered |= frozenset(inst.sets[s])
         if feasible and all(l <= b for l, b in zip(loads, budgets)):
             best = max(best, len(covered))
     return best
@@ -265,6 +266,14 @@ def test_exact_oracles_check_available_like_the_pds_solvers():
     assert exact_pmc(inst, budgets, available=[0, 0, 1, 2]) == exact_pmc(
         inst, budgets, available=[0, 1, 2]
     )
+    for bad, message in NOT_INDICES:
+        with pytest.raises(TypeError, match=message):
+            exact_pds(inst, everything, available=[0, bad])
+        with pytest.raises(TypeError, match=message):
+            exact_pmc(inst, budgets, available=[0, bad])
+    assert exact_pmc(inst, budgets, available=np.arange(3)) == exact_pmc(
+        inst, budgets, available=[0, 1, 2]
+    )
 
 
 def test_exact_pds_checks_remaining_like_the_pds_solvers():
@@ -272,6 +281,10 @@ def test_exact_pds_checks_remaining_like_the_pds_solvers():
     for remaining in ({-1, 0}, {6}, set(range(6)) | {9}):
         with pytest.raises(InvalidIndexError, match=r"^remaining element -?\d+ outside \[0, 6\)$"):
             exact_pds(inst, remaining)
+    for bad, message in NOT_INDICES:
+        with pytest.raises(TypeError, match=message):
+            exact_pds(inst, [0, bad])
+    assert exact_pds(inst, np.arange(6)) == exact_pds(inst, range(6))
 
 
 def test_exact_pds_precedence_empty_dag_matches_exact_pds():
@@ -326,7 +339,7 @@ def former_exact_pds(
     limits = limits or SUBSET_LIMITS
     restrict = frozenset(range(inst.n)) if remaining is None else frozenset(remaining)
     pool = range(inst.k) if available is None else sorted(available)
-    useful = [s for s in pool if inst.members[s] & restrict]
+    useful = [s for s in pool if frozenset(inst.sets[s]) & restrict]
     if not useful:
         raise NoCoverageError("no set covers any remaining element")
     _check_limits(inst, limits, len(useful))
@@ -336,7 +349,7 @@ def former_exact_pds(
     masks = {}
     for s in useful:
         mask = 0
-        for u in inst.members[s] & restrict:
+        for u in frozenset(inst.sets[s]) & restrict:
             mask |= 1 << u
         masks[s] = mask
     # suffix_union[i] = coverage still reachable from sets useful[i:]
@@ -411,7 +424,7 @@ def former_exact_pmc(
     """Max coverage over budget-feasible machine assignments."""
     limits = limits or SUBSET_LIMITS
     pool = range(inst.k) if available is None else sorted(available)
-    useful = [s for s in pool if inst.members[s]]
+    useful = [s for s in pool if frozenset(inst.sets[s])]
     _check_limits(inst, limits, len(useful))
     caps = [as_fraction(b) for b in budgets]
     if len(caps) != inst.m:
@@ -421,7 +434,7 @@ def former_exact_pmc(
 
     masks = {s: 0 for s in useful}
     for s in useful:
-        for u in inst.members[s]:
+        for u in frozenset(inst.sets[s]):
             masks[s] |= 1 << u
     suffix_union = [0] * (len(useful) + 1)
     for i in range(len(useful) - 1, -1, -1):
@@ -534,7 +547,7 @@ def former_exact_pds_precedence(
     _check_limits(inst, limits, k)
     topological_order(k, edges)  # raises on cycles
     restrict = frozenset(range(inst.n)) if remaining is None else frozenset(remaining)
-    if not any(inst.members[s] & restrict for s in range(k)):
+    if not any(frozenset(inst.sets[s]) & restrict for s in range(k)):
         raise NoCoverageError("no set covers any remaining element")
     budget = _Budget(limits.node_budget)
 
@@ -559,7 +572,7 @@ def former_exact_pds_precedence(
 
     cover_mask = [0] * k
     for s in range(k):
-        for u in inst.members[s] & restrict:
+        for u in frozenset(inst.sets[s]) & restrict:
             cover_mask[s] |= 1 << u
 
     def min_makespan(family_mask):
@@ -703,7 +716,7 @@ def former_exact_pmssc(
     report = validate_instance(inst)
     if not report.coverable:
         raise UncoverableError("universe is not coverable")
-    useful = [s for s in range(inst.k) if inst.members[s]]
+    useful = [s for s in range(inst.k) if frozenset(inst.sets[s])]
     _check_limits(inst, limits, len(useful))
     budget = _Budget(limits.node_budget)
 
@@ -713,7 +726,7 @@ def former_exact_pmssc(
         for row in inst.costs
     ]
     containing = [
-        [s for s in useful if u in inst.members[s]] for u in range(inst.n)
+        [s for s in useful if u in frozenset(inst.sets[s])] for u in range(inst.n)
     ]
 
     incumbent_sched = _greedy_upper_bound(inst, useful, inst.masks, costs)
@@ -797,7 +810,7 @@ def former_exact_pmssc(
             finish = state["loads"][j] + costs[s][j]
             gain = 0
             improves = False
-            for u in inst.members[s]:
+            for u in frozenset(inst.sets[s]):
                 if state["ct"][u] is None:
                     gain += 1
                 elif finish < state["ct"][u]:
@@ -808,7 +821,7 @@ def former_exact_pmssc(
         candidates.sort()
         for _, s, finish in candidates:
             undo = []
-            for u in inst.members[s]:
+            for u in frozenset(inst.sets[s]):
                 old = state["ct"][u]
                 if old is None:
                     state["ct"][u] = finish

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import t1_instance
+from conftest import NOT_INDICES, t1_instance
 from pmssc.core import (
     Assignment,
     INFINITE_COST,
@@ -22,7 +22,8 @@ from pmssc.core import (
     element_mask,
 )
 from pmssc.errors import InvalidIndexError, InvariantError, NoCoverageError, NoIterationKeptError
-from pmssc.fileio import generate_instance
+from pmssc import cli
+from pmssc.fileio import generate_instance, serialize_instance
 import pmssc.lp as lp_module
 from pmssc.lp import to_lp_format
 import pmssc.pds as pds_module
@@ -449,6 +450,20 @@ def test_out_of_range_pool_indices_raise_invalid_index_error(model):
             solve(inst, remaining, 0.2)
 
 
+@pytest.mark.parametrize("model", ["identical", "related", "unrelated"])
+def test_pool_indices_that_are_not_integers_raise_type_error(model):
+    inst = generate_instance(n=6, k=4, m=2, model=model, density=0.4, seed=2)
+    solve = {"identical": pds_identical, "related": pds_related, "unrelated": pds_unrelated}[model]
+    everything = frozenset(range(inst.n))
+    for bad, message in NOT_INDICES:
+        with pytest.raises(TypeError, match=message):
+            solve(inst, everything, 0.2, available=[0, bad])
+        with pytest.raises(TypeError, match=message):
+            solve(inst, [0, bad], 0.2)
+    # numpy integers are indices
+    assert solve(inst, np.arange(6), 0.2, available=np.arange(4)) == solve(inst, everything, 0.2)
+
+
 def test_pds_unrelated_coverable_elements_only_in_infinite_sets():
     # Set 0 holds the remaining element but runs on no machine; set 1 has
     # finite costs but covers nothing remaining.
@@ -524,6 +539,35 @@ def test_no_oracle_call_after_the_first_full_cover(model, monkeypatch):
     assert full_covers >= 6
 
 
+def test_ladder_skips_guesses_whose_rounding_keeps_nothing(monkeypatch, tmp_path, capsys):
+    inst = generate_instance(n=12, k=6, m=2, model="unrelated", density=0.4, seed=3)
+    real, budgets, solved = pds_module.pmc_solve, [], []
+
+    def first_two_keep_nothing(relaxation, guess_budgets, params, verify_lp=False):
+        budgets.append(guess_budgets)
+        if len(budgets) <= 2:
+            raise NoIterationKeptError(1)
+        result = real(relaxation, guess_budgets, params, verify_lp)
+        solved.append(result.assignment)
+        return result
+
+    monkeypatch.setattr(pds_module, "pmc_solve", first_two_keep_nothing)
+    asg = pds_unrelated(inst, range(inst.n), 0.1, seed=1)
+    assert budgets[:2] == [[1, 1], [2, 2]] and asg in solved and not asg.is_empty
+
+    def keeps_nothing(relaxation, guess_budgets, params, verify_lp=False):
+        raise NoIterationKeptError(1)
+
+    monkeypatch.setattr(pds_module, "pmc_solve", keeps_nothing)
+    skipped = r"\(skipped: \[1\.0, 2\.0, 4\.0, 8\.0, 16\.0, 32\.0\]\)$"
+    with pytest.raises(NoCoverageError, match="^no budget guess produced an assignment " + skipped):
+        pds_unrelated(inst, range(inst.n), 0.1, seed=1)
+    path = tmp_path / "inst.json"
+    path.write_text(serialize_instance(inst), encoding="utf-8")
+    assert cli.main(["solve", "--instance", str(path), "--algo", "greedy-unrelated"]) == 3
+    assert capsys.readouterr().err.startswith("solver failure: no budget guess produced")
+
+
 def test_ladder_stops_at_the_first_full_cover_though_a_later_guess_is_denser(monkeypatch):
     inst = ProblemInstance(
         n=5, sets=((0, 4), (1, 2, 3)), m=3, cost_model=UnrelatedCosts(((4, 5, 1), (1, 4, 1)))
@@ -569,7 +613,7 @@ def guarantee_cases(draw):
 @given(case=guarantee_cases())
 def test_stopped_ladder_keeps_the_proven_fraction_of_exact_pds(case):
     inst, remaining, seed = case
-    assume(any(inst.members[s] & remaining for s in range(inst.k)))
+    assume(any(frozenset(inst.sets[s]) & remaining for s in range(inst.k)))
     _, opt = exact_pds(inst, remaining)
     if inst.cost_model.kind == "identical":
         assert inst.k <= PARTIAL_ENUM_MAX_K  # max coverage enumerates seeds
@@ -611,14 +655,14 @@ def _available_list(inst, available):
 
 
 def _require_coverage(inst, remaining, pool):
-    if not any(inst.members[s] & remaining for s in pool):
+    if not any(frozenset(inst.sets[s]) & remaining for s in pool):
         raise NoCoverageError("no available set covers a remaining element")
 
 
 def _coverable(inst, remaining, pool) -> int:
     """How many remaining elements the pool's sets with a finite cost hold."""
     finite = [s for s in pool if any(c != INFINITE_COST for c in inst.costs[s])]
-    return len(remaining & frozenset().union(*(inst.members[s] for s in finite)))
+    return len(remaining & frozenset().union(*(frozenset(inst.sets[s]) for s in finite)))
 
 
 def _check_best_density(inst, best, remaining) -> None:
@@ -724,7 +768,6 @@ def former_reduce_related(inst: ProblemInstance, kappa):
         kept_machines=tuple(kept),
         groups=tuple(tuple(g) for g in groups),
         aux_cost_multiplier=tuple(bucket_multipliers),
-        kappa=kappa,
     )
     base_costs = inst.cost_model.base_costs
     matrix = tuple(
@@ -765,7 +808,7 @@ def reference_pds_related(
     if not nonempty:
         raise NoCoverageError("all machines were discarded as slow")
     restricted_sets = tuple(
-        tuple(sorted(inst.members[s] & remaining)) if s in pool_set else ()
+        tuple(sorted(frozenset(inst.sets[s]) & remaining)) if s in pool_set else ()
         for s in range(inst.k)
     )
 
@@ -791,7 +834,7 @@ def reference_pds_related(
         m=len(nonempty),
         cost_model=UnrelatedCosts(aux_matrix(None)),
     )
-    usable = [s for s in pool if inst.members[s] & remaining]
+    usable = [s for s in pool if frozenset(inst.sets[s]) & remaining]
     ladder = _ladder_guesses(compact_probe, Fraction(1) + kappa_f, usable)
 
     best = None
@@ -870,7 +913,7 @@ def reference_pds_unrelated(
     coverable = _coverable(inst, remaining, pool)
 
     restricted_sets = tuple(
-        tuple(sorted(inst.members[s] & remaining)) if s in pool_set else ()
+        tuple(sorted(frozenset(inst.sets[s]) & remaining)) if s in pool_set else ()
         for s in range(inst.k)
     )
     matrix = tuple(
@@ -883,7 +926,7 @@ def reference_pds_unrelated(
     work = ProblemInstance(
         n=inst.n, sets=restricted_sets, m=inst.m, cost_model=UnrelatedCosts(matrix)
     )
-    usable = [s for s in pool if inst.members[s] & remaining]
+    usable = [s for s in pool if frozenset(inst.sets[s]) & remaining]
     ladder = _ladder_guesses(work, Fraction(2), usable)
 
     best = None

@@ -180,7 +180,10 @@ def test_coverage_expectation_lemma():
     trials = 10_000
     placed = raw_draws(stream(9), trials, probs).reshape(trials, inst.k, inst.m).any(axis=2)
     covered = np.array(
-        [len(set().union(*(inst.members[s] for s in np.flatnonzero(row)))) for row in placed]
+        [
+            len(set().union(*(frozenset(inst.sets[s]) for s in np.flatnonzero(row))))
+            for row in placed
+        ]
     )
     mean = covered.mean()
     slack = 3 * covered.std() / math.sqrt(trials)
@@ -278,7 +281,7 @@ def reference_round_pmc(inst, budgets, lp_solution, params, draws):
     delta = params.delta(m)
     limit = [(1 + Fraction(delta)) * b for b in budgets]
     costs = [[inst.cost(s, j) for j in range(m)] for s in range(k)]
-    masks = [element_mask(inst.members[s]) for s in range(k)]
+    masks = [element_mask(frozenset(inst.sets[s])) for s in range(k)]
 
     attempts = params.attempts(m, inst.n)
     best = None  # (covered, iteration, per-machine tuple of set lists)

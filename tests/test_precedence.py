@@ -1,10 +1,12 @@
 from fractions import Fraction
 from typing import Dict, Iterable, Optional, Tuple
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import NOT_INDICES
 from pmssc.core import (
     DensityValue,
     ProblemInstance,
@@ -29,7 +31,6 @@ from pmssc.oracle import exact_pds_precedence
 from pmssc.precedence import (
     LayeredAssignment,
     PrecedenceDag,
-    PrecedenceIteration,
     PrecedenceTrace,
     closure,
     layered_assign,
@@ -198,11 +199,20 @@ def test_precedence_oracles_check_indices_like_the_pds_solvers():
         for remaining in ([0, 1, 2, 3, 9], [0, -1]):
             with pytest.raises(InvalidIndexError, match=r"^remaining element -?\d+ outside \[0, 4\)$"):
                 solve(remaining)
+        for bad, message in NOT_INDICES:
+            with pytest.raises(TypeError, match=message):
+                solve([0, bad])
     for pcds_solver in (pcds, pcds_detailed):
         for available in ([7], [3], [0, -1]):
             with pytest.raises(InvalidIndexError, match=r"^available set -?\d+ outside \[0, 3\)$"):
                 pcds_solver(inst, [0], available=available)
+        for bad, message in NOT_INDICES:
+            with pytest.raises(TypeError, match=message):
+                pcds_solver(inst, [0], available=[0, bad])
     assert pcds(inst, [0, 3], available=[0, 0, 2]) == pcds(inst, [0, 3], available=[0, 2])
+    assert pcds(inst, np.array([0, 3]), available=np.array([0, 2])) == pcds(
+        inst, [0, 3], available=[0, 2]
+    )
 
 
 def test_precedence_solver_chain():
@@ -342,7 +352,6 @@ def former_pmssc_precedence(
     available = set(range(work.k))
     machines = [[] for _ in range(work.m)]
     cover_times = [None] * work.n
-    iterations = []
     clock = 0
     step = 0
     while remaining:
@@ -354,7 +363,7 @@ def former_pmssc_precedence(
         newly = set()
         for s, finish in finishes.items():
             absolute = clock + finish
-            for u in work.members[s]:
+            for u in frozenset(work.sets[s]):
                 if u in remaining and (cover_times[u] is None or absolute < cover_times[u]):
                     cover_times[u] = absolute
                     newly.add(u)
@@ -362,14 +371,6 @@ def former_pmssc_precedence(
             raise StalledOracleError("oracle assignment covers no remaining element")
         for j, seq in enumerate(layered.assignment.per_machine):
             machines[j].extend(seq)
-        iterations.append(
-            PrecedenceIteration(
-                layered=layered,
-                start_time=clock,
-                newly_covered=frozenset(newly),
-                remaining_before=len(remaining),
-            )
-        )
         remaining -= newly
         for seq in layered.assignment.per_machine:
             available.difference_update(seq)
@@ -377,7 +378,7 @@ def former_pmssc_precedence(
         step += 1
     cost = sum(cover_times)
     schedule = Schedule(tuple(tuple(seq) for seq in machines))
-    return schedule, PrecedenceTrace(tuple(iterations), cost, tuple(cover_times))
+    return schedule, PrecedenceTrace(cost, tuple(cover_times))
 
 
 @st.composite
@@ -435,7 +436,7 @@ def former_pcds_detailed(
     remaining = frozenset(remaining)
     full = former_from_edges(inst.k, inst.dag)
     pool = sorted(range(inst.k)) if available is None else sorted(available)
-    if not any(inst.members[s] & remaining for s in pool):
+    if not any(frozenset(inst.sets[s]) & remaining for s in pool):
         raise NoCoverageError("no available set covers a remaining element")
     dag_view = former_induced(full, pool)
 
@@ -448,7 +449,7 @@ def former_pcds_detailed(
         layered = layered_assign(fam, dag_view, inst.m)
         covered = set()
         for s in fam:
-            covered |= inst.members[s] & remaining
+            covered |= frozenset(inst.sets[s]) & remaining
         value = DensityValue(len(covered), Fraction(layered.makespan))
         if (
             best is None
