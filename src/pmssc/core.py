@@ -4,11 +4,14 @@ Elements and covering sets are dense integer indices. The four cost models
 (unit, identical, related, unrelated) are special cases of the unrelated one:
 a k x m table with the cost of set s on machine j in row s, column j. Each
 model only validates its own parameters; ``ProblemInstance.costs`` builds
-that table once, and every solver reads its costs from it. All finite costs
-are exact rationals (`fractions.Fraction`); infinite cost entries use the
-``INFINITE_COST`` sentinel (``math.inf``), which compares greater than every
-finite rational and is rejected inside any assignment or schedule. No cost or
-density comparison ever goes through floating point.
+that table once in exact rationals (`fractions.Fraction`). Infinite entries
+are the ``INFINITE_COST`` sentinel (``math.inf``), rejected inside any
+assignment or schedule. The solvers compute on ints instead: the scale ``L``
+is the LCM of the finite costs' denominators, and ``icosts = costs * L``.
+Loads, makespans, covering times and densities are ints at their instance's
+scale; a rational bound g meets them as ``floor(g * L)`` (``scaled_floor``).
+``Fraction`` stays in parsing, the public views, the report writer and the
+LP's normalised budget rows. No cost comparison goes through floating point.
 
 All types here are immutable value data after construction and every
 operation is a pure function, so everything is safe to share across threads.
@@ -220,27 +223,56 @@ class ProblemInstance:
             return tuple(tuple(c / v for v in model.speeds) for c in model.base_costs)
         return model.matrix
 
+    @property
+    def _row_width(self) -> int:
+        """1 when each row repeats one cost m times (unit, identical), else m."""
+        return 1 if self.cost_model.kind in ("unit", "identical") else self.m
+
+    @cached_property
+    def scale(self) -> int:
+        """``L``, the LCM of the finite costs' denominators (1 if none)."""
+        w = self._row_width
+        finite = (c for row in self.costs for c in row[:w] if c is not INFINITE_COST)
+        return math.lcm(*{c.denominator for c in finite})
+
+    @cached_property
+    def icosts(self) -> Tuple[Tuple[Union[int, float], ...], ...]:
+        """``costs`` times ``scale`` as ints; an infinite entry stays ``INFINITE_COST``."""
+        scale, w = self.scale, self._row_width
+        return tuple(
+            tuple(c if c is INFINITE_COST else c.numerator * scale // c.denominator for c in r[:w])
+            * (self.m // w)
+            for r in self.costs
+        )
+
+    @cached_property
+    def finite_row_icosts(self) -> Tuple[Optional[Tuple[int, int]], ...]:
+        """Per set, the least and the total of its finite ``icosts`` (None if none)."""
+        rows = ([c for c in row if c is not INFINITE_COST] for row in self.icosts)
+        return tuple((min(row), sum(row)) if row else None for row in rows)
+
+    @cached_property
+    def icost_order(self) -> Tuple[Tuple[int, int], ...]:
+        """Every finite ``icosts`` entry as an (int cost, set) pair, ascending, ties in
+        set order. A unit or identical row repeats one cost m times and gives one pair."""
+        w = self._row_width
+        pairs = [
+            (c, s) for s, row in enumerate(self.icosts) for c in row[:w] if c is not INFINITE_COST
+        ]
+        return tuple(sorted(pairs, key=itemgetter(0)))
+
     @cached_property
     def finite_row_costs(self) -> Tuple[Optional[Tuple[Fraction, Fraction]], ...]:
-        """Per set, the least and the total of its finite costs (None if none)."""
-        stats = []
-        for row in self.costs:
-            finite = [c for c in row if is_finite_cost(c)]
-            stats.append((min(finite), sum(finite, Fraction(0))) if finite else None)
-        return tuple(stats)
+        """``finite_row_icosts`` divided by ``scale``."""
+        return tuple(
+            stats and (Fraction(stats[0], self.scale), Fraction(stats[1], self.scale))
+            for stats in self.finite_row_icosts
+        )
 
     @cached_property
     def cost_order(self) -> Tuple[Tuple[Fraction, int], ...]:
-        """Every finite cost as a (cost, set) pair, ascending, ties in set order.
-
-        A unit or identical row repeats one cost m times and gives one pair.
-        """
-        single = self.cost_model.kind in ("unit", "identical")
-        pairs = [
-            (c, s) for s, row in enumerate(self.costs)
-            for c in (row[:1] if single else row) if is_finite_cost(c)
-        ]
-        return tuple(sorted(pairs, key=itemgetter(0)))
+        """``icost_order`` with each cost divided by ``scale``."""
+        return tuple((Fraction(c, self.scale), s) for c, s in self.icost_order)
 
     def cost(self, s: int, j: int) -> CostValue:
         """``costs[s][j]``, for indices that come from outside the instance."""
@@ -303,38 +335,56 @@ class Schedule:
 
 @dataclass(frozen=True, eq=False)
 class DensityValue:
-    """Exact |coverage| / makespan value, compared by cross-multiplication."""
+    """Exact ``covered / makespan`` for the makespan ``load / scale``, compared by
+    cross-multiplying ints. A rational ``load`` is split into numerator and denominator."""
 
     covered: int
-    makespan: Fraction
+    load: Union[int, Fraction]
+    scale: int = 1
 
     def __post_init__(self):
         if self.covered < 0:
             raise ValueError("covered count must be nonnegative")
-        mk = as_fraction(self.makespan)
-        if mk <= 0:
+        if type(self.load) is not int:
+            load = as_fraction(self.load)
+            object.__setattr__(self, "load", load.numerator)
+            object.__setattr__(self, "scale", self.scale * load.denominator)
+        if self.load <= 0:
             raise EmptyAssignmentError("density undefined for zero makespan")
-        object.__setattr__(self, "makespan", mk)
+
+    @property
+    def makespan(self) -> Fraction:
+        return Fraction(self.load, self.scale)
 
     def as_fraction(self) -> Fraction:
-        return Fraction(self.covered) / self.makespan
+        return Fraction(self.covered * self.scale, self.load)
 
     def __eq__(self, other):
         if not isinstance(other, DensityValue):
             return NotImplemented
-        return self.covered * other.makespan == other.covered * self.makespan
+        return self.covered * self.scale * other.load == other.covered * other.scale * self.load
 
     def __lt__(self, other):
-        return self.covered * other.makespan < other.covered * self.makespan
+        return self.covered * self.scale * other.load < other.covered * other.scale * self.load
 
     def __le__(self, other):
-        return self.covered * other.makespan <= other.covered * self.makespan
+        return self.covered * self.scale * other.load <= other.covered * other.scale * self.load
 
     def __gt__(self, other):
         return other.__lt__(self)
 
     def __ge__(self, other):
         return other.__le__(self)
+
+
+def scaled_floor(scale: int, *factors) -> int:
+    """``floor(scale * product of factors)`` for int and ``Fraction`` factors. An
+    int c is at most ``x * scale`` exactly when it is at most ``scaled_floor(scale, x)``."""
+    num, den = scale, 1
+    for f in factors:
+        num *= f.numerator
+        den *= f.denominator
+    return num // den
 
 
 # ---------------------------------------------------------------------------
@@ -382,24 +432,29 @@ def coverage(
     return frozenset(out) & restrict
 
 
-def machine_loads(inst: ProblemInstance, per_machine) -> Tuple[Fraction, ...]:
-    """Exact total cost per machine; rejects infinite-cost placements."""
+def _placed_icost(inst: ProblemInstance, s: int, j: int) -> int:
+    """``icosts[s][j]``; rejects a set index out of range and an infinite cost."""
+    if not 0 <= s < inst.k:
+        raise InvalidIndexError("set index %d out of range" % s)
+    c = inst.icosts[s][j]
+    if c is INFINITE_COST:
+        raise InfiniteCostError("set %d has infinite cost on machine %d" % (s, j))
+    return c
+
+
+def _check_machine_count(inst: ProblemInstance, per_machine) -> None:
     if len(per_machine) != inst.m:
         raise InvalidIndexError(
             "expected %d machine sequences, got %d" % (inst.m, len(per_machine))
         )
-    loads = []
-    for j, seq in enumerate(per_machine):
-        total = Fraction(0)
-        for s in seq:
-            c = inst.cost(s, j)
-            if not is_finite_cost(c):
-                raise InfiniteCostError(
-                    "set %d has infinite cost on machine %d" % (s, j)
-                )
-            total += c
-        loads.append(total)
-    return tuple(loads)
+
+
+def machine_loads(inst: ProblemInstance, per_machine) -> Tuple[int, ...]:
+    """Total ``icosts`` per machine; rejects infinite-cost placements."""
+    _check_machine_count(inst, per_machine)
+    return tuple(
+        sum(_placed_icost(inst, s, j) for s in seq) for j, seq in enumerate(per_machine)
+    )
 
 
 def density(
@@ -412,7 +467,7 @@ def density(
         raise EmptyAssignmentError("density undefined for an empty assignment")
     loads = machine_loads(inst, asg.per_machine)
     covered = coverage(inst, asg.all_sets(), restrict_to)
-    return DensityValue(len(covered), max(loads))
+    return DensityValue(len(covered), max(loads), inst.scale)
 
 
 def evaluate_schedule_cost(
@@ -423,30 +478,21 @@ def evaluate_schedule_cost(
     The finish time of a set is the prefix sum of costs along its machine;
     an element's covering time is the minimum finish time over scheduled
     sets containing it. Every element must be covered or
-    ``UncoveredElementError`` is raised.
+    ``UncoveredElementError`` is raised. The sums run on ``icosts``.
     """
-    if len(sched.per_machine) != inst.m:
-        raise InvalidIndexError(
-            "expected %d machine sequences, got %d" % (inst.m, len(sched.per_machine))
-        )
+    _check_machine_count(inst, sched.per_machine)
     cover_times = [None] * inst.n
     for j, seq in enumerate(sched.per_machine):
-        elapsed = Fraction(0)
+        elapsed = 0
         for s in seq:
-            c = inst.cost(s, j)
-            if not is_finite_cost(c):
-                raise InfiniteCostError(
-                    "set %d has infinite cost on machine %d" % (s, j)
-                )
-            elapsed += c
+            elapsed += _placed_icost(inst, s, j)
             for u in inst.sets[s]:
                 if cover_times[u] is None or elapsed < cover_times[u]:
                     cover_times[u] = elapsed
-    for u in range(inst.n):
-        if cover_times[u] is None:
-            raise UncoveredElementError(u)
-    total = sum(cover_times, Fraction(0))
-    return total, tuple(cover_times)
+    if None in cover_times:
+        raise UncoveredElementError(cover_times.index(None))
+    scale = inst.scale
+    return Fraction(sum(cover_times), scale), tuple(Fraction(t, scale) for t in cover_times)
 
 
 # ---------------------------------------------------------------------------

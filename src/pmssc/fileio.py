@@ -286,7 +286,7 @@ def generate_instance(
 
 def fraction_token(value) -> object:
     """JSON-stable encoding of an exact rational: int or "p/q" string."""
-    f = Fraction(value)
+    f = value if type(value) is Fraction else Fraction(value)
     if f.denominator == 1:
-        return int(f)
+        return f.numerator
     return "%d/%d" % (f.numerator, f.denominator)

@@ -5,7 +5,8 @@ Two kernels, chosen by the number k of candidate sets:
 * k <= ``PARTIAL_ENUM_MAX_K``: partial enumeration over every seed family
   of at most two sets, each completed by the ratio greedy: O(k^2) greedy
   completions, which keep the full 1 - 1/e guarantee under a knapsack
-  constraint (Kulik, Schwartz & Shachnai, Oper. Res. Lett. 2021).
+  constraint (Kulik, Schwartz & Shachnai, Oper. Res. Lett. 2021). A seed
+  that an earlier completion passed through is not completed again.
 * otherwise: the greedy that repeatedly adds the affordable set with the
   best (new elements)/(cost) ratio, and falls back to the best single
   affordable set when that beats the greedy run.
@@ -14,9 +15,11 @@ Among equal ratios the lowest set index wins, so results are deterministic.
 
 The kernel is exact and works on integers only:
 
-* Costs are scaled by the LCM ``L`` of their denominators, and the budget
-  becomes ``floor(budget * L)``. Every sum of chosen costs is a multiple of
-  ``1/L``, so "fits the budget" means the same before and after scaling.
+* Int costs (the ladders pass ``icosts``) are used as given. Rational costs
+  are scaled by the LCM ``L`` of their denominators (1 for ints), and the
+  budget becomes ``floor(budget * L)``. Every sum of chosen costs is a
+  multiple of ``1/L``, so "fits the budget" means the same before and after
+  scaling.
 * The universe and every set are int bitmasks (bit ``e`` set for element
   ``e``), and the gain of a set is ``(mask & ~covered).bit_count()``.
 * The greedy is lazy (Minoux's accelerated greedy; CELF, Leskovec et al.
@@ -97,13 +100,18 @@ def budgeted_max_coverage(
 ) -> MaxCovResult:
     """Pick sets of total cost <= budget maximizing coverage of the universe.
 
-    ``universe`` and each entry of ``sets`` are int bitmasks.
+    ``universe`` and each entry of ``sets`` are int bitmasks; ``total_cost`` is
+    in the units of ``costs``.
     """
     budget = as_fraction(budget)
     if budget < 0:
         raise DomainError("budget must be nonnegative")
-    costs = [as_fraction(c) for c in costs]
-    if any(c.numerator <= 0 for c in costs):
+    denom = 1
+    if not all(type(c) is int for c in costs):
+        rationals = [as_fraction(c) for c in costs]
+        denom = lcm(*(c.denominator for c in rationals))
+        costs = [c.numerator * (denom // c.denominator) for c in rationals]
+    if any(c <= 0 for c in costs):
         raise DomainError("all costs must be positive")
     if len(costs) != len(sets):
         raise ValueError("need one cost per set")
@@ -112,37 +120,41 @@ def budgeted_max_coverage(
     if budget == 0 or not sets:
         return MaxCovResult((), Fraction(0), 0)
 
-    denom = lcm(*(c.denominator for c in costs))
-    icosts = [c.numerator * (denom // c.denominator) for c in costs]
     ibudget = budget.numerator * denom // budget.denominator
-    scale = max(icosts) ** 2
+    scale = max(costs) ** 2
 
     if len(sets) > PARTIAL_ENUM_MAX_K:
-        chosen, covered, spent = _greedy_fill(masks, icosts, scale, ibudget, [], 0, 0)
+        chosen, covered, spent = _greedy_fill(masks, costs, scale, ibudget, [], 0, 0)
         covered_count = covered.bit_count()
         best_single = None
         for i, mask in enumerate(masks):
             size = mask.bit_count()
-            if icosts[i] <= ibudget and (best_single is None or size > best_single[0]):
+            if costs[i] <= ibudget and (best_single is None or size > best_single[0]):
                 best_single = (size, i)
         if best_single is not None and best_single[0] > covered_count:
             i = best_single[1]
-            return MaxCovResult((i,), Fraction(icosts[i], denom), best_single[0])
+            return MaxCovResult((i,), Fraction(costs[i], denom), best_single[0])
         return MaxCovResult(tuple(sorted(chosen)), Fraction(spent, denom), covered_count)
 
     # Partial enumeration: every affordable seed of size <= 2, greedily completed.
+    # ``_greedy_fill`` is deterministic in its (chosen, covered, spent) state, so
+    # a seed whose sets begin an earlier completion would repeat it: skip it.
     best = None  # key: (-covered, total_cost, chosen tuple)
+    reached = set()
     for size in range(0, 3):
         for seed in combinations(range(len(sets)), size):
-            seed_cost = sum(icosts[i] for i in seed)
+            if seed in reached:
+                continue
+            seed_cost = sum(costs[i] for i in seed)
             if seed_cost > ibudget:
                 continue
             seed_cover = 0
             for i in seed:
                 seed_cover |= masks[i]
             chosen, covered, spent = _greedy_fill(
-                masks, icosts, scale, ibudget, seed, seed_cover, seed_cost
+                masks, costs, scale, ibudget, seed, seed_cover, seed_cost
             )
+            reached.update((tuple(chosen[:1]), tuple(sorted(chosen[:2]))))
             key = (-covered.bit_count(), spent, tuple(sorted(chosen)))
             if best is None or key < best:
                 best = key

@@ -25,14 +25,15 @@ from typing import Iterable, Optional, Tuple
 from .core import (
     Assignment,
     DensityValue,
+    INFINITE_COST,
     ProblemInstance,
     Schedule,
     as_fraction,
     available_pool,
     element_mask,
     evaluate_schedule_cost,
-    is_finite_cost,
     remaining_elements,
+    scaled_floor,
     topological_order,
     validate_instance,
 )
@@ -83,7 +84,7 @@ class _Budget:
 def _greedy_upper_bound(inst, useful, masks, costs):
     """Cheap feasible schedule for the initial incumbent."""
     uncovered = (1 << inst.n) - 1
-    loads = [Fraction(0)] * inst.m
+    loads = [0] * inst.m
     sequences = [[] for _ in range(inst.m)]
     unused = set(useful)
     while uncovered:
@@ -98,7 +99,7 @@ def _greedy_upper_bound(inst, useful, masks, costs):
                 if c is None:
                     continue
                 finish = loads[j] + c
-                key = (finish / gain, finish, s, j)
+                key = (Fraction(finish, gain), finish, s, j)
                 if best is None or key < best:
                     best = key
         if best is None:
@@ -122,17 +123,15 @@ def exact_pmssc(
     _check_limits(inst, limits, len(useful))
     budget = _Budget(limits.node_budget)
 
-    # integral costs as ints: the same exact values without Fraction overhead
-    costs = [
-        [None if not is_finite_cost(c) else int(c) if c.denominator == 1 else c for c in row]
-        for row in inst.costs
-    ]
+    # the search runs in icosts units; the costs it returns are divided by the scale
+    scale = inst.scale
+    costs = [[None if c is INFINITE_COST else c for c in row] for row in inst.icosts]
     containing = [[s for s in useful if inst.masks[s] >> u & 1] for u in range(inst.n)]
 
     incumbent = _greedy_upper_bound(inst, useful, inst.masks, costs)
     if incumbent is None:
         raise UncoverableError("no finite-cost covering exists")
-    best = [evaluate_schedule_cost(inst, incumbent)[0], incumbent]
+    best = [evaluate_schedule_cost(inst, incumbent)[0] * scale, incumbent]
     sequences = [[] for _ in range(inst.m)]  # the node's prefix, pushed and popped
 
     def lower_bound(loads, open_machines, unused, ct):
@@ -192,11 +191,11 @@ def exact_pmssc(
         dfs(loads, [q for q in open_machines if q != j], unused, ct)
 
     dfs([0] * inst.m, list(range(inst.m)), useful, [None] * inst.n)
-    best_cost, checked = best
+    best_cost, checked = Fraction(best[0], scale), best[1]
     verified = evaluate_schedule_cost(inst, checked)[0]
     if verified != best_cost:
         raise InvariantError("schedule re-evaluates to %s, not %s" % (verified, best_cost))
-    return checked, Fraction(best_cost)
+    return checked, best_cost
 
 
 # ---------------------------------------------------------------------------
@@ -208,17 +207,18 @@ def _label_search(inst, useful, masks, budget, prune, leaf, caps=None):
 
     Each set is first left unused, then placed on machines 0..m-1 where its
     cost is finite and, with ``caps``, keeps the machine's load within its
-    cap. Every node spends one unit of ``budget``. ``prune(loads, labels,
-    reachable)`` may cut a node, where ``reachable`` is the coverage mask of
-    the labelled sets and every set after them; ``leaf(loads, labels,
-    covered)`` sees each complete labelling. ``labels`` maps a set to its
-    machine and, like ``loads``, is live search state that callers copy.
+    cap (loads and caps are in ``icosts``). Every node spends one unit of
+    ``budget``. ``prune(loads, labels, reachable)`` may cut a node, where
+    ``reachable`` is the coverage mask of the labelled sets and every set
+    after them; ``leaf(loads, labels, covered)`` sees each complete
+    labelling. ``labels`` maps a set to its machine and, like ``loads``, is
+    live search state that callers copy.
     """
     # suffix_union[i] = coverage still reachable from sets useful[i:]
     suffix_union = [0] * (len(useful) + 1)
     for i in range(len(useful) - 1, -1, -1):
         suffix_union[i] = suffix_union[i + 1] | masks[useful[i]]
-    loads = [Fraction(0)] * inst.m
+    loads = [0] * inst.m
     labels = {}
 
     def dfs(idx, covered_mask):
@@ -230,8 +230,8 @@ def _label_search(inst, useful, masks, budget, prune, leaf, caps=None):
             return
         s = useful[idx]
         dfs(idx + 1, covered_mask)  # leave s unused
-        for j, c in enumerate(inst.costs[s]):
-            if not is_finite_cost(c) or (caps is not None and loads[j] + c > caps[j]):
+        for j, c in enumerate(inst.icosts[s]):
+            if c is INFINITE_COST or (caps is not None and loads[j] + c > caps[j]):
                 continue
             loads[j] += c
             labels[s] = j
@@ -270,12 +270,14 @@ def exact_pds(
             return False
         makespan = max(loads)
         # future sets can only add coverage and grow the makespan
-        return makespan > 0 and DensityValue(reachable.bit_count(), makespan) < best["density"]
+        return makespan > 0 and (
+            DensityValue(reachable.bit_count(), makespan, inst.scale) < best["density"]
+        )
 
     def leaf(loads, labels, covered_mask):
         if not labels:
             return
-        cand = DensityValue(covered_mask.bit_count(), max(loads))
+        cand = DensityValue(covered_mask.bit_count(), max(loads), inst.scale)
         count = len(labels)
         if (
             best["density"] is None
@@ -302,11 +304,12 @@ def exact_pmc(
     limits = limits or SUBSET_LIMITS
     useful = [s for s in available_pool(inst, available) if inst.masks[s]]
     _check_limits(inst, limits, len(useful))
-    caps = [as_fraction(b) for b in budgets]
-    if len(caps) != inst.m:
+    budgets = [as_fraction(b) for b in budgets]
+    if len(budgets) != inst.m:
         raise ValueError("need one budget per machine")
-    if any(c < 0 for c in caps):
+    if any(b < 0 for b in budgets):
         raise DomainError("budgets must be nonnegative")
+    caps = [scaled_floor(inst.scale, b) for b in budgets]
     best = {"covered": 0, "count": 0, "labels": {}}
 
     def prune(loads, labels, reachable):
@@ -393,7 +396,7 @@ def exact_pds_precedence(
             continue
         covered = reduce(or_, (cover_mask[s] for s in family))
         makespan, memo = min_makespan(family_mask)
-        cand = DensityValue(covered.bit_count(), Fraction(makespan))
+        cand = DensityValue(covered.bit_count(), makespan)
         count = family_mask.bit_count()
         if best is None or cand > best[0] or (cand == best[0] and count < best[1]):
             best = (cand, count, family_mask, memo)

@@ -41,6 +41,7 @@ from .core import (
     density,
     element_mask,
     remaining_elements,
+    scaled_floor,
 )
 from .errors import InvariantError, NoCoverageError, NoIterationKeptError
 from .maxcov import budgeted_max_coverage
@@ -57,12 +58,12 @@ def _ladder_guesses(inst: ProblemInstance, base: Fraction, pool) -> Iterator[Fra
     the greatest at or below ``base`` times their sum. Ladders stop at their
     first full cover, so later powers are never multiplied out.
     """
-    rows = inst.finite_row_costs
+    rows = inst.finite_row_icosts
     stats = [rows[s] for s in pool if rows[s] is not None]
     if not stats:
         raise NoCoverageError("no finite-cost set is available")
-    lo = min(least for least, _ in stats)
-    top = base * sum((total for _, total in stats), Fraction(0))
+    lo = Fraction(min(least for least, _ in stats), inst.scale)
+    top = base * Fraction(sum(total for _, total in stats), inst.scale)
     power = Fraction(1)
     while power < lo:
         power *= base
@@ -83,7 +84,7 @@ def _covering_pool(inst, remaining, available) -> Tuple[frozenset, int, frozense
     """
     pool = available_pool(inst, available)
     remaining = remaining_elements(inst, remaining)
-    rows, masks = inst.finite_row_costs, inst.masks
+    rows, masks = inst.finite_row_icosts, inst.masks
     remaining_mask = element_mask(remaining)
     usable = [s for s in pool if masks[s] & remaining_mask]
     if not usable:
@@ -103,17 +104,19 @@ def _ladder(table, base, pool, usable, clamp, solve) -> Iterator[Assignment]:
 
     The guesses span the finite costs of ``usable`` in ``table`` (see
     ``_ladder_guesses``); guess number ``gi`` yields ``solve(gi, guess,
-    largest)``. ``largest`` is the largest finite cost of a ``pool`` set in
-    ``table`` at or below the guess, or the largest of them all when
-    ``clamp`` is off (a cost above the guess still fits). A guess whose
-    rounding keeps no iteration is skipped; when no guess yields a nonempty
-    assignment, ``NoCoverageError`` names the skipped ones.
+    largest)``. ``largest`` is the largest finite ``icosts`` entry of a
+    ``pool`` set in ``table`` at or below ``floor(guess * table.scale)``, or
+    the largest of them all when ``clamp`` is off (a cost above the guess
+    still fits). A guess whose rounding keeps no iteration is skipped; when
+    no guess yields a nonempty assignment, ``NoCoverageError`` names the
+    skipped ones.
     """
-    fitting = [c for c, s in table.cost_order if s in pool]
+    fitting = [c for c, s in table.icost_order if s in pool]
     produced, skipped = False, []
     for gi, guess in enumerate(_ladder_guesses(table, base, usable)):
         # The first guess covers a usable set's cheapest cost, so one fits.
-        largest = fitting[bisect_right(fitting, guess) - 1] if clamp else fitting[-1]
+        fit = bisect_right(fitting, scaled_floor(table.scale, guess)) if clamp else len(fitting)
+        largest = fitting[fit - 1]
         try:
             asg = solve(gi, guess, largest)
         except NoIterationKeptError:
@@ -159,16 +162,16 @@ def _place_largest_first(inst, chosen, machines, per_machine, loads) -> None:
 
     ``machines`` order every set's costs alike (identical machines, or one
     related speed group), so the first machine's costs give the order.
-    ``per_machine`` and ``loads`` are updated in place. Each machine ends at
-    most its group's average load plus one set's cost, the 2B bound the
-    ladder analysis relies on; index-order round-robin does not achieve that
-    with heterogeneous costs.
+    ``per_machine`` and ``loads`` (``icosts``) are updated in place. Each
+    machine ends at most its group's average load plus one set's cost, the
+    2B bound the ladder analysis relies on; index-order round-robin does not
+    achieve that with heterogeneous costs.
     """
-    first = machines[0]
-    for s in sorted(chosen, key=lambda s: (-inst.costs[s][first], s)):
+    costs, first = inst.icosts, machines[0]
+    for s in sorted(chosen, key=lambda s: (-costs[s][first], s)):
         j = min(machines, key=lambda q: (loads[q], q))
         per_machine[j].append(s)
-        loads[j] += inst.costs[s][j]
+        loads[j] += costs[s][j]
 
 
 def identical_ladder_delta(epsilon: float) -> float:
@@ -188,22 +191,25 @@ def pds_identical(
     if inst.cost_model.kind not in ("unit", "identical"):
         raise ValueError("pds_identical needs the unit or identical cost model")
     remaining, remaining_mask, pool, usable, coverable = _covering_pool(inst, remaining, available)
-    by_cost = [(c, s) for c, s in inst.cost_order if s in pool]
+    by_cost = [(c, s) for c, s in inst.icost_order if s in pool]
+    scale = inst.scale
 
     @lru_cache(maxsize=1)
     def fitting(largest):
-        """The pool sets of cost at most ``largest`` in index order, their masks and costs."""
+        """The pool sets of icost at most ``largest`` in index order, their masks and icosts."""
         sets = sorted(s for _, s in by_cost[: bisect_right(by_cost, largest, key=itemgetter(0))])
-        return sets, [inst.masks[s] for s in sets], [inst.costs[s][0] for s in sets]
+        return sets, [inst.masks[s] for s in sets], [inst.icosts[s][0] for s in sets]
 
     def spread(gi, guess, largest) -> Assignment:
         candidates, masks, costs = fitting(largest)
-        result = budgeted_max_coverage(remaining_mask, masks, costs, inst.m * guess)
+        # the budget m * guess in icosts units; max coverage floors it
+        result = budgeted_max_coverage(remaining_mask, masks, costs, guess * (inst.m * scale))
         chosen = [candidates[i] for i in result.chosen]
-        per_machine, loads = [[] for _ in range(inst.m)], [Fraction(0)] * inst.m
+        per_machine, loads = [[] for _ in range(inst.m)], [0] * inst.m
         _place_largest_first(inst, chosen, range(inst.m), per_machine, loads)
-        if max(loads) > 2 * guess:
-            raise InvariantError("a load %s exceeds twice the guess %s" % (max(loads), guess))
+        if max(loads) > scaled_floor(scale, 2, guess):
+            load = Fraction(max(loads), scale)
+            raise InvariantError("a load %s exceeds twice the guess %s" % (load, guess))
         return Assignment(per_machine)
 
     # The ladder starts where the cheapest set that meets ``remaining`` fits,
@@ -309,8 +315,8 @@ def _pmc_solver(inst, remaining, pool, table, weights, params):
     def relaxation(largest):
         # Pool rows that meet no remaining element stay: the LP normalisers sum them.
         costs = tuple(
-            tuple(INFINITE_COST if s not in pool or c > largest else c for c in row)
-            for s, row in enumerate(table.costs)
+            tuple(INFINITE_COST if s not in pool or i > largest else c for c, i in zip(row, irow))
+            for s, (row, irow) in enumerate(zip(table.costs, table.icosts))
         )
         return PmcRelaxation(
             ProblemInstance(n=inst.n, sets=sets, m=len(weights), cost_model=UnrelatedCosts(costs))
@@ -344,18 +350,18 @@ def pds_related(
     params = PmcParams(
         mode=FPT, epsilon=kappa, mu=kappa, r_cap=RELATED_ROUNDING_CAP, seed=seed
     )
-    s_max = max(inst.cost_model.speeds)
+    load_bound = (2 + kappa_f) / max(inst.cost_model.speeds)
     pmc = _pmc_solver(inst, remaining, pool, aux, [len(g) for g in groups], params)
 
     def lift(gi, guess, largest) -> Assignment:
         """Each group's sets, largest first, on the group's least-loaded machine."""
-        per_machine, loads = [[] for _ in range(inst.m)], [Fraction(0)] * inst.m
+        per_machine, loads = [[] for _ in range(inst.m)], [0] * inst.m
         for group, chosen in zip(groups, pmc(gi, guess, largest).per_machine):
             _place_largest_first(inst, chosen, group, per_machine, loads)
-        # Guesses count the fastest speed as 1, so a real load times s_max is
-        # in guess units: a group's average is at most (1 + kappa) * guess,
+        # Guesses count the fastest speed s_max as 1, so a real load times s_max
+        # is in guess units: a group's average is at most (1 + kappa) * guess,
         # and one set adds at most one guess.
-        if max(loads) * s_max > (2 + kappa_f) * guess:
+        if max(loads) > scaled_floor(inst.scale, load_bound, guess):
             raise InvariantError("lift exceeded the per-machine bound")
         return Assignment(per_machine)
 

@@ -18,7 +18,8 @@ replayed alone by advancing a fresh stream r * width / 4 blocks. Rows are
 drawn and judged in blocks of at most ``ROUND_BLOCK`` draws that continue the
 same stream, which bounds memory and leaves every draw unchanged. Loads are
 summed in float64; a load within a relative 1e-9 of its limit is re-checked
-with exact rationals, so every keep/discard decision is exact.
+exactly, on the instance's int cost table, so every keep/discard decision is
+exact.
 """
 
 from __future__ import annotations
@@ -34,9 +35,10 @@ import numpy as np
 from .bounds import chernoff_upper
 from .core import (
     Assignment,
+    INFINITE_COST,
     ProblemInstance,
     as_fraction,
-    is_finite_cost,
+    scaled_floor,
 )
 from .errors import DomainError, NoIterationKeptError, ValidationError
 from .lp import OPTIMAL, LinearProgram, LpSolution, WarmStart, solve_lp, to_lp_format
@@ -164,18 +166,19 @@ class PmcRelaxation:
     clamped, which is loss-free); infinite-cost pairs get a frozen [0, 0]
     bound. Integer values (coverage rows, objective, bounds) are plain ints,
     which convert to float far faster than ``Fraction``s of the same value;
-    only the normalized budget rows hold ``Fraction``s.
+    only the normalized budget rows hold ``Fraction``s, each an int cost
+    over the int norm ``max(scale, total)``.
     """
 
     def __init__(self, inst: ProblemInstance):
         k, m, n = inst.k, inst.m, inst.n
         nx = k * m
-        totals = [Fraction(0)] * m  # per machine, the sum of its finite costs
-        for row in inst.costs:
-            for j, c in enumerate(row):
-                if is_finite_cost(c):
-                    totals[j] += c
-        self.inst, self.norms = inst, [max(Fraction(1), t) for t in totals]
+        # per machine, the larger of the scale and the sum of its finite icosts
+        inorms = [
+            max(inst.scale, sum(row[j] for row in inst.icosts if row[j] is not INFINITE_COST))
+            for j in range(m)
+        ]
+        self.inst, self.norms = inst, [Fraction(t, inst.scale) for t in inorms]
 
         cover = [[0] * (nx + n) for _ in range(n)]
         for s, members in enumerate(inst.sets):
@@ -187,12 +190,12 @@ class PmcRelaxation:
             constraints.append((tuple(coeffs), ">=", 0))
         for j in range(m):
             coeffs = [0] * (nx + n)
-            for s, row in enumerate(inst.costs):
-                if is_finite_cost(row[j]):
-                    coeffs[s * m + j] = row[j] / self.norms[j]
+            for s, row in enumerate(inst.icosts):
+                if row[j] is not INFINITE_COST:
+                    coeffs[s * m + j] = Fraction(row[j], inorms[j])
             constraints.append((tuple(coeffs), "<=", 0))
         objective = (0,) * nx + (1,) * n
-        bounds = [(0, 1) if is_finite_cost(c) else (0, 0) for row in inst.costs for c in row]
+        bounds = [(0, 1) if c is not INFINITE_COST else (0, 0) for row in inst.icosts for c in row]
         self.program = LinearProgram(objective, tuple(constraints), tuple(bounds + [(0, 1)] * n))
         self.warm = WarmStart()
 
@@ -206,10 +209,10 @@ class PmcRelaxation:
         return self.program.with_rhs([0] * self.inst.n + scaled)
 
 
-def _float_or_inf(value) -> float:
-    """Nearest float; inf for a rational past the float range (re-checked exactly)."""
+def _float_or_inf(num: int, den: int) -> float:
+    """Correctly rounded ``num / den``; inf past the float range (re-checked exactly)."""
     try:
-        return float(value)
+        return num / den
     except OverflowError:
         return math.inf
 
@@ -228,28 +231,29 @@ def round_pmc(
     dropping copies only lowers cost). Iterations whose realized cost exceeds
     (1 + delta) * B_j on any machine are discarded. Loads are float64 sums;
     a load within a relative 1e-9 of its limit (or not finite) is summed
-    again in exact rationals before the decision. Float conversion and a sum
-    of k positive terms err by at most about k * 2^-53 relatively, far inside
-    that band, so no decision differs from the exact one; the band's
-    absolute 1e-300 covers costs below the normal float range, where only an
-    absolute error bound holds.
+    again in ``icosts`` and compared with ``floor((1 + delta) * B_j * scale)``
+    before the decision. Float conversion and a sum of k positive terms err
+    by at most about k * 2^-53 relatively, far inside that band, so no
+    decision differs from the exact one; the band's absolute 1e-300 covers
+    costs below the normal float range, where only an absolute error bound
+    holds.
     """
     if lp_solution.status != OPTIMAL:
         raise DomainError("rounding requires an optimal LP solution")
     k, m, n = inst.k, inst.m, inst.n
     budgets = [as_fraction(b) for b in budgets]
     probs = np.clip(np.asarray(lp_solution.values[: k * m], dtype=float), 0.0, 1.0)
-    delta = params.delta(m)
-    limit = [(1 + Fraction(delta)) * b for b in budgets]
-    costs = inst.costs
+    factor = 1 + Fraction(params.delta(m))
+    costs, scale = inst.icosts, inst.scale
     # float32 so the coverage product runs in BLAS; its entries count sets,
     # which float32 holds exactly below 2^24
     incidence = np.zeros((k, n), dtype=np.float32)
     for s in range(k):
         incidence[s, list(inst.sets[s])] = 1.0
 
-    cost_f = np.array([[_float_or_inf(c) for c in row] for row in costs])
-    limit_f = np.array([_float_or_inf(b) for b in limit])
+    cost_f = np.array([[_float_or_inf(c, scale) for c in row] for row in costs])
+    fn, fd = factor.numerator, factor.denominator
+    limit_f = np.array([_float_or_inf(fn * b.numerator, fd * b.denominator) for b in budgets])
     attempts = params.attempts(m, n)
     gen = stream(params.seed)
     block = max(1, ROUND_BLOCK // max(1, k * m))
@@ -264,8 +268,8 @@ def round_pmc(
         with np.errstate(invalid="ignore"):  # inf - inf: not decided, so exact
             decided = np.isfinite(loads) & (np.abs(loads - limit_f) > 1e-9 * limit_f + 1e-300)
         for r, j in zip(*np.nonzero(~decided)):
-            exact = sum((costs[s][j] for s in np.flatnonzero(keep[r, :, j])), Fraction(0))
-            over[r, j] = exact > limit[j]
+            load = sum(costs[s][j] for s in np.flatnonzero(keep[r, :, j]))
+            over[r, j] = load > scaled_floor(scale, factor, budgets[j])
         ok = ~over.any(axis=1)
         kept += int(ok.sum())
         covered = np.where(ok, (hit.astype(np.float32) @ incidence > 0).sum(axis=1), -1)
@@ -277,12 +281,12 @@ def round_pmc(
     assignment = Assignment(
         tuple(tuple(int(s) for s in np.flatnonzero(best_keep[:, j])) for j in range(m))
     )
-    per_cost = []
-    for j, seq in enumerate(assignment.per_machine):
-        per_cost.append(sum((costs[s][j] for s in seq), Fraction(0)))
     return PmcResult(
         assignment=assignment,
-        per_machine_cost=tuple(per_cost),
+        per_machine_cost=tuple(
+            Fraction(sum(costs[s][j] for s in seq), scale)
+            for j, seq in enumerate(assignment.per_machine)
+        ),
         covered=best_covered,
         lp_objective=float(lp_solution.objective_value),
         iterations_kept=kept,

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Dict, Iterable, Optional, Tuple
 
 from .core import (
@@ -198,7 +197,7 @@ def pcds_detailed(
             covered |= inst.masks[s]
         per_depth = Counter(dag_view.depth[s] for s in fam)
         makespan = sum(-(-count // inst.m) for count in per_depth.values())
-        value = DensityValue((covered & remaining_mask).bit_count(), Fraction(makespan))
+        value = DensityValue((covered & remaining_mask).bit_count(), makespan)
         if (
             best is None
             or value > best[1]

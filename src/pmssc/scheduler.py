@@ -47,10 +47,7 @@ class GreedyTrace:
 
 def upper_bound_from_trace(trace: GreedyTrace) -> Fraction:
     """Sum over iterations of |remaining| * makespan: the proof's cost bound."""
-    return sum(
-        (Fraction(it.remaining_before) * it.makespan for it in trace.iterations),
-        Fraction(0),
-    )
+    return sum((it.remaining_before * it.makespan for it in trace.iterations), Fraction(0))
 
 
 UNIT_MODEL_ONLY = "the unit oracle needs the unit cost model"
@@ -96,7 +93,7 @@ def _order_batch(inst, j, sets_on_machine, remaining):
         best = None
         for s in pending:
             gain = len(remaining.intersection(inst.sets[s]) - covered)
-            cost = inst.costs[s][j]
+            cost = inst.icosts[s][j]
             if best is None or gain * best[1] > best[0] * cost:
                 best = (gain, cost, s)
         _, _, s = best
@@ -144,15 +141,13 @@ def pmssc_greedy(
                 newly |= remaining.intersection(inst.sets[s])
         if not newly:
             raise StalledOracleError("oracle assignment covers no remaining element")
-        makespan = Fraction(0)
         for j, seq in enumerate(kept):
             machines[j].extend(seq)
-            load = sum((inst.costs[s][j] for s in seq), Fraction(0))
-            makespan = max(makespan, load)
+        makespan = max(sum(inst.icosts[s][j] for s in seq) for j, seq in enumerate(kept))
         iterations.append(
             GreedyIteration(
                 assignment=Assignment(tuple(tuple(seq) for seq in kept)),
-                makespan=makespan,
+                makespan=Fraction(makespan, inst.scale),
                 newly_covered=newly,
                 remaining_before=len(remaining),
             )

@@ -115,16 +115,51 @@ def test_default_mode_matches_enum_for_small_k():
     assert result == enum
 
 
+def _unreached_seed_count(universe, sets, costs, budget):
+    """How many affordable seeds of <= 2 sets no earlier completion begins with,
+    replayed with the eager reference greedy: the completions the kernel runs."""
+    members = [frozenset(s) for s in sets]
+    reached, count = set(), 0
+    for size in range(3):
+        for seed in combinations(range(len(sets)), size):
+            if seed in reached or sum(costs[i] for i in seed) > budget:
+                continue
+            count += 1
+            covered = frozenset().union(*(members[i] for i in seed))
+            chosen, _, _ = _reference_greedy_fill(
+                members, costs, budget, list(seed), covered, sum(costs[i] for i in seed)
+            )
+            reached.update({tuple(chosen[:1]), tuple(sorted(chosen[:2]))})
+    return count
+
+
 @pytest.mark.parametrize("k", [1, 2, 7, 12])
-def test_partial_enum_completes_every_pair_once(k):
+def test_partial_enum_completes_each_unreached_seed_once(k):
     # The budget affords every family, so every seed of <= 2 sets is completed
-    # and a seed of three sets would be too: 1 + k + k(k-1)/2 completions exactly.
+    # unless an earlier completion began with it, and no seed of three sets is.
     sets = [element_mask({i, (i + 1) % (k + 1)}) for i in range(k)]
     costs = [Fraction(1 + i % 3, 1 + i % 2) for i in range(k)]
     fill = mock.Mock(wraps=maxcov_module._greedy_fill)
     with mock.patch.object(maxcov_module, "_greedy_fill", fill):
         budgeted_max_coverage(element_mask(range(k + 1)), sets, costs, sum(costs))
-    assert fill.call_count == 1 + k + k * (k - 1) // 2
+    members = [{i, (i + 1) % (k + 1)} for i in range(k)]
+    expected = _unreached_seed_count(range(k + 1), members, costs, sum(costs))
+    assert fill.call_count == expected < 1 + k + k * (k - 1) // 2
+
+
+def test_partial_enum_skips_the_seeds_a_singletons_completion_begins_with():
+    # The empty seed's completion picks set 0, then set 1: seeds {0} and
+    # {0, 1} would repeat it. Seed {1} picks set 0 next, and seed {2} fills
+    # the budget alone; every other pair is over budget. Three completions
+    # run instead of five, and the result is the one all five give.
+    sets = [element_mask({0, 1, 2}), element_mask({3}), element_mask({4})]
+    costs, budget = [1, 1, 2], 2
+    fill = mock.Mock(wraps=maxcov_module._greedy_fill)
+    with mock.patch.object(maxcov_module, "_greedy_fill", fill):
+        result = budgeted_max_coverage(0b11111, sets, costs, budget)
+    assert [call.args[4] for call in fill.call_args_list] == [(), (1,), (2,)]
+    assert result == every_seed_max_coverage(0b11111, sets, costs, budget)
+    assert result == MaxCovResult((0, 1), 2, 4)
 
 
 def test_nonpositive_cost_rejected():
@@ -299,3 +334,46 @@ def test_pds_matches_reference_kernel(epsilon, monkeypatch):
             patch.setattr(pds_module, "budgeted_max_coverage", _reference_via_masks)
             expected = pds_identical(inst, remaining, epsilon)
         assert actual == expected
+
+
+# ---------------------------------------------------------------------------
+# Skipping reached seeds against the enumeration that completes every seed
+
+
+def every_seed_max_coverage(universe, sets, costs, budget):
+    """The partial enumeration before reached seeds were skipped: one
+    ``_greedy_fill`` completion for every affordable seed of <= 2 sets."""
+    budget = Fraction(budget)
+    costs = [Fraction(c) for c in costs]
+    masks = [s & universe for s in sets]
+    if budget == 0 or not sets:
+        return MaxCovResult((), Fraction(0), 0)
+    denom = math.lcm(*(c.denominator for c in costs))
+    icosts = [c.numerator * (denom // c.denominator) for c in costs]
+    ibudget = budget.numerator * denom // budget.denominator
+    best = None
+    for size in range(0, 3):
+        for seed in combinations(range(len(sets)), size):
+            seed_cost = sum(icosts[i] for i in seed)
+            if seed_cost > ibudget:
+                continue
+            seed_cover = 0
+            for i in seed:
+                seed_cover |= masks[i]
+            chosen, covered, spent = maxcov_module._greedy_fill(
+                masks, icosts, max(icosts) ** 2, ibudget, seed, seed_cover, seed_cost
+            )
+            key = (-covered.bit_count(), spent, tuple(sorted(chosen)))
+            if best is None or key < best:
+                best = key
+    return MaxCovResult(best[2], Fraction(best[1], denom), -best[0])
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=maxcov_cases())
+def test_skipping_reached_seeds_matches_completing_every_seed(case):
+    universe, sets, costs, budget = case
+    universe, masks = element_mask(universe), [element_mask(s) for s in sets]
+    expected = every_seed_max_coverage(universe, masks, costs, budget)
+    got = maxcov(_bits(universe), sets, costs, budget, mode=PARTIAL_ENUM)
+    assert repr(got) == repr(expected)
