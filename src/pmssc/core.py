@@ -3,15 +3,21 @@
 Elements and covering sets are dense integer indices. The four cost models
 (unit, identical, related, unrelated) are special cases of the unrelated one:
 a k x m table with the cost of set s on machine j in row s, column j. Each
-model only validates its own parameters; ``ProblemInstance.costs`` builds
-that table once in exact rationals (`fractions.Fraction`). Infinite entries
-are the ``INFINITE_COST`` sentinel (``math.inf``), rejected inside any
-assignment or schedule. The solvers compute on ints instead: the scale ``L``
-is the LCM of the finite costs' denominators, and ``icosts = costs * L``.
-Loads, makespans, covering times and densities are ints at their instance's
-scale; a rational bound g meets them as ``floor(g * L)`` (``scaled_floor``).
-``Fraction`` stays in parsing, the public views, the report writer and the
-LP's normalised budget rows. No cost comparison goes through floating point.
+input value is checked once, here, for API callers and instance files alike:
+the cost models make costs and speeds positive `fractions.Fraction`s, and
+``ProblemInstance`` sorts each set and range-checks it and the DAG edges. A
+rejected value's error carries ``where``, its argument and position, such as
+``("sets", 1, 0)``. ``ProblemInstance.costs`` builds the cost table once in
+exact rationals. Infinite entries are the ``INFINITE_COST`` sentinel
+(``math.inf``), rejected inside any assignment or schedule. The solvers
+compute on ints instead: the scale ``L`` is the LCM of the finite costs'
+denominators, and ``icosts = costs * L``. Loads, makespans, covering times
+and densities are ints at their instance's scale; a rational bound g meets
+them as ``floor(g * L)`` (``scaled_floor``). ``Fraction`` stays in the cost
+models, the public views (``costs``, ``cost()``, ``DensityValue.makespan``
+and ``as_fraction``, the values ``evaluate_schedule_cost`` returns), the
+report writer and the LP's normalised budget rows. No cost comparison goes
+through floating point.
 
 All types here are immutable value data after construction and every
 operation is a pure function, so everything is safe to share across threads.
@@ -73,11 +79,37 @@ def element_mask(elements: Iterable[int]) -> int:
     return mask
 
 
-def _positive_fraction(value, what: str) -> Fraction:
-    f = as_fraction(value)
-    if f <= 0:
-        raise ValueError("%s must be positive, got %s" % (what, f))
-    return f
+def _positive_fractions(values, what: str, where: tuple, infinite: bool = False) -> tuple:
+    """Each of ``values`` as a positive ``Fraction`` (``INFINITE_COST`` kept if
+    ``infinite``). A rejected value raises with ``where`` plus its position."""
+    out = []
+    try:
+        for value in values:
+            f = value if infinite and value == INFINITE_COST else as_fraction(value)
+            if f <= 0:
+                raise ValueError("%s must be positive, got %s" % (what, f))
+            out.append(f)
+    except (TypeError, ValueError) as exc:
+        exc.where = where + (len(out),)
+        raise
+    return tuple(out)
+
+
+def _sorted_indices(values, bound: int, what: str) -> list:
+    """``values`` as sorted distinct ints in [0, bound). A bool, float or string
+    raises ``TypeError``; ``InvalidIndexError`` names the smallest value outside."""
+    clean = sorted({v if type(v) is int else as_index(v) for v in values})
+    if clean and not (0 <= clean[0] and clean[-1] < bound):
+        bad = next(v for v in clean if not 0 <= v < bound)
+        raise InvalidIndexError("%s %d outside [0, %d)" % (what, bad, bound))
+    return clean
+
+
+def _is_index_below(value, bound: int) -> bool:
+    try:
+        return 0 <= as_index(value) < bound
+    except TypeError:
+        return False
 
 
 # ---------------------------------------------------------------------------
@@ -97,9 +129,7 @@ class IdenticalCosts:
 
     def __post_init__(self):
         object.__setattr__(
-            self,
-            "base_costs",
-            tuple(_positive_fraction(c, "base cost") for c in self.base_costs),
+            self, "base_costs", _positive_fractions(self.base_costs, "base cost", ("base_costs",))
         )
 
 
@@ -112,13 +142,9 @@ class RelatedCosts:
 
     def __post_init__(self):
         object.__setattr__(
-            self,
-            "base_costs",
-            tuple(_positive_fraction(c, "base cost") for c in self.base_costs),
+            self, "base_costs", _positive_fractions(self.base_costs, "base cost", ("base_costs",))
         )
-        object.__setattr__(
-            self, "speeds", tuple(_positive_fraction(s, "speed") for s in self.speeds)
-        )
+        object.__setattr__(self, "speeds", _positive_fractions(self.speeds, "speed", ("speeds",)))
 
 
 @dataclass(frozen=True)
@@ -128,16 +154,11 @@ class UnrelatedCosts:
     kind = "unrelated"
 
     def __post_init__(self):
-        rows = []
-        for row in self.matrix:
-            entries = []
-            for entry in row:
-                if entry == INFINITE_COST:
-                    entries.append(INFINITE_COST)
-                else:
-                    entries.append(_positive_fraction(entry, "cost entry"))
-            rows.append(tuple(entries))
-        object.__setattr__(self, "matrix", tuple(rows))
+        rows = tuple(
+            _positive_fractions(row, "cost entry", ("matrix", i), infinite=True)
+            for i, row in enumerate(self.matrix)
+        )
+        object.__setattr__(self, "matrix", rows)
 
 
 CostModel = Union[UnitCosts, IdenticalCosts, RelatedCosts, UnrelatedCosts]
@@ -169,13 +190,15 @@ class ProblemInstance:
             raise ValueError("machine count must be at least 1")
         normalized = []
         for i, members in enumerate(self.sets):
-            clean = sorted({e if type(e) is int else as_index(e) for e in members})
-            if clean and not (0 <= clean[0] and clean[-1] < self.n):
-                bad = next(e for e in clean if not 0 <= e < self.n)
-                raise InvalidIndexError(
-                    "set %d contains element %d outside [0, %d)" % (i, bad, self.n)
-                )
-            normalized.append(tuple(clean))
+            try:
+                what = "set %d contains element" % i
+                normalized.append(tuple(_sorted_indices(members, self.n, what)))
+            except (TypeError, InvalidIndexError) as exc:
+                listed = members if isinstance(members, (list, tuple)) else ()
+                exc.where = ("sets", i, next(
+                    (q for q, e in enumerate(listed) if not _is_index_below(e, self.n)), None
+                ))
+                raise
         object.__setattr__(self, "sets", tuple(normalized))
         k = len(self.sets)
         model = self.cost_model
@@ -189,10 +212,15 @@ class ProblemInstance:
                 raise ValueError("cost matrix must be %d x %d" % (k, self.m))
         if self.dag is not None:
             edges = []
-            for e, (a, b) in enumerate(self.dag):
-                a, b = as_index(a), as_index(b)
-                if not (0 <= a < k and 0 <= b < k):
-                    raise InvalidIndexError("dag edge %d references invalid set index" % e)
+            for e, edge in enumerate(self.dag):
+                try:
+                    a, b = edge
+                    a, b = as_index(a), as_index(b)
+                    if not (0 <= a < k and 0 <= b < k):
+                        raise InvalidIndexError("dag edge %d references invalid set index" % e)
+                except (TypeError, ValueError, InvalidIndexError) as exc:
+                    exc.where = ("dag", e)
+                    raise
                 edges.append((a, b))
             object.__setattr__(self, "dag", tuple(edges))
 
@@ -261,19 +289,6 @@ class ProblemInstance:
         ]
         return tuple(sorted(pairs, key=itemgetter(0)))
 
-    @cached_property
-    def finite_row_costs(self) -> Tuple[Optional[Tuple[Fraction, Fraction]], ...]:
-        """``finite_row_icosts`` divided by ``scale``."""
-        return tuple(
-            stats and (Fraction(stats[0], self.scale), Fraction(stats[1], self.scale))
-            for stats in self.finite_row_icosts
-        )
-
-    @cached_property
-    def cost_order(self) -> Tuple[Tuple[Fraction, int], ...]:
-        """``icost_order`` with each cost divided by ``scale``."""
-        return tuple((Fraction(c, self.scale), s) for c, s in self.icost_order)
-
     def cost(self, s: int, j: int) -> CostValue:
         """``costs[s][j]``, for indices that come from outside the instance."""
         if not 0 <= s < self.k:
@@ -283,21 +298,23 @@ class ProblemInstance:
         return self.costs[s][j]
 
 
-def _check_per_machine(per_machine, k: int) -> Tuple[Tuple[int, ...], ...]:
+def _check_per_machine(self) -> None:
+    """``__post_init__`` of ``Assignment`` and ``Schedule``: each machine's set
+    indices as ints, none negative and none on two machines or twice on one."""
     seen = set()
     rows = []
-    for seq in per_machine:
+    for seq in self.per_machine:
         row = []
         for s in seq:
             s = as_index(s)
-            if not 0 <= s < k:
+            if s < 0:
                 raise InvalidIndexError("set index %d out of range" % s)
             if s in seen:
                 raise InvalidIndexError("set index %d appears twice" % s)
             seen.add(s)
             row.append(s)
         rows.append(tuple(row))
-    return tuple(rows)
+    object.__setattr__(self, "per_machine", tuple(rows))
 
 
 @dataclass(frozen=True)
@@ -306,9 +323,7 @@ class Assignment:
 
     per_machine: Tuple[Tuple[int, ...], ...]
 
-    def __post_init__(self):
-        k = 1 + max((s for seq in self.per_machine for s in seq), default=-1)
-        object.__setattr__(self, "per_machine", _check_per_machine(self.per_machine, k))
+    __post_init__ = _check_per_machine
 
     @staticmethod
     def empty(m: int) -> "Assignment":
@@ -328,9 +343,7 @@ class Schedule:
 
     per_machine: Tuple[Tuple[int, ...], ...]
 
-    def __post_init__(self):
-        k = 1 + max((s for seq in self.per_machine for s in seq), default=-1)
-        object.__setattr__(self, "per_machine", _check_per_machine(self.per_machine, k))
+    __post_init__ = _check_per_machine
 
 
 @dataclass(frozen=True, eq=False)
@@ -393,26 +406,16 @@ def scaled_floor(scale: int, *factors) -> int:
 
 def available_pool(inst: ProblemInstance, available: Optional[Iterable[int]]) -> list:
     """``available`` (default: all k sets) in index order, once each, all in [0, k)."""
-    pool = sorted(
-        range(inst.k) if available is None
-        else {s if type(s) is int else as_index(s) for s in available}
-    )
-    outside = [s for s in pool if not 0 <= s < inst.k]
-    if outside:
-        raise InvalidIndexError("available set %d outside [0, %d)" % (outside[0], inst.k))
-    return pool
+    if available is None:
+        return list(range(inst.k))
+    return _sorted_indices(available, inst.k, "available set")
 
 
 def remaining_elements(inst: ProblemInstance, remaining: Optional[Iterable[int]]) -> frozenset:
     """``remaining`` (default: all n elements) as a frozenset, all in [0, n)."""
-    elements = frozenset(
-        range(inst.n) if remaining is None
-        else (e if type(e) is int else as_index(e) for e in remaining)
-    )
-    outside = [e for e in elements if not 0 <= e < inst.n]
-    if outside:
-        raise InvalidIndexError("remaining element %d outside [0, %d)" % (min(outside), inst.n))
-    return elements
+    if remaining is None:
+        return frozenset(range(inst.n))
+    return frozenset(_sorted_indices(remaining, inst.n, "remaining element"))
 
 
 def coverage(

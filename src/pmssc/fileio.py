@@ -27,7 +27,7 @@ from .core import (
     UnrelatedCosts,
     topological_order,
 )
-from .errors import CyclicDagError, ParseError, ValidationError
+from .errors import CyclicDagError, InvalidIndexError, ParseError, ValidationError
 from .rng import stream
 
 FORMAT_VERSION = 1
@@ -35,127 +35,127 @@ FORMAT_VERSION = 1
 _MODEL_KINDS = ("unit", "identical", "related", "unrelated")
 
 
-def _expect_int(value, path, minimum=None):
-    if not isinstance(value, int) or isinstance(value, bool):
-        raise ValidationError(path, "expected an integer")
-    if minimum is not None and value < minimum:
-        raise ValidationError(path, "must be at least %d" % minimum)
-    return value
+def _listed(value, length=None) -> list:
+    """``value`` if it is a list (of ``length`` entries, if given), else ``[None]``."""
+    if type(value) is list and (length is None or len(value) == length):
+        return value
+    return [None]
 
 
-def _parse_speed(value, path) -> Fraction:
-    if isinstance(value, int) and not isinstance(value, bool):
-        if value <= 0:
-            raise ValidationError(path, "speed must be positive")
-        return Fraction(value)
-    if (
-        isinstance(value, list)
-        and len(value) == 2
-        and all(isinstance(v, int) and not isinstance(v, bool) for v in value)
-    ):
-        num, den = value
-        if num <= 0 or den <= 0:
-            raise ValidationError(path, "speed must be positive")
-        return Fraction(num, den)
-    raise ValidationError(path, "expected integer or [num, den] pair")
+def _int(value):
+    return value if type(value) is int else None
 
 
-def instance_from_dict(doc) -> ProblemInstance:
-    if not isinstance(doc, dict):
-        raise ValidationError("$", "expected a JSON object")
-    version = doc.get("version", FORMAT_VERSION)
-    if version != FORMAT_VERSION:
-        raise ValidationError("version", "unsupported version %r" % version)
-    n = _expect_int(doc.get("n"), "n", minimum=0)
-    m = _expect_int(doc.get("m"), "m", minimum=1)
-    raw_sets = doc.get("sets")
-    if not isinstance(raw_sets, list):
-        raise ValidationError("sets", "expected a list of element lists")
-    for i, raw in enumerate(raw_sets):
-        if not isinstance(raw, list):
-            raise ValidationError("sets[%d]" % i, "expected a list")
-        for q, e in enumerate(raw):
-            if type(e) is not int or not 0 <= e < n:
-                path = "sets[%d][%d]" % (i, q)
-                _expect_int(e, path)
-                raise ValidationError(path, "element %d outside [0, %d)" % (e, n))
-    k = len(raw_sets)
+def _is_int_pair(value) -> bool:
+    return type(value) is list and len(value) == 2 and all(type(v) is int for v in value)
 
-    raw_model = doc.get("cost_model")
-    if not isinstance(raw_model, dict):
+
+def _speed(value):
+    if _is_int_pair(value) and value[1] > 0:
+        return Fraction(*value)
+    return _int(value)
+
+
+def _cost_model(raw, k: int, m: int):
+    if not isinstance(raw, dict):
         raise ValidationError("cost_model", "expected an object")
-    kind = raw_model.get("kind")
+    kind = raw.get("kind")
     if kind not in _MODEL_KINDS:
         raise ValidationError("cost_model.kind", "expected one of %s" % (_MODEL_KINDS,))
     if kind == "unit":
-        model = UnitCosts()
-    elif kind in ("identical", "related"):
-        raw_costs = raw_model.get("base_costs")
-        if not isinstance(raw_costs, list) or len(raw_costs) != k:
-            raise ValidationError("cost_model.base_costs", "expected %d integers" % k)
-        base = []
-        for i, c in enumerate(raw_costs):
-            c = _expect_int(c, "cost_model.base_costs[%d]" % i)
-            if c <= 0:
-                raise ValidationError(
-                    "cost_model.base_costs[%d]" % i, "cost must be positive"
-                )
-            base.append(Fraction(c))
-        if kind == "identical":
-            model = IdenticalCosts(tuple(base))
-        else:
-            raw_speeds = raw_model.get("speeds")
-            if not isinstance(raw_speeds, list) or len(raw_speeds) != m:
-                raise ValidationError("cost_model.speeds", "expected %d speeds" % m)
-            speeds = tuple(
-                _parse_speed(v, "cost_model.speeds[%d]" % i)
-                for i, v in enumerate(raw_speeds)
-            )
-            model = RelatedCosts(tuple(base), speeds)
-    else:
-        raw_matrix = raw_model.get("matrix")
-        if not isinstance(raw_matrix, list) or len(raw_matrix) != k:
-            raise ValidationError("cost_model.matrix", "expected %d rows" % k)
-        rows = []
-        for i, raw_row in enumerate(raw_matrix):
-            if not isinstance(raw_row, list) or len(raw_row) != m:
-                raise ValidationError(
-                    "cost_model.matrix[%d]" % i, "expected %d entries" % m
-                )
-            row = []
-            for j, entry in enumerate(raw_row):
-                path = "cost_model.matrix[%d][%d]" % (i, j)
-                if entry == "inf":
-                    row.append(INFINITE_COST)
-                    continue
-                entry = _expect_int(entry, path)
-                if entry <= 0:
-                    raise ValidationError(path, "cost must be positive")
-                row.append(Fraction(entry))
-            rows.append(tuple(row))
-        model = UnrelatedCosts(tuple(rows))
+        return UnitCosts()
+    if kind == "unrelated":
+        return UnrelatedCosts(tuple(
+            [INFINITE_COST if c == "inf" else _int(c) for c in _listed(row, m)]
+            for row in _listed(raw.get("matrix"), k)
+        ))
+    base = [_int(c) for c in _listed(raw.get("base_costs"), k)]
+    if kind == "identical":
+        return IdenticalCosts(tuple(base))
+    return RelatedCosts(tuple(base), tuple(map(_speed, _listed(raw.get("speeds"), m))))
 
-    dag = None
-    if doc.get("dag_edges") is not None:
-        raw_edges = doc["dag_edges"]
-        if not isinstance(raw_edges, list):
-            raise ValidationError("dag_edges", "expected a list of [pred, succ] pairs")
-        edges = []
-        for i, raw in enumerate(raw_edges):
-            if not isinstance(raw, list) or len(raw) != 2:
-                raise ValidationError("dag_edges[%d]" % i, "expected a [pred, succ] pair")
-            a = _expect_int(raw[0], "dag_edges[%d][0]" % i)
-            b = _expect_int(raw[1], "dag_edges[%d][1]" % i)
-            if not (0 <= a < k and 0 <= b < k):
-                raise ValidationError("dag_edges[%d]" % i, "set index out of range")
-            edges.append((a, b))
+
+def _fault(doc, where) -> ValidationError:
+    """The document's error for the value ``core`` rejected at ``where``: the first
+    JSON-form fault on the way to that value, else the value rule it broke."""
+    field, *at = where
+    k, m = len(doc["sets"]), doc["m"]
+    # Per index in ``where``, the length that the list it indexes must have (None:
+    # any) and the message when it is not such a list.
+    path, lists = {
+        "sets": ("sets", [(k, "expected a list of element lists"), (None, "expected a list")]),
+        "base_costs": ("cost_model.base_costs", [(k, "expected %d integers" % k)]),
+        "speeds": ("cost_model.speeds", [(m, "expected %d speeds" % m)]),
+        "matrix": (
+            "cost_model.matrix", [(k, "expected %d rows" % k), (m, "expected %d entries" % m)]
+        ),
+        "dag": ("dag_edges", [(None, "expected a list of [pred, succ] pairs")]),
+    }[field]
+    node = doc
+    for key in path.split("."):
+        node = node.get(key)
+    for (length, message), i in zip(lists, at):
+        if type(node) is not list or length is not None and len(node) != length:
+            return ValidationError(path, message)
+        path, node = "%s[%d]" % (path, i), node[i]
+    if field == "dag":
+        if type(node) is not list or len(node) != 2:
+            return ValidationError(path, "expected a [pred, succ] pair")
+        for end in (0, 1):
+            if type(node[end]) is not int:
+                return ValidationError("%s[%d]" % (path, end), "expected an integer")
+        return ValidationError(path, "set index out of range")
+    if field == "speeds":
+        if type(node) is int or _is_int_pair(node):
+            return ValidationError(path, "speed must be positive")
+        return ValidationError(path, "expected integer or [num, den] pair")
+    if type(node) is not int:
+        return ValidationError(path, "expected an integer")
+    if field == "sets":
+        return ValidationError(path, "element %d outside [0, %d)" % (node, doc["n"]))
+    return ValidationError(path, "cost must be positive")
+
+
+def instance_from_dict(doc) -> ProblemInstance:
+    """The instance a JSON document describes. Only the JSON form is checked here
+    (version, shapes and lengths, integers only, ``"inf"``, ``[num, den]`` speeds);
+    ``core`` checks every value once. A JSON-form fault inside a list reaches
+    ``core`` as ``None``, rejected at its position, so faults keep document order."""
+    if not isinstance(doc, dict):
+        raise ValidationError("$", "expected a JSON object")
+    version = doc.get("version", FORMAT_VERSION)
+    if type(version) is not int or version != FORMAT_VERSION:
+        raise ValidationError("version", "unsupported version %r" % (version,))
+    for key, least in (("n", 0), ("m", 1)):
+        if type(doc.get(key)) is not int:
+            raise ValidationError(key, "expected an integer")
+        if doc[key] < least:
+            raise ValidationError(key, "must be at least %d" % least)
+    n, m = doc["n"], doc["m"]
+    raw_sets = doc.get("sets")
+    if not isinstance(raw_sets, list):
+        raise ValidationError("sets", "expected a list of element lists")
+    sets = [_listed(s) for s in raw_sets]
+    edges = doc.get("dag_edges")
+    try:
         try:
-            topological_order(k, edges)
+            model = _cost_model(doc.get("cost_model"), len(sets), m)
+        except (ValidationError, TypeError, ValueError):
+            # A fault in the sets comes first in the document.
+            ProblemInstance(n=n, sets=sets, m=1, cost_model=UnitCosts())
+            raise
+        dag = None if edges is None else [_listed(e, 2) for e in _listed(edges)]
+        inst = ProblemInstance(n=n, sets=sets, m=m, cost_model=model, dag=dag)
+    except (TypeError, ValueError, InvalidIndexError) as exc:
+        if not hasattr(exc, "where"):
+            raise
+        raise _fault(doc, exc.where) from None
+    if dag is not None:
+        try:
+            topological_order(inst.k, inst.dag)
         except CyclicDagError:
             raise ValidationError("dag_edges", "CyclicDag: edges contain a cycle")
-        dag = tuple(edges)
-
-    return ProblemInstance(n=n, sets=tuple(raw_sets), m=m, cost_model=model, dag=dag)
+    return inst
 
 
 def parse_instance(data) -> ProblemInstance:
@@ -171,26 +171,30 @@ def parse_instance(data) -> ProblemInstance:
     return instance_from_dict(doc)
 
 
+def _file_cost(cost, path) -> int:
+    if cost.denominator != 1:
+        raise ValueError("%s = %s: instance files hold integer costs only" % (path, cost))
+    return cost.numerator
+
+
 def instance_to_dict(inst: ProblemInstance) -> dict:
+    """The JSON document of ``inst``; a cost that is not an integer raises ``ValueError``."""
     model = inst.cost_model
-    if model.kind == "unit":
-        cost_model = {"kind": "unit"}
-    elif model.kind == "identical":
-        cost_model = {"kind": "identical", "base_costs": [int(c) for c in model.base_costs]}
-    elif model.kind == "related":
-        speeds = []
-        for s in model.speeds:
-            speeds.append(int(s) if s.denominator == 1 else [s.numerator, s.denominator])
-        cost_model = {
-            "kind": "related",
-            "base_costs": [int(c) for c in model.base_costs],
-            "speeds": speeds,
-        }
-    else:
-        matrix = []
-        for row in model.matrix:
-            matrix.append(["inf" if c == INFINITE_COST else int(c) for c in row])
-        cost_model = {"kind": "unrelated", "matrix": matrix}
+    cost_model = {"kind": model.kind}
+    if model.kind in ("identical", "related"):
+        cost_model["base_costs"] = [
+            _file_cost(c, "cost_model.base_costs[%d]" % s) for s, c in enumerate(model.base_costs)
+        ]
+    if model.kind == "related":
+        cost_model["speeds"] = [
+            int(v) if v.denominator == 1 else [v.numerator, v.denominator] for v in model.speeds
+        ]
+    if model.kind == "unrelated":
+        cost_model["matrix"] = [
+            ["inf" if c == INFINITE_COST else _file_cost(c, "cost_model.matrix[%d][%d]" % (s, j))
+             for j, c in enumerate(row)]
+            for s, row in enumerate(model.matrix)
+        ]
     doc = {
         "version": FORMAT_VERSION,
         "n": inst.n,
@@ -224,30 +228,28 @@ def generate_instance(
     if model not in _MODEL_KINDS:
         raise ValueError("unknown model %r" % model)
     rng = stream(seed)
-    sets = [set() for _ in range(k)]
-    for i in range(k):
+    sets = []
+    for _ in range(k):
         include = rng.random(n) < density
-        sets[i] = set(int(u) for u in range(n) if include[u])
+        sets.append({u for u in range(n) if include[u]})
     covered = set().union(*sets)
     for u in range(n):
         if u not in covered:
             sets[int(rng.integers(0, k))].add(u)
 
+    if model in ("identical", "related"):
+        base = tuple(int(c) for c in rng.integers(1, max_cost + 1, size=k))
     if model == "unit":
         cost_model = UnitCosts()
     elif model == "identical":
-        base = [int(c) for c in rng.integers(1, max_cost + 1, size=k)]
-        cost_model = IdenticalCosts(tuple(Fraction(c) for c in base))
+        cost_model = IdenticalCosts(base)
     elif model == "related":
-        base = [int(c) for c in rng.integers(1, max_cost + 1, size=k)]
         speeds = []
         for _ in range(m):
             num = int(rng.integers(1, 5))
             den = int(rng.integers(1, 3))
             speeds.append(Fraction(num, den))
-        cost_model = RelatedCosts(
-            tuple(Fraction(c) for c in base), tuple(speeds)
-        )
+        cost_model = RelatedCosts(base, tuple(speeds))
     else:
         rows = []
         for s in range(k):
@@ -256,9 +258,9 @@ def generate_instance(
                 if m > 1 and rng.random() < 0.1:
                     row.append(INFINITE_COST)
                 else:
-                    row.append(Fraction(int(rng.integers(1, max_cost + 1))))
+                    row.append(int(rng.integers(1, max_cost + 1)))
             if all(c == INFINITE_COST for c in row):
-                row[int(rng.integers(0, m))] = Fraction(int(rng.integers(1, max_cost + 1)))
+                row[int(rng.integers(0, m))] = int(rng.integers(1, max_cost + 1))
             rows.append(tuple(row))
         cost_model = UnrelatedCosts(tuple(rows))
 
@@ -271,13 +273,7 @@ def generate_instance(
                     edges.append((a, b))
         dag = tuple(edges)
 
-    return ProblemInstance(
-        n=n,
-        sets=tuple(tuple(sorted(s)) for s in sets),
-        m=m,
-        cost_model=cost_model,
-        dag=dag,
-    )
+    return ProblemInstance(n=n, sets=tuple(sets), m=m, cost_model=cost_model, dag=dag)
 
 
 # ---------------------------------------------------------------------------

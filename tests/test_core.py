@@ -334,23 +334,24 @@ def cost_models(draw):
 
 @settings(max_examples=300, deadline=None)
 @given(inst=cost_models(), blank=st.frozensets(st.integers(0, 4)))
-def test_finite_row_costs_match_a_direct_scan(inst, blank):
+def test_finite_row_icosts_match_a_direct_scan(inst, blank):
     if inst.cost_model.kind == "unrelated":
         # the rows in ``blank`` have no finite cost at all
         matrix = tuple(
             (INFINITE_COST,) * inst.m if s in blank else row for s, row in enumerate(inst.costs)
         )
         inst = ProblemInstance(n=1, sets=inst.sets, m=inst.m, cost_model=UnrelatedCosts(matrix))
-    assert len(inst.finite_row_costs) == inst.k
-    assert inst.finite_row_costs is inst.finite_row_costs
-    for row, stats in zip(inst.costs, inst.finite_row_costs):
+    assert len(inst.finite_row_icosts) == inst.k
+    assert inst.finite_row_icosts is inst.finite_row_icosts
+    for row, stats in zip(inst.costs, inst.finite_row_icosts):
         finite = [c for c in row if c != INFINITE_COST]
         if not finite:
             assert stats is None
             continue
         least, total = stats
-        assert least == min(finite) and total == sum(finite)
-        assert type(least) is Fraction and type(total) is Fraction
+        assert type(least) is int and type(total) is int
+        assert Fraction(least, inst.scale) == min(finite)
+        assert Fraction(total, inst.scale) == sum(finite)
 
 
 @settings(max_examples=300, deadline=None)

@@ -4,6 +4,7 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -13,7 +14,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pmssc import cli
-from pmssc.core import Schedule, evaluate_schedule_cost, validate_instance
+from pmssc.core import (
+    INFINITE_COST,
+    IdenticalCosts,
+    ProblemInstance,
+    RelatedCosts,
+    Schedule,
+    UnrelatedCosts,
+    evaluate_schedule_cost,
+    validate_instance,
+)
 from pmssc.errors import ParseError, ValidationError
 from pmssc.fileio import (
     generate_instance,
@@ -39,6 +49,23 @@ def test_round_trip_all_models():
             )
             again = parse_instance(serialize_instance(inst))
             assert again == inst
+
+
+def test_serializing_a_non_integral_cost_raises():
+    # The file format holds integer costs only: 5/2 must not be written as 2,
+    # nor 1/3 as 0.
+    for model, m, entry in (
+        (IdenticalCosts((Fraction(5, 2),)), 1, "cost_model.base_costs[0] = 5/2"),
+        (IdenticalCosts((1, Fraction(1, 3))), 1, "cost_model.base_costs[1] = 1/3"),
+        (RelatedCosts((1, Fraction(1, 3)), (1,)), 1, "cost_model.base_costs[1] = 1/3"),
+        (UnrelatedCosts(((1, INFINITE_COST), (2, Fraction(7, 3)))), 2, "cost_model.matrix[1][1] = 7/3"),
+    ):
+        k = len(model.matrix if model.kind == "unrelated" else model.base_costs)
+        inst = ProblemInstance(n=1, sets=((0,),) * k, m=m, cost_model=model)
+        with pytest.raises(ValueError, match=re.escape(entry)):
+            serialize_instance(inst)
+    inst = ProblemInstance(n=1, sets=((0,),), m=1, cost_model=IdenticalCosts((Fraction(4, 2),)))
+    assert parse_instance(serialize_instance(inst)) == inst
 
 
 def test_parse_rejects_element_out_of_range():
@@ -71,6 +98,11 @@ def test_parse_rejects_cyclic_dag():
 def test_parse_rejects_bad_json():
     with pytest.raises(ParseError):
         parse_instance(b"{not json")
+    for version in (True, 1.0, 2):
+        doc = {"version": version, "n": 1, "m": 1, "cost_model": {"kind": "unit"}, "sets": [[0]]}
+        with pytest.raises(ValidationError) as err:
+            parse_instance(json.dumps(doc))
+        assert (err.value.path, err.value.message) == ("version", "unsupported version %r" % version)
 
 
 def test_parse_infinite_matrix_entries():
