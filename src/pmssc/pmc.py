@@ -19,7 +19,10 @@ drawn and judged in blocks of at most ``ROUND_BLOCK`` draws that continue the
 same stream, which bounds memory and leaves every draw unchanged. Loads are
 summed in float64; a load within a relative 1e-9 of its limit is re-checked
 exactly, on the instance's int cost table, so every keep/discard decision is
-exact.
+exact. An integral x (every clipped value 0 or 1) draws the same pairs in
+every iteration, so it is decided once in that int table, with no stream:
+all R iterations are kept, or none. Each call takes a fresh stream, so
+skipping one changes no other call's draws, and replay cannot tell.
 """
 
 from __future__ import annotations
@@ -237,6 +240,11 @@ def round_pmc(
     decision differs from the exact one; the band's absolute 1e-300 covers
     costs below the normal float range, where only an absolute error bound
     holds.
+
+    When every clipped x is 0 or 1, each iteration draws exactly the pairs at
+    1, so no stream is built: the placement's loads are summed in ``icosts``
+    once, and either all ``attempts`` iterations are kept or
+    ``NoIterationKeptError`` is raised, as the draws would decide.
     """
     if lp_solution.status != OPTIMAL:
         raise DomainError("rounding requires an optimal LP solution")
@@ -245,6 +253,21 @@ def round_pmc(
     probs = np.clip(np.asarray(lp_solution.values[: k * m], dtype=float), 0.0, 1.0)
     factor = 1 + Fraction(params.delta(m))
     costs, scale = inst.icosts, inst.scale
+    attempts = params.attempts(m, n)
+    if ((probs == 0.0) | (probs == 1.0)).all():
+        # every iteration draws exactly the pairs at 1, so one exact decision
+        # stands for all of them
+        placed, union = [[] for _ in range(m)], 0
+        for s, row in enumerate((probs.reshape(k, m) == 1.0).tolist()):
+            if True in row:
+                placed[row.index(True)].append(s)
+                union |= inst.masks[s]
+        per_machine = tuple(map(tuple, placed))
+        for j, seq in enumerate(per_machine):
+            if sum(costs[s][j] for s in seq) > scaled_floor(scale, factor, budgets[j]):
+                raise NoIterationKeptError(attempts)
+        return _result(inst, per_machine, union.bit_count(), lp_solution, attempts, attempts)
+
     # float32 so the coverage product runs in BLAS; its entries count sets,
     # which float32 holds exactly below 2^24
     incidence = np.zeros((k, n), dtype=np.float32)
@@ -254,7 +277,6 @@ def round_pmc(
     cost_f = np.array([[_float_or_inf(c, scale) for c in row] for row in costs])
     fn, fd = factor.numerator, factor.denominator
     limit_f = np.array([_float_or_inf(fn * b.numerator, fd * b.denominator) for b in budgets])
-    attempts = params.attempts(m, n)
     gen = stream(params.seed)
     block = max(1, ROUND_BLOCK // max(1, k * m))
     kept, best_covered, best_keep = 0, -1, None
@@ -278,16 +300,19 @@ def round_pmc(
             best_covered, best_keep = int(covered[best]), keep[best]
     if kept == 0:
         raise NoIterationKeptError(attempts)
-    assignment = Assignment(
-        tuple(tuple(int(s) for s in np.flatnonzero(best_keep[:, j])) for j in range(m))
-    )
+    per_machine = tuple(tuple(int(s) for s in np.flatnonzero(best_keep[:, j])) for j in range(m))
+    return _result(inst, per_machine, best_covered, lp_solution, kept, attempts)
+
+
+def _result(inst, per_machine, covered, lp_solution, kept, attempts) -> PmcResult:
+    """The rounding's result for the chosen sets, each machine's cost summed in ``icosts``."""
+    costs, scale = inst.icosts, inst.scale
     return PmcResult(
-        assignment=assignment,
+        assignment=Assignment(per_machine),
         per_machine_cost=tuple(
-            Fraction(sum(costs[s][j] for s in seq), scale)
-            for j, seq in enumerate(assignment.per_machine)
+            Fraction(sum(costs[s][j] for s in seq), scale) for j, seq in enumerate(per_machine)
         ),
-        covered=best_covered,
+        covered=covered,
         lp_objective=float(lp_solution.objective_value),
         iterations_kept=kept,
         attempts=attempts,

@@ -302,6 +302,7 @@ def test_report_unrelated_density_table(tmp_path):
     """The unrelated-machines ratio hides an asymptotic constant, so it is
     reported rather than asserted: a density-ratio table plus a cost-ratio
     CSV from the bench command."""
+    import os
     import subprocess
     import sys
 
@@ -330,10 +331,13 @@ def test_report_unrelated_density_table(tmp_path):
             % (seed, got.as_fraction(), opt.as_fraction(),
                float(got.as_fraction() / opt.as_fraction()))
         )
+    env = dict(os.environ)
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     run = subprocess.run(
         [sys.executable, "-m", "pmssc.cli", "bench", "--corpus", str(corpus),
          "--algo", "greedy-unrelated", "--epsilon", "0.2", "--seed", "0", "--ratios"],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env=env,
     )
     assert run.returncode == 0, run.stderr
     print(run.stdout)

@@ -81,8 +81,9 @@ def test_integral_lp_rounds_exactly():
     lp = PmcRelaxation(inst).at([2])
     sol = solve_lp(lp, verify=True)
     result = round_pmc(inst, [2], sol, PmcParams(mode=POLY, epsilon=0.2, seed=0))
-    # the relaxation optimum is integral here, so one iteration reproduces it
+    # the relaxation optimum is integral here, so every iteration reproduces it
     assert result.covered == 3
+    assert result.iterations_kept == result.attempts
     assert float(sol.objective_value) == 3
 
 
@@ -340,7 +341,7 @@ def assert_same_rounding(inst, budgets, solution, params):
 
 
 @st.composite
-def rounding_cases(draw):
+def rounding_cases(draw, prob=st.one_of(st.sampled_from([0.0, 0.5, 1.0]), st.floats(-0.01, 1.01))):
     k = draw(st.integers(1, 6))
     m = draw(st.integers(1, 3))
     n = draw(st.integers(1, 8))
@@ -353,7 +354,6 @@ def rounding_cases(draw):
     matrix = tuple(tuple(draw(cost) for _ in range(m)) for _ in range(k))
     inst = ProblemInstance(n=n, sets=sets, m=m, cost_model=UnrelatedCosts(matrix))
     # LP values may stray just outside [0, 1]; infinite pairs are pinned to 0
-    prob = st.one_of(st.sampled_from([0.0, 0.5, 1.0]), st.floats(-0.01, 1.01))
     probs = [
         0.0 if matrix[s][j] == INFINITE_COST else draw(prob)
         for s in range(k)
@@ -443,3 +443,82 @@ def test_round_pmc_memory_is_bounded():
         tracemalloc.stop()
     assert peak < 10 * 2**20
     assert 0 < result.iterations_kept < result.attempts == 8740
+
+
+# -- integral LP optima: decided once in the int cost table, with no stream
+
+# values that clip to exactly 0 or 1
+INTEGRAL_PROBS = st.sampled_from([0.0, -0.0, -1e-12, 1.0, 1.0000001, 1.5])
+
+
+def _no_draws(*args, **kwargs):
+    raise AssertionError("an integral solution must not draw")
+
+
+def _placement_loads(inst, solution):
+    """Each machine's load when every pair at 1 is placed on its set's lowest machine."""
+    loads = [Fraction(0)] * inst.m
+    for s in range(inst.k):
+        for j in range(inst.m):
+            if solution.values[s * inst.m + j] >= 1:
+                loads[j] += inst.cost(s, j)
+                break
+    return loads
+
+
+@st.composite
+def integral_rounding_cases(draw):
+    inst, budgets, solution, params = draw(rounding_cases(prob=INTEGRAL_PROBS))
+    if draw(st.booleans()):
+        # each limit (1 + delta) * B_j exactly at the placement's load on j
+        # (kept) or just below it (nothing kept, unless the load is 0)
+        delta = Fraction(params.delta(inst.m))
+        nudge = st.sampled_from([0, -1]).map(lambda sign: sign * Fraction(1, 10**18))
+        budgets = [
+            max(Fraction(0), load / (1 + delta) + draw(nudge))
+            for load in _placement_loads(inst, solution)
+        ]
+    return inst, budgets, solution, params
+
+
+@settings(max_examples=400, deadline=None)
+@given(case=integral_rounding_cases())
+def test_integral_round_pmc_matches_reference_loop(case):
+    with mock.patch.object(pmc, "stream", _no_draws), mock.patch.object(pmc, "raw_draws", _no_draws):
+        outcome = assert_same_rounding(*case)
+    if not isinstance(outcome, tuple):
+        assert outcome.iterations_kept == outcome.attempts
+
+
+def test_integral_round_pmc_never_draws(monkeypatch):
+    inst = ProblemInstance(
+        n=3, sets=((0, 1), (1, 2), (2,)), m=2,
+        cost_model=UnrelatedCosts(((1, 2), (3, INFINITE_COST), (1, 1))),
+    )
+    # set 0 is at 1 on both machines (kept on machine 0), set 2 on machine 1
+    solution = LpSolution((1.0, 1.0, 0.0, 0.0, 0.0, 1.0, 1.0, 1.0, 1.0), 3.0, OPTIMAL)
+    small = PmcParams(mode=POLY, epsilon=0.2, seed=4)
+    huge = PmcParams(mode=POLY, epsilon=1e-4, seed=4)
+    draws = raw_draws(stream(small.seed), small.attempts(2, 3), [1, 1, 0, 0, 0, 1])
+    expected = reference_round_pmc(inst, [1, 1], solution, small, draws)
+    assert huge.attempts(2, 3) > 10**7
+
+    monkeypatch.setattr(pmc, "stream", _no_draws)
+    monkeypatch.setattr(pmc, "raw_draws", _no_draws)
+    assert round_pmc(inst, [1, 1], solution, small) == expected
+    assert expected.iterations_kept == expected.attempts
+    assert expected.assignment.per_machine == ((0,), (2,))
+    attempts = huge.attempts(2, 3)
+    assert round_pmc(inst, [1, 1], solution, huge) == PmcResult(
+        expected.assignment, expected.per_machine_cost, expected.covered,
+        expected.lp_objective, attempts, attempts,
+    )
+    # an infinite pair at 1 breaks every iteration's budget
+    infinite = LpSolution((1.0, 0.0, 0.0, 1.0, 0.0, 0.0, 1.0, 1.0, 1.0), 3.0, OPTIMAL)
+    with pytest.raises(NoIterationKeptError) as err:
+        round_pmc(inst, [100, 100], infinite, huge)
+    assert err.value.attempts == attempts
+    # one entry short of 1 is fractional, so it draws
+    almost = LpSolution((1.0, 1.0, 0.0, 0.0, 0.0, 1 - 1e-12, 1.0, 1.0, 1.0), 3.0, OPTIMAL)
+    with pytest.raises(AssertionError, match="must not draw"):
+        round_pmc(inst, [1, 1], almost, small)
