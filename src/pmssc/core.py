@@ -234,6 +234,11 @@ class ProblemInstance:
         return tuple(element_mask(s) for s in self.sets)
 
     @cached_property
+    def dag_order(self) -> Tuple[int, ...]:
+        """``topological_order`` of the sets under ``dag`` (raises on a cycle)."""
+        return topological_order(self.k, self.dag or ())
+
+    @cached_property
     def costs(self) -> Tuple[Tuple[CostValue, ...], ...]:
         """The k x m cost table: ``costs[s][j]`` is the cost of set s on machine j.
 
@@ -555,7 +560,7 @@ def validate_instance(inst: ProblemInstance) -> ValidationReport:
     dag_acyclic = None
     if inst.dag is not None:
         try:
-            topological_order(inst.k, inst.dag)
+            inst.dag_order
             dag_acyclic = True
         except CyclicDagError as exc:
             dag_acyclic = False

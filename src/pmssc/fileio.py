@@ -25,7 +25,6 @@ from .core import (
     RelatedCosts,
     UnitCosts,
     UnrelatedCosts,
-    topological_order,
 )
 from .errors import CyclicDagError, InvalidIndexError, ParseError, ValidationError
 from .rng import stream
@@ -152,7 +151,7 @@ def instance_from_dict(doc) -> ProblemInstance:
         raise _fault(doc, exc.where) from None
     if dag is not None:
         try:
-            topological_order(inst.k, inst.dag)
+            inst.dag_order
         except CyclicDagError:
             raise ValidationError("dag_edges", "CyclicDag: edges contain a cycle")
     return inst

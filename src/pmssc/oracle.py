@@ -34,7 +34,6 @@ from .core import (
     evaluate_schedule_cost,
     remaining_elements,
     scaled_floor,
-    topological_order,
     validate_instance,
 )
 from .errors import (
@@ -352,7 +351,7 @@ def exact_pds_precedence(
     edges = inst.dag or ()
     k, m = inst.k, inst.m
     _check_limits(inst, limits, k)
-    topological_order(k, edges)  # raises on cycles
+    inst.dag_order  # raises on cycles
     # Direct predecessors suffice: a family closed under them is closed under
     # all, and a slot prefix built from available sets stays closed.
     pred_mask = [0] * k

@@ -9,6 +9,8 @@ assignment seen (ties break toward the smaller guess, and the winner's
 density is re-evaluated). The bound survives the stop: the proof needs the
 first guess at or above the optimal makespan, and a full cover at a smaller
 guess is already at least as dense as the density the proof derives there.
+Skipping a PMC guess that would repeat the last assignment (``_pmc_solver``)
+keeps both: ties keep the earlier guess, and a full cover had stopped the ladder.
 
 * identical machines: budgeted max coverage with m times the guess, chosen
   sets spread largest-first over the least-loaded machine. Unit costs take
@@ -107,9 +109,9 @@ def _ladder(table, base, pool, usable, clamp, solve) -> Iterator[Assignment]:
     largest)``. ``largest`` is the largest finite ``icosts`` entry of a
     ``pool`` set in ``table`` at or below ``floor(guess * table.scale)``, or
     the largest of them all when ``clamp`` is off (a cost above the guess
-    still fits). A guess whose rounding keeps no iteration is skipped; when
-    no guess yields a nonempty assignment, ``NoCoverageError`` names the
-    skipped ones.
+    still fits). A guess whose rounding keeps no iteration is skipped, and a
+    repeat (``solve`` returns None) yields nothing; when no guess yields a
+    nonempty assignment, ``NoCoverageError`` names the skipped roundings.
     """
     fitting = [c for c, s in table.icost_order if s in pool]
     produced, skipped = False, []
@@ -122,7 +124,7 @@ def _ladder(table, base, pool, usable, clamp, solve) -> Iterator[Assignment]:
         except NoIterationKeptError:
             skipped.append(guess)
             continue
-        if not asg.is_empty:
+        if asg is not None and not asg.is_empty:
             produced = True
             yield asg
     if not produced:
@@ -305,7 +307,10 @@ def _pmc_solver(inst, remaining, pool, table, weights, params):
     ``child_seed(params.seed, gi)``. The work table and its
     ``PmcRelaxation`` are built only when ``largest`` changes, so guesses
     that share them solve LPs that differ only in their budget rhs, each
-    warm from the last one's optimum.
+    warm from the last one's optimum. A guess returns None, unsolved, when the
+    last solved one had the same ``largest``, every budget clamped at its
+    machine's norm (``PmcRelaxation.at``) and an integral optimum: the same
+    program, a pivot-free warm solve and seed-free rounding would repeat it.
     """
     sets = tuple(
         tuple(u for u in inst.sets[s] if u in remaining) if s in pool else () for s in range(inst.k)
@@ -322,12 +327,17 @@ def _pmc_solver(inst, remaining, pool, table, weights, params):
             ProblemInstance(n=inst.n, sets=sets, m=len(weights), cost_model=UnrelatedCosts(costs))
         )
 
-    def solve(gi, guess, largest) -> Assignment:
-        return pmc_solve(
-            relaxation(largest),
-            [w * guess for w in weights],
-            replace(params, seed=child_seed(params.seed, gi)),
-        ).assignment
+    repeat = None  # ``largest`` while the last solved guess was clamped and integral
+
+    def solve(gi, guess, largest) -> Optional[Assignment]:
+        nonlocal repeat
+        if largest == repeat:
+            return None
+        relax, budgets = relaxation(largest), [w * guess for w in weights]
+        result = pmc_solve(relax, budgets, replace(params, seed=child_seed(params.seed, gi)))
+        clamped = all(b >= norm for b, norm in zip(budgets, relax.norms))
+        repeat = largest if clamped and result.integral else None
+        return result.assignment
 
     return solve
 
@@ -353,10 +363,13 @@ def pds_related(
     load_bound = (2 + kappa_f) / max(inst.cost_model.speeds)
     pmc = _pmc_solver(inst, remaining, pool, aux, [len(g) for g in groups], params)
 
-    def lift(gi, guess, largest) -> Assignment:
+    def lift(gi, guess, largest) -> Optional[Assignment]:
         """Each group's sets, largest first, on the group's least-loaded machine."""
+        solved = pmc(gi, guess, largest)
+        if solved is None:
+            return None
         per_machine, loads = [[] for _ in range(inst.m)], [0] * inst.m
-        for group, chosen in zip(groups, pmc(gi, guess, largest).per_machine):
+        for group, chosen in zip(groups, solved.per_machine):
             _place_largest_first(inst, chosen, group, per_machine, loads)
         # Guesses count the fastest speed s_max as 1, so a real load times s_max
         # is in guess units: a group's average is at most (1 + kappa) * guess,

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Sequence, Tuple
 
@@ -139,6 +139,8 @@ class PmcResult:
     lp_objective: float
     iterations_kept: int
     attempts: int
+    # x was all 0/1, so no iteration drew: how the result was reached, not part of it
+    integral: bool = field(default=False, compare=False)
 
 
 def raw_draws(gen: np.random.Generator, attempts: int, probs: Sequence[float]):
@@ -266,7 +268,7 @@ def round_pmc(
         for j, seq in enumerate(per_machine):
             if sum(costs[s][j] for s in seq) > scaled_floor(scale, factor, budgets[j]):
                 raise NoIterationKeptError(attempts)
-        return _result(inst, per_machine, union.bit_count(), lp_solution, attempts, attempts)
+        return _result(inst, per_machine, union.bit_count(), lp_solution, attempts, attempts, True)
 
     # float32 so the coverage product runs in BLAS; its entries count sets,
     # which float32 holds exactly below 2^24
@@ -301,10 +303,10 @@ def round_pmc(
     if kept == 0:
         raise NoIterationKeptError(attempts)
     per_machine = tuple(tuple(int(s) for s in np.flatnonzero(best_keep[:, j])) for j in range(m))
-    return _result(inst, per_machine, best_covered, lp_solution, kept, attempts)
+    return _result(inst, per_machine, best_covered, lp_solution, kept, attempts, False)
 
 
-def _result(inst, per_machine, covered, lp_solution, kept, attempts) -> PmcResult:
+def _result(inst, per_machine, covered, lp_solution, kept, attempts, integral) -> PmcResult:
     """The rounding's result for the chosen sets, each machine's cost summed in ``icosts``."""
     costs, scale = inst.icosts, inst.scale
     return PmcResult(
@@ -316,6 +318,7 @@ def _result(inst, per_machine, covered, lp_solution, kept, attempts) -> PmcResul
         lp_objective=float(lp_solution.objective_value),
         iterations_kept=kept,
         attempts=attempts,
+        integral=integral,
     )
 
 
@@ -339,12 +342,5 @@ def pmc_solve(
     if solution.status != OPTIMAL:
         raise DomainError("PMC relaxation must be feasible and bounded")
     if float(solution.objective_value) <= 1e-12:
-        return PmcResult(
-            assignment=Assignment.empty(inst.m),
-            per_machine_cost=tuple(Fraction(0) for _ in range(inst.m)),
-            covered=0,
-            lp_objective=float(solution.objective_value),
-            iterations_kept=0,
-            attempts=0,
-        )
+        return _result(inst, ((),) * inst.m, 0, solution, 0, 0, False)
     return round_pmc(inst, budgets, solution, params)

@@ -62,21 +62,24 @@ class PrecedenceDag:
         nodes: Optional[Iterable[int]] = None,
     ) -> "PrecedenceDag":
         """DAG on ``nodes`` (default: all) with the edges between them; one
-        topological sort gives the depths inside that view."""
+        topological sort of the whole graph gives the depths inside that view."""
         edges = tuple((as_index(a), as_index(b)) for a, b in edges)
-        if nodes is None:
-            keep = frozenset(range(num_nodes))
-        else:
-            keep = frozenset(map(as_index, nodes))
-            for v in keep:
-                if not 0 <= v < num_nodes:
-                    raise InvalidIndexError("node %d out of range" % v)
-            edges = tuple((a, b) for a, b in edges if a in keep and b in keep)
+        keep = frozenset(range(num_nodes) if nodes is None else map(as_index, nodes))
+        for v in keep:
+            if not 0 <= v < num_nodes:
+                raise InvalidIndexError("node %d out of range" % v)
+        return PrecedenceDag.view(num_nodes, edges, keep, topological_order(num_nodes, edges))
+
+    @staticmethod
+    def view(num_nodes, edges, keep: frozenset, order) -> "PrecedenceDag":
+        """The DAG ``edges`` on the valid nodes ``keep``, depths taken along ``order``,
+        a topological order of the whole graph: restricted to ``keep``, it is one of the view."""
+        edges = tuple((a, b) for a, b in edges if a in keep and b in keep)
         preds = [[] for _ in range(num_nodes)]
         for a, b in edges:
             preds[b].append(a)
         depth = [0] * num_nodes
-        for v in topological_order(num_nodes, edges):
+        for v in order:
             if v in keep:
                 depth[v] = 1 + max((depth[p] for p in preds[v]), default=0)
         return PrecedenceDag(
@@ -184,7 +187,7 @@ def pcds_detailed(
     remaining_mask = element_mask(remaining_elements(inst, remaining))
     if not any(inst.masks[s] & remaining_mask for s in pool):
         raise NoCoverageError("no available set covers a remaining element")
-    dag_view = PrecedenceDag.from_edges(inst.k, inst.dag, pool)
+    dag_view = PrecedenceDag.view(inst.k, inst.dag, frozenset(pool), inst.dag_order)
     families = [
         [s for s in pool if dag_view.depth[s] <= h] for h in range(1, dag_view.d + 1)
     ]

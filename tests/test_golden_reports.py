@@ -21,6 +21,7 @@ from pathlib import Path
 
 import pytest
 
+import pmssc.pds as pds_module
 from pmssc import cli
 from pmssc.core import ProblemInstance, RelatedCosts
 from pmssc.fileio import generate_instance, serialize_instance
@@ -92,6 +93,26 @@ def _report(case):
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_report_matches_golden(case):
     assert _report(case) == (GOLDEN / (case + ".out")).read_text(encoding="utf-8")
+
+
+def test_a_related_golden_case_skips_repeated_guesses(monkeypatch):
+    # The skip of a guess that repeats a clamped integral solve must be taken
+    # on a pinned report, so the goldens show it leaves outputs unchanged.
+    answers = []
+
+    def recording(*args, _inner=pds_module._pmc_solver):
+        solve = _inner(*args)
+
+        def recorded(*guess):
+            answers.append(solve(*guess))
+            return answers[-1]
+
+        return recorded
+
+    monkeypatch.setattr(pds_module, "_pmc_solver", recording)
+    case = "solve-related-greedy-related"
+    assert _report(case) == (GOLDEN / (case + ".out")).read_text(encoding="utf-8")
+    assert None in answers and any(a is not None for a in answers)
 
 
 if __name__ == "__main__":

@@ -1,5 +1,7 @@
 import math
+from dataclasses import replace
 from fractions import Fraction
+from functools import lru_cache
 from itertools import islice
 from typing import Iterable, Optional
 
@@ -358,6 +360,138 @@ def test_every_ladder_guess_solves_and_dumps_a_fresh_build(
         assert len({id(relaxation) for relaxation, _ in guesses}) > 1
     # one dumped program per guess, with that guess's budget rhs
     assert dump.read_text() == "".join(to_lp_format(lp) for lp in fresh)
+
+
+
+def test_ladder_skips_a_guess_that_repeats_a_clamped_integral_solve(monkeypatch, tmp_path):
+    # Seeded so that one ladder meets every case: clamped integral guesses
+    # followed by repeats; a clamped guess with a fractional optimum, and an
+    # unclamped one with an integral optimum, each followed by a guess with
+    # the same work table; and changes of ``largest``.
+    inst = generate_instance(n=6, k=5, m=3, model="related", density=0.4, seed=95, max_cost=3)
+    dump = tmp_path / "ladder.lp"
+    monkeypatch.setenv("PMSSC_DUMP_LP", str(dump))
+    _, kappa = related_parameters(0.2)
+    reduction, aux = reduce_related(inst, Fraction(kappa))
+    weights = [len(g) for g in reduction.groups if g]
+    params = PmcParams(mode=FPT, epsilon=kappa, mu=kappa, r_cap=RELATED_ROUNDING_CAP, seed=95)
+    solves, programs, guesses = [], [], []
+
+    def spy_pmc(relaxation, budgets, params, _inner=pmc_solve, **kwargs):
+        clamped = all(b >= norm for b, norm in zip(budgets, relaxation.norms))
+        record = {"seed": params.seed, "clamped": clamped, "integral": None}
+        solves.append(record)
+        result = _inner(relaxation, budgets, params, **kwargs)
+        record["integral"] = result.integral
+        return result
+
+    def spy_lp(lp, *args, _inner=pmc_module.solve_lp, **kwargs):
+        programs.append(lp)
+        return _inner(lp, *args, **kwargs)
+
+    monkeypatch.setattr(pds_module, "pmc_solve", spy_pmc)
+    monkeypatch.setattr(pmc_module, "solve_lp", spy_lp)
+    pool = frozenset(range(inst.k))
+    solve = _pmc_solver(inst, frozenset(range(inst.n)), pool, aux, weights, params)
+
+    def logged(gi, guess, largest):
+        before = len(solves), len(programs)
+        try:
+            return solve(gi, guess, largest)
+        finally:
+            guesses.append((gi, largest, len(solves) - before[0], len(programs) - before[1]))
+
+    list(_ladder(aux, 1 + Fraction(kappa), pool, pool, True, logged))
+    seen = {"skip": 0, "fractional": 0, "unclamped": 0, "new_largest_after_skip": 0}
+    repeatable, last_largest, last_skipped, solved = False, None, False, iter(solves)
+    for gi, largest, pmc_calls, lp_calls in guesses:
+        assert pmc_calls == lp_calls
+        skip = largest == last_largest and repeatable
+        assert pmc_calls == (0 if skip else 1)
+        if skip:
+            seen["skip"] += 1
+        else:
+            record = next(solved)
+            assert record["seed"] == child_seed(params.seed, gi)
+            if largest == last_largest:
+                seen["fractional"] += last_clamped and not last_integral
+                seen["unclamped"] += last_integral and not last_clamped
+            seen["new_largest_after_skip"] += last_skipped and largest != last_largest
+            repeatable = record["clamped"] and record["integral"]
+            last_clamped, last_integral = record["clamped"], record["integral"]
+        last_largest, last_skipped = largest, skip
+    assert all(seen.values()), seen
+    # only solved guesses dump a program
+    assert dump.read_text() == "".join(to_lp_format(lp) for lp in programs)
+
+
+def former_pmc_solver(inst, remaining, pool, table, weights, params):
+    """``pds._pmc_solver`` as it was before it skipped repeated guesses: every
+    guess builds its budgets and solves."""
+    sets = tuple(
+        tuple(u for u in inst.sets[s] if u in remaining) if s in pool else () for s in range(inst.k)
+    )
+
+    @lru_cache(maxsize=1)
+    def relaxation(largest):
+        costs = tuple(
+            tuple(INFINITE_COST if s not in pool or i > largest else c for c, i in zip(row, irow))
+            for s, (row, irow) in enumerate(zip(table.costs, table.icosts))
+        )
+        return PmcRelaxation(
+            ProblemInstance(n=inst.n, sets=sets, m=len(weights), cost_model=UnrelatedCosts(costs))
+        )
+
+    def solve(gi, guess, largest) -> Assignment:
+        return pmc_solve(
+            relaxation(largest),
+            [w * guess for w in weights],
+            replace(params, seed=child_seed(params.seed, gi)),
+        ).assignment
+
+    return solve
+
+
+@st.composite
+def clamping_cases(draw):
+    """Related and unrelated instances with few sets and costs of 1 or 2, so
+    that the top guesses of a ladder clamp every budget."""
+    model = draw(st.sampled_from(["related", "unrelated"]))
+    n = draw(st.integers(1, 8))
+    k = draw(st.integers(1, 4))
+    m = draw(st.integers(1, 3))
+    element = st.integers(0, n - 1)
+    sets = tuple(tuple(sorted(draw(st.frozensets(element, max_size=n)))) for _ in range(k))
+    if model == "related":
+        base = st.sampled_from([Fraction(1), Fraction(2), Fraction(3, 2)])
+        speed = st.sampled_from([Fraction(1), Fraction(3, 2), Fraction(2)])
+        costs = RelatedCosts(
+            tuple(draw(base) for _ in range(k)), tuple(draw(speed) for _ in range(m))
+        )
+    else:
+        entry = st.sampled_from([1, 2, INFINITE_COST])
+        costs = UnrelatedCosts(tuple(tuple(draw(entry) for _ in range(m)) for _ in range(k)))
+    inst = ProblemInstance(n=n, sets=sets, m=m, cost_model=costs)
+    remaining = draw(st.just(frozenset(range(n))) | st.frozensets(element))
+    available = draw(st.none() | st.frozensets(st.integers(0, k - 1), min_size=k // 2))
+    epsilon = draw(st.sampled_from([0.05, 0.1, 0.2, 0.3]))
+    seed = draw(st.integers(0, 2**32 - 1))
+    return inst, remaining, available, epsilon, seed
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=clamping_cases())
+def test_skipping_repeated_guesses_matches_solving_every_guess(case):
+    inst, remaining, available, epsilon, seed = case
+    solver = pds_related if inst.cost_model.kind == "related" else pds_unrelated
+
+    def run():
+        return _outcome(lambda: solver(inst, remaining, epsilon, available, seed=seed))
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(pds_module, "_pmc_solver", former_pmc_solver)
+        expected = run()
+    assert run() == expected
 
 
 def test_related_greedy_builds_the_reduction_once():

@@ -7,6 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import NOT_INDICES
+import pmssc.core as core_module
+import pmssc.precedence as precedence_module
+from pmssc import cli
 from pmssc.core import (
     DensityValue,
     ProblemInstance,
@@ -26,7 +29,7 @@ from pmssc.errors import (
     StalledOracleError,
     UncoverableError,
 )
-from pmssc.fileio import generate_instance
+from pmssc.fileio import generate_instance, serialize_instance
 from pmssc.oracle import exact_pds_precedence
 from pmssc.precedence import (
     LayeredAssignment,
@@ -488,6 +491,27 @@ def test_pcds_detailed_matches_former_oracle(inst, picks):
         lambda: former_pcds_detailed(inst, remaining, available)
     )
     pool = range(inst.k) if available is None else available
-    assert PrecedenceDag.from_edges(inst.k, inst.dag, pool) == former_induced(
-        former_from_edges(inst.k, inst.dag), pool
-    )
+    former = former_induced(former_from_edges(inst.k, inst.dag), pool)
+    assert PrecedenceDag.from_edges(inst.k, inst.dag, pool) == former
+    assert PrecedenceDag.view(inst.k, inst.dag, frozenset(pool), inst.dag_order) == former
+
+
+def test_a_precedence_solve_sorts_the_dag_once(monkeypatch, tmp_path):
+    # Parsing, validation and every iteration's DAG view share the instance's
+    # one topological order (each view once sorted the whole DAG again).
+    sorts = []
+
+    def counted(num_nodes, edges, _inner=topological_order):
+        sorts.append(num_nodes)
+        return _inner(num_nodes, edges)
+
+    for module in (core_module, precedence_module):
+        monkeypatch.setattr(module, "topological_order", counted)
+    inst = generate_instance(n=30, k=12, m=3, model="unit", seed=3, dag_edge_prob=0.2)
+    path, out = tmp_path / "dag.json", tmp_path / "report.json"
+    path.write_text(serialize_instance(inst), encoding="utf-8")
+    argv = ["solve", "--instance", str(path), "--algo", "greedy-precedence", "--out", str(out)]
+    assert cli.main(argv) == 0
+    assert sorts == [12]
+    schedule, trace = former_pmssc_precedence(inst)
+    assert pmssc_precedence(inst) == (schedule, trace)
