@@ -5,9 +5,10 @@ and box bounds ``lo <= x <= hi`` (``hi`` may be infinite). Nonbasic variables
 sit at either bound; the implementation keeps every nonbasic variable at zero
 by complementing columns in place (the classic upper-bound "flip" trick).
 
-A cold solve runs two-phase primal simplex. Every row has its own slack, so
-phase 1 can always pivot out an artificial left basic at zero; a float phase 1
-that cannot is numerical trouble. Pivoting is Dantzig's rule with a switch to
+A cold solve starts on the slack basis when it is feasible (Bixby, Oper. Res.
+2002); otherwise phase 1 runs from artificials, and as every row has its own
+slack, a float phase 1 that cannot pivot out an artificial left basic at zero
+is numerical trouble. Pivoting is Dantzig's rule with a switch to
 Bland's rule after ``10 * (rows + cols)`` degenerate steps. One engine runs on
 float64 arrays with a pivot tolerance cascade, or on ``Fraction`` object
 arrays with zero tolerance; both share one vectorised ratio test (ties to the
@@ -297,11 +298,17 @@ def _vertex(b, u, basis, flipped, lo):
 
 
 def _cold_start(lp: LinearProgram, tol: float):
-    """Phase 1 from the artificial basis; returns the phase-2 tableau
-    ``(M, b, c, u, basis, flipped)``."""
+    """The phase-2 tableau ``(M, b, c, u, basis, flipped)``: the slack basis
+    (">=" rows negated) when every slack can start basic at a value >= 0,
+    else phase 1 from the artificial basis."""
     M, b, _, _, u = _tableau(lp, float)
     nrows, ncols = M.shape
     nv = ncols - nrows
+    sign = M[range(nrows), range(nv, ncols)]  # +1 for "<=", -1 for ">="
+    if np.all(sign * b >= 0):
+        M *= sign[:, None]
+        c = np.concatenate([lp._floats[0], np.zeros(nrows)])
+        return M, sign * b, c, u, np.arange(nv, ncols), np.zeros(ncols, dtype=bool)
     M = np.hstack([M, np.zeros((nrows, nrows))])
     negative = b < 0
     M[negative] = -M[negative]

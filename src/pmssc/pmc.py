@@ -159,13 +159,17 @@ def raw_draws(gen: np.random.Generator, attempts: int, probs: Sequence[float]):
 
 
 class PmcRelaxation:
-    """LP relaxation of one instance, built once: maximize sum y_u subject to
-    coverage and budget rows. ``program`` is the relaxation at zero budgets;
-    ``at(budgets)`` copies it with new budget rhs, sharing all else. ``warm``
-    keeps the last optimum ``pmc_solve`` reached on it, so each later solve
-    re-starts from there (see ``lp.WarmStart``).
+    """LP relaxation of one instance, built once, in excess-cover form: with
+    X_u = sum_{s ni u, j} x_{s,j}, sum_u min(1, X_u) = sum |S_s| x_{s,j} -
+    sum_u max(0, X_u - 1), so it maximizes sum |S_s| x_{s,j} - sum e_u subject
+    to X_u - e_u <= 1, e >= 0 and budget rows. Its optimal value and optimal
+    x are those of max sum y_u, y_u <= X_u, y <= 1, and at x = e = 0 every
+    slack is basic and feasible, so a cold solve skips phase 1. ``program``
+    is the relaxation at zero budgets; ``at(budgets)`` copies it with new
+    budget rhs, sharing all else. ``warm`` keeps the last optimum
+    ``pmc_solve`` reached on it, so each later solve re-starts from there.
 
-    Variable order is x_{s,j} at index s*m + j followed by y_u at k*m + u.
+    Variable order is x_{s,j} at index s*m + j followed by e_u at k*m + u.
     Each machine's costs and budget are divided by the larger of 1 and its
     total finite cost, so that total is at most 1 (budgets above it are
     clamped, which is loss-free); infinite-cost pairs get a frozen [0, 0]
@@ -192,16 +196,17 @@ class PmcRelaxation:
         constraints = []
         for u, coeffs in enumerate(cover):
             coeffs[nx + u] = -1
-            constraints.append((tuple(coeffs), ">=", 0))
+            constraints.append((tuple(coeffs), "<=", 1))
         for j in range(m):
             coeffs = [0] * (nx + n)
             for s, row in enumerate(inst.icosts):
                 if row[j] is not INFINITE_COST:
                     coeffs[s * m + j] = Fraction(row[j], inorms[j])
             constraints.append((tuple(coeffs), "<=", 0))
-        objective = (0,) * nx + (1,) * n
+        objective = tuple(len(members) for members in inst.sets for _ in range(m)) + (-1,) * n
         bounds = [(0, 1) if c is not INFINITE_COST else (0, 0) for row in inst.icosts for c in row]
-        self.program = LinearProgram(objective, tuple(constraints), tuple(bounds + [(0, 1)] * n))
+        bounds += [(0, math.inf)] * n
+        self.program = LinearProgram(objective, tuple(constraints), tuple(bounds))
         self.warm = WarmStart()
 
     def at(self, budgets: Sequence) -> LinearProgram:
@@ -211,7 +216,7 @@ class PmcRelaxation:
         if any(b < 0 for b in budgets):
             raise DomainError("budgets must be nonnegative")
         scaled = [min(b / norm, Fraction(1)) for b, norm in zip(budgets, self.norms)]
-        return self.program.with_rhs([0] * self.inst.n + scaled)
+        return self.program.with_rhs([1] * self.inst.n + scaled)
 
 
 def _float_or_inf(num: int, den: int) -> float:

@@ -64,6 +64,9 @@ class PrecedenceDag:
         """DAG on ``nodes`` (default: all) with the edges between them; one
         topological sort of the whole graph gives the depths inside that view."""
         edges = tuple((as_index(a), as_index(b)) for a, b in edges)
+        for a, b in edges:
+            if not (0 <= a < num_nodes and 0 <= b < num_nodes):
+                raise InvalidIndexError("edge (%d, %d) out of range" % (a, b))
         keep = frozenset(range(num_nodes) if nodes is None else map(as_index, nodes))
         for v in keep:
             if not 0 <= v < num_nodes:

@@ -22,7 +22,7 @@ from pmssc.bounds import chernoff_upper
 from pmssc.errors import DomainError, NoIterationKeptError
 from pmssc.fileio import generate_instance
 import pmssc.lp as lp_module
-from pmssc.lp import OPTIMAL, LpSolution, solve_lp
+from pmssc.lp import OPTIMAL, LinearProgram, LpSolution, solve_lp
 from pmssc import pmc
 from pmssc.pmc import (
     FPT,
@@ -38,6 +38,7 @@ from pmssc.pmc import (
     round_pmc,
 )
 from pmssc.rng import stream
+from pmssc.scheduler import pmssc_greedy
 
 U3 = frozenset(range(3))
 
@@ -45,7 +46,7 @@ U3 = frozenset(range(3))
 def test_lp_dimensions_t1():
     inst = t1_instance(m=1)
     lp = PmcRelaxation(inst).at([2])
-    assert len(lp.objective) == 3 + 3  # three x vars, three y vars
+    assert len(lp.objective) == 3 + 3  # three x vars, three excess vars
     assert len(lp.constraints) == 3 + 1  # coverage rows plus one budget row
 
 
@@ -269,6 +270,91 @@ def test_lp_dump_debug_flag(tmp_path, monkeypatch):
     pmc_solve(PmcRelaxation(inst), [2], PmcParams(mode=POLY, epsilon=0.2, seed=0))
     text = dump.read_text()
     assert "Maximize" in text and "Subject To" in text
+
+
+# -- the excess-cover relaxation against the former y-form one
+
+
+def former_program(inst, budgets):
+    """The former ``PmcRelaxation(inst).at(budgets)``: maximize sum y_u subject
+    to coverage rows sum_{s ni u, j} x_{s,j} - y_u >= 0, 0 <= y <= 1 and the
+    same budget rows, variables x then y."""
+    k, m, n = inst.k, inst.m, inst.n
+    nx = k * m
+    inorms = [
+        max(inst.scale, sum(row[j] for row in inst.icosts if row[j] is not INFINITE_COST))
+        for j in range(m)
+    ]
+    cover = [[0] * (nx + n) for _ in range(n)]
+    for s, members in enumerate(inst.sets):
+        for u in members:
+            cover[u][s * m : (s + 1) * m] = (1,) * m
+    constraints = []
+    for u, coeffs in enumerate(cover):
+        coeffs[nx + u] = -1
+        constraints.append((tuple(coeffs), ">=", 0))
+    for j in range(m):
+        coeffs = [0] * (nx + n)
+        for s, row in enumerate(inst.icosts):
+            if row[j] is not INFINITE_COST:
+                coeffs[s * m + j] = Fraction(row[j], inorms[j])
+        budget = min(as_fraction(budgets[j]) / Fraction(inorms[j], inst.scale), Fraction(1))
+        constraints.append((tuple(coeffs), "<=", budget))
+    objective = (0,) * nx + (1,) * n
+    bounds = [(0, 1) if c is not INFINITE_COST else (0, 0) for row in inst.icosts for c in row]
+    return LinearProgram(objective, tuple(constraints), tuple(bounds + [(0, 1)] * n))
+
+
+@st.composite
+def relaxation_cases(draw):
+    """A small unrelated instance, as a ladder's work table may hold it (empty
+    sets, closed rows of infinite costs), and a budget per machine."""
+    n, k, m = draw(st.integers(1, 8)), draw(st.integers(1, 5)), draw(st.integers(1, 3))
+    sets = tuple(
+        tuple(sorted(draw(st.frozensets(st.integers(0, n - 1), max_size=n)))) for _ in range(k)
+    )
+    cost = st.one_of(st.integers(1, 4), st.just(INFINITE_COST))
+    costs = tuple(tuple(draw(cost) for _ in range(m)) for _ in range(k))
+    budget = st.builds(Fraction, st.integers(0, 12), st.integers(1, 3))
+    inst = ProblemInstance(n=n, sets=sets, m=m, cost_model=UnrelatedCosts(costs))
+    return inst, [draw(budget) for _ in range(m)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=relaxation_cases())
+def test_excess_form_keeps_the_former_optimum_and_its_x_is_former_optimal(case):
+    inst, budgets = case
+    former = former_program(inst, budgets)
+    expected = solve_lp(former, verify=True)
+    sol = solve_lp(PmcRelaxation(inst).at(budgets), verify=True)
+    assert expected.status == sol.status == OPTIMAL
+    assert sol.objective_value == expected.objective_value
+    # x with y_u = min(1, sum x over u's sets) is exactly feasible in the
+    # former program and reaches its optimum
+    m, nx = inst.m, inst.k * inst.m
+    x = sol.values[:nx]
+    y = [
+        min(Fraction(1), sum((x[s * m + j] for s in range(inst.k) if u in inst.sets[s]
+                              for j in range(m)), Fraction(0)))
+        for u in range(inst.n)
+    ]
+    values = list(x) + y
+    for v, (lo, hi) in zip(values, former.bounds):
+        assert lo <= v <= hi
+    for coeffs, relation, rhs in former.constraints:
+        lhs = sum((as_fraction(a) * v for a, v in zip(coeffs, values)), Fraction(0))
+        assert lhs >= rhs if relation == ">=" else lhs <= rhs
+    assert sum(y) == expected.objective_value
+
+
+def test_greedy_unrelated_on_the_former_cliff_instance_stays_under_10000_pivots():
+    # The former y-form relaxation, whose degenerate rhs-0 coverage rows sent
+    # every cold solve through phase 1, took 133,872 pivots (148 s) on this
+    # solve. Pivots are counted, not seconds, so the test is not timing-flaky.
+    inst = generate_instance(n=160, k=40, m=4, model="unrelated", density=0.1, seed=2)
+    with mock.patch.object(lp_module, "_pivot", wraps=lp_module._pivot) as pivot:
+        pmssc_greedy(inst, oracle="unrelated", epsilon=0.2, seed=1)
+    assert pivot.call_count <= 10_000
 
 
 # -- differential test: vectorised rounding against the former per-iteration loop

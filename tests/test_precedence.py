@@ -76,6 +76,13 @@ def test_cycle_rejected():
         PrecedenceDag.from_edges(2, ((0, 1), (1, 0)))
 
 
+@pytest.mark.parametrize("edge", [(-1, 0), (0, 5), (3, 1)])
+def test_edge_endpoints_out_of_range_are_rejected(edge):
+    # (-1, 0) was once dropped silently and (0, 5) a bare IndexError
+    with pytest.raises(InvalidIndexError, match=r"^edge \(%d, %d\) out of range$" % edge):
+        PrecedenceDag.from_edges(3, ((0, 1), edge))
+
+
 def test_layered_assign_independent_sets():
     dag = PrecedenceDag.from_edges(4, ())
     layered = layered_assign([0, 1, 2, 3], dag, 2)
