@@ -2,7 +2,7 @@
 
 Subcommands: solve, pds, pmc, oracle, gen, validate, bench. Exit codes:
 0 success, 2 validation error, 3 solver failure, 4 oracle limits exceeded.
-``PMSSC_SEED`` provides the default seed; ``--seed`` wins.
+``PMSSC_SEED`` provides the default seed (an integer); ``--seed`` wins.
 """
 
 from __future__ import annotations
@@ -62,7 +62,10 @@ def _default_seed(value):
     if value is not None:
         return value
     env = os.environ.get("PMSSC_SEED")
-    return int(env) if env else 0
+    try:
+        return int(env) if env else 0
+    except ValueError:
+        raise ValidationError("PMSSC_SEED", "expected an integer, got %r" % env) from None
 
 
 def _read_instance(path):

@@ -1,14 +1,15 @@
-"""Bounded-variable simplex for small dense programs, with a warm start.
+"""Bounded-variable simplex for small dense packing programs, with a warm start.
 
-The solver maximizes ``c . x`` subject to rows ``a . x <= b`` / ``a . x >= b``
-and box bounds ``lo <= x <= hi`` (``hi`` may be infinite). Nonbasic variables
-sit at either bound; the implementation keeps every nonbasic variable at zero
-by complementing columns in place (the classic upper-bound "flip" trick).
+The solver maximizes ``c . x`` subject to packing rows ``a . x <= b`` with
+``b >= 0`` and box bounds ``0 <= x <= hi`` (``hi`` may be infinite), the shape
+of every PMC relaxation; ``LinearProgram`` rejects any other shape. Nonbasic
+variables sit at either bound; the implementation keeps every nonbasic
+variable at zero by complementing columns in place (the classic upper-bound
+"flip" trick).
 
-A cold solve starts on the slack basis when it is feasible (Bixby, Oper. Res.
-2002); otherwise phase 1 runs from artificials, and as every row has its own
-slack, a float phase 1 that cannot pivot out an artificial left basic at zero
-is numerical trouble. Pivoting is Dantzig's rule with a switch to
+At x = 0 every slack is basic at its row's rhs, so a cold solve runs one
+phase from that feasible slack basis (Bixby, Oper. Res. 2002) and reports
+``optimal`` or ``unbounded``. Pivoting is Dantzig's rule with a switch to
 Bland's rule after ``10 * (rows + cols)`` degenerate steps. One engine runs on
 float64 arrays with a pivot tolerance cascade, or on ``Fraction`` object
 arrays with zero tolerance; both share one vectorised ratio test (ties to the
@@ -17,22 +18,22 @@ multiplier on exact tableaux and on float ones of ``SPARSE_PIVOT_ENTRIES`` or
 more entries, where that pays for its indexing (Bixby, Oper. Res. 2002).
 ``verify=True`` re-solves exactly from the float basis (Applegate, Cook, Dash
 & Espinoza, Oper. Res. Lett. 2007): the exact ``[A | slacks]`` tableau takes
-the float run's flips and basis, which must be exactly feasible, and phase 2
-pivots on until every exact reduced cost is <= 0 (no pivot when the float
-basis is optimal). The vertex returned is thus exactly feasible and exactly
-optimal.
+the float run's flips and basis, which must be exactly feasible, and the
+simplex pivots on until every exact reduced cost is <= 0 (no pivot when the
+float basis is optimal). The vertex returned is thus exactly feasible and
+exactly optimal.
 
 A ``WarmStart`` holder passed as ``warm`` keeps the last optimal float
-tableau. When the next program has exactly the same objective, bounds,
-relations and coefficient rows, and differs only in its right-hand sides, the
-stored basis is still dual feasible: the rhs change enters through the slack
-columns (``b += B^-1 . change``), a bounded dual simplex (Koberstein, "The
-dual simplex method", 2005) restores primal feasibility, and phase 2 finishes
-as in a cold solve. Any other program, and any numerical trouble on the warm
-path, solves cold; ``verify=True`` re-solves exactly from the warm basis just
-as from a cold one. A warm start may stop at another optimal vertex than a
-cold solve where the optimum is not unique. ``LinearProgram.with_rhs`` makes
-such a program, sharing every other part and its float arrays.
+tableau. When the next program has exactly the same objective, bounds and
+coefficient rows, and differs only in its right-hand sides, the stored basis
+is still dual feasible: the rhs change enters through the slack columns
+(``b += B^-1 . change``), a bounded dual simplex (Koberstein, "The dual
+simplex method", 2005) restores primal feasibility, and the primal simplex
+finishes as in a cold solve. Any other program, and any numerical trouble on
+the warm path, solves cold; ``verify=True`` re-solves exactly from the warm
+basis just as from a cold one. A warm start may stop at another optimal vertex
+than a cold solve where the optimum is not unique. ``LinearProgram.with_rhs``
+makes such a program, sharing every other part and its float arrays.
 """
 
 from __future__ import annotations
@@ -50,16 +51,15 @@ from .core import as_fraction
 from .errors import DomainError, NumericalFailureError
 
 LESS_EQUAL = "<="
-GREATER_EQUAL = ">="
 
 OPTIMAL = "optimal"
-INFEASIBLE = "infeasible"
 UNBOUNDED = "unbounded"
 
 
 @dataclass(frozen=True)
 class LinearProgram:
-    """Maximize ``objective . x`` over the rows and box bounds."""
+    """Maximize ``objective . x`` over packing rows ``(coeffs, "<=", rhs >= 0)``
+    and bounds ``(0, hi)``; any other shape raises ``DomainError`` (exactly)."""
 
     objective: Tuple
     constraints: Tuple[Tuple[Tuple, str, object], ...]
@@ -70,27 +70,29 @@ class LinearProgram:
         for coeffs, relation, _rhs in self.constraints:
             if len(coeffs) != nv:
                 raise ValueError("constraint arity mismatch")
-            if relation not in (LESS_EQUAL, GREATER_EQUAL):
-                raise ValueError("relation must be '<=' or '>='")
+            if relation != LESS_EQUAL:
+                raise DomainError("LP rows must be '<=' rows, not %r" % (relation,))
+        _check_rhs(rhs for _, _, rhs in self.constraints)
         if len(self.bounds) != nv:
             raise ValueError("need one bound pair per variable")
+        if any(lo != 0 for lo, _ in self.bounds):
+            raise DomainError("LP lower bounds must be 0")
+        if any(hi < 0 for _, hi in self.bounds):
+            raise ValueError("bounds must satisfy 0 <= hi")
         try:
-            _, _, _, lo, hi = self._floats
+            self._floats
         except OverflowError:
             name = next(name for name, value in self._entries() if not _fits_float(value))
             raise DomainError("LP %s lies outside the float range" % name) from None
-        if np.any(lo < 0) or np.any(lo > hi):
-            raise ValueError("bounds must satisfy 0 <= lo <= hi")
 
     @cached_property
     def _floats(self):
-        """(objective, rows, rhs, lo, hi) as float64 arrays, converted once."""
+        """(objective, rows, rhs, hi) as float64 arrays, converted once."""
         nv, nrows = len(self.objective), len(self.constraints)
         return (
             np.array(self.objective, dtype=float),
             np.array([row for row, _, _ in self.constraints], dtype=float).reshape(nrows, nv),
             np.array([rhs for _, _, rhs in self.constraints], dtype=float),
-            np.array([lo for lo, _ in self.bounds], dtype=float),
             np.array([hi for _, hi in self.bounds], dtype=float),
         )
 
@@ -98,6 +100,7 @@ class LinearProgram:
         """This program at the right-hand sides ``rhs``. The copy shares the
         objective, bounds and coefficient rows, float arrays included, so
         only ``rhs`` is checked and converted."""
+        _check_rhs(rhs)
         try:
             rhs_floats = np.array(rhs, dtype=float)
         except OverflowError:
@@ -105,21 +108,26 @@ class LinearProgram:
         program = copy.copy(self)
         pairs = zip(self.constraints, rhs, strict=True)
         object.__setattr__(program, "constraints", tuple((a, rel, r) for (a, rel, _), r in pairs))
-        objective, rows, _, lo, hi = self._floats
-        program.__dict__["_floats"] = (objective, rows, rhs_floats, lo, hi)
+        objective, rows, _, hi = self._floats
+        program.__dict__["_floats"] = (objective, rows, rhs_floats, hi)
         return program
 
     def _entries(self):
-        """(name, value) of every number, in the order the LP text format writes them."""
+        """(name, value) of every coefficient, rhs and upper bound, in the order
+        the LP text format writes them."""
         for j, a in enumerate(self.objective):
             yield "objective coefficient %d" % j, a
         for i, (coeffs, _, rhs) in enumerate(self.constraints):
             for j, a in enumerate(coeffs):
                 yield "constraint %d coefficient %d" % (i, j), a
             yield "constraint %d right-hand side" % i, rhs
-        for j, (lo, hi) in enumerate(self.bounds):
-            yield "lower bound of x%d" % j, lo
+        for j, (_, hi) in enumerate(self.bounds):
             yield "upper bound of x%d" % j, hi
+
+
+def _check_rhs(rhs):
+    if any(r < 0 for r in rhs):
+        raise DomainError("LP right-hand sides must be >= 0")
 
 
 def _fits_float(value) -> bool:
@@ -142,10 +150,6 @@ class _NumericTrouble(Exception):
 
 
 class _Unbounded(Exception):
-    pass
-
-
-class _Infeasible(Exception):
     pass
 
 
@@ -236,8 +240,9 @@ def _dual_simplex(M, b, c, u, basis, flipped, tol):
     reduced cost as it was and puts the variable below zero. The most
     negative row leaves; the entering column has the least |reduced cost| /
     |row entry| over the row's entries below -tol (ties to the lowest index),
-    so every reduced cost stays <= 0. A row with no such entry proves the
-    program infeasible, which the caller leaves to a cold solve.
+    so every reduced cost stays <= 0. A row with no such entry would prove the
+    program infeasible, which a packing program never is (x = 0 is feasible),
+    so it is numerical trouble and the caller solves cold.
     """
     nrows, ncols = M.shape
     if not nrows:
@@ -263,7 +268,7 @@ def _fraction(value):
 
 
 def _tableau(lp: LinearProgram, num):
-    """``[A | slacks]``, the rhs shifted by lo, lo, hi and the column ranges.
+    """``[A | slacks]``, the rhs and the column ranges (``hi``, then inf per slack).
 
     ``num`` is ``float`` (float64 arrays, from the program's converted
     arrays) or ``_fraction`` (object arrays of ``Fraction``; slack
@@ -271,94 +276,50 @@ def _tableau(lp: LinearProgram, num):
     """
     nv, nrows = len(lp.objective), len(lp.constraints)
     if num is float:
-        _, rows, rhs, lo, hi = lp._floats
+        _, rows, rhs, hi = lp._floats
         dtype = float
     else:
         rows = [[num(a) for a in coeffs] for coeffs, _, _ in lp.constraints]
         rhs = [num(rhs) for _, _, rhs in lp.constraints]
-        lo = np.array([num(bd[0]) for bd in lp.bounds], dtype=object)
-        hi = np.array([num(bd[1]) for bd in lp.bounds], dtype=object)
+        hi = np.array([num(hi) for _, hi in lp.bounds], dtype=object)
         dtype = object
     M = np.full((nrows, nv + nrows), num(0), dtype=dtype)
-    b = np.full(nrows, num(0), dtype=dtype)
-    for i, (_, relation, _) in enumerate(lp.constraints):
+    for i in range(nrows):
         M[i, :nv] = rows[i]
-        M[i, nv + i] = num(1) if relation == LESS_EQUAL else num(-1)
-        b[i] = rhs[i] - M[i, :nv] @ lo
-    u = np.concatenate([hi - lo, np.full(nrows, math.inf, dtype=dtype)])
-    return M, b, lo, hi, u
+        M[i, nv + i] = num(1)
+    b = np.array(rhs, dtype=dtype)
+    u = np.concatenate([hi, np.full(nrows, math.inf, dtype=dtype)])
+    return M, b, u
 
 
-def _vertex(b, u, basis, flipped, lo):
-    """Structural values of the basic solution (flipped columns at hi - z)."""
+def _vertex(b, u, basis, flipped, nv):
+    """Structural values of the basic solution (flipped columns at u - z)."""
     z = np.zeros(len(u), dtype=b.dtype)
     z[basis] = b
     z[flipped] = u[flipped] - z[flipped]
-    return lo + z[: len(lo)]
+    return z[:nv]
 
 
-def _cold_start(lp: LinearProgram, tol: float):
-    """The phase-2 tableau ``(M, b, c, u, basis, flipped)``: the slack basis
-    (">=" rows negated) when every slack can start basic at a value >= 0,
-    else phase 1 from the artificial basis."""
-    M, b, _, _, u = _tableau(lp, float)
+def _cold_start(lp: LinearProgram):
+    """The tableau ``(M, b, c, u, basis, flipped)`` on the slack basis, where
+    each row's slack is basic at its rhs (>= 0) and every column is at 0."""
+    M, b, u = _tableau(lp, float)
     nrows, ncols = M.shape
-    nv = ncols - nrows
-    sign = M[range(nrows), range(nv, ncols)]  # +1 for "<=", -1 for ">="
-    if np.all(sign * b >= 0):
-        M *= sign[:, None]
-        c = np.concatenate([lp._floats[0], np.zeros(nrows)])
-        return M, sign * b, c, u, np.arange(nv, ncols), np.zeros(ncols, dtype=bool)
-    M = np.hstack([M, np.zeros((nrows, nrows))])
-    negative = b < 0
-    M[negative] = -M[negative]
-    b[negative] = -b[negative]
-    M[range(nrows), range(ncols, ncols + nrows)] = 1.0  # artificials
-    u = np.concatenate([u, np.full(nrows, np.inf)])
-    flipped = np.zeros(ncols + nrows, dtype=bool)
-    basis = np.arange(ncols, ncols + nrows)
-
-    c1 = np.zeros(ncols + nrows)
-    c1[ncols:] = -1.0
-    try:
-        _optimize(M, b, c1, u, basis, flipped, tol, 10 * (nrows + ncols))
-    except _Unbounded:
-        raise _NumericTrouble("phase 1 reported unbounded")
-    infeasibility = sum(b[i] for i in range(nrows) if basis[i] >= ncols)
-    if infeasibility > 1e-7:
-        raise _Infeasible()
-
-    basic = set(basis.tolist())
-    for i in range(nrows):  # pivot out the artificials left basic at zero
-        if basis[i] >= ncols:
-            nonzero = np.flatnonzero(np.abs(M[i, :ncols]) > tol)
-            j = next((int(j) for j in nonzero if j not in basic), None)
-            if j is None:
-                raise _NumericTrouble("phase 1 left an artificial basic in row %d" % i)
-            _pivot(M, b, basis, i, j)
-            basic.add(j)
-    flipped = flipped[:ncols]
-
-    # The original objective, sign-adjusted for the columns flipped so far.
-    objective = lp._floats[0]
-    c = np.zeros(ncols)
-    c[:nv] = np.where(flipped[:nv], -objective, objective)
-    return M[:, :ncols], b, c, u[:ncols], basis, flipped
+    c = np.concatenate([lp._floats[0], np.zeros(nrows)])
+    return M, b, c, u, np.arange(ncols - nrows, ncols), np.zeros(ncols, dtype=bool)
 
 
 def _warm_start(lp: LinearProgram, rhs_before, tableau, tol: float):
     """``tableau``, optimal for the right-hand sides ``rhs_before``, made
     primal feasible again for ``lp``'s by the bounded dual simplex.
 
-    Row i's slack column holds sign_i times column i of B^-1 (sign +1 for
-    "<=", -1 for ">="), so the new basic values are b + M[:, slacks] @
-    (sign * change).
+    Row i's slack column holds column i of B^-1, so the new basic values are
+    b + M[:, slacks] @ change.
     """
     M, b, c, u, basis, flipped = tableau
     change = lp._floats[2] - rhs_before
     if change.any():
-        sign = np.array([1.0 if rel == LESS_EQUAL else -1.0 for _, rel, _ in lp.constraints])
-        b += M[:, len(lp.objective):] @ (sign * change)
+        b += M[:, len(lp.objective):] @ change
     _dual_simplex(M, b, c, u, basis, flipped, tol)
     return tableau
 
@@ -368,40 +329,36 @@ def _solve_floats(lp: LinearProgram, tol: float, start=None):
 
     Returns the vertex and the final tableau.
     """
-    tableau = _cold_start(lp, tol) if start is None else _warm_start(lp, *start, tol)
+    tableau = _cold_start(lp) if start is None else _warm_start(lp, *start, tol)
     M, b, c, u, basis, flipped = tableau
     nv, nrows = len(lp.objective), len(lp.constraints)
     _optimize(M, b, c, u, basis, flipped, tol, 10 * (nv + 2 * nrows))
-    _, rows, rhs, lo, hi = lp._floats
-    x = _vertex(b, u, basis, flipped, lo)
+    _, rows, rhs, hi = lp._floats
+    x = _vertex(b, u, basis, flipped, nv)
 
     # Feasibility backstop: bounds within 1e-9, row residuals within 1e-8.
-    if np.any(x < lo - 1e-9) or np.any(x > hi + 1e-9):
+    if np.any(x < -1e-9) or np.any(x > hi + 1e-9):
         raise _NumericTrouble("bound violation")
-    x = np.clip(x, lo, hi)
-    for i, (_, relation, _) in enumerate(lp.constraints):
+    x = np.clip(x, 0, hi)
+    for i in range(nrows):
         resid = rows[i] @ x - rhs[i]
-        if (resid if relation == LESS_EQUAL else -resid) > 1e-8:
+        if resid > 1e-8:
             raise _NumericTrouble("constraint residual %g" % resid)
 
     return x, tableau
 
 
 def _solve_exact(lp: LinearProgram, basis, flipped):
-    """Rational phase 2 from the float run's final flips and basis."""
-    M, b, lo, _, u = _tableau(lp, _fraction)
+    """Rational simplex from the float run's final flips and basis."""
+    M, b, u = _tableau(lp, _fraction)
     nrows, ncols = M.shape
     nv = ncols - nrows
     c = np.array([as_fraction(cj) for cj in lp.objective] + [Fraction(0)] * nrows, dtype=object)
     exact_flipped = np.zeros(ncols, dtype=bool)
     for j in np.flatnonzero(flipped):
         _flip_nonbasic(M, b, c, u, exact_flipped, j)
-    # Start from the all-slack basis (">=" rows negated so their slack reads
-    # +1) and pivot each other float-basic column into a row whose slack
-    # leaves; a nonsingular basis always leaves such a row with a nonzero.
-    negated = [i for i, (_, rel, _) in enumerate(lp.constraints) if rel == GREATER_EQUAL]
-    M[negated] = -M[negated]
-    b[negated] = -b[negated]
+    # Start from the slack basis and pivot each other float-basic column into a
+    # row whose slack leaves; a nonsingular basis always has such a row.
     exact_basis = np.arange(nv, nv + nrows)
     target = set(basis)
     for j in sorted(target - set(exact_basis)):
@@ -412,7 +369,7 @@ def _solve_exact(lp: LinearProgram, basis, flipped):
     if any(v < 0 for v in b) or any(v > u[j] for v, j in zip(b, exact_basis)):
         raise _NumericTrouble("float basis is not exactly feasible")
     _optimize(M, b, c, u, exact_basis, exact_flipped, 0, 10 * (nrows + ncols))
-    return _vertex(b, u, exact_basis, exact_flipped, lo)
+    return _vertex(b, u, exact_basis, exact_flipped, nv)
 
 
 class WarmStart:
@@ -420,8 +377,7 @@ class WarmStart:
 
     One holder serves a run of programs that differ only in their right-hand
     sides, such as one budget ladder. ``solve_lp`` empties it when a solve
-    starts and refills it when a solve succeeds. It keeps every row, as a
-    float phase 1 that cannot pivot an artificial out is numerical trouble.
+    starts and refills it when a solve succeeds.
     """
 
     def __init__(self):
@@ -431,18 +387,15 @@ class WarmStart:
 
     def take(self, lp: LinearProgram):
         """Empty the holder; return ``(tol, (rhs_before, tableau))`` when ``lp``
-        has exactly the stored program's objective, bounds, relations and
-        coefficient rows, else None."""
+        has exactly the stored program's objective, bounds and coefficient
+        rows, else None."""
         last, self.lp = self.lp, None
         if (
             last is None
             or last.objective != lp.objective
             or last.bounds != lp.bounds
             or len(last.constraints) != len(lp.constraints)
-            or any(
-                ra != rb or ca != cb
-                for (ca, ra, _), (cb, rb, _) in zip(last.constraints, lp.constraints)
-            )
+            or any(ca != cb for (ca, _, _), (cb, _, _) in zip(last.constraints, lp.constraints))
         ):
             return None
         return self.tol, (last._floats[2], self.tableau)
@@ -451,7 +404,7 @@ class WarmStart:
 def solve_lp(
     lp: LinearProgram, verify: bool = False, warm: Optional[WarmStart] = None
 ) -> LpSolution:
-    """Solve to optimality, or report infeasible/unbounded.
+    """Solve to optimality, or report unbounded.
 
     With ``verify=True`` the values and objective are exact rationals of a
     vertex that is exactly feasible and has exact reduced costs <= 0; a float
@@ -472,12 +425,10 @@ def solve_lp(
             x, tableau = _solve_floats(lp, tol, start)
             if verify:
                 x = _solve_exact(lp, tableau[4], tableau[5])
-        except _Infeasible:
-            return LpSolution((), None, INFEASIBLE)
         except _Unbounded:
             if start is None:
                 return LpSolution((), None, UNBOUNDED)
-            last_trouble = _NumericTrouble("warm phase 2 reported unbounded")
+            last_trouble = _NumericTrouble("warm solve reported unbounded")
             continue
         except _NumericTrouble as exc:
             last_trouble = exc

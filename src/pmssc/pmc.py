@@ -163,10 +163,10 @@ class PmcRelaxation:
     X_u = sum_{s ni u, j} x_{s,j}, sum_u min(1, X_u) = sum |S_s| x_{s,j} -
     sum_u max(0, X_u - 1), so it maximizes sum |S_s| x_{s,j} - sum e_u subject
     to X_u - e_u <= 1, e >= 0 and budget rows. Its optimal value and optimal
-    x are those of max sum y_u, y_u <= X_u, y <= 1, and at x = e = 0 every
-    slack is basic and feasible, so a cold solve skips phase 1. ``program``
-    is the relaxation at zero budgets; ``at(budgets)`` copies it with new
-    budget rhs, sharing all else. ``warm`` keeps the last optimum
+    x are those of max sum y_u, y_u <= X_u, y <= 1. It is a packing program,
+    so a cold solve starts on its feasible slack basis. ``program`` is the
+    relaxation at zero budgets; ``at(budgets)`` copies it with new budget
+    rhs, sharing all else. ``warm`` keeps the last optimum
     ``pmc_solve`` reached on it, so each later solve re-starts from there.
 
     Variable order is x_{s,j} at index s*m + j followed by e_u at k*m + u.

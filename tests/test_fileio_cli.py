@@ -230,6 +230,22 @@ def test_cli_unwritable_lp_dump_exits_2(tmp_path, capsys, monkeypatch, command, 
     assert captured.err.startswith("validation error: PMSSC_DUMP_LP: cannot write")
 
 
+@pytest.mark.parametrize("command", ["solve", "gen"])
+def test_cli_malformed_seed_variable_exits_2_naming_it(tmp_path, capsys, monkeypatch, command):
+    path = _write_instance(tmp_path, n=5, k=4, m=1, model="identical", density=0.5, seed=1)
+    monkeypatch.setenv("PMSSC_SEED", "1.5")
+    argv = {
+        "solve": ["solve", "--instance", str(path), "--algo", "greedy-identical"],
+        "gen": ["gen", "--n", "4", "--k", "3", "--m", "1", "--model", "unit",
+                "--density", "0.5", "--out", str(tmp_path / "gen.json")],
+    }[command]
+    rc = cli.main(argv)
+    captured = capsys.readouterr()
+    assert rc == cli.EXIT_VALIDATION
+    assert captured.err.startswith("validation error: PMSSC_SEED: ")
+    assert "'1.5'" in captured.err
+
+
 def test_cli_pds_and_pmc(tmp_path, capsys):
     path = _write_instance(tmp_path, n=5, k=4, m=2, model="identical", density=0.5, seed=2)
     rc = cli.main(["pds", "--instance", str(path), "--algo", "identical", "--epsilon", "0.1"])

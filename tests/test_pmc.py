@@ -277,7 +277,7 @@ def test_lp_dump_debug_flag(tmp_path, monkeypatch):
 
 def former_program(inst, budgets):
     """The former ``PmcRelaxation(inst).at(budgets)``: maximize sum y_u subject
-    to coverage rows sum_{s ni u, j} x_{s,j} - y_u >= 0, 0 <= y <= 1 and the
+    to coverage rows y_u - sum_{s ni u, j} x_{s,j} <= 0, 0 <= y <= 1 and the
     same budget rows, variables x then y."""
     k, m, n = inst.k, inst.m, inst.n
     nx = k * m
@@ -288,11 +288,11 @@ def former_program(inst, budgets):
     cover = [[0] * (nx + n) for _ in range(n)]
     for s, members in enumerate(inst.sets):
         for u in members:
-            cover[u][s * m : (s + 1) * m] = (1,) * m
+            cover[u][s * m : (s + 1) * m] = (-1,) * m
     constraints = []
     for u, coeffs in enumerate(cover):
-        coeffs[nx + u] = -1
-        constraints.append((tuple(coeffs), ">=", 0))
+        coeffs[nx + u] = 1
+        constraints.append((tuple(coeffs), "<=", 0))
     for j in range(m):
         coeffs = [0] * (nx + n)
         for s, row in enumerate(inst.icosts):
@@ -341,9 +341,9 @@ def test_excess_form_keeps_the_former_optimum_and_its_x_is_former_optimal(case):
     values = list(x) + y
     for v, (lo, hi) in zip(values, former.bounds):
         assert lo <= v <= hi
-    for coeffs, relation, rhs in former.constraints:
+    for coeffs, _, rhs in former.constraints:
         lhs = sum((as_fraction(a) * v for a, v in zip(coeffs, values)), Fraction(0))
-        assert lhs >= rhs if relation == ">=" else lhs <= rhs
+        assert lhs <= rhs
     assert sum(y) == expected.objective_value
 
 
