@@ -233,6 +233,7 @@ def _cmd_pmc(args):
         "lp_objective": result.lp_objective,
         "iterations_kept": result.iterations_kept,
         "attempts": result.attempts,
+        "attempts_run": result.attempts_run,
         "per_machine_cost": [fraction_token(c) for c in result.per_machine_cost],
         "delta": params.delta(inst.m),
         "budgets": [fraction_token(b) for b in budgets],

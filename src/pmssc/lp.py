@@ -13,9 +13,11 @@ phase from that feasible slack basis (Bixby, Oper. Res. 2002) and reports
 Bland's rule after ``10 * (rows + cols)`` degenerate steps. One engine runs on
 float64 arrays with a pivot tolerance cascade, or on ``Fraction`` object
 arrays with zero tolerance; both share one vectorised ratio test (ties to the
-lowest variable index). A pivot updates only the rows with a nonzero
-multiplier on exact tableaux and on float ones of ``SPARSE_PIVOT_ENTRIES`` or
-more entries, where that pays for its indexing (Bixby, Oper. Res. 2002).
+lowest variable index). A float pivot updates the whole tableau in place,
+through one scratch array of two tableau-shaped planes that is allocated with
+the tableau and kept with it (a warm start reuses it), so no pivot allocates
+anything of the tableau's size; an exact pivot updates only the rows with a
+nonzero multiplier, as ``Fraction`` products are slow (Bixby, Oper. Res. 2002).
 ``verify=True`` re-solves exactly from the float basis (Applegate, Cook, Dash
 & Espinoza, Oper. Res. Lett. 2007): the exact ``[A | slacks]`` tableau takes
 the float run's flips and basis, which must be exactly feasible, and the
@@ -153,21 +155,26 @@ class _Unbounded(Exception):
     pass
 
 
-# Exact tableaux and float ones of this many entries update only the rows with
-# a nonzero multiplier; on smaller float ones that indexing costs more than it saves.
-SPARSE_PIVOT_ENTRIES = 2048
-
-
-def _pivot(M, b, basis, i, j):
+def _pivot(M, b, basis, i, j, W=None):
+    """Pivot on M[i, j]. A float tableau passes its scratch ``W``, two planes
+    of M's shape, and is updated in place; an exact one updates its nonzero rows."""
     piv = M[i, j]
     M[i, :] /= piv
     b[i] /= piv
     col = M[:, j].copy()
     col[i] = 0
-    sparse = M.dtype == object or M.size >= SPARSE_PIVOT_ENTRIES
-    rows = col.nonzero()[0] if sparse else slice(None)
-    M[rows] -= col[rows, None] * M[i]
-    b[rows] -= col[rows] * b[i]
+    if W is None:
+        rows = col.nonzero()[0]
+        M[rows] -= col[rows, None] * M[i]
+        b[rows] -= col[rows] * b[i]
+    else:
+        # The planes are filled by assignment: a broadcast operand in the
+        # product itself would make numpy buffer it, 64 KB per pivot.
+        rows, cols = W
+        rows[...] = M[i]
+        cols[...] = col[:, None]
+        M -= np.multiply(cols, rows, out=rows)
+        b -= col * b[i]
     M[:, j] = 0
     M[i, j] = 1
     basis[i] = j
@@ -190,8 +197,9 @@ def _complement_basic(M, b, c, u, basis, flipped, i):
     flipped[bc] = ~flipped[bc]
 
 
-def _optimize(M, b, c, u, basis, flipped, tol, bland_after):
-    """Run primal iterations until no reduced cost exceeds tol (0: exact ties)."""
+def _optimize(M, b, c, u, basis, flipped, tol, bland_after, W=None):
+    """Run primal iterations until no reduced cost exceeds tol (0: exact ties);
+    ``W`` is a float tableau's pivot scratch."""
     nrows, ncols = M.shape
     tie = 1e-12 if tol else 0
     degenerate = 0
@@ -229,11 +237,11 @@ def _optimize(M, b, c, u, basis, flipped, tol, bland_after):
         else:
             if col[i] < 0:
                 _complement_basic(M, b, c, u, basis, flipped, i)
-            _pivot(M, b, basis, i, j)
+            _pivot(M, b, basis, i, j, W)
     raise _NumericTrouble("iteration limit exceeded")
 
 
-def _dual_simplex(M, b, c, u, basis, flipped, tol):
+def _dual_simplex(M, b, c, u, basis, flipped, tol, W):
     """Bounded dual simplex from a dual feasible basis until 0 <= b <= u (within tol).
 
     A basic variable above its bound is complemented, which leaves every
@@ -258,7 +266,7 @@ def _dual_simplex(M, b, c, u, basis, flipped, tol):
             raise _NumericTrouble("dual simplex found no entering column")
         r = c - c[basis] @ M
         j = int(entering[(np.minimum(r[entering], 0) / row[entering]).argmin()])
-        _pivot(M, b, basis, i, j)
+        _pivot(M, b, basis, i, j, W)
     raise _NumericTrouble("dual simplex iteration limit exceeded")
 
 
@@ -301,12 +309,14 @@ def _vertex(b, u, basis, flipped, nv):
 
 
 def _cold_start(lp: LinearProgram):
-    """The tableau ``(M, b, c, u, basis, flipped)`` on the slack basis, where
-    each row's slack is basic at its rhs (>= 0) and every column is at 0."""
+    """The tableau ``(M, b, c, u, basis, flipped, W)`` on the slack basis, where
+    each row's slack is basic at its rhs (>= 0) and every column is at 0; ``W``
+    is the pivot scratch, two planes of M's shape."""
     M, b, u = _tableau(lp, float)
     nrows, ncols = M.shape
     c = np.concatenate([lp._floats[0], np.zeros(nrows)])
-    return M, b, c, u, np.arange(ncols - nrows, ncols), np.zeros(ncols, dtype=bool)
+    basis, flipped = np.arange(ncols - nrows, ncols), np.zeros(ncols, dtype=bool)
+    return M, b, c, u, basis, flipped, np.empty((2,) + M.shape)
 
 
 def _warm_start(lp: LinearProgram, rhs_before, tableau, tol: float):
@@ -316,11 +326,11 @@ def _warm_start(lp: LinearProgram, rhs_before, tableau, tol: float):
     Row i's slack column holds column i of B^-1, so the new basic values are
     b + M[:, slacks] @ change.
     """
-    M, b, c, u, basis, flipped = tableau
+    M, b, c, u, basis, flipped, W = tableau
     change = lp._floats[2] - rhs_before
     if change.any():
         b += M[:, len(lp.objective):] @ change
-    _dual_simplex(M, b, c, u, basis, flipped, tol)
+    _dual_simplex(M, b, c, u, basis, flipped, tol, W)
     return tableau
 
 
@@ -330,9 +340,9 @@ def _solve_floats(lp: LinearProgram, tol: float, start=None):
     Returns the vertex and the final tableau.
     """
     tableau = _cold_start(lp) if start is None else _warm_start(lp, *start, tol)
-    M, b, c, u, basis, flipped = tableau
+    M, b, c, u, basis, flipped, W = tableau
     nv, nrows = len(lp.objective), len(lp.constraints)
-    _optimize(M, b, c, u, basis, flipped, tol, 10 * (nv + 2 * nrows))
+    _optimize(M, b, c, u, basis, flipped, tol, 10 * (nv + 2 * nrows), W)
     _, rows, rhs, hi = lp._floats
     x = _vertex(b, u, basis, flipped, nv)
 
@@ -383,7 +393,7 @@ class WarmStart:
     def __init__(self):
         self.lp = None  # the program last solved; None while empty
         self.tol = None  # the pivot tolerance it was solved at
-        self.tableau = None  # its optimal (M, b, c, u, basis, flipped)
+        self.tableau = None  # its optimal (M, b, c, u, basis, flipped, W)
 
     def take(self, lp: LinearProgram):
         """Empty the holder; return ``(tol, (rhs_before, tableau))`` when ``lp``

@@ -26,7 +26,8 @@ keeps both: ties keep the earlier guess, and a full cover had stopped the ladder
 from __future__ import annotations
 
 import math
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
+from collections.abc import Sequence
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
@@ -225,6 +226,48 @@ def pds_identical(
 # Related machines
 
 
+def _power(base: Fraction, p: int) -> Fraction:
+    """``base ** p``; every power the related reduction builds is built here."""
+    return base**p
+
+
+def _rounded_up_power(kappa: Fraction, x: Fraction) -> int:
+    """The least p >= 0 with (1 + kappa)^p >= x: a float estimate, which
+    exact powers on either side confirm or move."""
+    base = 1 + kappa
+    p = max(0, math.ceil((math.log(x.numerator) - math.log(x.denominator)) / math.log1p(kappa)))
+    while p > 0 and _power(base, p - 1) >= x:
+        p -= 1
+    while _power(base, p) < x:
+        p += 1
+    return p
+
+
+class _Powers(Sequence):
+    """The read-only sequence (1 + kappa)^0, ..., (1 + kappa)^(length - 1),
+    which builds a power only when it is read; it equals, and hashes as, the
+    tuple of the same values."""
+
+    def __init__(self, kappa: Fraction, length: int):
+        self._base, self._length = 1 + kappa, length
+
+    def __len__(self):
+        return self._length
+
+    def __getitem__(self, p):
+        if not -self._length <= p < self._length:
+            raise IndexError("power index out of range")
+        return _power(self._base, p % self._length)
+
+    def __eq__(self, other):
+        if not isinstance(other, (tuple, _Powers)):
+            return NotImplemented
+        return len(other) == self._length and all(a == b for a, b in zip(self, other))
+
+    def __hash__(self):
+        return hash(tuple(self))
+
+
 @dataclass(frozen=True)
 class RelatedReduction:
     """Machine-group reduction for related machines.
@@ -233,12 +276,13 @@ class RelatedReduction:
     (fastest speed / own speed) rounds up to ``aux_cost_multiplier[p] =
     (1 + kappa)^p``. Machines slower than kappa/m times the fastest are
     discarded. Positional groups may be empty; the auxiliary instance has a
-    machine for the nonempty ones only.
+    machine for the nonempty ones only. ``aux_cost_multiplier`` holds all
+    t + 1 powers as a ``_Powers`` sequence, so only the powers read are built.
     """
 
     kept_machines: Tuple[int, ...]
     groups: Tuple[Tuple[int, ...], ...]
-    aux_cost_multiplier: Tuple[Fraction, ...]
+    aux_cost_multiplier: Sequence[Fraction]
 
     @property
     def t(self) -> int:
@@ -269,22 +313,19 @@ def reduce_related(
 
     # Powers 0..t of 1 + kappa, t the first with (1 + kappa)^t >= m / kappa: a
     # kept multiplier lies below m / kappa, so it rounds up to at most power t.
-    top = inst.m / kappa
-    powers = [Fraction(1)]
-    while powers[-1] < top:
-        powers.append(powers[-1] * (1 + kappa))
-    groups = [[] for _ in powers]
+    powers = _Powers(kappa, _rounded_up_power(kappa, inst.m / kappa) + 1)
+    groups = [[] for _ in range(len(powers))]
     for j in kept:
-        groups[bisect_left(powers, s_max / speeds[j])].append(j)
+        groups[_rounded_up_power(kappa, s_max / speeds[j])].append(j)
 
     reduction = RelatedReduction(
         kept_machines=tuple(kept),
         groups=tuple(tuple(g) for g in groups),
-        aux_cost_multiplier=tuple(powers),
+        aux_cost_multiplier=powers,
     )
     nonempty = [p for p, g in enumerate(groups) if g]
-    base_costs = inst.cost_model.base_costs
-    matrix = tuple(tuple(powers[p] * c for p in nonempty) for c in base_costs)
+    base_costs, multipliers = inst.cost_model.base_costs, [powers[p] for p in nonempty]
+    matrix = tuple(tuple(power * c for power in multipliers) for c in base_costs)
     aux = ProblemInstance(
         n=inst.n, sets=inst.sets, m=len(nonempty), cost_model=UnrelatedCosts(matrix)
     )

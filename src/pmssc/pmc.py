@@ -15,14 +15,18 @@ index). One rounding call draws all R iterations from one Philox stream
 keyed by the seed: row r of the draw matrix is iteration r, and rows are
 padded to a multiple of 4 doubles (one Philox block), so row r can be
 replayed alone by advancing a fresh stream r * width / 4 blocks. Rows are
-drawn and judged in blocks of at most ``ROUND_BLOCK`` draws that continue the
-same stream, which bounds memory and leaves every draw unchanged. Loads are
-summed in float64; a load within a relative 1e-9 of its limit is re-checked
-exactly, on the instance's int cost table, so every keep/discard decision is
-exact. An integral x (every clipped value 0 or 1) draws the same pairs in
-every iteration, so it is decided once in that int table, with no stream:
-all R iterations are kept, or none. Each call takes a fresh stream, so
-skipping one changes no other call's draws, and replay cannot tell.
+drawn and judged in blocks that continue the same stream, which bounds memory
+and leaves every draw unchanged: the first block holds ``ROUND_BLOCK >> 7``
+draws, and each later one twice as many, up to ``ROUND_BLOCK``. Only pairs
+with x > 0 are drawn, so no iteration covers more than the union U of their
+sets; once a kept iteration covers |U| no later one can replace it, and the
+rounding stops after that block with the result of all R iterations.
+Loads are summed in float64; a load within a relative 1e-9 of its limit is
+re-checked exactly, on the instance's int cost table, so every keep/discard
+decision is exact. An integral x (every clipped value 0 or 1) draws the same
+pairs in every iteration, so it is decided once in that int table, with no
+stream: all R iterations are kept, or none. Each call takes a fresh stream,
+so skipping one changes no other call's draws, and replay cannot tell.
 """
 
 from __future__ import annotations
@@ -50,8 +54,9 @@ from .rng import stream
 POLY = "poly"
 FPT = "fpt"
 
-# Draws (rows x k*m) per rounding block: ~2 MB of float64, enough for every
-# rounding call of the bench workloads to take a single block.
+# Draws (rows x k*m) in the widest rounding block: ~2 MB of float64. The
+# first block holds ROUND_BLOCK >> 7 draws, which every related rounding call
+# of the bench workloads fits into.
 ROUND_BLOCK = 1 << 18
 
 
@@ -137,9 +142,12 @@ class PmcResult:
     per_machine_cost: Tuple[Fraction, ...]
     covered: int
     lp_objective: float
-    iterations_kept: int
-    attempts: int
-    # x was all 0/1, so no iteration drew: how the result was reached, not part of it
+    iterations_kept: int  # among the iterations that ran
+    attempts: int  # planned
+    # How the result was reached, not part of it: the iterations that ran (all
+    # of them unless one reached the coverage ceiling), and whether x was all
+    # 0/1, so that no iteration drew.
+    attempts_run: int = field(default=0, compare=False)
     integral: bool = field(default=False, compare=False)
 
 
@@ -233,13 +241,16 @@ def round_pmc(
     lp_solution: LpSolution,
     params: PmcParams,
 ) -> PmcResult:
-    """Randomized rounding of the LP solution, iterations in row blocks.
+    """Randomized rounding of the LP solution, iterations in growing row blocks.
 
     Iteration r draws set-machine pairs independently with probability
     x_{s,j} (row r of ``raw_draws``); a set drawn on several machines is kept
     on the lowest-index one (the assignment type forbids duplicates, and
     dropping copies only lowers cost). Iterations whose realized cost exceeds
-    (1 + delta) * B_j on any machine are discarded. Loads are float64 sums;
+    (1 + delta) * B_j on any machine are discarded. The blocks stop once the
+    best kept iteration covers every element of the sets with some x > 0, the
+    most any iteration can; ``attempts_run`` counts the iterations that ran,
+    and ``iterations_kept`` the kept ones among them. Loads are float64 sums;
     a load within a relative 1e-9 of its limit (or not finite) is summed
     again in ``icosts`` and compared with ``floor((1 + delta) * B_j * scale)``
     before the decision. Float conversion and a sum of k positive terms err
@@ -273,45 +284,61 @@ def round_pmc(
         for j, seq in enumerate(per_machine):
             if sum(costs[s][j] for s in seq) > scaled_floor(scale, factor, budgets[j]):
                 raise NoIterationKeptError(attempts)
-        return _result(inst, per_machine, union.bit_count(), lp_solution, attempts, attempts, True)
+        covered = union.bit_count()
+        return _result(inst, per_machine, covered, lp_solution, attempts, attempts, attempts, True)
 
     # float32 so the coverage product runs in BLAS; its entries count sets,
     # which float32 holds exactly below 2^24
     incidence = np.zeros((k, n), dtype=np.float32)
     for s in range(k):
         incidence[s, list(inst.sets[s])] = 1.0
+    # only pairs with x > 0 are ever drawn, so no iteration covers more
+    support = 0
+    for s in np.flatnonzero(probs.reshape(k, m).any(axis=1)):
+        support |= inst.masks[s]
+    ceiling = support.bit_count()
 
     cost_f = np.array([[_float_or_inf(c, scale) for c in row] for row in costs])
     fn, fd = factor.numerator, factor.denominator
     limit_f = np.array([_float_or_inf(fn * b.numerator, fd * b.denominator) for b in budgets])
     gen = stream(params.seed)
-    block = max(1, ROUND_BLOCK // max(1, k * m))
-    kept, best_covered, best_keep = 0, -1, None
-    for start in range(0, attempts, block):
-        rows = min(block, attempts - start)
+    widest = max(1, ROUND_BLOCK // max(1, k * m))
+    block = max(1, (ROUND_BLOCK >> 7) // max(1, k * m))
+    run, kept, best_covered, best_keep = 0, 0, -1, None
+    while run < attempts and best_covered < ceiling:
+        rows = min(block, attempts - run)
         drawn = raw_draws(gen, rows, probs).reshape(rows, k, m)
-        hit = drawn.any(axis=2)  # (rows, k): set s is placed in iteration r
-        keep = hit[:, :, None] & (drawn.argmax(axis=2)[:, :, None] == np.arange(m))
-        loads = np.where(keep, cost_f, 0.0).sum(axis=1)  # (rows, m)
+        # machine by machine, a set is kept where it is drawn and no lower
+        # machine drew it
+        hit = np.zeros((rows, k), dtype=bool)  # set s is placed in iteration r
+        keep, loads = [], np.empty((rows, m))
+        for j in range(m):
+            keep.append(drawn[:, :, j] & ~hit)
+            hit |= drawn[:, :, j]
+            loads[:, j] = np.where(keep[j], cost_f[:, j], 0.0).sum(axis=1)
         over = loads > limit_f
         with np.errstate(invalid="ignore"):  # inf - inf: not decided, so exact
             decided = np.isfinite(loads) & (np.abs(loads - limit_f) > 1e-9 * limit_f + 1e-300)
         for r, j in zip(*np.nonzero(~decided)):
-            load = sum(costs[s][j] for s in np.flatnonzero(keep[r, :, j]))
+            load = sum(costs[s][j] for s in np.flatnonzero(keep[j][r]))
             over[r, j] = load > scaled_floor(scale, factor, budgets[j])
         ok = ~over.any(axis=1)
         kept += int(ok.sum())
         covered = np.where(ok, (hit.astype(np.float32) @ incidence > 0).sum(axis=1), -1)
         best = int(np.argmax(covered))  # ties go to the earliest kept iteration
         if covered[best] > best_covered:
-            best_covered, best_keep = int(covered[best]), keep[best]
+            best_covered, best_keep = int(covered[best]), [keep_j[best] for keep_j in keep]
+        run += rows
+        block = min(2 * block, widest)
     if kept == 0:
         raise NoIterationKeptError(attempts)
-    per_machine = tuple(tuple(int(s) for s in np.flatnonzero(best_keep[:, j])) for j in range(m))
-    return _result(inst, per_machine, best_covered, lp_solution, kept, attempts, False)
+    per_machine = tuple(tuple(int(s) for s in np.flatnonzero(keep_j)) for keep_j in best_keep)
+    return _result(inst, per_machine, best_covered, lp_solution, kept, attempts, run, False)
 
 
-def _result(inst, per_machine, covered, lp_solution, kept, attempts, integral) -> PmcResult:
+def _result(
+    inst, per_machine, covered, lp_solution, kept, attempts, attempts_run, integral
+) -> PmcResult:
     """The rounding's result for the chosen sets, each machine's cost summed in ``icosts``."""
     costs, scale = inst.icosts, inst.scale
     return PmcResult(
@@ -323,6 +350,7 @@ def _result(inst, per_machine, covered, lp_solution, kept, attempts, integral) -
         lp_objective=float(lp_solution.objective_value),
         iterations_kept=kept,
         attempts=attempts,
+        attempts_run=attempts_run,
         integral=integral,
     )
 
@@ -347,5 +375,5 @@ def pmc_solve(
     if solution.status != OPTIMAL:
         raise DomainError("PMC relaxation must be feasible and bounded")
     if float(solution.objective_value) <= 1e-12:
-        return _result(inst, ((),) * inst.m, 0, solution, 0, 0, False)
+        return _result(inst, ((),) * inst.m, 0, solution, 0, 0, 0, False)
     return round_pmc(inst, budgets, solution, params)

@@ -736,7 +736,7 @@ SOLVE_KEYS = {"algorithm", "parameters", "wall_time_s", "cost", "cover_times", "
 PDS_KEYS = {"algorithm", "parameters", "wall_time_s", "assignment", "covered", "makespan", "density"}
 PMC_KEYS = {
     "algorithm", "parameters", "wall_time_s", "assignment", "covered", "lp_objective",
-    "iterations_kept", "attempts", "per_machine_cost", "delta", "budgets",
+    "iterations_kept", "attempts", "attempts_run", "per_machine_cost", "delta", "budgets",
 }
 ORACLE_KEYS = {"algorithm", "parameters", "wall_time_s"}
 

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from fractions import Fraction
 from unittest import mock
 
@@ -226,8 +227,9 @@ def test_blands_rule_ends_the_cycle_of_beales_example(num, dtype, tol):
 
     with mock.patch.object(lp_mod, "_pivot", counted):
         M, b, c, u, basis, flipped = _beale_on_the_slack_basis(num, dtype)
+        W = np.empty((2,) + M.shape) if dtype is float else None  # the float pivot scratch
         objective = c[:4].copy()
-        lp_mod._optimize(M, b, c, u, basis, flipped, tol, 10 * sum(M.shape))
+        lp_mod._optimize(M, b, c, u, basis, flipped, tol, 10 * sum(M.shape), W)
         assert len(pivots) == 103
         x = lp_mod._vertex(b, u, basis, flipped, 4)
         if num is Fraction:
@@ -238,8 +240,25 @@ def test_blands_rule_ends_the_cycle_of_beales_example(num, dtype, tol):
         pivots.clear()
         M, b, c, u, basis, flipped = _beale_on_the_slack_basis(num, dtype)
         with pytest.raises(lp_mod._NumericTrouble, match="^iteration limit exceeded$"):
-            lp_mod._optimize(M, b, c, u, basis, flipped, tol, 10**9)
+            lp_mod._optimize(M, b, c, u, basis, flipped, tol, 10**9, W)
         assert len(pivots) == 2000 + 200 * sum(M.shape)
+
+
+def test_float_pivots_allocate_nothing_of_the_tableau_size():
+    # 84 x 260 is the unrelated bench's tableau; a pivot that built its update
+    # in temporaries allocated about 3 x 175 KB
+    rng = np.random.default_rng(3)
+    M = rng.random((84, 260)) + np.eye(84, 260)
+    b, basis, W = rng.random(84), np.arange(176, 260), np.empty((2,) + M.shape)
+    with np.errstate(all="ignore"):
+        tracemalloc.start()
+        try:
+            for r in range(100):
+                lp_mod._pivot(M, b, basis, r % 84, r % 176, W)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+    assert peak < 16 * 1024
 
 
 # -- differential tests: one engine for floats and rationals against the
@@ -261,10 +280,10 @@ def assert_exactly_feasible(lp, sol):
 real_optimize = lp_mod._optimize
 
 
-def _reduced_costs_checked(M, b, c, u, basis, flipped, tol, bland_after):
+def _reduced_costs_checked(M, b, c, u, basis, flipped, tol, bland_after, W=None):
     """The engine's ``_optimize``; on an exact tableau it then asserts an
     exactly feasible basis with every exact reduced cost <= 0."""
-    real_optimize(M, b, c, u, basis, flipped, tol, bland_after)
+    real_optimize(M, b, c, u, basis, flipped, tol, bland_after, W)
     if M.dtype == object:
         assert all(0 <= v <= u[j] for v, j in zip(b, basis))
         r = c - c[basis] @ M if len(basis) else c
@@ -328,7 +347,7 @@ def _assert_same_optimum(lp, actual, expected, verify):
         assert actual.objective_value == pytest.approx(expected.objective_value, abs=1e-7)
 
 
-def _float_phase_2_cut_short(M, b, c, u, basis, flipped, tol, bland_after):
+def _float_phase_2_cut_short(M, b, c, u, basis, flipped, tol, bland_after, W=None):
     """``_optimize``, except that a float solve returns before any pivot."""
     if M.dtype == object:
         real_optimize(M, b, c, u, basis, flipped, tol, bland_after)
@@ -542,12 +561,12 @@ def test_with_rhs_shares_all_but_the_rhs():
         lp.with_rhs([1, -1])
 
 
-# -- the row-restricted pivot and the vectorised ratio test against the dense
-# pivot and the loop ratio test they replaced, verbatim but for the names of
-# the functions and exceptions they use
+# -- the in-place pivot and the vectorised ratio test against the dense pivot
+# and the loop ratio test they replaced, verbatim but for the names of the
+# functions and exceptions they use and the pivot scratch ``W`` they ignore
 
 
-def _dense_pivot(M, b, basis, i, j):
+def _dense_pivot(M, b, basis, i, j, W=None):
     piv = M[i, j]
     M[i, :] /= piv
     b[i] /= piv
@@ -563,7 +582,7 @@ def _dense_pivot(M, b, basis, i, j):
     basis[i] = j
 
 
-def _loop_optimize(M, b, c, u, basis, flipped, tol, bland_after):
+def _loop_optimize(M, b, c, u, basis, flipped, tol, bland_after, W=None):
     """Run primal iterations until no reduced cost exceeds tol (0: exact ties)."""
     nrows, ncols = M.shape
     tie = 1e-12 if tol else 0
@@ -648,8 +667,9 @@ def large_pmc_ladders(draw, n=(30, 80), k=(10, 24), m=(2, 4), steps=(1, 5)):
 def test_fast_paths_match_the_dense_solver_on_large_pmc_ladders(programs):
     lp = programs[0]
     rows = len(lp.constraints)
-    # the phase-2 tableau, the smallest the solve pivots on, is above the gate
-    assert rows * (len(lp.objective) + rows) >= lp_mod.SPARSE_PIVOT_ENTRIES
+    # tableaux of at least 2,048 entries, where the former float pivot
+    # updated only the rows with a nonzero multiplier
+    assert rows * (len(lp.objective) + rows) >= 2048
     _matches_the_dense_solver(programs, verify=False, warm=False)
     _matches_the_dense_solver(programs, verify=False, warm=True)
 

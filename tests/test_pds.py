@@ -216,6 +216,28 @@ def test_reduce_related_discards_slow_machine():
     assert red.kept_machines == (0,)
 
 
+def test_reduce_related_at_epsilon_1e_3_builds_only_the_powers_it_reads(monkeypatch):
+    # t is about 46,650 here; multiplying out every power (1 + kappa)^p, as the
+    # reduction once did, died of MemoryError. Powers are counted, not seconds.
+    inst = ProblemInstance(3, ((0, 1), (2,)), 2, RelatedCosts((1, 1), (1, Fraction(3, 2))))
+    kappa = Fraction(related_parameters(1e-3)[1])
+    built = []
+
+    def power(base, p, _inner=pds_module._power):
+        built.append(p)
+        return _inner(base, p)
+
+    monkeypatch.setattr(pds_module, "_power", power)
+    red, aux = reduce_related.__wrapped__(inst, kappa)
+    assert len(built) < 100
+    assert red.t == len(red.aux_cost_multiplier) > 40_000
+    slow = [p for p, group in enumerate(red.groups) if group == (0,)]
+    assert red.groups[0] == (1,) and len(slow) == 1
+    # the slow machine's multiplier 3/2 rounds up to its group's power, not further
+    assert red.aux_cost_multiplier[slow[0] - 1] < Fraction(3, 2) <= red.aux_cost_multiplier[slow[0]]
+    assert aux.costs == ((1, red.aux_cost_multiplier[slow[0]]),) * 2
+
+
 def test_related_parameters():
     delta, kappa = related_parameters(0.2)
     assert abs(delta - 0.2 * 2 * math.e / (math.e - 1)) < 1e-12

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from dataclasses import replace
 from fractions import Fraction
 from unittest import mock
 
@@ -357,6 +358,18 @@ def test_greedy_unrelated_on_the_former_cliff_instance_stays_under_10000_pivots(
     assert pivot.call_count <= 10_000
 
 
+def test_greedy_unrelated_at_epsilon_1e_4_stops_each_rounding_at_its_ceiling():
+    # Each rounding call plans 138,891,083 attempts here; drawing them all took
+    # more than 25 s. Each LP support covers all three elements, which an
+    # iteration of the first block (2,048 draws of 4 pairs) reaches. Rows are
+    # counted, not seconds, so the test is not timing-flaky.
+    inst = ProblemInstance(3, ((0, 1), (2,)), 2, UnrelatedCosts(((2, 2), (1, 1))))
+    assert PmcParams(mode=POLY, epsilon=1e-4).attempts(2, 3) == 138_891_083
+    with mock.patch.object(pmc, "raw_draws", wraps=pmc.raw_draws) as draws:
+        pmssc_greedy(inst, oracle="unrelated", epsilon=1e-4, seed=1)
+    assert [call.args[1] for call in draws.call_args_list] == [512, 512]
+
+
 # -- differential test: vectorised rounding against the former per-iteration loop
 
 
@@ -417,12 +430,32 @@ def _outcome(solve):
         return ("no iteration kept", err.attempts)
 
 
+def _ceiling(inst, probs):
+    """Elements of the sets that have a pair with x > 0: no draw covers more."""
+    support = [s for s in range(inst.k) if any(probs[s * inst.m : (s + 1) * inst.m])]
+    return len(set().union(*(inst.sets[s] for s in support)))
+
+
 def assert_same_rounding(inst, budgets, solution, params):
+    """round_pmc reaches the reference loop's outcome over all planned
+    attempts. Only ``iterations_kept`` differs: it is the reference's kept
+    count over the first ``attempts_run`` rows, the iterations that ran, and
+    they stop short of ``attempts`` only at the coverage ceiling."""
     probs = [min(1.0, max(0.0, float(v))) for v in solution.values[: inst.k * inst.m]]
     draws = raw_draws(stream(params.seed), params.attempts(inst.m, inst.n), probs)
     expected = _outcome(lambda: reference_round_pmc(inst, budgets, solution, params, draws))
     actual = _outcome(lambda: round_pmc(inst, budgets, solution, params))
-    assert actual == expected
+    if isinstance(expected, tuple) or isinstance(actual, tuple):
+        assert actual == expected
+        return actual
+    assert replace(actual, iterations_kept=expected.iterations_kept) == expected
+    assert 0 < actual.attempts_run <= actual.attempts
+    ran = replace(params, r_cap=actual.attempts_run)
+    assert actual.iterations_kept == reference_round_pmc(
+        inst, budgets, solution, ran, draws
+    ).iterations_kept
+    if actual.attempts_run < actual.attempts:
+        assert actual.covered == _ceiling(inst, probs)
     return actual
 
 
@@ -513,6 +546,26 @@ def test_round_pmc_blocks_match_reference_loop(case, block):
     # the one-shot raw_draws matrix the reference reads
     with mock.patch.object(pmc, "ROUND_BLOCK", block):
         assert_same_rounding(*case)
+
+
+@st.composite
+def ceiling_cases(draw):
+    """Rounding cases of about a thousand planned attempts, more than the
+    first block holds, where every iteration fits its budgets: most calls
+    reach the coverage ceiling and stop early."""
+    inst, _, solution, params = draw(rounding_cases())
+    params = PmcParams(mode=POLY, epsilon=0.05, seed=params.seed)
+    budgets = [
+        Fraction(sum(row[j] for row in inst.icosts if row[j] != INFINITE_COST), inst.scale)
+        for j in range(inst.m)
+    ]
+    return inst, budgets, solution, params
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=ceiling_cases())
+def test_round_pmc_stops_at_the_coverage_ceiling_with_the_reference_result(case):
+    assert_same_rounding(*case)
 
 
 def test_round_pmc_memory_is_bounded():
