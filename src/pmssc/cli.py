@@ -310,7 +310,7 @@ def _cmd_bench(args):
                 _, opt = oracle_mod.exact_pmssc(inst)
                 ratio = 1.0 if cost == opt else float(cost / opt)  # opt is 0 when n is 0
                 writer.writerow([path.name, float(cost), float(opt), ratio])
-            except LimitsExceededError:
+            except (LimitsExceededError, ValueError):  # beyond limits, or precedence
                 writer.writerow([path.name, float(cost), "NA", "NA"])
         else:
             writer.writerow([path.name, float(cost), "", ""])

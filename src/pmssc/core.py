@@ -13,7 +13,9 @@ exact rationals. Infinite entries are the ``INFINITE_COST`` sentinel
 compute on ints instead: the scale ``L`` is the LCM of the finite costs'
 denominators, and ``icosts = costs * L``. Loads, makespans, covering times
 and densities are ints at their instance's scale; a rational bound g meets
-them as ``floor(g * L)`` (``scaled_floor``). ``Fraction`` stays in the cost
+them as ``floor(g * L)`` (``scaled_floor``); the PMC rounding sums a
+machine's loads in numpy int64 arrays (Python ints past 2^63), after dividing
+its column and its limit by the column's gcd. ``Fraction`` stays in the cost
 models, the public views (``costs``, ``cost()``, ``DensityValue.makespan``
 and ``as_fraction``, the values ``evaluate_schedule_cost`` returns), the
 report writer and the LP's normalised budget rows. No cost comparison goes
@@ -43,12 +45,6 @@ from .errors import (
 INFINITE_COST = math.inf
 
 CostValue = Union[Fraction, float]
-
-
-def is_finite_cost(value: CostValue) -> bool:
-    # A Fraction is always finite; testing its type first skips the slow
-    # Fraction-vs-float comparison on the common path.
-    return type(value) is Fraction or value != INFINITE_COST
 
 
 def as_fraction(value) -> Fraction:

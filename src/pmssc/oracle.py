@@ -114,7 +114,10 @@ def _greedy_upper_bound(inst, useful, masks, costs):
 def exact_pmssc(
     inst: ProblemInstance, limits: Optional[OracleLimits] = None
 ) -> Tuple[Schedule, Fraction]:
-    """Minimum-cost schedule by branch-and-bound; exact on small instances."""
+    """Minimum-cost schedule by branch-and-bound; exact on small instances
+    without precedence: an instance with DAG edges raises ``ValueError``."""
+    if inst.dag:
+        raise ValueError("exact_pmssc ignores precedence; use greedy-precedence for dag_edges")
     limits = limits or PMSSC_LIMITS
     if not validate_instance(inst).coverable:
         raise UncoverableError("universe is not coverable")

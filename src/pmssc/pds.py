@@ -108,17 +108,20 @@ def _ladder(table, base, pool, usable, clamp, solve) -> Iterator[Assignment]:
     The guesses span the finite costs of ``usable`` in ``table`` (see
     ``_ladder_guesses``); guess number ``gi`` yields ``solve(gi, guess,
     largest)``. ``largest`` is the largest finite ``icosts`` entry of a
-    ``pool`` set in ``table`` at or below ``floor(guess * table.scale)``, or
-    the largest of them all when ``clamp`` is off (a cost above the guess
-    still fits). A guess whose rounding keeps no iteration is skipped, and a
-    repeat (``solve`` returns None) yields nothing; when no guess yields a
-    nonempty assignment, ``NoCoverageError`` names the skipped roundings.
+    ``pool`` set in ``table`` at or below ``guess * table.scale`` (guesses
+    ascend, so one pointer walks the entries), or the largest of them all
+    when ``clamp`` is off (a cost above the guess still fits). A guess whose
+    rounding keeps no iteration is skipped, and a repeat (``solve`` returns
+    None) yields nothing; when no guess yields a nonempty assignment,
+    ``NoCoverageError`` names the skipped roundings.
     """
-    fitting = [c for c, s in table.icost_order if s in pool]
+    fitting, scale = [c for c, s in table.icost_order if s in pool], table.scale
+    fit = 0 if clamp else len(fitting)
     produced, skipped = False, []
     for gi, guess in enumerate(_ladder_guesses(table, base, usable)):
+        while fit < len(fitting) and fitting[fit] * guess.denominator <= scale * guess.numerator:
+            fit += 1
         # The first guess covers a usable set's cheapest cost, so one fits.
-        fit = bisect_right(fitting, scaled_floor(table.scale, guess)) if clamp else len(fitting)
         largest = fitting[fit - 1]
         try:
             asg = solve(gi, guess, largest)

@@ -21,10 +21,9 @@ draws, and each later one twice as many, up to ``ROUND_BLOCK``. Only pairs
 with x > 0 are drawn, so no iteration covers more than the union U of their
 sets; once a kept iteration covers |U| no later one can replace it, and the
 rounding stops after that block with the result of all R iterations.
-Loads are summed in float64; a load within a relative 1e-9 of its limit is
-re-checked exactly, on the instance's int cost table, so every keep/discard
+Loads are int sums in the instance's int cost table, so every keep/discard
 decision is exact. An integral x (every clipped value 0 or 1) draws the same
-pairs in every iteration, so it is decided once in that int table, with no
+pairs in every iteration, so it is decided once in that table, with no
 stream: all R iterations are kept, or none. Each call takes a fresh stream,
 so skipping one changes no other call's draws, and replay cannot tell.
 """
@@ -227,14 +226,6 @@ class PmcRelaxation:
         return self.program.with_rhs([1] * self.inst.n + scaled)
 
 
-def _float_or_inf(num: int, den: int) -> float:
-    """Correctly rounded ``num / den``; inf past the float range (re-checked exactly)."""
-    try:
-        return num / den
-    except OverflowError:
-        return math.inf
-
-
 def round_pmc(
     inst: ProblemInstance,
     budgets: Sequence,
@@ -250,14 +241,12 @@ def round_pmc(
     (1 + delta) * B_j on any machine are discarded. The blocks stop once the
     best kept iteration covers every element of the sets with some x > 0, the
     most any iteration can; ``attempts_run`` counts the iterations that ran,
-    and ``iterations_kept`` the kept ones among them. Loads are float64 sums;
-    a load within a relative 1e-9 of its limit (or not finite) is summed
-    again in ``icosts`` and compared with ``floor((1 + delta) * B_j * scale)``
-    before the decision. Float conversion and a sum of k positive terms err
-    by at most about k * 2^-53 relatively, far inside that band, so no
-    decision differs from the exact one; the band's absolute 1e-300 covers
-    costs below the normal float range, where only an absolute error bound
-    holds.
+    and ``iterations_kept`` the kept ones among them. Machine j's limit is
+    ``floor((1 + delta) * B_j * scale)``; its drawn loads are sums of its
+    ``icosts`` column and are compared with that limit after both are divided
+    by the gcd g of the column's finite costs, which is exact (g * a <= lim
+    exactly when a <= lim // g). The sums run in int64 when no reduced column
+    total reaches 2^63, and in Python ints otherwise.
 
     When every clipped x is 0 or 1, each iteration draws exactly the pairs at
     1, so no stream is built: the placement's loads are summed in ``icosts``
@@ -272,6 +261,7 @@ def round_pmc(
     factor = 1 + Fraction(params.delta(m))
     costs, scale = inst.icosts, inst.scale
     attempts = params.attempts(m, n)
+    limits = [scaled_floor(scale, factor, b) for b in budgets]
     if ((probs == 0.0) | (probs == 1.0)).all():
         # every iteration draws exactly the pairs at 1, so one exact decision
         # stands for all of them
@@ -282,7 +272,7 @@ def round_pmc(
                 union |= inst.masks[s]
         per_machine = tuple(map(tuple, placed))
         for j, seq in enumerate(per_machine):
-            if sum(costs[s][j] for s in seq) > scaled_floor(scale, factor, budgets[j]):
+            if sum(costs[s][j] for s in seq) > limits[j]:
                 raise NoIterationKeptError(attempts)
         covered = union.bit_count()
         return _result(inst, per_machine, covered, lp_solution, attempts, attempts, attempts, True)
@@ -298,9 +288,18 @@ def round_pmc(
         support |= inst.masks[s]
     ceiling = support.bit_count()
 
-    cost_f = np.array([[_float_or_inf(c, scale) for c in row] for row in costs])
-    fn, fd = factor.numerator, factor.denominator
-    limit_f = np.array([_float_or_inf(fn * b.numerator, fd * b.denominator) for b in budgets])
+    # Machine j's costs and limit over the gcd of its finite costs. A limit
+    # below 0 or above the column's total decides as that bound does, and an
+    # infinite cost exceeds the limit on its own.
+    columns, bounds = [], []
+    for j, limit in enumerate(limits):
+        finite = [row[j] for row in costs if row[j] is not INFINITE_COST]
+        g = math.gcd(*finite) or 1
+        bound = min(max(limit // g, -1), sum(finite) // g)
+        columns.append([bound + 1 if row[j] is INFINITE_COST else row[j] // g for row in costs])
+        bounds.append(bound)
+    dtype = np.int64 if max(map(sum, columns)) < 2**63 else object
+    columns, bounds = np.array(columns, dtype=dtype), np.array(bounds, dtype=dtype)
     gen = stream(params.seed)
     widest = max(1, ROUND_BLOCK // max(1, k * m))
     block = max(1, (ROUND_BLOCK >> 7) // max(1, k * m))
@@ -311,18 +310,12 @@ def round_pmc(
         # machine by machine, a set is kept where it is drawn and no lower
         # machine drew it
         hit = np.zeros((rows, k), dtype=bool)  # set s is placed in iteration r
-        keep, loads = [], np.empty((rows, m))
+        keep, loads = [], np.empty((rows, m), dtype=dtype)
         for j in range(m):
             keep.append(drawn[:, :, j] & ~hit)
             hit |= drawn[:, :, j]
-            loads[:, j] = np.where(keep[j], cost_f[:, j], 0.0).sum(axis=1)
-        over = loads > limit_f
-        with np.errstate(invalid="ignore"):  # inf - inf: not decided, so exact
-            decided = np.isfinite(loads) & (np.abs(loads - limit_f) > 1e-9 * limit_f + 1e-300)
-        for r, j in zip(*np.nonzero(~decided)):
-            load = sum(costs[s][j] for s in np.flatnonzero(keep[j][r]))
-            over[r, j] = load > scaled_floor(scale, factor, budgets[j])
-        ok = ~over.any(axis=1)
+            loads[:, j] = np.where(keep[j], columns[j], 0).sum(axis=1)
+        ok = ~(loads > bounds).any(axis=1)
         kept += int(ok.sum())
         covered = np.where(ok, (hit.astype(np.float32) @ incidence > 0).sum(axis=1), -1)
         best = int(np.argmax(covered))  # ties go to the earliest kept iteration

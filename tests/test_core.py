@@ -20,7 +20,6 @@ from pmssc.core import (
     coverage,
     density,
     evaluate_schedule_cost,
-    is_finite_cost,
     validate_instance,
 )
 from pmssc.errors import (
@@ -283,21 +282,6 @@ def test_coverage_set_indices_must_be_integers(t1):
         with pytest.raises(TypeError):
             coverage(t1, family)
     assert coverage(t1, [np.int64(1)]) == frozenset({2})
-
-
-@pytest.mark.parametrize(
-    "value, finite",
-    [
-        (Fraction(7, 3), True),
-        (Fraction(0), True),
-        (3, True),
-        (2.5, True),
-        (INFINITE_COST, False),
-        (float("inf"), False),
-    ],
-)
-def test_is_finite_cost(value, finite):
-    assert is_finite_cost(value) is finite
 
 
 def former_cost(model, s, j):

@@ -511,6 +511,41 @@ def test_cli_bench_ratios(tmp_path, capsys):
         assert lines[4].endswith(",NA,NA" if ratios else ",,")
 
 
+DAG_DOC = {
+    "version": 1, "n": 2, "m": 1, "cost_model": {"kind": "unit"},
+    "sets": [[0], [1]], "dag_edges": [[1, 0]],
+}
+
+
+@pytest.mark.parametrize("command", [
+    ["solve", "--algo", "exact"], ["oracle", "--problem", "pmssc"],
+])
+def test_cli_exact_min_sum_refuses_precedence_edges(tmp_path, capsys, command):
+    path = tmp_path / "dag.json"
+    path.write_text(json.dumps(DAG_DOC), encoding="utf-8")
+    rc = cli.main(command[:1] + ["--instance", str(path)] + command[1:])
+    captured = capsys.readouterr()
+    assert rc == cli.EXIT_VALIDATION
+    assert captured.err.startswith("validation error: exact_pmssc ignores precedence")
+    assert "Traceback" not in captured.err and captured.out == ""
+    # with no edges the same sets solve
+    path.write_text(json.dumps(dict(DAG_DOC, dag_edges=[])), encoding="utf-8")
+    assert cli.main(command[:1] + ["--instance", str(path)] + command[1:]) == cli.EXIT_OK
+    assert json.loads(capsys.readouterr().out)["cost"] == 3
+
+
+def test_cli_bench_ratios_write_na_for_precedence_edges(tmp_path, capsys):
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    (corpus / "dag.json").write_text(json.dumps(DAG_DOC), encoding="utf-8")
+    (corpus / "flat.json").write_text(json.dumps(dict(DAG_DOC, dag_edges=[])), encoding="utf-8")
+    argv = ["bench", "--corpus", str(corpus), "--algo", "greedy-precedence", "--ratios"]
+    rc = cli.main(argv)
+    captured = capsys.readouterr()
+    assert rc == cli.EXIT_OK, captured.err
+    assert captured.out.splitlines()[1:] == ["dag.json,3.0,NA,NA", "flat.json,3.0,3.0,1.0"]
+
+
 def test_cli_bench_ratio_of_zero_optimum(tmp_path, capsys):
     # n = 0: the schedule and the optimum both cost 0, which used to end in a
     # ZeroDivisionError traceback

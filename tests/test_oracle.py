@@ -20,7 +20,6 @@ from pmssc.core import (
     UnrelatedCosts,
     as_fraction,
     evaluate_schedule_cost,
-    is_finite_cost,
     topological_order,
     validate_instance,
 )
@@ -398,7 +397,7 @@ def former_exact_pds(
         dfs(idx + 1, covered_mask)  # leave s unused
         for j in range(m):
             c = inst.cost(s, j)
-            if not is_finite_cost(c):
+            if c == INFINITE_COST:
                 continue
             loads[j] += c
             labels[s] = j
@@ -463,7 +462,7 @@ def former_exact_pmc(
         dfs(idx + 1, covered_mask)
         for j in range(m):
             c = inst.cost(s, j)
-            if not is_finite_cost(c) or loads[j] + c > caps[j]:
+            if c == INFINITE_COST or loads[j] + c > caps[j]:
                 continue
             loads[j] += c
             labels[s] = j
@@ -722,7 +721,7 @@ def former_exact_pmssc(
 
     # integral costs as ints: the same exact values without Fraction overhead
     costs = [
-        [None if not is_finite_cost(c) else int(c) if c.denominator == 1 else c for c in row]
+        [None if c == INFINITE_COST else int(c) if c.denominator == 1 else c for c in row]
         for row in inst.costs
     ]
     containing = [
@@ -915,3 +914,14 @@ def test_exact_pmssc_matches_former_search(case):
 def test_exact_pmssc_reports_no_finite_cost_cover():
     with pytest.raises(UncoverableError, match="no finite-cost covering exists"):
         exact_pmssc(ONLY_INFINITE_COVER)
+
+
+def test_exact_pmssc_refuses_precedence_edges():
+    # the search ignores the DAG: it returned [[0, 1]], set 0 before its
+    # predecessor 1, as optimal
+    dag = ProblemInstance(n=2, sets=((0,), (1,)), m=1, cost_model=UnitCosts(), dag=((1, 0),))
+    with pytest.raises(ValueError, match="greedy-precedence"):
+        exact_pmssc(dag)
+    for no_edges in (None, ()):
+        inst = ProblemInstance(n=2, sets=((0,), (1,)), m=1, cost_model=UnitCosts(), dag=no_edges)
+        assert exact_pmssc(inst)[1] == 3

@@ -1,4 +1,6 @@
+import json
 import math
+from bisect import bisect_right
 from dataclasses import replace
 from fractions import Fraction
 from functools import lru_cache
@@ -22,6 +24,7 @@ from pmssc.core import (
     as_fraction,
     density,
     element_mask,
+    scaled_floor,
 )
 from pmssc.errors import InvalidIndexError, InvariantError, NoCoverageError, NoIterationKeptError
 from pmssc import cli
@@ -1240,3 +1243,74 @@ def test_reduce_related_matches_former_reduction(case):
     nonempty = [p for p, g in enumerate(former.groups) if g]
     assert aux.costs == tuple(tuple(row[p] for p in nonempty) for row in former_aux.costs)
     assert aux.sets == former_aux.sets
+
+
+def _ladder_fits(table, base, pool, usable, clamp):
+    """Each guess ``_ladder`` makes, with the ``largest`` it hands its step."""
+    seen = []
+
+    def step(gi, guess, largest):
+        seen.append((guess, largest))  # returns None, a repeat: nothing is yielded
+
+    with pytest.raises(NoCoverageError, match="no budget guess produced"):
+        list(_ladder(table, base, pool, usable, clamp, step))
+    return seen
+
+
+@st.composite
+def ladder_cases(draw):
+    """A cost table, a ladder base, a pool, its usable sets and the clamp flag:
+    related auxiliary tables, also at a small kappa, or random unrelated ones."""
+    if draw(st.booleans()):
+        inst, kappa = draw(related_reduction_cases())
+        kappa = draw(st.sampled_from([kappa, Fraction(related_parameters(0.05)[1])]))
+        assume(kappa < inst.m)
+        table, base = reduce_related(inst, kappa)[1], 1 + kappa
+    else:
+        k, m = draw(st.integers(1, 6)), draw(st.integers(1, 3))
+        cost = st.just(INFINITE_COST) | st.builds(Fraction, st.integers(1, 20), st.integers(1, 10))
+        matrix = tuple(tuple(draw(cost) for _ in range(m)) for _ in range(k))
+        table = ProblemInstance(n=1, sets=((0,),) * k, m=m, cost_model=UnrelatedCosts(matrix))
+        base = draw(st.sampled_from([Fraction(2), Fraction(3, 2), Fraction(1001, 1000)]))
+    pool = draw(st.frozensets(st.integers(0, table.k - 1), min_size=1))
+    usable = sorted(draw(st.frozensets(st.sampled_from(sorted(pool)), min_size=1)))
+    assume(any(table.finite_row_icosts[s] is not None for s in usable))
+    return table, base, pool, usable, draw(st.booleans())
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=ladder_cases())
+def test_ladder_fits_every_guess_as_the_former_floor_rule(case):
+    # the former rule: one bisect over the pool's ascending icosts per guess,
+    # at floor(guess * scale)
+    table, base, pool, usable, clamp = case
+    fitting = [c for c, s in table.icost_order if s in pool]
+    seen = _ladder_fits(table, base, pool, usable, clamp)
+    assert [guess for guess, _ in seen] == list(_ladder_guesses(table, base, usable))
+    for guess, largest in seen:
+        fit = bisect_right(fitting, scaled_floor(table.scale, guess)) if clamp else len(fitting)
+        assert largest == fitting[fit - 1]
+
+
+def test_related_solve_at_epsilon_1e_3_keeps_its_report(tmp_path, capsys):
+    # The aux scale has about 133,000 bits here and the ladder about 2,000
+    # guesses per pds call; each guess once took a floor division of that size.
+    path = tmp_path / "inst.json"
+    path.write_text(json.dumps({
+        "version": 1, "n": 3, "m": 2,
+        "cost_model": {"kind": "related", "base_costs": [1, 1], "speeds": [[1, 1], [3, 2]]},
+        "sets": [[0, 1], [2]],
+    }), encoding="utf-8")
+    argv = ["solve", "--instance", str(path), "--algo", "greedy-related", "--epsilon", "1e-3"]
+    assert cli.main(argv + ["--seed", "1"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    del report["wall_time_s"]
+    assert report == {
+        "algorithm": "greedy-related",
+        "cost": "8/3",
+        "cover_times": ["2/3", "2/3", "4/3"],
+        "iterations": 2,
+        "parameters": {"algo": "greedy-related", "epsilon": 0.001, "seed": 1},
+        "schedule": [[], [0, 1]],
+        "upper_bound": "8/3",
+    }

@@ -516,27 +516,52 @@ def test_round_pmc_matches_reference_when_nothing_is_kept():
     assert params.attempts(1, 2) > 1
 
 
-@pytest.mark.parametrize(
-    "cost, budget",
-    [
-        # past the float range: loads overflow to inf and are decided exactly
-        (Fraction(10**400), Fraction(10**400) + 1),
-        (Fraction(10**400), Fraction(10**400)),
-        # below it: costs underflow to 0.0
-        (Fraction(1, 10**400), Fraction(2, 10**400)),
-        (Fraction(1, 10**400), Fraction(1, 10**400)),
-    ],
-)
-def test_round_pmc_matches_reference_outside_float_range(cost, budget):
+OUTSIDE_FLOAT_RANGE = [
+    # past the float range: a float load would overflow to inf
+    (Fraction(10**400), Fraction(10**400) + 1),
+    (Fraction(10**400), Fraction(10**400)),
+    # below it: a float cost would underflow to 0.0
+    (Fraction(1, 10**400), Fraction(2, 10**400)),
+    (Fraction(1, 10**400), Fraction(1, 10**400)),
+]
+
+
+def _assert_same_rounding_outside_float_range(cost, budget, x, r_cap):
     inst = ProblemInstance(
         n=2, sets=((0,), (1,)), m=1, cost_model=UnrelatedCosts(((cost,), (Fraction(1, 10**400),)))
     )
-    solution = LpSolution((1.0, 1.0, 0.0, 0.0), 2.0, OPTIMAL)
-    params = PmcParams(mode=FPT, epsilon=0.2, mu=0.001, r_cap=3, seed=1)
-    # the limit is exactly the load (kept) or just below it (nothing kept)
+    solution = LpSolution((x, x, 0.0, 0.0), 2.0 * x, OPTIMAL)
+    params = PmcParams(mode=FPT, epsilon=0.2, mu=0.001, r_cap=r_cap, seed=1)
+    # the limit is exactly both sets' load (kept) or just below it (not kept)
     limit_budget = (cost + Fraction(1, 10**400)) / (1 + Fraction(params.delta(1)))
     for b in (limit_budget, limit_budget - Fraction(1, 10**420), budget):
         assert_same_rounding(inst, [b], solution, params)
+
+
+@pytest.mark.parametrize("cost, budget", OUTSIDE_FLOAT_RANGE)
+def test_round_pmc_matches_reference_outside_float_range(cost, budget):
+    _assert_same_rounding_outside_float_range(cost, budget, 1.0, 3)
+
+
+@pytest.mark.parametrize("cost, budget", OUTSIDE_FLOAT_RANGE)
+def test_drawn_round_pmc_matches_reference_outside_float_range(cost, budget):
+    # x = 1/2 draws; at cost 10**400 the icosts column (10**800, 1) has gcd 1,
+    # so its loads are summed in Python ints
+    _assert_same_rounding_outside_float_range(cost, budget, 0.5, 40)
+
+
+@pytest.mark.parametrize("budget", [Fraction(-10**30), 0, Fraction(3, 2), Fraction(10**30)])
+@pytest.mark.parametrize("cost", [INFINITE_COST, 4])
+def test_drawn_round_pmc_matches_reference_at_limits_past_every_load(budget, cost):
+    # a drawn infinite pair breaks its iteration's budget, and a limit far
+    # below 0 or far above every load decides as the reference's does
+    inst = ProblemInstance(
+        n=3, sets=((0, 1), (1, 2), (2,)), m=2,
+        cost_model=UnrelatedCosts(((1, 2), (3, cost), (1, 1))),
+    )
+    solution = LpSolution((0.5, 0.5, 0.0, 0.5, 0.5, 0.5, 0.0, 0.0, 0.0), 2.0, OPTIMAL)
+    params = PmcParams(mode=FPT, epsilon=0.2, mu=0.3, r_cap=60, seed=5)
+    assert_same_rounding(inst, [budget, budget], solution, params)
 
 
 @settings(max_examples=50, deadline=None)
