@@ -12,26 +12,30 @@ phase from that feasible slack basis (Bixby, Oper. Res. 2002) and reports
 ``optimal`` or ``unbounded``. Pivoting is Dantzig's rule with a switch to
 Bland's rule after ``10 * (rows + cols)`` degenerate steps. One engine runs on
 float64 arrays with a pivot tolerance cascade, or on ``Fraction`` object
-arrays with zero tolerance; both share one vectorised ratio test (ties to the
-lowest variable index). A float pivot updates the whole tableau in place,
-through one scratch array of two tableau-shaped planes that is allocated with
-the tableau and kept with it (a warm start reuses it), so no pivot allocates
-anything of the tableau's size; an exact pivot updates only the rows with a
-nonzero multiplier, as ``Fraction`` products are slow (Bixby, Oper. Res. 2002).
-``verify=True`` re-solves exactly from the float basis (Applegate, Cook, Dash
-& Espinoza, Oper. Res. Lett. 2007): the exact ``[A | slacks]`` tableau takes
-the float run's flips and basis, which must be exactly feasible, and the
-simplex pivots on until every exact reduced cost is <= 0 (no pivot when the
-float basis is optimal). The vertex returned is thus exactly feasible and
-exactly optimal.
+arrays with zero tolerance; both share one tableau layout and one vectorised
+ratio test (ties to the lowest variable index). The tableau is
+``T = [M | b ; r | -z]``: M = B^-1 [A | I], the basic values b, the reduced
+costs r = c - c_B M and minus the objective value z, so one rank-1 update per
+pivot moves all four, and a flip negates a whole column, r included. A float
+pivot updates T in place, through one scratch array of two T-shaped planes
+that is allocated with the tableau and kept with it (a warm start reuses it),
+so no pivot allocates anything of the tableau's size; an exact pivot updates
+only the rows with a nonzero multiplier, as ``Fraction`` products are slow
+(Bixby, Oper. Res. 2002). ``verify=True`` re-solves exactly from the float
+basis (Applegate, Cook, Dash & Espinoza, Oper. Res. Lett. 2007): the exact
+tableau ``[A | I | rhs ; c | 0 | 0]`` takes the float run's flips and basis,
+which must be exactly feasible, and the simplex pivots on until every exact
+reduced cost is <= 0 (no pivot when the float basis is optimal). The vertex
+returned is thus exactly feasible and exactly optimal.
 
 A ``WarmStart`` holder passed as ``warm`` keeps the last optimal float
 tableau. When the next program has exactly the same objective, bounds and
 coefficient rows, and differs only in its right-hand sides, the stored basis
 is still dual feasible: the rhs change enters through the slack columns
 (``b += B^-1 . change``), a bounded dual simplex (Koberstein, "The dual
-simplex method", 2005) restores primal feasibility, and the primal simplex
-finishes as in a cold solve. Any other program, and any numerical trouble on
+simplex method", 2005) with the dual steepest edge leaving rule (Forrest &
+Goldfarb, Math. Programming 1992) restores primal feasibility, and the primal
+simplex finishes as in a cold solve. Any other program, and any numerical trouble on
 the warm path, solves cold; ``verify=True`` re-solves exactly from the warm
 basis just as from a cold one. A warm start may stop at another optimal vertex
 than a cold solve where the optimum is not unique. ``LinearProgram.with_rhs``
@@ -42,6 +46,7 @@ from __future__ import annotations
 
 import copy
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -155,57 +160,54 @@ class _Unbounded(Exception):
     pass
 
 
-def _pivot(M, b, basis, i, j, W=None):
-    """Pivot on M[i, j]. A float tableau passes its scratch ``W``, two planes
-    of M's shape, and is updated in place; an exact one updates its nonzero rows."""
-    piv = M[i, j]
-    M[i, :] /= piv
-    b[i] /= piv
-    col = M[:, j].copy()
+def _pivot(T, basis, i, j, W=None):
+    """Pivot on T[i, j]; one rank-1 update moves M, b, r and -z together. A
+    float tableau passes its scratch ``W``, two planes of T's shape, and is
+    updated in place; an exact one updates its nonzero rows."""
+    T[i] /= T[i, j]
+    col = T[:, j].copy()
     col[i] = 0
     if W is None:
         rows = col.nonzero()[0]
-        M[rows] -= col[rows, None] * M[i]
-        b[rows] -= col[rows] * b[i]
+        T[rows] -= col[rows, None] * T[i]
     else:
         # The planes are filled by assignment: a broadcast operand in the
         # product itself would make numpy buffer it, 64 KB per pivot.
         rows, cols = W
-        rows[...] = M[i]
+        rows[...] = T[i]
         cols[...] = col[:, None]
-        M -= np.multiply(cols, rows, out=rows)
-        b -= col * b[i]
-    M[:, j] = 0
-    M[i, j] = 1
+        T -= np.multiply(cols, rows, out=rows)
+    T[:, j] = 0
+    T[i, j] = 1
     basis[i] = j
 
 
-def _flip_nonbasic(M, b, c, u, flipped, j):
-    b -= M[:, j] * u[j]
-    M[:, j] = -M[:, j]
-    c[j] = -c[j]
+def _flip_nonbasic(T, u, flipped, j):
+    """Move nonbasic column j to its other bound: x_j becomes u_j - x_j."""
+    T[:, -1] -= T[:, j] * u[j]
+    T[:, j] = -T[:, j]
     flipped[j] = not flipped[j]
 
 
-def _complement_basic(M, b, c, u, basis, flipped, i):
-    """Replace the basic variable z of row i (or rows i) by its complement u - z."""
+def _complement_basic(T, u, basis, flipped, i):
+    """Replace the basic variable z of row i (or rows i) by its complement u - z.
+    The vertex stays where it is, so the objective row does too."""
     bc = basis[i]
-    b[i] = u[bc] - b[i]
-    M[i, :] = -M[i, :]
-    M[i, bc] = 1
-    c[bc] = -c[bc]
+    T[i] = -T[i]
+    T[i, bc] = 1
+    T[i, -1] += u[bc]
     flipped[bc] = ~flipped[bc]
 
 
-def _optimize(M, b, c, u, basis, flipped, tol, bland_after, W=None):
+def _optimize(T, u, basis, flipped, tol, bland_after, W=None):
     """Run primal iterations until no reduced cost exceeds tol (0: exact ties);
     ``W`` is a float tableau's pivot scratch."""
+    M, b, r = T[:-1, :-1], T[:-1, -1], T[-1, :-1]
     nrows, ncols = M.shape
     tie = 1e-12 if tol else 0
     degenerate = 0
     for _ in range(2000 + 200 * (nrows + ncols)):
-        r = c - (c[basis] @ M if nrows else 0)
-        r[basis] = 0
+        # r is 0 on every basic column: each pivot writes its column as a unit vector
         if degenerate > bland_after:
             entering = np.nonzero(r > tol)[0]
             if entering.size == 0:
@@ -233,40 +235,49 @@ def _optimize(M, b, c, u, basis, flipped, tol, bland_after, W=None):
         if step <= tol:
             degenerate += 1
         if i < 0:
-            _flip_nonbasic(M, b, c, u, flipped, j)
+            _flip_nonbasic(T, u, flipped, j)
         else:
             if col[i] < 0:
-                _complement_basic(M, b, c, u, basis, flipped, i)
-            _pivot(M, b, basis, i, j, W)
+                _complement_basic(T, u, basis, flipped, i)
+            _pivot(T, basis, i, j, W)
     raise _NumericTrouble("iteration limit exceeded")
 
 
-def _dual_simplex(M, b, c, u, basis, flipped, tol, W):
+def _dual_simplex(T, u, basis, flipped, tol, W):
     """Bounded dual simplex from a dual feasible basis until 0 <= b <= u (within tol).
 
     A basic variable above its bound is complemented, which leaves every
-    reduced cost as it was and puts the variable below zero. The most
-    negative row leaves; the entering column has the least |reduced cost| /
-    |row entry| over the row's entries below -tol (ties to the lowest index),
-    so every reduced cost stays <= 0. A row with no such entry would prove the
-    program infeasible, which a packing program never is (x = 0 is feasible),
-    so it is numerical trouble and the caller solves cold.
+    reduced cost as it was and puts the variable below zero. The leaving row
+    is chosen by dual steepest edge (Forrest & Goldfarb, Math. Programming
+    1992): among the rows with b_i < -tol, the one of largest
+    b_i^2 / |row i of B^-1|^2. B^-1 is the tableau's slack block, so each
+    weight is exact and needs no update formula. The entering column has the
+    least |reduced cost| / |row entry| over the row's entries below -tol
+    (ties to the lowest index), so every reduced cost stays <= 0. A row with
+    no such entry would prove the program infeasible, which a packing program
+    never is (x = 0 is feasible), so it is numerical trouble and the caller
+    solves cold.
     """
+    M, b, r = T[:-1, :-1], T[:-1, -1], T[-1, :-1]
     nrows, ncols = M.shape
     if not nrows:
         return
+    inverse = M[:, ncols - nrows :]
     for _ in range(2000 + 200 * (nrows + ncols)):
-        _complement_basic(M, b, c, u, basis, flipped, (b > u[basis] + tol).nonzero()[0])
-        i = int(b.argmin())
-        if b[i] >= -tol:
+        above = (b > u[basis] + tol).nonzero()[0]
+        if above.size:
+            _complement_basic(T, u, basis, flipped, above)
+        infeasible = (b < -tol).nonzero()[0]
+        if infeasible.size == 0:
             return
+        rows = inverse[infeasible]
+        i = int(infeasible[(b[infeasible] ** 2 / np.einsum("ij,ij->i", rows, rows)).argmax()])
         row = M[i]
         entering = (row < -tol).nonzero()[0]
         if entering.size == 0:
             raise _NumericTrouble("dual simplex found no entering column")
-        r = c - c[basis] @ M
         j = int(entering[(np.minimum(r[entering], 0) / row[entering]).argmin()])
-        _pivot(M, b, basis, i, j, W)
+        _pivot(T, basis, i, j, W)
     raise _NumericTrouble("dual simplex iteration limit exceeded")
 
 
@@ -276,7 +287,8 @@ def _fraction(value):
 
 
 def _tableau(lp: LinearProgram, num):
-    """``[A | slacks]``, the rhs and the column ranges (``hi``, then inf per slack).
+    """The tableau ``[A | I | rhs ; c | 0 | 0]`` on the slack basis, and the
+    column ranges (``hi``, then inf per slack).
 
     ``num`` is ``float`` (float64 arrays, from the program's converted
     arrays) or ``_fraction`` (object arrays of ``Fraction``; slack
@@ -284,53 +296,54 @@ def _tableau(lp: LinearProgram, num):
     """
     nv, nrows = len(lp.objective), len(lp.constraints)
     if num is float:
-        _, rows, rhs, hi = lp._floats
+        objective, rows, rhs, hi = lp._floats
         dtype = float
     else:
+        objective = [num(c) for c in lp.objective]
         rows = [[num(a) for a in coeffs] for coeffs, _, _ in lp.constraints]
         rhs = [num(rhs) for _, _, rhs in lp.constraints]
         hi = np.array([num(hi) for _, hi in lp.bounds], dtype=object)
         dtype = object
-    M = np.full((nrows, nv + nrows), num(0), dtype=dtype)
+    T = np.full((nrows + 1, nv + nrows + 1), num(0), dtype=dtype)
     for i in range(nrows):
-        M[i, :nv] = rows[i]
-        M[i, nv + i] = num(1)
-    b = np.array(rhs, dtype=dtype)
+        T[i, :nv] = rows[i]
+        T[i, nv + i] = num(1)
+    T[:nrows, -1] = rhs
+    T[nrows, :nv] = objective
     u = np.concatenate([hi, np.full(nrows, math.inf, dtype=dtype)])
-    return M, b, u
+    return T, u
 
 
-def _vertex(b, u, basis, flipped, nv):
+def _vertex(T, u, basis, flipped, nv):
     """Structural values of the basic solution (flipped columns at u - z)."""
-    z = np.zeros(len(u), dtype=b.dtype)
-    z[basis] = b
+    z = np.zeros(len(u), dtype=T.dtype)
+    z[basis] = T[:-1, -1]
     z[flipped] = u[flipped] - z[flipped]
     return z[:nv]
 
 
 def _cold_start(lp: LinearProgram):
-    """The tableau ``(M, b, c, u, basis, flipped, W)`` on the slack basis, where
+    """The tableau ``(T, u, basis, flipped, W)`` on the slack basis, where
     each row's slack is basic at its rhs (>= 0) and every column is at 0; ``W``
-    is the pivot scratch, two planes of M's shape."""
-    M, b, u = _tableau(lp, float)
-    nrows, ncols = M.shape
-    c = np.concatenate([lp._floats[0], np.zeros(nrows)])
+    is the pivot scratch, two planes of T's shape."""
+    T, u = _tableau(lp, float)
+    nrows, ncols = T.shape[0] - 1, T.shape[1] - 1
     basis, flipped = np.arange(ncols - nrows, ncols), np.zeros(ncols, dtype=bool)
-    return M, b, c, u, basis, flipped, np.empty((2,) + M.shape)
+    return T, u, basis, flipped, np.empty((2,) + T.shape)
 
 
 def _warm_start(lp: LinearProgram, rhs_before, tableau, tol: float):
     """``tableau``, optimal for the right-hand sides ``rhs_before``, made
     primal feasible again for ``lp``'s by the bounded dual simplex.
 
-    Row i's slack column holds column i of B^-1, so the new basic values are
-    b + M[:, slacks] @ change.
+    Row i's slack column holds column i of B^-1, and its objective entry
+    minus the row's dual value, so b and -z move by T[:, slacks] @ change.
     """
-    M, b, c, u, basis, flipped, W = tableau
+    T, u, basis, flipped, W = tableau
     change = lp._floats[2] - rhs_before
     if change.any():
-        b += M[:, len(lp.objective):] @ change
-    _dual_simplex(M, b, c, u, basis, flipped, tol, W)
+        T[:, -1] += T[:, len(lp.objective) : -1] @ change
+    _dual_simplex(T, u, basis, flipped, tol, W)
     return tableau
 
 
@@ -340,46 +353,46 @@ def _solve_floats(lp: LinearProgram, tol: float, start=None):
     Returns the vertex and the final tableau.
     """
     tableau = _cold_start(lp) if start is None else _warm_start(lp, *start, tol)
-    M, b, c, u, basis, flipped, W = tableau
+    T, u, basis, flipped, W = tableau
     nv, nrows = len(lp.objective), len(lp.constraints)
-    _optimize(M, b, c, u, basis, flipped, tol, 10 * (nv + 2 * nrows), W)
+    _optimize(T, u, basis, flipped, tol, 10 * (nv + 2 * nrows), W)
     _, rows, rhs, hi = lp._floats
-    x = _vertex(b, u, basis, flipped, nv)
+    x = _vertex(T, u, basis, flipped, nv)
 
     # Feasibility backstop: bounds within 1e-9, row residuals within 1e-8.
     if np.any(x < -1e-9) or np.any(x > hi + 1e-9):
         raise _NumericTrouble("bound violation")
     x = np.clip(x, 0, hi)
-    for i in range(nrows):
-        resid = rows[i] @ x - rhs[i]
-        if resid > 1e-8:
-            raise _NumericTrouble("constraint residual %g" % resid)
+    resid = rows @ x - rhs
+    over = np.flatnonzero(resid > 1e-8)
+    if over.size:
+        raise _NumericTrouble("constraint residual %g" % resid[over[0]])
 
     return x, tableau
 
 
 def _solve_exact(lp: LinearProgram, basis, flipped):
     """Rational simplex from the float run's final flips and basis."""
-    M, b, u = _tableau(lp, _fraction)
-    nrows, ncols = M.shape
+    T, u = _tableau(lp, _fraction)
+    nrows, ncols = T.shape[0] - 1, T.shape[1] - 1
     nv = ncols - nrows
-    c = np.array([as_fraction(cj) for cj in lp.objective] + [Fraction(0)] * nrows, dtype=object)
     exact_flipped = np.zeros(ncols, dtype=bool)
     for j in np.flatnonzero(flipped):
-        _flip_nonbasic(M, b, c, u, exact_flipped, j)
+        _flip_nonbasic(T, u, exact_flipped, j)
     # Start from the slack basis and pivot each other float-basic column into a
     # row whose slack leaves; a nonsingular basis always has such a row.
     exact_basis = np.arange(nv, nv + nrows)
     target = set(basis)
     for j in sorted(target - set(exact_basis)):
-        free = [i for i in range(nrows) if exact_basis[i] not in target and M[i, j] != 0]
+        free = [i for i in range(nrows) if exact_basis[i] not in target and T[i, j] != 0]
         if not free:
             raise _NumericTrouble("float basis is singular in exact arithmetic")
-        _pivot(M, b, exact_basis, free[0], j)
+        _pivot(T, exact_basis, free[0], j)
+    b = T[:-1, -1]
     if any(v < 0 for v in b) or any(v > u[j] for v, j in zip(b, exact_basis)):
         raise _NumericTrouble("float basis is not exactly feasible")
-    _optimize(M, b, c, u, exact_basis, exact_flipped, 0, 10 * (nrows + ncols))
-    return _vertex(b, u, exact_basis, exact_flipped, nv)
+    _optimize(T, u, exact_basis, exact_flipped, 0, 10 * (nrows + ncols))
+    return _vertex(T, u, exact_basis, exact_flipped, nv)
 
 
 class WarmStart:
@@ -393,7 +406,7 @@ class WarmStart:
     def __init__(self):
         self.lp = None  # the program last solved; None while empty
         self.tol = None  # the pivot tolerance it was solved at
-        self.tableau = None  # its optimal (M, b, c, u, basis, flipped, W)
+        self.tableau = None  # its optimal (T, u, basis, flipped, W)
 
     def take(self, lp: LinearProgram):
         """Empty the holder; return ``(tol, (rhs_before, tableau))`` when ``lp``
@@ -434,7 +447,7 @@ def solve_lp(
         try:
             x, tableau = _solve_floats(lp, tol, start)
             if verify:
-                x = _solve_exact(lp, tableau[4], tableau[5])
+                x = _solve_exact(lp, tableau[2], tableau[3])
         except _Unbounded:
             if start is None:
                 return LpSolution((), None, UNBOUNDED)
@@ -445,9 +458,13 @@ def solve_lp(
             continue
         if warm is not None:
             warm.lp, warm.tol, warm.tableau = lp, tol, tableau
-        num = _fraction if verify else float
-        objective = num(sum(num(cj) * xj for cj, xj in zip(lp.objective, x)))
-        return LpSolution(tuple(num(v) for v in x), objective, OPTIMAL)
+        if verify:
+            values = tuple(map(as_fraction, x))
+            objective = sum(map(operator.mul, map(as_fraction, lp.objective), values), Fraction(0))
+        else:
+            values = tuple(x.tolist())
+            objective = float(sum(map(operator.mul, lp._floats[0].tolist(), values)))
+        return LpSolution(values, objective, OPTIMAL)
     raise NumericalFailureError("pivot tolerance cascade failed: %s" % last_trouble)
 
 

@@ -176,7 +176,13 @@ class PmcRelaxation:
     rhs, sharing all else. ``warm`` keeps the last optimum
     ``pmc_solve`` reached on it, so each later solve re-starts from there.
 
-    Variable order is x_{s,j} at index s*m + j followed by e_u at k*m + u.
+    Only an element that some set holds (``held``, ascending) gets a coverage
+    row and an e_u: an element no set holds has X_u = 0, so its row could
+    never bind. A ladder's work instance restricts its sets to the remaining
+    elements, so every covered element drops out this way. Variable order is
+    x_{s,j} at index s*m + j, then e_u in the order of ``held``; rows are the
+    coverage rows in that order, then one budget row per machine.
+
     Each machine's costs and budget are divided by the larger of 1 and its
     total finite cost, so that total is at most 1 (budgets above it are
     clamped, which is loss-free); infinite-cost pairs get a frozen [0, 0]
@@ -187,7 +193,7 @@ class PmcRelaxation:
     """
 
     def __init__(self, inst: ProblemInstance):
-        k, m, n = inst.k, inst.m, inst.n
+        k, m = inst.k, inst.m
         nx = k * m
         # per machine, the larger of the scale and the sum of its finite icosts
         inorms = [
@@ -195,24 +201,27 @@ class PmcRelaxation:
             for j in range(m)
         ]
         self.inst, self.norms = inst, [Fraction(t, inst.scale) for t in inorms]
+        self.held = sorted(set().union(*inst.sets))
+        nv = nx + len(self.held)
 
-        cover = [[0] * (nx + n) for _ in range(n)]
+        cover = {u: [0] * nv for u in self.held}
         for s, members in enumerate(inst.sets):
             for u in members:
                 cover[u][s * m : (s + 1) * m] = (1,) * m
         constraints = []
-        for u, coeffs in enumerate(cover):
-            coeffs[nx + u] = -1
+        for h, coeffs in enumerate(cover.values()):
+            coeffs[nx + h] = -1
             constraints.append((tuple(coeffs), "<=", 1))
         for j in range(m):
-            coeffs = [0] * (nx + n)
+            coeffs = [0] * nv
             for s, row in enumerate(inst.icosts):
                 if row[j] is not INFINITE_COST:
                     coeffs[s * m + j] = Fraction(row[j], inorms[j])
             constraints.append((tuple(coeffs), "<=", 0))
-        objective = tuple(len(members) for members in inst.sets for _ in range(m)) + (-1,) * n
+        objective = tuple(len(members) for members in inst.sets for _ in range(m))
+        objective += (-1,) * len(self.held)
         bounds = [(0, 1) if c is not INFINITE_COST else (0, 0) for row in inst.icosts for c in row]
-        bounds += [(0, math.inf)] * n
+        bounds += [(0, math.inf)] * len(self.held)
         self.program = LinearProgram(objective, tuple(constraints), tuple(bounds))
         self.warm = WarmStart()
 
@@ -223,7 +232,7 @@ class PmcRelaxation:
         if any(b < 0 for b in budgets):
             raise DomainError("budgets must be nonnegative")
         scaled = [min(b / norm, Fraction(1)) for b, norm in zip(budgets, self.norms)]
-        return self.program.with_rhs([1] * self.inst.n + scaled)
+        return self.program.with_rhs([1] * len(self.held) + scaled)
 
 
 def round_pmc(

@@ -1,11 +1,14 @@
-"""Shared fixtures: the figure-1 instance, the tiny T1 instance, and corpora."""
+"""Shared fixtures: the figure-1 instance, the tiny T1 instance, corpora, and
+a pivot counter for the LP engine."""
 
+import collections
 import functools
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
+from pmssc import lp as lp_mod
 from pmssc.core import (
     IdenticalCosts,
     ProblemInstance,
@@ -54,6 +57,34 @@ def t1_instance(m=1, model="identical", speeds=None):
 @pytest.fixture
 def t1():
     return t1_instance(m=1)
+
+
+@pytest.fixture
+def count_pivots(monkeypatch):
+    """A Counter of the LP engine's pivots while the test runs: ``primal`` for
+    those of ``_optimize`` (cold solves, and the primal finish of a warm
+    start), ``dual`` for those of the warm start's ``_dual_simplex``, and
+    ``basis`` for the exact re-solve's rebuild of the float basis."""
+    counts, phase = collections.Counter(), ["basis"]
+
+    def counted(*args, _inner=lp_mod._pivot):
+        counts[phase[-1]] += 1
+        return _inner(*args)
+
+    def in_phase(name, inner):
+        def run(*args, **kwargs):
+            phase.append(name)
+            try:
+                return inner(*args, **kwargs)
+            finally:
+                phase.pop()
+
+        return run
+
+    monkeypatch.setattr(lp_mod, "_pivot", counted)
+    monkeypatch.setattr(lp_mod, "_optimize", in_phase("primal", lp_mod._optimize))
+    monkeypatch.setattr(lp_mod, "_dual_simplex", in_phase("dual", lp_mod._dual_simplex))
+    return counts
 
 
 @functools.lru_cache(maxsize=None)

@@ -206,15 +206,18 @@ def test_programs_that_are_not_packing_programs_raise_domain_error(constraints, 
 def _beale_on_the_slack_basis(num, dtype):
     """Beale's cycling example: maximise 3/4 x1 - 150 x2 + x3/50 - 6 x4 subject to
     x1/4 - 60 x2 - x3/25 + 9 x4 <= 0, x1/2 - 90 x2 - x3/50 + 3 x4 <= 0 and
-    x3 <= 1, as the tableau (M, b, c, u, basis, flipped) on the slack basis."""
+    x3 <= 1, as the tableau (T, u, basis, flipped) on the slack basis: T is
+    [A | I | rhs ; c | 0 | 0]."""
     F = Fraction
-    rows = [[F(1, 4), -60, F(-1, 25), 9], [F(1, 2), -90, F(-1, 50), 3], [0, 0, 1, 0]]
-    slacks = [[num(int(i == r)) for i in range(3)] for r in range(3)]
-    M = np.array([[num(a) for a in row] + slacks[r] for r, row in enumerate(rows)], dtype=dtype)
-    b = np.array([num(0), num(0), num(1)], dtype=dtype)
-    c = np.array([num(a) for a in (F(3, 4), -150, F(1, 50), -6, 0, 0, 0)], dtype=dtype)
+    rows = [
+        [F(1, 4), -60, F(-1, 25), 9, 1, 0, 0, 0],
+        [F(1, 2), -90, F(-1, 50), 3, 0, 1, 0, 0],
+        [0, 0, 1, 0, 0, 0, 1, 1],
+        [F(3, 4), -150, F(1, 50), -6, 0, 0, 0, 0],
+    ]
+    T = np.array([[num(a) for a in row] for row in rows], dtype=dtype)
     u = np.array([math.inf] * 7, dtype=dtype)
-    return M, b, c, u, np.arange(4, 7), np.zeros(7, dtype=bool)
+    return T, u, np.arange(4, 7), np.zeros(7, dtype=bool)
 
 
 @pytest.mark.parametrize("num, dtype, tol", [(float, float, 1e-9), (Fraction, object, 0)])
@@ -222,39 +225,40 @@ def test_blands_rule_ends_the_cycle_of_beales_example(num, dtype, tol):
     pivot, pivots = lp_mod._pivot, []
 
     def counted(*args):
-        pivots.append(args[3])
+        pivots.append(args[2])
         pivot(*args)
 
     with mock.patch.object(lp_mod, "_pivot", counted):
-        M, b, c, u, basis, flipped = _beale_on_the_slack_basis(num, dtype)
-        W = np.empty((2,) + M.shape) if dtype is float else None  # the float pivot scratch
-        objective = c[:4].copy()
-        lp_mod._optimize(M, b, c, u, basis, flipped, tol, 10 * sum(M.shape), W)
+        T, u, basis, flipped = _beale_on_the_slack_basis(num, dtype)
+        W = np.empty((2,) + T.shape) if dtype is float else None  # the float pivot scratch
+        objective = T[-1, :4].copy()
+        lp_mod._optimize(T, u, basis, flipped, tol, 10 * (sum(T.shape) - 2), W)
         assert len(pivots) == 103
-        x = lp_mod._vertex(b, u, basis, flipped, 4)
+        x = lp_mod._vertex(T, u, basis, flipped, 4)
         if num is Fraction:
             assert list(x) == [Fraction(1, 25), 0, 1, 0] and objective @ x == Fraction(1, 20)
         else:
             assert np.allclose(x, [1 / 25, 0, 1, 0]) and abs(objective @ x - 1 / 20) < 1e-12
         # Dantzig's rule alone cycles until the iteration limit
         pivots.clear()
-        M, b, c, u, basis, flipped = _beale_on_the_slack_basis(num, dtype)
+        T, u, basis, flipped = _beale_on_the_slack_basis(num, dtype)
         with pytest.raises(lp_mod._NumericTrouble, match="^iteration limit exceeded$"):
-            lp_mod._optimize(M, b, c, u, basis, flipped, tol, 10**9, W)
-        assert len(pivots) == 2000 + 200 * sum(M.shape)
+            lp_mod._optimize(T, u, basis, flipped, tol, 10**9, W)
+        assert len(pivots) == 2000 + 200 * (sum(T.shape) - 2)
 
 
 def test_float_pivots_allocate_nothing_of_the_tableau_size():
-    # 84 x 260 is the unrelated bench's tableau; a pivot that built its update
-    # in temporaries allocated about 3 x 175 KB
+    # 84 x 260 plus the objective row and rhs column is the unrelated bench's
+    # former full-row tableau; a pivot that built its update in temporaries
+    # allocated about 3 x 175 KB
     rng = np.random.default_rng(3)
-    M = rng.random((84, 260)) + np.eye(84, 260)
-    b, basis, W = rng.random(84), np.arange(176, 260), np.empty((2,) + M.shape)
+    T = rng.random((85, 261)) + np.eye(85, 261)
+    basis, W = np.arange(176, 260), np.empty((2,) + T.shape)
     with np.errstate(all="ignore"):
         tracemalloc.start()
         try:
             for r in range(100):
-                lp_mod._pivot(M, b, basis, r % 84, r % 176, W)
+                lp_mod._pivot(T, basis, r % 84, r % 176, W)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -280,14 +284,13 @@ def assert_exactly_feasible(lp, sol):
 real_optimize = lp_mod._optimize
 
 
-def _reduced_costs_checked(M, b, c, u, basis, flipped, tol, bland_after, W=None):
+def _reduced_costs_checked(T, u, basis, flipped, tol, bland_after, W=None):
     """The engine's ``_optimize``; on an exact tableau it then asserts an
     exactly feasible basis with every exact reduced cost <= 0."""
-    real_optimize(M, b, c, u, basis, flipped, tol, bland_after, W)
-    if M.dtype == object:
-        assert all(0 <= v <= u[j] for v, j in zip(b, basis))
-        r = c - c[basis] @ M if len(basis) else c
-        assert all(rj <= 0 for j, rj in enumerate(r) if j not in basis)
+    real_optimize(T, u, basis, flipped, tol, bland_after, W)
+    if T.dtype == object:
+        assert all(0 <= v <= u[j] for v, j in zip(T[:-1, -1], basis))
+        assert all(rj <= 0 for j, rj in enumerate(T[-1, :-1]) if j not in basis)
 
 
 coefficient = st.one_of(
@@ -347,10 +350,10 @@ def _assert_same_optimum(lp, actual, expected, verify):
         assert actual.objective_value == pytest.approx(expected.objective_value, abs=1e-7)
 
 
-def _float_phase_2_cut_short(M, b, c, u, basis, flipped, tol, bland_after, W=None):
+def _float_phase_2_cut_short(T, u, basis, flipped, tol, bland_after, W=None):
     """``_optimize``, except that a float solve returns before any pivot."""
-    if M.dtype == object:
-        real_optimize(M, b, c, u, basis, flipped, tol, bland_after)
+    if T.dtype == object:
+        real_optimize(T, u, basis, flipped, tol, bland_after)
 
 
 def test_verify_finishes_a_float_phase_2_cut_short():
@@ -535,7 +538,7 @@ def test_dependent_rows_solve_exactly_and_keep_their_place_in_the_holder(lp):
     warm = WarmStart()
     solve_lp(lp, warm=warm)
     assert warm.lp is lp
-    assert warm.tableau[0].shape[0] == len(warm.tableau[4]) == len(lp.constraints)
+    assert warm.tableau[0].shape[0] - 1 == len(warm.tableau[2]) == len(lp.constraints)
 
 
 def test_with_rhs_shares_all_but_the_rhs():
@@ -562,34 +565,33 @@ def test_with_rhs_shares_all_but_the_rhs():
 
 
 # -- the in-place pivot and the vectorised ratio test against the dense pivot
-# and the loop ratio test they replaced, verbatim but for the names of the
-# functions and exceptions they use and the pivot scratch ``W`` they ignore
+# and the loop ratio test they replaced, but for the names of the functions
+# and exceptions they use, the pivot scratch ``W`` they ignore, and the
+# tableau layout [M | b ; r | -z]: the pivot updates the objective row and
+# rhs column with M, and the reduced costs are read from the objective row
 
 
-def _dense_pivot(M, b, basis, i, j, W=None):
-    piv = M[i, j]
-    M[i, :] /= piv
-    b[i] /= piv
-    col = M[:, j].copy()
+def _dense_pivot(T, basis, i, j, W=None):
+    piv = T[i, j]
+    T[i, :] /= piv
+    col = T[:, j].copy()
     col[i] = 0
     # exact tableaux skip rows with multiplier 0, as Fraction products are slow;
     # on small float tableaux that indexing would cost more than it saves
-    rows = np.flatnonzero(col) if M.dtype == object else slice(None)
-    M[rows] -= np.outer(col[rows], M[i, :])
-    b[rows] -= col[rows] * b[i]
-    M[:, j] = 0
-    M[i, j] = 1
+    rows = np.flatnonzero(col) if T.dtype == object else slice(None)
+    T[rows] -= np.outer(col[rows], T[i, :])
+    T[:, j] = 0
+    T[i, j] = 1
     basis[i] = j
 
 
-def _loop_optimize(M, b, c, u, basis, flipped, tol, bland_after, W=None):
+def _loop_optimize(T, u, basis, flipped, tol, bland_after, W=None):
     """Run primal iterations until no reduced cost exceeds tol (0: exact ties)."""
+    M, b, r = T[:-1, :-1], T[:-1, -1], T[-1, :-1]
     nrows, ncols = M.shape
     tie = 1e-12 if tol else 0
     degenerate = 0
     for _ in range(2000 + 200 * (nrows + ncols)):
-        r = c - (c[basis] @ M if nrows else 0)
-        r[basis] = 0
         if degenerate > bland_after:
             entering = np.nonzero(r > tol)[0]
             if entering.size == 0:
@@ -619,12 +621,12 @@ def _loop_optimize(M, b, c, u, basis, flipped, tol, bland_after, W=None):
         if theta <= tol:
             degenerate += 1
         if kind == "flip":
-            lp_mod._flip_nonbasic(M, b, c, u, flipped, j)
+            lp_mod._flip_nonbasic(T, u, flipped, j)
         elif kind == "lower":
-            _dense_pivot(M, b, basis, i, j)
+            _dense_pivot(T, basis, i, j)
         else:
-            lp_mod._complement_basic(M, b, c, u, basis, flipped, i)
-            _dense_pivot(M, b, basis, i, j)
+            lp_mod._complement_basic(T, u, basis, flipped, i)
+            _dense_pivot(T, basis, i, j)
     raise lp_mod._NumericTrouble("iteration limit exceeded")
 
 
@@ -650,10 +652,15 @@ def _matches_the_dense_solver(programs, verify, warm):
 @st.composite
 def large_pmc_ladders(draw, n=(30, 80), k=(10, 24), m=(2, 4), steps=(1, 5)):
     """The PMC programs of one unrelated instance (12% density, 10% infinite
-    costs) at the budgets 1, 2, 4, ... on every machine."""
+    costs) at the budgets 1, 2, 4, ... on every machine. As in the bench's
+    instances, an element no set holds joins a random set, so every element
+    has a coverage row."""
     n, k, m = draw(st.integers(*n)), draw(st.integers(*k)), draw(st.integers(*m))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    sets = tuple(tuple(int(u) for u in np.flatnonzero(rng.random(n) < 0.12)) for _ in range(k))
+    members = [set(np.flatnonzero(rng.random(n) < 0.12).tolist()) for _ in range(k)]
+    for u in sorted(set(range(n)).difference(*members)):
+        members[int(rng.integers(k))].add(u)
+    sets = tuple(tuple(sorted(s)) for s in members)
     costs = tuple(
         tuple(INFINITE_COST if rng.random() < 0.1 else int(rng.integers(1, 4)) for _ in range(m))
         for _ in range(k)
@@ -679,6 +686,63 @@ def test_fast_paths_match_the_dense_solver_on_large_pmc_ladders(programs):
        warm=st.booleans())
 def test_fast_paths_match_the_dense_solver_on_large_pmc_ladders_verified(programs, warm):
     _matches_the_dense_solver(programs, verify=True, warm=warm)
+
+
+class _Stop(Exception):
+    pass
+
+
+@settings(max_examples=25, deadline=None)
+@given(programs=large_pmc_ladders())
+def test_objective_row_and_rhs_are_carried_exactly_through_every_float_pivot(programs):
+    # After each pivot the carried r equals c - c_B . M and is 0 on basic
+    # columns, b equals B^-1 . rhs and -z the vertex's objective, all in the
+    # program with its flipped columns negated (x_j -> u_j - x_j)
+    state, checked = {}, []
+
+    def cold_start(lp, _inner=lp_mod._cold_start):
+        state["tableau"] = _inner(lp)
+        return state["tableau"]
+
+    def pivot(T, basis, i, j, W=None, _inner=lp_mod._pivot):
+        _inner(T, basis, i, j, W)
+        stored, u, stored_basis, flipped, _ = state["tableau"]
+        assert T is stored and basis is stored_basis
+        objective, rows, rhs, _ = state["lp"]._floats
+        nrows, nv = rows.shape
+        A = np.hstack([rows, np.eye(nrows)]) * np.where(flipped, -1.0, 1.0)
+        c = np.concatenate([objective, np.zeros(nrows)]) * np.where(flipped, -1.0, 1.0)
+        M, b, r = T[:-1, :-1], T[:-1, -1], T[-1, :-1]
+        assert np.abs(r - (c - c[basis] @ M)).max() <= 1e-9
+        assert (r[basis] == 0).all()
+        assert np.abs(b - M[:, nv:] @ (rhs + A[:, flipped] @ u[flipped])).max() <= 1e-9
+        x = lp_mod._vertex(T, u, basis, flipped, nv)
+        assert abs(T[-1, -1] + objective @ x) <= 1e-9
+        checked.append(j)
+
+    warm = WarmStart()
+    with mock.patch.multiple(lp_mod, _cold_start=cold_start, _pivot=pivot):
+        for lp in programs:
+            state["lp"] = lp
+            solve_lp(lp, warm=warm)
+    assert checked
+
+
+@pytest.mark.parametrize("weights, leaving", [((4, 1), 1), ((1, 4), 0)])
+def test_dual_steepest_edge_picks_the_largest_normalized_infeasibility(weights, leaving):
+    # x0 and x1 basic in rows 0 and 1 at b = (-2, -1); the slack block, B^-1,
+    # is diag(weights). Row 0 is the most negative, but it leaves only when
+    # b_0^2 / |B^-1_0|^2 is the larger: 4 / 16 < 1 / 1, and 4 / 1 > 1 / 16.
+    T = np.array([
+        [1.0, 0.0, -1.0, weights[0], 0.0, -2.0],
+        [0.0, 1.0, -1.0, 0.0, weights[1], -1.0],
+        [0.0, 0.0, -1.0, -1.0, -1.0, -5.0],
+    ])
+    u, basis, flipped = np.full(5, math.inf), np.array([0, 1]), np.zeros(5, dtype=bool)
+    with mock.patch.object(lp_mod, "_pivot", side_effect=_Stop) as pivot:
+        with pytest.raises(_Stop):
+            lp_mod._dual_simplex(T, u, basis, flipped, 1e-9, np.empty((2,) + T.shape))
+    assert pivot.call_args.args[2:4] == (leaving, 2)
 
 
 @st.composite

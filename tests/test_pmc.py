@@ -60,6 +60,20 @@ def test_lp_dimensions_single_set_two_machines():
     assert len(lp.constraints) == 1 + 2
 
 
+def test_lp_dimensions_with_an_element_no_set_holds():
+    # element 1 has no coverage row and no excess variable: rows = held + m
+    inst = ProblemInstance(
+        n=3, sets=((0,), (2,)), m=2, cost_model=IdenticalCosts((Fraction(1), Fraction(2)))
+    )
+    relaxation = PmcRelaxation(inst)
+    lp = relaxation.at([1, 1])
+    assert relaxation.held == [0, 2]
+    assert len(lp.objective) == 2 * 2 + 2
+    assert len(lp.constraints) == 2 + 2
+    assert lp.objective[4:] == (-1, -1)
+    assert [coeffs[:4] for coeffs, _, _ in lp.constraints[:2]] == [(1, 1, 0, 0), (0, 0, 1, 1)]
+
+
 def test_infinite_cost_pair_frozen_to_zero():
     inst = ProblemInstance(
         n=2,
@@ -273,7 +287,8 @@ def test_lp_dump_debug_flag(tmp_path, monkeypatch):
     assert "Maximize" in text and "Subject To" in text
 
 
-# -- the excess-cover relaxation against the former y-form one
+# -- the excess-cover relaxation against the former y-form one, and rows only
+# for held elements against a row for every element
 
 
 def former_program(inst, budgets):
@@ -348,14 +363,107 @@ def test_excess_form_keeps_the_former_optimum_and_its_x_is_former_optimal(case):
     assert sum(y) == expected.objective_value
 
 
-def test_greedy_unrelated_on_the_former_cliff_instance_stays_under_10000_pivots():
+def full_row_program(inst, budgets):
+    """The former ``PmcRelaxation(inst).at(budgets)``, with a coverage row and
+    an e_u for every element, held or not: variables x then e_0 .. e_{n-1}."""
+    k, m, n = inst.k, inst.m, inst.n
+    nx = k * m
+    inorms = [
+        max(inst.scale, sum(row[j] for row in inst.icosts if row[j] is not INFINITE_COST))
+        for j in range(m)
+    ]
+    cover = [[0] * (nx + n) for _ in range(n)]
+    for s, members in enumerate(inst.sets):
+        for u in members:
+            cover[u][s * m : (s + 1) * m] = (1,) * m
+    constraints = []
+    for u, coeffs in enumerate(cover):
+        coeffs[nx + u] = -1
+        constraints.append((tuple(coeffs), "<=", 1))
+    for j in range(m):
+        coeffs = [0] * (nx + n)
+        for s, row in enumerate(inst.icosts):
+            if row[j] is not INFINITE_COST:
+                coeffs[s * m + j] = Fraction(row[j], inorms[j])
+        budget = min(as_fraction(budgets[j]) / Fraction(inorms[j], inst.scale), Fraction(1))
+        constraints.append((tuple(coeffs), "<=", budget))
+    objective = tuple(len(members) for members in inst.sets for _ in range(m)) + (-1,) * n
+    bounds = [(0, 1) if c is not INFINITE_COST else (0, 0) for row in inst.icosts for c in row]
+    return LinearProgram(objective, tuple(constraints), tuple(bounds + [(0, math.inf)] * n))
+
+
+@st.composite
+def held_row_cases(draw):
+    """A small unrelated instance in which at least one element no set holds,
+    or a ladder's work instance of it: its sets restricted to a random
+    remaining subset. A budget per machine."""
+    n, k, m = draw(st.integers(2, 9)), draw(st.integers(1, 5)), draw(st.integers(1, 3))
+    unheld = draw(st.frozensets(st.integers(0, n - 1), min_size=1, max_size=n - 1))
+    members = [draw(st.frozensets(st.integers(0, n - 1), max_size=n)) - unheld for _ in range(k)]
+    if draw(st.booleans()):
+        remaining = draw(st.frozensets(st.integers(0, n - 1)))
+        members = [s & remaining for s in members]
+    cost = st.one_of(st.integers(1, 4), st.just(INFINITE_COST))
+    costs = tuple(tuple(draw(cost) for _ in range(m)) for _ in range(k))
+    budget = st.builds(Fraction, st.integers(0, 12), st.integers(1, 3))
+    sets = tuple(tuple(sorted(s)) for s in members)
+    inst = ProblemInstance(n=n, sets=sets, m=m, cost_model=UnrelatedCosts(costs))
+    return inst, [draw(budget) for _ in range(m)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=held_row_cases())
+def test_rows_only_for_held_elements_keep_the_full_row_optimum(case):
+    inst, budgets = case
+    full = full_row_program(inst, budgets)
+    expected = solve_lp(full, verify=True)
+    relaxation = PmcRelaxation(inst)
+    held = sorted(set().union(*inst.sets))
+    assert relaxation.held == held and len(held) < inst.n
+    program = relaxation.at(budgets)
+    assert len(program.constraints) == len(held) + inst.m
+    assert len(program.objective) == inst.k * inst.m + len(held)
+    sol = solve_lp(program, verify=True)
+    assert expected.status == sol.status == OPTIMAL
+    assert sol.objective_value == expected.objective_value
+    # x with e_u = max(0, X_u - 1) for every element is exactly feasible in
+    # the full-row program and reaches its optimum
+    m, nx = inst.m, inst.k * inst.m
+    x = sol.values[:nx]
+    excess = [
+        max(Fraction(0), sum((x[s * m + j] for s in range(inst.k) if u in inst.sets[s]
+                              for j in range(m)), Fraction(0)) - 1)
+        for u in range(inst.n)
+    ]
+    values = list(x) + excess
+    for v, (lo, hi) in zip(values, full.bounds):
+        assert lo <= v <= hi
+    for coeffs, _, rhs in full.constraints:
+        lhs = sum((as_fraction(a) * v for a, v in zip(coeffs, values)), Fraction(0))
+        assert lhs <= rhs
+    objective = sum((as_fraction(c) * v for c, v in zip(full.objective, values)), Fraction(0))
+    assert objective == expected.objective_value
+
+
+def test_greedy_unrelated_on_the_former_cliff_instance_stays_under_10000_pivots(count_pivots):
     # The former y-form relaxation, whose degenerate rhs-0 coverage rows sent
     # every cold solve through phase 1, took 133,872 pivots (148 s) on this
-    # solve. Pivots are counted, not seconds, so the test is not timing-flaky.
+    # solve; the excess form with a full row per element took 788 primal and
+    # 1,615 dual ones. Pivots are counted, not seconds, so the test is not
+    # timing-flaky.
     inst = generate_instance(n=160, k=40, m=4, model="unrelated", density=0.1, seed=2)
-    with mock.patch.object(lp_module, "_pivot", wraps=lp_module._pivot) as pivot:
-        pmssc_greedy(inst, oracle="unrelated", epsilon=0.2, seed=1)
-    assert pivot.call_count <= 10_000
+    pmssc_greedy(inst, oracle="unrelated", epsilon=0.2, seed=1)
+    assert count_pivots["primal"] + count_pivots["dual"] <= 10_000
+    assert count_pivots["basis"] == 0  # no exact re-solve on this path
+
+
+def test_greedy_unrelated_at_bench_size_takes_fewer_dual_pivots(count_pivots):
+    # With a full coverage row per element and the most negative row leaving,
+    # this solve's warm starts took 219 dual pivots (and its solves 112 primal
+    # ones); rows only for held elements and dual steepest edge take 154.
+    inst = generate_instance(n=80, k=24, m=4, model="unrelated", density=0.12, seed=1)
+    pmssc_greedy(inst, oracle="unrelated", epsilon=0.1, seed=1)
+    assert 0 < count_pivots["dual"] < 219
 
 
 def test_greedy_unrelated_at_epsilon_1e_4_stops_each_rounding_at_its_ceiling():
