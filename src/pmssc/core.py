@@ -30,7 +30,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 from operator import index, itemgetter
 from typing import Iterable, Optional, Sequence, Tuple, Union
 
@@ -461,6 +461,15 @@ def machine_loads(inst: ProblemInstance, per_machine) -> Tuple[int, ...]:
     )
 
 
+@lru_cache(maxsize=1)
+def _restriction_mask(n: int, restrict: frozenset) -> int:
+    """Mask of the members of ``restrict`` equal to an element of [0, n); as in
+    ``coverage``, the others are ignored. The greedy driver passes one
+    ``remaining`` to every density call of a ladder, so the last is cached."""
+    universe = range(n)
+    return element_mask(universe.index(e) for e in restrict if e in universe)
+
+
 def density(
     inst: ProblemInstance,
     asg: Assignment,
@@ -469,9 +478,15 @@ def density(
     """Covered element count over the cost of the most expensive machine."""
     if asg.is_empty:
         raise EmptyAssignmentError("density undefined for an empty assignment")
-    loads = machine_loads(inst, asg.per_machine)
-    covered = coverage(inst, asg.all_sets(), restrict_to)
-    return DensityValue(len(covered), max(loads), inst.scale)
+    loads = machine_loads(inst, asg.per_machine)  # checks every index is in [0, k)
+    if restrict_to is None:
+        restrict = (1 << inst.n) - 1
+    else:
+        restrict = _restriction_mask(inst.n, frozenset(restrict_to))
+    covered = 0
+    for s in asg.all_sets():
+        covered |= inst.masks[s]
+    return DensityValue((covered & restrict).bit_count(), max(loads), inst.scale)
 
 
 def evaluate_schedule_cost(

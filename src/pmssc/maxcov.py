@@ -5,8 +5,8 @@ Two kernels, chosen by the number k of candidate sets:
 * k <= ``PARTIAL_ENUM_MAX_K``: partial enumeration over every seed family
   of at most two sets, each completed by the ratio greedy: O(k^2) greedy
   completions, which keep the full 1 - 1/e guarantee under a knapsack
-  constraint (Kulik, Schwartz & Shachnai, Oper. Res. Lett. 2021). A seed
-  that an earlier completion passed through is not completed again.
+  constraint (Kulik, Schwartz & Shachnai, Oper. Res. Lett. 2021). No
+  completion runs on past a family that an earlier one reached (below).
 * otherwise: the greedy that repeatedly adds the affordable set with the
   best (new elements)/(cost) ratio, and falls back to the best single
   affordable set when that beats the greedy run.
@@ -22,19 +22,20 @@ The kernel is exact and works on integers only:
   scaling.
 * The universe and every set are int bitmasks (bit ``e`` set for element
   ``e``), and the gain of a set is ``(mask & ~covered).bit_count()``.
-* The greedy is lazy (Minoux's accelerated greedy; CELF, Leskovec et al.
-  2007). A heap holds each set under the ratio it had when last evaluated,
-  ordered by ratio, then by lowest index. Coverage only grows, so a stale
-  ratio is at least the true one: when the top entry is fresh, no other set
-  can beat it, nor tie it with a lower index. The pick is therefore the one
-  the eager scan over all sets would make. A set that no longer fits is
-  dropped for good, because the remaining budget only shrinks; so is a set
-  whose gain reached zero.
+* The greedy scans every live set at each pick and compares the ratios
+  g/c exactly by cross-multiplying (``g * c_best > g_best * c``); the
+  lowest index wins a tie. A set that no longer fits is dropped for good,
+  because the remaining budget only shrinks; so is a set whose gain reached
+  zero, because coverage only grows.
+* A completion is determined by its family of chosen sets (an int bitmask
+  over set indices): the covered elements and the cost spent are functions
+  of it. So the enumeration keeps one set of the families its completions
+  reached, skips a seed whose family is in it, and drops a completion the
+  moment it reaches one: its end is an earlier completion's end.
 """
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
@@ -54,45 +55,35 @@ class MaxCovResult:
     covered: int
 
 
-def _greedy_fill(masks, costs, scale, budget, chosen, covered, spent):
-    """Extend ``chosen`` lazily-greedily by ratio; returns the new state.
+def _greedy_fill(masks, costs, room, family, covered, seen):
+    """Extend ``family`` greedily by ratio within ``room``; returns
+    (family, covered, room) at its end, or None at a pick that reaches a
+    family in ``seen``. Every other family a pick reaches joins ``seen``."""
+    live = range(len(masks))
+    while True:
+        best, g_best, c_best, keep, left = -1, 0, 1, [], ~covered
+        for i in live:
+            c = costs[i]
+            if c <= room:
+                g = (masks[i] & left).bit_count()
+                if g:
+                    keep.append(i)
+                    if g * c_best > g_best * c:
+                        best, g_best, c_best = i, g, c
+        if best < 0:
+            return family, covered, room
+        family |= 1 << best
+        if family in seen:
+            return None
+        seen.add(family)
+        covered |= masks[best]
+        room -= c_best
+        live = keep
 
-    ``scale`` is at least the square of the largest cost, so the heap key
-    ``gain * scale // cost`` orders ratios exactly: two different ratios
-    g1/c1 and g2/c2 differ by at least 1/(c1*c2), i.e. their scaled values
-    by at least 1, and equal ratios get equal keys.
-    """
-    chosen = list(chosen)
-    in_solution = set(chosen)
-    room = budget - spent
-    heap = []
-    for i, mask in enumerate(masks):
-        if i in in_solution or costs[i] > room:
-            continue
-        gain = (mask & ~covered).bit_count()
-        if gain:
-            heap.append((-(gain * scale // costs[i]), i, 0))
-    heapq.heapify(heap)
-    picks = 0
-    while heap:
-        _, i, stamp = heap[0]
-        cost = costs[i]
-        if cost > budget - spent:
-            heapq.heappop(heap)
-            continue
-        if stamp != picks:
-            gain = (masks[i] & ~covered).bit_count()
-            if gain:
-                heapq.heapreplace(heap, (-(gain * scale // cost), i, picks))
-            else:
-                heapq.heappop(heap)
-            continue
-        heapq.heappop(heap)
-        chosen.append(i)
-        covered |= masks[i]
-        spent += cost
-        picks += 1
-    return chosen, covered, spent
+
+def _members(family: int, k: int) -> Tuple[int, ...]:
+    """The chosen set indices of ``family``, ascending."""
+    return tuple(i for i in range(k) if family >> i & 1)
 
 
 def budgeted_max_coverage(
@@ -120,11 +111,10 @@ def budgeted_max_coverage(
     if budget == 0 or not sets:
         return MaxCovResult((), Fraction(0), 0)
 
-    ibudget = budget.numerator * denom // budget.denominator
-    scale = max(costs) ** 2
+    k, ibudget = len(sets), budget.numerator * denom // budget.denominator
 
-    if len(sets) > PARTIAL_ENUM_MAX_K:
-        chosen, covered, spent = _greedy_fill(masks, costs, scale, ibudget, [], 0, 0)
+    if k > PARTIAL_ENUM_MAX_K:
+        family, covered, room = _greedy_fill(masks, costs, ibudget, 0, 0, set())
         covered_count = covered.bit_count()
         best_single = None
         for i, mask in enumerate(masks):
@@ -134,28 +124,35 @@ def budgeted_max_coverage(
         if best_single is not None and best_single[0] > covered_count:
             i = best_single[1]
             return MaxCovResult((i,), Fraction(costs[i], denom), best_single[0])
-        return MaxCovResult(tuple(sorted(chosen)), Fraction(spent, denom), covered_count)
+        return MaxCovResult(_members(family, k), Fraction(ibudget - room, denom), covered_count)
 
-    # Partial enumeration: every affordable seed of size <= 2, greedily completed.
-    # ``_greedy_fill`` is deterministic in its (chosen, covered, spent) state, so
-    # a seed whose sets begin an earlier completion would repeat it: skip it.
-    best = None  # key: (-covered, total_cost, chosen tuple)
-    reached = set()
+    # Partial enumeration: every affordable seed of size <= 2, greedily completed
+    # unless its family, or one its completion reaches, was reached before.
+    best = None  # ((-covered, total cost), family); ties go to the least chosen tuple
+    seen = set()
     for size in range(0, 3):
-        for seed in combinations(range(len(sets)), size):
-            if seed in reached:
+        for seed in combinations(range(k), size):
+            family = seed_cost = seed_cover = 0
+            for i in seed:
+                family |= 1 << i
+            if family in seen:
                 continue
-            seed_cost = sum(costs[i] for i in seed)
+            for i in seed:
+                seed_cost += costs[i]
+                seed_cover |= masks[i]
             if seed_cost > ibudget:
                 continue
-            seed_cover = 0
-            for i in seed:
-                seed_cover |= masks[i]
-            chosen, covered, spent = _greedy_fill(
-                masks, costs, scale, ibudget, seed, seed_cover, seed_cost
-            )
-            reached.update((tuple(chosen[:1]), tuple(sorted(chosen[:2]))))
-            key = (-covered.bit_count(), spent, tuple(sorted(chosen)))
-            if best is None or key < best:
-                best = key
-    return MaxCovResult(best[2], Fraction(best[1], denom), -best[0])
+            seen.add(family)
+            done = _greedy_fill(masks, costs, ibudget - seed_cost, family, seed_cover, seen)
+            if done is None:
+                continue
+            family, covered, room = done
+            key = (-covered.bit_count(), ibudget - room)
+            if (
+                best is None
+                or key < best[0]
+                or key == best[0] and _members(family, k) < _members(best[1], k)
+            ):
+                best = (key, family)
+    (uncovered, spent), family = best
+    return MaxCovResult(_members(family, k), Fraction(spent, denom), -uncovered)

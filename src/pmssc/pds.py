@@ -9,8 +9,9 @@ assignment seen (ties break toward the smaller guess, and the winner's
 density is re-evaluated). The bound survives the stop: the proof needs the
 first guess at or above the optimal makespan, and a full cover at a smaller
 guess is already at least as dense as the density the proof derives there.
-Skipping a PMC guess that would repeat the last assignment (``_pmc_solver``)
-keeps both: ties keep the earlier guess, and a full cover had stopped the ladder.
+Skipping a guess that would repeat the last assignment (``_pmc_solver``, and
+an identical guess with the last one's sets and floored budget) keeps both:
+ties keep the earlier guess, and a full cover had stopped the ladder.
 
 * identical machines: budgeted max coverage with m times the guess, chosen
   sets spread largest-first over the least-loaded machine. Unit costs take
@@ -206,9 +207,17 @@ def pds_identical(
         sets = sorted(s for _, s in by_cost[: bisect_right(by_cost, largest, key=itemgetter(0))])
         return sets, [inst.masks[s] for s in sets], [inst.icosts[s][0] for s in sets]
 
-    def spread(gi, guess, largest) -> Assignment:
-        candidates, masks, costs = fitting(largest)
+    last = None  # (largest, floored budget) of the last solved guess
+
+    def spread(gi, guess, largest) -> Optional[Assignment]:
+        """The guess's assignment, or None when it would repeat the last one."""
+        nonlocal last
         # the budget m * guess in icosts units; max coverage floors it
+        key = (largest, scaled_floor(scale, inst.m, guess))
+        if key == last:
+            return None
+        last = key
+        candidates, masks, costs = fitting(largest)
         result = budgeted_max_coverage(remaining_mask, masks, costs, guess * (inst.m * scale))
         chosen = [candidates[i] for i in result.chosen]
         per_machine, loads = [[] for _ in range(inst.m)], [0] * inst.m

@@ -123,6 +123,45 @@ def test_density_empty_assignment(t1):
         density(t1, Assignment.empty(1))
 
 
+def test_density_ignores_what_is_no_element(t1):
+    # -1 must not become bit -1 (a ValueError) nor 99 a bit past n; 1.0 and
+    # True equal elements 1 and 1 of U, as they do in ``coverage``.
+    asg = Assignment(((0, 1, 2),))
+    assert density(t1, asg, {-1, 99, "a"}).covered == 0
+    assert density(t1, asg, [1.0, True, -1, 2]).covered == 2
+    with pytest.raises(TypeError):
+        density(t1, asg, [[0]])
+    with pytest.raises(TypeError):
+        density(t1, asg, 3)
+
+
+@st.composite
+def restricted_assignments(draw):
+    n, k, m = draw(st.integers(1, 9)), draw(st.integers(1, 6)), draw(st.integers(1, 3))
+    sets = tuple(
+        tuple(sorted(draw(st.frozensets(st.integers(0, n - 1), min_size=1)))) for _ in range(k)
+    )
+    costs = tuple(draw(st.integers(1, 4)) for _ in range(k))
+    inst = ProblemInstance(n, sets, m, IdenticalCosts(costs))
+    placed = draw(st.lists(st.integers(0, k - 1), min_size=1, unique=True))
+    per_machine = [[] for _ in range(m)]
+    for s in placed:
+        per_machine[draw(st.integers(0, m - 1))].append(s)
+    element = st.integers(-3, n + 3) | st.sampled_from([1.0, True, Fraction(2), "a"])
+    restrict = draw(st.none() | st.lists(element) | st.frozensets(st.integers(0, n - 1)))
+    return inst, Assignment(per_machine), restrict
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=restricted_assignments())
+def test_density_counts_what_coverage_covers(case):
+    inst, asg, restrict = case
+    d = density(inst, asg, restrict)
+    assert d.covered == len(coverage(inst, asg.all_sets(), restrict))
+    loads = [sum(inst.cost(s, j) for s in seq) for j, seq in enumerate(asg.per_machine)]
+    assert d.makespan == max(loads)
+
+
 def test_density_cross_multiplication():
     assert DensityValue(2, Fraction(3)) < DensityValue(3, Fraction(4))
     assert DensityValue(2, Fraction(4)) == DensityValue(1, Fraction(2))

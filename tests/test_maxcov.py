@@ -16,6 +16,7 @@ from pmssc.errors import DomainError
 from pmssc.fileio import generate_instance
 from pmssc.maxcov import MaxCovResult, budgeted_max_coverage
 from pmssc.pds import identical_ladder_delta, pds_identical
+from pmssc.scheduler import pmssc_greedy
 
 # The two kernels, named for the reference below. ``budgeted_max_coverage``
 # picks one from the number of sets; a test forces it by moving the cut.
@@ -115,51 +116,105 @@ def test_default_mode_matches_enum_for_small_k():
     assert result == enum
 
 
-def _unreached_seed_count(universe, sets, costs, budget):
-    """How many affordable seeds of <= 2 sets no earlier completion begins with,
-    replayed with the eager reference greedy: the completions the kernel runs."""
+def _seen_family_replay(universe, sets, costs, budget):
+    """The partial enumeration's seen-family rule, replayed with the eager
+    reference greedy: (completions started, completions run to their end).
+
+    A seed whose family an earlier completion reached is skipped, and a
+    completion stops at the first family an earlier one reached."""
     members = [frozenset(s) for s in sets]
-    reached, count = set(), 0
+    seen, started, finished = set(), 0, 0
     for size in range(3):
         for seed in combinations(range(len(sets)), size):
-            if seed in reached or sum(costs[i] for i in seed) > budget:
+            if frozenset(seed) in seen or sum(costs[i] for i in seed) > budget:
                 continue
-            count += 1
+            started += 1
+            seen.add(frozenset(seed))
             covered = frozenset().union(*(members[i] for i in seed))
             chosen, _, _ = _reference_greedy_fill(
                 members, costs, budget, list(seed), covered, sum(costs[i] for i in seed)
             )
-            reached.update({tuple(chosen[:1]), tuple(sorted(chosen[:2]))})
-    return count
+            for end in range(size + 1, len(chosen) + 1):
+                if frozenset(chosen[:end]) in seen:
+                    break
+                seen.add(frozenset(chosen[:end]))
+            else:
+                finished += 1
+    return started, finished
 
 
-@pytest.mark.parametrize("k", [1, 2, 7, 12])
+def _spy_fill():
+    """A ``Mock`` around the kernel that records what each call returned."""
+    returned = []
+
+    def fill(*args, _inner=maxcov_module._greedy_fill):
+        returned.append(_inner(*args))
+        return returned[-1]
+
+    return mock.Mock(side_effect=fill), returned
+
+
+# completions started and run to their end, per k, at the budget that affords
+# every family
+SEEN_FAMILY_COMPLETIONS = {1: (1, 1), 2: (2, 1), 7: (22, 6), 12: (67, 17)}
+
+
+@pytest.mark.parametrize("k", sorted(SEEN_FAMILY_COMPLETIONS))
 def test_partial_enum_completes_each_unreached_seed_once(k):
-    # The budget affords every family, so every seed of <= 2 sets is completed
-    # unless an earlier completion began with it, and no seed of three sets is.
+    # The budget affords every family, so every seed of <= 2 sets is started
+    # unless an earlier completion reached its family, and no seed of three
+    # sets is; a completion that reaches an earlier one's family stops there.
     sets = [element_mask({i, (i + 1) % (k + 1)}) for i in range(k)]
     costs = [Fraction(1 + i % 3, 1 + i % 2) for i in range(k)]
-    fill = mock.Mock(wraps=maxcov_module._greedy_fill)
+    fill, returned = _spy_fill()
     with mock.patch.object(maxcov_module, "_greedy_fill", fill):
         budgeted_max_coverage(element_mask(range(k + 1)), sets, costs, sum(costs))
     members = [{i, (i + 1) % (k + 1)} for i in range(k)]
-    expected = _unreached_seed_count(range(k + 1), members, costs, sum(costs))
-    assert fill.call_count == expected < 1 + k + k * (k - 1) // 2
+    replay = _seen_family_replay(range(k + 1), members, costs, sum(costs))
+    assert (fill.call_count, sum(r is not None for r in returned)) == replay
+    started, finished = SEEN_FAMILY_COMPLETIONS[k]
+    assert replay == (started, finished)
+    assert finished <= started < 1 + k + k * (k - 1) // 2
 
 
 def test_partial_enum_skips_the_seeds_a_singletons_completion_begins_with():
     # The empty seed's completion picks set 0, then set 1: seeds {0} and
-    # {0, 1} would repeat it. Seed {1} picks set 0 next, and seed {2} fills
-    # the budget alone; every other pair is over budget. Three completions
-    # run instead of five, and the result is the one all five give.
+    # {0, 1} would repeat it. Seed {1} picks set 0 next, a family the first
+    # completion reached, so it stops there; seed {2} fills the budget alone,
+    # and every other pair is over budget. Three completions start instead of
+    # five, two run to their end, and the result is the one all five give.
     sets = [element_mask({0, 1, 2}), element_mask({3}), element_mask({4})]
     costs, budget = [1, 1, 2], 2
-    fill = mock.Mock(wraps=maxcov_module._greedy_fill)
+    fill, returned = _spy_fill()
     with mock.patch.object(maxcov_module, "_greedy_fill", fill):
         result = budgeted_max_coverage(0b11111, sets, costs, budget)
-    assert [call.args[4] for call in fill.call_args_list] == [(), (1,), (2,)]
+    assert [call.args[3] for call in fill.call_args_list] == [0b000, 0b010, 0b100]
+    assert [r and r[0] for r in returned] == [0b011, None, 0b100]
+    assert _seen_family_replay(range(5), [{0, 1, 2}, {3}, {4}], costs, budget) == (3, 2)
     assert result == every_seed_max_coverage(0b11111, sets, costs, budget)
     assert result == MaxCovResult((0, 1), 2, 4)
+
+
+def test_greedy_identical_at_bench_size_makes_fewer_kernel_picks():
+    # Completing every unreached seed to its end took 1,125 picks on this
+    # solve (452 completions); stopping each at a family reached before, and
+    # solving a repeated (largest, floored budget) guess once, take 868.
+    # A pick adds one family to ``seen``, except one that reaches a family
+    # already there and ends its completion. Picks are counted, not seconds,
+    # so the test is not timing-flaky.
+    picks = 0
+
+    def counted(masks, costs, room, family, covered, seen, _inner=maxcov_module._greedy_fill):
+        nonlocal picks
+        before = len(seen)
+        done = _inner(masks, costs, room, family, covered, seen)
+        picks += len(seen) - before + (done is None)
+        return done
+
+    inst = generate_instance(n=26, k=10, m=2, model="identical", density=0.25, seed=1)
+    with mock.patch.object(maxcov_module, "_greedy_fill", counted):
+        pmssc_greedy(inst, oracle="identical", epsilon=0.1, seed=1)
+    assert 0 < picks < 1125
 
 
 def test_nonpositive_cost_rejected():
@@ -341,36 +396,34 @@ def test_pds_matches_reference_kernel(epsilon, monkeypatch):
 
 
 def every_seed_max_coverage(universe, sets, costs, budget):
-    """The partial enumeration before reached seeds were skipped: one
-    ``_greedy_fill`` completion for every affordable seed of <= 2 sets."""
-    budget = Fraction(budget)
-    costs = [Fraction(c) for c in costs]
-    masks = [s & universe for s in sets]
-    if budget == 0 or not sets:
-        return MaxCovResult((), Fraction(0), 0)
-    denom = math.lcm(*(c.denominator for c in costs))
-    icosts = [c.numerator * (denom // c.denominator) for c in costs]
-    ibudget = budget.numerator * denom // budget.denominator
-    best = None
-    for size in range(0, 3):
-        for seed in combinations(range(len(sets)), size):
-            seed_cost = sum(icosts[i] for i in seed)
-            if seed_cost > ibudget:
-                continue
-            seed_cover = 0
-            for i in seed:
-                seed_cover |= masks[i]
-            chosen, covered, spent = maxcov_module._greedy_fill(
-                masks, icosts, max(icosts) ** 2, ibudget, seed, seed_cover, seed_cost
-            )
-            key = (-covered.bit_count(), spent, tuple(sorted(chosen)))
-            if best is None or key < best:
-                best = key
-    return MaxCovResult(best[2], Fraction(best[1], denom), -best[0])
+    """The partial enumeration before reached seeds were skipped, on masks: one
+    ``_reference_greedy_fill`` completion for every affordable seed of <= 2 sets."""
+    return reference_max_coverage(
+        _bits(universe), [_bits(s) for s in sets], costs, budget, PARTIAL_ENUM
+    )
 
 
-@settings(max_examples=300, deadline=None)
-@given(case=maxcov_cases())
+@st.composite
+def wide_maxcov_cases(draw):
+    """Up to ``PARTIAL_ENUM_MAX_K`` sets over at most 12 elements, all int or
+    all rational costs: long completions that meet many reached families."""
+    n = draw(st.integers(min_value=1, max_value=12))
+    element = st.integers(min_value=0, max_value=n - 1)
+    pool = draw(st.lists(st.frozensets(element, max_size=4), min_size=1, max_size=12))
+    k = draw(st.integers(min_value=1, max_value=maxcov_module.PARTIAL_ENUM_MAX_K))
+    sets = draw(st.lists(st.sampled_from(pool), min_size=k, max_size=k))
+    if draw(st.booleans()):
+        cost = st.integers(min_value=1, max_value=4)
+    else:
+        cost = st.builds(Fraction, st.integers(1, 9), st.integers(1, 6))
+    costs = draw(st.lists(cost, min_size=k, max_size=k))
+    budget = Fraction(draw(st.integers(0, 24)), draw(st.integers(1, 3)))
+    universe = draw(st.frozensets(element)) if draw(st.booleans()) else range(n)
+    return universe, sets, costs, budget
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=wide_maxcov_cases())
 def test_skipping_reached_seeds_matches_completing_every_seed(case):
     universe, sets, costs, budget = case
     universe, masks = element_mask(universe), [element_mask(s) for s in sets]

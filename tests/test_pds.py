@@ -668,6 +668,60 @@ def test_identical_ladder_starts_where_the_cheapest_usable_set_fits(monkeypatch)
     assert budgets[0] == inst.m * guess
 
 
+def _identical_ladder_every_call(inst, remaining, epsilon):
+    """``pds_identical`` on one machine with a max-coverage call at every guess
+    it runs: the sets that fit the guess, the budget guess * L, the chosen
+    sets largest first, the densest kept up to the first full cover."""
+    assert inst.m == 1
+    base = 1 + Fraction(identical_ladder_delta(epsilon))
+    costs = [row[0] for row in inst.icosts]
+    best = None
+    for guess in _ladder_guesses(inst, base, range(inst.k)):
+        fitting = [s for s in range(inst.k) if costs[s] <= guess * inst.scale]
+        result = budgeted_max_coverage(
+            element_mask(remaining),
+            [inst.masks[s] for s in fitting],
+            [costs[s] for s in fitting],
+            guess * inst.scale,
+        )
+        chosen = sorted((fitting[i] for i in result.chosen), key=lambda s: (-costs[s], s))
+        asg = Assignment((tuple(chosen),))
+        d = density(inst, asg, remaining)
+        if best is None or d > best[0]:
+            best = (d, asg)
+        if d.covered == len(remaining):
+            break
+    return best[1]
+
+
+def test_identical_ladder_solves_a_repeated_largest_and_floored_budget_once(monkeypatch):
+    # At epsilon 0.01 the ladder steps by about 3%, so consecutive guesses
+    # often floor to the same budget with the same sets fitting; such a guess
+    # would repeat the assignment, and a density tie keeps the earlier one.
+    inst = ProblemInstance(
+        n=3, sets=((0,), (1,), (2,)), m=1, cost_model=IdenticalCosts((5, 5, 7))
+    )
+    calls = []
+
+    def spy(remaining_mask, masks, costs, budget, _inner=budgeted_max_coverage):
+        calls.append((len(masks), scaled_floor(1, budget)))
+        return _inner(remaining_mask, masks, costs, budget)
+
+    monkeypatch.setattr(pds_module, "budgeted_max_coverage", spy)
+    remaining = frozenset(range(3))
+    asg = pds_identical(inst, remaining, 0.01)
+    base = 1 + Fraction(identical_ladder_delta(0.01))
+    ran = list(_ladder_guesses(inst, base, range(3)))
+    ran = ran[: next(i for i, g in enumerate(ran) if g >= 17) + 1]  # the full cover
+    # The first two guesses both floor to 5 with sets 0 and 1 fitting: one
+    # call for the two.
+    assert [scaled_floor(1, g) for g in ran[:2]] == [5, 5]
+    assert calls[:2] == [(2, 5), (2, 6)]
+    assert calls == sorted(set(calls)) and len(calls) < len(ran)
+    assert len(calls) == len({(sum(c <= g for c in (5, 5, 7)), scaled_floor(1, g)) for g in ran})
+    assert asg == _identical_ladder_every_call(inst, remaining, 0.01)
+
+
 # -- the ladder stops at its first full cover
 
 
