@@ -135,12 +135,8 @@ def _machines(result):
 def _solve(inst, algo, epsilon, seed):
     """Run one of SOLVE_ALGOS; returns the exact cost and the report payload."""
     if algo == "exact":
-        schedule, cost = oracle_mod.exact_pmssc(inst)
-        verified, cover_times = evaluate_schedule_cost(inst, schedule)
-        if verified != cost:
-            raise InvariantError(
-                "exact schedule re-evaluates to %s, not its cost %s" % (verified, cost)
-            )
+        schedule, cost = oracle_mod.exact_pmssc(inst)  # re-evaluated and checked there
+        _, cover_times = evaluate_schedule_cost(inst, schedule)
         payload = {
             "cost": fraction_token(cost),
             "cover_times": [fraction_token(t) for t in cover_times],

@@ -12,10 +12,11 @@ exact rationals. Infinite entries are the ``INFINITE_COST`` sentinel
 (``math.inf``), rejected inside any assignment or schedule. The solvers
 compute on ints instead: the scale ``L`` is the LCM of the finite costs'
 denominators, and ``icosts = costs * L``. Loads, makespans, covering times
-and densities are ints at their instance's scale; a rational bound g meets
-them as ``floor(g * L)`` (``scaled_floor``); the PMC rounding sums a
-machine's loads in numpy int64 arrays (Python ints past 2^63), after dividing
-its column and its limit by the column's gcd. ``Fraction`` stays in the cost
+and densities are ints at their instance's scale (``DensityValue`` and max
+coverage take no other form); a rational bound g meets them as
+``floor(g * L)`` (``scaled_floor``); the PMC rounding sums a machine's loads
+in numpy int64 arrays (Python ints past 2^63), after dividing its column and
+its limit by the column's gcd. ``Fraction`` stays in the cost
 models, the public views (``costs``, ``cost()``, ``DensityValue.makespan``
 and ``as_fraction``, the values ``evaluate_schedule_cost`` returns), the
 report writer and the LP's normalised budget rows. No cost comparison goes
@@ -350,19 +351,17 @@ class Schedule:
 @dataclass(frozen=True, eq=False)
 class DensityValue:
     """Exact ``covered / makespan`` for the makespan ``load / scale``, compared by
-    cross-multiplying ints. A rational ``load`` is split into numerator and denominator."""
+    cross-multiplying ints. ``load`` is an int (not a bool) at its ``scale``."""
 
     covered: int
-    load: Union[int, Fraction]
+    load: int
     scale: int = 1
 
     def __post_init__(self):
         if self.covered < 0:
             raise ValueError("covered count must be nonnegative")
         if type(self.load) is not int:
-            load = as_fraction(self.load)
-            object.__setattr__(self, "load", load.numerator)
-            object.__setattr__(self, "scale", self.scale * load.denominator)
+            raise TypeError("load must be an int at its scale, got %r" % type(self.load))
         if self.load <= 0:
             raise EmptyAssignmentError("density undefined for zero makespan")
 
@@ -557,16 +556,20 @@ class ValidationReport:
 def validate_instance(inst: ProblemInstance) -> ValidationReport:
     """Report coverability and DAG acyclicity.
 
+    An element is coverable when a set with some finite cost holds it.
     Solvers reject an instance if and only if it is uncoverable (precedence
     solvers additionally require an acyclic DAG).
     """
     entries = []
     covered = 0
-    for mask in inst.masks:
-        covered |= mask
+    for mask, row in zip(inst.masks, inst.finite_row_icosts):
+        if row is not None:
+            covered |= mask
     uncovered = tuple(u for u in range(inst.n) if not covered >> u & 1)
     if uncovered:
-        entries.append("Uncoverable: elements %s belong to no set" % list(uncovered))
+        entries.append(
+            "Uncoverable: elements %s belong to no set with a finite cost" % list(uncovered)
+        )
 
     dag_acyclic = None
     if inst.dag is not None:

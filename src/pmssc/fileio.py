@@ -167,6 +167,8 @@ def parse_instance(data) -> ProblemInstance:
         doc = json.loads(data)
     except json.JSONDecodeError as exc:
         raise ParseError("not valid JSON: %s" % exc)
+    except RecursionError:
+        raise ParseError("JSON nests too deeply to read") from None
     return instance_from_dict(doc)
 
 

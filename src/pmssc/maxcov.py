@@ -15,11 +15,11 @@ Among equal ratios the lowest set index wins, so results are deterministic.
 
 The kernel is exact and works on integers only:
 
-* Int costs (the ladders pass ``icosts``) are used as given. Rational costs
-  are scaled by the LCM ``L`` of their denominators (1 for ints), and the
-  budget becomes ``floor(budget * L)``. Every sum of chosen costs is a
-  multiple of ``1/L``, so "fits the budget" means the same before and after
-  scaling.
+* Costs and the budget are ints in one cost unit: the identical ladder
+  passes an instance's ``icosts`` and ``floor(m * guess * scale)``
+  (``core.scaled_floor``). Any other type raises ``TypeError``; a caller
+  with rational costs scales them, and floors the budget, by the LCM of
+  their denominators, which keeps "fits the budget" exact.
 * The universe and every set are int bitmasks (bit ``e`` set for element
   ``e``), and the gain of a set is ``(mask & ~covered).bit_count()``.
 * The greedy scans every live set at each pick and compares the ratios
@@ -37,12 +37,9 @@ The kernel is exact and works on integers only:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import combinations
-from math import lcm
 from typing import Sequence, Tuple
 
-from .core import as_fraction
 from .errors import DomainError
 
 PARTIAL_ENUM_MAX_K = 40
@@ -51,7 +48,7 @@ PARTIAL_ENUM_MAX_K = 40
 @dataclass(frozen=True)
 class MaxCovResult:
     chosen: Tuple[int, ...]
-    total_cost: Fraction
+    total_cost: int
     covered: int
 
 
@@ -87,21 +84,17 @@ def _members(family: int, k: int) -> Tuple[int, ...]:
 
 
 def budgeted_max_coverage(
-    universe: int, sets: Sequence[int], costs: Sequence, budget
+    universe: int, sets: Sequence[int], costs: Sequence[int], budget: int
 ) -> MaxCovResult:
     """Pick sets of total cost <= budget maximizing coverage of the universe.
 
-    ``universe`` and each entry of ``sets`` are int bitmasks; ``total_cost`` is
-    in the units of ``costs``.
+    ``universe`` and each entry of ``sets`` are int bitmasks; ``costs`` and
+    ``budget`` are ints (not bools) in one unit, the unit of ``total_cost``.
     """
-    budget = as_fraction(budget)
+    if type(budget) is not int or not all(type(c) is int for c in costs):
+        raise TypeError("costs and budget must be ints")
     if budget < 0:
         raise DomainError("budget must be nonnegative")
-    denom = 1
-    if not all(type(c) is int for c in costs):
-        rationals = [as_fraction(c) for c in costs]
-        denom = lcm(*(c.denominator for c in rationals))
-        costs = [c.numerator * (denom // c.denominator) for c in rationals]
     if any(c <= 0 for c in costs):
         raise DomainError("all costs must be positive")
     if len(costs) != len(sets):
@@ -109,22 +102,22 @@ def budgeted_max_coverage(
     masks = [s & universe for s in sets]
 
     if budget == 0 or not sets:
-        return MaxCovResult((), Fraction(0), 0)
+        return MaxCovResult((), 0, 0)
 
-    k, ibudget = len(sets), budget.numerator * denom // budget.denominator
+    k = len(sets)
 
     if k > PARTIAL_ENUM_MAX_K:
-        family, covered, room = _greedy_fill(masks, costs, ibudget, 0, 0, set())
+        family, covered, room = _greedy_fill(masks, costs, budget, 0, 0, set())
         covered_count = covered.bit_count()
         best_single = None
         for i, mask in enumerate(masks):
             size = mask.bit_count()
-            if costs[i] <= ibudget and (best_single is None or size > best_single[0]):
+            if costs[i] <= budget and (best_single is None or size > best_single[0]):
                 best_single = (size, i)
         if best_single is not None and best_single[0] > covered_count:
             i = best_single[1]
-            return MaxCovResult((i,), Fraction(costs[i], denom), best_single[0])
-        return MaxCovResult(_members(family, k), Fraction(ibudget - room, denom), covered_count)
+            return MaxCovResult((i,), costs[i], best_single[0])
+        return MaxCovResult(_members(family, k), budget - room, covered_count)
 
     # Partial enumeration: every affordable seed of size <= 2, greedily completed
     # unless its family, or one its completion reaches, was reached before.
@@ -140,14 +133,14 @@ def budgeted_max_coverage(
             for i in seed:
                 seed_cost += costs[i]
                 seed_cover |= masks[i]
-            if seed_cost > ibudget:
+            if seed_cost > budget:
                 continue
             seen.add(family)
-            done = _greedy_fill(masks, costs, ibudget - seed_cost, family, seed_cover, seen)
+            done = _greedy_fill(masks, costs, budget - seed_cost, family, seed_cover, seen)
             if done is None:
                 continue
             family, covered, room = done
-            key = (-covered.bit_count(), ibudget - room)
+            key = (-covered.bit_count(), budget - room)
             if (
                 best is None
                 or key < best[0]
@@ -155,4 +148,4 @@ def budgeted_max_coverage(
             ):
                 best = (key, family)
     (uncovered, spent), family = best
-    return MaxCovResult(_members(family, k), Fraction(spent, denom), -uncovered)
+    return MaxCovResult(_members(family, k), spent, -uncovered)

@@ -81,7 +81,8 @@ class _Budget:
 
 
 def _greedy_upper_bound(inst, useful, masks, costs):
-    """Cheap feasible schedule for the initial incumbent."""
+    """Cheap feasible schedule for the initial incumbent. Every element lies in
+    a set of ``useful`` with a finite cost, so each pick finds a set."""
     uncovered = (1 << inst.n) - 1
     loads = [0] * inst.m
     sequences = [[] for _ in range(inst.m)]
@@ -101,8 +102,6 @@ def _greedy_upper_bound(inst, useful, masks, costs):
                 key = (Fraction(finish, gain), finish, s, j)
                 if best is None or key < best:
                     best = key
-        if best is None:
-            return None
         _, _, s, j = best
         sequences[j].append(s)
         loads[j] += costs[s][j]
@@ -131,8 +130,6 @@ def exact_pmssc(
     containing = [[s for s in useful if inst.masks[s] >> u & 1] for u in range(inst.n)]
 
     incumbent = _greedy_upper_bound(inst, useful, inst.masks, costs)
-    if incumbent is None:
-        raise UncoverableError("no finite-cost covering exists")
     best = [evaluate_schedule_cost(inst, incumbent)[0] * scale, incumbent]
     sequences = [[] for _ in range(inst.m)]  # the node's prefix, pushed and popped
 

@@ -5,10 +5,10 @@ at most one assignment from a max-coverage problem within that budget (a guess
 whose rounding keeps no iteration is skipped). ``_densest`` climbs the ladder
 until an assignment covers every coverable remaining element (one held by an
 available set with a finite cost), runs no later guess, and keeps the densest
-assignment seen (ties break toward the smaller guess, and the winner's
-density is re-evaluated). The bound survives the stop: the proof needs the
-first guess at or above the optimal makespan, and a full cover at a smaller
-guess is already at least as dense as the density the proof derives there.
+assignment seen (ties break toward the smaller guess). The bound survives the
+stop: the proof needs the first guess at or above the optimal makespan, and a
+full cover at a smaller guess is already at least as dense as the density the
+proof derives there.
 Skipping a guess that would repeat the last assignment (``_pmc_solver``, and
 an identical guess with the last one's sets and floored budget) keeps both:
 ties keep the earlier guess, and a full cover had stopped the ladder.
@@ -159,8 +159,6 @@ def _densest(inst, remaining, coverable, candidates: Iterable[Assignment]) -> As
             best = (d, asg)
         if d.covered == coverable:
             break
-    if density(inst, best[1], remaining) != best[0]:
-        raise InvariantError("re-evaluated density differs from the kept value")
     return best[1]
 
 
@@ -212,13 +210,12 @@ def pds_identical(
     def spread(gi, guess, largest) -> Optional[Assignment]:
         """The guess's assignment, or None when it would repeat the last one."""
         nonlocal last
-        # the budget m * guess in icosts units; max coverage floors it
-        key = (largest, scaled_floor(scale, inst.m, guess))
-        if key == last:
+        budget = scaled_floor(scale, inst.m, guess)  # m * guess, floored in icosts units
+        if (largest, budget) == last:
             return None
-        last = key
+        last = largest, budget
         candidates, masks, costs = fitting(largest)
-        result = budgeted_max_coverage(remaining_mask, masks, costs, guess * (inst.m * scale))
+        result = budgeted_max_coverage(remaining_mask, masks, costs, budget)
         chosen = [candidates[i] for i in result.chosen]
         per_machine, loads = [[] for _ in range(inst.m)], [0] * inst.m
         _place_largest_first(inst, chosen, range(inst.m), per_machine, loads)

@@ -163,9 +163,9 @@ def test_density_counts_what_coverage_covers(case):
 
 
 def test_density_cross_multiplication():
-    assert DensityValue(2, Fraction(3)) < DensityValue(3, Fraction(4))
-    assert DensityValue(2, Fraction(4)) == DensityValue(1, Fraction(2))
-    assert DensityValue(5, Fraction(2)) > DensityValue(7, Fraction(3))
+    assert DensityValue(2, 3) < DensityValue(3, 4)
+    assert DensityValue(2, 4) == DensityValue(1, 2)
+    assert DensityValue(5, 2) > DensityValue(7, 3)
 
 
 def test_density_scale_covariance():

@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import pmssc.oracle as oracle_module
 from pmssc import cli
 from pmssc.core import (
     INFINITE_COST,
@@ -622,8 +623,55 @@ def test_cli_precedence_solve(tmp_path, capsys):
     assert report["cost"] == sum(report["cover_times"])
 
 
+# Element 1 lies only in set 0, which has no finite cost on any machine.
+ONLY_INFINITE_COVER = ProblemInstance(
+    n=2, sets=((0, 1), (0,)), m=2,
+    cost_model=UnrelatedCosts(((INFINITE_COST, INFINITE_COST), (1, 2))),
+)
+
+
+@pytest.mark.parametrize(
+    "argv", [["validate"], ["solve", "--algo", "greedy-unrelated"], ["solve", "--algo", "exact"]]
+)
+def test_cli_rejects_an_element_only_infinite_cost_sets_hold(tmp_path, capsys, argv):
+    # One coverability rule for every command: an element is coverable only
+    # when a set with some finite cost holds it. The greedy driver refuses the
+    # instance before its first iteration.
+    path = tmp_path / "inf.json"
+    path.write_text(serialize_instance(ONLY_INFINITE_COVER), encoding="utf-8")
+    rc = cli.main(argv[:1] + ["--instance", str(path)] + argv[1:])
+    captured = capsys.readouterr()
+    assert rc == cli.EXIT_VALIDATION
+    assert "Traceback" not in captured.err + captured.out
+    if argv == ["validate"]:
+        report = json.loads(captured.out)
+        assert (report["coverable"], report["uncovered_elements"], report["valid"]) == (
+            False, [1], False
+        )
+    else:
+        assert "solver failure" not in captured.err
+
+
+@pytest.mark.parametrize("argv", [["validate"], ["solve", "--algo", "greedy-unit"]])
+def test_cli_reports_deeply_nested_json_without_a_traceback(tmp_path, capsys, argv):
+    # ``json.loads`` raises RecursionError past the interpreter's depth limit.
+    depth = 100_000
+    doc = '{"version": 1, "n": 1, "m": 1, "cost_model": {"kind": "unit"}, "sets": %s}' % (
+        "[" * depth + "]" * depth
+    )
+    with pytest.raises(ParseError, match="nests too deeply"):
+        parse_instance(doc)
+    path = tmp_path / "deep.json"
+    path.write_text(doc, encoding="utf-8")
+    rc = cli.main(argv[:1] + ["--instance", str(path)] + argv[1:])
+    captured = capsys.readouterr()
+    assert rc == cli.EXIT_VALIDATION
+    assert "nests too deeply" in captured.err
+
+
 # A schedule cost that re-evaluates above every reported cost breaks the check
-# each of these solve paths makes on its own result.
+# each of these solve paths makes on its own result: ``exact_pmssc`` checks its
+# schedule in ``oracle``, the precedence path its prefix in ``cli``.
 BREACH_CASES = [
     ("exact", dict(n=4, k=3, m=2, model="identical", density=0.5, seed=4)),
     ("greedy-precedence", dict(n=5, k=5, m=2, model="unit", density=0.4, seed=8, dag_edge_prob=0.4)),
@@ -633,7 +681,10 @@ BREACH_CASES = [
 @pytest.mark.parametrize("algo, spec", BREACH_CASES)
 def test_cli_invariant_breach_exits_3(tmp_path, capsys, monkeypatch, algo, spec):
     path = _write_instance(tmp_path, **spec)
-    monkeypatch.setattr(cli, "evaluate_schedule_cost", lambda inst, schedule: (Fraction(10**9), ()))
+    for module in (cli, oracle_module):
+        monkeypatch.setattr(
+            module, "evaluate_schedule_cost", lambda inst, schedule: (Fraction(10**9), ())
+        )
     rc = cli.main(["solve", "--instance", str(path), "--algo", algo])
     captured = capsys.readouterr()
     assert rc == cli.EXIT_SOLVER
@@ -649,7 +700,9 @@ def test_cli_invariant_breach_exits_3_under_optimize(tmp_path, algo, spec):
         "import sys\n"
         "from fractions import Fraction\n"
         "import pmssc.cli as cli\n"
+        "import pmssc.oracle as oracle\n"
         "cli.evaluate_schedule_cost = lambda inst, schedule: (Fraction(10**9), ())\n"
+        "oracle.evaluate_schedule_cost = cli.evaluate_schedule_cost\n"
         "sys.exit(cli.main(sys.argv[1:]))\n"
     )
     env = dict(os.environ)

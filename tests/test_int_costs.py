@@ -44,6 +44,7 @@ from pmssc.errors import (
 from pmssc.fileio import instance_from_dict
 from pmssc.maxcov import MaxCovResult, budgeted_max_coverage
 from pmssc.pds import _ladder_guesses, identical_ladder_delta, pds_identical
+from test_maxcov import PARTIAL_ENUM, reference_max_coverage
 
 # -- the Fraction references: the bodies the int table replaced
 
@@ -174,7 +175,8 @@ def test_loads_density_and_schedule_cost_match_the_fraction_references(case, res
         if isinstance(got, DensityValue):
             assert (got.covered, got.makespan) == want
             assert got.as_fraction() == Fraction(want[0]) / want[1]
-            assert got == DensityValue(*want)
+            covered, makespan = want
+            assert got == DensityValue(covered, makespan.numerator, makespan.denominator)
         else:
             assert got == want
 
@@ -186,13 +188,13 @@ def test_loads_density_and_schedule_cost_match_the_fraction_references(case, res
 
 def test_density_values_of_different_scales_compare_exactly():
     # 3 elements over 3/2 (scale 2) against 2 elements over 1: 2 == 2
-    assert DensityValue(3, 3, 2) == DensityValue(2, 1) == DensityValue(2, Fraction(1))
-    assert DensityValue(3, 4, 2) < DensityValue(2, 1) < DensityValue(5, Fraction(2), 1)
-    # makespan (2/3) / 5 = 2/15
-    assert DensityValue(1, Fraction(2, 3), 5) == DensityValue(15, 2)
+    assert DensityValue(3, 3, 2) == DensityValue(2, 1)
+    assert DensityValue(3, 4, 2) < DensityValue(2, 1) < DensityValue(5, 2, 1)
+    # makespan 2 / 15 (load 2/3 at scale 5, so load 2 at scale 15)
+    assert DensityValue(1, 2, 15) == DensityValue(15, 2)
     assert DensityValue(3, 3, 2).makespan == Fraction(3, 2)
     values = [DensityValue(c, load, scale) for c in (0, 1, 3) for load in (1, 3, 4)
-              for scale in (1, 2, 15)] + [DensityValue(2, Fraction(7, 3), 5)]
+              for scale in (1, 2, 15)] + [DensityValue(2, 7, 15)]
     for a in values:
         for b in values:
             x, y = a.as_fraction(), b.as_fraction()
@@ -201,6 +203,13 @@ def test_density_values_of_different_scales_compare_exactly():
             )
     with pytest.raises(EmptyAssignmentError):
         DensityValue(1, 0, 7)
+
+
+@pytest.mark.parametrize("load", [Fraction(1), Fraction(2, 3), 1.0, True])
+def test_density_value_takes_an_int_load_only(load):
+    # A rational makespan is an int load at a scale: 2/3 is load 2 at scale 3.
+    with pytest.raises(TypeError, match="load must be an int"):
+        DensityValue(1, load, 3)
 
 
 # -- the identical ladder's budget: floor(m * guess * scale)
@@ -220,30 +229,47 @@ def floor_instance(m):
 def test_identical_ladder_budget_matches_a_fraction_budget_reference(m, epsilon, monkeypatch):
     inst = floor_instance(m)
     assert inst.scale == 15
+    universe = (1 << inst.n) - 1
+    base = 1 + Fraction(identical_ladder_delta(epsilon))
+    guesses = list(_ladder_guesses(inst, base, range(inst.k)))
+    assert any((m * g * 15).denominator != 1 for g in guesses)
+    for guess in guesses:
+        # the sets that fit the guess: the kernel in icosts at floor(m * guess
+        # * 15), the Fraction reference in exact costs at m * guess
+        fitting = [s for s in range(inst.k) if FLOOR_COSTS[s] <= guess]
+        got = budgeted_max_coverage(
+            universe,
+            [inst.masks[s] for s in fitting],
+            [inst.icosts[s][0] for s in fitting],
+            math.floor(m * guess * 15),
+        )
+        want = reference_max_coverage(
+            range(inst.n),
+            [inst.sets[s] for s in fitting],
+            [FLOOR_COSTS[s] for s in fitting],
+            m * guess,
+            PARTIAL_ENUM,
+        )
+        assert (got.chosen, Fraction(got.total_cost, 15), got.covered) == (
+            want.chosen, want.total_cost, want.covered
+        )
+
+    # pds passes the kernel those int costs and floored budgets
     calls = []
 
     def spy(universe, masks, costs, budget):
         result = budgeted_max_coverage(universe, masks, costs, budget)
-        calls.append((universe, masks, costs, budget, result))
+        calls.append((costs, budget, result))
         return result
 
-    def fraction_budget(universe, masks, costs, budget):
-        # the same call in exact costs, with the rational budget m * guess
-        result = budgeted_max_coverage(
-            universe, masks, [Fraction(c, 15) for c in costs], budget / 15
-        )
-        return MaxCovResult(result.chosen, result.total_cost * 15, result.covered)
-
     monkeypatch.setattr(pds_module, "budgeted_max_coverage", spy)
-    got = pds_identical(inst, range(inst.n), epsilon)
-    monkeypatch.setattr(pds_module, "budgeted_max_coverage", fraction_budget)
-    assert pds_identical(inst, range(inst.n), epsilon) == got
-    assert any(budget.denominator != 1 for _, _, _, budget, _ in calls)
-    for universe, masks, costs, budget, result in calls:
-        assert all(type(c) is int for c in costs)
-        reference = fraction_budget(universe, masks, costs, budget)
-        assert (result.chosen, result.covered) == (reference.chosen, reference.covered)
-        assert sum(costs[i] for i in result.chosen) <= budget
+    pds_identical(inst, range(inst.n), epsilon)
+    assert calls
+    floored = {math.floor(m * g * 15) for g in guesses}
+    for costs, budget, result in calls:
+        assert all(type(c) is int for c in costs) and type(budget) is int
+        assert budget in floored
+        assert sum(costs[i] for i in result.chosen) == result.total_cost <= budget
 
 
 @pytest.mark.parametrize("m", [1, 2])

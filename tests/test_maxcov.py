@@ -25,12 +25,24 @@ PARTIAL_ENUM = "enum"
 KERNEL_MAX_K = {RATIO: 0, PARTIAL_ENUM: sys.maxsize}
 
 
+def scaled(costs, budget):
+    """Rational ``costs`` and ``budget`` as the kernel's ints: times the LCM ``L``
+    of the costs' denominators, the budget floored. Every sum of chosen costs
+    is a multiple of 1/L, so "fits the budget" means the same after scaling."""
+    costs = [Fraction(c) for c in costs]
+    scale = math.lcm(*(c.denominator for c in costs))
+    return [int(c * scale) for c in costs], math.floor(Fraction(budget) * scale), scale
+
+
 def maxcov(universe, sets, costs, budget, mode):
-    """``budgeted_max_coverage`` on the masks of ``universe`` and ``sets``,
-    with the kernel ``mode`` forced."""
+    """``budgeted_max_coverage`` on the masks of ``universe`` and ``sets``, with
+    the kernel ``mode`` forced, on rational costs and budget scaled to ints
+    (``scaled``); ``total_cost`` is given back in the rational units."""
     masks = [element_mask(s) for s in sets]
+    icosts, ibudget, scale = scaled(costs, budget)
     with mock.patch.object(maxcov_module, "PARTIAL_ENUM_MAX_K", KERNEL_MAX_K[mode]):
-        return budgeted_max_coverage(element_mask(universe), masks, costs, budget)
+        result = budgeted_max_coverage(element_mask(universe), masks, icosts, ibudget)
+    return MaxCovResult(result.chosen, Fraction(result.total_cost, scale), result.covered)
 
 
 def brute_force_opt(universe, sets, costs, budget):
@@ -111,9 +123,10 @@ def test_partial_enum_reaches_1_minus_1_over_e():
 
 def test_default_mode_matches_enum_for_small_k():
     masks = [element_mask(s) for s in T1_SETS]
-    result = budgeted_max_coverage(0b111, masks, T1_COSTS, 2)
+    result = budgeted_max_coverage(0b111, masks, [1, 1, 2], 2)
     enum = maxcov({0, 1, 2}, T1_SETS, T1_COSTS, 2, mode=PARTIAL_ENUM)
     assert result == enum
+    assert type(result.total_cost) is int
 
 
 def _seen_family_replay(universe, sets, costs, budget):
@@ -166,9 +179,10 @@ def test_partial_enum_completes_each_unreached_seed_once(k):
     # sets is; a completion that reaches an earlier one's family stops there.
     sets = [element_mask({i, (i + 1) % (k + 1)}) for i in range(k)]
     costs = [Fraction(1 + i % 3, 1 + i % 2) for i in range(k)]
+    icosts, ibudget, _ = scaled(costs, sum(costs))
     fill, returned = _spy_fill()
     with mock.patch.object(maxcov_module, "_greedy_fill", fill):
-        budgeted_max_coverage(element_mask(range(k + 1)), sets, costs, sum(costs))
+        budgeted_max_coverage(element_mask(range(k + 1)), sets, icosts, ibudget)
     members = [{i, (i + 1) % (k + 1)} for i in range(k)]
     replay = _seen_family_replay(range(k + 1), members, costs, sum(costs))
     assert (fill.call_count, sum(r is not None for r in returned)) == replay
@@ -222,6 +236,15 @@ def test_nonpositive_cost_rejected():
         budgeted_max_coverage(1, [1], [0], 1)
     with pytest.raises(DomainError):
         budgeted_max_coverage(1, [1], [1], -1)
+
+
+@pytest.mark.parametrize("not_int", [Fraction(1), Fraction(3, 2), 1.0, True, "1"])
+def test_costs_and_budget_other_than_int_rejected(not_int):
+    # The kernel takes one cost form, ints; a caller with rationals scales them.
+    with pytest.raises(TypeError, match="must be ints"):
+        budgeted_max_coverage(1, [1], [not_int], 1)
+    with pytest.raises(TypeError, match="must be ints"):
+        budgeted_max_coverage(1, [1], [1], not_int)
 
 
 # ---------------------------------------------------------------------------

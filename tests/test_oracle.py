@@ -325,7 +325,15 @@ def test_oracle_determinism():
 
 
 # Verbatim copies of the two searches before they shared one labelling DFS;
-# the differential test below holds the shared search to them.
+# the differential test below holds the shared search to them. Their rational
+# makespans enter ``DensityValue`` as an int load at a scale, via
+# ``fraction_density``.
+
+
+def fraction_density(covered: int, makespan) -> DensityValue:
+    """``covered / makespan`` for a rational makespan p/q: load p at scale q."""
+    makespan = Fraction(makespan)
+    return DensityValue(covered, makespan.numerator, makespan.denominator)
 
 
 def former_exact_pds(
@@ -368,7 +376,7 @@ def former_exact_pds(
         covered_mask = 0
         for s, j in labels.items():
             covered_mask |= masks[s]
-        cand = DensityValue(covered_mask.bit_count(), makespan)
+        cand = fraction_density(covered_mask.bit_count(), makespan)
         count = len(labels)
         if (
             best["density"] is None
@@ -385,7 +393,7 @@ def former_exact_pds(
             makespan = max(loads)
             if makespan > 0:
                 # future sets can only add coverage and grow the makespan
-                optimistic = DensityValue(
+                optimistic = fraction_density(
                     (covered_mask | suffix_union[idx]).bit_count(), makespan
                 )
                 if optimistic < best["density"]:
@@ -621,7 +629,7 @@ def former_exact_pds_precedence(
             covered |= cover_mask[low.bit_length() - 1]
             mm ^= low
         makespan, memo = min_makespan(family_mask)
-        cand = DensityValue(covered.bit_count(), Fraction(makespan))
+        cand = fraction_density(covered.bit_count(), makespan)
         count = family_mask.bit_count()
         if best is None or cand > best[0] or (cand == best[0] and count < best[1]):
             # rebuild one optimal slot sequence from the DP table
@@ -912,7 +920,7 @@ def test_exact_pmssc_matches_former_search(case):
 
 
 def test_exact_pmssc_reports_no_finite_cost_cover():
-    with pytest.raises(UncoverableError, match="no finite-cost covering exists"):
+    with pytest.raises(UncoverableError, match="universe is not coverable"):
         exact_pmssc(ONLY_INFINITE_COVER)
 
 

@@ -665,12 +665,12 @@ def test_identical_ladder_starts_where_the_cheapest_usable_set_fits(monkeypatch)
         guess *= base
     assert guess / base < 5
     assert pds_identical(inst, frozenset({1}), 0.2) == Assignment(((1,), ()))
-    assert budgets[0] == inst.m * guess
+    assert budgets[0] == math.floor(inst.m * guess)  # m * guess, floored at scale 1
 
 
 def _identical_ladder_every_call(inst, remaining, epsilon):
     """``pds_identical`` on one machine with a max-coverage call at every guess
-    it runs: the sets that fit the guess, the budget guess * L, the chosen
+    it runs: the sets that fit the guess, the budget floor(guess * L), the chosen
     sets largest first, the densest kept up to the first full cover."""
     assert inst.m == 1
     base = 1 + Fraction(identical_ladder_delta(epsilon))
@@ -682,7 +682,7 @@ def _identical_ladder_every_call(inst, remaining, epsilon):
             element_mask(remaining),
             [inst.masks[s] for s in fitting],
             [costs[s] for s in fitting],
-            guess * inst.scale,
+            math.floor(guess * inst.scale),
         )
         chosen = sorted((fitting[i] for i in result.chosen), key=lambda s: (-costs[s], s))
         asg = Assignment((tuple(chosen),))
@@ -704,7 +704,7 @@ def test_identical_ladder_solves_a_repeated_largest_and_floored_budget_once(monk
     calls = []
 
     def spy(remaining_mask, masks, costs, budget, _inner=budgeted_max_coverage):
-        calls.append((len(masks), scaled_floor(1, budget)))
+        calls.append((len(masks), budget))
         return _inner(remaining_mask, masks, costs, budget)
 
     monkeypatch.setattr(pds_module, "budgeted_max_coverage", spy)
@@ -915,13 +915,16 @@ def reference_pds_unit(
     ladder = _ladder_guesses(inst, base, pool)
     remaining_mask = element_mask(remaining)
     pool_masks = [inst.masks[s] for s in pool]
-    ones = [Fraction(1)] * len(pool)
+    ones = [1] * len(pool)
 
     best = None
     for guess in ladder:
         if guess < 1:
             continue  # every set costs 1
-        result = budgeted_max_coverage(remaining_mask, pool_masks, ones, inst.m * guess)
+        # unit costs: the budget m * guess in int cost units is its floor
+        result = budgeted_max_coverage(
+            remaining_mask, pool_masks, ones, math.floor(inst.m * guess)
+        )
         if not result.chosen:
             continue
         chosen = sorted(pool[i] for i in result.chosen)

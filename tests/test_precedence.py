@@ -1,4 +1,3 @@
-from fractions import Fraction
 from typing import Dict, Iterable, Optional, Tuple
 
 import numpy as np
@@ -460,7 +459,7 @@ def former_pcds_detailed(
         covered = set()
         for s in fam:
             covered |= frozenset(inst.sets[s]) & remaining
-        value = DensityValue(len(covered), Fraction(layered.makespan))
+        value = DensityValue(len(covered), layered.makespan)
         if (
             best is None
             or value > best[1]
