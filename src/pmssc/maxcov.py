@@ -2,11 +2,15 @@
 
 Two kernels, chosen by the number k of candidate sets:
 
-* k <= ``PARTIAL_ENUM_MAX_K``: partial enumeration over every seed family
-  of at most two sets, each completed by the ratio greedy: O(k^2) greedy
-  completions, which keep the full 1 - 1/e guarantee under a knapsack
-  constraint (Kulik, Schwartz & Shachnai, Oper. Res. Lett. 2021). No
-  completion runs on past a family that an earlier one reached (below).
+* k <= ``PARTIAL_ENUM_MAX_K``: the ratio greedy from the empty family,
+  returned when its online bound certifies it (below); otherwise partial
+  enumeration over every seed family of at most two sets, each completed by
+  the ratio greedy: O(k^2) greedy completions, which keep the full 1 - 1/e
+  guarantee under a knapsack constraint (Kulik, Schwartz & Shachnai, Oper.
+  Res. Lett. 2021). The greedy run is the enumeration's own first (empty
+  seed) completion, so an uncertified call returns what the enumeration
+  alone returns. No completion runs on past a family that an earlier one
+  reached (below).
 * otherwise: the greedy that repeatedly adds the affordable set with the
   best (new elements)/(cost) ratio, and falls back to the best single
   affordable set when that beats the greedy run.
@@ -32,17 +36,33 @@ The kernel is exact and works on integers only:
   of it. So the enumeration keeps one set of the families its completions
   reached, skips a seed whose family is in it, and drops a completion the
   moment it reaches one: its end is an earlier completion's end.
+* The certificate is the online bound (Leskovec et al., "Cost-effective
+  outbreak detection", KDD 2007). For covered elements C, any family T of
+  cost <= budget covers at most |C| plus the sum of its sets' gains over C
+  (coverage is submodular), so at most |C| plus the fractional knapsack,
+  within the budget, of the gains of the sets that cost <= budget
+  (``online_bound``). The greedy's family is returned when it covers at
+  least ``CERTIFIED_P / CERTIFIED_Q`` >= 1 - 1/e of that bound, compared
+  in ints. The knapsack takes the gains in exact cross-multiplied ratio
+  order, lowest index on ties: an order by float ratios can put a worse
+  ratio first, which lowers the bound below its true value and can make it
+  unsound.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cmp_to_key
 from itertools import combinations
 from typing import Sequence, Tuple
 
 from .errors import DomainError
 
 PARTIAL_ENUM_MAX_K = 40
+
+# A greedy family covering >= CERTIFIED_P / CERTIFIED_Q of its online bound
+# is returned without the enumeration; 0.6322 >= 1 - 1/e = 0.63212...
+CERTIFIED_P, CERTIFIED_Q = 6322, 10000
 
 
 @dataclass(frozen=True)
@@ -78,6 +98,31 @@ def _greedy_fill(masks, costs, room, family, covered, seen):
         live = keep
 
 
+def online_bound(
+    masks: Sequence[int], costs: Sequence[int], budget: int, covered: int
+) -> Tuple[int, int]:
+    """An upper bound (numerator, denominator) on the coverage of any family
+    of cost <= ``budget``: the elements of ``covered`` plus the fractional
+    knapsack, within ``budget``, of the gains over ``covered`` of the sets
+    that cost <= ``budget``, in exact ratio order."""
+    left = ~covered
+    gains = []
+    for mask, c in zip(masks, costs):
+        g = (mask & left).bit_count()
+        if g and c <= budget:
+            gains.append((g, c))
+    # Best gain/cost first, compared exactly by cross-multiplying; the sort
+    # is stable, so the lowest index wins a tie.
+    gains.sort(key=cmp_to_key(lambda a, b: b[0] * a[1] - a[0] * b[1]))
+    total, room = covered.bit_count(), budget
+    for g, c in gains:
+        if c > room:
+            return total * c + g * room, c
+        total += g
+        room -= c
+    return total, 1
+
+
 def _members(family: int, k: int) -> Tuple[int, ...]:
     """The chosen set indices of ``family``, ascending."""
     return tuple(i for i in range(k) if family >> i & 1)
@@ -105,10 +150,13 @@ def budgeted_max_coverage(
         return MaxCovResult((), 0, 0)
 
     k = len(sets)
+    # The ratio greedy, which is also the enumeration's empty seed completion.
+    seen = {0}
+    family, covered, room = _greedy_fill(masks, costs, budget, 0, 0, seen)
+    covered_count = covered.bit_count()
+    greedy = MaxCovResult(_members(family, k), budget - room, covered_count)
 
     if k > PARTIAL_ENUM_MAX_K:
-        family, covered, room = _greedy_fill(masks, costs, budget, 0, 0, set())
-        covered_count = covered.bit_count()
         best_single = None
         for i, mask in enumerate(masks):
             size = mask.bit_count()
@@ -117,13 +165,18 @@ def budgeted_max_coverage(
         if best_single is not None and best_single[0] > covered_count:
             i = best_single[1]
             return MaxCovResult((i,), costs[i], best_single[0])
-        return MaxCovResult(_members(family, k), budget - room, covered_count)
+        return greedy
 
-    # Partial enumeration: every affordable seed of size <= 2, greedily completed
-    # unless its family, or one its completion reaches, was reached before.
-    best = None  # ((-covered, total cost), family); ties go to the least chosen tuple
-    seen = set()
-    for size in range(0, 3):
+    num, den = online_bound(masks, costs, budget, covered)
+    if covered_count * CERTIFIED_Q * den >= CERTIFIED_P * num:
+        return greedy
+
+    # Partial enumeration: every other affordable seed of size <= 2, greedily
+    # completed unless its family, or one its completion reaches, was reached
+    # before.
+    # ((-covered, total cost), family); ties go to the least chosen tuple
+    best = ((-covered_count, budget - room), family)
+    for size in (1, 2):
         for seed in combinations(range(k), size):
             family = seed_cost = seed_cover = 0
             for i in seed:
@@ -142,8 +195,7 @@ def budgeted_max_coverage(
             family, covered, room = done
             key = (-covered.bit_count(), budget - room)
             if (
-                best is None
-                or key < best[0]
+                key < best[0]
                 or key == best[0] and _members(family, k) < _members(best[1], k)
             ):
                 best = (key, family)

@@ -1,3 +1,4 @@
+import decimal
 import math
 import sys
 from fractions import Fraction
@@ -6,7 +7,7 @@ from unittest import mock
 
 import pytest
 
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 import pmssc.maxcov as maxcov_module
@@ -14,7 +15,13 @@ import pmssc.pds as pds_module
 from pmssc.core import IdenticalCosts, ProblemInstance, element_mask
 from pmssc.errors import DomainError
 from pmssc.fileio import generate_instance
-from pmssc.maxcov import MaxCovResult, budgeted_max_coverage
+from pmssc.maxcov import (
+    CERTIFIED_P,
+    CERTIFIED_Q,
+    MaxCovResult,
+    budgeted_max_coverage,
+    online_bound,
+)
 from pmssc.pds import identical_ladder_delta, pds_identical
 from pmssc.scheduler import pmssc_greedy
 
@@ -32,6 +39,12 @@ def scaled(costs, budget):
     costs = [Fraction(c) for c in costs]
     scale = math.lcm(*(c.denominator for c in costs))
     return [int(c * scale) for c in costs], math.floor(Fraction(budget) * scale), scale
+
+
+def uncertified():
+    """Every call runs the partial enumeration: an infinite online bound
+    (denominator 0) certifies no greedy family."""
+    return mock.patch.object(maxcov_module, "online_bound", lambda *args: (1, 0))
 
 
 def maxcov(universe, sets, costs, budget, mode):
@@ -174,14 +187,15 @@ SEEN_FAMILY_COMPLETIONS = {1: (1, 1), 2: (2, 1), 7: (22, 6), 12: (67, 17)}
 
 @pytest.mark.parametrize("k", sorted(SEEN_FAMILY_COMPLETIONS))
 def test_partial_enum_completes_each_unreached_seed_once(k):
-    # The budget affords every family, so every seed of <= 2 sets is started
-    # unless an earlier completion reached its family, and no seed of three
-    # sets is; a completion that reaches an earlier one's family stops there.
+    # With the certificate off, the budget affords every family, so every
+    # seed of <= 2 sets is started unless an earlier completion reached its
+    # family, and no seed of three sets is; a completion that reaches an
+    # earlier one's family stops there.
     sets = [element_mask({i, (i + 1) % (k + 1)}) for i in range(k)]
     costs = [Fraction(1 + i % 3, 1 + i % 2) for i in range(k)]
     icosts, ibudget, _ = scaled(costs, sum(costs))
     fill, returned = _spy_fill()
-    with mock.patch.object(maxcov_module, "_greedy_fill", fill):
+    with mock.patch.object(maxcov_module, "_greedy_fill", fill), uncertified():
         budgeted_max_coverage(element_mask(range(k + 1)), sets, icosts, ibudget)
     members = [{i, (i + 1) % (k + 1)} for i in range(k)]
     replay = _seen_family_replay(range(k + 1), members, costs, sum(costs))
@@ -192,15 +206,16 @@ def test_partial_enum_completes_each_unreached_seed_once(k):
 
 
 def test_partial_enum_skips_the_seeds_a_singletons_completion_begins_with():
-    # The empty seed's completion picks set 0, then set 1: seeds {0} and
-    # {0, 1} would repeat it. Seed {1} picks set 0 next, a family the first
-    # completion reached, so it stops there; seed {2} fills the budget alone,
-    # and every other pair is over budget. Three completions start instead of
-    # five, two run to their end, and the result is the one all five give.
+    # With the certificate off, the empty seed's completion picks set 0,
+    # then set 1: seeds {0} and {0, 1} would repeat it. Seed {1} picks set 0
+    # next, a family the first completion reached, so it stops there; seed
+    # {2} fills the budget alone, and every other pair is over budget. Three
+    # completions start instead of five, two run to their end, and the result
+    # is the one all five give.
     sets = [element_mask({0, 1, 2}), element_mask({3}), element_mask({4})]
     costs, budget = [1, 1, 2], 2
     fill, returned = _spy_fill()
-    with mock.patch.object(maxcov_module, "_greedy_fill", fill):
+    with mock.patch.object(maxcov_module, "_greedy_fill", fill), uncertified():
         result = budgeted_max_coverage(0b11111, sets, costs, budget)
     assert [call.args[3] for call in fill.call_args_list] == [0b000, 0b010, 0b100]
     assert [r and r[0] for r in returned] == [0b011, None, 0b100]
@@ -212,11 +227,13 @@ def test_partial_enum_skips_the_seeds_a_singletons_completion_begins_with():
 def test_greedy_identical_at_bench_size_makes_fewer_kernel_picks():
     # Completing every unreached seed to its end took 1,125 picks on this
     # solve (452 completions); stopping each at a family reached before, and
-    # solving a repeated (largest, floored budget) guess once, take 868.
+    # solving a repeated (largest, floored budget) guess once, took 868.
+    # Returning the greedy's family when its online bound certifies it takes
+    # 95: 17 of the 19 calls are certified, and 2 run the enumeration.
     # A pick adds one family to ``seen``, except one that reaches a family
     # already there and ends its completion. Picks are counted, not seconds,
     # so the test is not timing-flaky.
-    picks = 0
+    picks, certified, enumerated = 0, 0, 0
 
     def counted(masks, costs, room, family, covered, seen, _inner=maxcov_module._greedy_fill):
         nonlocal picks
@@ -225,10 +242,21 @@ def test_greedy_identical_at_bench_size_makes_fewer_kernel_picks():
         picks += len(seen) - before + (done is None)
         return done
 
+    def bound(masks, costs, budget, covered, _inner=online_bound):
+        nonlocal certified, enumerated
+        num, den = _inner(masks, costs, budget, covered)
+        if covered.bit_count() * CERTIFIED_Q * den >= CERTIFIED_P * num:
+            certified += 1
+        else:
+            enumerated += 1
+        return num, den
+
     inst = generate_instance(n=26, k=10, m=2, model="identical", density=0.25, seed=1)
-    with mock.patch.object(maxcov_module, "_greedy_fill", counted):
+    with mock.patch.object(maxcov_module, "_greedy_fill", counted), mock.patch.object(
+        maxcov_module, "online_bound", bound
+    ):
         pmssc_greedy(inst, oracle="identical", epsilon=0.1, seed=1)
-    assert 0 < picks < 1125
+    assert (picks, certified, enumerated) == (95, 17, 2)
 
 
 def test_nonpositive_cost_rejected():
@@ -314,6 +342,51 @@ def reference_max_coverage(universe, sets, costs, budget, mode):
     return MaxCovResult(best[2], best[1], -best[0])
 
 
+def _reference_online_bound(members, costs, budget, covered):
+    """The online bound in ``Fraction`` arithmetic: ``covered`` plus the
+    fractional knapsack, within ``budget``, of the gains over ``covered`` of
+    the sets that cost <= ``budget``, best ratio first."""
+    gains = [(len(mem - covered), costs[i]) for i, mem in enumerate(members)]
+    gains = [(g, c) for g, c in gains if g and c <= budget]
+    bound, room = Fraction(len(covered)), budget
+    for g, c in sorted(gains, key=lambda gc: Fraction(*gc), reverse=True):
+        take = min(c, room)
+        bound += Fraction(g * take, c)
+        room -= take
+    return bound
+
+
+def reference_certified_max_coverage(universe, sets, costs, budget):
+    """The kernel's contract on calls of at most ``PARTIAL_ENUM_MAX_K`` sets:
+    the empty seed's greedy family when it covers >= CERTIFIED_P / CERTIFIED_Q
+    of its online bound, otherwise ``reference_max_coverage``'s enumeration.
+
+    The budget is floored to a multiple of 1/L first, L the LCM of the
+    costs' denominators, as the kernel's int budget is (``scaled``): that
+    changes no family's fit, only the knapsack's last fraction."""
+    costs = [Fraction(c) for c in costs]
+    scale = math.lcm(*(c.denominator for c in costs))
+    budget = Fraction(math.floor(Fraction(budget) * scale), scale)
+    universe = frozenset(universe)
+    members = [frozenset(s) & universe for s in sets]
+    if budget > 0 and sets:
+        chosen, covered, spent = _reference_greedy_fill(
+            members, costs, budget, [], set(), Fraction(0)
+        )
+        bound = _reference_online_bound(members, costs, budget, covered)
+        if len(covered) * CERTIFIED_Q >= CERTIFIED_P * bound:
+            return MaxCovResult(tuple(sorted(chosen)), spent, len(covered))
+    return reference_max_coverage(universe, sets, costs, budget, PARTIAL_ENUM)
+
+
+def reference_kernel(universe, sets, costs, budget, mode):
+    """What ``budgeted_max_coverage`` returns in ``mode``: the ratio greedy,
+    or the certified greedy with the enumeration behind it."""
+    if mode == RATIO:
+        return reference_max_coverage(universe, sets, costs, budget, RATIO)
+    return reference_certified_max_coverage(universe, sets, costs, budget)
+
+
 def _bits(mask):
     return frozenset(e for e in range(mask.bit_length()) if mask >> e & 1)
 
@@ -351,7 +424,7 @@ def maxcov_cases(draw):
 def test_kernel_matches_reference(case):
     universe, sets, costs, budget = case
     for mode in (RATIO, PARTIAL_ENUM):
-        expected = reference_max_coverage(universe, sets, costs, budget, mode)
+        expected = reference_kernel(universe, sets, costs, budget, mode)
         assert maxcov(universe, sets, costs, budget, mode=mode) == expected
 
 
@@ -361,8 +434,83 @@ def test_kernel_matches_reference_on_forced_ties():
     costs = [1, 1, 2, 1, 5]
     for budget in (Fraction(1), Fraction(2), Fraction(7, 2), Fraction(5)):
         for mode in (RATIO, PARTIAL_ENUM):
-            expected = reference_max_coverage(range(5), sets, costs, budget, mode)
+            expected = reference_kernel(range(5), sets, costs, budget, mode)
             assert maxcov(range(5), sets, costs, budget, mode=mode) == expected
+
+
+# ---------------------------------------------------------------------------
+# The online bound and the certificate
+
+
+@st.composite
+def int_maxcov_cases(draw):
+    """At most 10 sets over at most 8 elements, int costs and an int budget,
+    and one affordable family (a list of set indices)."""
+    n = draw(st.integers(min_value=1, max_value=8))
+    k = draw(st.integers(min_value=1, max_value=10))
+    element = st.integers(min_value=0, max_value=n - 1)
+    sets = draw(st.lists(st.frozensets(element), min_size=k, max_size=k))
+    costs = draw(st.lists(st.integers(min_value=1, max_value=12), min_size=k, max_size=k))
+    budget = draw(st.integers(min_value=0, max_value=30))
+    family, spent = [], 0
+    for i in draw(st.lists(st.integers(min_value=0, max_value=k - 1), unique=True)):
+        if spent + costs[i] <= budget:
+            family.append(i)
+            spent += costs[i]
+    return n, sets, costs, budget, family
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=int_maxcov_cases())
+def test_online_bound_is_at_least_the_optimum(case):
+    # For the greedy's family and for any affordable one, the bound is at
+    # least the best coverage within the budget, and it is the Fraction
+    # reference's value.
+    n, sets, costs, budget, family = case
+    masks = [element_mask(s) for s in sets]
+    opt = brute_force_opt(range(n), sets, costs, budget)
+    _, greedy_covered, _ = maxcov_module._greedy_fill(masks, costs, budget, 0, 0, set())
+    for covered in (greedy_covered, element_mask(set().union(*(sets[i] for i in family)))):
+        num, den = online_bound(masks, costs, budget, covered)
+        assert num >= opt * den
+        assert Fraction(num, den) == _reference_online_bound(sets, costs, budget, _bits(covered))
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=int_maxcov_cases())
+def test_certified_results_cover_1_minus_1_over_e_of_the_optimum(case):
+    n, sets, costs, budget, _ = case
+    masks = [element_mask(s) for s in sets]
+    opt = brute_force_opt(range(n), sets, costs, budget)
+    family, covered, _ = maxcov_module._greedy_fill(masks, costs, budget, 0, 0, set())
+    num, den = online_bound(masks, costs, budget, covered)
+    certified = budget > 0 and covered.bit_count() * CERTIFIED_Q * den >= CERTIFIED_P * num
+    event("certified" if certified else "not certified")
+    result = budgeted_max_coverage((1 << n) - 1, masks, costs, budget)
+    if certified:
+        assert result.chosen == maxcov_module._members(family, len(sets))
+        assert result.covered * CERTIFIED_Q >= CERTIFIED_P * opt
+    assert result.covered >= (1 - 1 / math.e) * opt
+
+
+def test_certified_ratio_is_at_least_1_minus_1_over_e():
+    with decimal.localcontext() as context:
+        context.prec = 30
+        one = decimal.Decimal(1)
+        assert decimal.Decimal(CERTIFIED_P) / CERTIFIED_Q >= one - 1 / one.exp()
+
+
+def test_online_bound_orders_gains_by_exact_ratio():
+    # Set 1's ratio 2/(2*10**17 - 1) beats set 0's 1/10**17, though the two
+    # are equal as floats. In exact order set 1 fills the budget alone, so
+    # the bound is 2, the optimum. A float order keeps the lower index first
+    # on the tie: set 0 whole and set 1 in part give 2 - 1/(2*10**17 - 1),
+    # below the optimum, an unsound bound.
+    costs = [10**17, 2 * 10**17 - 1]
+    assert 1 / costs[0] == 2 / costs[1]
+    masks = [0b001, 0b110]
+    assert brute_force_opt(range(3), [{0}, {1, 2}], costs, costs[1]) == 2
+    assert online_bound(masks, costs, costs[1], 0) == (2 * costs[0], costs[0])
 
 
 @settings(max_examples=300, deadline=None)
@@ -379,9 +527,7 @@ def test_partial_enum_guarantee_on_random_cases(case):
 def _reference_via_masks(universe, sets, costs, budget):
     """Stand-in for ``pmssc.pds.budgeted_max_coverage`` that accepts masks."""
     mode = PARTIAL_ENUM if len(sets) <= maxcov_module.PARTIAL_ENUM_MAX_K else RATIO
-    return reference_max_coverage(
-        _bits(universe), [_bits(s) for s in sets], costs, budget, mode
-    )
+    return reference_kernel(_bits(universe), [_bits(s) for s in sets], costs, budget, mode)
 
 
 def _pds_corpus():
@@ -451,5 +597,6 @@ def test_skipping_reached_seeds_matches_completing_every_seed(case):
     universe, sets, costs, budget = case
     universe, masks = element_mask(universe), [element_mask(s) for s in sets]
     expected = every_seed_max_coverage(universe, masks, costs, budget)
-    got = maxcov(_bits(universe), sets, costs, budget, mode=PARTIAL_ENUM)
+    with uncertified():
+        got = maxcov(_bits(universe), sets, costs, budget, mode=PARTIAL_ENUM)
     assert repr(got) == repr(expected)
