@@ -109,6 +109,8 @@ def _parse_limits(text):
         k, m, n = (int(x) for x in text.split(","))
     except ValueError:
         raise ValidationError("--limits", "expected k,m,n")
+    if min(k, m, n) < 0:
+        raise ValidationError("--limits", "must be nonnegative")
     return oracle_mod.OracleLimits(max_k=k, max_m=m, max_n=n, node_budget=20_000_000)
 
 

@@ -2,16 +2,17 @@
 
 Every solver walks one geometric budget ladder, ``_ladder``: each guess yields
 at most one assignment from a max-coverage problem within that budget (a guess
-whose rounding keeps no iteration is skipped). ``_densest`` climbs the ladder
-until an assignment covers every coverable remaining element (one held by an
-available set with a finite cost), runs no later guess, and keeps the densest
-assignment seen (ties break toward the smaller guess). The bound survives the
-stop: the proof needs the first guess at or above the optimal makespan, and a
-full cover at a smaller guess is already at least as dense as the density the
-proof derives there.
-Skipping a guess that would repeat the last assignment (``_pmc_solver``, and
-an identical guess with the last one's sets and floored budget) keeps both:
-ties keep the earlier guess, and a full cover had stopped the ladder.
+whose rounding keeps no iteration is skipped). A guess is an int g on a grid
+of step 1 / ``unit`` (``_ladder_guesses``) and the next is ceil(g * base), so
+the first guess at or above any grid threshold is within ``base`` of it.
+``_densest`` climbs the ladder until an assignment covers every coverable
+remaining element (one held by an available set with a finite cost), runs no
+later guess, and keeps the densest assignment seen (ties break toward the
+smaller guess). The bound survives the stop: the proof needs the first guess
+at or above the optimal makespan, and a full cover at a smaller guess is
+already at least as dense as the density the proof derives there.
+Skipping a guess that would repeat the last assignment (``_pmc_solver``) keeps
+both: ties keep the earlier guess, and a full cover had stopped the ladder.
 
 * identical machines: budgeted max coverage with m times the guess, chosen
   sets spread largest-first over the least-loaded machine. Unit costs take
@@ -20,8 +21,8 @@ ties keep the earlier guess, and a full cover had stopped the ladder.
   (``_pmc_solver``). Related machines shrink to one auxiliary machine per
   nonempty group of near-equal speed, use the FPT rounding regime on that
   instance, and lift each group's sets onto its machines with the identical
-  machines' placement; unrelated machines use a ladder of powers of two and
-  the polynomial rounding regime.
+  machines' placement; unrelated machines use a ladder of base two and the
+  polynomial rounding regime.
 """
 
 from __future__ import annotations
@@ -45,7 +46,6 @@ from .core import (
     density,
     element_mask,
     remaining_elements,
-    scaled_floor,
 )
 from .errors import InvariantError, NoCoverageError, NoIterationKeptError
 from .maxcov import budgeted_max_coverage
@@ -55,27 +55,27 @@ from .rng import child_seed
 RELATED_ROUNDING_CAP = 128  # desk-scale cap on FPT rounding repetitions
 
 
-def _ladder_guesses(inst: ProblemInstance, base: Fraction, pool) -> Iterator[Fraction]:
-    """Powers of ``base`` spanning the finite costs in ``pool``'s rows, made as pulled.
+def _ladder_guesses(table: ProblemInstance, base: Fraction, unit: int, pool) -> Iterator[int]:
+    """Ints g, each the cost g / ``unit`` (a multiple of ``table.scale``), made as pulled.
 
-    The first is the least power at or above the cheapest of them, the last
-    the greatest at or below ``base`` times their sum. Ladders stop at their
-    first full cover, so later powers are never multiplied out.
+    The first is the cheapest finite cost in ``pool``'s rows of ``table``, each
+    next one ceil(g * ``base``), for base > 1, and the last the greatest at or
+    below ``base`` times those rows' finite total. For every threshold X =
+    x / ``unit`` (x an int) from the first guess to the last, the first guess
+    at or above X is at most base * X: the guess before it is at most x - 1,
+    and ceil((x - 1) * base) < x * base. The last guess is at least the total.
+    Ladders stop at their first full cover, so later guesses are never made.
     """
-    rows = inst.finite_row_icosts
+    rows = table.finite_row_icosts
     stats = [rows[s] for s in pool if rows[s] is not None]
     if not stats:
         raise NoCoverageError("no finite-cost set is available")
-    lo = Fraction(min(least for least, _ in stats), inst.scale)
-    top = base * Fraction(sum(total for _, total in stats), inst.scale)
-    power = Fraction(1)
-    while power < lo:
-        power *= base
-    while power / base >= lo:
-        power /= base
-    while power <= top:
-        yield power
-        power *= base
+    ratio, p, q = unit // table.scale, base.numerator, base.denominator
+    guess = min(least for least, _ in stats) * ratio
+    top = p * sum(total for _, total in stats) * ratio
+    while guess * q <= top:
+        yield guess
+        guess = -(-guess * p // q)
 
 
 def _covering_pool(inst, remaining, available) -> Tuple[frozenset, int, frozenset, List[int], int]:
@@ -103,26 +103,26 @@ def _covering_pool(inst, remaining, available) -> Tuple[frozenset, int, frozense
     return remaining, remaining_mask, frozenset(pool), usable, coverable
 
 
-def _ladder(table, base, pool, usable, clamp, solve) -> Iterator[Assignment]:
+def _ladder(table, base, unit, pool, usable, clamp, solve) -> Iterator[Assignment]:
     """The nonempty assignments of one budget ladder, in guess order.
 
     The guesses span the finite costs of ``usable`` in ``table`` (see
-    ``_ladder_guesses``); guess number ``gi`` yields ``solve(gi, guess,
-    largest)``. ``largest`` is the largest finite ``icosts`` entry of a
-    ``pool`` set in ``table`` at or below ``guess * table.scale`` (guesses
-    ascend, so one pointer walks the entries), or the largest of them all
-    when ``clamp`` is off (a cost above the guess still fits). A guess whose
-    rounding keeps no iteration is skipped, and a repeat (``solve`` returns
-    None) yields nothing; when no guess yields a nonempty assignment,
-    ``NoCoverageError`` names the skipped roundings.
+    ``_ladder_guesses``); guess number ``gi``, the int g standing for
+    g / ``unit``, yields ``solve(gi, g, largest)``. ``largest`` is the
+    largest finite ``icosts`` entry of a ``pool`` set in ``table`` whose cost
+    is at most the guess (guesses ascend, so one pointer walks the entries),
+    or the largest of them all when ``clamp`` is off (a cost above the guess
+    still fits). A guess whose rounding keeps no iteration is skipped, and a
+    repeat (``solve`` returns None) yields nothing; when no guess yields a
+    nonempty assignment, ``NoCoverageError`` names the skipped roundings.
     """
-    fitting, scale = [c for c, s in table.icost_order if s in pool], table.scale
+    fitting, ratio = [c for c, s in table.icost_order if s in pool], unit // table.scale
     fit = 0 if clamp else len(fitting)
     produced, skipped = False, []
-    for gi, guess in enumerate(_ladder_guesses(table, base, usable)):
-        while fit < len(fitting) and fitting[fit] * guess.denominator <= scale * guess.numerator:
+    for gi, guess in enumerate(_ladder_guesses(table, base, unit, usable)):
+        while fit < len(fitting) and fitting[fit] * ratio <= guess:
             fit += 1
-        # The first guess covers a usable set's cheapest cost, so one fits.
+        # The first guess is a usable set's cheapest cost, so one fits.
         largest = fitting[fit - 1]
         try:
             asg = solve(gi, guess, largest)
@@ -135,7 +135,7 @@ def _ladder(table, base, pool, usable, clamp, solve) -> Iterator[Assignment]:
     if not produced:
         raise NoCoverageError(
             "no budget guess produced an assignment (skipped: %s)"
-            % [float(g) for g in skipped]
+            % [g / unit for g in skipped]
         )
 
 
@@ -197,7 +197,6 @@ def pds_identical(
         raise ValueError("pds_identical needs the unit or identical cost model")
     remaining, remaining_mask, pool, usable, coverable = _covering_pool(inst, remaining, available)
     by_cost = [(c, s) for c, s in inst.icost_order if s in pool]
-    scale = inst.scale
 
     @lru_cache(maxsize=1)
     def fitting(largest):
@@ -205,29 +204,20 @@ def pds_identical(
         sets = sorted(s for _, s in by_cost[: bisect_right(by_cost, largest, key=itemgetter(0))])
         return sets, [inst.masks[s] for s in sets], [inst.icosts[s][0] for s in sets]
 
-    last = None  # (largest, floored budget) of the last solved guess
-
-    def spread(gi, guess, largest) -> Optional[Assignment]:
-        """The guess's assignment, or None when it would repeat the last one."""
-        nonlocal last
-        budget = scaled_floor(scale, inst.m, guess)  # m * guess, floored in icosts units
-        if (largest, budget) == last:
-            return None
-        last = largest, budget
+    def spread(gi, guess, largest) -> Assignment:
+        """The guess's assignment: ``guess`` is in ``icosts`` units."""
         candidates, masks, costs = fitting(largest)
-        result = budgeted_max_coverage(remaining_mask, masks, costs, budget)
+        result = budgeted_max_coverage(remaining_mask, masks, costs, inst.m * guess)
         chosen = [candidates[i] for i in result.chosen]
         per_machine, loads = [[] for _ in range(inst.m)], [0] * inst.m
         _place_largest_first(inst, chosen, range(inst.m), per_machine, loads)
-        if max(loads) > scaled_floor(scale, 2, guess):
-            load = Fraction(max(loads), scale)
+        if max(loads) > 2 * guess:
+            load, guess = Fraction(max(loads), inst.scale), Fraction(guess, inst.scale)
             raise InvariantError("a load %s exceeds twice the guess %s" % (load, guess))
         return Assignment(per_machine)
 
-    # The ladder starts where the cheapest set that meets ``remaining`` fits,
-    # as max coverage returns nothing before.
     base = Fraction(1) + Fraction(identical_ladder_delta(epsilon))
-    ladder = _ladder(inst, base, pool, usable, clamp=True, solve=spread)
+    ladder = _ladder(inst, base, inst.scale, pool, usable, clamp=True, solve=spread)
     return _densest(inst, remaining, coverable, ladder)
 
 
@@ -285,8 +275,9 @@ class RelatedReduction:
     (fastest speed / own speed) rounds up to ``aux_cost_multiplier[p] =
     (1 + kappa)^p``. Machines slower than kappa/m times the fastest are
     discarded. Positional groups may be empty; the auxiliary instance has a
-    machine for the nonempty ones only. ``aux_cost_multiplier`` holds all
-    t + 1 powers as a ``_Powers`` sequence, so only the powers read are built.
+    machine for the nonempty ones only, each costed by its group's largest
+    multiplier. ``aux_cost_multiplier`` holds all t + 1 powers as a
+    ``_Powers`` sequence, so only the powers read are built.
     """
 
     kept_machines: Tuple[int, ...]
@@ -305,9 +296,11 @@ def reduce_related(
     """Group related machines by rounded speed; build the auxiliary instance.
 
     Returns the reduction plus an unrelated-cost instance with one machine per
-    nonempty group, in group order; set s costs (1 + kappa)^p times its base
-    cost on the machine of group p. The last (instance, kappa) is cached, as
-    the greedy driver asks for the same reduction at every iteration.
+    nonempty group, in group order; set s costs there its base cost times the
+    group's largest multiplier, which lies, like (1 + kappa)^p, between each
+    member's cost and 1 + kappa times it, and keeps the ladder's grid coarse.
+    The last (instance, kappa) is cached, as the greedy driver asks for the
+    same reduction at every iteration.
     """
     if inst.cost_model.kind != "related":
         raise ValueError("reduce_related needs the related cost model")
@@ -332,11 +325,10 @@ def reduce_related(
         groups=tuple(tuple(g) for g in groups),
         aux_cost_multiplier=powers,
     )
-    nonempty = [p for p, g in enumerate(groups) if g]
-    base_costs, multipliers = inst.cost_model.base_costs, [powers[p] for p in nonempty]
-    matrix = tuple(tuple(power * c for power in multipliers) for c in base_costs)
+    multipliers = [s_max / min(speeds[j] for j in g) for g in groups if g]
+    matrix = tuple(tuple(mult * c for mult in multipliers) for c in inst.cost_model.base_costs)
     aux = ProblemInstance(
-        n=inst.n, sets=inst.sets, m=len(nonempty), cost_model=UnrelatedCosts(matrix)
+        n=inst.n, sets=inst.sets, m=len(multipliers), cost_model=UnrelatedCosts(matrix)
     )
     return reduction, aux
 
@@ -347,13 +339,13 @@ def related_parameters(epsilon: float) -> Tuple[float, float]:
     return delta, delta / (delta + 16.0)
 
 
-def _pmc_solver(inst, remaining, pool, table, weights, params):
+def _pmc_solver(inst, remaining, pool, table, weights, unit, params):
     """A ``_ladder`` step: parallel max coverage over ``table``'s costs.
 
     ``table``'s costs have a row per set and a column per PMC machine; sets
     outside ``pool`` are closed and elements outside ``remaining`` dropped.
-    Guess number ``gi`` gives machine q the budget ``weights[q] * guess``,
-    makes every cost above ``largest`` infinite and rounds with seed
+    Guess number ``gi``, an int g, gives machine q the budget ``weights[q] * g
+    / unit``, makes every cost above ``largest`` infinite and rounds with seed
     ``child_seed(params.seed, gi)``. The work table and its
     ``PmcRelaxation`` are built only when ``largest`` changes, so guesses
     that share them solve LPs that differ only in their budget rhs, each
@@ -383,7 +375,7 @@ def _pmc_solver(inst, remaining, pool, table, weights, params):
         nonlocal repeat
         if largest == repeat:
             return None
-        relax, budgets = relaxation(largest), [w * guess for w in weights]
+        relax, budgets = relaxation(largest), [Fraction(w * guess, unit) for w in weights]
         result = pmc_solve(relax, budgets, replace(params, seed=child_seed(params.seed, gi)))
         clamped = all(b >= norm for b, norm in zip(budgets, relax.norms))
         repeat = largest if clamped and result.integral else None
@@ -410,8 +402,15 @@ def pds_related(
     params = PmcParams(
         mode=FPT, epsilon=kappa, mu=kappa, r_cap=RELATED_ROUNDING_CAP, seed=seed
     )
-    load_bound = (2 + kappa_f) / max(inst.cost_model.speeds)
-    pmc = _pmc_solver(inst, remaining, pool, aux, [len(g) for g in groups], params)
+    # The ladder's threshold is the largest aux load per group machine, so its
+    # grid steps by 1 / (aux.scale * lcm of the group sizes).
+    sizes = [len(g) for g in groups]
+    unit = aux.scale * math.lcm(*sizes)
+    # Guesses count the fastest speed s_max as 1, so a real load times s_max
+    # is in guess units: a group's average is at most (1 + kappa) * guess, and
+    # one set adds at most one guess. An ``icosts`` load is at most g times:
+    load_per_guess = (2 + kappa_f) * inst.scale / (max(inst.cost_model.speeds) * unit)
+    pmc = _pmc_solver(inst, remaining, pool, aux, sizes, unit, params)
 
     def lift(gi, guess, largest) -> Optional[Assignment]:
         """Each group's sets, largest first, on the group's least-loaded machine."""
@@ -421,14 +420,11 @@ def pds_related(
         per_machine, loads = [[] for _ in range(inst.m)], [0] * inst.m
         for group, chosen in zip(groups, solved.per_machine):
             _place_largest_first(inst, chosen, group, per_machine, loads)
-        # Guesses count the fastest speed s_max as 1, so a real load times s_max
-        # is in guess units: a group's average is at most (1 + kappa) * guess,
-        # and one set adds at most one guess.
-        if max(loads) > scaled_floor(inst.scale, load_bound, guess):
+        if max(loads) > load_per_guess * guess:
             raise InvariantError("lift exceeded the per-machine bound")
         return Assignment(per_machine)
 
-    ladder = _ladder(aux, Fraction(1) + kappa_f, pool, usable, clamp=True, solve=lift)
+    ladder = _ladder(aux, Fraction(1) + kappa_f, unit, pool, usable, clamp=True, solve=lift)
     return _densest(inst, remaining, coverable, ladder)
 
 
@@ -439,9 +435,9 @@ def pds_unrelated(
     available: Optional[Iterable[int]] = None,
     seed: int = 0,
 ) -> Assignment:
-    """Powers-of-two budget ladder with polynomial-regime max coverage."""
+    """Base-two budget ladder with polynomial-regime max coverage."""
     remaining, _, pool, usable, coverable = _covering_pool(inst, remaining, available)
     params = PmcParams(mode=POLY, epsilon=epsilon, seed=seed)
-    solve = _pmc_solver(inst, remaining, pool, inst, [1] * inst.m, params)
-    ladder = _ladder(inst, Fraction(2), pool, usable, clamp=False, solve=solve)
+    solve = _pmc_solver(inst, remaining, pool, inst, [1] * inst.m, inst.scale, params)
+    ladder = _ladder(inst, Fraction(2), inst.scale, pool, usable, clamp=False, solve=solve)
     return _densest(inst, remaining, coverable, ladder)

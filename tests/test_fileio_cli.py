@@ -296,6 +296,18 @@ def test_cli_oracle_and_limits(tmp_path, capsys):
             assert "cost" in json.loads(captured.out)
 
 
+@pytest.mark.parametrize("limits", ["-1,3,64", "6,-3,10", "6,3,-1"])
+def test_cli_oracle_rejects_negative_limits(tmp_path, capsys, limits):
+    # A negative limit is an input error (exit 2), not an instance that
+    # exceeds the limits (exit 4).
+    small = _write_instance(tmp_path, n=5, k=4, m=2, model="identical", density=0.5, seed=3)
+    argv = ["oracle", "--instance", str(small), "--problem", "pmssc", "--limits=" + limits]
+    assert cli.main(argv) == cli.EXIT_VALIDATION == 2
+    captured = capsys.readouterr()
+    assert captured.err.strip() == "validation error: --limits: must be nonnegative"
+    assert captured.out == ""
+
+
 @pytest.mark.parametrize("command", ["pmc", "oracle"])
 @pytest.mark.parametrize("budgets", ["1/0", "2,x", "-1,2"])
 def test_cli_bad_budgets_exit_code(tmp_path, capsys, command, budgets):

@@ -2,11 +2,12 @@
 
 Each case runs ``cli.main`` on instance files in ``data/golden`` and compares
 its stdout, with the ``wall_time_s`` value zeroed, to ``data/golden/<case>.out``.
-The first fifteen cases are acceptance criterion 11's invocations; the last
+The first fifteen cases are acceptance criterion 11's invocations; the next
 three are larger greedy runs whose budget ladders pass several fit counts:
 identical machines with k = 45 (so max coverage also takes its ratio kernel),
 related machines with three rational speeds, and unrelated machines with
-infinite costs.
+infinite costs. The last is a related run with base costs up to 6, whose
+ladders skip guesses that repeat a clamped integral solve.
 
 A change that means to alter outputs rewrites the goldens with
 ``PYTHONPATH=src python tests/test_golden_reports.py`` and says why.
@@ -49,6 +50,7 @@ CASES = {
     "solve-identical-k45": ("solve", "identical-k45", "--algo greedy-identical" + _E1),
     "solve-related-3speeds": ("solve", "related-3speeds", "--algo greedy-related" + _E2),
     "solve-unrelated-inf": ("solve", "unrelated-inf", "--algo greedy-unrelated" + _E2),
+    "solve-related-cost6": ("solve", "related-cost6", "--algo greedy-related" + _E2),
 }
 
 
@@ -72,6 +74,9 @@ def _instances():
         ),
         "unrelated-inf": generate_instance(
             n=40, k=16, m=4, model="unrelated", density=0.12, seed=17, max_cost=5
+        ),
+        "related-cost6": generate_instance(
+            n=8, k=5, m=2, model="related", density=0.4, seed=1, max_cost=6
         ),
     }
 
@@ -97,7 +102,9 @@ def test_report_matches_golden(case):
 
 def test_a_related_golden_case_skips_repeated_guesses(monkeypatch):
     # The skip of a guess that repeats a clamped integral solve must be taken
-    # on a pinned report, so the goldens show it leaves outputs unchanged.
+    # on a pinned report, so the goldens show it leaves outputs unchanged. On
+    # the int ladder's coarse grid the small related case no longer meets
+    # one; its costs up to 6 make this case skip.
     answers = []
 
     def recording(*args, _inner=pds_module._pmc_solver):
@@ -110,7 +117,7 @@ def test_a_related_golden_case_skips_repeated_guesses(monkeypatch):
         return recorded
 
     monkeypatch.setattr(pds_module, "_pmc_solver", recording)
-    case = "solve-related-greedy-related"
+    case = "solve-related-cost6"
     assert _report(case) == (GOLDEN / (case + ".out")).read_text(encoding="utf-8")
     assert None in answers and any(a is not None for a in answers)
 

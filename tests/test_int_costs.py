@@ -212,10 +212,10 @@ def test_density_value_takes_an_int_load_only(load):
         DensityValue(1, load, 3)
 
 
-# -- the identical ladder's budget: floor(m * guess * scale)
+# -- the identical ladder's budget: m * guess, an int at the instance's scale
 
-# Costs 1/3 and 2/5 give scale 15, and no power of the ladder base makes
-# m * guess * 15 an integer.
+# Costs 1/3 and 2/5 give scale 15, so every guess is an int g standing for
+# g / 15, and most guesses lie off the multiples of the costs.
 FLOOR_COSTS = (Fraction(1, 3), Fraction(2, 5), Fraction(1, 3), Fraction(2, 5), Fraction(1, 3))
 FLOOR_SETS = ((0, 1), (1, 2, 3), (3,), (4, 5, 0), (5, 6))
 
@@ -231,30 +231,36 @@ def test_identical_ladder_budget_matches_a_fraction_budget_reference(m, epsilon,
     assert inst.scale == 15
     universe = (1 << inst.n) - 1
     base = 1 + Fraction(identical_ladder_delta(epsilon))
-    guesses = list(_ladder_guesses(inst, base, range(inst.k)))
-    assert any((m * g * 15).denominator != 1 for g in guesses)
+    guesses = list(_ladder_guesses(inst, base, 15, range(inst.k)))
+    # the int rule against Fraction costs: the cheapest cost, then each guess
+    # times base rounded up to the grid of 1/15, up to base times the total
+    assert Fraction(guesses[0], 15) == min(FLOOR_COSTS)
+    for a, b in zip(guesses, guesses[1:]):
+        assert Fraction(b - 1, 15) < Fraction(a, 15) * base <= Fraction(b, 15)
+    total = m * sum(FLOOR_COSTS)
+    assert Fraction(guesses[-1], 15) <= base * total < Fraction(guesses[-1], 15) * base
     for guess in guesses:
-        # the sets that fit the guess: the kernel in icosts at floor(m * guess
-        # * 15), the Fraction reference in exact costs at m * guess
-        fitting = [s for s in range(inst.k) if FLOOR_COSTS[s] <= guess]
+        # the sets that fit the guess: the kernel in icosts at m * guess, the
+        # Fraction reference in exact costs at m * guess / 15
+        fitting = [s for s in range(inst.k) if FLOOR_COSTS[s] <= Fraction(guess, 15)]
         got = budgeted_max_coverage(
             universe,
             [inst.masks[s] for s in fitting],
             [inst.icosts[s][0] for s in fitting],
-            math.floor(m * guess * 15),
+            m * guess,
         )
         want = reference_max_coverage(
             range(inst.n),
             [inst.sets[s] for s in fitting],
             [FLOOR_COSTS[s] for s in fitting],
-            m * guess,
+            m * Fraction(guess, 15),
             PARTIAL_ENUM,
         )
         assert (got.chosen, Fraction(got.total_cost, 15), got.covered) == (
             want.chosen, want.total_cost, want.covered
         )
 
-    # pds passes the kernel those int costs and floored budgets
+    # pds passes the kernel those int costs and budgets
     calls = []
 
     def spy(universe, masks, costs, budget):
@@ -265,17 +271,18 @@ def test_identical_ladder_budget_matches_a_fraction_budget_reference(m, epsilon,
     monkeypatch.setattr(pds_module, "budgeted_max_coverage", spy)
     pds_identical(inst, range(inst.n), epsilon)
     assert calls
-    floored = {math.floor(m * g * 15) for g in guesses}
+    budgets = [m * g for g in guesses]
+    assert [budget for _, budget, _ in calls] == budgets[: len(calls)]
     for costs, budget, result in calls:
         assert all(type(c) is int for c in costs) and type(budget) is int
-        assert budget in floored
         assert sum(costs[i] for i in result.chosen) == result.total_cost <= budget
 
 
 @pytest.mark.parametrize("m", [1, 2])
 def test_identical_ladder_load_bound_raises_as_the_fraction_check(m, monkeypatch):
-    # Taking every candidate breaks the 2 * guess load bound at the first
-    # guess; the error names the load and guess as exact rationals.
+    # Taking every candidate breaks the 2 * guess load bound at some guess
+    # before a full cover; the error names the load and guess as exact
+    # rationals.
     def take_everything(universe, sets, costs, budget):
         return MaxCovResult(tuple(range(len(sets))), sum(costs), 0)
 
@@ -284,15 +291,19 @@ def test_identical_ladder_load_bound_raises_as_the_fraction_check(m, monkeypatch
     with pytest.raises(InvariantError) as raised:
         pds_identical(inst, range(inst.n), 0.1)
 
-    # the Fraction check: the first guess's candidates, largest first, each on
-    # the least-loaded machine
+    # the Fraction check: each guess's candidates, largest first, each on the
+    # least-loaded machine, up to the first guess that breaks the bound (at
+    # the first guess, 1/3, two machines hold its three sets within 2/3)
     base = 1 + Fraction(identical_ladder_delta(0.1))
-    guess = next(_ladder_guesses(inst, base, range(inst.k)))
-    candidates = [s for s in range(inst.k) if FLOOR_COSTS[s] <= guess]
-    loads = [Fraction(0)] * m
-    for s in sorted(candidates, key=lambda s: (-FLOOR_COSTS[s], s)):
-        j = min(range(m), key=lambda q: (loads[q], q))
-        loads[j] += FLOOR_COSTS[s]
+    for g in _ladder_guesses(inst, base, 15, range(inst.k)):
+        guess = Fraction(g, 15)
+        candidates = [s for s in range(inst.k) if FLOOR_COSTS[s] <= guess]
+        loads = [Fraction(0)] * m
+        for s in sorted(candidates, key=lambda s: (-FLOOR_COSTS[s], s)):
+            j = min(range(m), key=lambda q: (loads[q], q))
+            loads[j] += FLOOR_COSTS[s]
+        if max(loads) > 2 * guess:
+            break
     assert max(loads) > 2 * guess
     message = "a load %s exceeds twice the guess %s" % (max(loads), guess)
     assert re.fullmatch(re.escape(message), str(raised.value))

@@ -5,6 +5,7 @@ from dataclasses import replace
 from fractions import Fraction
 from functools import lru_cache
 from itertools import islice
+from types import SimpleNamespace
 from typing import Iterable, Optional
 
 import numpy as np
@@ -55,12 +56,25 @@ from pmssc.scheduler import pmssc_greedy
 IDENTICAL_GUARANTEE = (math.e - 1) / (2 * math.e + 0.1 * (math.e - 1))
 
 
+def _grid_ladder(cheapest, total, base, unit):
+    """The ladder ``_ladder_guesses`` makes, as exact ``Fraction`` costs: the
+    cheapest cost, then each guess times ``base`` rounded up to the grid of
+    ``unit``, while a guess is at most ``base`` times the total."""
+    guesses = [Fraction(cheapest)]
+    while True:
+        step = math.ceil(guesses[-1] * base * unit)
+        if Fraction(step, unit) > base * total:
+            return guesses
+        guesses.append(Fraction(step, unit))
+
+
 def test_budget_ladder_powers():
     # one machine: the cheapest cost is 1 and the costs sum to 10
     inst = ProblemInstance(n=1, sets=((0,), (0,)), m=1, cost_model=IdenticalCosts((1, 9)))
-    assert tuple(_ladder_guesses(inst, Fraction(2), [0, 1])) == (1, 2, 4, 8, 16)
+    assert tuple(_ladder_guesses(inst, Fraction(2), 1, [0, 1])) == (1, 2, 4, 8, 16)
     # two machines, an infinite entry and a set outside the pool: the cheapest
-    # finite cost is 1/3 and the pool's finite costs sum to 5
+    # finite cost is 1/3 and the pool's finite costs sum to 5; the grid steps
+    # by half the scale's step
     inst = ProblemInstance(
         n=1,
         sets=((0,), (0,), (0,)),
@@ -69,34 +83,61 @@ def test_budget_ladder_powers():
             ((Fraction(1, 3), INFINITE_COST), (2, Fraction(8, 3)), (Fraction(1, 9), 1))
         ),
     )
-    base = Fraction(3, 2)
-    guesses = tuple(_ladder_guesses(inst, base, [0, 1]))
-    assert guesses[0] >= Fraction(1, 3) and guesses[0] / base < Fraction(1, 3)
-    assert guesses[-1] <= base * 5 < guesses[-1] * base
-    for a, b in zip(guesses, guesses[1:]):
-        assert b == a * base
+    base, unit = Fraction(3, 2), 2 * inst.scale
+    guesses = tuple(Fraction(g, unit) for g in _ladder_guesses(inst, base, unit, [0, 1]))
+    assert guesses == tuple(_grid_ladder(Fraction(1, 3), 5, base, unit))
+    assert guesses[0] == Fraction(1, 3)
+    assert 5 <= guesses[-1] <= base * 5 < math.ceil(guesses[-1] * base * unit) / unit
+    assert any(b != a * base for a, b in zip(guesses, guesses[1:]))  # rounded up
     all_infinite = ProblemInstance(
         n=1, sets=((0,),), m=2, cost_model=UnrelatedCosts(((INFINITE_COST,) * 2,))
     )
     with pytest.raises(NoCoverageError, match="no finite-cost set is available"):
-        tuple(_ladder_guesses(all_infinite, base, [0]))
+        tuple(_ladder_guesses(all_infinite, base, 1, [0]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    p=st.integers(2, 400),
+    q=st.integers(1, 300),
+    cheapest=st.integers(1, 50),
+    rows=st.integers(1, 6),
+    multiple=st.integers(1, 4),
+    data=st.data(),
+)
+def test_first_guess_at_or_above_a_grid_threshold_is_within_base_of_it(
+    p, q, cheapest, rows, multiple, data
+):
+    # For every threshold X on the grid of ``unit`` between the first guess
+    # and the last, the first guess >= X is at most base * X.
+    assume(p > q)
+    base = Fraction(p, q)
+    costs = IdenticalCosts((Fraction(cheapest, 7),) + (Fraction(cheapest + 5, 7),) * (rows - 1))
+    inst = ProblemInstance(n=1, sets=((0,),) * rows, m=1, cost_model=costs)
+    unit = inst.scale * multiple
+    guesses = list(_ladder_guesses(inst, base, unit, range(rows)))
+    assert guesses == sorted(set(guesses)) and all(type(g) is int for g in guesses)
+    x = data.draw(st.integers(guesses[0], guesses[-1]), label="threshold")
+    first = next(g for g in guesses if g >= x)
+    assert Fraction(first, unit) <= base * Fraction(x, unit)
 
 
 def test_ladder_makes_only_the_guesses_pulled():
-    class CountingBase(Fraction):
-        """A ladder base that counts the powers made from it (``power * base``)."""
+    class CountingNumerator(int):
+        """A base numerator that counts the guesses made from it (``guess * p``)."""
 
         made = 0
 
         def __rmul__(self, other):
-            CountingBase.made += 1
-            return Fraction.__rmul__(self, other)
+            CountingNumerator.made += 1
+            return int(other) * int(self)
 
     # the cheapest cost is 1, so the first guess needs no multiplication; the
     # costs sum to 2**20, so the whole ladder would run up to 2**21
     inst = ProblemInstance(n=1, sets=((0,), (0,)), m=1, cost_model=IdenticalCosts((1, 2**20 - 1)))
-    assert list(islice(_ladder_guesses(inst, CountingBase(2), [0, 1]), 2)) == [1, 2]
-    assert CountingBase.made == 1
+    base = SimpleNamespace(numerator=CountingNumerator(2), denominator=1)
+    assert list(islice(_ladder_guesses(inst, base, 1, [0, 1]), 2)) == [1, 2]
+    assert CountingNumerator.made == 1
 
 
 def test_pds_identical_t1_two_machines():
@@ -238,7 +279,8 @@ def test_reduce_related_at_epsilon_1e_3_builds_only_the_powers_it_reads(monkeypa
     assert red.groups[0] == (1,) and len(slow) == 1
     # the slow machine's multiplier 3/2 rounds up to its group's power, not further
     assert red.aux_cost_multiplier[slow[0] - 1] < Fraction(3, 2) <= red.aux_cost_multiplier[slow[0]]
-    assert aux.costs == ((1, red.aux_cost_multiplier[slow[0]]),) * 2
+    # the aux machine costs the group's largest multiplier, 3/2 itself
+    assert aux.costs == ((1, Fraction(3, 2)),) * 2
 
 
 def test_related_parameters():
@@ -273,11 +315,11 @@ def test_pds_related_unequal_speeds_ratio():
 
 
 def test_related_ladder_clamps_as_a_fresh_clamp_would_at_every_guess(monkeypatch):
-    # Speed 1/2 puts machine 1 in group p with (1 + kappa)^p >= 2, so base
-    # cost 1 costs exactly ladder guess p there, and no other cost lies
-    # between 1 and that guess: the table must change when a cost first
-    # fits the guess by equality. Without the clamp every guess gets the
-    # unclamped pool rows.
+    # Speed 1/2 gives machine 1's group the multiplier 2, so base cost 1
+    # costs 2 there, the ladder's second guess, and no other cost lies
+    # between 1 and 2: the table must change when a cost first fits the
+    # guess by equality. Without the clamp every guess gets the unclamped
+    # pool rows.
     inst = ProblemInstance(
         n=4,
         sets=((0,), (1,), (2, 3), (0, 1, 2, 3)),
@@ -287,6 +329,7 @@ def test_related_ladder_clamps_as_a_fresh_clamp_would_at_every_guess(monkeypatch
     _, kappa = related_parameters(0.2)
     reduction, aux = reduce_related(inst, Fraction(kappa))
     weights = [len(g) for g in reduction.groups if g]
+    unit = aux.scale * math.lcm(*weights)
     tables = []
 
     def spy(relaxation, budgets, params, _inner=pmc_solve, **kwargs):
@@ -301,8 +344,8 @@ def test_related_ladder_clamps_as_a_fresh_clamp_would_at_every_guess(monkeypatch
     remaining = frozenset(range(4))
     for clamp in (True, False):
         tables.clear()
-        solve = _pmc_solver(inst, remaining, range(4), aux, weights, params)
-        list(_ladder(aux, 1 + Fraction(kappa), range(4), range(4), clamp, solve))
+        solve = _pmc_solver(inst, remaining, range(4), aux, weights, unit, params)
+        list(_ladder(aux, 1 + Fraction(kappa), unit, range(4), range(4), clamp, solve))
         assert len(tables) > 2
         for relaxation, guess in tables:
             assert relaxation.inst.costs == tuple(
@@ -423,11 +466,12 @@ def test_ladder_skips_a_guess_that_repeats_a_clamped_integral_solve(monkeypatch,
         )
         reduction, aux = reduce_related(inst, Fraction(kappa))
         weights = [len(g) for g in reduction.groups if g]
+        unit = aux.scale * math.lcm(*weights)
         params = PmcParams(
             mode=FPT, epsilon=kappa, mu=kappa, r_cap=RELATED_ROUNDING_CAP, seed=seed
         )
         pool = frozenset(range(inst.k))
-        solve = _pmc_solver(inst, frozenset(range(inst.n)), pool, aux, weights, params)
+        solve = _pmc_solver(inst, frozenset(range(inst.n)), pool, aux, weights, unit, params)
         guesses, first = [], len(solves)
 
         def logged(gi, guess, largest):
@@ -437,7 +481,7 @@ def test_ladder_skips_a_guess_that_repeats_a_clamped_integral_solve(monkeypatch,
             finally:
                 guesses.append((gi, largest, len(solves) - before[0], len(programs) - before[1]))
 
-        list(_ladder(aux, 1 + Fraction(kappa), pool, pool, True, logged))
+        list(_ladder(aux, 1 + Fraction(kappa), unit, pool, pool, True, logged))
         repeatable, last_largest, last_skipped = False, None, False
         solved = iter(solves[first:])
         for gi, largest, pmc_calls, lp_calls in guesses:
@@ -461,7 +505,7 @@ def test_ladder_skips_a_guess_that_repeats_a_clamped_integral_solve(monkeypatch,
     assert dump.read_text() == "".join(to_lp_format(lp) for lp in programs)
 
 
-def former_pmc_solver(inst, remaining, pool, table, weights, params):
+def former_pmc_solver(inst, remaining, pool, table, weights, unit, params):
     """``pds._pmc_solver`` as it was before it skipped repeated guesses: every
     guess builds its budgets and solves."""
     sets = tuple(
@@ -481,7 +525,7 @@ def former_pmc_solver(inst, remaining, pool, table, weights, params):
     def solve(gi, guess, largest) -> Assignment:
         return pmc_solve(
             relaxation(largest),
-            [w * guess for w in weights],
+            [Fraction(w * guess, unit) for w in weights],
             replace(params, seed=child_seed(params.seed, gi)),
         ).assignment
 
@@ -650,7 +694,7 @@ def test_pds_unrelated_coverable_elements_only_in_infinite_sets():
 
 def test_identical_ladder_starts_where_the_cheapest_usable_set_fits(monkeypatch):
     # Set 0 is the cheapest but meets no remaining element; the first maxcov
-    # call comes at the least power at or above set 1's cost 5.
+    # call comes at set 1's cost 5, the first guess of the usable sets' ladder.
     inst = ProblemInstance(n=2, sets=((0,), (1,)), m=2, cost_model=IdenticalCosts((1, 5)))
     budgets = []
 
@@ -660,29 +704,28 @@ def test_identical_ladder_starts_where_the_cheapest_usable_set_fits(monkeypatch)
 
     monkeypatch.setattr(pds_module, "budgeted_max_coverage", spy)
     base = 1 + Fraction(identical_ladder_delta(0.2))
-    guess = Fraction(1)
-    while guess < 5:
-        guess *= base
-    assert guess / base < 5
+    guesses = _grid_ladder(5, 2 * 5, base, inst.scale)  # set 1 costs 5 on each machine
+    assert [Fraction(g, inst.scale) for g in _ladder_guesses(inst, base, inst.scale, [1])] == guesses
     assert pds_identical(inst, frozenset({1}), 0.2) == Assignment(((1,), ()))
-    assert budgets[0] == math.floor(inst.m * guess)  # m * guess, floored at scale 1
+    assert budgets == [inst.m * guesses[0] * inst.scale]  # m * guess in icosts units
 
 
 def _identical_ladder_every_call(inst, remaining, epsilon):
     """``pds_identical`` on one machine with a max-coverage call at every guess
-    it runs: the sets that fit the guess, the budget floor(guess * L), the chosen
-    sets largest first, the densest kept up to the first full cover."""
+    it runs: the sets that fit the guess, the budget guess * L, the chosen sets
+    largest first, the densest kept up to the first full cover."""
     assert inst.m == 1
     base = 1 + Fraction(identical_ladder_delta(epsilon))
     costs = [row[0] for row in inst.icosts]
+    cheapest, total = min(inst.costs)[0], sum(row[0] for row in inst.costs)
     best = None
-    for guess in _ladder_guesses(inst, base, range(inst.k)):
+    for guess in _grid_ladder(cheapest, total, base, inst.scale):
         fitting = [s for s in range(inst.k) if costs[s] <= guess * inst.scale]
         result = budgeted_max_coverage(
             element_mask(remaining),
             [inst.masks[s] for s in fitting],
             [costs[s] for s in fitting],
-            math.floor(guess * inst.scale),
+            int(guess * inst.scale),
         )
         chosen = sorted((fitting[i] for i in result.chosen), key=lambda s: (-costs[s], s))
         asg = Assignment((tuple(chosen),))
@@ -694,10 +737,10 @@ def _identical_ladder_every_call(inst, remaining, epsilon):
     return best[1]
 
 
-def test_identical_ladder_solves_a_repeated_largest_and_floored_budget_once(monkeypatch):
-    # At epsilon 0.01 the ladder steps by about 3%, so consecutive guesses
-    # often floor to the same budget with the same sets fitting; such a guess
-    # would repeat the assignment, and a density tie keeps the earlier one.
+def test_identical_ladder_budgets_strictly_increase(monkeypatch):
+    # At epsilon 0.01 the ladder base is about 1.03, so on a grid of whole
+    # costs each guess is one more than the last: every guess gets its own
+    # budget, and no guess can repeat the assignment of the one before.
     inst = ProblemInstance(
         n=3, sets=((0,), (1,), (2,)), m=1, cost_model=IdenticalCosts((5, 5, 7))
     )
@@ -711,14 +754,11 @@ def test_identical_ladder_solves_a_repeated_largest_and_floored_budget_once(monk
     remaining = frozenset(range(3))
     asg = pds_identical(inst, remaining, 0.01)
     base = 1 + Fraction(identical_ladder_delta(0.01))
-    ran = list(_ladder_guesses(inst, base, range(3)))
-    ran = ran[: next(i for i, g in enumerate(ran) if g >= 17) + 1]  # the full cover
-    # The first two guesses both floor to 5 with sets 0 and 1 fitting: one
-    # call for the two.
-    assert [scaled_floor(1, g) for g in ran[:2]] == [5, 5]
-    assert calls[:2] == [(2, 5), (2, 6)]
-    assert calls == sorted(set(calls)) and len(calls) < len(ran)
-    assert len(calls) == len({(sum(c <= g for c in (5, 5, 7)), scaled_floor(1, g)) for g in ran})
+    ran = list(_ladder_guesses(inst, base, inst.scale, range(3)))
+    ran = ran[: ran.index(17) + 1]  # the full cover
+    assert ran == list(range(5, 18))
+    assert [budget for _, budget in calls] == ran
+    assert [fits for fits, _ in calls] == [2, 2, 3] + [3] * (len(ran) - 3)
     assert asg == _identical_ladder_every_call(inst, remaining, 0.01)
 
 
@@ -868,10 +908,13 @@ def test_over_budget_family_raises_invariant_error(solver, monkeypatch):
 # Verbatim copies of the former ``pds_unit``, ``pds_related`` and
 # ``pds_unrelated``, each with its own ladder loop and argmax. Each loop has
 # the additions every ladder now follows: it breaks after the first guess
-# whose assignment covers every coverable remaining element, and the PMC
-# loops solve every guess of one clamped cost table on one ``PmcRelaxation``,
-# so each LP starts warm from the last one's optimum (a warm re-solve may stop
-# at another optimal vertex than a cold one).
+# whose assignment covers every coverable remaining element, the PMC loops
+# solve every guess of one clamped cost table on one ``PmcRelaxation``, so
+# each LP starts warm from the last one's optimum (a warm re-solve may stop
+# at another optimal vertex than a cold one), and the guesses are the int
+# ladder's, on the grid of the instance's scale (the related one's: the aux
+# scale times the lcm of the group sizes), with each aux machine costed by
+# its group's largest multiplier.
 
 
 def _available_list(inst, available):
@@ -912,7 +955,7 @@ def reference_pds_unit(
     _require_coverage(inst, remaining, pool)
     coverable = _coverable(inst, remaining, pool)
     base = Fraction(1) + Fraction(identical_ladder_delta(epsilon))
-    ladder = _ladder_guesses(inst, base, pool)
+    ladder = (Fraction(g, inst.scale) for g in _ladder_guesses(inst, base, inst.scale, pool))
     remaining_mask = element_mask(remaining)
     pool_masks = [inst.masks[s] for s in pool]
     ones = [1] * len(pool)
@@ -948,7 +991,9 @@ def reference_pds_unit(
 
 
 def former_reduce_related(inst: ProblemInstance, kappa):
-    """The former reduction: an auxiliary machine for every power, empty or not."""
+    """The former reduction: an auxiliary machine for every power, empty or not,
+    a nonempty group's costed by its largest multiplier, an empty one's by its
+    power."""
     if inst.cost_model.kind != "related":
         raise ValueError("reduce_related needs the related cost model")
     kappa = as_fraction(kappa)
@@ -997,8 +1042,12 @@ def former_reduce_related(inst: ProblemInstance, kappa):
         aux_cost_multiplier=tuple(bucket_multipliers),
     )
     base_costs = inst.cost_model.base_costs
+    group_multipliers = [
+        max(multipliers[j] for j in groups[p]) if groups[p] else bucket_multipliers[p]
+        for p in range(t + 1)
+    ]
     matrix = tuple(
-        tuple(bucket_multipliers[p] * base_costs[s] for p in range(t + 1))
+        tuple(group_multipliers[p] * base_costs[s] for p in range(t + 1))
         for s in range(inst.k)
     )
     aux = ProblemInstance(
@@ -1062,7 +1111,12 @@ def reference_pds_related(
         cost_model=UnrelatedCosts(aux_matrix(None)),
     )
     usable = [s for s in pool if frozenset(inst.sets[s]) & remaining]
-    ladder = _ladder_guesses(compact_probe, Fraction(1) + kappa_f, usable)
+    aux_scale = math.lcm(*(aux_full.cost(s, p).denominator for s in range(inst.k) for p in nonempty))
+    unit = aux_scale * math.lcm(*(len(reduction.groups[p]) for p in nonempty))
+    ladder = (
+        Fraction(g, unit)
+        for g in _ladder_guesses(compact_probe, Fraction(1) + kappa_f, unit, usable)
+    )
 
     best = None
     skipped = []
@@ -1154,7 +1208,7 @@ def reference_pds_unrelated(
         n=inst.n, sets=restricted_sets, m=inst.m, cost_model=UnrelatedCosts(matrix)
     )
     usable = [s for s in pool if frozenset(inst.sets[s]) & remaining]
-    ladder = _ladder_guesses(work, Fraction(2), usable)
+    ladder = (Fraction(g, inst.scale) for g in _ladder_guesses(work, Fraction(2), inst.scale, usable))
 
     best = None
     skipped = []
@@ -1302,7 +1356,27 @@ def test_reduce_related_matches_former_reduction(case):
     assert aux.sets == former_aux.sets
 
 
-def _ladder_fits(table, base, pool, usable, clamp):
+@settings(max_examples=200, deadline=None)
+@given(case=related_reduction_cases())
+def test_aux_costs_lie_within_one_plus_kappa_of_each_member_cost(case):
+    # A set of base cost c costs c * s_max / s_j on machine j, in the ladder's
+    # units; its aux machine's cost must be at least that and below (1 + kappa)
+    # times it, for every machine j of the group, and no more than the least
+    # such cost: the cost on the group's slowest machine.
+    inst, kappa = case
+    assume(kappa < inst.m)
+    reduction, aux = reduce_related(inst, kappa)
+    speeds = inst.cost_model.speeds
+    s_max = max(speeds)
+    for q, group in enumerate(g for g in reduction.groups if g):
+        for c, row in zip(inst.cost_model.base_costs, aux.costs):
+            for j in group:
+                cost = c * s_max / speeds[j]
+                assert cost <= row[q] < (1 + kappa) * cost
+            assert row[q] == max(c * s_max / speeds[j] for j in group)
+
+
+def _ladder_fits(table, base, unit, pool, usable, clamp):
     """Each guess ``_ladder`` makes, with the ``largest`` it hands its step."""
     seen = []
 
@@ -1310,48 +1384,130 @@ def _ladder_fits(table, base, pool, usable, clamp):
         seen.append((guess, largest))  # returns None, a repeat: nothing is yielded
 
     with pytest.raises(NoCoverageError, match="no budget guess produced"):
-        list(_ladder(table, base, pool, usable, clamp, step))
+        list(_ladder(table, base, unit, pool, usable, clamp, step))
     return seen
 
 
 @st.composite
 def ladder_cases(draw):
-    """A cost table, a ladder base, a pool, its usable sets and the clamp flag:
-    related auxiliary tables, also at a small kappa, or random unrelated ones."""
+    """A cost table, a ladder base, its grid's unit, a pool, its usable sets and
+    the clamp flag: related auxiliary tables, also at a small kappa, on the
+    related ladder's grid, or random unrelated ones on a multiple of their
+    scale's grid."""
     if draw(st.booleans()):
         inst, kappa = draw(related_reduction_cases())
         kappa = draw(st.sampled_from([kappa, Fraction(related_parameters(0.05)[1])]))
         assume(kappa < inst.m)
-        table, base = reduce_related(inst, kappa)[1], 1 + kappa
+        reduction, table = reduce_related(inst, kappa)
+        base, unit = 1 + kappa, table.scale * math.lcm(*(len(g) for g in reduction.groups if g))
     else:
         k, m = draw(st.integers(1, 6)), draw(st.integers(1, 3))
         cost = st.just(INFINITE_COST) | st.builds(Fraction, st.integers(1, 20), st.integers(1, 10))
         matrix = tuple(tuple(draw(cost) for _ in range(m)) for _ in range(k))
         table = ProblemInstance(n=1, sets=((0,),) * k, m=m, cost_model=UnrelatedCosts(matrix))
         base = draw(st.sampled_from([Fraction(2), Fraction(3, 2), Fraction(1001, 1000)]))
+        unit = table.scale * draw(st.integers(1, 3))
     pool = draw(st.frozensets(st.integers(0, table.k - 1), min_size=1))
     usable = sorted(draw(st.frozensets(st.sampled_from(sorted(pool)), min_size=1)))
     assume(any(table.finite_row_icosts[s] is not None for s in usable))
-    return table, base, pool, usable, draw(st.booleans())
+    return table, base, unit, pool, usable, draw(st.booleans())
 
 
 @settings(max_examples=100, deadline=None)
 @given(case=ladder_cases())
 def test_ladder_fits_every_guess_as_the_former_floor_rule(case):
     # the former rule: one bisect over the pool's ascending icosts per guess,
-    # at floor(guess * scale)
-    table, base, pool, usable, clamp = case
+    # at floor(guess * scale) for the guess g / unit as a Fraction
+    table, base, unit, pool, usable, clamp = case
     fitting = [c for c, s in table.icost_order if s in pool]
-    seen = _ladder_fits(table, base, pool, usable, clamp)
-    assert [guess for guess, _ in seen] == list(_ladder_guesses(table, base, usable))
+    seen = _ladder_fits(table, base, unit, pool, usable, clamp)
+    assert [guess for guess, _ in seen] == list(_ladder_guesses(table, base, unit, usable))
     for guess, largest in seen:
-        fit = bisect_right(fitting, scaled_floor(table.scale, guess)) if clamp else len(fitting)
+        floor = scaled_floor(table.scale, Fraction(guess, unit))
+        fit = bisect_right(fitting, floor) if clamp else len(fitting)
         assert largest == fitting[fit - 1]
 
 
+def _counted_guesses(monkeypatch):
+    """Wrap ``pds._ladder_guesses``; returns the list of every guess it makes."""
+    made = []
+
+    def counted(*args, _inner=pds_module._ladder_guesses):
+        for guess in _inner(*args):
+            made.append(guess)
+            yield guess
+
+    monkeypatch.setattr(pds_module, "_ladder_guesses", counted)
+    return made
+
+
+def _solve_report(tmp_path, capsys, doc, *argv):
+    path = tmp_path / "inst.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    assert cli.main(["solve", "--instance", str(path), *argv]) == 0
+    report = json.loads(capsys.readouterr().out)
+    del report["wall_time_s"]
+    return report
+
+
+def test_identical_solve_at_epsilon_1e_5_keeps_its_report(tmp_path, capsys, monkeypatch):
+    # Powers of the float-derived base 1 + delta once made 21,910 guesses over
+    # this solve's two pds calls, with numerators growing at every step, and
+    # took about 50 s; on the grid of whole costs the ladder is 1, 2, ..., 6.
+    made = _counted_guesses(monkeypatch)
+    doc = {
+        "version": 1, "n": 3, "m": 2,
+        "cost_model": {"kind": "identical", "base_costs": [1, 2]},
+        "sets": [[0, 1], [2]],
+    }
+    report = _solve_report(
+        tmp_path, capsys, doc, "--algo", "greedy-identical", "--epsilon", "1e-5", "--seed", "1"
+    )
+    assert report == {
+        "algorithm": "greedy-identical",
+        "cost": 5,
+        "cover_times": [1, 1, 3],
+        "iterations": 2,
+        "parameters": {"algo": "greedy-identical", "epsilon": 1e-05, "seed": 1},
+        "schedule": [[0, 1], []],
+        "upper_bound": 5,
+    }
+    assert len(made) <= 10  # 3 over its two pds calls
+
+
+def test_related_solve_at_epsilon_1e_2_keeps_its_report(tmp_path, capsys, monkeypatch):
+    # Speeds 1/6, 6 and 1/50 give cost ratios 36, 1 and 300, three groups far
+    # apart. Aux costs and guesses that were powers of 1 + kappa once made
+    # 1,375 guesses over this solve, with denominators growing at every step;
+    # the aux machines now cost the ratios themselves, at scale 1.
+    made = _counted_guesses(monkeypatch)
+    doc = {
+        "version": 1, "n": 5, "m": 3,
+        "cost_model": {
+            "kind": "related", "base_costs": [1, 2, 3, 4], "speeds": [[1, 6], [6, 1], [1, 50]]
+        },
+        "sets": [[0, 1], [2], [3, 4], [1, 3]],
+    }
+    report = _solve_report(
+        tmp_path, capsys, doc, "--algo", "greedy-related", "--epsilon", "0.01", "--seed", "1"
+    )
+    assert report == {
+        "algorithm": "greedy-related",
+        "cost": "8/3",
+        "cover_times": ["1/6", "1/6", 1, "2/3", "2/3"],
+        "iterations": 3,
+        "parameters": {"algo": "greedy-related", "epsilon": 0.01, "seed": 1},
+        "schedule": [[], [0, 2, 1], []],
+        "upper_bound": "8/3",
+    }
+    assert len(made) <= 40  # 11 over its three pds calls
+
+
 def test_related_solve_at_epsilon_1e_3_keeps_its_report(tmp_path, capsys):
-    # The aux scale has about 133,000 bits here and the ladder about 2,000
-    # guesses per pds call; each guess once took a floor division of that size.
+    # The aux machines once cost powers of 1 + kappa, with an aux scale of
+    # about 133,000 bits, and the solve made 2,054 guesses. They now cost the
+    # speed ratios 1 and 3/2, so the ladder's grid is halves of a cost and the
+    # solve makes 3 guesses, with the same report.
     path = tmp_path / "inst.json"
     path.write_text(json.dumps({
         "version": 1, "n": 3, "m": 2,
