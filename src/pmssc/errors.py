@@ -55,10 +55,6 @@ class CyclicDagError(PmsscError):
     """The precedence graph contains a directed cycle."""
 
 
-class NotClosedError(PmsscError):
-    """A set family is missing a predecessor required by the precedence graph."""
-
-
 class InvariantError(PmsscError):
     """A solver produced a result that breaks a bound its analysis relies on."""
 

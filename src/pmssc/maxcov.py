@@ -20,10 +20,10 @@ Among equal ratios the lowest set index wins, so results are deterministic.
 The kernel is exact and works on integers only:
 
 * Costs and the budget are ints in one cost unit: the identical ladder
-  passes an instance's ``icosts`` and ``floor(m * guess * scale)``
-  (``core.scaled_floor``). Any other type raises ``TypeError``; a caller
-  with rational costs scales them, and floors the budget, by the LCM of
-  their denominators, which keeps "fits the budget" exact.
+  passes an instance's ``icosts`` and ``m * g`` for its int guess g, which
+  stands for g / scale cost units. Any other type raises ``TypeError``; a
+  caller with rational costs scales them, and floors the budget, by the LCM
+  of their denominators, which keeps "fits the budget" exact.
 * The universe and every set are int bitmasks (bit ``e`` set for element
   ``e``), and the gain of a set is ``(mask & ~covered).bit_count()``.
 * The greedy scans every live set at each pick and compares the ratios

@@ -231,13 +231,24 @@ def _power(base: Fraction, p: int) -> Fraction:
 
 
 def _rounded_up_power(kappa: Fraction, x: Fraction) -> int:
-    """The least p >= 0 with (1 + kappa)^p >= x: a float estimate, which
-    exact powers on either side confirm or move."""
-    base = 1 + kappa
-    p = max(0, math.ceil((math.log(x.numerator) - math.log(x.denominator)) / math.log1p(kappa)))
-    while p > 0 and _power(base, p - 1) >= x:
+    """The least p >= 0 with (1 + kappa)^p >= x = num/den: a float estimate,
+    which the tests on either side confirm or move. (1 + kappa)^q >= x is the
+    sign of q*log1p(kappa) - log(x) outside the band 1e-12 * (1 + log(num) +
+    log(den) + q*log1p(kappa)), thousands of times the few ulps each float log
+    errs by; exact powers decide inside it."""
+    base, log_base = 1 + kappa, math.log1p(kappa)
+    log_num, log_den = math.log(x.numerator), math.log(x.denominator)
+
+    def reaches(q):
+        gap = q * log_base - (log_num - log_den)
+        if abs(gap) > 1e-12 * (1 + log_num + log_den + q * log_base):
+            return gap > 0
+        return _power(base, q) >= x
+
+    p = max(0, math.ceil((log_num - log_den) / log_base))
+    while p > 0 and reaches(p - 1):
         p -= 1
-    while _power(base, p) < x:
+    while not reaches(p):
         p += 1
     return p
 

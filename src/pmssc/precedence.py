@@ -7,6 +7,12 @@ density oracle evaluates d depth-prefix candidates plus one closure
 candidate per set and keeps the densest, which is within k^(2/3) of the
 optimal precedence-closed density.
 
+Families are int bitmasks over set indices. One pass along the instance's
+topological order, restricted to the available sets, gives each set its
+depth (1 + the largest depth among its available predecessors) and its
+closure (its own bit OR'd with their closures); the depth layers' running
+unions are the prefixes.
+
 The end-to-end driver aligns each greedy iteration at the global maximum
 machine end time (an iteration barrier), because a successor on one machine
 must wait for predecessors on another. The plain prefix-sum schedule cost
@@ -15,101 +21,28 @@ cannot express that idling, so results carry their own barrier-aligned cost.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
-from typing import Dict, Iterable, Optional, Tuple
+from functools import reduce
+from itertools import accumulate
+from operator import or_
+from typing import Iterable, Optional, Sequence, Tuple
 
 from .core import (
     Assignment,
     DensityValue,
     ProblemInstance,
     Schedule,
-    as_index,
     available_pool,
     element_mask,
     remaining_elements,
-    topological_order,
     validate_instance,
 )
 from .errors import (
-    InvalidIndexError,
     InvariantError,
     NoCoverageError,
-    NotClosedError,
     StalledOracleError,
     UncoverableError,
 )
-
-
-@dataclass(frozen=True)
-class PrecedenceDag:
-    """DAG over set indices with longest-path depths (depth 1 = source)."""
-
-    num_nodes: int
-    edges: Tuple[Tuple[int, int], ...]
-    predecessors: Tuple[Tuple[int, ...], ...]
-    depth: Tuple[int, ...]
-    nodes: Tuple[int, ...]
-
-    @property
-    def d(self) -> int:
-        return max((self.depth[v] for v in self.nodes), default=0)
-
-    @staticmethod
-    def from_edges(
-        num_nodes: int,
-        edges: Iterable[Tuple[int, int]],
-        nodes: Optional[Iterable[int]] = None,
-    ) -> "PrecedenceDag":
-        """DAG on ``nodes`` (default: all) with the edges between them; one
-        topological sort of the whole graph gives the depths inside that view."""
-        edges = tuple((as_index(a), as_index(b)) for a, b in edges)
-        for a, b in edges:
-            if not (0 <= a < num_nodes and 0 <= b < num_nodes):
-                raise InvalidIndexError("edge (%d, %d) out of range" % (a, b))
-        keep = frozenset(range(num_nodes) if nodes is None else map(as_index, nodes))
-        for v in keep:
-            if not 0 <= v < num_nodes:
-                raise InvalidIndexError("node %d out of range" % v)
-        return PrecedenceDag.view(num_nodes, edges, keep, topological_order(num_nodes, edges))
-
-    @staticmethod
-    def view(num_nodes, edges, keep: frozenset, order) -> "PrecedenceDag":
-        """The DAG ``edges`` on the valid nodes ``keep``, depths taken along ``order``,
-        a topological order of the whole graph: restricted to ``keep``, it is one of the view."""
-        edges = tuple((a, b) for a, b in edges if a in keep and b in keep)
-        preds = [[] for _ in range(num_nodes)]
-        for a, b in edges:
-            preds[b].append(a)
-        depth = [0] * num_nodes
-        for v in order:
-            if v in keep:
-                depth[v] = 1 + max((depth[p] for p in preds[v]), default=0)
-        return PrecedenceDag(
-            num_nodes=num_nodes,
-            edges=edges,
-            predecessors=tuple(tuple(sorted(p)) for p in preds),
-            depth=tuple(depth),
-            nodes=tuple(sorted(keep)),
-        )
-
-
-def closure(dag: PrecedenceDag, s: int) -> frozenset:
-    """All predecessors of s (reflexive-transitive), including s itself."""
-    if not 0 <= s < dag.num_nodes:
-        raise InvalidIndexError("set index %d out of range" % s)
-    node_set = frozenset(dag.nodes)
-    if s not in node_set:
-        raise InvalidIndexError("set index %d is not part of this DAG view" % s)
-    out = set()
-    stack = [s]
-    while stack:
-        v = stack.pop()
-        if v in out:
-            continue
-        out.add(v)
-        stack.extend(p for p in dag.predecessors[v] if p in node_set)
-    return frozenset(out)
 
 
 @dataclass(frozen=True)
@@ -127,33 +60,22 @@ class LayeredAssignment:
     finish: Tuple[Tuple[int, int], ...]
 
 
-def layered_assign(family: Iterable[int], dag: PrecedenceDag, m: int) -> LayeredAssignment:
+def layered_assign(family: int, layers: Sequence[int], m: int) -> LayeredAssignment:
     """Spread a precedence-closed family over m machines layer by layer.
 
-    Layer l (sets of equal depth) takes ceil(n_l / m) unit slots; idle slots
-    count toward the makespan.
+    ``family`` and each of ``layers`` (the sets of depth 1, 2, ...) are int
+    bitmasks over set indices. The n_l family sets of a layer take
+    ceil(n_l / m) unit slots, dealt to the machines in index order; idle
+    slots count toward the makespan.
     """
-    members = sorted(frozenset(map(as_index, family)))
-    node_set = frozenset(dag.nodes)
-    fam_set = frozenset(members)
-    for s in members:
-        if s not in node_set:
-            raise InvalidIndexError("set %d is not part of this DAG view" % s)
-        for p in dag.predecessors[s]:
-            if p in node_set and p not in fam_set:
-                raise NotClosedError(
-                    "family misses predecessor %d of set %d" % (p, s)
-                )
-    layers: Dict[int, list] = {}
-    for s in members:
-        layers.setdefault(dag.depth[s], []).append(s)
     machines = [[] for _ in range(m)]
-    starts = []
-    slots = []
-    finish = []
+    starts, slots, finish = [], [], []
     clock = 0
-    for level in sorted(layers):
-        batch = sorted(layers[level])
+    for layer in layers:
+        members = family & layer
+        batch = [s for s in range(members.bit_length()) if members >> s & 1]
+        if not batch:
+            continue
         width = -(-len(batch) // m)
         starts.append(clock)
         slots.append(width)
@@ -190,32 +112,43 @@ def pcds_detailed(
     remaining_mask = element_mask(remaining_elements(inst, remaining))
     if not any(inst.masks[s] & remaining_mask for s in pool):
         raise NoCoverageError("no available set covers a remaining element")
-    dag_view = PrecedenceDag.view(inst.k, inst.dag, frozenset(pool), inst.dag_order)
-    families = [
-        [s for s in pool if dag_view.depth[s] <= h] for h in range(1, dag_view.d + 1)
-    ]
-    families += [closure(dag_view, s) for s in pool]
+    preds = [[] for _ in range(inst.k)]
+    for a, b in inst.dag:
+        preds[b].append(a)
+    in_pool = element_mask(pool)
+    depth, closure, cover = {}, {}, {}  # per available set; cover: elements of its closure
+    layers, layer_cover = [], []
+    for s in inst.dag_order:  # predecessors first, so ``depth`` holds the available ones
+        if not in_pool >> s & 1:
+            continue
+        below = [p for p in preds[s] if p in depth]
+        depth[s] = h = 1 + max((depth[p] for p in below), default=0)
+        closure[s] = reduce(or_, (closure[p] for p in below), 1 << s)
+        cover[s] = reduce(or_, (cover[p] for p in below), inst.masks[s])
+        if h > len(layers):
+            layers.append(0)
+            layer_cover.append(0)
+        layers[h - 1] |= 1 << s
+        layer_cover[h - 1] |= inst.masks[s]
+    candidates = list(zip(accumulate(layers, or_), accumulate(layer_cover, or_)))
+    candidates += [(closure[s], cover[s]) for s in pool]
 
-    best = None  # (family, DensityValue, makespan)
-    for fam in families:
-        covered = 0
-        for s in fam:
-            covered |= inst.masks[s]
-        per_depth = Counter(dag_view.depth[s] for s in fam)
-        makespan = sum(-(-count // inst.m) for count in per_depth.values())
+    best = None  # (family mask, DensityValue, makespan)
+    for family, covered in candidates:
+        makespan = sum(-(-(family & layer).bit_count() // inst.m) for layer in layers)
         value = DensityValue((covered & remaining_mask).bit_count(), makespan)
         if (
             best is None
             or value > best[1]
             or (value == best[1] and makespan < best[2])
         ):
-            best = (fam, value, makespan)
-    layered = layered_assign(best[0], dag_view, inst.m)
+            best = (family, value, makespan)
+    layered = layered_assign(best[0], layers, inst.m)
     if layered.makespan != best[2]:
         raise InvariantError(
             "winner lays out in %d slots, not the counted %d" % (layered.makespan, best[2])
         )
-    return layered, best[1], len(families)
+    return layered, best[1], len(candidates)
 
 
 def pcds(
@@ -275,9 +208,8 @@ def pmssc_precedence(inst: ProblemInstance) -> Tuple[Schedule, PrecedenceTrace]:
             raise StalledOracleError("oracle assignment covers no remaining element")
         for j, seq in enumerate(layered.assignment.per_machine):
             machines[j].extend(seq)
-        remaining -= newly
-        for seq in layered.assignment.per_machine:
             available.difference_update(seq)
+        remaining -= newly
         clock += layered.makespan
         step += 1
     cost = sum(cover_times)

@@ -51,8 +51,8 @@ def breach_pcds_detailed(patch):
     """The winner's layout takes one slot more than its per-depth counts give."""
     layered_assign = precedence_module.layered_assign
 
-    def one_slot_late(family, dag, m):
-        layered = layered_assign(family, dag, m)
+    def one_slot_late(family, layers, m):
+        layered = layered_assign(family, layers, m)
         return replace(layered, makespan=layered.makespan + 1)
 
     patch(precedence_module, "layered_assign", one_slot_late)

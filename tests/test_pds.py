@@ -283,6 +283,41 @@ def test_reduce_related_at_epsilon_1e_3_builds_only_the_powers_it_reads(monkeypa
     assert aux.costs == ((1, Fraction(3, 2)),) * 2
 
 
+def former_rounded_up_power(kappa, x):
+    """The exact rule that ``_rounded_up_power`` replaced: a float estimate,
+    which exact powers on either side confirm or move."""
+    base = 1 + kappa
+    p = max(0, math.ceil((math.log(x.numerator) - math.log(x.denominator)) / math.log1p(kappa)))
+    while p > 0 and base ** (p - 1) >= x:
+        p -= 1
+    while base**p < x:
+        p += 1
+    return p
+
+
+@st.composite
+def power_thresholds(draw):
+    """(kappa, x): x arbitrary, or a power of 1 + kappa nudged by at most 1e-30,
+    which puts the float test inside its error band."""
+    kappa = draw(st.one_of(
+        st.fractions(Fraction(1, 100), 2, max_denominator=10**6),
+        st.floats(0.01, 2).map(Fraction),
+        st.floats(1e-4, 0.1).map(lambda eps: Fraction(related_parameters(eps)[1])),
+    ))
+    if draw(st.booleans()):
+        return kappa, draw(st.fractions(Fraction(1, 10**6), 100, max_denominator=10**40))
+    nudge = draw(st.sampled_from([Fraction(-1, 10**30), 0, Fraction(1, 10**30)]))
+    return kappa, (1 + kappa) ** draw(st.integers(0, 40)) + nudge
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=power_thresholds())
+def test_rounded_up_power_matches_the_exact_rule(case):
+    kappa, x = case
+    assume(x > 0 and kappa > 0)
+    assert pds_module._rounded_up_power(kappa, x) == former_rounded_up_power(kappa, x)
+
+
 def test_related_parameters():
     delta, kappa = related_parameters(0.2)
     assert abs(delta - 0.2 * 2 * math.e / (math.e - 1)) < 1e-12
@@ -1503,27 +1538,38 @@ def test_related_solve_at_epsilon_1e_2_keeps_its_report(tmp_path, capsys, monkey
     assert len(made) <= 40  # 11 over its three pds calls
 
 
-def test_related_solve_at_epsilon_1e_3_keeps_its_report(tmp_path, capsys):
+def test_related_solve_at_epsilon_1e_3_keeps_its_report(tmp_path, capsys, monkeypatch):
     # The aux machines once cost powers of 1 + kappa, with an aux scale of
     # about 133,000 bits, and the solve made 2,054 guesses. They now cost the
     # speed ratios 1 and 3/2, so the ladder's grid is halves of a cost and the
-    # solve makes 3 guesses, with the same report.
+    # solve makes 3 guesses, with the same report. At epsilon 1e-4 the exact
+    # check of t (about 582,800) once built powers for 20 s; the float test
+    # outside its error band decides it now, and no large power is built.
     path = tmp_path / "inst.json"
     path.write_text(json.dumps({
         "version": 1, "n": 3, "m": 2,
         "cost_model": {"kind": "related", "base_costs": [1, 1], "speeds": [[1, 1], [3, 2]]},
         "sets": [[0, 1], [2]],
     }), encoding="utf-8")
-    argv = ["solve", "--instance", str(path), "--algo", "greedy-related", "--epsilon", "1e-3"]
-    assert cli.main(argv + ["--seed", "1"]) == 0
-    report = json.loads(capsys.readouterr().out)
-    del report["wall_time_s"]
-    assert report == {
-        "algorithm": "greedy-related",
-        "cost": "8/3",
-        "cover_times": ["2/3", "2/3", "4/3"],
-        "iterations": 2,
-        "parameters": {"algo": "greedy-related", "epsilon": 0.001, "seed": 1},
-        "schedule": [[], [0, 1]],
-        "upper_bound": "8/3",
-    }
+    built = []
+
+    def power(base, p, _inner=pds_module._power):
+        built.append(p)
+        return _inner(base, p)
+
+    monkeypatch.setattr(pds_module, "_power", power)
+    for epsilon in ("1e-3", "1e-4"):
+        argv = ["solve", "--instance", str(path), "--algo", "greedy-related", "--epsilon", epsilon]
+        assert cli.main(argv + ["--seed", "1"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        del report["wall_time_s"]
+        assert report == {
+            "algorithm": "greedy-related",
+            "cost": "8/3",
+            "cover_times": ["2/3", "2/3", "4/3"],
+            "iterations": 2,
+            "parameters": {"algo": "greedy-related", "epsilon": float(epsilon), "seed": 1},
+            "schedule": [[], [0, 1]],
+            "upper_bound": "8/3",
+        }
+    assert max(built) < 10

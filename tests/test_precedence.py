@@ -1,19 +1,22 @@
+import random
+from dataclasses import dataclass
 from typing import Dict, Iterable, Optional, Tuple
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import NOT_INDICES
 import pmssc.core as core_module
-import pmssc.precedence as precedence_module
 from pmssc import cli
 from pmssc.core import (
+    Assignment,
     DensityValue,
     ProblemInstance,
     Schedule,
     UnitCosts,
+    as_index,
     evaluate_schedule_cost,
     topological_order,
     validate_instance,
@@ -23,7 +26,6 @@ from pmssc.errors import (
     InvalidIndexError,
     InvariantError,
     NoCoverageError,
-    NotClosedError,
     PmsscError,
     StalledOracleError,
     UncoverableError,
@@ -32,10 +34,7 @@ from pmssc.fileio import generate_instance, serialize_instance
 from pmssc.oracle import exact_pds_precedence
 from pmssc.precedence import (
     LayeredAssignment,
-    PrecedenceDag,
     PrecedenceTrace,
-    closure,
-    layered_assign,
     pcds,
     pcds_detailed,
     pmssc_precedence,
@@ -56,76 +55,206 @@ def diamond_instance(m=2):
     return unit_instance(4, ((), (), (), (0, 1, 2, 3)), m, DIAMOND_EDGES)
 
 
+# Verbatim copies of the DAG view, closure and layout that the density
+# oracle used before it worked on bitmasks over set indices; the former_*
+# references below read them. The layout's closedness check raised a
+# NotClosedError, an error type that left with it; it raises InvariantError.
+
+
+@dataclass(frozen=True)
+class PrecedenceDag:
+    """DAG over set indices with longest-path depths (depth 1 = source)."""
+
+    num_nodes: int
+    edges: Tuple[Tuple[int, int], ...]
+    predecessors: Tuple[Tuple[int, ...], ...]
+    depth: Tuple[int, ...]
+    nodes: Tuple[int, ...]
+
+    @property
+    def d(self) -> int:
+        return max((self.depth[v] for v in self.nodes), default=0)
+
+    @staticmethod
+    def from_edges(
+        num_nodes: int,
+        edges: Iterable[Tuple[int, int]],
+        nodes: Optional[Iterable[int]] = None,
+    ) -> "PrecedenceDag":
+        """DAG on ``nodes`` (default: all) with the edges between them; one
+        topological sort of the whole graph gives the depths inside that view."""
+        edges = tuple((as_index(a), as_index(b)) for a, b in edges)
+        for a, b in edges:
+            if not (0 <= a < num_nodes and 0 <= b < num_nodes):
+                raise InvalidIndexError("edge (%d, %d) out of range" % (a, b))
+        keep = frozenset(range(num_nodes) if nodes is None else map(as_index, nodes))
+        for v in keep:
+            if not 0 <= v < num_nodes:
+                raise InvalidIndexError("node %d out of range" % v)
+        return PrecedenceDag.view(num_nodes, edges, keep, topological_order(num_nodes, edges))
+
+    @staticmethod
+    def view(num_nodes, edges, keep: frozenset, order) -> "PrecedenceDag":
+        """The DAG ``edges`` on the valid nodes ``keep``, depths taken along ``order``,
+        a topological order of the whole graph: restricted to ``keep``, it is one of the view."""
+        edges = tuple((a, b) for a, b in edges if a in keep and b in keep)
+        preds = [[] for _ in range(num_nodes)]
+        for a, b in edges:
+            preds[b].append(a)
+        depth = [0] * num_nodes
+        for v in order:
+            if v in keep:
+                depth[v] = 1 + max((depth[p] for p in preds[v]), default=0)
+        return PrecedenceDag(
+            num_nodes=num_nodes,
+            edges=edges,
+            predecessors=tuple(tuple(sorted(p)) for p in preds),
+            depth=tuple(depth),
+            nodes=tuple(sorted(keep)),
+        )
+
+
+def closure(dag: PrecedenceDag, s: int) -> frozenset:
+    """All predecessors of s (reflexive-transitive), including s itself."""
+    if not 0 <= s < dag.num_nodes:
+        raise InvalidIndexError("set index %d out of range" % s)
+    node_set = frozenset(dag.nodes)
+    if s not in node_set:
+        raise InvalidIndexError("set index %d is not part of this DAG view" % s)
+    out = set()
+    stack = [s]
+    while stack:
+        v = stack.pop()
+        if v in out:
+            continue
+        out.add(v)
+        stack.extend(p for p in dag.predecessors[v] if p in node_set)
+    return frozenset(out)
+
+
+def former_layered_assign(family: Iterable[int], dag: PrecedenceDag, m: int) -> LayeredAssignment:
+    """Spread a precedence-closed family over m machines layer by layer.
+
+    Layer l (sets of equal depth) takes ceil(n_l / m) unit slots; idle slots
+    count toward the makespan.
+    """
+    members = sorted(frozenset(map(as_index, family)))
+    node_set = frozenset(dag.nodes)
+    fam_set = frozenset(members)
+    for s in members:
+        if s not in node_set:
+            raise InvalidIndexError("set %d is not part of this DAG view" % s)
+        for p in dag.predecessors[s]:
+            if p in node_set and p not in fam_set:
+                raise InvariantError(
+                    "family misses predecessor %d of set %d" % (p, s)
+                )
+    layers: Dict[int, list] = {}
+    for s in members:
+        layers.setdefault(dag.depth[s], []).append(s)
+    machines = [[] for _ in range(m)]
+    starts = []
+    slots = []
+    finish = []
+    clock = 0
+    for level in sorted(layers):
+        batch = sorted(layers[level])
+        width = -(-len(batch) // m)
+        starts.append(clock)
+        slots.append(width)
+        for i, s in enumerate(batch):
+            machines[i % m].append(s)
+            finish.append((s, clock + i // m + 1))
+        clock += width
+    return LayeredAssignment(
+        assignment=Assignment(tuple(tuple(seq) for seq in machines)),
+        layer_starts=tuple(starts),
+        layer_slots=tuple(slots),
+        makespan=clock,
+        finish=tuple(finish),
+    )
+
+
+CHAIN_EDGES = ((0, 1), (1, 2))
+
+
+def covered_by(s, k, dag, m=2):
+    """k sets under ``dag``; only set s holds the one element."""
+    return unit_instance(1, tuple((0,) if t == s else () for t in range(k)), m, dag)
+
+
 def test_closure_isolated_chain_diamond():
-    dag = PrecedenceDag.from_edges(3, ((0, 1), (1, 2)))
-    assert closure(dag, 0) == {0}
-    assert closure(dag, 2) == {0, 1, 2}
-    dia = PrecedenceDag.from_edges(4, DIAMOND_EDGES)
-    assert closure(dia, 3) == {0, 1, 2, 3}
+    # The one covering set's closure is the densest candidate; the winner's
+    # finish slots are its members' depths.
+    layered, _, _ = pcds_detailed(covered_by(0, 3, CHAIN_EDGES), [0])
+    assert layered.finish == ((0, 1),)
+    layered, _, _ = pcds_detailed(covered_by(2, 3, CHAIN_EDGES), [0])
+    assert layered.finish == ((0, 1), (1, 2), (2, 3))
+    layered, _, _ = pcds_detailed(covered_by(3, 4, DIAMOND_EDGES), [0])
+    assert layered.finish == ((0, 1), (1, 2), (2, 2), (3, 3))
+    # an edge to an unavailable set is dropped, so sets 0 and 2 both have
+    # depth 1, and the prefix F_1 ties the closure {2} first
+    layered, _, _ = pcds_detailed(covered_by(2, 3, CHAIN_EDGES), [0], available=[0, 2])
+    assert layered.finish == ((0, 1), (2, 1))
 
 
 def test_depths_and_d():
-    dia = PrecedenceDag.from_edges(4, DIAMOND_EDGES)
-    assert dia.depth == (1, 2, 2, 3)
-    assert dia.d == 3
+    layered, _, count = pcds_detailed(diamond_instance(m=2), range(4))
+    assert dict(layered.finish) == {0: 1, 1: 2, 2: 2, 3: 3}  # depths (1, 2, 2, 3)
+    assert count == 3 + 4  # d = 3 prefixes, four closures
 
 
 def test_cycle_rejected():
+    inst = unit_instance(2, ((0,), (1,)), 1, ((0, 1), (1, 0)))
     with pytest.raises(CyclicDagError):
-        PrecedenceDag.from_edges(2, ((0, 1), (1, 0)))
+        pcds_detailed(inst, [0, 1])
+    with pytest.raises(UncoverableError, match="^precedence graph is cyclic$"):
+        pmssc_precedence(inst)
 
 
 @pytest.mark.parametrize("edge", [(-1, 0), (0, 5), (3, 1)])
 def test_edge_endpoints_out_of_range_are_rejected(edge):
-    # (-1, 0) was once dropped silently and (0, 5) a bare IndexError
-    with pytest.raises(InvalidIndexError, match=r"^edge \(%d, %d\) out of range$" % edge):
-        PrecedenceDag.from_edges(3, ((0, 1), edge))
+    # (-1, 0) was once dropped silently and (0, 5) a bare IndexError; the
+    # instance refuses such an edge before any precedence solver reads it
+    with pytest.raises(InvalidIndexError, match=r"^dag edge 1 references invalid set index$"):
+        unit_instance(1, ((0,), (), ()), 1, ((0, 1), edge))
 
 
 def test_layered_assign_independent_sets():
-    dag = PrecedenceDag.from_edges(4, ())
-    layered = layered_assign([0, 1, 2, 3], dag, 2)
+    inst = unit_instance(4, ((0,), (1,), (2,), (3,)), 2, ())
+    layered, _, _ = pcds_detailed(inst, range(4))
     assert layered.makespan == 2
 
 
 def test_layered_assign_chain_ignores_extra_machines():
-    dag = PrecedenceDag.from_edges(3, ((0, 1), (1, 2)))
-    layered = layered_assign([0, 1, 2], dag, 5)
+    layered, _, _ = pcds_detailed(covered_by(2, 3, CHAIN_EDGES, m=5), [0])
     assert layered.makespan == 3
 
 
 def test_layered_assign_diamond():
-    dag = PrecedenceDag.from_edges(4, DIAMOND_EDGES)
-    layered = layered_assign([0, 1, 2, 3], dag, 2)
+    layered, _, _ = pcds_detailed(covered_by(3, 4, DIAMOND_EDGES), [0])
     assert layered.makespan == 3
     assert layered.layer_slots == (1, 1, 1)
-
-
-def test_layered_assign_not_closed():
-    dag = PrecedenceDag.from_edges(3, ((0, 1), (1, 2)))
-    with pytest.raises(NotClosedError):
-        layered_assign([1, 2], dag, 2)
 
 
 def test_dag_and_family_indices_must_be_integers():
     # read with operator.index: (0.9, "0") was once the self-loop (0, 0)
     for edge in ((0.9, "0"), (0, 1.0), (False, True)):
         with pytest.raises(TypeError):
-            PrecedenceDag.from_edges(2, (edge,))
-    for nodes in ((0.5,), (True,)):
+            unit_instance(1, ((0,), ()), 1, (edge,))
+    inst = covered_by(2, 3, CHAIN_EDGES)
+    for available in ((0.5,), (True,), (0, 1.2), (0, True)):
         with pytest.raises(TypeError):
-            PrecedenceDag.from_edges(2, (), nodes=nodes)
-    dag = PrecedenceDag.from_edges(3, ((0, 1), (1, 2)))
-    for family in ([0, 1.2], [0, True]):
-        with pytest.raises(TypeError):
-            layered_assign(family, dag, 2)
+            pcds_detailed(inst, [0], available=available)
 
 
-def test_layered_start_times_respect_precedence():
-    dag = PrecedenceDag.from_edges(4, DIAMOND_EDGES)
-    layered = layered_assign([0, 1, 2, 3], dag, 2)
+def _check_finish_times(inst, layered):
+    """``finish`` matches the per-machine layout at each set's depth in the
+    available view, and every DAG edge inside the family ends before it starts."""
+    members = {s for seq in layered.assignment.per_machine for s in seq}
+    dag = PrecedenceDag.from_edges(inst.k, inst.dag)
+    starts = dict(zip(sorted({dag.depth[s] for s in members}), layered.layer_starts))
     finish = {}
-    starts = dict(zip(sorted({dag.depth[s] for s in range(4)}), layered.layer_starts))
     for seq in layered.assignment.per_machine:
         seen = {}
         for s in seq:
@@ -134,8 +263,21 @@ def test_layered_start_times_respect_precedence():
             finish[s] = starts[lvl] + offset + 1
             seen[lvl] = offset + 1
     assert dict(layered.finish) == finish
-    for a, b in DIAMOND_EDGES:
-        assert finish[a] <= finish[b] - 1
+    for a, b in inst.dag:
+        if b in members:
+            assert finish[a] <= finish[b] - 1
+
+
+def test_layered_start_times_respect_precedence():
+    layered, _, _ = pcds_detailed(diamond_instance(m=2), range(4))
+    _check_finish_times(diamond_instance(m=2), layered)
+    for seed in range(15):
+        inst = generate_instance(
+            n=6, k=8, m=2, model="unit", density=0.3,
+            seed=7000 + seed, dag_edge_prob=0.5,
+        )
+        layered, _, _ = pcds_detailed(inst, range(inst.n))
+        _check_finish_times(inst, layered)
 
 
 def test_pcds_no_edges_all_sets_one_slot():
@@ -270,7 +412,8 @@ def test_precedence_cover_times_respect_barriers():
 
 # Verbatim copies of the driver and its finish-time scan from before the
 # layout recorded each set's finish slot; the differential test below holds
-# the current driver to them.
+# the current driver to them. The driver calls the former oracle below, so
+# the whole former pipeline is the reference.
 
 
 def former_finish_times(layered: LayeredAssignment, dag: PrecedenceDag) -> Dict[int, int]:
@@ -366,7 +509,9 @@ def former_pmssc_precedence(
     while remaining:
         if step > work.k + 1:
             raise StalledOracleError("precedence greedy failed to make progress")
-        layered, _, _ = pcds_detailed(work, frozenset(remaining), available=frozenset(available))
+        layered, _, _ = former_pcds_detailed(
+            work, frozenset(remaining), available=frozenset(available)
+        )
         dag_view = former_induced(full, sorted(available))
         finishes = former_finish_times(layered, dag_view)
         newly = set()
@@ -390,6 +535,22 @@ def former_pmssc_precedence(
     return schedule, PrecedenceTrace(cost, tuple(cover_times))
 
 
+def scale_instance(n, k, m, seed):
+    return generate_instance(
+        n=n, k=k, m=m, model="unit", density=0.05, seed=seed, dag_edge_prob=0.02
+    )
+
+
+# Seeded cases far above the drawn sizes (k <= 8): many depths, long closures.
+SCALE_CASES = [scale_instance(400, 100, 4, 1), scale_instance(1600, 480, 8, 1)]
+
+
+def scale_picks(inst):
+    """All elements and sets, then a seeded half of each."""
+    rng = random.Random(inst.k)
+    return [(2**inst.n - 1, None), (rng.getrandbits(inst.n), rng.getrandbits(inst.k))]
+
+
 @st.composite
 def dag_instances(draw):
     return generate_instance(
@@ -409,6 +570,8 @@ def _outcome(solve):
 
 @settings(max_examples=150, deadline=None)
 @given(inst=dag_instances())
+@example(inst=SCALE_CASES[0])
+@example(inst=SCALE_CASES[1])
 def test_pmssc_precedence_matches_former_driver(inst):
     assert _outcome(lambda: pmssc_precedence(inst)) == _outcome(
         lambda: former_pmssc_precedence(inst)
@@ -455,7 +618,7 @@ def former_pcds_detailed(
         count += 1
         if not fam:
             continue
-        layered = layered_assign(fam, dag_view, inst.m)
+        layered = former_layered_assign(fam, dag_view, inst.m)
         covered = set()
         for s in fam:
             covered |= frozenset(inst.sets[s]) & remaining
@@ -488,6 +651,10 @@ def _pcds_outcome(solve):
     inst=dag_instances(),
     picks=st.tuples(st.integers(0, 2**8 - 1), st.none() | st.integers(0, 2**8 - 1)),
 )
+@example(inst=SCALE_CASES[0], picks=scale_picks(SCALE_CASES[0])[0])
+@example(inst=SCALE_CASES[0], picks=scale_picks(SCALE_CASES[0])[1])
+@example(inst=SCALE_CASES[1], picks=scale_picks(SCALE_CASES[1])[0])
+@example(inst=SCALE_CASES[1], picks=scale_picks(SCALE_CASES[1])[1])
 def test_pcds_detailed_matches_former_oracle(inst, picks):
     remaining = frozenset(u for u in range(inst.n) if picks[0] >> u & 1)
     available = None
@@ -496,23 +663,19 @@ def test_pcds_detailed_matches_former_oracle(inst, picks):
     assert _pcds_outcome(lambda: pcds_detailed(inst, remaining, available)) == _pcds_outcome(
         lambda: former_pcds_detailed(inst, remaining, available)
     )
-    pool = range(inst.k) if available is None else available
-    former = former_induced(former_from_edges(inst.k, inst.dag), pool)
-    assert PrecedenceDag.from_edges(inst.k, inst.dag, pool) == former
-    assert PrecedenceDag.view(inst.k, inst.dag, frozenset(pool), inst.dag_order) == former
 
 
 def test_a_precedence_solve_sorts_the_dag_once(monkeypatch, tmp_path):
-    # Parsing, validation and every iteration's DAG view share the instance's
-    # one topological order (each view once sorted the whole DAG again).
+    # Parsing, validation and every iteration's pass over the available sets
+    # share the instance's one topological order (each iteration's DAG view
+    # once sorted the whole DAG again).
     sorts = []
 
     def counted(num_nodes, edges, _inner=topological_order):
         sorts.append(num_nodes)
         return _inner(num_nodes, edges)
 
-    for module in (core_module, precedence_module):
-        monkeypatch.setattr(module, "topological_order", counted)
+    monkeypatch.setattr(core_module, "topological_order", counted)
     inst = generate_instance(n=30, k=12, m=3, model="unit", seed=3, dag_edge_prob=0.2)
     path, out = tmp_path / "dag.json", tmp_path / "report.json"
     path.write_text(serialize_instance(inst), encoding="utf-8")
