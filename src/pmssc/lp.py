@@ -9,11 +9,14 @@ variable at zero by complementing columns in place (the classic upper-bound
 
 At x = 0 every slack is basic at its row's rhs, so a cold solve runs one
 phase from that feasible slack basis (Bixby, Oper. Res. 2002) and reports
-``optimal`` or ``unbounded``. Pivoting is Dantzig's rule with a switch to
-Bland's rule after ``10 * (rows + cols)`` degenerate steps. One engine runs on
-float64 arrays with a pivot tolerance cascade, or on ``Fraction`` object
-arrays with zero tolerance; both share one tableau layout and one vectorised
-ratio test (ties to the lowest variable index). The tableau is
+``optimal`` or ``unbounded``. Pivoting is primal steepest edge (Goldfarb &
+Reid, Math. Programming 1977) with a switch to Bland's rule after ``10 *
+(rows + cols)`` degenerate steps, and prices only live columns: a column
+whose range is [0, 0] (an infinite-cost pair, or a closed set) never enters
+or flips. One engine runs on float64 arrays with a pivot tolerance cascade,
+or on ``Fraction`` object arrays with zero tolerance; both share one tableau
+layout, one pricing rule and one vectorised ratio test (ties to the lowest
+variable index). The tableau is
 ``T = [M | b ; r | -z]``: M = B^-1 [A | I], the basic values b, the reduced
 costs r = c - c_B M and minus the objective value z, so one rank-1 update per
 pivot moves all four, and a flip negates a whole column, r included. A float
@@ -25,7 +28,7 @@ only the rows with a nonzero multiplier, as ``Fraction`` products are slow
 basis (Applegate, Cook, Dash & Espinoza, Oper. Res. Lett. 2007): the exact
 tableau ``[A | I | rhs ; c | 0 | 0]`` takes the float run's flips and basis,
 which must be exactly feasible, and the simplex pivots on until every exact
-reduced cost is <= 0 (no pivot when the float basis is optimal). The vertex
+live reduced cost is <= 0 (no pivot when the float basis is optimal). The vertex
 returned is thus exactly feasible and exactly optimal.
 
 A ``WarmStart`` holder passed as ``warm`` keeps the last optimal float
@@ -33,9 +36,10 @@ tableau. When the next program has exactly the same objective, bounds and
 coefficient rows, and differs only in its right-hand sides, the stored basis
 is still dual feasible: the rhs change enters through the slack columns
 (``b += B^-1 . change``), a bounded dual simplex (Koberstein, "The dual
-simplex method", 2005) with the dual steepest edge leaving rule (Forrest &
-Goldfarb, Math. Programming 1992) restores primal feasibility, and the primal
-simplex finishes as in a cold solve. Any other program, and any numerical trouble on
+simplex method", 2005) restores primal feasibility, leaving by dual steepest
+edge over both bounds (Forrest & Goldfarb, Math. Programming 1992) and
+entering by the Harris two-pass ratio test (Harris, Math. Programming 1973),
+and the primal simplex finishes as in a cold solve. Any other program, and any numerical trouble on
 the warm path, solves cold; ``verify=True`` re-solves exactly from the warm
 basis just as from a cold one. A warm start may stop at another optimal vertex
 than a cold solve where the optimum is not unique. ``LinearProgram.with_rhs``
@@ -200,23 +204,33 @@ def _complement_basic(T, u, basis, flipped, i):
 
 
 def _optimize(T, u, basis, flipped, tol, bland_after, W=None):
-    """Run primal iterations until no reduced cost exceeds tol (0: exact ties);
-    ``W`` is a float tableau's pivot scratch."""
+    """Run primal iterations until no live reduced cost exceeds tol (0: exact
+    ties); ``W`` is a float tableau's pivot scratch.
+
+    A column is live when its range is not [0, 0]; a fixed column never
+    enters. The entering column is the live one of largest r_j^2 / (1 +
+    |M_j|^2) over r_j > tol: primal steepest edge (Goldfarb & Reid, Math.
+    Programming 1977), whose weight 1 + |B^-1 a_j|^2 is read exactly from
+    the tableau's column, so no update recurrence is kept. Weights within a
+    relative ``tie`` of the largest go to the lowest index, so rounding
+    noise between equal columns does not decide.
+    """
     M, b, r = T[:-1, :-1], T[:-1, -1], T[-1, :-1]
     nrows, ncols = M.shape
+    live = u > 0
     tie = 1e-12 if tol else 0
     degenerate = 0
     for _ in range(2000 + 200 * (nrows + ncols)):
         # r is 0 on every basic column: each pivot writes its column as a unit vector
+        entering = ((r > tol) & live).nonzero()[0]
+        if entering.size == 0:
+            return
         if degenerate > bland_after:
-            entering = np.nonzero(r > tol)[0]
-            if entering.size == 0:
-                return
             j = int(entering[0])
         else:
-            j = int(r.argmax())
-            if r[j] <= tol:
-                return
+            cols, rj = M[:, entering], r[entering]
+            weight = rj * rj / (1 + np.einsum("ij,ij->j", cols, cols))
+            j = int(entering[(weight >= weight.max() * (1 - tie)).argmax()])
         # Ratio test over the rows whose basic variable bounds the step and column
         # j's own flip (u[j], inf if unbounded); ties within `tie` go to the lowest variable.
         col, ub = M[:, j], u[basis]
@@ -246,37 +260,44 @@ def _optimize(T, u, basis, flipped, tol, bland_after, W=None):
 def _dual_simplex(T, u, basis, flipped, tol, W):
     """Bounded dual simplex from a dual feasible basis until 0 <= b <= u (within tol).
 
-    A basic variable above its bound is complemented, which leaves every
-    reduced cost as it was and puts the variable below zero. The leaving row
-    is chosen by dual steepest edge (Forrest & Goldfarb, Math. Programming
-    1992): among the rows with b_i < -tol, the one of largest
-    b_i^2 / |row i of B^-1|^2. B^-1 is the tableau's slack block, so each
-    weight is exact and needs no update formula. The entering column has the
-    least |reduced cost| / |row entry| over the row's entries below -tol
-    (ties to the lowest index), so every reduced cost stays <= 0. A row with
-    no such entry would prove the program infeasible, which a packing program
-    never is (x = 0 is feasible), so it is numerical trouble and the caller
-    solves cold.
+    The leaving row is chosen by dual steepest edge (Forrest & Goldfarb, Math.
+    Programming 1992): among the rows with b_i < -tol or b_i > u_i + tol, the
+    one of largest violation^2 / |row i of B^-1|^2. B^-1 is the tableau's
+    slack block, so each weight is exact and needs no update formula. A
+    leaving variable above its bound is complemented, which leaves every
+    reduced cost, its violation and its weight as they were and puts it below
+    zero. The entering column is chosen among the live columns whose row
+    entry lies below -tol by the Harris two-pass ratio test (Harris, Math.
+    Programming 1973): theta_max is the least (|r_j| + tol) / |alpha_j|, and
+    of the columns whose |r_j| / |alpha_j| is at most theta_max the one of
+    largest |alpha_j| enters (ties to the lowest index), so a reduced cost
+    <= 0 rises to at most tol and the pivot element is as large as that allows. A
+    row with no such entry would prove the program infeasible, which a
+    packing program never is (x = 0 is feasible), so it is numerical trouble
+    and the caller solves cold.
     """
     M, b, r = T[:-1, :-1], T[:-1, -1], T[-1, :-1]
     nrows, ncols = M.shape
     if not nrows:
         return
     inverse = M[:, ncols - nrows :]
+    live = u > 0
     for _ in range(2000 + 200 * (nrows + ncols)):
-        above = (b > u[basis] + tol).nonzero()[0]
-        if above.size:
-            _complement_basic(T, u, basis, flipped, above)
-        infeasible = (b < -tol).nonzero()[0]
+        violation = np.maximum(-b, b - u[basis])
+        infeasible = (violation > tol).nonzero()[0]
         if infeasible.size == 0:
             return
         rows = inverse[infeasible]
-        i = int(infeasible[(b[infeasible] ** 2 / np.einsum("ij,ij->i", rows, rows)).argmax()])
+        i = int(infeasible[(violation[infeasible] ** 2 / np.einsum("ij,ij->i", rows, rows)).argmax()])
+        if b[i] > 0:  # above its bound; below it b_i < -tol
+            _complement_basic(T, u, basis, flipped, i)
         row = M[i]
-        entering = (row < -tol).nonzero()[0]
+        entering = ((row < -tol) & live).nonzero()[0]
         if entering.size == 0:
             raise _NumericTrouble("dual simplex found no entering column")
-        j = int(entering[(np.minimum(r[entering], 0) / row[entering]).argmin()])
+        alpha, d = -row[entering], np.abs(r[entering])
+        fits = d / alpha <= ((d + tol) / alpha).min()
+        j = int(entering[np.where(fits, alpha, 0).argmax()])
         _pivot(T, basis, i, j, W)
     raise _NumericTrouble("dual simplex iteration limit exceeded")
 
@@ -430,7 +451,7 @@ def solve_lp(
     """Solve to optimality, or report unbounded.
 
     With ``verify=True`` the values and objective are exact rationals of a
-    vertex that is exactly feasible and has exact reduced costs <= 0; a float
+    vertex that is exactly feasible and has exact live reduced costs <= 0; a float
     basis that is not exactly feasible moves on to the next tolerance, and
     ``NumericalFailureError`` is raised when none is left.
 

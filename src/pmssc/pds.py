@@ -253,29 +253,38 @@ def _rounded_up_power(kappa: Fraction, x: Fraction) -> int:
     return p
 
 
-class _Powers(Sequence):
-    """The read-only sequence (1 + kappa)^0, ..., (1 + kappa)^(length - 1),
-    which builds a power only when it is read; it equals, and hashes as, the
-    tuple of the same values."""
+class _Positional(Sequence):
+    """The read-only sequence item(0), ..., item(length - 1), which builds an
+    item only when it is read; it equals, and hashes as, the tuple of the
+    same values."""
 
-    def __init__(self, kappa: Fraction, length: int):
-        self._base, self._length = 1 + kappa, length
+    def __init__(self, length: int, item):
+        self._length, self._item = length, item
 
     def __len__(self):
         return self._length
 
     def __getitem__(self, p):
         if not -self._length <= p < self._length:
-            raise IndexError("power index out of range")
-        return _power(self._base, p % self._length)
+            raise IndexError("index out of range")
+        return self._item(p % self._length)
 
     def __eq__(self, other):
-        if not isinstance(other, (tuple, _Powers)):
+        if not isinstance(other, (tuple, _Positional)):
             return NotImplemented
         return len(other) == self._length and all(a == b for a, b in zip(self, other))
 
     def __hash__(self):
         return hash(tuple(self))
+
+
+class _Groups(_Positional):
+    """The machine groups by power: () at a power no machine rounds to, and
+    ``nonempty`` maps every other power to its group, in power order."""
+
+    def __init__(self, nonempty: dict, length: int):
+        super().__init__(length, lambda p: nonempty.get(p, ()))
+        self.nonempty = nonempty
 
 
 @dataclass(frozen=True)
@@ -287,12 +296,12 @@ class RelatedReduction:
     (1 + kappa)^p``. Machines slower than kappa/m times the fastest are
     discarded. Positional groups may be empty; the auxiliary instance has a
     machine for the nonempty ones only, each costed by its group's largest
-    multiplier. ``aux_cost_multiplier`` holds all t + 1 powers as a
-    ``_Powers`` sequence, so only the powers read are built.
+    multiplier. Both hold t + 1 positions as ``_Positional`` sequences, so
+    only the nonempty groups are stored and only the powers read are built.
     """
 
     kept_machines: Tuple[int, ...]
-    groups: Tuple[Tuple[int, ...], ...]
+    groups: Sequence[Tuple[int, ...]]
     aux_cost_multiplier: Sequence[Fraction]
 
     @property
@@ -326,17 +335,17 @@ def reduce_related(
 
     # Powers 0..t of 1 + kappa, t the first with (1 + kappa)^t >= m / kappa: a
     # kept multiplier lies below m / kappa, so it rounds up to at most power t.
-    powers = _Powers(kappa, _rounded_up_power(kappa, inst.m / kappa) + 1)
-    groups = [[] for _ in range(len(powers))]
+    base = 1 + kappa
+    powers = _Positional(_rounded_up_power(kappa, inst.m / kappa) + 1, lambda p: _power(base, p))
+    by_power = {}
     for j in kept:
-        groups[_rounded_up_power(kappa, s_max / speeds[j])].append(j)
+        by_power.setdefault(_rounded_up_power(kappa, s_max / speeds[j]), []).append(j)
+    groups = _Groups({p: tuple(by_power[p]) for p in sorted(by_power)}, len(powers))
 
     reduction = RelatedReduction(
-        kept_machines=tuple(kept),
-        groups=tuple(tuple(g) for g in groups),
-        aux_cost_multiplier=powers,
+        kept_machines=tuple(kept), groups=groups, aux_cost_multiplier=powers
     )
-    multipliers = [s_max / min(speeds[j] for j in g) for g in groups if g]
+    multipliers = [s_max / min(speeds[j] for j in g) for g in groups.nonempty.values()]
     matrix = tuple(tuple(mult * c for mult in multipliers) for c in inst.cost_model.base_costs)
     aux = ProblemInstance(
         n=inst.n, sets=inst.sets, m=len(multipliers), cost_model=UnrelatedCosts(matrix)
@@ -409,7 +418,7 @@ def pds_related(
     _, kappa = related_parameters(epsilon)
     kappa_f = Fraction(kappa)
     reduction, aux = reduce_related(inst, kappa_f)
-    groups = [g for g in reduction.groups if g]
+    groups = list(reduction.groups.nonempty.values())
     params = PmcParams(
         mode=FPT, epsilon=kappa, mu=kappa, r_cap=RELATED_ROUNDING_CAP, seed=seed
     )

@@ -27,6 +27,7 @@ from pmssc.lp import (
 from pmssc.oracle import exact_pmc
 from pmssc.pmc import PmcRelaxation
 from pmssc.fileio import generate_instance
+from pmssc.scheduler import pmssc_greedy
 
 
 def test_trivial_bounded_maximum():
@@ -221,30 +222,47 @@ def _beale_on_the_slack_basis(num, dtype):
 
 
 @pytest.mark.parametrize("num, dtype, tol", [(float, float, 1e-9), (Fraction, object, 0)])
-def test_blands_rule_ends_the_cycle_of_beales_example(num, dtype, tol):
+def test_blands_rule_ends_the_cycle_of_beales_example(num, dtype, tol, monkeypatch):
     pivot, pivots = lp_mod._pivot, []
 
     def counted(*args):
         pivots.append(args[2])
         pivot(*args)
 
-    with mock.patch.object(lp_mod, "_pivot", counted):
+    def solved(optimize, bland_after):
+        """Beale's example run by ``optimize``; its pivots and its vertex."""
+        pivots.clear()
         T, u, basis, flipped = _beale_on_the_slack_basis(num, dtype)
         W = np.empty((2,) + T.shape) if dtype is float else None  # the float pivot scratch
-        objective = T[-1, :4].copy()
-        lp_mod._optimize(T, u, basis, flipped, tol, 10 * (sum(T.shape) - 2), W)
-        assert len(pivots) == 103
-        x = lp_mod._vertex(T, u, basis, flipped, 4)
+        optimize(T, u, basis, flipped, tol, bland_after, W)
+        return len(pivots), lp_mod._vertex(T, u, basis, flipped, 4)
+
+    def assert_optimal(x):
         if num is Fraction:
             assert list(x) == [Fraction(1, 25), 0, 1, 0] and objective @ x == Fraction(1, 20)
         else:
             assert np.allclose(x, [1 / 25, 0, 1, 0]) and abs(objective @ x - 1 / 20) < 1e-12
-        # Dantzig's rule alone cycles until the iteration limit
-        pivots.clear()
-        T, u, basis, flipped = _beale_on_the_slack_basis(num, dtype)
-        with pytest.raises(lp_mod._NumericTrouble, match="^iteration limit exceeded$"):
-            lp_mod._optimize(T, u, basis, flipped, tol, 10**9, W)
-        assert len(pivots) == 2000 + 200 * (sum(T.shape) - 2)
+
+    objective = _beale_on_the_slack_basis(num, dtype)[0][-1, :4].copy()
+    limit = 10 * (3 + 7)  # 10 * (rows + columns), Bland's rule after that many degenerate steps
+    monkeypatch.setattr(lp_mod, "_pivot", counted)
+    monkeypatch.setitem(globals(), "dantzig_pivot", counted)
+    # steepest edge never cycles here: 5 pivots, none of them by Bland's rule
+    count, x = solved(lp_mod._optimize, limit)
+    assert count == 5
+    assert_optimal(x)
+    # Bland's rule from the first degenerate step reaches the optimum too
+    count, x = solved(lp_mod._optimize, 0)
+    assert count == 6
+    assert_optimal(x)
+    # Dantzig's rule (the engine's former pricing) cycles until Bland's rule
+    # takes over, and alone cycles until the iteration limit
+    count, x = solved(dantzig_optimize, limit)
+    assert count == 103
+    assert_optimal(x)
+    with pytest.raises(lp_mod._NumericTrouble, match="^iteration limit exceeded$"):
+        solved(dantzig_optimize, 10**9)
+    assert len(pivots) == 2000 + 200 * 10
 
 
 def test_float_pivots_allocate_nothing_of_the_tableau_size():
@@ -286,11 +304,13 @@ real_optimize = lp_mod._optimize
 
 def _reduced_costs_checked(T, u, basis, flipped, tol, bland_after, W=None):
     """The engine's ``_optimize``; on an exact tableau it then asserts an
-    exactly feasible basis with every exact reduced cost <= 0."""
+    exactly feasible basis with every exact reduced cost <= 0 on a nonbasic
+    column whose range is not [0, 0]. A fixed column's reduced cost may have
+    either sign at an optimum, as the column cannot move."""
     real_optimize(T, u, basis, flipped, tol, bland_after, W)
     if T.dtype == object:
         assert all(0 <= v <= u[j] for v, j in zip(T[:-1, -1], basis))
-        assert all(rj <= 0 for j, rj in enumerate(T[-1, :-1]) if j not in basis)
+        assert all(rj <= 0 for j, rj in enumerate(T[-1, :-1]) if j not in basis and u[j] > 0)
 
 
 coefficient = st.one_of(
@@ -586,21 +606,26 @@ def _dense_pivot(T, basis, i, j, W=None):
 
 
 def _loop_optimize(T, u, basis, flipped, tol, bland_after, W=None):
-    """Run primal iterations until no reduced cost exceeds tol (0: exact ties)."""
+    """Run primal iterations until no live reduced cost exceeds tol (0: exact
+    ties); the steepest edge weights are summed in a loop."""
     M, b, r = T[:-1, :-1], T[:-1, -1], T[-1, :-1]
     nrows, ncols = M.shape
     tie = 1e-12 if tol else 0
     degenerate = 0
+
+    def weight(j):
+        return r[j] * r[j] / (1 + sum(M[i, j] * M[i, j] for i in range(nrows)))
+
     for _ in range(2000 + 200 * (nrows + ncols)):
+        entering = [j for j in range(ncols) if u[j] > 0 and r[j] > tol]
+        if not entering:
+            return
         if degenerate > bland_after:
-            entering = np.nonzero(r > tol)[0]
-            if entering.size == 0:
-                return
-            j = int(entering[0])
+            j = entering[0]
         else:
-            j = int(np.argmax(r))
-            if r[j] <= tol:
-                return
+            weights = [weight(j) for j in entering]
+            top = max(weights)
+            j = next(j for j, w in zip(entering, weights) if w >= top * (1 - tie))
         col = M[:, j]
         candidates = []  # (theta, (var index, kind priority), kind, row)
         if u[j] < math.inf:
@@ -630,17 +655,22 @@ def _loop_optimize(T, u, basis, flipped, tol, bland_after, W=None):
     raise lp_mod._NumericTrouble("iteration limit exceeded")
 
 
-def _solve_all(programs, verify, warm):
-    """repr of each program's solve (or of its failure), one holder for all
-    of them when ``warm``, else each solved cold."""
+def _solutions(programs, verify, warm):
+    """Each program's solve, or its ``NumericalFailureError``; one holder for
+    all of them when ``warm``, else each solved cold."""
     holder = WarmStart() if warm else None
     out = []
     for lp in programs:
         try:
-            out.append(repr(solve_lp(lp, verify=verify, warm=holder)))
+            out.append(solve_lp(lp, verify=verify, warm=holder))
         except NumericalFailureError as exc:
-            out.append(repr(exc))
+            out.append(exc)
     return out
+
+
+def _solve_all(programs, verify, warm):
+    """repr of each program's solve (or of its failure)."""
+    return [repr(solution) for solution in _solutions(programs, verify, warm)]
 
 
 def _matches_the_dense_solver(programs, verify, warm):
@@ -755,6 +785,215 @@ def general_ladders(draw):
 @given(programs=general_ladders(), verify=st.booleans(), warm=st.booleans())
 def test_fast_paths_match_the_dense_solver_on_general_programs(programs, verify, warm):
     _matches_the_dense_solver(programs, verify=verify, warm=warm)
+
+
+# -- steepest edge, the live mask and the Harris ratio test against the
+# Dantzig-priced engine they replaced
+
+
+def _same_optimal_values_as_the_dantzig_engine(programs, verify, warm):
+    """Where the optimum is not unique the two engines may stop at different
+    vertices; the optimal value is the same, exactly under ``verify``."""
+    steep = _solutions(programs, verify, warm)
+    with mock.patch.multiple(
+        lp_mod, _pivot=dantzig_pivot, _optimize=dantzig_optimize, _dual_simplex=dantzig_dual_simplex
+    ):
+        dantzig = _solutions(programs, verify, warm)
+    for mine, theirs in zip(steep, dantzig):
+        if isinstance(theirs, NumericalFailureError):
+            continue
+        assert not isinstance(mine, NumericalFailureError), mine
+        assert mine.status == theirs.status
+        if mine.status != OPTIMAL:
+            continue
+        z = theirs.objective_value
+        if verify:
+            assert mine.objective_value == z
+        else:
+            assert abs(mine.objective_value - z) <= 1e-9 * (1 + abs(z))
+
+
+@settings(max_examples=25, deadline=None)
+@given(programs=large_pmc_ladders(), warm=st.booleans())
+def test_optimal_values_match_the_dantzig_engine_on_large_pmc_ladders(programs, warm):
+    _same_optimal_values_as_the_dantzig_engine(programs, verify=False, warm=warm)
+
+
+@settings(max_examples=4, deadline=None)
+@given(programs=large_pmc_ladders(n=(30, 34), k=(10, 11), m=(2, 2), steps=(1, 3)),
+       warm=st.booleans())
+def test_optimal_values_match_the_dantzig_engine_on_large_pmc_ladders_verified(programs, warm):
+    _same_optimal_values_as_the_dantzig_engine(programs, verify=True, warm=warm)
+
+
+@settings(max_examples=100, deadline=None)
+@given(programs=general_ladders(), verify=st.booleans(), warm=st.booleans())
+def test_optimal_values_match_the_dantzig_engine_on_general_programs(programs, verify, warm):
+    _same_optimal_values_as_the_dantzig_engine(programs, verify=verify, warm=warm)
+
+
+def _bench_size_unrelated_instance():
+    """An unrelated instance of the bench's shape: n 80, k 24, m 4, density
+    0.12, about a tenth of its costs infinite."""
+    return generate_instance(n=80, k=24, m=4, model="unrelated", density=0.12, seed=1)
+
+
+def _moves_of_fixed_columns(monkeypatch):
+    """Wrap the engine's loops, pivot and flip; the returned list gets one
+    entry per pivot or flip that moves a column whose range is [0, 0]."""
+    moved, ranges = [], []
+
+    def keeping(loop):
+        def run(T, u, *args, _inner=getattr(lp_mod, loop)):
+            ranges.append(u)
+            try:
+                return _inner(T, u, *args)
+            finally:
+                ranges.pop()
+
+        return run
+
+    def pivot(T, basis, i, j, W=None, _inner=lp_mod._pivot):
+        if ranges and ranges[-1][j] == 0:
+            moved.append(("enter", j))
+        _inner(T, basis, i, j, W)
+
+    def flip(T, u, flipped, j, _inner=lp_mod._flip_nonbasic):
+        if u[j] == 0:
+            moved.append(("flip", j))
+        _inner(T, u, flipped, j)
+
+    for loop in ("_optimize", "_dual_simplex"):
+        monkeypatch.setattr(lp_mod, loop, keeping(loop))
+    monkeypatch.setattr(lp_mod, "_pivot", pivot)
+    monkeypatch.setattr(lp_mod, "_flip_nonbasic", flip)
+    return moved
+
+
+def test_no_fixed_column_enters_or_flips_on_a_bench_size_unrelated_solve(monkeypatch):
+    inst = _bench_size_unrelated_instance()
+    fixed = sum(c == INFINITE_COST for row in inst.cost_model.matrix for c in row)
+    assert fixed > 0  # each infinite-cost pair is a fixed [0, 0] column, as is each closed set
+    moved = _moves_of_fixed_columns(monkeypatch)
+    pmssc_greedy(inst, "unrelated", 0.2, 1)
+    assert moved == []
+    # the Dantzig engine moves such columns on the same solve, by zero flips
+    monkeypatch.undo()
+    monkeypatch.setattr(lp_mod, "_optimize", dantzig_optimize)
+    moved = _moves_of_fixed_columns(monkeypatch)
+    pmssc_greedy(inst, "unrelated", 0.2, 1)
+    assert moved and {kind for kind, _ in moved} == {"flip"}
+
+
+def test_unrelated_greedy_at_n_320_takes_fewer_than_2400_pivots(monkeypatch):
+    # The Dantzig engine took 3,424 pivots here, steepest edge 1,667.
+    inst = generate_instance(n=320, k=96, m=8, model="unrelated", density=0.1, seed=2)
+    pivots = []
+
+    def counted(*args, _inner=lp_mod._pivot):
+        pivots.append(args[3])
+        _inner(*args)
+
+    monkeypatch.setattr(lp_mod, "_pivot", counted)
+    pmssc_greedy(inst, "unrelated", 0.2, 1)
+    assert len(pivots) < 2400
+
+
+# -- reference: the Dantzig-priced engine, verbatim but for its names. It
+# enters the column of largest reduced cost, fixed [0, 0] columns included,
+# complements every row above its bound on each dual iteration and enters
+# the dual's least ratio.
+
+
+def dantzig_pivot(T, basis, i, j, W=None):
+    """Pivot on T[i, j]; one rank-1 update moves M, b, r and -z together. A
+    float tableau passes its scratch ``W``, two planes of T's shape, and is
+    updated in place; an exact one updates its nonzero rows."""
+    T[i] /= T[i, j]
+    col = T[:, j].copy()
+    col[i] = 0
+    if W is None:
+        rows = col.nonzero()[0]
+        T[rows] -= col[rows, None] * T[i]
+    else:
+        # The planes are filled by assignment: a broadcast operand in the
+        # product itself would make numpy buffer it, 64 KB per pivot.
+        rows, cols = W
+        rows[...] = T[i]
+        cols[...] = col[:, None]
+        T -= np.multiply(cols, rows, out=rows)
+    T[:, j] = 0
+    T[i, j] = 1
+    basis[i] = j
+
+
+def dantzig_optimize(T, u, basis, flipped, tol, bland_after, W=None):
+    """Run primal iterations until no reduced cost exceeds tol (0: exact ties);
+    ``W`` is a float tableau's pivot scratch."""
+    M, b, r = T[:-1, :-1], T[:-1, -1], T[-1, :-1]
+    nrows, ncols = M.shape
+    tie = 1e-12 if tol else 0
+    degenerate = 0
+    for _ in range(2000 + 200 * (nrows + ncols)):
+        # r is 0 on every basic column: each pivot writes its column as a unit vector
+        if degenerate > bland_after:
+            entering = np.nonzero(r > tol)[0]
+            if entering.size == 0:
+                return
+            j = int(entering[0])
+        else:
+            j = int(r.argmax())
+            if r[j] <= tol:
+                return
+        # Ratio test over the rows whose basic variable bounds the step and column
+        # j's own flip (u[j], inf if unbounded); ties within `tie` go to the lowest variable.
+        col, ub = M[:, j], u[basis]
+        rows = ((col > tol) | ((col < -tol) & (ub < math.inf))).nonzero()[0]
+        a = col[rows]
+        theta = np.where(a > 0, b[rows], ub[rows] - b[rows]) / np.abs(a)
+        if not rows.size and u[j] == math.inf:
+            raise lp_mod._Unbounded()
+        cut = min(theta.min(initial=math.inf), u[j])
+        tied = (theta <= cut + tie).nonzero()[0]
+        pick = tied[basis[rows[tied]].argmin()] if tied.size else None
+        if u[j] <= cut + tie and (pick is None or j < basis[rows[pick]]):
+            i, step = -1, u[j]
+        else:
+            i, step = int(rows[pick]), theta[pick]
+        if step <= tol:
+            degenerate += 1
+        if i < 0:
+            lp_mod._flip_nonbasic(T, u, flipped, j)
+        else:
+            if col[i] < 0:
+                lp_mod._complement_basic(T, u, basis, flipped, i)
+            dantzig_pivot(T, basis, i, j, W)
+    raise lp_mod._NumericTrouble("iteration limit exceeded")
+
+
+def dantzig_dual_simplex(T, u, basis, flipped, tol, W):
+    """Bounded dual simplex from a dual feasible basis until 0 <= b <= u (within tol)."""
+    M, b, r = T[:-1, :-1], T[:-1, -1], T[-1, :-1]
+    nrows, ncols = M.shape
+    if not nrows:
+        return
+    inverse = M[:, ncols - nrows :]
+    for _ in range(2000 + 200 * (nrows + ncols)):
+        above = (b > u[basis] + tol).nonzero()[0]
+        if above.size:
+            lp_mod._complement_basic(T, u, basis, flipped, above)
+        infeasible = (b < -tol).nonzero()[0]
+        if infeasible.size == 0:
+            return
+        rows = inverse[infeasible]
+        i = int(infeasible[(b[infeasible] ** 2 / np.einsum("ij,ij->i", rows, rows)).argmax()])
+        row = M[i]
+        entering = (row < -tol).nonzero()[0]
+        if entering.size == 0:
+            raise lp_mod._NumericTrouble("dual simplex found no entering column")
+        j = int(entering[(np.minimum(r[entering], 0) / row[entering]).argmin()])
+        dantzig_pivot(T, basis, i, j, W)
+    raise lp_mod._NumericTrouble("dual simplex iteration limit exceeded")
 
 
 # -- reference: the former float solve and _verify_exact, verbatim but for
